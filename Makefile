@@ -39,11 +39,11 @@ bench:
 
 # Machine-readable benchmark snapshot: one fast pass (-short,
 # -benchtime 1x) over every benchmark, converted to JSON by
-# cmd/benchjson and committed as BENCH_PR10.json so regressions show up
+# cmd/benchjson and committed as BENCH_PR13.json so regressions show up
 # in review diffs. Use `make bench` for real measurements.
 bench-json:
 	$(GO) test -run xxx -bench . -benchmem -short -benchtime 1x . \
-	  | $(GO) run ./cmd/benchjson -o BENCH_PR10.json
+	  | $(GO) run ./cmd/benchjson -o BENCH_PR13.json
 
 # Regression gates. First: diff the previous PR's committed snapshot
 # against this PR's and fail on ns/op regressions. The tool's default
@@ -56,8 +56,8 @@ bench-json:
 # threshold of its planner=off sibling, so turning the cost-based
 # planner on by default can never ship a slowdown.
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare -threshold 0.50 BENCH_PR7.json BENCH_PR10.json
-	$(GO) run ./cmd/benchjson -ablation planner -threshold 0.50 BENCH_PR10.json
+	$(GO) run ./cmd/benchjson -compare -threshold 0.50 BENCH_PR10.json BENCH_PR13.json
+	$(GO) run ./cmd/benchjson -ablation planner -threshold 0.50 BENCH_PR13.json
 
 # SLO gate: boot sparqld on the demo cube, enrich it over HTTP, fire a
 # short seeded mixed workload with `qb2olap bench` through the remote

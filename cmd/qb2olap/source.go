@@ -23,7 +23,6 @@ type sourceFlags struct {
 	demoObs     int
 	seed        int64
 	parallel    int
-	chunkSize   int
 	planner     string
 	retries     int
 	timeout     time.Duration
@@ -45,8 +44,7 @@ func (s *sourceFlags) register(fs *flag.FlagSet) {
 	fs.IntVar(&s.demoObs, "demo", 0, "generate the demo cube with this many observations")
 	fs.Int64Var(&s.seed, "seed", 42, "generator seed for -demo")
 	fs.IntVar(&s.parallel, "parallel", 0, "worker goroutines per in-process query evaluation (0 = GOMAXPROCS, 1 = sequential)")
-	fs.IntVar(&s.chunkSize, "chunk-size", 1024, "streaming chunk size in rows for in-process query evaluation (0 = materialized evaluation)")
-	fs.StringVar(&s.planner, "planner", "on", "cost-based query planner: on (reorder joins, push filters, auto-select QL translation) or off (written order, runtime reorder only)")
+	fs.StringVar(&s.planner, "planner", "on", "cost-based query planner: on (reorder joins, push filters, auto-select QL translation) or off (joins and filters run as written)")
 	fs.IntVar(&s.retries, "retries", 2, "retries per idempotent remote query on transient failures (0 disables; updates are never retried)")
 	fs.DurationVar(&s.timeout, "timeout", 0, "per-attempt timeout for remote endpoint requests (0 = none)")
 }
@@ -105,7 +103,6 @@ func (s *sourceFlags) open() (*core.Tool, error) {
 	}
 	return core.New(endpoint.NewLocal(st,
 		sparql.WithParallelism(s.parallel),
-		sparql.WithChunkSize(s.chunkSize),
 		sparql.WithPlanner(s.plannerOn()))), nil
 }
 

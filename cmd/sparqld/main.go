@@ -5,7 +5,7 @@
 // Usage:
 //
 //	sparqld [-addr :8080] [-data file.ttl]... [-demo N] [-parallel N]
-//	        [-planner on|off] [-chunk-size N]
+//	        [-planner on|off]
 //	        [-trace N] [-sample RATE] [-trace-export file.jsonl]
 //	        [-slowlog DUR] [-debug-addr :8081]
 //	        [-query-timeout DUR] [-max-inflight N]
@@ -24,13 +24,11 @@
 // (0, the default, selects GOMAXPROCS; 1 forces sequential
 // evaluation). -planner=off disables the cost-based query planner
 // (statistics-driven join reordering and filter pushdown before
-// evaluation, plus the /sparql?cost=1 plan-cost surface), reverting to
-// the runtime greedy reorder. -chunk-size N sets the streaming
-// pipeline's chunk granularity: untraced SELECTs evaluate through
-// bounded chunked operators and the JSON response is encoded and
-// flushed chunk by chunk, so peak memory tracks pipeline depth instead
-// of the largest intermediate (0 restores the fully materialized
-// evaluator).
+// evaluation, plus the /sparql?cost=1 plan-cost surface): patterns then
+// join in the written order. Every query evaluates through the chunked
+// pipeline, and a SELECT's JSON response is encoded and flushed chunk
+// by chunk, so peak memory tracks pipeline depth instead of the largest
+// intermediate.
 //
 // Observability: -trace N keeps the last N collected traces at
 // /debug/traces (individual queries can always be traced on demand
@@ -161,8 +159,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "generator seed for -demo")
 	readOnly := flag.Bool("readonly", false, "reject updates and loads (serve data only)")
 	parallel := flag.Int("parallel", 0, "worker goroutines per query evaluation (0 = GOMAXPROCS, 1 = sequential)")
-	chunkSize := flag.Int("chunk-size", 1024, "streaming pipeline chunk size in rows; untraced SELECTs evaluate and serialize chunk by chunk (0 = materialized evaluation)")
-	planner := flag.String("planner", "on", "cost-based query planner: on (reorder joins, push filters, serve ?cost=1) or off (written order, runtime reorder only)")
+	planner := flag.String("planner", "on", "cost-based query planner: on (reorder joins, push filters, serve ?cost=1) or off (joins and filters run as written)")
 	traceN := flag.Int("trace", 0, "trace every query, keeping the last N traces at /debug/traces (0 disables)")
 	sample := flag.Float64("sample", 0.01, "fraction of queries traced when tracing is on (propagated traceparent verdicts always win)")
 	traceExport := flag.String("trace-export", "", "append every collected trace as JSONL to this file (rotated at 64MB)")
@@ -255,7 +252,6 @@ func main() {
 	}
 	srv := endpoint.NewServer(st,
 		sparql.WithParallelism(*parallel),
-		sparql.WithChunkSize(*chunkSize),
 		sparql.WithPlanner(*planner == "on"))
 	srv.ReadOnly = *readOnly
 	// Publish the ql.Choose decision counters on the same /metrics

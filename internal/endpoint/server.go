@@ -761,12 +761,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Untraced SELECTs with the default JSON content type stream: the
 	// response is encoded and flushed chunk by chunk as the pipeline
 	// produces rows, so the server never holds the full result table
-	// alongside its serialization. Traced queries, CSV/TSV, and ASK keep
-	// the materialized path (tracing needs whole-operator counts, the
-	// text encoders need the full table API, ASK is one row).
+	// alongside its serialization. Traced queries, CSV/TSV, and ASK
+	// respond from a collected table (the span tree travels in a
+	// response header, so it must be complete before the body starts;
+	// the text encoders need the full table API; ASK is one row) — the
+	// evaluation underneath is the same pipeline either way.
 	accept := r.Header.Get("Accept")
 	wantText := strings.Contains(accept, "text/csv") || strings.Contains(accept, "text/tab-separated-values")
-	if !traced && !wantText && q.Form == sparql.FormSelect && s.engine.ChunkSize() > 0 {
+	if !traced && !wantText && q.Form == sparql.FormSelect {
 		s.streamQuery(ctx, w, q)
 		return
 	}

@@ -21,11 +21,16 @@ import (
 // Span is one operator node in a query trace tree: what ran, how long
 // it took, how many solutions flowed in and out, and how many worker
 // goroutines the operator actually used. Spans form a tree mirroring
-// the algebra of the evaluated query.
+// the algebra of the evaluated query. Mem is the approximate bytes the
+// operator charged to the query's resource account, rendered as mem=…
+// in the timed EXPLAIN ANALYZE view and excluded from Outline so golden
+// trees stay byte-identical whether or not accounting ran.
 //
-// A span's scalar fields are written once, by the goroutine that
-// created it; Children appends are mutex-protected so sibling operators
-// evaluated concurrently may attach spans to a shared parent.
+// A span's scalar fields are written only by the goroutine that created
+// it — once by Finish, or accumulated across pulls when the span belongs
+// to a pipeline stage that produces its output chunk by chunk; Children
+// appends are mutex-protected so sibling operators evaluated
+// concurrently may attach spans to a shared parent.
 type Span struct {
 	Op       string        `json:"op"`
 	Detail   string        `json:"detail,omitempty"`
@@ -87,17 +92,6 @@ func (s *Span) SetEst(n int64) {
 	s.EstSet = true
 }
 
-// SetMem records the approximate bytes the operator materialized (its
-// contribution to the query's resource account). Rendered as mem=… in
-// the timed EXPLAIN ANALYZE view; excluded from Outline so golden
-// trees stay byte-identical whether or not accounting ran. Nil-safe.
-func (s *Span) SetMem(b int64) {
-	if s == nil || b <= 0 {
-		return
-	}
-	s.Mem = b
-}
-
 // Estimated reports whether SetEst was called on the span.
 func (s *Span) Estimated() bool { return s != nil && s.EstSet }
 
@@ -110,21 +104,6 @@ func (s *Span) Attach(c *Span) {
 	s.mu.Lock()
 	s.Children = append(s.Children, c)
 	s.mu.Unlock()
-}
-
-// LastChild returns the most recently attached child span, or nil.
-// Nil-safe; used by the evaluator to annotate the span an operator just
-// finished without threading it through every case.
-func (s *Span) LastChild() *Span {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.Children) == 0 {
-		return nil
-	}
-	return s.Children[len(s.Children)-1]
 }
 
 // Visit walks the span tree depth-first, parents before children.

@@ -7,26 +7,28 @@
 // store.Store and substitutes for the Virtuoso endpoint used in the
 // paper.
 //
-// Query planning: each query entry point first runs the cost-based
-// planner (plan.go, on by default, WithPlanner(false) to opt out),
-// which reorders BGP joins by estimated cardinality from the store's
-// statistics snapshot and pushes filters down to where their variables
-// are first bound; evaluation then follows the planned order exactly.
-// With the planner off, evalBGP falls back to its runtime greedy
-// reorder (or textual order under DisableReorder).
+// Evaluation: one chunked pull pipeline (stream.go) evaluates every
+// query form and every update WHERE clause, with cancellation, memory
+// accounting and tracing applied at chunk boundaries. Each query and
+// update entry point first runs the cost-based planner (plan.go, on by
+// default, WithPlanner(false) to opt out), which reorders BGP joins by
+// estimated cardinality from the store's statistics snapshot and pushes
+// filters down to where their variables are first bound; the pipeline
+// joins in exactly the order it is handed, so with the planner off
+// patterns evaluate in the written order.
 //
 // Concurrency contract: an Engine is safe for concurrent use — any
 // number of goroutines may run queries and updates on one Engine, with
 // per-scan snapshot semantics provided by the store (callers needing
 // serialized updates must arrange it, as endpoint.Server does).
-// Evaluation itself is parallel: the hot operators (BGP joins, FILTER,
-// OPTIONAL, UNION, MINUS, hash GROUP BY) partition their input
+// Evaluation itself is parallel within a chunk: the hot kernels (BGP
+// joins, FILTER, OPTIONAL, MINUS, hash GROUP BY) partition their input
 // solution sequence across up to WithParallelism(n) worker goroutines
-// and merge the per-chunk outputs in input order, so query results are
-// identical at every parallelism level; n = 1 runs the original
-// sequential code paths (see parallel.go). Engine configuration
-// (SetParallelism, WithPlanner, DisableReorder) is not synchronized
-// and must happen before the Engine is shared.
+// and merge the outputs in input order, so query results are identical
+// at every parallelism level; n = 1 runs the sequential code paths
+// (see parallel.go). Engine configuration (SetParallelism,
+// SetChunkSize, WithPlanner) is not synchronized and must happen before
+// the Engine is shared.
 package sparql
 
 import "repro/internal/rdf"

@@ -12,14 +12,13 @@ import (
 // the cooperative checks the evaluator loops call.
 //
 // Cancellation contract: evaluation is cooperative. The coordinating
-// goroutine checks the context at every algebra step (one check per
-// element of a group graph pattern, one per join of a BGP chain), and
-// the row-partitioned operator interiors — BGP join, FILTER, OPTIONAL,
-// MINUS, GROUP BY accumulation, projection — check every
-// cancelCheckRows rows, both on the coordinator and inside worker
-// chunks, so a cancelled query returns promptly at every parallelism
-// level. Workers that observe cancellation abandon their chunk and
-// return truncated output; the coordinator then converts the
+// goroutine checks the context at every chunk boundary of the pipeline
+// (boundIter, stream.go), and the row kernels — BGP join, FILTER,
+// OPTIONAL, MINUS, GROUP BY accumulation — check every cancelCheckRows
+// rows, both on the coordinator and inside worker sub-chunks, so a
+// cancelled query returns promptly at every parallelism level and chunk
+// size. Workers that observe cancellation abandon their rows and return
+// truncated output; the next chunk boundary then converts the
 // cancellation into an error before any truncated rows can escape, so
 // a cancelled query never yields a silently partial result.
 //

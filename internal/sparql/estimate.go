@@ -13,8 +13,9 @@ import "math"
 // planner (plan.go) consumes the same model, estimateJoinRows, to
 // choose join orders before evaluation starts.
 //
-// Estimates are only computed while tracing (the cursor is non-nil);
-// the untraced fast path pays nothing.
+// Estimates are only computed while tracing, when a stage closes and
+// its total actual input is known (trace.go); an untraced query pays
+// nothing.
 
 // estimateJoin is the tracing-time view of estimateJoinRows: it
 // predicts the output rows of joining one triple pattern into in

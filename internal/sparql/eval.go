@@ -16,8 +16,8 @@ import (
 //
 // An Engine is safe for concurrent use: queries carry all per-execution
 // state in a private run value, and the underlying store serializes
-// access internally. Configuration (SetParallelism, WithPlanner,
-// DisableReorder) must be done before the engine is shared.
+// access internally. Configuration (SetParallelism, SetChunkSize,
+// WithPlanner) must be done before the engine is shared.
 type Engine struct {
 	store *store.Store
 
@@ -26,21 +26,14 @@ type Engine struct {
 	parallelism int
 
 	// planner enables the cost-based planning pass (plan.go) on every
-	// query entry: statistics-driven BGP join ordering plus filter
-	// pushdown, applied once before evaluation. On by default;
-	// WithPlanner(false) restores the pre-planner behavior.
+	// query and update entry: statistics-driven BGP join ordering plus
+	// filter pushdown, applied once before evaluation. On by default;
+	// with WithPlanner(false) patterns join in the written order.
 	planner bool
 
-	// DisableReorder turns off evalBGP's runtime greedy join-order
-	// heuristic, so an *unplanned* BGP runs in textual order. It only
-	// matters with the planner off (a planned query's order is
-	// authoritative either way); the planner ablation benchmarks use it
-	// to isolate the two mechanisms.
-	DisableReorder bool
-
 	// tracer, when set (WithTracer), collects a per-operator trace of
-	// every sampled query. Nil — the default — keeps evaluation on the
-	// untraced fast path; see trace.go.
+	// every sampled query. Nil — the default — leaves every span hook a
+	// nil check; see trace.go.
 	tracer *obs.Tracer
 
 	// sampler, when set (WithSampler), decides which queries the tracer
@@ -55,16 +48,15 @@ type Engine struct {
 	resources   *obs.ResourceTracker
 	maxQueryMem int64
 
-	// chunkSize is the solution-chunk granularity of the streaming
-	// pipeline (stream.go): untraced SELECT/ASK queries evaluate through
-	// chunked pull iterators whose buffers hold about chunkSize rows,
-	// with cancellation and memory accounting applied at chunk
-	// boundaries. 0 disables streaming and restores the fully
-	// materialized evaluator. Default defaultChunkSize.
+	// chunkSize is the solution-chunk granularity of the pipeline
+	// (stream.go): every query evaluates through chunked pull iterators
+	// whose buffers hold about chunkSize rows, with cancellation, memory
+	// accounting and tracing applied at chunk boundaries. Always >= 1;
+	// default defaultChunkSize.
 	chunkSize int
 }
 
-// defaultChunkSize is the default streaming chunk granularity. 1024
+// defaultChunkSize is the default chunk granularity. 1024
 // rows balances per-chunk kernel efficiency (large enough to engage the
 // parallel operators, minParallelRows=128) against per-query buffer
 // footprint (a ~1.5 KB OLAP row × 1024 ≈ 1.5 MB per pipeline stage);
@@ -85,24 +77,21 @@ func WithParallelism(n int) Option {
 	return func(e *Engine) { e.SetParallelism(n) }
 }
 
-// WithChunkSize sets the streaming pipeline's chunk granularity in
-// rows. n <= 0 disables streaming: every query evaluates through the
-// fully materialized operators (the pre-streaming engine). The default
-// is defaultChunkSize.
+// WithChunkSize sets the pipeline's chunk granularity in rows. n <= 0
+// selects defaultChunkSize, which is also the default.
 func WithChunkSize(n int) Option {
 	return func(e *Engine) { e.SetChunkSize(n) }
 }
 
-// ChunkSize reports the streaming chunk granularity (0 = streaming
-// disabled).
+// ChunkSize reports the pipeline's chunk granularity in rows.
 func (e *Engine) ChunkSize() int { return e.chunkSize }
 
-// SetChunkSize changes the streaming chunk granularity (n <= 0
-// disables streaming). It must not be called concurrently with running
+// SetChunkSize changes the chunk granularity (n <= 0 selects
+// defaultChunkSize). It must not be called concurrently with running
 // queries.
 func (e *Engine) SetChunkSize(n int) {
-	if n < 0 {
-		n = 0
+	if n <= 0 {
+		n = defaultChunkSize
 	}
 	e.chunkSize = n
 }
@@ -188,19 +177,14 @@ type run struct {
 	done <-chan struct{}
 
 	// planned records that the query being evaluated was rewritten by
-	// the cost-based planner; evalBGP then treats the pattern order as
-	// authoritative instead of applying its runtime greedy reorder.
+	// the cost-based planner; BGP spans say so.
 	planned bool
 
-	// trace is the current trace cursor: operator spans attach under
-	// it. Nil (the default) disables tracing; every hook then reduces
-	// to a nil check.
+	// trace is the (sub)query's span: its WHERE stages and its
+	// AGGREGATE/ORDER/PROJECT/DISTINCT/SLICE spans attach under it. Nil
+	// (the default) disables tracing; every hook then reduces to a nil
+	// check.
 	trace *obs.Span
-
-	// lastEst carries the most recent JOIN estimate out of evalBGP so
-	// the enclosing BGP span can adopt it as its own output estimate.
-	// Only written while tracing.
-	lastEst int64
 
 	// acct is the per-query resource account (rows/bytes materialized,
 	// peak in-flight, optional budget). Nil — the default — disables
@@ -210,23 +194,26 @@ type run struct {
 	// finishes it) as opposed to one injected via context.
 	acct    *obs.QueryAcct
 	ownAcct bool
+}
 
-	// depth counts evalGroup nesting. The in-flight release bookkeeping
-	// (replacing one operator's live intermediate with the next) runs
-	// only at depth 1, on the coordinating goroutine; nested groups and
-	// worker copies (which inherit depth > 0 or increment their own
-	// copy) just charge the account, so releases never race. The
-	// resulting peak is biased high on nested shapes — documented as
-	// approximate in DESIGN.md.
-	depth int
+// newRun plans q (prepared) and opens the per-execution state for it:
+// cancellation and accounting bound from ctx, every variable registered,
+// spans attaching under root when it is non-nil. It returns the run and
+// the query to evaluate; the caller defers closeAcct.
+func (e *Engine) newRun(ctx context.Context, q *Query, root *obs.Span) (*run, *Query) {
+	q = e.prepared(q)
+	r := &run{e: e, vt: newVarTable(), trace: root, planned: q.Planned}
+	r.bindContext(ctx)
+	r.bindAcct(ctx, root != nil)
+	collectVars(q, r.vt)
+	return r, q
 }
 
 // Query evaluates a SELECT or ASK query, returning a Results table (ASK
 // yields a single row with variable "ask" bound to a boolean). When the
 // engine has a tracer installed, each query draws a fresh trace ID and,
 // if the sampler elects it (no sampler = always), the evaluation is
-// traced and collected; an unsampled query runs the untraced fast path
-// and allocates no span tree.
+// traced and collected; an unsampled query allocates no span tree.
 func (e *Engine) Query(q *Query) (*Results, error) {
 	return e.QueryContext(context.Background(), q)
 }
@@ -268,16 +255,9 @@ func (e *Engine) selectRun(ctx context.Context, q *Query, root *obs.Span) (*Resu
 	if q.Form != FormSelect {
 		return nil, fmt.Errorf("sparql: not a SELECT query")
 	}
-	q = e.prepared(q)
-	r := &run{e: e, vt: newVarTable(), trace: root, planned: q.Planned}
-	r.bindContext(ctx)
-	r.bindAcct(ctx, root != nil)
+	r, q := e.newRun(ctx, q, root)
 	defer r.closeAcct()
-	collectVars(q, r.vt)
-	if r.streaming() {
-		return r.streamSelect(q)
-	}
-	return r.evalSelect(q)
+	return r.streamSelect(q)
 }
 
 // Ask evaluates an ASK query.
@@ -286,20 +266,10 @@ func (e *Engine) Ask(q *Query) (bool, error) {
 }
 
 func (e *Engine) askRun(ctx context.Context, q *Query, root *obs.Span) (bool, error) {
-	q = e.prepared(q)
-	r := &run{e: e, vt: newVarTable(), trace: root, planned: q.Planned}
-	r.bindContext(ctx)
-	r.bindAcct(ctx, root != nil)
+	r, q := e.newRun(ctx, q, root)
 	defer r.closeAcct()
-	collectVars(q, r.vt)
-	if r.streaming() {
-		return r.streamAsk(q)
-	}
-	rows, err := r.evalGroup(q.Where, []solution{make(solution, len(r.vt.names))}, graphCtx{})
-	if err != nil {
-		return false, err
-	}
-	return len(rows) > 0, nil
+	rows, err := r.groupRows(q.Where, r.seed(), graphCtx{}, root, true)
+	return len(rows) > 0, err
 }
 
 // Construct evaluates a CONSTRUCT query and returns the instantiated,
@@ -314,13 +284,9 @@ func (e *Engine) ConstructContext(ctx context.Context, q *Query) ([]rdf.Triple, 
 	if q.Form != FormConstruct {
 		return nil, fmt.Errorf("sparql: not a CONSTRUCT query")
 	}
-	q = e.prepared(q)
-	r := &run{e: e, vt: newVarTable(), planned: q.Planned}
-	r.bindContext(ctx)
-	r.bindAcct(ctx, false)
+	r, q := e.newRun(ctx, q, nil)
 	defer r.closeAcct()
-	collectVars(q, r.vt)
-	rows, err := r.evalGroup(q.Where, []solution{make(solution, len(r.vt.names))}, graphCtx{})
+	rows, err := r.groupRows(q.Where, r.seed(), graphCtx{}, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -353,69 +319,6 @@ func (r *run) resolve(pt PatternTerm, row solution) (rdf.Term, bool) {
 	}
 	t := row[idx]
 	return t, !t.IsZero()
-}
-
-func (r *run) evalSelect(q *Query) (*Results, error) {
-	rows, err := r.evalGroup(q.Where, []solution{make(solution, len(r.vt.names))}, graphCtx{})
-	if err != nil {
-		return nil, err
-	}
-	return r.finishSelect(q, rows)
-}
-
-// finishSelect is the tail of SELECT evaluation — grouping/projection,
-// DISTINCT, and SLICE over the materialized WHERE rows. The streaming
-// pipeline (stream.go) reuses it verbatim after a pipeline breaker
-// drains its input.
-func (r *run) finishSelect(q *Query, rows []solution) (*Results, error) {
-	grouped := len(q.GroupBy) > 0 || projectionHasAggregates(q)
-	var res *Results
-	var err error
-	if grouped {
-		res, err = r.evalGrouped(q, rows)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		res, err = r.evalUngrouped(q, rows)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	if q.Distinct {
-		if r.cancelled() {
-			return nil, r.cancelErr()
-		}
-		if r.overMem() {
-			return nil, r.memErr()
-		}
-		sp := r.trace.StartChild("DISTINCT", "", len(res.Rows))
-		sp.SetEst(int64(len(res.Rows)))
-		res.Rows = distinctRows(res.Rows)
-		if sp != nil {
-			sp.Finish(len(res.Rows), 1)
-		}
-	}
-	var ssp *obs.Span
-	if r.trace != nil && (q.Offset > 0 || q.Limit >= 0) {
-		ssp = r.trace.StartChild("SLICE", fmt.Sprintf("offset=%d limit=%d", q.Offset, q.Limit), len(res.Rows))
-		ssp.SetEst(estimateSlice(len(res.Rows), q.Offset, q.Limit))
-	}
-	if q.Offset > 0 {
-		if q.Offset >= len(res.Rows) {
-			res.Rows = nil
-		} else {
-			res.Rows = res.Rows[q.Offset:]
-		}
-	}
-	if q.Limit >= 0 && q.Limit < len(res.Rows) {
-		res.Rows = res.Rows[:q.Limit]
-	}
-	if ssp != nil {
-		ssp.Finish(len(res.Rows), 1)
-	}
-	return res, nil
 }
 
 func projectionHasAggregates(q *Query) bool {
@@ -475,63 +378,6 @@ func (r *run) selectVars(q *Query) []string {
 	return vars
 }
 
-func (r *run) evalUngrouped(q *Query, rows []solution) (*Results, error) {
-	// ORDER BY before projection so order keys may use any variable.
-	if len(q.OrderBy) > 0 {
-		if r.cancelled() {
-			return nil, r.cancelErr()
-		}
-		sp := r.trace.StartChild("ORDER", "", len(rows))
-		sp.SetEst(int64(len(rows)))
-		r.sortRows(rows, q.OrderBy)
-		if sp != nil {
-			sp.Finish(len(rows), 1)
-		}
-		if r.cancelled() {
-			return nil, r.cancelErr()
-		}
-	}
-	vars := r.selectVars(q)
-	out := &Results{Vars: vars}
-	psp := r.trace.StartChild("PROJECT", "", len(rows))
-	psp.SetEst(int64(len(rows)))
-	mark := 0
-	for ri, row := range rows {
-		if ri%cancelCheckRows == 0 {
-			if r.cancelled() {
-				return nil, r.cancelErr()
-			}
-			if mark = accountNew(r, out.Rows, mark); r.overMem() {
-				return nil, r.memErr()
-			}
-		}
-		orow := make([]rdf.Term, len(vars))
-		if q.Star {
-			for i, n := range vars {
-				orow[i] = row[r.vt.index[n]]
-			}
-		} else {
-			for i, it := range q.Projection {
-				if it.Expr == nil {
-					if idx, ok := r.vt.index[it.Var]; ok {
-						orow[i] = row[idx]
-					}
-					continue
-				}
-				if v, err := r.evalExpr(it.Expr, row); err == nil {
-					orow[i] = v
-				}
-			}
-		}
-		out.Rows = append(out.Rows, orow)
-	}
-	accountNew(r, out.Rows, mark)
-	if psp != nil {
-		psp.Finish(len(out.Rows), 1)
-	}
-	return out, nil
-}
-
 // groupKey renders group-by expression values into a comparable key.
 func (r *run) groupKey(exprs []Expression, row solution) (string, []rdf.Term) {
 	vals := make([]rdf.Term, len(exprs))
@@ -564,7 +410,7 @@ func (r *run) accumulateGroups(exprs []Expression, rows []solution) ([]string, m
 	for ri, row := range rows {
 		if ri%cancelCheckRows == 0 {
 			if r.cancelled() || r.overMem() {
-				break // evalGrouped checks and errors out
+				break // aggregateRows checks and errors out
 			}
 			mark = accountKept(r, rows[:ri], mark)
 		}
@@ -614,16 +460,33 @@ func (r *run) groupRow(q *Query, g *aggGroup) ([]rdf.Term, bool) {
 	return orow, true
 }
 
-func (r *run) evalGrouped(q *Query, rows []solution) (*Results, error) {
+// orderSpan runs one ORDER BY sort under its span and reports a
+// cancellation the (short-circuited) sort observed.
+func (r *run) orderSpan(n int, sort func()) error {
+	sp := r.trace.StartChild("ORDER", "", n)
+	sp.SetEst(int64(n))
+	sort()
+	sp.Finish(n, 1)
+	if r.cancelled() {
+		return r.cancelErr()
+	}
+	return nil
+}
+
+// aggregateRows is the aggregation breaker: it groups the drained WHERE
+// rows, evaluates HAVING and the aggregate projection per group, and
+// applies ORDER BY over the projected rows, returning the header and
+// the group rows for the DISTINCT/SLICE stages.
+func (r *run) aggregateRows(q *Query, rows []solution) ([]string, []solution, error) {
 	in := len(rows)
 	sp := r.trace.StartChild("AGGREGATE", "", in)
 	sp.SetEst(estimateGroups(in))
 	order, groups := r.accumulateGroupsPar(q.GroupBy, rows)
 	if r.cancelled() {
-		return nil, r.cancelErr()
+		return nil, nil, r.cancelErr()
 	}
 	if r.overMem() {
-		return nil, r.memErr()
+		return nil, nil, r.memErr()
 	}
 	// A grouped query with no GROUP BY clause (implicit grouping, e.g.
 	// SELECT (COUNT(*) AS ?n)) forms a single group even when empty.
@@ -636,31 +499,24 @@ func (r *run) evalGrouped(q *Query, rows []solution) (*Results, error) {
 	for _, it := range q.Projection {
 		vars = append(vars, it.Var)
 	}
-	out := &Results{Vars: vars}
-	out.Rows = r.groupRowsPar(q, order, groups)
+	out := r.groupRowsPar(q, order, groups)
 	if r.cancelled() {
-		return nil, r.cancelErr()
+		return nil, nil, r.cancelErr()
 	}
-	if accountNew(r, out.Rows, 0); r.overMem() {
-		return nil, r.memErr()
+	if accountNew(r, out, 0); r.overMem() {
+		return nil, nil, r.memErr()
 	}
 	if sp != nil {
 		sp.Detail = fmt.Sprintf("%d groups", len(order))
-		r.finishRows(sp, len(out.Rows), in)
+		sp.Finish(len(out), r.workersFor(in))
 	}
 
 	if len(q.OrderBy) > 0 {
-		osp := r.trace.StartChild("ORDER", "", len(out.Rows))
-		osp.SetEst(int64(len(out.Rows)))
-		r.sortProjected(out, q.OrderBy)
-		if osp != nil {
-			osp.Finish(len(out.Rows), 1)
-		}
-		if r.cancelled() {
-			return nil, r.cancelErr()
+		if err := r.orderSpan(len(out), func() { r.sortProjected(vars, out, q.OrderBy) }); err != nil {
+			return nil, nil, err
 		}
 	}
-	return out, nil
+	return vars, out, nil
 }
 
 // evalAggExpr evaluates an expression that may contain aggregates over
@@ -831,14 +687,14 @@ func (r *run) sortRows(rows []solution, conds []OrderCondition) {
 	})
 }
 
-// sortProjected orders an already-projected result table; order
-// expressions may reference projected variables only.
-func (r *run) sortProjected(res *Results, conds []OrderCondition) {
-	idx := make(map[string]int, len(res.Vars))
-	for i, v := range res.Vars {
+// sortProjected orders already-projected rows under the header vars;
+// order expressions may reference projected variables only.
+func (r *run) sortProjected(vars []string, rows []solution, conds []OrderCondition) {
+	idx := make(map[string]int, len(vars))
+	for i, v := range vars {
 		idx[v] = i
 	}
-	lookup := func(e Expression, row []rdf.Term) (rdf.Term, error) {
+	lookup := func(e Expression, row solution) (rdf.Term, error) {
 		v, ok := e.(ExprVar)
 		if !ok {
 			return rdf.Term{}, errTypeError
@@ -850,13 +706,13 @@ func (r *run) sortProjected(res *Results, conds []OrderCondition) {
 		return row[i], nil
 	}
 	short := r.sortShortCircuit()
-	sort.SliceStable(res.Rows, func(i, j int) bool {
+	sort.SliceStable(rows, func(i, j int) bool {
 		if short() {
 			return false
 		}
 		for _, c := range conds {
-			vi, ei := lookup(c.Expr, res.Rows[i])
-			vj, ej := lookup(c.Expr, res.Rows[j])
+			vi, ei := lookup(c.Expr, rows[i])
+			vj, ej := lookup(c.Expr, rows[j])
 			cmp := orderCompare(vi, ei, vj, ej)
 			if cmp == 0 {
 				continue
@@ -888,25 +744,6 @@ func orderCompare(a rdf.Term, ea error, b rdf.Term, eb error) int {
 	return a.Compare(b)
 }
 
-func distinctRows(rows [][]rdf.Term) [][]rdf.Term {
-	seen := make(map[string]struct{}, len(rows))
-	out := rows[:0]
-	for _, row := range rows {
-		var b strings.Builder
-		for _, t := range row {
-			b.WriteString(t.String())
-			b.WriteByte('\x00')
-		}
-		k := b.String()
-		if _, ok := seen[k]; ok {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, row)
-	}
-	return out
-}
-
 // Describe evaluates a DESCRIBE query: for each target resource (given
 // directly or bound by the WHERE pattern) it returns the one-hop
 // description — every triple with the resource as subject or object.
@@ -920,22 +757,18 @@ func (e *Engine) DescribeContext(ctx context.Context, q *Query) ([]rdf.Triple, e
 	if q.Form != FormDescribe {
 		return nil, fmt.Errorf("sparql: not a DESCRIBE query")
 	}
-	q = e.prepared(q)
-	r := &run{e: e, vt: newVarTable(), planned: q.Planned}
-	r.bindContext(ctx)
-	r.bindAcct(ctx, false)
+	r, q := e.newRun(ctx, q, nil)
 	defer r.closeAcct()
-	collectVars(q, r.vt)
 	for _, d := range q.Describe {
 		if d.IsVar {
 			r.vt.slot(d.Var)
 		}
 	}
 
-	rows := []solution{make(solution, len(r.vt.names))}
+	rows := r.seed()
 	if len(q.Where.Elements) > 0 {
 		var err error
-		rows, err = r.evalGroup(q.Where, rows, graphCtx{})
+		rows, err = r.groupRows(q.Where, rows, graphCtx{}, nil, false)
 		if err != nil {
 			return nil, err
 		}

@@ -1,8 +1,6 @@
 package sparql
 
 import (
-	"fmt"
-
 	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/store"
@@ -115,289 +113,16 @@ func collectExprVars(e Expression, vt *varTable) {
 	}
 }
 
-// evalGroup evaluates a group graph pattern over the input solutions.
-// Consecutive triple patterns form a basic graph pattern and are
-// join-ordered together; other elements apply in sequence.
-func (r *run) evalGroup(g GroupGraphPattern, input []solution, ctx graphCtx) ([]solution, error) {
-	prevCtx := r.ctx
-	r.ctx = ctx
-	r.depth++
-	defer func() { r.ctx = prevCtx; r.depth-- }()
-
-	// At the top-level group only, the coordinator tracks each
-	// operator's net in-flight growth and releases the previous
-	// operator's live intermediate when its successor replaces it, so
-	// the account's peak approximates the real high-water mark instead
-	// of the cumulative total. Nested groups and worker goroutines only
-	// charge; see run.depth.
-	topLevel := r.depth == 1 && r.acct != nil
-	var live int64
-
-	rows := input
-	var bgp []TriplePattern
-	flush := func() error {
-		if len(bgp) == 0 {
-			return nil
-		}
-		// The BGP span is the parent of one JOIN span per pattern
-		// (added by evalBGP in optimizer order), so the trace exposes
-		// every intermediate-result size of the join chain.
-		var sp *obs.Span
-		saved := r.trace
-		if r.trace != nil {
-			detail := fmt.Sprintf("%d patterns", len(bgp))
-			if r.planned {
-				detail += " (planned)"
-			}
-			sp = r.trace.StartChild("BGP", detail, len(rows))
-			r.trace = sp
-		}
-		bytesMark, inflightMark := r.acct.Bytes(), r.acct.Inflight()
-		var err error
-		rows, err = r.evalBGP(bgp, rows, ctx)
-		r.trace = saved
-		if sp != nil {
-			// The chain's final JOIN estimate is the BGP's own output
-			// estimate (each JOIN re-estimates from actual input).
-			sp.SetEst(r.lastEst)
-			sp.SetMem(r.acct.Bytes() - bytesMark)
-			sp.Finish(len(rows), 0)
-		}
-		if topLevel {
-			grew := r.acct.Inflight() - inflightMark
-			r.acct.Release(live)
-			live = grew
-		}
-		bgp = nil
-		return err
-	}
-
-	for _, el := range g.Elements {
-		// One cooperative cancellation (and memory-budget) check per
-		// algebra step; operator interiors that broke out early are
-		// caught here (or by the post-loop check) before truncated rows
-		// can escape.
-		if r.cancelled() {
-			return nil, r.cancelErr()
-		}
-		if r.overMem() {
-			return nil, r.memErr()
-		}
-		if tp, ok := el.(TriplePattern); ok {
-			bgp = append(bgp, tp)
-			continue
-		}
-		if err := flush(); err != nil {
-			return nil, err
-		}
-		bytesMark, inflightMark := r.acct.Bytes(), r.acct.Inflight()
-		switch e := el.(type) {
-		case FilterElement:
-			in := len(rows)
-			sp := r.trace.StartChild("FILTER", "", in)
-			sp.SetEst(estimateFilter(in))
-			saved := r.suspendTrace()
-			rows = r.filterRowsPar(e.Expr, rows)
-			r.trace = saved
-			r.finishRows(sp, len(rows), in)
-		case BindElement:
-			sp := r.trace.StartChild("BIND", "?"+e.Var, len(rows))
-			sp.SetEst(int64(len(rows)))
-			saved := r.suspendTrace()
-			idx := r.vt.slot(e.Var)
-			var out []solution
-			for _, row := range rows {
-				nrow := row.clone()
-				if v, err := r.evalExpr(e.Expr, row); err == nil {
-					nrow[idx] = v
-				}
-				out = append(out, nrow)
-			}
-			rows = out
-			accountNew(r, rows, 0)
-			r.trace = saved
-			if sp != nil {
-				sp.Finish(len(rows), 1)
-			}
-		case OptionalElement:
-			// Fast path: an OPTIONAL holding exactly one triple pattern
-			// (the common shape for label lookups) avoids the recursive
-			// group evaluation per row.
-			in := len(rows)
-			if tp, ok := singleTriplePattern(e.Pattern); ok {
-				var sp *obs.Span
-				if r.trace != nil {
-					sp = r.trace.StartChild("OPTIONAL", patternDetail(tp), in)
-					sp.SetEst(int64(in)) // left rows are preserved
-				}
-				saved := r.suspendTrace()
-				rows = r.optionalSinglePar(tp, rows, ctx)
-				r.trace = saved
-				r.finishRows(sp, len(rows), in)
-			} else {
-				sp := r.trace.StartChild("OPTIONAL", "", in)
-				sp.SetEst(int64(in))
-				saved := r.suspendTrace()
-				out, err := r.optionalPar(e.Pattern, rows, ctx)
-				if err != nil {
-					return nil, err
-				}
-				rows = out
-				r.trace = saved
-				r.finishRows(sp, len(rows), in)
-			}
-		case UnionElement:
-			in := len(rows)
-			var sp *obs.Span
-			if r.trace != nil {
-				sp = r.trace.StartChild("UNION", fmt.Sprintf("%d branches", len(e.Branches)), in)
-				sp.SetEst(int64(in * len(e.Branches)))
-			}
-			saved := r.suspendTrace()
-			out, err := r.unionPar(e.Branches, rows, ctx)
-			if err != nil {
-				return nil, err
-			}
-			rows = out
-			r.trace = saved
-			if sp != nil {
-				w := 1
-				if r.e.parallelism > 1 && len(e.Branches) >= 2 {
-					w = min(r.e.parallelism, len(e.Branches))
-				}
-				sp.Finish(len(rows), w)
-			}
-		case MinusElement:
-			// The right-side pattern evaluates once on this goroutine,
-			// so its operators trace as children of the MINUS span.
-			in := len(rows)
-			sp := r.trace.StartChild("MINUS", "", in)
-			sp.SetEst(int64(in))
-			saved := r.trace
-			r.trace = sp
-			right, err := r.evalGroup(e.Pattern, []solution{make(solution, len(r.vt.names))}, ctx)
-			r.trace = saved
-			if err != nil {
-				return nil, err
-			}
-			rows = r.minusRowsPar(rows, right)
-			r.finishRows(sp, len(rows), in)
-		case GraphElement:
-			in := len(rows)
-			var sp *obs.Span
-			if r.trace != nil {
-				sp = r.trace.StartChild("GRAPH", patternTermDetail(e.Graph), in)
-				sp.SetEst(int64(in))
-			}
-			saved := r.trace
-			r.trace = sp
-			var out []solution
-			if !e.Graph.IsVar {
-				if gid, ok := r.e.store.GraphID(e.Graph.Term); ok {
-					ext, err := r.evalGroup(e.Pattern, rows, graphCtx{gid: gid})
-					if err != nil {
-						return nil, err
-					}
-					out = ext
-				}
-			} else {
-				idx := r.vt.slot(e.Graph.Var)
-				for _, gid := range r.e.store.NamedGraphIDs() {
-					gterm := r.e.store.Dict().Term(gid)
-					// Respect an existing binding of the graph var.
-					var seed []solution
-					for _, row := range rows {
-						if !row[idx].IsZero() && row[idx] != gterm {
-							continue
-						}
-						nrow := row.clone()
-						nrow[idx] = gterm
-						seed = append(seed, nrow)
-					}
-					if len(seed) == 0 {
-						continue
-					}
-					ext, err := r.evalGroup(e.Pattern, seed, graphCtx{gid: gid})
-					if err != nil {
-						return nil, err
-					}
-					out = append(out, ext...)
-				}
-			}
-			r.trace = saved
-			rows = out
-			if sp != nil {
-				sp.Finish(len(rows), 1)
-			}
-		case GroupElement:
-			sp := r.trace.StartChild("GROUP", "", len(rows))
-			sp.SetEst(int64(len(rows)))
-			saved := r.trace
-			r.trace = sp
-			ext, err := r.evalGroup(e.Pattern, rows, ctx)
-			r.trace = saved
-			if err != nil {
-				return nil, err
-			}
-			rows = ext
-			if sp != nil {
-				sp.Finish(len(rows), 1)
-			}
-		case ValuesElement:
-			sp := r.trace.StartChild("VALUES", "", len(rows))
-			sp.SetEst(int64(len(rows) * len(e.Rows)))
-			rows = r.joinValues(rows, e)
-			accountNew(r, rows, 0)
-			if sp != nil {
-				sp.Finish(len(rows), 1)
-			}
-		case SubSelectElement:
-			sp := r.trace.StartChild("SUBSELECT", "", len(rows))
-			sp.SetEst(int64(len(rows)))
-			sub, err := r.evalSubSelect(e.Query, sp)
-			if err != nil {
-				return nil, err
-			}
-			rows = r.joinResults(rows, sub)
-			accountNew(r, rows, 0)
-			if sp != nil {
-				sp.Finish(len(rows), 1)
-			}
-		}
-		if r.acct != nil {
-			// Annotate the operator's span with what it materialized and
-			// replace the previous live intermediate with this one.
-			if r.trace != nil {
-				r.trace.LastChild().SetMem(r.acct.Bytes() - bytesMark)
-			}
-			if topLevel {
-				grew := r.acct.Inflight() - inflightMark
-				r.acct.Release(live)
-				live = grew
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	if r.cancelled() {
-		return nil, r.cancelErr()
-	}
-	if r.overMem() {
-		return nil, r.memErr()
-	}
-	return rows, nil
-}
-
-// evalSubSelect runs a nested SELECT independently and returns its
-// result table; its operators trace under sp when tracing is on. The
-// subquery of a planned query was planned along with its parent, so
-// the planned flag follows the subquery's own mark.
+// evalSubSelect runs a nested SELECT independently — its own variable
+// scope, the parent's cancellation and account — and returns its result
+// table; its operators trace under sp when tracing is on. The subquery
+// of a planned query was planned along with its parent, so the planned
+// flag follows the subquery's own mark.
 func (r *run) evalSubSelect(q *Query, sp *obs.Span) (*Results, error) {
 	sub := &run{e: r.e, vt: newVarTable(), trace: sp, planned: q.Planned,
-		qctx: r.qctx, done: r.done, acct: r.acct, depth: r.depth}
+		qctx: r.qctx, done: r.done, acct: r.acct}
 	collectVars(q, sub.vt)
-	return sub.evalSelect(q)
+	return sub.streamSelect(q)
 }
 
 // joinResults joins the current solutions with a projected result table
@@ -478,13 +203,9 @@ func singleTriplePattern(g GroupGraphPattern) (TriplePattern, bool) {
 func (r *run) optionalSingle(tp TriplePattern, rows []solution, ctx graphCtx) []solution {
 	gterm := r.graphTerm(ctx)
 	out := make([]solution, 0, len(rows))
-	mark := 0
 	for ri, row := range rows {
-		if ri%cancelCheckRows == 0 {
-			if r.cancelled() || r.overMem() {
-				break // the coordinator's next check errors out
-			}
-			mark = accountNew(r, out, mark)
+		if ri%cancelCheckRows == 0 && r.cancelled() {
+			break // the next chunk boundary errors out
 		}
 		s, sBound := r.resolve(tp.S, row)
 		p, pBound := r.resolve(tp.P, row)
@@ -531,7 +252,6 @@ func (r *run) optionalSingle(tp TriplePattern, rows []solution, ctx graphCtx) []
 			out = append(out, row)
 		}
 	}
-	accountNew(r, out, mark)
 	return out
 }
 
@@ -549,85 +269,6 @@ func compatibleSharing(a, b solution) bool {
 		shared = true
 	}
 	return shared
-}
-
-// evalBGP joins a basic graph pattern into the current solutions. For
-// a planned query the pattern order is the planner's choice and is
-// preserved; otherwise the runtime greedy selectivity heuristic picks
-// each next pattern (unless DisableReorder pins the textual order).
-func (r *run) evalBGP(patterns []TriplePattern, rows []solution, ctx graphCtx) ([]solution, error) {
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	remaining := make([]TriplePattern, len(patterns))
-	copy(remaining, patterns)
-
-	bound := make(map[string]bool)
-	// Variables already bound in the input solutions count as bound for
-	// selectivity estimation (probe the first row).
-	for name, idx := range r.vt.index {
-		if !rows[0][idx].IsZero() {
-			bound[name] = true
-		}
-	}
-
-	// Rows produced by a previous join iteration are exclusively owned
-	// by this BGP evaluation and may be extended in place when a
-	// pattern matches exactly once; the input rows are shared with the
-	// caller and must be cloned.
-	owned := false
-	for len(remaining) > 0 {
-		if r.cancelled() {
-			return nil, r.cancelErr()
-		}
-		next := 0
-		if !r.planned && !r.e.DisableReorder && len(remaining) > 1 {
-			// Prefer patterns connected to the already-bound variables;
-			// a disconnected pattern forces a cartesian product and is
-			// only taken when nothing else remains.
-			candidates := make([]int, 0, len(remaining))
-			for i, tp := range remaining {
-				if patternConnected(tp, bound) {
-					candidates = append(candidates, i)
-				}
-			}
-			if len(candidates) == 0 {
-				for i := range remaining {
-					candidates = append(candidates, i)
-				}
-			}
-			best := -1
-			for _, i := range candidates {
-				cost := r.estimateCost(remaining[i], bound, ctx)
-				if best < 0 || cost < best {
-					best = cost
-					next = i
-				}
-			}
-		}
-		tp := remaining[next]
-		remaining = append(remaining[:next], remaining[next+1:]...)
-
-		in := len(rows)
-		var sp *obs.Span
-		if r.trace != nil {
-			sp = r.trace.StartChild("JOIN", patternDetail(tp), in)
-			r.lastEst = r.estimateJoin(tp, bound, in, ctx)
-			sp.SetEst(r.lastEst)
-		}
-		var err error
-		rows, err = r.joinPatternPar(tp, rows, ctx, owned)
-		if err != nil {
-			return nil, err
-		}
-		r.finishRows(sp, len(rows), in)
-		if len(rows) == 0 {
-			return nil, nil
-		}
-		owned = true
-		markBound(tp, bound)
-	}
-	return rows, nil
 }
 
 // patternConnected reports whether the pattern shares a variable with
@@ -657,60 +298,12 @@ func markBound(tp TriplePattern, bound map[string]bool) {
 	}
 }
 
-// estimateCost returns the store's exact count for the pattern with
-// bound variables treated as constants of unknown value (estimated by
-// the count with that position wildcarded). Lower is better.
-func (r *run) estimateCost(tp TriplePattern, bound map[string]bool, ctx graphCtx) int {
-	var pat store.IDTriple
-	lookup := func(pt PatternTerm) (store.ID, bool) {
-		if pt.IsVar {
-			return store.NoID, true
-		}
-		id, ok := r.e.store.Dict().Lookup(pt.Term)
-		if !ok {
-			return store.NoID, false
-		}
-		return id, true
-	}
-	var ok bool
-	if pat.S, ok = lookup(tp.S); !ok {
-		return 0
-	}
-	if tp.Path == nil {
-		if pat.P, ok = lookup(tp.P); !ok {
-			return 0
-		}
-	}
-	if pat.O, ok = lookup(tp.O); !ok {
-		return 0
-	}
-	count := r.e.store.Count(ctx.gid, pat)
-	// A variable that is already bound restricts the result further;
-	// reward patterns touching bound variables.
-	discount := 1
-	if tp.S.IsVar && bound[tp.S.Var] {
-		discount *= 8
-	}
-	if tp.O.IsVar && bound[tp.O.Var] {
-		discount *= 4
-	}
-	if tp.P.IsVar && bound[tp.P.Var] {
-		discount *= 2
-	}
-	return count / discount
-}
-
-// joinPattern extends every solution with the matches of one pattern.
-// Input rows are never mutated.
-func (r *run) joinPattern(tp TriplePattern, rows []solution, ctx graphCtx) ([]solution, error) {
-	return r.joinPatternOwned(tp, rows, ctx, false)
-}
-
-// joinPatternOwned is joinPattern with an ownership hint: when owned is
-// true, an input row with exactly one match is extended in place
-// instead of cloned, which removes the dominant allocation cost of
-// long functional join chains (one row per observation through every
-// pattern of a generated OLAP query).
+// joinPatternOwned extends every solution with the matches of one
+// pattern. When owned is true, an input row with exactly one match is
+// extended in place instead of cloned, which removes the dominant
+// allocation cost of long functional join chains (one row per
+// observation through every pattern of a generated OLAP query);
+// otherwise input rows are never mutated.
 func (r *run) joinPatternOwned(tp TriplePattern, rows []solution, ctx graphCtx, owned bool) ([]solution, error) {
 	if tp.Path != nil {
 		return r.joinPath(tp, rows, ctx)
@@ -720,15 +313,9 @@ func (r *run) joinPatternOwned(tp TriplePattern, rows []solution, ctx graphCtx, 
 		gterm = r.e.store.Dict().Term(ctx.gid)
 	}
 	out := make([]solution, 0, len(rows))
-	mark := 0
 	for ri, row := range rows {
-		if ri%cancelCheckRows == 0 {
-			if r.cancelled() {
-				return nil, r.cancelErr()
-			}
-			if mark = accountNew(r, out, mark); r.overMem() {
-				return nil, r.memErr()
-			}
+		if ri%cancelCheckRows == 0 && r.cancelled() {
+			return nil, r.cancelErr()
 		}
 		s, sBound := r.resolve(tp.S, row)
 		p, pBound := r.resolve(tp.P, row)
@@ -807,6 +394,5 @@ func (r *run) joinPatternOwned(tp TriplePattern, rows []solution, ctx graphCtx, 
 			}
 		}
 	}
-	accountNew(r, out, mark)
 	return out, nil
 }

@@ -272,7 +272,7 @@ func (r *run) evalExpr(e Expression, row solution) (rdf.Term, error) {
 		}
 		return rdf.NewBoolean(found), nil
 	case ExprExists:
-		rows, err := r.evalGroup(x.Pattern, []solution{row}, r.ctx)
+		rows, err := r.groupRows(x.Pattern, []solution{row}, r.ctx, nil, true)
 		if err != nil {
 			return rdf.Term{}, err
 		}

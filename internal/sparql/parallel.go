@@ -1,25 +1,22 @@
 package sparql
 
-import (
-	"sync"
+import "sync"
 
-	"repro/internal/rdf"
-)
-
-// This file is the engine's worker-pool layer. Every operator here
-// follows the same scheme: partition the input solution sequence (or
-// branch list) into contiguous chunks, evaluate each chunk on its own
-// worker goroutine against the shared store, and concatenate the
-// per-chunk outputs in chunk order. Because chunks are contiguous and
-// merges preserve chunk order, results are identical to the sequential
-// evaluation at every parallelism level; parallelism 1 short-circuits
-// into the unmodified sequential code paths.
+// This file is the engine's worker-pool layer: the per-chunk kernels
+// the pipeline stages (stream.go) call. Every operator here follows the
+// same scheme: partition the input solution sequence into contiguous
+// sub-chunks, evaluate each on its own worker goroutine against the
+// shared store, and concatenate the outputs in order. Because
+// sub-chunks are contiguous and merges preserve their order, results
+// are identical to the sequential evaluation at every parallelism
+// level; parallelism 1 short-circuits into the sequential code paths.
 //
-// Workers evaluate on a copy of the run value: the Engine, varTable and
-// graph context are shared read-only at evaluation time (collectVars
-// pre-registers every variable, so varTable.slot never mutates during
-// evaluation), but nested EXISTS evaluation saves and restores run.ctx,
-// which must stay worker-local.
+// Workers share the run value: the Engine, varTable and graph context
+// are read-only at evaluation time (collectVars pre-registers every
+// variable, so varTable.slot never mutates during evaluation). The
+// row kernels run on account-free kernel runs (run.kernel) — rows are
+// charged at chunk boundaries, not here — and only check cancellation,
+// every cancelCheckRows rows.
 
 // minParallelRows is the input size below which row-partitioned
 // operators stay sequential; goroutine startup and merge overhead beat
@@ -75,14 +72,19 @@ func runChunks(bounds [][2]int, fn func(i, lo, hi int)) {
 	wg.Wait()
 }
 
-// concatSolutions flattens per-chunk outputs in chunk order.
+// concatSolutions flattens per-chunk outputs in chunk order. A lone
+// non-empty chunk is returned as is, not copied.
 func concatSolutions(outs [][]solution) []solution {
 	total := 0
+	var last []solution
 	for _, o := range outs {
-		total += len(o)
+		if len(o) > 0 {
+			total += len(o)
+			last = o
+		}
 	}
-	if total == 0 {
-		return nil
+	if total == len(last) {
+		return last
 	}
 	merged := make([]solution, 0, total)
 	for _, o := range outs {
@@ -111,8 +113,7 @@ func (r *run) joinPatternPar(tp TriplePattern, rows []solution, ctx graphCtx, ow
 	outs := make([][]solution, w)
 	errs := make([]error, w)
 	runChunks(chunkBounds(len(rows), w), func(i, lo, hi int) {
-		wr := *r
-		outs[i], errs[i] = wr.joinPatternOwned(tp, rows[lo:hi], ctx, owned)
+		outs[i], errs[i] = r.joinPatternOwned(tp, rows[lo:hi], ctx, owned)
 	})
 	if err := firstError(errs); err != nil {
 		return nil, err
@@ -122,19 +123,13 @@ func (r *run) joinPatternPar(tp TriplePattern, rows []solution, ctx graphCtx, ow
 
 // filterRows keeps the rows whose filter expression evaluates to a true
 // effective boolean value (evaluation errors eliminate the row). On
-// cancellation it returns early with what it has; the coordinator's
-// next check converts that into an error.
+// cancellation it returns early with what it has; the next chunk
+// boundary converts that into an error.
 func (r *run) filterRows(expr Expression, rows []solution) []solution {
 	var kept []solution
-	mark := 0
 	for ri, row := range rows {
-		if ri%cancelCheckRows == 0 {
-			if r.cancelled() || r.overMem() {
-				break
-			}
-			// Kept rows are references into the input, so FILTER charges
-			// only the keeping container's slots.
-			mark = accountKept(r, kept, mark)
+		if ri%cancelCheckRows == 0 && r.cancelled() {
+			break
 		}
 		v, err := r.evalExpr(expr, row)
 		if err != nil {
@@ -144,7 +139,6 @@ func (r *run) filterRows(expr Expression, rows []solution) []solution {
 			kept = append(kept, row)
 		}
 	}
-	accountKept(r, kept, mark)
 	return kept
 }
 
@@ -156,8 +150,7 @@ func (r *run) filterRowsPar(expr Expression, rows []solution) []solution {
 	}
 	outs := make([][]solution, w)
 	runChunks(chunkBounds(len(rows), w), func(i, lo, hi int) {
-		wr := *r
-		outs[i] = wr.filterRows(expr, rows[lo:hi])
+		outs[i] = r.filterRows(expr, rows[lo:hi])
 	})
 	return concatSolutions(outs)
 }
@@ -166,17 +159,11 @@ func (r *run) filterRowsPar(expr Expression, rows []solution) []solution {
 // survives unextended when the pattern yields nothing.
 func (r *run) optionalRows(p GroupGraphPattern, rows []solution, ctx graphCtx) ([]solution, error) {
 	var out []solution
-	mark := 0
 	for ri, row := range rows {
-		if ri%cancelCheckRows == 0 {
-			if r.cancelled() {
-				return nil, r.cancelErr()
-			}
-			if mark = accountKept(r, out, mark); r.overMem() {
-				return nil, r.memErr()
-			}
+		if ri%cancelCheckRows == 0 && r.cancelled() {
+			return nil, r.cancelErr()
 		}
-		ext, err := r.evalGroup(p, []solution{row}, ctx)
+		ext, err := r.groupRows(p, []solution{row}, ctx, nil, false)
 		if err != nil {
 			return nil, err
 		}
@@ -186,7 +173,6 @@ func (r *run) optionalRows(p GroupGraphPattern, rows []solution, ctx graphCtx) (
 			out = append(out, ext...)
 		}
 	}
-	accountKept(r, out, mark)
 	return out, nil
 }
 
@@ -199,8 +185,7 @@ func (r *run) optionalPar(p GroupGraphPattern, rows []solution, ctx graphCtx) ([
 	outs := make([][]solution, w)
 	errs := make([]error, w)
 	runChunks(chunkBounds(len(rows), w), func(i, lo, hi int) {
-		wr := *r
-		outs[i], errs[i] = wr.optionalRows(p, rows[lo:hi], ctx)
+		outs[i], errs[i] = r.optionalRows(p, rows[lo:hi], ctx)
 	})
 	if err := firstError(errs); err != nil {
 		return nil, err
@@ -217,59 +202,18 @@ func (r *run) optionalSinglePar(tp TriplePattern, rows []solution, ctx graphCtx)
 	}
 	outs := make([][]solution, w)
 	runChunks(chunkBounds(len(rows), w), func(i, lo, hi int) {
-		wr := *r
-		outs[i] = wr.optionalSingle(tp, rows[lo:hi], ctx)
+		outs[i] = r.optionalSingle(tp, rows[lo:hi], ctx)
 	})
 	return concatSolutions(outs)
-}
-
-// unionPar evaluates independent UNION branches concurrently, keeping
-// branch output order. The shared input rows are read-only: group
-// evaluation never mutates its input solutions.
-func (r *run) unionPar(branches []GroupGraphPattern, rows []solution, ctx graphCtx) ([]solution, error) {
-	if r.e.parallelism <= 1 || len(branches) < 2 {
-		var out []solution
-		for _, b := range branches {
-			ext, err := r.evalGroup(b, rows, ctx)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ext...)
-		}
-		return out, nil
-	}
-	outs := make([][]solution, len(branches))
-	errs := make([]error, len(branches))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, r.e.parallelism)
-	for i, b := range branches {
-		wg.Add(1)
-		go func(i int, b GroupGraphPattern) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			wr := *r
-			outs[i], errs[i] = wr.evalGroup(b, rows, ctx)
-		}(i, b)
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	return concatSolutions(outs), nil
 }
 
 // minusRows removes rows compatible with (and sharing a variable with)
 // any right-side solution.
 func (r *run) minusRows(rows, right []solution) []solution {
 	var kept []solution
-	mark := 0
 	for ri, row := range rows {
-		if ri%cancelCheckRows == 0 {
-			if r.cancelled() || r.overMem() {
-				break
-			}
-			mark = accountKept(r, kept, mark)
+		if ri%cancelCheckRows == 0 && r.cancelled() {
+			break
 		}
 		excluded := false
 		for _, rr := range right {
@@ -282,7 +226,6 @@ func (r *run) minusRows(rows, right []solution) []solution {
 			kept = append(kept, row)
 		}
 	}
-	accountKept(r, kept, mark)
 	return kept
 }
 
@@ -295,8 +238,7 @@ func (r *run) minusRowsPar(rows, right []solution) []solution {
 	}
 	outs := make([][]solution, w)
 	runChunks(chunkBounds(len(rows), w), func(i, lo, hi int) {
-		wr := *r
-		outs[i] = wr.minusRows(rows[lo:hi], right)
+		outs[i] = r.minusRows(rows[lo:hi], right)
 	})
 	return concatSolutions(outs)
 }
@@ -316,8 +258,7 @@ func (r *run) accumulateGroupsPar(exprs []Expression, rows []solution) ([]string
 	orders := make([][]string, w)
 	partials := make([]map[string]*aggGroup, w)
 	runChunks(chunkBounds(len(rows), w), func(i, lo, hi int) {
-		wr := *r
-		orders[i], partials[i] = wr.accumulateGroups(exprs, rows[lo:hi])
+		orders[i], partials[i] = r.accumulateGroups(exprs, rows[lo:hi])
 	})
 	order, groups := orders[0], partials[0]
 	for i := 1; i < w; i++ {
@@ -337,10 +278,10 @@ func (r *run) accumulateGroupsPar(exprs []Expression, rows []solution) ([]string
 // groupRowsPar evaluates HAVING and the aggregate projection of each
 // group, partitioning the (independent) groups across workers. Output
 // rows keep group order; groups eliminated by HAVING leave no row.
-func (r *run) groupRowsPar(q *Query, order []string, groups map[string]*aggGroup) [][]rdf.Term {
+func (r *run) groupRowsPar(q *Query, order []string, groups map[string]*aggGroup) []solution {
 	w := r.workersFor(len(order))
 	if w == 1 {
-		var out [][]rdf.Term
+		var out []solution
 		for ki, k := range order {
 			if ki%cancelCheckRows == 0 && r.cancelled() {
 				break
@@ -351,28 +292,16 @@ func (r *run) groupRowsPar(q *Query, order []string, groups map[string]*aggGroup
 		}
 		return out
 	}
-	outs := make([][][]rdf.Term, w)
+	outs := make([][]solution, w)
 	runChunks(chunkBounds(len(order), w), func(i, lo, hi int) {
-		wr := *r
 		for ki, k := range order[lo:hi] {
-			if ki%cancelCheckRows == 0 && wr.cancelled() {
+			if ki%cancelCheckRows == 0 && r.cancelled() {
 				break
 			}
-			if orow, ok := wr.groupRow(q, groups[k]); ok {
+			if orow, ok := r.groupRow(q, groups[k]); ok {
 				outs[i] = append(outs[i], orow)
 			}
 		}
 	})
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	if total == 0 {
-		return nil
-	}
-	merged := make([][]rdf.Term, 0, total)
-	for _, o := range outs {
-		merged = append(merged, o...)
-	}
-	return merged
+	return concatSolutions(outs)
 }

@@ -7,16 +7,17 @@ import (
 )
 
 // Cost-based query planning. The planner is a rewrite pass between
-// parse and eval: it walks the group graph pattern tree once, and for
-// every basic graph pattern chooses a join order greedily by estimated
-// output cardinality (the estimateJoinRows model over the store's
-// statistics snapshot), then floats each FILTER to the earliest point
-// at which all of its variables are certainly bound. The pass produces
-// a rewritten copy of the query — the caller's Query is never mutated —
-// plus the plan's estimated total cost, the classic C_out metric: the
-// sum of every operator's estimated output cardinality. C_out is what
-// the ql layer compares to auto-select the direct vs. alternative
-// translation of a QL program.
+// parse and eval, and the engine's one join orderer: it walks the group
+// graph pattern tree once, and for every basic graph pattern chooses a
+// join order greedily by estimated output cardinality (the
+// estimateJoinRows model over the store's statistics snapshot), then
+// floats each FILTER to the earliest point at which all of its
+// variables are certainly bound. The pass produces a rewritten copy of
+// the query — the caller's Query is never mutated — plus the plan's
+// estimated total cost, the classic C_out metric: the sum of every
+// operator's estimated output cardinality. C_out is what the ql layer
+// compares to auto-select the direct vs. alternative translation of a
+// QL program.
 //
 // What the planner will not do:
 //
@@ -33,19 +34,16 @@ import (
 //     crosses a BIND that could rebind one of its variables.
 //   - Property paths carry no statistics and are assumed to preserve
 //     cardinality; they participate in reordering but never look cheap.
-//   - Updates (DELETE/INSERT WHERE) are not planned; their WHERE
-//     clauses keep the runtime greedy reorder of evalBGP.
 //
 // The pass runs by default on every Query/Select/Ask/Construct/Describe
-// entry (WithPlanner(false), or -planner=off on the CLIs, restores the
-// previous behavior: textual order plus evalBGP's runtime greedy
-// reorder). A planned query is marked Planned and evaluated exactly in
-// the planned order.
+// entry and on the WHERE group of every DELETE/INSERT…WHERE update.
+// The pipeline joins patterns in exactly the order it is given, so
+// WithPlanner(false) (-planner=off on the CLIs) means the written
+// order, with no filter pushdown.
 
 // WithPlanner enables or disables the cost-based planning pass. The
-// planner is on by default; disabling it restores the pre-planner
-// behavior (textual pattern order with evalBGP's runtime greedy
-// reorder, and no filter pushdown).
+// planner is on by default; disabled, every BGP joins in the written
+// order and filters run where they were written.
 func WithPlanner(enabled bool) Option {
 	return func(e *Engine) { e.planner = enabled }
 }
@@ -98,6 +96,16 @@ func (e *Engine) prepared(q *Query) *Query {
 		return q
 	}
 	return e.Plan(q).Query
+}
+
+// preparedGroup is prepared for the bare WHERE group of an update,
+// reporting whether it was planned.
+func (e *Engine) preparedGroup(g GroupGraphPattern) (GroupGraphPattern, bool) {
+	if !e.planner {
+		return g, false
+	}
+	ng, _ := (&planState{st: e.store}).group(g, nil, 1, store.NoID)
+	return ng, true
 }
 
 // planState accumulates cost and rewrite facts across one planning

@@ -1,9 +1,12 @@
 package sparql
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
+	"repro/internal/obs"
+	"repro/internal/rdf"
 	"repro/internal/store"
 )
 
@@ -217,24 +220,118 @@ SELECT ?p ?m WHERE {
 	assertSameResults(t, st, src)
 }
 
-// TestPlannerOffPreservesTodaysBehavior: with WithPlanner(false) the
-// entry points leave the query untouched (no Planned mark) and the
-// runtime greedy reorder still runs.
-func TestPlannerOffPreservesTodaysBehavior(t *testing.T) {
+// TestPlannerOffMeansWrittenOrder: with WithPlanner(false) the entry
+// points leave the query untouched (no Planned mark) and the pipeline
+// joins a badly written BGP exactly as written; with the planner on the
+// same query joins the selective pattern first. The traced JOIN order
+// is the evidence.
+func TestPlannerOffMeansWrittenOrder(t *testing.T) {
 	st := loadStore(t, peopleTTL)
-	e := NewEngine(st, WithPlanner(false))
-	if e.PlannerEnabled() {
-		t.Fatal("WithPlanner(false) left the planner on")
-	}
-	q, err := ParseQuery(`PREFIX ex: <http://example.org/> SELECT ?n WHERE { ?p ex:name ?n }`)
+	q, err := ParseQuery(`PREFIX ex: <http://example.org/>
+SELECT ?name WHERE { ?p ex:name ?name . ?p a ex:Person . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Select(q); err != nil {
-		t.Fatal(err)
+	joinOrder := func(e *Engine) []string {
+		_, tr, err := e.QueryTraced(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var joins []string
+		tr.Root.Visit(func(s *obs.Span) {
+			if s.Op == "JOIN" {
+				joins = append(joins, s.Detail)
+			}
+		})
+		return joins
+	}
+
+	off := NewEngine(st, WithPlanner(false), WithParallelism(1))
+	if off.PlannerEnabled() {
+		t.Fatal("WithPlanner(false) left the planner on")
+	}
+	if got, want := joinOrder(off), []string{"?p name ?name", "?p type Person"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("planner off joined %v, want the written order %v", got, want)
 	}
 	if q.Planned {
 		t.Fatal("planner-off engine marked the query as planned")
+	}
+	if got, want := joinOrder(NewEngine(st, WithParallelism(1))), []string{"?p type Person", "?p name ?name"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("planner on joined %v, want %v", got, want)
+	}
+}
+
+// TestStreamSelectIsPlanned: the incremental entry point plans like
+// Query does. It has no trace to show the join order, so the evidence is
+// the account: starting a badly written BGP from the selective pattern
+// materializes fewer rows than the written order does.
+func TestStreamSelectIsPlanned(t *testing.T) {
+	st := loadStore(t, peopleTTL)
+	q, err := ParseQuery(`PREFIX ex: <http://example.org/>
+SELECT ?name WHERE { ?p ex:name ?name . ?p a ex:Person . }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsFor := func(e *Engine) int64 {
+		acct := obs.NewQueryAcct(nil, 0)
+		err := e.StreamSelect(WithQueryAcct(context.Background(), acct), q,
+			func([]string) error { return nil }, func([][]rdf.Term) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return acct.Rows()
+	}
+	on, off := rowsFor(NewEngine(st)), rowsFor(NewEngine(st, WithPlanner(false)))
+	if on >= off {
+		t.Errorf("StreamSelect materialized %d rows planned vs %d as written; want fewer", on, off)
+	}
+}
+
+// TestUpdateWhereIsPlanned: the WHERE group of a DELETE/INSERT…WHERE is
+// ordered by the same planning pass as a query's — a badly written BGP
+// starts from the selective pattern with the planner on and runs as
+// written with it off — and both orders apply the same update.
+func TestUpdateWhereIsPlanned(t *testing.T) {
+	const src = `PREFIX ex: <http://example.org/>
+DELETE { ?p ex:name ?name } INSERT { ?p ex:label ?name }
+WHERE { ?p ex:name ?name . ?p a ex:Person . }`
+	u, err := ParseUpdate(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := u.Operations[0].(ModifyOp).Where
+
+	stOn, stOff := loadStore(t, peopleTTL), loadStore(t, peopleTTL)
+	on, off := NewEngine(stOn), NewEngine(stOff, WithPlanner(false))
+
+	planned, ok := on.preparedGroup(written)
+	if !ok {
+		t.Fatal("planner-on engine did not plan the update's WHERE group")
+	}
+	if first := planned.Elements[0].(TriplePattern); first.O.IsVar || first.O.Term.Value != "http://example.org/Person" {
+		t.Errorf("planned WHERE starts with %+v, want the ?p a ex:Person pattern", first)
+	}
+	if asWritten, ok := off.preparedGroup(written); ok || !reflect.DeepEqual(asWritten, written) {
+		t.Errorf("planner-off engine rewrote the update's WHERE group: %+v", asWritten)
+	}
+
+	for _, e := range []*Engine{on, off} {
+		if err := e.Execute(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const check = `PREFIX ex: <http://example.org/>
+SELECT ?p ?l WHERE { ?p a ex:Person ; ex:label ?l FILTER NOT EXISTS { ?p ex:name ?n } } ORDER BY ?p ?l`
+	resOn, err := on.QueryString(check)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resOff, err := off.QueryString(check)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resOn.Len() != 3 || !reflect.DeepEqual(resOn, resOff) {
+		t.Errorf("planned and written-order updates disagree:\non:  %+v\noff: %+v", resOn, resOff)
 	}
 }
 

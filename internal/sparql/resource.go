@@ -13,20 +13,21 @@ import (
 // and an optional hard budget that aborts over-budget queries with a
 // typed error.
 //
-// Accounting contract: the same chunk boundaries the cancellation
-// checks use (cancelCheckRows) also charge the account, so the enabled
-// cost is a handful of atomic adds per 256 rows and the disabled path
-// is a single nil check per hook — run.acct stays nil, mirroring the
-// span and cancellation fast paths. Byte counts are estimates (term
-// struct size plus lexical length, sampled from the first row of each
-// charged batch), good for ranking operators and bounding runaway
-// intermediates, not for balancing against the allocator.
+// Accounting contract: the pipeline's chunk boundaries (boundIter,
+// stream.go) charge each stage's output chunk and release it when the
+// consumer pulls the next; the points that retain rows (a breaker's
+// drained input, the collected result, GROUP BY buckets) charge them
+// here with accountNew / accountKept. The enabled cost is a handful of
+// atomic adds per chunk and the disabled path is a single nil check per
+// hook — run.acct stays nil, mirroring the span and cancellation fast
+// paths. Byte counts are estimates (term struct size plus lexical
+// length, sampled from the first row of each charged batch), good for
+// ranking operators and bounding runaway intermediates, not for
+// balancing against the allocator.
 //
-// Budget semantics: QueryAcct.Over is sticky, so racing workers all
-// observe it at their next boundary, abandon their chunks, and the
-// coordinator converts the condition into *MemLimitError before any
-// truncated rows can escape — the same convergence scheme cancellation
-// uses.
+// Budget semantics: QueryAcct.Over is sticky; the coordinator checks it
+// after every charge and converts the condition into *MemLimitError
+// before any further rows can escape.
 
 // WithResources attaches a process-wide resource tracker: every
 // accounted query contributes its in-flight bytes to the tracker's
@@ -133,9 +134,8 @@ func (r *run) memErr() error {
 const (
 	solutionHeaderBytes = 24 // slice header + allocator slot overhead
 	termStructBytes     = 56 // Term struct: kind word + 3 string headers
-	// rowRefBytes charges a row retained by reference only (FILTER,
-	// MINUS, GROUP BY membership): one slice slot in the keeping
-	// container.
+	// rowRefBytes charges a row retained by reference only (GROUP BY
+	// membership): one slice slot in the keeping container.
 	rowRefBytes = 24
 )
 

@@ -618,8 +618,7 @@ SELECT ?name ?country WHERE {
   ?c ex:inCountry ?country .
 } ORDER BY ?name`
 	e1 := NewEngine(st)
-	e2 := NewEngine(st)
-	e2.DisableReorder = true
+	e2 := NewEngine(st, WithPlanner(false)) // written order
 	r1, err := e1.QueryString(q)
 	if err != nil {
 		t.Fatal(err)

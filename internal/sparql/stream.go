@@ -4,76 +4,71 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"time"
 
+	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
 
-// This file implements the chunked pull pipeline: the streaming
-// counterpart of evalGroup/evalSelect. Operators consume and produce
-// bounded chunks of solutions instead of whole intermediate tables, so
-// one query's in-flight bytes are proportional to pipeline depth ×
-// chunk size rather than to the largest intermediate result.
+// This file implements the chunked pull pipeline — the engine's one
+// evaluator. Operators consume and produce bounded chunks of solutions
+// instead of whole intermediate tables, so one query's in-flight bytes
+// are proportional to pipeline depth × chunk size rather than to the
+// largest intermediate result.
 //
 // Design rules (see DESIGN.md §16):
 //
 //   - The pipeline is fully synchronous: every stage's next() runs on
 //     the coordinating goroutine, so there are no pipeline goroutines
 //     to leak and SLICE's early exit is just "stop pulling".
-//     Parallelism still applies *within* a chunk — stages call the same
+//     Parallelism applies *within* a chunk — stages call the
 //     order-preserving parallel kernels (joinPatternPar, filterRowsPar,
-//     ...) that the materialized path uses, on chunks large enough to
-//     engage them.
+//     ...) on chunks large enough to engage them.
 //   - Chunk boundaries carry the cross-cutting concerns: boundIter
-//     checks cancellation, charges the chunk to the query account, and
-//     releases the previous chunk — PR 5's cancellation contract and
-//     PR 7's accounting hooks, moved from operator interiors to chunk
-//     edges. Kernels run on an account-free run copy (run.kernel) so
-//     nothing double-charges.
+//     checks cancellation, charges the chunk to the query account,
+//     releases the previous chunk, and — when the query is traced —
+//     accumulates the stage's span (trace.go). Kernels run on an
+//     account-free run copy (run.kernel) so nothing double-charges.
 //   - Pipeline breakers materialize: ORDER BY and GROUP BY drain their
-//     whole input (drainStream) and fall back to the proven
-//     materialized tail (finishSelect), because sorting and grouping
-//     need every row anyway. UNION and GRAPH ?var buffer their *input*
-//     (usually small) and replay it branch-major / graph-major to keep
-//     the materialized result order. MINUS evaluates its right side
-//     once; SUBSELECT evaluates the subquery once. DISTINCT streams its
-//     emission but retains the seen-key set.
+//     whole input (drainStream), because sorting and grouping need
+//     every row anyway, and re-stream their output into the
+//     projection/DISTINCT/SLICE stages. UNION and GRAPH ?var buffer
+//     their *input* (usually small) and replay it branch-major /
+//     graph-major. MINUS evaluates its right side once; SUBSELECT
+//     evaluates the subquery once. DISTINCT streams its emission but
+//     retains the seen-key set.
 //   - BGP joins are incremental: bgpIter holds one buffer per join
 //     level and advances the deepest level with pending work, so a
 //     1-row → 80k-match fan-out is emitted chunk by chunk through a
 //     resumable store.Scan cursor instead of materialized at once.
-//
-// Streaming engages only on the untraced path (run.streaming): a traced
-// query needs whole-operator row counts for its spans, so it keeps the
-// materialized evaluator and its goldens stay byte-identical.
+//   - Callers that need a whole table (CONSTRUCT, DESCRIBE, update
+//     WHERE clauses, MINUS right sides, per-row OPTIONAL and EXISTS)
+//     drain the same pipeline through groupRows; there is no second
+//     evaluator.
 
 // chunkIter is the pull side of the pipeline. next returns the next
 // non-empty chunk, or (nil, nil) once exhausted; close releases any
 // held resources (buffered charges, upstream iterators) and must be
-// safe to call after an error or mid-stream abandonment.
+// safe to call after an error, mid-stream abandonment, or a previous
+// close.
 type chunkIter interface {
 	next() ([]solution, error)
 	close()
 }
 
-// streaming reports whether this run evaluates through the chunked
-// pipeline: enabled by Engine.chunkSize and disabled under tracing.
-func (r *run) streaming() bool { return r.trace == nil && r.e.chunkSize > 0 }
-
-// chunk is the configured chunk size, defensive against a zero value.
-func (r *run) chunk() int {
-	if n := r.e.chunkSize; n > 0 {
-		return n
-	}
-	return defaultChunkSize
-}
-
-// kernel returns a run copy for per-chunk operator kernels: it shares
-// the cancellation plumbing and var table but detaches accounting and
-// tracing — the pipeline charges at chunk boundaries (boundIter)
-// instead, so kernels must not double-charge. ctx is the enclosing
-// graph context, which EXISTS filters read from the run (expr.go).
+// kernel returns the run per-chunk operator kernels evaluate on: it
+// shares the cancellation plumbing and var table but carries no account
+// and no trace — the pipeline charges and traces at chunk boundaries
+// (boundIter) instead, so kernels must not double-charge. ctx is the
+// enclosing graph context, which EXISTS filters read from the run
+// (expr.go). Nothing mutates a run during evaluation, so a run that is
+// already a kernel for ctx (the per-row OPTIONAL and EXISTS nesting) is
+// reused as is.
 func (r *run) kernel(ctx graphCtx) *run {
+	if r.acct == nil && r.trace == nil && r.ctx == ctx {
+		return r
+	}
 	kr := *r
 	kr.acct = nil
 	kr.ownAcct = false
@@ -82,16 +77,23 @@ func (r *run) kernel(ctx graphCtx) *run {
 	return &kr
 }
 
+// seed is the single empty solution every top-level group starts from.
+func (r *run) seed() []solution {
+	return []solution{make(solution, len(r.vt.names))}
+}
+
 // boundIter enforces the chunk-boundary contract around one stage: on
 // every pull it (1) checks cancellation, (2) releases the previous
 // chunk's charge — the consumer is done with it, (3) pulls, (4) charges
 // the new chunk, (5) checks the memory budget. The last chunk's charge
 // is dropped at close (or by QueryAcct.Finish on abort), so in-flight
-// gauges track pipeline occupancy: stages × chunk bytes.
+// gauges track pipeline occupancy: stages × chunk bytes. Under tracing
+// the stage's span (tr) is told what was charged.
 type boundIter struct {
 	r    *run
 	src  chunkIter
 	held int64
+	tr   *stageTrace
 }
 
 func (b *boundIter) next() ([]solution, error) {
@@ -109,6 +111,7 @@ func (b *boundIter) next() ([]solution, error) {
 	if b.r.acct != nil && len(chunk) > 0 {
 		b.held = int64(len(chunk)) * approxRowBytes(chunk[0])
 		b.r.acct.Materialize(len(chunk), b.held)
+		b.tr.charged(b.held)
 		if b.r.overMem() {
 			return nil, b.r.memErr()
 		}
@@ -124,7 +127,11 @@ func (b *boundIter) close() {
 	b.src.close()
 }
 
-func (r *run) bound(src chunkIter) chunkIter { return &boundIter{r: r, src: src} }
+// bound wraps one stage in its chunk boundary and, when tr is non-nil,
+// in the exit side of its span.
+func (r *run) bound(tr *stageTrace, src chunkIter) chunkIter {
+	return &boundIter{r: r, src: tr.out(src), tr: tr}
+}
 
 // sliceSource re-streams a materialized slice in chunks.
 type sliceSource struct {
@@ -137,10 +144,10 @@ func (s *sliceSource) next() ([]solution, error) {
 		return nil, nil
 	}
 	n := s.chunk
-	if n <= 0 || n > len(s.rows) {
+	if n > len(s.rows) {
 		n = len(s.rows)
 	}
-	out := s.rows[:n]
+	out := s.rows[:n:n]
 	s.rows = s.rows[n:]
 	return out, nil
 }
@@ -180,33 +187,52 @@ func (e *emptyIter) next() ([]solution, error) { return nil, nil }
 func (e *emptyIter) close()                    { e.src.close() }
 
 // drainStream materializes a stream — the pipeline-breaker entry. The
-// accumulated rows are charged to the account (they are genuinely
-// retained) with the same accountNew cost model the materialized
-// evaluator uses.
+// accumulated rows are charged to the account: they are genuinely
+// retained. Chunks are gathered and concatenated once (a single-chunk
+// result — every per-row nesting — is handed over as is), so a large
+// drain copies each row header once instead of through append's
+// regrowth.
 func drainStream(r *run, src chunkIter) ([]solution, error) {
 	defer src.close()
-	var rows []solution
-	mark := 0
+	chunks := make([][]solution, 0, 8)
 	for {
 		chunk, err := src.next()
 		if err != nil {
 			return nil, err
 		}
 		if chunk == nil {
-			return rows, nil
+			return concatSolutions(chunks), nil
 		}
-		rows = append(rows, chunk...)
-		if mark = accountNew(r, rows, mark); r.overMem() {
+		chunks = append(chunks, chunk)
+		if accountNew(r, chunk, 0); r.overMem() {
 			return nil, r.memErr()
 		}
 	}
 }
 
+// groupRows evaluates a group graph pattern over materialized input
+// rows through the pipeline and returns the whole result: the
+// slice-in/slice-out entry for ASK, CONSTRUCT, DESCRIBE, update WHERE
+// clauses, MINUS right sides, and the per-row OPTIONAL and EXISTS
+// nesting. With first set it stops at the first non-empty chunk, which
+// is all ASK and EXISTS need. Stage spans attach under parent (nil =
+// untraced).
+func (r *run) groupRows(g GroupGraphPattern, input []solution, gctx graphCtx, parent *obs.Span, first bool) ([]solution, error) {
+	it := r.streamGroup(g, &sliceSource{rows: input, chunk: r.e.chunkSize}, gctx, parent)
+	if !first {
+		return drainStream(r, it)
+	}
+	defer it.close()
+	return it.next()
+}
+
 // streamGroup builds the stage chain for one group graph pattern.
-// Consecutive triple patterns fold into one bgpIter, mirroring
-// evalGroup's BGP batching; every other element becomes one stage
-// wrapped in a chunk boundary.
-func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx) chunkIter {
+// Consecutive triple patterns fold into one bgpIter, joined in the
+// order given (the planner's, or the written order with the planner
+// off); every other element becomes one stage wrapped in a chunk
+// boundary. When parent is non-nil every stage opens its span under it,
+// in element order.
+func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, parent *obs.Span) chunkIter {
 	kr := r.kernel(gctx)
 	cur := src
 	var bgp []TriplePattern
@@ -214,9 +240,22 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx) chu
 		if len(bgp) == 0 {
 			return
 		}
-		pats := bgp
+		it := &bgpIter{r: r, kr: kr, gctx: gctx, levels: make([]bgpLevel, len(bgp))}
+		for i, tp := range bgp {
+			it.levels[i].tp = tp
+		}
+		if parent != nil {
+			detail := fmt.Sprintf("%d patterns", len(bgp))
+			if r.planned {
+				detail += " (planned)"
+			}
+			// The chain's final JOIN estimate is the BGP's own output
+			// estimate (each JOIN estimates from its actual input).
+			it.tr = newStage(parent, "BGP", detail, func(int) int64 { return it.estOut })
+		}
+		it.src = it.tr.in(cur)
+		cur = r.bound(it.tr, it)
 		bgp = nil
-		cur = r.bound(newBGPIter(r, kr, pats, cur, gctx))
 	}
 	for _, el := range g.Elements {
 		if tp, ok := el.(TriplePattern); ok {
@@ -224,87 +263,93 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx) chu
 			continue
 		}
 		flush()
+		tr := elementStage(parent, el)
+		// stage wires one per-chunk kernel in as a bounded stage.
+		stage := func(fn func([]solution) ([]solution, error)) {
+			cur = r.bound(tr, &mapChunk{src: tr.in(cur), fn: fn})
+		}
 		switch e := el.(type) {
 		case FilterElement:
-			expr := e.Expr
-			cur = r.bound(&mapChunk{src: cur, fn: func(chunk []solution) ([]solution, error) {
-				return kr.filterRowsPar(expr, chunk), nil
-			}})
+			stage(func(chunk []solution) ([]solution, error) {
+				tr.rowWorkers(kr, len(chunk))
+				return kr.filterRowsPar(e.Expr, chunk), nil
+			})
 		case BindElement:
 			idx := r.vt.slot(e.Var)
-			expr := e.Expr
-			cur = r.bound(&mapChunk{src: cur, fn: func(chunk []solution) ([]solution, error) {
+			stage(func(chunk []solution) ([]solution, error) {
 				out := make([]solution, 0, len(chunk))
 				for _, row := range chunk {
 					nrow := row.clone()
-					if v, err := kr.evalExpr(expr, row); err == nil {
+					if v, err := kr.evalExpr(e.Expr, row); err == nil {
 						nrow[idx] = v
 					}
 					out = append(out, nrow)
 				}
 				return out, nil
-			}})
+			})
 		case OptionalElement:
+			// Fast path: an OPTIONAL holding exactly one triple pattern
+			// (the common shape for label lookups) avoids the nested
+			// group evaluation per row.
 			if tp, ok := singleTriplePattern(e.Pattern); ok {
-				cur = r.bound(&mapChunk{src: cur, fn: func(chunk []solution) ([]solution, error) {
+				stage(func(chunk []solution) ([]solution, error) {
+					tr.rowWorkers(kr, len(chunk))
 					return kr.optionalSinglePar(tp, chunk, gctx), nil
-				}})
+				})
 			} else {
-				pat := e.Pattern
-				cur = r.bound(&mapChunk{src: cur, fn: func(chunk []solution) ([]solution, error) {
-					return kr.optionalPar(pat, chunk, gctx)
-				}})
+				stage(func(chunk []solution) ([]solution, error) {
+					tr.rowWorkers(kr, len(chunk))
+					return kr.optionalPar(e.Pattern, chunk, gctx)
+				})
 			}
 		case UnionElement:
-			cur = r.bound(&unionIter{r: r, branches: e.Branches, src: cur, gctx: gctx})
+			cur = r.bound(tr, &unionIter{r: r, branches: e.Branches, src: tr.in(cur), gctx: gctx})
 		case MinusElement:
-			// The right side evaluates once (materialized, on the real
-			// run so its intermediates are charged), lazily on the first
-			// chunk.
-			pat := e.Pattern
+			// The right side evaluates once — on the real run, so its
+			// rows are charged and its stages trace as children of the
+			// MINUS span — lazily on the first chunk.
 			var right []solution
 			ready := false
-			cur = r.bound(&mapChunk{src: cur, fn: func(chunk []solution) ([]solution, error) {
+			stage(func(chunk []solution) ([]solution, error) {
 				if !ready {
 					var err error
-					right, err = r.evalGroup(pat, []solution{make(solution, len(r.vt.names))}, gctx)
+					right, err = r.groupRows(e.Pattern, r.seed(), gctx, tr.span(), false)
 					if err != nil {
 						return nil, err
 					}
 					ready = true
 				}
+				tr.rowWorkers(kr, len(chunk))
 				return kr.minusRowsPar(chunk, right), nil
-			}})
+			})
 		case GraphElement:
-			if !e.Graph.IsVar {
-				if gid, ok := r.e.store.GraphID(e.Graph.Term); ok {
-					cur = r.streamGroup(e.Pattern, cur, graphCtx{gid: gid})
-				} else {
-					cur = &emptyIter{src: cur}
-				}
+			if e.Graph.IsVar {
+				cur = r.bound(tr, &graphVarIter{r: r, el: e, src: tr.in(cur), sp: tr.span()})
+			} else if gid, ok := r.e.store.GraphID(e.Graph.Term); ok {
+				cur = tr.out(r.streamGroup(e.Pattern, tr.in(cur), graphCtx{gid: gid}, tr.span()))
 			} else {
-				cur = r.bound(&graphVarIter{r: r, el: e, src: cur})
+				cur = tr.out(&emptyIter{src: cur})
 			}
 		case GroupElement:
-			cur = r.streamGroup(e.Pattern, cur, gctx)
+			cur = tr.out(r.streamGroup(e.Pattern, tr.in(cur), gctx, tr.span()))
 		case ValuesElement:
-			v := e
-			cur = r.bound(&mapChunk{src: cur, fn: func(chunk []solution) ([]solution, error) {
-				return kr.joinValues(chunk, v), nil
-			}})
+			stage(func(chunk []solution) ([]solution, error) {
+				return kr.joinValues(chunk, e), nil
+			})
 		case SubSelectElement:
-			sq := e.Query
+			// The subquery evaluates once, lazily on the first chunk; its
+			// operators trace under the SUBSELECT span.
 			var sub *Results
-			cur = r.bound(&mapChunk{src: cur, fn: func(chunk []solution) ([]solution, error) {
+			stage(func(chunk []solution) ([]solution, error) {
 				if sub == nil {
 					var err error
-					sub, err = r.evalSubSelect(sq, nil)
+					sub, err = r.evalSubSelect(e.Query, tr.span())
 					if err != nil {
 						return nil, err
 					}
 				}
 				return kr.joinResults(chunk, sub), nil
-			}})
+			})
 		}
 	}
 	flush()
@@ -312,10 +357,10 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx) chu
 }
 
 // unionIter buffers its input once and replays it through each branch's
-// pipeline in branch order — the same branch-major concatenation
-// unionPar produces. The input buffer is an extra materialization
-// point; it holds the rows *entering* the UNION, not the branch
-// expansions.
+// pipeline in branch order, concatenating branch-major. The input
+// buffer is an extra materialization point; it holds the rows
+// *entering* the UNION, not the branch expansions. Branch interiors are
+// not traced: the UNION span carries the totals.
 type unionIter struct {
 	r        *run
 	branches []GroupGraphPattern
@@ -330,12 +375,12 @@ type unionIter struct {
 
 func (u *unionIter) next() ([]solution, error) {
 	if !u.started {
+		u.started = true
 		rows, err := drainStream(u.r, u.src)
 		if err != nil {
 			return nil, err
 		}
 		u.input = rows
-		u.started = true
 	}
 	for {
 		if u.cur != nil {
@@ -354,7 +399,7 @@ func (u *unionIter) next() ([]solution, error) {
 		}
 		b := u.branches[u.bi]
 		u.bi++
-		u.cur = u.r.streamGroup(b, &sliceSource{rows: u.input, chunk: u.r.chunk()}, u.gctx)
+		u.cur = u.r.streamGroup(b, &sliceSource{rows: u.input, chunk: u.r.e.chunkSize}, u.gctx, nil)
 	}
 }
 
@@ -370,12 +415,13 @@ func (u *unionIter) close() {
 }
 
 // graphVarIter implements GRAPH ?g { ... }: input buffered once, then
-// replayed per named graph in id order (the materialized iteration
-// order), with the graph variable bound on cloned seed rows.
+// replayed per named graph in id order, with the graph variable bound
+// on cloned seed rows. Each graph's stages trace under sp.
 type graphVarIter struct {
 	r   *run
 	el  GraphElement
 	src chunkIter
+	sp  *obs.Span
 
 	started bool
 	input   []solution
@@ -387,6 +433,7 @@ type graphVarIter struct {
 
 func (g *graphVarIter) next() ([]solution, error) {
 	if !g.started {
+		g.started = true
 		rows, err := drainStream(g.r, g.src)
 		if err != nil {
 			return nil, err
@@ -394,7 +441,6 @@ func (g *graphVarIter) next() ([]solution, error) {
 		g.input = rows
 		g.gids = g.r.e.store.NamedGraphIDs()
 		g.idx = g.r.vt.slot(g.el.Graph.Var)
-		g.started = true
 	}
 	for {
 		if g.cur != nil {
@@ -414,6 +460,7 @@ func (g *graphVarIter) next() ([]solution, error) {
 		gid := g.gids[g.gi]
 		g.gi++
 		gterm := g.r.e.store.Dict().Term(gid)
+		// Respect an existing binding of the graph var.
 		var seed []solution
 		for _, row := range g.input {
 			if !row[g.idx].IsZero() && row[g.idx] != gterm {
@@ -426,7 +473,7 @@ func (g *graphVarIter) next() ([]solution, error) {
 		if len(seed) == 0 {
 			continue
 		}
-		g.cur = g.r.streamGroup(g.el.Pattern, &sliceSource{rows: seed, chunk: g.r.chunk()}, graphCtx{gid: gid})
+		g.cur = g.r.streamGroup(g.el.Pattern, &sliceSource{rows: seed, chunk: g.r.e.chunkSize}, graphCtx{gid: gid}, g.sp)
 	}
 }
 
@@ -441,71 +488,24 @@ func (g *graphVarIter) close() {
 	g.input = nil
 }
 
-// orderBGP replays evalBGP's greedy join-order selection up front. The
-// heuristic's inputs — the bound-variable set (seeded from the first
-// input row, grown by markBound) and the store's pattern counts — never
-// depend on join outputs, so the order computed here is exactly the
-// order evalBGP would pick join by join.
-func (r *run) orderBGP(patterns []TriplePattern, first solution, gctx graphCtx) []TriplePattern {
-	if r.planned || r.e.DisableReorder || len(patterns) <= 1 {
-		return patterns
-	}
-	remaining := make([]TriplePattern, len(patterns))
-	copy(remaining, patterns)
-	bound := make(map[string]bool)
-	for name, idx := range r.vt.index {
-		if !first[idx].IsZero() {
-			bound[name] = true
-		}
-	}
-	out := make([]TriplePattern, 0, len(patterns))
-	for len(remaining) > 0 {
-		next := 0
-		if len(remaining) > 1 {
-			candidates := make([]int, 0, len(remaining))
-			for i, tp := range remaining {
-				if patternConnected(tp, bound) {
-					candidates = append(candidates, i)
-				}
-			}
-			if len(candidates) == 0 {
-				for i := range remaining {
-					candidates = append(candidates, i)
-				}
-			}
-			best := -1
-			for _, i := range candidates {
-				cost := r.estimateCost(remaining[i], bound, gctx)
-				if best < 0 || cost < best {
-					best = cost
-					next = i
-				}
-			}
-		}
-		tp := remaining[next]
-		remaining = append(remaining[:next], remaining[next+1:]...)
-		out = append(out, tp)
-		markBound(tp, bound)
-	}
-	return out
-}
-
 // bgpLevel is one join level of a bgpIter: its pattern, the rows
-// waiting to be joined, the row scan in progress, and the account
-// charge held for the buffered rows.
+// waiting to be joined, the row scan in progress, the account charge
+// held for the buffered rows, and — under tracing — its JOIN span.
 type bgpLevel struct {
 	tp   TriplePattern
 	buf  []solution
 	scan *rowScan
 	held int64
+	sp   *obs.Span
 }
 
-// bgpIter joins a basic graph pattern incrementally. Level 0 consumes
-// input chunks; each advance joins a bounded batch of one level's rows
-// with its pattern and hands the output to the next level. Scheduling
-// is depth-first — always the deepest level with pending work — which
-// bounds every buffer to about one chunk while producing rows in
-// exactly the materialized join order (the per-row join is
+// bgpIter joins a basic graph pattern incrementally, one level per
+// pattern in the order given. Level 0 consumes input chunks; each
+// advance joins a bounded batch of one level's rows with its pattern
+// and hands the output to the next level. Scheduling is depth-first —
+// always the deepest level with pending work — which bounds every
+// buffer to about one chunk while producing rows in exactly the order
+// of a level-by-level join over the whole input (the per-row join is
 // order-preserving, so depth-first and breadth-first emit the same
 // sequence).
 type bgpIter struct {
@@ -514,23 +514,37 @@ type bgpIter struct {
 	src  chunkIter
 	gctx graphCtx
 
-	raw    []TriplePattern
 	levels []bgpLevel
-	inited bool
 	srcEOF bool
+
+	// Tracing only: the BGP's stage, the variables bound on entry (from
+	// the first input row; JOIN estimates treat them as constants), and
+	// the last JOIN's estimate, which the BGP span adopts.
+	tr     *stageTrace
+	bound  map[string]bool
+	estOut int64
 }
 
-func newBGPIter(r, kr *run, pats []TriplePattern, src chunkIter, gctx graphCtx) *bgpIter {
-	return &bgpIter{r: r, kr: kr, src: src, gctx: gctx, raw: pats}
-}
-
-func (b *bgpIter) init(first solution) {
-	pats := b.r.orderBGP(b.raw, first, b.gctx)
-	b.levels = make([]bgpLevel, len(pats))
-	for i, tp := range pats {
-		b.levels[i].tp = tp
+// feed hands rows to level i, opening the level's JOIN span on first
+// use so the trace lists exactly the joins that received input.
+func (b *bgpIter) feed(i int, rows []solution) {
+	lvl := &b.levels[i]
+	lvl.buf = rows
+	if b.tr == nil {
+		return
 	}
-	b.inited = true
+	if lvl.sp == nil {
+		if i == 0 {
+			b.bound = make(map[string]bool)
+			for name, idx := range b.r.vt.index {
+				if !rows[0][idx].IsZero() {
+					b.bound[name] = true
+				}
+			}
+		}
+		lvl.sp = b.tr.sp.StartChild("JOIN", patternDetail(lvl.tp), 0)
+	}
+	lvl.sp.In += len(rows)
 }
 
 func (b *bgpIter) next() ([]solution, error) {
@@ -555,19 +569,22 @@ func (b *bgpIter) next() ([]solution, error) {
 				b.srcEOF = true
 				continue
 			}
-			if len(chunk) == 0 {
-				continue
-			}
-			if !b.inited {
-				b.init(chunk[0])
-			}
 			// The input chunk stays charged by the upstream boundary
 			// until the next src pull, which only happens once the
 			// levels drain — no extra charge needed for level 0.
-			b.levels[0].buf = chunk
+			b.feed(0, chunk)
 			continue
 		}
+		sp := b.levels[i].sp
+		var t0 time.Time
+		if sp != nil {
+			t0 = time.Now()
+		}
 		out, err := b.advance(i)
+		if sp != nil {
+			sp.Wall += time.Since(t0)
+			sp.Out += len(out)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -581,9 +598,9 @@ func (b *bgpIter) next() ([]solution, error) {
 		if i == len(b.levels)-1 {
 			return out, nil
 		}
-		nl := &b.levels[i+1]
-		nl.buf = out
+		b.feed(i+1, out)
 		if b.r.acct != nil {
+			nl := &b.levels[i+1]
 			nl.held = int64(len(out)) * approxRowBytes(out[0])
 			b.r.acct.Materialize(len(out), nl.held)
 			if b.r.overMem() {
@@ -594,18 +611,18 @@ func (b *bgpIter) next() ([]solution, error) {
 }
 
 // advance joins a bounded amount of level i's buffered rows with its
-// pattern. Large batches take the parallel batch join (the PR 1 kernel,
-// order-preserving merge included); small batches and resumed scans go
-// row by row through a suspendable store cursor, so a single row whose
-// pattern matches the whole store still emits chunk-sized output.
-// Property patterns always batch (path closures have no cursor form).
-// Level 0 rows are shared with the caller (owned=false: single-match
-// rows are cloned); deeper rows are owned and extended in place —
+// pattern. Large batches take the parallel batch join (order-preserving
+// merge included); small batches and resumed scans go row by row
+// through a suspendable store cursor, so a single row whose pattern
+// matches the whole store still emits chunk-sized output. Property
+// patterns always batch (path closures have no cursor form). Level 0
+// rows are shared with the caller (owned=false: single-match rows are
+// cloned); deeper rows are owned and extended in place —
 // joinPatternOwned's exact ownership rule.
 func (b *bgpIter) advance(i int) ([]solution, error) {
 	lvl := &b.levels[i]
 	owned := i > 0
-	max := b.r.chunk()
+	max := b.r.e.chunkSize
 	if lvl.scan == nil && (lvl.tp.Path != nil || len(lvl.buf) >= minParallelRows) {
 		n := len(lvl.buf)
 		if n > max {
@@ -613,6 +630,9 @@ func (b *bgpIter) advance(i int) ([]solution, error) {
 		}
 		batch := lvl.buf[:n]
 		lvl.buf = lvl.buf[n:]
+		if w := b.kr.workersFor(n); lvl.sp != nil && w > lvl.sp.Workers {
+			lvl.sp.Workers = w
+		}
 		return b.kr.joinPatternPar(lvl.tp, batch, b.gctx, owned)
 	}
 	var out []solution
@@ -644,6 +664,21 @@ func (b *bgpIter) close() {
 		}
 	}
 	b.src.close()
+	if b.tr == nil {
+		return
+	}
+	// Fix every JOIN's estimate from its accumulated actual input, with
+	// the variables bound by the joins before it.
+	for l := range b.levels {
+		lvl := &b.levels[l]
+		if lvl.sp == nil {
+			break
+		}
+		b.estOut = b.r.estimateJoin(lvl.tp, b.bound, lvl.sp.In, b.gctx)
+		lvl.sp.SetEst(b.estOut)
+		markBound(lvl.tp, b.bound)
+	}
+	b.tr = nil // a second close must not re-estimate over the grown bound set
 }
 
 // rowScan joins one row with one pattern through a resumable snapshot
@@ -651,7 +686,7 @@ func (b *bgpIter) close() {
 // first match is deferred so a single-match row can be extended in
 // place (when owned) instead of cloned, repeated-variable constraints
 // are enforced by extend, and the scan checks cancellation with the
-// same cadence as the materialized in-scan hook.
+// same cadence as the batch join's in-scan hook.
 type rowScan struct {
 	r     *run
 	tp    TriplePattern
@@ -757,11 +792,11 @@ func (rs *rowScan) emit(out *[]solution, max int) (bool, error) {
 	return false, nil
 }
 
-// projectStage applies the SELECT projection chunk by chunk — the same
-// per-row logic as evalUngrouped's projection loop.
+// projectStage applies the ungrouped SELECT projection chunk by chunk.
 func (r *run) projectStage(q *Query, vars []string, src chunkIter) chunkIter {
 	kr := r.kernel(graphCtx{})
-	return r.bound(&mapChunk{src: src, fn: func(chunk []solution) ([]solution, error) {
+	tr := newStage(r.trace, "PROJECT", "", estimateSame)
+	return r.bound(tr, &mapChunk{src: tr.in(src), fn: func(chunk []solution) ([]solution, error) {
 		out := make([]solution, 0, len(chunk))
 		for _, row := range chunk {
 			orow := make(solution, len(vars))
@@ -789,9 +824,9 @@ func (r *run) projectStage(q *Query, vars []string, src chunkIter) chunkIter {
 }
 
 // distinctIter streams DISTINCT: rows pass through in order, dropped
-// when their rendered key (distinctRows' exact key) was seen before.
-// The seen set is the one retained structure — it grows with the number
-// of distinct rows, which is also the size of the final result.
+// when their rendered key was seen before. The seen set is the one
+// retained structure — it grows with the number of distinct rows, which
+// is also the size of the final result.
 type distinctIter struct {
 	src  chunkIter
 	seen map[string]struct{}
@@ -872,46 +907,66 @@ func (s *sliceIter) next() ([]solution, error) {
 
 func (s *sliceIter) close() { s.src.close() }
 
-// selectStream assembles the full pipeline for a SELECT query. Queries
-// that end in a pipeline breaker (GROUP BY / aggregates / ORDER BY)
-// stream the WHERE clause, materialize at the breaker, and return a
-// finished result table; everything else returns a live chunk iterator
-// of projected rows plus the header.
-func (r *run) selectStream(q *Query) (*Results, chunkIter, []string, error) {
-	seed := []solution{make(solution, len(r.vt.names))}
-	body := r.streamGroup(q.Where, &sliceSource{rows: seed, chunk: r.chunk()}, graphCtx{})
+// selectStream assembles the full pipeline for a SELECT query and
+// returns a live chunk iterator of result rows plus the header. The
+// WHERE clause always streams. A grouped query drains it into the
+// aggregation and re-streams the group rows; an ungrouped ORDER BY
+// drains it into the sort and re-streams the sorted rows into the
+// projection; DISTINCT and OFFSET/LIMIT are stages either way, so a
+// LIMIT stops the projection early even under ORDER BY.
+func (r *run) selectStream(q *Query) (chunkIter, []string, error) {
+	n := r.e.chunkSize
+	body := r.streamGroup(q.Where, &sliceSource{rows: r.seed(), chunk: n}, graphCtx{}, r.trace)
 
-	grouped := len(q.GroupBy) > 0 || projectionHasAggregates(q)
-	if grouped || len(q.OrderBy) > 0 {
+	var it chunkIter
+	var vars []string
+	if len(q.GroupBy) > 0 || projectionHasAggregates(q) {
 		rows, err := drainStream(r, body)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		res, err := r.finishSelect(q, rows)
-		return res, nil, nil, err
+		if vars, rows, err = r.aggregateRows(q, rows); err != nil {
+			return nil, nil, err
+		}
+		it = &sliceSource{rows: rows, chunk: n}
+	} else {
+		if len(q.OrderBy) > 0 {
+			// ORDER BY before projection so order keys may use any
+			// variable.
+			rows, err := drainStream(r, body)
+			if err != nil {
+				return nil, nil, err
+			}
+			if err := r.orderSpan(len(rows), func() { r.sortRows(rows, q.OrderBy) }); err != nil {
+				return nil, nil, err
+			}
+			body = &sliceSource{rows: rows, chunk: n}
+		}
+		vars = r.selectVars(q)
+		it = r.projectStage(q, vars, body)
 	}
-
-	vars := r.selectVars(q)
-	it := r.projectStage(q, vars, body)
 	if q.Distinct {
-		it = r.bound(&distinctIter{src: it, seen: make(map[string]struct{})})
+		tr := newStage(r.trace, "DISTINCT", "", estimateSame)
+		it = r.bound(tr, &distinctIter{src: tr.in(it), seen: make(map[string]struct{})})
 	}
 	if q.Offset > 0 || q.Limit >= 0 {
-		it = &sliceIter{src: it, offset: q.Offset, limit: q.Limit}
+		var tr *stageTrace
+		if r.trace != nil {
+			tr = newStage(r.trace, "SLICE", fmt.Sprintf("offset=%d limit=%d", q.Offset, q.Limit),
+				func(in int) int64 { return estimateSlice(in, q.Offset, q.Limit) })
+		}
+		it = tr.out(&sliceIter{src: tr.in(it), offset: q.Offset, limit: q.Limit})
 	}
-	return nil, it, vars, nil
+	return it, vars, nil
 }
 
 // streamSelect is the collector driving selectStream for callers that
 // want a whole Results value: peak in-flight memory is bounded by the
 // pipeline plus the final table, not by intermediate joins.
 func (r *run) streamSelect(q *Query) (*Results, error) {
-	res, it, vars, err := r.selectStream(q)
+	it, vars, err := r.selectStream(q)
 	if err != nil {
 		return nil, err
-	}
-	if res != nil {
-		return res, nil
 	}
 	defer it.close()
 	out := &Results{Vars: vars}
@@ -935,89 +990,34 @@ func (r *run) streamSelect(q *Query) (*Results, error) {
 	}
 }
 
-// streamAsk short-circuits ASK on the first surviving chunk.
-func (r *run) streamAsk(q *Query) (bool, error) {
-	seed := []solution{make(solution, len(r.vt.names))}
-	it := r.streamGroup(q.Where, &sliceSource{rows: seed, chunk: r.chunk()}, graphCtx{})
-	defer it.close()
-	for {
-		chunk, err := it.next()
-		if err != nil {
-			return false, err
-		}
-		if chunk == nil {
-			return false, nil
-		}
-		if len(chunk) > 0 {
-			return true, nil
-		}
-	}
-}
-
 // StreamSelect evaluates a SELECT query and delivers results
 // incrementally: head is called once with the projection header, then
 // chunk is called for every block of rows as the pipeline produces it.
 // An error from either callback aborts evaluation and is returned
 // as-is. Queries ending in a pipeline breaker deliver their (already
 // materialized) result in chunk-size blocks, so consumers can flush
-// uniformly. When streaming is disabled (chunk size 0) or the engine
-// decides to trace, the query evaluates materialized and is delivered
-// the same way.
+// uniformly.
 func (e *Engine) StreamSelect(ctx context.Context, q *Query, head func(vars []string) error, chunk func(rows [][]rdf.Term) error) error {
 	if q.Form != FormSelect {
 		return fmt.Errorf("sparql: not a SELECT query")
 	}
-	q = e.prepared(q)
-	r := &run{e: e, vt: newVarTable(), planned: q.Planned}
-	r.bindContext(ctx)
-	r.bindAcct(ctx, false)
+	r, q := e.newRun(ctx, q, nil)
 	defer r.closeAcct()
-	collectVars(q, r.vt)
-
-	emitTable := func(res *Results) error {
-		if err := head(res.Vars); err != nil {
-			return err
-		}
-		n := e.chunkSize
-		if n <= 0 {
-			n = defaultChunkSize
-		}
-		for lo := 0; lo < len(res.Rows); lo += n {
-			// Delivery honors cancellation even though evaluation is
-			// done: a gone consumer must not be streamed to.
-			if r.cancelled() {
-				return r.cancelErr()
-			}
-			hi := lo + n
-			if hi > len(res.Rows) {
-				hi = len(res.Rows)
-			}
-			if err := chunk(res.Rows[lo:hi]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	if !r.streaming() {
-		res, err := r.evalSelect(q)
-		if err != nil {
-			return err
-		}
-		return emitTable(res)
-	}
-	res, it, vars, err := r.selectStream(q)
+	it, vars, err := r.selectStream(q)
 	if err != nil {
 		return err
-	}
-	if res != nil {
-		return emitTable(res)
 	}
 	defer it.close()
 	if err := head(vars); err != nil {
 		return err
 	}
 	for {
+		// Delivery honors cancellation even when evaluation is done (a
+		// breaker's table re-streamed): a gone consumer must not be
+		// streamed to.
+		if r.cancelled() {
+			return r.cancelErr()
+		}
 		c, err := it.next()
 		if err != nil {
 			return err

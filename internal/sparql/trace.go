@@ -11,18 +11,23 @@ import (
 )
 
 // This file is the engine's tracing glue: the WithTracer option, the
-// QueryTraced entry points, and the span helpers the evaluator calls.
+// QueryTraced entry points, and the span helpers the pipeline calls.
 //
-// Tracing contract: spans are created and finished only on the query's
-// coordinating goroutine (the one walking the algebra in evalGroup /
-// evalSelect). Operators that fan row batches out to workers record one
-// span at the coordinator with the worker count actually used; the
-// interior of per-row OPTIONAL and per-branch UNION evaluation runs
-// with the cursor cleared, both to keep span volume bounded and because
-// those interiors execute on worker goroutines. When tracing is
-// disabled the cursor is nil and every hook is a single nil check
-// (obs.Span methods are nil-safe), which BenchmarkTracerOverhead pins
-// to be within noise of the untraced engine.
+// Tracing contract: a traced query runs the same chunked pipeline as
+// an untraced one (stream.go); every stage additionally owns a span
+// that accumulates across its next() calls — rows in (pulled from its
+// upstream), rows out, self wall time (time in the stage's next minus
+// time in its upstream's), bytes charged at its chunk boundary, and the
+// largest worker count any chunk used — and fixes its estimate from the
+// accumulated actual input when the stage closes. Span totals therefore
+// do not depend on the chunk size. Spans are created and written only
+// on the query's coordinating goroutine: stages that fan a chunk out to
+// workers record at the coordinator, and the per-row interiors of
+// OPTIONAL, EXISTS and UNION branches run untraced (on kernel runs),
+// which keeps span volume bounded. When tracing is disabled every hook
+// is a single nil check (the stageTrace and obs.Span methods are
+// nil-safe), which BenchmarkTracerOverhead pins to be within noise of
+// the untraced engine.
 
 // WithTracer installs an engine-level trace sink: every sampled Query
 // records a per-operator trace and collects it into t (with no sampler
@@ -127,21 +132,136 @@ func (f QueryForm) String() string {
 	}
 }
 
-// finishRows closes an operator span for a row-partitioned operator,
-// recording the worker count the engine used for in input rows.
-func (r *run) finishRows(sp *obs.Span, out, in int) {
-	if sp != nil {
-		sp.Finish(out, r.workersFor(in))
+// stageTrace is the trace hook of one pipeline stage: its span and the
+// estimator applied to the accumulated actual input when the stage
+// closes. A nil *stageTrace is the untraced stage; every method is
+// nil-safe.
+type stageTrace struct {
+	sp  *obs.Span
+	est func(in int) int64
+}
+
+// estimateSame is the estimator of stages that preserve cardinality.
+func estimateSame(in int) int64 { return int64(in) }
+
+// newStage opens a stage span under parent (nil parent = untraced).
+func newStage(parent *obs.Span, op, detail string, est func(in int) int64) *stageTrace {
+	if parent == nil {
+		return nil
+	}
+	return &stageTrace{sp: parent.StartChild(op, detail, 0), est: est}
+}
+
+// elementStage opens the span of one non-BGP group element's stage.
+func elementStage(parent *obs.Span, el PatternElement) *stageTrace {
+	if parent == nil {
+		return nil
+	}
+	op, detail, est := "", "", estimateSame
+	switch e := el.(type) {
+	case FilterElement:
+		op, est = "FILTER", estimateFilter
+	case BindElement:
+		op, detail = "BIND", "?"+e.Var
+	case OptionalElement:
+		op = "OPTIONAL" // left rows are preserved
+		if tp, ok := singleTriplePattern(e.Pattern); ok {
+			detail = patternDetail(tp)
+		}
+	case UnionElement:
+		n := len(e.Branches)
+		op, detail = "UNION", fmt.Sprintf("%d branches", n)
+		est = func(in int) int64 { return int64(in * n) }
+	case MinusElement:
+		op = "MINUS"
+	case GraphElement:
+		op, detail = "GRAPH", patternTermDetail(e.Graph)
+	case GroupElement:
+		op = "GROUP"
+	case ValuesElement:
+		n := len(e.Rows)
+		op, est = "VALUES", func(in int) int64 { return int64(in * n) }
+	case SubSelectElement:
+		op = "SUBSELECT"
+	}
+	return newStage(parent, op, detail, est)
+}
+
+// span returns the stage's span, the parent for stages nested under it.
+func (st *stageTrace) span() *obs.Span {
+	if st == nil {
+		return nil
+	}
+	return st.sp
+}
+
+// charged adds bytes the stage's chunk boundary charged to the account.
+func (st *stageTrace) charged(b int64) {
+	if st != nil {
+		st.sp.Mem += b
 	}
 }
 
-// suspendTrace clears the trace cursor (used around operator interiors
-// that run per-row or on worker goroutines) and returns the restore
-// value.
-func (r *run) suspendTrace() *obs.Span {
-	saved := r.trace
-	r.trace = nil
-	return saved
+// rowWorkers records the worker count a row-partitioned kernel uses
+// for an n-row chunk; the span keeps the maximum.
+func (st *stageTrace) rowWorkers(r *run, n int) {
+	if st != nil {
+		if w := r.workersFor(n); w > st.sp.Workers {
+			st.sp.Workers = w
+		}
+	}
+}
+
+// in wraps the stage's upstream so pulls through it count as the
+// stage's input rows and their time is excluded from its self time.
+func (st *stageTrace) in(src chunkIter) chunkIter {
+	if st == nil {
+		return src
+	}
+	return &spanIn{src: src, sp: st.sp}
+}
+
+// out wraps the stage's exit: pulls through it count as the stage's
+// output rows and wall time, and closing it fixes the estimate from the
+// total actual input.
+func (st *stageTrace) out(src chunkIter) chunkIter {
+	if st == nil {
+		return src
+	}
+	return &spanOut{src: src, tr: st}
+}
+
+type spanIn struct {
+	src chunkIter
+	sp  *obs.Span
+}
+
+func (s *spanIn) next() ([]solution, error) {
+	t0 := time.Now()
+	chunk, err := s.src.next()
+	s.sp.Wall -= time.Since(t0)
+	s.sp.In += len(chunk)
+	return chunk, err
+}
+
+func (s *spanIn) close() { s.src.close() }
+
+type spanOut struct {
+	src chunkIter
+	tr  *stageTrace
+}
+
+func (s *spanOut) next() ([]solution, error) {
+	t0 := time.Now()
+	chunk, err := s.src.next()
+	s.tr.sp.Wall += time.Since(t0)
+	s.tr.sp.Out += len(chunk)
+	return chunk, err
+}
+
+func (s *spanOut) close() {
+	s.src.close()
+	s.tr.sp.SetEst(s.tr.est(s.tr.sp.In)) // idempotent
 }
 
 // patternDetail renders a triple pattern compactly for span details,

@@ -192,3 +192,40 @@ func TestEngineSampledTracing(t *testing.T) {
 		seen[tr.ID] = true
 	}
 }
+
+// TestTraceOutlineIndependentOfChunkSize: a stage's span accumulates
+// across its next() calls and fixes est= from the total actual input,
+// so the EXPLAIN ANALYZE outline — every in/est/act of every operator,
+// including the lazily opened JOIN spans and the stages nested under
+// SUBSELECT, MINUS, GRAPH and GROUP — must not depend on how the rows
+// were cut into chunks. (OFFSET/LIMIT shapes are excluded by design: a
+// SLICE stops pulling, so how far upstream ran does depend on the chunk
+// size.)
+func TestTraceOutlineIndependentOfChunkSize(t *testing.T) {
+	st := streamTestStore(t)
+	for _, query := range []string{
+		`SELECT ?name ?label WHERE { ?p a ex:Person ; ex:name ?name ; ex:city ?c . OPTIONAL { ?c ex:label ?label } FILTER (?name != "Bob") } ORDER BY ?name`,
+		`SELECT ?p WHERE { { SELECT ?p WHERE { ?p a ex:Person } } MINUS { ?p ex:city ex:lyon } }`,
+		`SELECT DISTINCT ?t WHERE { { ?p a ex:Person . ?p a ?t } UNION { ?p a ex:Robot . ?p a ?t } }`,
+		`SELECT ?g ?who ?name WHERE { ?who ex:name ?name GRAPH ?g { ?who ex:works ?org } }`,
+		`SELECT ?who ?org WHERE { GRAPH ex:g1 { ?who ex:works ?org FILTER EXISTS { ?org ex:sector ?s } } }`,
+		`SELECT ?name ?other WHERE { ?p ex:name ?name OPTIONAL { ?p ex:knows ?o . ?o ex:name ?other } { ?p ex:age ?a BIND(?a * 2 AS ?twice) } VALUES ?p { ex:alice ex:bob ex:dave } }`,
+		`SELECT ?city (COUNT(?p) AS ?n) WHERE { ?p ex:city ?city } GROUP BY ?city ORDER BY ?city`,
+	} {
+		var want string
+		for _, cs := range []int{1024, 7, 1} {
+			e := NewEngine(st, WithParallelism(1), WithChunkSize(cs))
+			_, tr, err := e.QueryTracedString("PREFIX ex: <http://example.org/>\n" + query)
+			if err != nil {
+				t.Fatalf("chunk=%d: %v\n%s", cs, err, query)
+			}
+			got := tr.Outline()
+			if want == "" {
+				want = got
+			} else if got != want {
+				t.Errorf("outline at chunk=%d differs from chunk=1024 for\n%s\n--- chunk=%d ---\n%s--- chunk=1024 ---\n%s",
+					cs, query, cs, got, want)
+			}
+		}
+	}
+}

@@ -66,16 +66,17 @@ func (e *Engine) executeClear(o ClearOp) error {
 }
 
 func (e *Engine) executeModify(ctx context.Context, o ModifyOp) error {
-	r := &run{e: e, vt: newVarTable()}
+	where, planned := e.preparedGroup(o.Where)
+	r := &run{e: e, vt: newVarTable(), planned: planned}
 	r.bindContext(ctx)
-	collectGroupVars(o.Where, r.vt)
+	collectGroupVars(where, r.vt)
 	for _, qp := range append(append([]QuadPattern{}, o.Delete...), o.Insert...) {
 		collectPatternTermVars(qp.S, r.vt)
 		collectPatternTermVars(qp.P, r.vt)
 		collectPatternTermVars(qp.O, r.vt)
 		collectPatternTermVars(qp.Graph, r.vt)
 	}
-	rows, err := r.evalGroup(o.Where, []solution{make(solution, len(r.vt.names))}, graphCtx{})
+	rows, err := r.groupRows(where, r.seed(), graphCtx{}, nil, false)
 	if err != nil {
 		return err
 	}

@@ -1,9 +1,11 @@
 package repro
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/demo"
@@ -11,26 +13,14 @@ import (
 	"repro/internal/sparql"
 )
 
-// TestStreamingCorpusByteIdentical is the streaming pipeline's
-// acceptance gate for correctness, mirroring the planner gate: every
-// query under queries/ — each QL program through both SPARQL
-// translations, plus the raw .rq probes — must return byte-identical
-// JSON result tables when evaluated through the chunked pipeline at
-// chunk sizes 1 (every boundary exercised), 7 (misaligned boundaries),
-// and 1024 (the default), at engine parallelism 1, 4, and 8, compared
-// against the materialized evaluator. The suite runs under -race via
-// `make race`, so it doubles as a data-race check on the kernels the
-// pipeline shares with the materialized path.
-func TestStreamingCorpusByteIdentical(t *testing.T) {
-	env, err := demo.Build(configFor(5000))
-	if err != nil {
-		t.Fatal(err)
-	}
+// corpusProbe is one query of the queries/ corpus.
+type corpusProbe struct{ name, text string }
 
-	// Collect the corpus: both translations of every QL program, plus
-	// every raw SPARQL probe.
-	type probe struct{ name, text string }
-	var probes []probe
+// corpusProbes collects the corpus: both translations of every QL
+// program under queries/, plus every raw SPARQL probe.
+func corpusProbes(t *testing.T, env *demo.Enriched) []corpusProbe {
+	t.Helper()
+	var probes []corpusProbe
 	qlFiles, err := filepath.Glob("queries/*.ql")
 	if err != nil || len(qlFiles) == 0 {
 		t.Fatalf("no QL programs found under queries/: %v", err)
@@ -45,8 +35,8 @@ func TestStreamingCorpusByteIdentical(t *testing.T) {
 			t.Fatalf("%s: %v", file, err)
 		}
 		probes = append(probes,
-			probe{filepath.Base(file) + "/direct", p.Translation.Direct},
-			probe{filepath.Base(file) + "/alternative", p.Translation.Alternative})
+			corpusProbe{filepath.Base(file) + "/direct", p.Translation.Direct},
+			corpusProbe{filepath.Base(file) + "/alternative", p.Translation.Alternative})
 	}
 	rqFiles, err := filepath.Glob("queries/*.rq")
 	if err != nil || len(rqFiles) == 0 {
@@ -57,36 +47,92 @@ func TestStreamingCorpusByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		probes = append(probes, probe{filepath.Base(file), string(src)})
+		probes = append(probes, corpusProbe{filepath.Base(file), string(src)})
+	}
+	return probes
+}
+
+// corpusLine renders one line of testdata/corpus_results.golden: probe
+// name, row count, and the SHA-256 of the result's JSON serialization.
+func corpusLine(t *testing.T, name string, res *sparql.Results) string {
+	t.Helper()
+	doc, err := res.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%s\t%d\t%x", name, res.Len(), sha256.Sum256(doc))
+}
+
+const corpusGolden = "testdata/corpus_results.golden"
+
+// corpusReference reads the frozen reference, keyed by probe name.
+func corpusReference(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(corpusGolden)
+	if err != nil {
+		t.Fatalf("missing golden file (run go test -run StreamingCorpus -update): %v", err)
+	}
+	want := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		name, _, _ := strings.Cut(line, "\t")
+		want[name] = line
+	}
+	return want
+}
+
+// TestStreamingCorpusByteIdentical is the pipeline's acceptance gate
+// for correctness: every query under queries/ — each QL program through
+// both SPARQL translations, plus the raw .rq probes — must return JSON
+// result tables byte-identical to the frozen reference in
+// testdata/corpus_results.golden at chunk sizes 1 (every boundary
+// exercised), 7 (misaligned boundaries), and 1024 (the default), at
+// engine parallelism 1, 4, and 8. The reference was recorded from the
+// fully materialized evaluator before it was deleted (PR 13); -update
+// rewrites it from the default engine, so any drift is a reviewable
+// diff. The suite runs under -race via `make race`, so it doubles as a
+// data-race check on the per-chunk kernels.
+func TestStreamingCorpusByteIdentical(t *testing.T) {
+	env, err := demo.Build(configFor(5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := corpusProbes(t, env)
+
+	if *updateGolden {
+		eng := sparql.NewEngine(env.Store, sparql.WithParallelism(1))
+		var b strings.Builder
+		for _, p := range probes {
+			res, err := eng.QueryString(p.text)
+			if err != nil {
+				t.Fatalf("%s: %v", p.name, err)
+			}
+			b.WriteString(corpusLine(t, p.name, res) + "\n")
+		}
+		if err := os.WriteFile(corpusGolden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", corpusGolden)
+		return
+	}
+
+	want := corpusReference(t)
+	if len(want) != len(probes) {
+		t.Fatalf("%s has %d entries, corpus has %d probes (run with -update and review the diff)",
+			corpusGolden, len(want), len(probes))
 	}
 
 	for _, par := range []int{1, 4, 8} {
-		base := sparql.NewEngine(env.Store,
-			sparql.WithParallelism(par), sparql.WithChunkSize(0))
 		for _, cs := range []int{1, 7, 1024} {
 			eng := sparql.NewEngine(env.Store,
 				sparql.WithParallelism(par), sparql.WithChunkSize(cs))
 			for _, p := range probes {
 				t.Run(fmt.Sprintf("par=%d/chunk=%d/%s", par, cs, p.name), func(t *testing.T) {
-					want, err := base.QueryString(p.text)
-					if err != nil {
-						t.Fatalf("materialized: %v", err)
-					}
 					got, err := eng.QueryString(p.text)
 					if err != nil {
-						t.Fatalf("streaming: %v", err)
-					}
-					wj, err := want.MarshalJSON()
-					if err != nil {
 						t.Fatal(err)
 					}
-					gj, err := got.MarshalJSON()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if string(wj) != string(gj) {
-						t.Errorf("streamed result differs from materialized (%d vs %d rows)",
-							got.Len(), want.Len())
+					if line := corpusLine(t, p.name, got); line != want[p.name] {
+						t.Errorf("result differs from the frozen reference\ngot  %s\nwant %s", line, want[p.name])
 					}
 				})
 			}

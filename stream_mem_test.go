@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -15,8 +16,8 @@ import (
 )
 
 // maryDirect prepares the paper's Mary query and returns its direct
-// SPARQL translation — the memory-hungry form whose materialized
-// evaluation peaks at ~182 MB of intermediates on the 80k cube
+// SPARQL translation — the memory-hungry form whose whole-table
+// evaluation holds its 80k-row join intermediates at once
 // (EXPERIMENTS.md A-resource).
 func maryDirect(t *testing.T, env *demo.Enriched) string {
 	t.Helper()
@@ -31,14 +32,29 @@ func maryDirect(t *testing.T, env *demo.Enriched) string {
 	return p.Translation.Direct
 }
 
-// peakFor evaluates the query on an engine with a fresh account
-// attached and reports the peak in-flight bytes it charged.
-func peakFor(t *testing.T, env *demo.Enriched, query string, opts ...sparql.Option) int64 {
+// wholeTable is a chunk size no intermediate reaches: every stage
+// handles its entire input as one chunk through the ordinary pipeline
+// code, the reference arm for what chunking saves.
+const wholeTable = 1 << 30
+
+// peakFor evaluates the query — traced or not — on an engine with a
+// fresh account attached and reports the peak in-flight bytes it
+// charged.
+func peakFor(t *testing.T, env *demo.Enriched, query string, traced bool, opts ...sparql.Option) int64 {
 	t.Helper()
 	e := sparql.NewEngine(env.Store, opts...)
+	q, err := sparql.ParseQuery(query)
+	if err != nil {
+		t.Fatal(err)
+	}
 	acct := obs.NewQueryAcct(nil, 0)
 	ctx := sparql.WithQueryAcct(context.Background(), acct)
-	res, err := e.QueryStringContext(ctx, query)
+	var res *sparql.Results
+	if traced {
+		res, _, err = e.QueryTracedContext(ctx, q)
+	} else {
+		res, err = e.QueryContext(ctx, q)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,20 +65,21 @@ func peakFor(t *testing.T, env *demo.Enriched, query string, opts ...sparql.Opti
 	return acct.Peak()
 }
 
-// TestStreamingBoundsMaryPeak is the tentpole's memory acceptance
-// gate: the streamed evaluation of the direct Mary translation must
-// hold at most 1/5 of the materialized path's peak in-flight bytes —
-// the pipeline's footprint is stages × chunks plus the final table,
-// not the 80k-row intermediate join.
+// TestStreamingBoundsMaryPeak is the pipeline's memory acceptance gate:
+// at the default chunk size the direct Mary translation must hold at
+// most 1/5 of the whole-table arm's peak in-flight bytes — the
+// pipeline's footprint is stages × chunks plus the final table, not the
+// 80k-row intermediate join. The bound holds traced and untraced alike:
+// a traced query runs the same pipeline.
 func TestStreamingBoundsMaryPeak(t *testing.T) {
 	obsCount := 80000
 	minShrink := int64(5)
 	if testing.Short() {
-		// The small cube's final result dominates the footprint, so the
-		// shrink factor is structurally smaller; keep a 2x floor as the
-		// smoke-level regression tripwire.
+		// On the small cube the planned spine is ~1.1k rows — barely
+		// more than one chunk — so the two arms nearly coincide; the
+		// smoke-level tripwire is only that chunking never holds more.
 		obsCount = 5000
-		minShrink = 2
+		minShrink = 1
 	}
 	env, err := demo.Build(configFor(obsCount))
 	if err != nil {
@@ -70,22 +87,24 @@ func TestStreamingBoundsMaryPeak(t *testing.T) {
 	}
 	query := maryDirect(t, env)
 
-	matPeak := peakFor(t, env, query, sparql.WithChunkSize(0))
-	streamPeak := peakFor(t, env, query, sparql.WithChunkSize(1024))
-	t.Logf("obs=%d: materialized peak %.1f MB, streamed peak %.1f MB (%.1fx)",
-		obsCount, float64(matPeak)/1e6, float64(streamPeak)/1e6,
-		float64(matPeak)/float64(streamPeak))
-	if streamPeak*minShrink > matPeak {
-		t.Errorf("streamed peak %d not at least %dx below materialized peak %d",
-			streamPeak, minShrink, matPeak)
+	wholePeak := peakFor(t, env, query, false, sparql.WithChunkSize(wholeTable))
+	for _, traced := range []bool{false, true} {
+		peak := peakFor(t, env, query, traced, sparql.WithChunkSize(1024))
+		t.Logf("obs=%d traced=%v: whole-table peak %.1f MB, chunked peak %.1f MB (%.1fx)",
+			obsCount, traced, float64(wholePeak)/1e6, float64(peak)/1e6,
+			float64(wholePeak)/float64(peak))
+		if peak*minShrink > wholePeak {
+			t.Errorf("traced=%v: chunked peak %d not at least %dx below whole-table peak %d",
+				traced, peak, minShrink, wholePeak)
+		}
 	}
 }
 
 // TestStreamingFitsUnderBudget encodes the same bound as an admission
-// decision: a per-query budget far below the materialized peak must
-// reject the materialized run with a typed *MemLimitError and admit
-// the streamed run of the same query. This is the -max-query-mem
-// contract the streaming pipeline was built to honor.
+// decision: a per-query budget far below the whole-table peak must
+// reject the whole-table arm with a typed *MemLimitError and admit the
+// default-chunk run of the same query, traced or not. This is the
+// -max-query-mem contract the pipeline was built to honor.
 func TestStreamingFitsUnderBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs the 80k fixture for a meaningful budget gap")
@@ -95,28 +114,63 @@ func TestStreamingFitsUnderBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	query := maryDirect(t, env)
-	const budget = 40 << 20 // ~1/4.5 of the 182 MB materialized peak
+	const budget = 8 << 20 // between the chunked (~2.7 MB) and whole-table (~30 MB) peaks
 
-	mat := sparql.NewEngine(env.Store, sparql.WithChunkSize(0), sparql.WithMaxQueryMem(budget))
-	_, err = mat.QueryString(query)
+	whole := sparql.NewEngine(env.Store, sparql.WithChunkSize(wholeTable), sparql.WithMaxQueryMem(budget))
+	_, err = whole.QueryString(query)
 	var mle *sparql.MemLimitError
 	if !errors.As(err, &mle) {
-		t.Fatalf("materialized run under %d-byte budget: err = %v, want *MemLimitError", int64(budget), err)
+		t.Fatalf("whole-table run under %d-byte budget: err = %v, want *MemLimitError", int64(budget), err)
 	}
 
 	str := sparql.NewEngine(env.Store, sparql.WithChunkSize(1024), sparql.WithMaxQueryMem(budget))
 	res, err := str.QueryString(query)
 	if err != nil {
-		t.Fatalf("streamed run under the same budget: %v", err)
+		t.Fatalf("chunked run under the same budget: %v", err)
 	}
 	if res.Len() == 0 {
-		t.Fatal("streamed run returned no rows")
+		t.Fatal("chunked run returned no rows")
+	}
+	if _, _, err := str.QueryTracedString(query); err != nil {
+		t.Fatalf("traced chunked run under the same budget: %v", err)
+	}
+}
+
+// TestTracedQueryFitsSameBudget pins the bug the single evaluator
+// fixed: a traced (EXPLAIN ANALYZE, ?explain=1, sampled) query used to
+// run a separate fully materialized evaluator, so under -max-query-mem
+// 40MB the sampled twin of an admitted Mary query was rejected. Traced
+// and untraced runs must both fit the budget and return equal results.
+func TestTracedQueryFitsSameBudget(t *testing.T) {
+	obsCount := 80000
+	if testing.Short() {
+		obsCount = 5000
+	}
+	env, err := demo.Build(configFor(obsCount))
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := maryDirect(t, env)
+	eng := sparql.NewEngine(env.Store, sparql.WithMaxQueryMem(40<<20))
+	plain, err := eng.QueryString(query)
+	if err != nil {
+		t.Fatalf("untraced: %v", err)
+	}
+	traced, tr, err := eng.QueryTracedString(query)
+	if err != nil {
+		t.Fatalf("traced: %v", err)
+	}
+	if plain.Len() == 0 || !reflect.DeepEqual(plain, traced) {
+		t.Errorf("traced results differ from untraced (%d vs %d rows)", traced.Len(), plain.Len())
+	}
+	if tr.PeakBytes == 0 || tr.PeakBytes > 40<<20 {
+		t.Errorf("traced peak = %d bytes, want within the 40 MB budget", tr.PeakBytes)
 	}
 }
 
 // TestConcurrentStreamingUnderBudget runs concurrent streamed clients
-// against a shared tracker, each under the per-query budget the
-// materialized path cannot meet, and checks they all complete. This is
+// against a shared tracker, each under a per-query budget whole-table
+// evaluation cannot meet, and checks they all complete. This is
 // the test-shaped version of BenchmarkConcurrentQuery's 64-client
 // configuration: admission no longer has to choose between rejecting
 // the Mary query and letting 64 × 182 MB pile up.

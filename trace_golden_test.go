@@ -78,8 +78,8 @@ func TestExplainGoldenDemoQuery(t *testing.T) {
 }
 
 // TestTracingPreservesResults runs every QL program under queries/
-// through both SPARQL translations twice — once on the untraced fast
-// path and once traced — and requires identical result tables. Tracing
+// through both SPARQL translations twice — once untraced and once
+// traced — and requires identical result tables. Tracing
 // is observation only; it must never change what a query returns.
 func TestTracingPreservesResults(t *testing.T) {
 	env, err := demo.Build(configFor(5000))
@@ -130,9 +130,44 @@ func TestTracingPreservesResults(t *testing.T) {
 	}
 }
 
+// TestTraceOutlineIndependentOfChunkSize: over the whole queries/
+// corpus (the Mary query in both translations included), the EXPLAIN
+// ANALYZE outline of a traced run is identical at chunk sizes 1, 7 and
+// 1024 — span totals accumulate per stage and est= is fixed from the
+// total actual input, so chunking must not show — and every traced run
+// returns the frozen reference result.
+func TestTraceOutlineIndependentOfChunkSize(t *testing.T) {
+	env, err := demo.Build(configFor(5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := corpusReference(t)
+	for _, p := range corpusProbes(t, env) {
+		var outline string
+		for _, cs := range []int{1024, 7, 1} {
+			eng := sparql.NewEngine(env.Store, sparql.WithParallelism(1), sparql.WithChunkSize(cs))
+			res, tr, err := eng.QueryTracedString(p.text)
+			if err != nil {
+				t.Fatalf("%s chunk=%d: %v", p.name, cs, err)
+			}
+			if line := corpusLine(t, p.name, res); line != want[p.name] {
+				t.Errorf("%s chunk=%d: traced result differs from the frozen reference\ngot  %s\nwant %s",
+					p.name, cs, line, want[p.name])
+			}
+			got := tr.Outline()
+			if outline == "" {
+				outline = got
+			} else if got != outline {
+				t.Errorf("%s: outline at chunk=%d differs from chunk=1024\n--- chunk=%d ---\n%s--- chunk=1024 ---\n%s",
+					p.name, cs, cs, got, outline)
+			}
+		}
+	}
+}
+
 // BenchmarkTracerOverhead measures the demo query with no tracer
-// installed (the nil fast path — a single nil check per operator)
-// against a fully traced evaluation, on the 20k-observation cube.
+// installed (a single nil check per span hook) against a fully traced
+// evaluation of the same pipeline, on the 20k-observation cube.
 // EXPERIMENTS.md records the measured gap; the off case must stay
 // within noise of the seed engine.
 func BenchmarkTracerOverhead(b *testing.B) {
