@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-json bench-compare bench-concurrent bench-slo fuzz fuzz-smoke chaos examples experiments obs-smoke clean
+.PHONY: all build test race cover bench bench-json bench-compare bench-concurrent bench-slo bench-smoke fuzz fuzz-smoke chaos examples experiments obs-smoke clean
 
 # The default check builds, vets, and runs the whole test suite under
 # the race detector: the engine evaluates queries on a worker pool and
@@ -12,7 +12,7 @@ GO ?= go
 # TestParallelMatchesSequential, ...). Benchmarks are not run here; the
 # 80k-observation fixtures additionally sit behind a -short guard so a
 # `go test -short -bench .` smoke pass stays fast.
-all: build race chaos fuzz-smoke obs-smoke bench-slo bench-json bench-compare
+all: build race chaos fuzz-smoke obs-smoke bench-slo bench-smoke bench-json bench-compare
 
 build:
 	$(GO) build ./...
@@ -39,11 +39,11 @@ bench:
 
 # Machine-readable benchmark snapshot: one fast pass (-short,
 # -benchtime 1x) over every benchmark, converted to JSON by
-# cmd/benchjson and committed as BENCH_PR13.json so regressions show up
+# cmd/benchjson and committed as BENCH_PR14.json so regressions show up
 # in review diffs. Use `make bench` for real measurements.
 bench-json:
 	$(GO) test -run xxx -bench . -benchmem -short -benchtime 1x . \
-	  | $(GO) run ./cmd/benchjson -o BENCH_PR13.json
+	  | $(GO) run ./cmd/benchjson -o BENCH_PR14.json
 
 # Regression gates. First: diff the previous PR's committed snapshot
 # against this PR's and fail on ns/op regressions. The tool's default
@@ -56,8 +56,8 @@ bench-json:
 # threshold of its planner=off sibling, so turning the cost-based
 # planner on by default can never ship a slowdown.
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare -threshold 0.50 BENCH_PR10.json BENCH_PR13.json
-	$(GO) run ./cmd/benchjson -ablation planner -threshold 0.50 BENCH_PR13.json
+	$(GO) run ./cmd/benchjson -compare -threshold 0.50 BENCH_PR13.json BENCH_PR14.json
+	$(GO) run ./cmd/benchjson -ablation planner -threshold 0.50 BENCH_PR14.json
 
 # SLO gate: boot sparqld on the demo cube, enrich it over HTTP, fire a
 # short seeded mixed workload with `qb2olap bench` through the remote
@@ -82,6 +82,15 @@ bench-slo:
 	  -seed 42 -snapshot-interval 0 -report /tmp/bench-slo-report.json; \
 	/tmp/benchjson-slo -slo slo.json /tmp/bench-slo-report.json; \
 	echo "bench-slo: ok"
+
+# Write-path gate: a short run of the repository benchmark's
+# refresh-20k workload (bench/README.md), whose oracle is
+# read-your-writes — every read after an INSERT must equal a fold over
+# everything inserted so far. The run exits non-zero on any unverified
+# op, so a store publish that loses, duplicates or delays a write fails
+# the build. Timings are printed, not gated (BENCHMARK.json bounds them).
+bench-smoke:
+	bash bench/run.sh --workload refresh-20k --seed 2 --seconds 4 --trace 0
 
 # The A-next concurrent-load experiment alone (EXPERIMENTS.md): Mary
 # query throughput vs. client count at engine parallelism 1 and
@@ -163,9 +172,12 @@ chaos:
 	$(GO) test -run 'TestChaosQueryCorpus|TestQueryCancellationProperty' -count=1 -v .
 
 # Quick fuzzing pass over the wire decoders every untrusted byte goes
-# through: the W3C traceparent parser, the X-Qb2olap-Trace span-tree
-# decoder, and the SPARQL results JSON decoder.
+# through — the W3C traceparent parser, the X-Qb2olap-Trace span-tree
+# decoder, and the SPARQL results JSON decoder — and over the store's
+# write path (random insert/delete/clear/publish programs against a
+# plain-map model).
 fuzz-smoke:
+	$(GO) test -fuzz FuzzStoreOps -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz FuzzParseTraceparent -fuzztime 30s ./internal/obs/
 	$(GO) test -fuzz FuzzDecodeSpanWire -fuzztime 30s ./internal/obs/
 	$(GO) test -fuzz FuzzResultsFromJSON -fuzztime 30s ./internal/sparql/

@@ -22,6 +22,7 @@ import (
 	"repro/internal/eurostat"
 	"repro/internal/obs"
 	"repro/internal/ql"
+	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/store"
 )
@@ -510,6 +511,70 @@ func BenchmarkStoreLoadTriples(b *testing.B) {
 		st := newEmptyStore()
 		loadDataset(st, d)
 	}
+}
+
+// BenchmarkStorePublish pins the store's publish kernel: the first
+// Snapshot after a write burst, which sorts the pending delta and merges
+// it into fresh orderings. Only that call is timed. The three cases are
+// the refresh-20k cycle (2 250 triples onto the 20k-observation cube,
+// about 180k triples), a bulk load (empty base, where the sorted delta
+// becomes the ordering) and a delete burst of the same size.
+func BenchmarkStorePublish(b *testing.B) {
+	d := rawDataset(b, 20000)
+	burst := make([]rdf.Triple, 2250)
+	for i := range burst {
+		burst[i] = rdf.NewTriple(
+			rdf.NewIRI(fmt.Sprintf("http://example.org/new/obs%d", i/9)),
+			rdf.NewIRI(fmt.Sprintf("http://example.org/new/p%d", i%9)),
+			rdf.NewInteger(int64(i)))
+	}
+	loaded := func() *store.Store {
+		st := newEmptyStore()
+		loadDataset(st, d)
+		st.Snapshot()
+		return st
+	}
+	remove := func(st *store.Store) {
+		st.Batch(func(w *store.Batch) {
+			for _, t := range burst {
+				w.Delete(rdf.NewQuad(t.S, t.P, t.O, rdf.Term{}))
+			}
+		})
+	}
+	// run times the Snapshot that publishes what write did; undo (also
+	// published, untimed) restores the base for the next iteration.
+	run := func(b *testing.B, st *store.Store, write, undo func(*store.Store)) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			write(st)
+			b.StartTimer()
+			st.Snapshot()
+			b.StopTimer()
+			undo(st)
+			st.Snapshot()
+			b.StartTimer()
+		}
+	}
+	insert := func(st *store.Store) { st.InsertTriples(rdf.Term{}, burst) }
+	b.Run("base=180k/insert=2250", func(b *testing.B) { run(b, loaded(), insert, remove) })
+	b.Run("base=180k/delete=2250", func(b *testing.B) {
+		st := loaded()
+		insert(st)
+		st.Snapshot()
+		run(b, st, remove, insert)
+	})
+	b.Run("base=0/insert=180k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			st := newEmptyStore()
+			loadDataset(st, d)
+			b.StartTimer()
+			st.Snapshot()
+		}
+	})
 }
 
 // BenchmarkSPARQLGroupBy measures a flat aggregation over all

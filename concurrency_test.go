@@ -1,10 +1,12 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -13,7 +15,9 @@ import (
 	"repro/internal/endpoint"
 	"repro/internal/eurostat"
 	"repro/internal/ql"
+	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/store"
 )
 
 // concurrencyQuery is a flat aggregation touching every observation —
@@ -95,6 +99,160 @@ func TestConcurrentQueryUpdate(t *testing.T) {
 		srv := httptest.NewServer(endpoint.NewServer(st, sparql.WithParallelism(4)).Handler())
 		defer srv.Close()
 		hammerQueriesAndUpdates(t, "http", endpoint.NewRemote(srv.URL))
+	})
+}
+
+// The pair workload of TestSnapshotIsolationPairs: every subject under
+// pair/ carries ex:left and ex:right with one value, always written and
+// deleted together in one update operation.
+const (
+	pairHalves = `
+PREFIX ex: <http://example.org/pair/>
+SELECT ?s WHERE {
+  { ?s ex:left ?v . FILTER NOT EXISTS { ?s ex:right ?v } }
+  UNION
+  { ?s ex:right ?v . FILTER NOT EXISTS { ?s ex:left ?v } }
+}`
+	pairCount = `
+PREFIX ex: <http://example.org/pair/>
+SELECT (COUNT(*) AS ?n) WHERE { { ?s ex:left ?v } UNION { ?s ex:right ?v } }`
+	pairJoin = `
+PREFIX ex: <http://example.org/pair/>
+SELECT ?s ?v WHERE { ?s ex:left ?v . ?s ex:right ?v }`
+)
+
+func pairUpdate(verb string, i int) string {
+	return fmt.Sprintf("PREFIX ex: <http://example.org/pair/>\n%s DATA { ex:s%d ex:left %d . ex:s%d ex:right %d . }", verb, i, i, i, i)
+}
+
+// hammerPairs runs a writer that alternately inserts and deletes a pair
+// of triples in one operation against readers running a two-pattern
+// anti-join and a two-scan COUNT. Under per-query snapshot isolation
+// with atomic update operations no query sees half a pair.
+func hammerPairs(t *testing.T, label string, c endpoint.SPARQLClient) {
+	t.Helper()
+	const (
+		basePairs = 200
+		readers   = 4
+		queries   = 40
+		flips     = 300
+	)
+	for i := 0; i < basePairs; i++ {
+		if err := c.Update(pairUpdate("INSERT", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errc := make(chan error, readers+1)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(stop)
+		for i := 0; i < flips; i++ {
+			verb := "INSERT"
+			if i%2 == 1 {
+				verb = "DELETE"
+			}
+			if err := c.Update(pairUpdate(verb, basePairs+i/2%7)); err != nil {
+				errc <- fmt.Errorf("%s: update: %w", label, err)
+				return
+			}
+		}
+	}()
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < queries; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				halves, err := c.Select(pairHalves)
+				if err != nil {
+					errc <- fmt.Errorf("%s: select: %w", label, err)
+					return
+				}
+				if len(halves.Rows) != 0 {
+					errc <- fmt.Errorf("%s: a query saw half a pair: %v", label, halves.Rows)
+					return
+				}
+				count, err := c.Select(pairCount)
+				if err != nil {
+					errc <- fmt.Errorf("%s: select: %w", label, err)
+					return
+				}
+				if n, _ := strconv.Atoi(count.Binding(0, "n").Value); n%2 != 0 || n < 2*basePairs {
+					errc <- fmt.Errorf("%s: COUNT over both halves = %d, want an even number ≥ %d", label, n, 2*basePairs)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+}
+
+// TestSnapshotIsolationPairs checks the two halves of the store's
+// isolation contract through the local engine and the HTTP endpoint:
+// update operations are atomic to concurrent queries (hammerPairs), and
+// a multi-scan query that started before a write sees none of it, even
+// when the write is published while the query is still scanning.
+func TestSnapshotIsolationPairs(t *testing.T) {
+	t.Run("local", func(t *testing.T) {
+		hammerPairs(t, "local", core.NewLocal(store.New(), sparql.WithParallelism(4)).Client())
+	})
+	t.Run("http", func(t *testing.T) {
+		srv := httptest.NewServer(endpoint.NewServer(store.New(), sparql.WithParallelism(4)).Handler())
+		defer srv.Close()
+		hammerPairs(t, "http", endpoint.NewRemote(srv.URL))
+	})
+	t.Run("started-before-write", func(t *testing.T) {
+		st := store.New()
+		e := sparql.NewEngine(st)
+		const before = 50
+		for i := 0; i < before; i++ {
+			if err := e.ExecuteString(pairUpdate("INSERT", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		q, err := sparql.ParseQuery(pairJoin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		err = e.StreamSelect(context.Background(), q,
+			// The header arrives once the query has pinned its snapshot
+			// and before its first scan: write and publish now.
+			func([]string) error {
+				for i := before; i < 2*before; i++ {
+					if err := e.ExecuteString(pairUpdate("INSERT", i)); err != nil {
+						return err
+					}
+				}
+				if err := e.ExecuteString(pairUpdate("DELETE", 0)); err != nil {
+					return err
+				}
+				if n := st.Len(rdf.Term{}); n != 2*(2*before-1) {
+					return fmt.Errorf("store holds %d triples after the write, want %d", n, 2*(2*before-1))
+				}
+				return nil
+			},
+			func(chunk [][]rdf.Term) error { rows += len(chunk); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows != before {
+			t.Errorf("a query started before the write joined %d pairs, want the %d of its snapshot", rows, before)
+		}
+		if res, err := e.QueryString(pairJoin); err != nil || len(res.Rows) != 2*before-1 {
+			t.Errorf("a query started after the write joined %d pairs (err %v), want %d", len(res.Rows), err, 2*before-1)
+		}
 	})
 }
 

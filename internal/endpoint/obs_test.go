@@ -53,6 +53,8 @@ func TestStatsHandler(t *testing.T) {
 		Total        int      `json:"total"`
 		NamedGraphs  []string `json:"namedGraphs"`
 		Terms        int      `json:"terms"`
+		IndexBytes   int      `json:"indexBytes"`
+		PerTriple    float64  `json:"bytesPerTriple"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatalf("stats not JSON: %v\n%s", err, rec.Body.String())
@@ -62,6 +64,11 @@ func TestStatsHandler(t *testing.T) {
 	}
 	if out.Terms == 0 {
 		t.Errorf("stats terms = 0, want > 0")
+	}
+	// Three orderings of twelve-byte id-triples (plus whatever capacity
+	// the allocator rounded a three-element slice up to), nothing else.
+	if out.IndexBytes < 3*3*12 || out.IndexBytes > 2*3*3*12 || out.PerTriple != float64(out.IndexBytes)/3 {
+		t.Errorf("indexBytes = %d, bytesPerTriple = %v, want 108–216 and indexBytes/3", out.IndexBytes, out.PerTriple)
 	}
 	if len(out.NamedGraphs) != 0 {
 		t.Errorf("namedGraphs = %v, want none", out.NamedGraphs)

@@ -4,14 +4,14 @@
 // Virtuoso 7 endpoint used in the QB2OLAP paper.
 //
 // Concurrency contract: Server, Local, and Remote are all safe for
-// concurrent use. Query requests run lock-free on the shared engine
-// and rely on the store's per-scan snapshots; only mutating requests
-// (updates and loads) are serialized, by Server.updateMu, so that the
-// read and write phases of DELETE/INSERT WHERE form one atomic
-// transition. Queries racing an update therefore see the store either
-// before or mid-update per scan — read-committed-style visibility,
-// matching the default behaviour of the Virtuoso endpoint the paper
-// ran against.
+// concurrent use. Query requests run lock-free on the shared engine,
+// each on the one store snapshot it pinned when it started; only
+// mutating requests (updates and loads) are serialized, by
+// Server.updateMu, so that the read and write phases of DELETE/INSERT
+// WHERE form one atomic transition. A query racing an update request
+// therefore sees the store between two of the request's operations,
+// never inside one — per-query snapshot isolation with each update
+// operation atomic (a bulk load: each 4096-triple chunk).
 package endpoint
 
 import (
@@ -40,13 +40,13 @@ import (
 // and queries run lock-free against the engine at full concurrency.
 //
 // Read/write interaction (audited): query traffic deliberately bypasses
-// updateMu. The store's own RWMutex makes each individual pattern scan
-// atomic with respect to writers, so a query that overlaps an update
-// observes some prefix of the update's individual quad insertions —
-// per-scan snapshot isolation, not transactional isolation, which
+// updateMu. The engine evaluates every query against one immutable
+// store.Snapshot and applies every update operation as one store.Batch,
+// so a query that overlaps an update request observes some prefix of
+// the request's operations, each of them whole — snapshot isolation per
+// query, not a transaction across a multi-operation request, which
 // matches the SPARQL protocol's lack of cross-request transaction
-// semantics (and Virtuoso's default read-committed behaviour in the
-// paper's setup). updateMu exists only to serialize engine-visible
+// semantics. updateMu exists only to serialize engine-visible
 // state *transitions*: two concurrent DELETE/INSERT WHERE updates could
 // otherwise interleave their read and write phases and lose writes.
 type Server struct {
@@ -954,31 +954,39 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.engine.Store()
+	sn := s.engine.Store().Snapshot()
 	type levelCount struct {
 		Level   string `json:"level"`
 		Members int    `json:"members"`
 	}
 	type stats struct {
-		DefaultGraph int                `json:"defaultGraph"`
-		Total        int                `json:"total"`
-		NamedGraphs  []string           `json:"namedGraphs"`
-		Terms        int                `json:"terms"`
-		Graphs       []store.GraphStats `json:"graphs,omitempty"`
-		LevelMembers []levelCount       `json:"levelMembers,omitempty"`
+		DefaultGraph int      `json:"defaultGraph"`
+		Total        int      `json:"total"`
+		NamedGraphs  []string `json:"namedGraphs"`
+		Terms        int      `json:"terms"`
+		// IndexBytes is the resident size of the triple indexes
+		// (store.Stats.IndexBytes); BytesPerTriple divides it by Total.
+		IndexBytes     int                `json:"indexBytes"`
+		BytesPerTriple float64            `json:"bytesPerTriple"`
+		Graphs         []store.GraphStats `json:"graphs,omitempty"`
+		LevelMembers   []levelCount       `json:"levelMembers,omitempty"`
 	}
 	out := stats{
-		DefaultGraph: st.Len(rdf.Term{}),
-		Total:        st.TotalLen(),
-		Terms:        st.Dict().Len(),
+		DefaultGraph: sn.Len(rdf.Term{}),
+		Total:        sn.TotalLen(),
+		Terms:        sn.Dict().Len(),
 	}
-	for _, g := range st.GraphNames() {
+	for _, g := range sn.GraphNames() {
 		out.NamedGraphs = append(out.NamedGraphs, g.Value)
 	}
-	out.Graphs = st.Stats().Graphs
+	storeStats := sn.Stats()
+	out.Graphs, out.IndexBytes = storeStats.Graphs, storeStats.IndexBytes
+	if out.Total > 0 {
+		out.BytesPerTriple = float64(out.IndexBytes) / float64(out.Total)
+	}
 	// Per-level member counts of the enriched cube, derived from the
 	// contiguous (qb4o:memberOf, level) groups of the POS index.
-	for _, oc := range st.ObjectCounts(rdf.Term{}, vocab.QB4OMemberOf) {
+	for _, oc := range sn.ObjectCounts(rdf.Term{}, vocab.QB4OMemberOf) {
 		out.LevelMembers = append(out.LevelMembers, levelCount{Level: oc.Object.Value, Members: oc.Count})
 	}
 	w.Header().Set("Content-Type", "application/json")

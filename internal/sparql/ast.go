@@ -18,9 +18,13 @@
 // patterns evaluate in the written order.
 //
 // Concurrency contract: an Engine is safe for concurrent use — any
-// number of goroutines may run queries and updates on one Engine, with
-// per-scan snapshot semantics provided by the store (callers needing
-// serialized updates must arrange it, as endpoint.Server does).
+// number of goroutines may run queries and updates on one Engine.
+// Every query evaluation, Plan call and update WHERE clause pins one
+// store.Snapshot and reads nothing else (per-query snapshot isolation),
+// and every update operation writes through one store.Batch, so it is
+// atomic to concurrent queries; callers needing whole update requests
+// serialized against each other must arrange it, as endpoint.Server
+// does.
 // Evaluation itself is parallel within a chunk: the hot kernels (BGP
 // joins, FILTER, OPTIONAL, MINUS, hash GROUP BY) partition their input
 // solution sequence across up to WithParallelism(n) worker goroutines

@@ -247,7 +247,7 @@ SELECT (REPLACE(?v, "M", "-") AS ?r) WHERE { ex:a ex:v ?v }`)
 func TestExpressionArithmeticProperties(t *testing.T) {
 	st := store.New()
 	e := NewEngine(st)
-	r := &run{e: e, vt: newVarTable()}
+	r := &run{e: e, vt: newVarTable(), snap: st.Snapshot()}
 	empty := make(solution, 0)
 
 	f := func(a, b int16) bool {

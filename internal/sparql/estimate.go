@@ -26,7 +26,7 @@ func (r *run) estimateJoin(tp TriplePattern, bound map[string]bool, in int, ctx 
 		// cardinality.
 		return int64(in)
 	}
-	return int64(math.Round(estimateJoinRows(r.e.store, tp, bound, float64(in), ctx.gid)))
+	return int64(math.Round(estimateJoinRows(r.snap, tp, bound, float64(in), ctx.gid)))
 }
 
 // estimateFilter applies the textbook default 1/3 selectivity: nothing

@@ -15,9 +15,11 @@ import (
 // Engine evaluates parsed queries and updates against a store.Store.
 //
 // An Engine is safe for concurrent use: queries carry all per-execution
-// state in a private run value, and the underlying store serializes
-// access internally. Configuration (SetParallelism, SetChunkSize,
-// WithPlanner) must be done before the engine is shared.
+// state in a private run value, including the one store snapshot every
+// scan, count and statistic of the evaluation reads (per-query snapshot
+// isolation; no store lock is held while a query runs). Configuration
+// (SetParallelism, SetChunkSize, WithPlanner) must be done before the
+// engine is shared.
 type Engine struct {
 	store *store.Store
 
@@ -169,6 +171,10 @@ type run struct {
 	vt  *varTable
 	ctx graphCtx
 
+	// snap is the store state the whole evaluation reads, pinned when
+	// the run opens: writes published later are invisible to it.
+	snap *store.Snapshot
+
 	// qctx/done arm cooperative cancellation (see context.go). done is
 	// qctx.Done(); both stay nil for uncancellable evaluations, which
 	// keeps every cancellation hook a single nil check. Workers share
@@ -196,13 +202,15 @@ type run struct {
 	ownAcct bool
 }
 
-// newRun plans q (prepared) and opens the per-execution state for it:
-// cancellation and accounting bound from ctx, every variable registered,
-// spans attaching under root when it is non-nil. It returns the run and
-// the query to evaluate; the caller defers closeAcct.
+// newRun pins the store's current snapshot, plans q against it
+// (prepared) and opens the per-execution state: cancellation and
+// accounting bound from ctx, every variable registered, spans attaching
+// under root when it is non-nil. It returns the run and the query to
+// evaluate; the caller defers closeAcct.
 func (e *Engine) newRun(ctx context.Context, q *Query, root *obs.Span) (*run, *Query) {
-	q = e.prepared(q)
-	r := &run{e: e, vt: newVarTable(), trace: root, planned: q.Planned}
+	snap := e.store.Snapshot()
+	q = e.prepared(q, snap)
+	r := &run{e: e, vt: newVarTable(), snap: snap, trace: root, planned: q.Planned}
 	r.bindContext(ctx)
 	r.bindAcct(ctx, root != nil)
 	collectVars(q, r.vt)
@@ -793,10 +801,10 @@ func (e *Engine) DescribeContext(ctx context.Context, q *Query) ([]rdf.Triple, e
 
 	g := rdf.NewGraph()
 	for t := range targets {
-		for _, tr := range e.store.MatchAll(rdf.Term{}, t, rdf.Term{}, rdf.Term{}) {
+		for _, tr := range r.snap.MatchAll(rdf.Term{}, t, rdf.Term{}, rdf.Term{}) {
 			g.Add(tr)
 		}
-		for _, tr := range e.store.MatchAll(rdf.Term{}, rdf.Term{}, rdf.Term{}, t) {
+		for _, tr := range r.snap.MatchAll(rdf.Term{}, rdf.Term{}, rdf.Term{}, t) {
 			g.Add(tr)
 		}
 	}

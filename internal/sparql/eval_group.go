@@ -119,7 +119,7 @@ func collectExprVars(e Expression, vt *varTable) {
 // of a planned query was planned along with its parent, so the planned
 // flag follows the subquery's own mark.
 func (r *run) evalSubSelect(q *Query, sp *obs.Span) (*Results, error) {
-	sub := &run{e: r.e, vt: newVarTable(), trace: sp, planned: q.Planned,
+	sub := &run{e: r.e, vt: newVarTable(), snap: r.snap, trace: sp, planned: q.Planned,
 		qctx: r.qctx, done: r.done, acct: r.acct}
 	collectVars(q, sub.vt)
 	return sub.streamSelect(q)
@@ -221,7 +221,7 @@ func (r *run) optionalSingle(tp TriplePattern, rows []solution, ctx graphCtx) []
 			oPat = o
 		}
 		matched := false
-		r.e.store.Match(gterm, sPat, pPat, oPat, func(t rdf.Triple) bool {
+		r.snap.Match(gterm, sPat, pPat, oPat, func(t rdf.Triple) bool {
 			nrow := row.clone()
 			if tp.S.IsVar && !sBound {
 				idx := r.vt.index[tp.S.Var]
@@ -359,7 +359,7 @@ func (r *run) joinPatternOwned(tp TriplePattern, rows []solution, ctx graphCtx, 
 
 		var first rdf.Triple
 		matches := 0
-		r.e.store.Match(gterm, sPat, pPat, oPat, func(t rdf.Triple) bool {
+		r.snap.Match(gterm, sPat, pPat, oPat, func(t rdf.Triple) bool {
 			// A single unselective pattern can scan the whole store for
 			// one input row, so the scan itself checks for cancellation
 			// too (stopping the scan; the caller then errors out).

@@ -56,7 +56,7 @@ func (r *run) pathPairs(p *PropertyPath, s, o rdf.Term, ctx graphCtx) ([][2]rdf.
 	switch p.Kind {
 	case PathIRI:
 		var out [][2]rdf.Term
-		r.e.store.Match(r.graphTerm(ctx), s, p.IRI, o, func(t rdf.Triple) bool {
+		r.snap.Match(r.graphTerm(ctx), s, p.IRI, o, func(t rdf.Triple) bool {
 			out = append(out, [2]rdf.Term{t.S, t.O})
 			return true
 		})

@@ -72,12 +72,17 @@ type Plan struct {
 	PushedFilters int
 }
 
-// Plan runs the cost-based planning pass over q against the engine's
-// store statistics and returns the rewritten query with its cost. It
-// can be called directly (EXPLAIN-style tooling does); normal query
-// entry points apply it automatically while the planner is enabled.
+// Plan runs the cost-based planning pass over q against the counts and
+// statistics of the store's current snapshot and returns the rewritten
+// query with its cost. It can be called directly (EXPLAIN-style tooling
+// does); normal query entry points apply it automatically, against the
+// snapshot they evaluate on, while the planner is enabled.
 func (e *Engine) Plan(q *Query) *Plan {
-	ps := &planState{st: e.store}
+	return plan(q, e.store.Snapshot())
+}
+
+func plan(q *Query, snap *store.Snapshot) *Plan {
+	ps := &planState{st: snap}
 	nq := ps.query(q)
 	return &Plan{Query: nq, Cost: ps.cost, Reordered: ps.reordered, PushedFilters: ps.pushed}
 }
@@ -91,27 +96,27 @@ func (e *Engine) EstimateCost(q *Query) float64 {
 
 // prepared applies the planning pass on a query entry point. Already
 // planned queries (a caller may cache a Plan result) pass through.
-func (e *Engine) prepared(q *Query) *Query {
+func (e *Engine) prepared(q *Query, snap *store.Snapshot) *Query {
 	if !e.planner || q.Planned {
 		return q
 	}
-	return e.Plan(q).Query
+	return plan(q, snap).Query
 }
 
 // preparedGroup is prepared for the bare WHERE group of an update,
 // reporting whether it was planned.
-func (e *Engine) preparedGroup(g GroupGraphPattern) (GroupGraphPattern, bool) {
+func (e *Engine) preparedGroup(g GroupGraphPattern, snap *store.Snapshot) (GroupGraphPattern, bool) {
 	if !e.planner {
 		return g, false
 	}
-	ng, _ := (&planState{st: e.store}).group(g, nil, 1, store.NoID)
+	ng, _ := (&planState{st: snap}).group(g, nil, 1, store.NoID)
 	return ng, true
 }
 
 // planState accumulates cost and rewrite facts across one planning
 // pass.
 type planState struct {
-	st        *store.Store
+	st        *store.Snapshot
 	cost      float64
 	reordered bool
 	pushed    int
@@ -554,7 +559,7 @@ func certainVarsInto(g GroupGraphPattern, into map[string]bool) {
 // the predicate is constant, and graph-level distincts otherwise. The
 // same model backs the planner's join ordering and the est= annotations
 // of EXPLAIN ANALYZE.
-func estimateJoinRows(st *store.Store, tp TriplePattern, bound map[string]bool, in float64, gid store.ID) float64 {
+func estimateJoinRows(st *store.Snapshot, tp TriplePattern, bound map[string]bool, in float64, gid store.ID) float64 {
 	if tp.Path != nil {
 		// No statistics for property paths; assume they preserve
 		// cardinality.

@@ -304,14 +304,14 @@ WHERE { ?p ex:name ?name . ?p a ex:Person . }`
 	stOn, stOff := loadStore(t, peopleTTL), loadStore(t, peopleTTL)
 	on, off := NewEngine(stOn), NewEngine(stOff, WithPlanner(false))
 
-	planned, ok := on.preparedGroup(written)
+	planned, ok := on.preparedGroup(written, stOn.Snapshot())
 	if !ok {
 		t.Fatal("planner-on engine did not plan the update's WHERE group")
 	}
 	if first := planned.Elements[0].(TriplePattern); first.O.IsVar || first.O.Term.Value != "http://example.org/Person" {
 		t.Errorf("planned WHERE starts with %+v, want the ?p a ex:Person pattern", first)
 	}
-	if asWritten, ok := off.preparedGroup(written); ok || !reflect.DeepEqual(asWritten, written) {
+	if asWritten, ok := off.preparedGroup(written, stOff.Snapshot()); ok || !reflect.DeepEqual(asWritten, written) {
 		t.Errorf("planner-off engine rewrote the update's WHERE group: %+v", asWritten)
 	}
 

@@ -562,6 +562,29 @@ func TestUpdateClear(t *testing.T) {
 	if st.Len(rdf.Term{}) != 0 {
 		t.Fatalf("CLEAR DEFAULT left %d triples", st.Len(rdf.Term{}))
 	}
+
+	// CLEAR GRAPH empties one named graph (also when its triples are
+	// still unpublished) and nothing else; CLEAR ALL empties everything;
+	// an insert in the same request after a CLEAR survives it.
+	g1, g2 := rdf.NewIRI("http://example.org/g1"), rdf.NewIRI("http://example.org/g2")
+	if err := e.ExecuteString(`
+PREFIX ex: <http://example.org/>
+INSERT DATA { ex:a ex:p 1 . GRAPH ex:g1 { ex:a ex:p 1 . ex:a ex:p 2 } GRAPH ex:g2 { ex:b ex:p 3 } } ;
+CLEAR GRAPH ex:g1 ;
+CLEAR GRAPH ex:unknown`); err != nil {
+		t.Fatal(err)
+	}
+	if a, b, c := st.Len(rdf.Term{}), st.Len(g1), st.Len(g2); a != 1 || b != 0 || c != 1 {
+		t.Fatalf("after CLEAR GRAPH g1: default=%d g1=%d g2=%d, want 1 0 1", a, b, c)
+	}
+	if err := e.ExecuteString(`
+PREFIX ex: <http://example.org/>
+INSERT DATA { GRAPH ex:g1 { ex:a ex:p 4 } } ; CLEAR ALL ; INSERT DATA { GRAPH ex:g2 { ex:b ex:p 5 } }`); err != nil {
+		t.Fatal(err)
+	}
+	if n, c := st.TotalLen(), st.Len(g2); n != 1 || c != 1 {
+		t.Fatalf("after CLEAR ALL and one insert: total=%d g2=%d, want 1 1", n, c)
+	}
 }
 
 func TestResultsJSONRoundTrip(t *testing.T) {

@@ -325,7 +325,7 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, par
 		case GraphElement:
 			if e.Graph.IsVar {
 				cur = r.bound(tr, &graphVarIter{r: r, el: e, src: tr.in(cur), sp: tr.span()})
-			} else if gid, ok := r.e.store.GraphID(e.Graph.Term); ok {
+			} else if gid, ok := r.snap.GraphID(e.Graph.Term); ok {
 				cur = tr.out(r.streamGroup(e.Pattern, tr.in(cur), graphCtx{gid: gid}, tr.span()))
 			} else {
 				cur = tr.out(&emptyIter{src: cur})
@@ -439,7 +439,7 @@ func (g *graphVarIter) next() ([]solution, error) {
 			return nil, err
 		}
 		g.input = rows
-		g.gids = g.r.e.store.NamedGraphIDs()
+		g.gids = g.r.snap.NamedGraphIDs()
 		g.idx = g.r.vt.slot(g.el.Graph.Var)
 	}
 	for {
@@ -721,7 +721,7 @@ func (r *run) newRowScan(tp TriplePattern, row solution, gctx graphCtx, owned bo
 	return &rowScan{
 		r: r, tp: tp, row: row, owned: owned,
 		sBound: sBound, pBound: pBound, oBound: oBound,
-		sc: r.e.store.MatchScan(gterm, sPat, pPat, oPat),
+		sc: r.snap.MatchScan(gterm, sPat, pPat, oPat),
 	}
 }
 

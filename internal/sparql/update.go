@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/rdf"
+	"repro/internal/store"
 )
 
 // Execute applies a parsed update request to the engine's store.
@@ -22,22 +23,34 @@ func (e *Engine) ExecuteString(src string) error {
 }
 
 // executeOpContext applies one operation. The context is honored only
-// during the read phase of DELETE/INSERT WHERE; the write phases of
-// every operation run to completion so each operation stays atomic.
+// during the read phase of DELETE/INSERT WHERE; the write phase of
+// every operation is one store.Batch, so it runs to completion and a
+// concurrent query sees either all of the operation or none of it.
 func (e *Engine) executeOpContext(ctx context.Context, op UpdateOperation) error {
 	switch o := op.(type) {
 	case InsertDataOp:
-		for _, q := range o.Quads {
-			e.store.Insert(q)
-		}
+		e.store.Batch(func(b *store.Batch) {
+			for _, q := range o.Quads {
+				b.Insert(q)
+			}
+		})
 		return nil
 	case DeleteDataOp:
-		for _, q := range o.Quads {
-			e.store.Delete(q)
-		}
+		e.store.Batch(func(b *store.Batch) {
+			for _, q := range o.Quads {
+				b.Delete(q)
+			}
+		})
 		return nil
 	case ClearOp:
-		return e.executeClear(o)
+		e.store.Batch(func(b *store.Batch) {
+			if o.All {
+				b.ClearAll()
+			} else {
+				b.Clear(o.Graph) // zero for CLEAR DEFAULT
+			}
+		})
+		return nil
 	case ModifyOp:
 		return e.executeModify(ctx, o)
 	default:
@@ -45,29 +58,10 @@ func (e *Engine) executeOpContext(ctx context.Context, op UpdateOperation) error
 	}
 }
 
-func (e *Engine) executeClear(o ClearOp) error {
-	clearGraph := func(g rdf.Term) {
-		for _, t := range e.store.MatchAll(g, rdf.Term{}, rdf.Term{}, rdf.Term{}) {
-			e.store.Delete(rdf.NewQuad(t.S, t.P, t.O, g))
-		}
-	}
-	switch {
-	case o.All:
-		clearGraph(rdf.Term{})
-		for _, g := range e.store.GraphNames() {
-			clearGraph(g)
-		}
-	case o.Default, o.Graph.IsZero():
-		clearGraph(rdf.Term{})
-	default:
-		clearGraph(o.Graph)
-	}
-	return nil
-}
-
 func (e *Engine) executeModify(ctx context.Context, o ModifyOp) error {
-	where, planned := e.preparedGroup(o.Where)
-	r := &run{e: e, vt: newVarTable(), planned: planned}
+	snap := e.store.Snapshot()
+	where, planned := e.preparedGroup(o.Where, snap)
+	r := &run{e: e, vt: newVarTable(), snap: snap, planned: planned}
 	r.bindContext(ctx)
 	collectGroupVars(where, r.vt)
 	for _, qp := range append(append([]QuadPattern{}, o.Delete...), o.Insert...) {
@@ -113,11 +107,13 @@ func (e *Engine) executeModify(ctx context.Context, o ModifyOp) error {
 		toDelete = append(toDelete, instantiate(o.Delete, row)...)
 		toInsert = append(toInsert, instantiate(o.Insert, row)...)
 	}
-	for _, q := range toDelete {
-		e.store.Delete(q)
-	}
-	for _, q := range toInsert {
-		e.store.Insert(q)
-	}
+	e.store.Batch(func(b *store.Batch) {
+		for _, q := range toDelete {
+			b.Delete(q)
+		}
+		for _, q := range toInsert {
+			b.Insert(q)
+		}
+	})
 	return nil
 }

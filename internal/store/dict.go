@@ -6,17 +6,30 @@
 // rdf.Term to a dense uint32 id. All triple indexes and all join
 // processing operate on ids, so pattern matching and joins compare
 // machine words rather than strings. Each graph keeps three orderings
-// (SPO, POS, OSP) as sorted slices, giving O(log n + k) pattern scans
-// with excellent cache behaviour for the read-mostly OLAP workload.
+// (SPO, POS, OSP) as sorted slices; every triple pattern is a contiguous
+// run of one of them, found by two binary searches.
 //
 // Concurrency contract: Store and Dict are safe for concurrent use by
-// any number of readers and writers. Index snapshots handed to a scan
-// are immutable — refresh() always builds fresh slices — so a pattern
-// scan sees a consistent state even while concurrent writers add or
-// remove quads; each scan is atomic, but two scans of one query may
-// observe different states (per-scan snapshot isolation). Callers that
-// need a whole multi-scan operation to be exclusive must serialize it
-// externally, as endpoint.Server does for SPARQL updates.
+// any number of readers and writers. All reads go through an immutable
+// Snapshot of the whole dataset: taking one is an atomic load, using it
+// takes no lock, and it never changes, so whoever holds one — the SPARQL
+// engine pins one per query — sees a single state however many scans it
+// makes and however long it keeps them open. Writes only record triples
+// in a pending delta; the first Snapshot after a write burst sorts the
+// delta and merges it into fresh orderings (an O(n) copy, not a re-sort)
+// and publishes the result. Everything one Store.Batch wrote is
+// published together, so a batch is atomic to every reader; a bulk load
+// is one batch per 4096-triple chunk.
+//
+// The merge happens when a snapshot is published, not when it is
+// scanned: a scan-time merge of a sorted base with a sorted delta would
+// make publishing free but put a two-way merge (and a deleted-triple
+// filter) inside every scan of every query until some background
+// compaction caught up — a second read path, a compaction policy and a
+// thread to tune, all to save a copy that costs about 5 ms at 180k
+// triples and 20 ms at the paper's 720k, once per write-burst→read
+// transition. Reads outnumber those transitions by orders of magnitude
+// in the OLAP workload, so every scan stays one sorted slice.
 package store
 
 import (
@@ -88,4 +101,38 @@ func (d *Dict) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return len(d.terms) - 1
+}
+
+// triple resolves an id-triple back to terms.
+func (d *Dict) triple(t IDTriple) rdf.Triple {
+	return rdf.NewTriple(d.Term(t.S), d.Term(t.P), d.Term(t.O))
+}
+
+// graphID interns (or, without create, looks up) a graph term; the zero
+// term is the default graph.
+func (d *Dict) graphID(g rdf.Term, create bool) (ID, bool) {
+	switch {
+	case g.IsZero():
+		return NoID, true
+	case create:
+		return d.Intern(g), true
+	}
+	return d.Lookup(g)
+}
+
+// patternIDs converts a term pattern to an id pattern; ok is false when
+// a bound term is not in the dictionary (no triples can match).
+func (d *Dict) patternIDs(sub, pred, obj rdf.Term) (pat IDTriple, ok bool) {
+	for _, c := range [3]struct {
+		t  rdf.Term
+		id *ID
+	}{{sub, &pat.S}, {pred, &pat.P}, {obj, &pat.O}} {
+		if c.t.IsZero() {
+			continue
+		}
+		if *c.id, ok = d.Lookup(c.t); !ok {
+			return pat, false
+		}
+	}
+	return pat, true
 }

@@ -1,0 +1,136 @@
+package store
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/rdf"
+)
+
+// checkStoreOps interprets data as a program of store operations, two
+// bytes each — insert, delete, clear, publish, or "run the next few in
+// one Batch" over a universe of 64 quads in two graphs, small enough
+// that re-inserts, deletes of pending inserts and re-inserts of pending
+// deletes are the common case — and checks the store against a plain
+// map after every step: return values at once, and at every publish
+// Len, TotalLen and all three orderings of both graphs (strictly sorted,
+// hence duplicate-free, and equal to the model).
+func checkStoreOps(t *testing.T, data []byte) {
+	st := New()
+	g1 := iri("g1")
+	model := map[rdf.Quad]bool{}
+	quad := func(b byte) rdf.Quad {
+		q := rdf.NewQuad(iri(fmt.Sprint("s", b&3)), iri(fmt.Sprint("p", b>>2&1)), rdf.NewInteger(int64(b>>3&3)), rdf.Term{})
+		if b>>5&1 == 1 {
+			q.G = g1
+		}
+		return q
+	}
+	// apply runs one write against b and the model.
+	apply := func(step int, b *Batch, kind, arg byte) {
+		q := quad(arg)
+		switch kind % 8 {
+		case 0, 1, 2:
+			if got := b.Insert(q); got != !model[q] {
+				t.Fatalf("step %d: Insert(%v) = %v with model %v", step, q, got, model[q])
+			}
+			model[q] = true
+		case 3, 4:
+			if got := b.Delete(q); got != model[q] {
+				t.Fatalf("step %d: Delete(%v) = %v with model %v", step, q, got, model[q])
+			}
+			delete(model, q)
+		case 5:
+			b.Clear(q.G)
+			for m := range model {
+				if m.G == q.G {
+					delete(model, m)
+				}
+			}
+		}
+	}
+	verify := func(step int) {
+		sn := st.Snapshot()
+		if again := st.Snapshot(); again != sn {
+			t.Fatalf("step %d: a second Snapshot without a write published again", step)
+		}
+		if sn.TotalLen() != len(model) {
+			t.Fatalf("step %d: TotalLen = %d, model has %d", step, sn.TotalLen(), len(model))
+		}
+		for _, g := range []rdf.Term{{}, g1} {
+			want := 0
+			for m := range model {
+				if m.G == g {
+					want++
+				}
+			}
+			if sn.Len(g) != want {
+				t.Fatalf("step %d: Len(%v) = %d, model has %d", step, g, sn.Len(g), want)
+			}
+			gid, ok := sn.GraphID(g)
+			if !ok {
+				if want != 0 {
+					t.Fatalf("step %d: graph %v missing", step, g)
+				}
+				continue
+			}
+			for o, idx := range sn.graphs[gid].idx {
+				if len(idx) != want {
+					t.Fatalf("step %d: graph %v ordering %d has %d triples, want %d", step, g, o, len(idx), want)
+				}
+				for i, tr := range idx {
+					if i > 0 && cmpOrder[o](idx[i-1], tr) >= 0 {
+						t.Fatalf("step %d: graph %v ordering %d not strictly sorted at %d", step, g, o, i)
+					}
+					if tt := sn.dict.triple(tr); !model[rdf.NewQuad(tt.S, tt.P, tt.O, g)] {
+						t.Fatalf("step %d: graph %v ordering %d holds %v, absent from the model", step, g, o, tt)
+					}
+				}
+			}
+		}
+	}
+	for i := 0; i+1 < len(data); i += 2 {
+		switch kind, arg := data[i], data[i+1]; kind % 8 {
+		case 6:
+			verify(i)
+		case 7: // the next 1–4 writes in one Batch
+			end := min(i+2+2*int(arg%4+1), len(data)&^1)
+			st.Batch(func(b *Batch) {
+				for j := i + 2; j < end; j += 2 {
+					apply(j, b, data[j], data[j+1])
+				}
+			})
+			i = end - 2
+		default:
+			st.Batch(func(b *Batch) { apply(i, b, kind, arg) })
+		}
+	}
+	verify(len(data))
+}
+
+// TestStoreModel runs seeded random operation programs, with and
+// without frequent publishes, through checkStoreOps.
+func TestStoreModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for round := 0; round < 300; round++ {
+		data := make([]byte, 2*(1+rng.Intn(200)))
+		rng.Read(data)
+		if round%3 == 0 { // long write bursts: turn most publishes into inserts
+			for i := 0; i < len(data); i += 2 {
+				if data[i]%8 == 6 && rng.Intn(4) > 0 {
+					data[i] = 0
+				}
+			}
+		}
+		checkStoreOps(t, data)
+	}
+}
+
+func FuzzStoreOps(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 1, 6, 0, 3, 1, 0, 1, 6, 0})        // insert twice, publish, delete, re-insert
+	f.Add([]byte{0, 9, 3, 9, 6, 0, 0, 9, 6, 0, 3, 9, 3, 9})  // delete of a pending insert
+	f.Add([]byte{0, 33, 0, 34, 6, 0, 5, 32, 0, 35, 6, 0})    // named graph, clear, insert after clear
+	f.Add([]byte{7, 3, 0, 1, 0, 2, 3, 1, 5, 0, 6, 0, 0, 63}) // one batch of four writes
+	f.Fuzz(checkStoreOps)
+}

@@ -2,7 +2,9 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/rdf"
 )
@@ -41,69 +43,79 @@ func collectScan(sc *Scan) []IDTriple {
 	}
 }
 
-// TestScanMatchesMatchIDs checks the cursor yields exactly the
-// MatchIDs stream, in the same order, for every pattern shape: S / P /
-// O / SP / SO / PO / SPO bound and the full wildcard, on the default
-// graph and a named graph.
-func TestScanMatchesMatchIDs(t *testing.T) {
+// TestRangeAllPatterns checks Range, Count and the cursor against
+// brute-force iteration for all eight bound/unbound combinations, on the
+// default graph and a named graph: same triples, same count, and the
+// emission order each pattern's index promises (S, SP, SPO and the full
+// wildcard in SPO order; P and PO in POS order; O and S+O in OSP order).
+func TestRangeAllPatterns(t *testing.T) {
 	st := scanFixture(50)
 	dict := st.Dict()
-	sid, _ := dict.Lookup(rdf.NewIRI("http://ex/s/0003"))
-	pid, _ := dict.Lookup(rdf.NewIRI("http://ex/value"))
-	oid, _ := dict.Lookup(rdf.NewInteger(3))
-	tid, _ := dict.Lookup(rdf.NewIRI("http://ex/type"))
-	itemID, _ := dict.Lookup(rdf.NewIRI("http://ex/Item"))
-	gid, _ := dict.Lookup(rdf.NewIRI("http://ex/g"))
-
-	pats := []IDTriple{
-		{},
-		{S: sid},
-		{P: pid},
-		{O: oid},
-		{S: sid, P: pid},
-		{S: sid, O: oid},
-		{P: tid, O: itemID},
-		{S: sid, P: pid, O: oid},
-		{S: 9999}, // unknown id: no matches
+	id := func(term rdf.Term) ID {
+		v, ok := dict.Lookup(term)
+		if !ok {
+			t.Fatalf("%v not interned", term)
+		}
+		return v
 	}
+	sid, pid, oid := id(rdf.NewIRI("http://ex/s/0003")), id(rdf.NewIRI("http://ex/value")), id(rdf.NewInteger(3))
+	gid := id(rdf.NewIRI("http://ex/g"))
+
+	cases := []struct {
+		name string
+		pat  IDTriple
+		cmp  func(a, b IDTriple) int
+	}{
+		{"none", IDTriple{}, cmpSPO},
+		{"S", IDTriple{S: sid}, cmpSPO},
+		{"P", IDTriple{P: pid}, cmpPOS},
+		{"O", IDTriple{O: oid}, cmpOSP},
+		{"SP", IDTriple{S: sid, P: pid}, cmpSPO},
+		{"SO", IDTriple{S: sid, O: oid}, cmpOSP},
+		{"PO", IDTriple{P: pid, O: oid}, cmpPOS},
+		{"SPO", IDTriple{S: sid, P: pid, O: oid}, cmpSPO},
+		{"unknown id", IDTriple{S: 9999}, cmpSPO},
+		{"O of type triples", IDTriple{O: id(rdf.NewIRI("http://ex/Item"))}, cmpOSP},
+	}
+	sn := st.Snapshot()
 	for _, g := range []ID{NoID, gid} {
-		for _, pat := range pats {
+		all := sn.Range(g, IDTriple{})
+		for _, c := range cases {
 			var want []IDTriple
-			st.MatchIDs(g, pat, func(tr IDTriple) bool {
-				want = append(want, tr)
-				return true
-			})
-			got := collectScan(st.ScanIDs(g, pat))
-			if len(got) != len(want) {
-				t.Fatalf("g=%d pat=%+v: scan returned %d triples, MatchIDs %d", g, pat, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("g=%d pat=%+v: triple %d differs: %+v vs %+v", g, pat, i, got[i], want[i])
+			for _, tr := range all {
+				if (c.pat.S == NoID || tr.S == c.pat.S) && (c.pat.P == NoID || tr.P == c.pat.P) && (c.pat.O == NoID || tr.O == c.pat.O) {
+					want = append(want, tr)
 				}
 			}
+			slices.SortFunc(want, c.cmp)
+			if got := sn.Range(g, c.pat); !slices.Equal(got, want) {
+				t.Errorf("g=%d %s: Range = %v, want %v", g, c.name, got, want)
+			}
+			if got := st.Count(g, c.pat); got != len(want) {
+				t.Errorf("g=%d %s: Count = %d, want %d", g, c.name, got, len(want))
+			}
+			if got := collectScan(st.ScanIDs(g, c.pat)); !slices.Equal(got, want) {
+				t.Errorf("g=%d %s: cursor = %v, want %v", g, c.name, got, want)
+			}
 		}
+	}
+	if sn.Range(9999, IDTriple{}) != nil {
+		t.Error("unknown graph must match nothing")
 	}
 }
 
 // TestScanSnapshotSurvivesWrites checks a suspended cursor keeps
-// reading its creation-time snapshot while a writer mutates the graph —
-// the property the streaming query pipeline relies on to hold a cursor
-// across chunk boundaries without blocking writers.
+// reading its creation-time snapshot while a writer mutates the graph
+// and a later reader publishes the write — the property the streaming
+// query pipeline relies on to hold a cursor across chunk boundaries.
 func TestScanSnapshotSurvivesWrites(t *testing.T) {
 	st := scanFixture(20)
 	pid, _ := st.Dict().Lookup(rdf.NewIRI("http://ex/value"))
 	pat := IDTriple{P: pid}
-
-	var want []IDTriple
-	st.MatchIDs(NoID, pat, func(tr IDTriple) bool {
-		want = append(want, tr)
-		return true
-	})
+	old := st.Snapshot()
+	want := slices.Clone(old.Range(NoID, pat))
 
 	sc := st.ScanIDs(NoID, pat)
-	// Drain half, then mutate: the insert must neither block (the
-	// cursor holds no lock) nor leak into the suspended snapshot.
 	got := make([]IDTriple, 0, len(want))
 	for i := 0; i < len(want)/2; i++ {
 		tr, ok := sc.Next()
@@ -115,20 +127,65 @@ func TestScanSnapshotSurvivesWrites(t *testing.T) {
 	st.InsertTriples(rdf.Term{}, []rdf.Triple{
 		rdf.NewTriple(rdf.NewIRI("http://ex/s/zzzz"), rdf.NewIRI("http://ex/value"), rdf.NewInteger(2)),
 	})
+	st.Delete(rdf.NewQuad(rdf.NewIRI("http://ex/s/0000"), rdf.NewIRI("http://ex/value"), rdf.NewInteger(0), rdf.Term{}))
+
+	// A fresh cursor publishes and sees both writes.
+	fresh := st.Snapshot()
+	if fresh.Epoch() != old.Epoch()+1 {
+		t.Errorf("epoch = %d after one publish from %d", fresh.Epoch(), old.Epoch())
+	}
+	if n := len(collectScan(st.ScanIDs(NoID, pat))); n != len(want) {
+		t.Fatalf("fresh scan saw %d triples, want %d (one added, one removed)", n, len(want))
+	}
+	if slices.Equal(fresh.Range(NoID, pat), want) {
+		t.Fatal("fresh snapshot does not show the writes")
+	}
+
+	// The suspended cursor and the old snapshot are unchanged by it.
 	got = append(got, collectScan(sc)...)
-
-	if len(got) != len(want) {
-		t.Fatalf("snapshot scan saw %d triples, want %d", len(got), len(want))
+	if !slices.Equal(got, want) {
+		t.Fatalf("suspended cursor saw %d triples after a publish, want the original %d", len(got), len(want))
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("triple %d differs after concurrent write", i)
+	if !slices.Equal(old.Range(NoID, pat), want) || old.Len(rdf.Term{}) != fresh.Len(rdf.Term{}) {
+		t.Fatal("a publish changed the previous snapshot")
+	}
+}
+
+// TestBlockedReaderBlocksNobody parks a Match callback mid-scan and
+// checks that a writer, a publish and a second reader all complete
+// meanwhile: reads hold no store lock.
+func TestBlockedReaderBlocksNobody(t *testing.T) {
+	st := scanFixture(20)
+	before := st.Len(rdf.Term{})
+	parked, release, done := make(chan struct{}), make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		st.Match(rdf.Term{}, rdf.Term{}, rdf.Term{}, rdf.Term{}, func(rdf.Triple) bool {
+			if n++; n == 1 {
+				close(parked)
+				<-release
+			}
+			return true
+		})
+		done <- n
+	}()
+	<-parked
+	finished := make(chan int)
+	go func() {
+		st.Insert(rdf.NewQuad(rdf.NewIRI("http://ex/s/new"), rdf.NewIRI("http://ex/value"), rdf.NewInteger(1), rdf.Term{}))
+		finished <- st.Len(rdf.Term{}) // a second reader, publishing the insert
+	}()
+	select {
+	case n := <-finished:
+		if n != before+1 {
+			t.Errorf("second reader saw %d triples, want %d", n, before+1)
 		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a parked Match callback blocked a writer or a second reader")
 	}
-
-	// A fresh cursor does see the write.
-	if n := len(collectScan(st.ScanIDs(NoID, pat))); n != len(want)+1 {
-		t.Fatalf("fresh scan saw %d triples, want %d", n, len(want)+1)
+	close(release)
+	if n := <-done; n != before {
+		t.Errorf("parked reader saw %d triples, want its snapshot's %d", n, before)
 	}
 }
 
@@ -143,7 +200,7 @@ func TestMatchScanTermLevel(t *testing.T) {
 		want = append(want, tr)
 		return true
 	})
-	sc := st.MatchScan(rdf.Term{}, rdf.Term{}, val, rdf.Term{})
+	sc := st.Snapshot().MatchScan(rdf.Term{}, rdf.Term{}, val, rdf.Term{})
 	for i := 0; ; i++ {
 		tr, ok := sc.NextTriple()
 		if !ok {
@@ -157,10 +214,10 @@ func TestMatchScanTermLevel(t *testing.T) {
 		}
 	}
 
-	if _, ok := st.MatchScan(rdf.Term{}, rdf.NewIRI("http://ex/absent"), rdf.Term{}, rdf.Term{}).NextTriple(); ok {
+	if _, ok := st.Snapshot().MatchScan(rdf.Term{}, rdf.NewIRI("http://ex/absent"), rdf.Term{}, rdf.Term{}).NextTriple(); ok {
 		t.Error("unknown bound term must yield an empty cursor")
 	}
-	if _, ok := st.MatchScan(rdf.NewIRI("http://ex/nograph"), rdf.Term{}, rdf.Term{}, rdf.Term{}).NextTriple(); ok {
+	if _, ok := st.Snapshot().MatchScan(rdf.NewIRI("http://ex/nograph"), rdf.Term{}, rdf.Term{}, rdf.Term{}).NextTriple(); ok {
 		t.Error("unknown graph must yield an empty cursor")
 	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"sort"
+	"unsafe"
 
 	"repro/internal/rdf"
 )
@@ -12,12 +13,10 @@ import (
 // cardinality model divides a pattern's base count by these distinct
 // cardinalities to order joins and pick QL translations.
 //
-// Statistics are recomputed lazily, piggybacking on the same dirty
-// tracking as refresh(): a mutation only clears the cached pointer, so
-// the bulk-load hot path pays one assignment per mutating call, and the
-// first statistics reader after a write burst pays three linear walks
-// over the already-sorted orderings. Computed snapshots are immutable
-// and shared, so concurrent readers never copy.
+// Statistics belong to a graph's snapshot and are computed by its first
+// reader (sync.Once): three linear walks over the sorted orderings. A
+// write costs them nothing — the graph published after it simply starts
+// without any — and graphs a publish did not touch keep theirs.
 
 // PredStat summarizes one predicate within one graph.
 type PredStat struct {
@@ -34,99 +33,80 @@ type GraphStat struct {
 	DistinctObjects    int
 }
 
-// gstats is the cached per-graph statistics snapshot. Immutable once
-// computed.
+// gstats is one graph's statistics. Immutable once computed.
 type gstats struct {
 	graph GraphStat
 	preds map[ID]PredStat
 }
 
-// computeStats derives the snapshot from the sorted orderings. Callers
-// must hold the write lock and have called refresh() first.
-func (g *graphIndex) computeStats() *gstats {
-	st := &gstats{
-		graph: GraphStat{Triples: len(g.set)},
-		preds: make(map[ID]PredStat),
+// statistics returns g's statistics, computing them on first use.
+func (g *graph) statistics() *gstats {
+	g.statsOnce.Do(func() { g.stats = g.computeStats() })
+	return g.stats
+}
+
+func (g *graph) computeStats() *gstats {
+	st := &gstats{graph: GraphStat{Triples: len(g.idx[spo])}, preds: make(map[ID]PredStat)}
+	if st.graph.Triples == 0 {
+		return st
 	}
 	// SPO walk: distinct subjects, and distinct subjects per predicate
-	// via (S, P) group boundaries.
-	for i, t := range g.spo {
-		if i == 0 || t.S != g.spo[i-1].S {
+	// via (S, P) group boundaries, counted in a slice indexed by
+	// predicate id (POS ends on the largest one) so that the walk does
+	// no map operation per group.
+	spoIdx, posIdx, ospIdx := g.idx[spo], g.idx[pos], g.idx[osp]
+	distinctS := make([]int, posIdx[len(posIdx)-1].P+1)
+	for i, t := range spoIdx {
+		if i == 0 || t.S != spoIdx[i-1].S {
 			st.graph.DistinctSubjects++
 		}
-		if i == 0 || t.S != g.spo[i-1].S || t.P != g.spo[i-1].P {
-			ps := st.preds[t.P]
-			ps.DistinctS++
-			st.preds[t.P] = ps
+		if i == 0 || t.S != spoIdx[i-1].S || t.P != spoIdx[i-1].P {
+			distinctS[t.P]++
 		}
 	}
-	// POS walk: per-predicate triple counts and distinct objects, and
-	// distinct predicates via P group boundaries.
-	for i, t := range g.pos {
-		ps := st.preds[t.P]
-		ps.Count++
-		if i == 0 || t.P != g.pos[i-1].P {
-			st.graph.DistinctPredicates++
+	// POS walk: one run per predicate, its length and its (P, O) group
+	// boundaries; each map entry is written once, at the end of its run.
+	for i := 0; i < len(posIdx); {
+		p, run := posIdx[i].P, PredStat{}
+		for ; i < len(posIdx) && posIdx[i].P == p; i++ {
+			if run.Count == 0 || posIdx[i].O != posIdx[i-1].O {
+				run.DistinctO++
+			}
+			run.Count++
 		}
-		if i == 0 || t.P != g.pos[i-1].P || t.O != g.pos[i-1].O {
-			ps.DistinctO++
-		}
-		st.preds[t.P] = ps
+		run.DistinctS = distinctS[p]
+		st.preds[p] = run
 	}
+	st.graph.DistinctPredicates = len(st.preds)
 	// OSP walk: distinct objects.
-	for i, t := range g.osp {
-		if i == 0 || t.O != g.osp[i-1].O {
+	for i, t := range ospIdx {
+		if i == 0 || t.O != ospIdx[i-1].O {
 			st.graph.DistinctObjects++
 		}
 	}
 	return st
 }
 
-// gstatsFor returns the cached statistics for graph g, recomputing
-// under the write lock when a mutation invalidated them (the same
-// upgrade dance as MatchIDs). Returns nil for an unknown graph.
-func (s *Store) gstatsFor(g ID) *gstats {
-	s.mu.RLock()
-	gi := s.graphFor(g, false)
-	if gi == nil {
-		s.mu.RUnlock()
-		return nil
-	}
-	if st := gi.stats; st != nil {
-		s.mu.RUnlock()
-		return st
-	}
-	s.mu.RUnlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	gi.refresh()
-	if gi.stats == nil {
-		gi.stats = gi.computeStats()
-	}
-	return gi.stats
-}
-
 // GraphStat returns the cardinality summary of graph g (NoID for the
 // default graph); zeros for an unknown graph.
-func (s *Store) GraphStat(g ID) GraphStat {
-	st := s.gstatsFor(g)
-	if st == nil {
+func (sn *Snapshot) GraphStat(g ID) GraphStat {
+	gr := sn.graphs[g]
+	if gr == nil {
 		return GraphStat{}
 	}
-	return st.graph
+	return gr.statistics().graph
 }
 
 // PredicateStat returns the per-predicate cardinalities of p in graph
 // g, reporting whether the predicate occurs there. The query planner
-// calls this per join operand, so it must stay cheap: after the first
-// call following a write burst it is two lock acquisitions and a map
-// lookup.
-func (s *Store) PredicateStat(g ID, p ID) (PredStat, bool) {
-	st := s.gstatsFor(g)
-	if st == nil {
+// calls this per join operand; after the snapshot's first statistics
+// reader it is two map lookups.
+func (sn *Snapshot) PredicateStat(g ID, p ID) (PredStat, bool) {
+	gr := sn.graphs[g]
+	if gr == nil {
 		return PredStat{}, false
 	}
-	ps, ok := st.preds[p]
+	ps, ok := gr.statistics().preds[p]
 	return ps, ok
 }
 
@@ -150,19 +130,27 @@ type GraphStats struct {
 
 // Stats is the full store statistics snapshot served on /stats.
 type Stats struct {
-	Triples int          `json:"triples"`
-	Terms   int          `json:"terms"`
-	Graphs  []GraphStats `json:"graphs"`
+	Triples int `json:"triples"`
+	Terms   int `json:"terms"`
+	// IndexBytes is the exact size of the triple indexes: the capacity
+	// of every ordering of every graph at twelve bytes a triple. A
+	// snapshot has no pending delta, and the term dictionary is not
+	// included.
+	IndexBytes int          `json:"indexBytes"`
+	Graphs     []GraphStats `json:"graphs"`
 }
 
 // Stats returns the term-level statistics for every graph, predicates
 // sorted by descending count (ties by IRI) for stable JSON.
-func (s *Store) Stats() Stats {
-	out := Stats{Terms: s.dict.Len()}
-	gids := append([]ID{NoID}, s.NamedGraphIDs()...)
-	for _, gid := range gids {
-		st := s.gstatsFor(gid)
-		if st == nil || (gid != NoID && st.graph.Triples == 0) {
+func (sn *Snapshot) Stats() Stats {
+	out := Stats{Terms: sn.dict.Len()}
+	for _, gid := range append([]ID{NoID}, sn.NamedGraphIDs()...) {
+		gr := sn.graphs[gid]
+		for _, idx := range gr.idx {
+			out.IndexBytes += cap(idx) * int(unsafe.Sizeof(IDTriple{}))
+		}
+		st := gr.statistics()
+		if gid != NoID && st.graph.Triples == 0 {
 			continue
 		}
 		gs := GraphStats{
@@ -172,11 +160,11 @@ func (s *Store) Stats() Stats {
 			DistinctObjects:    st.graph.DistinctObjects,
 		}
 		if gid != NoID {
-			gs.Graph = s.dict.Term(gid).Value
+			gs.Graph = sn.dict.Term(gid).Value
 		}
 		for pid, ps := range st.preds {
 			gs.Predicates = append(gs.Predicates, PredicateStats{
-				Predicate:        s.dict.Term(pid).Value,
+				Predicate:        sn.dict.Term(pid).Value,
 				Count:            ps.Count,
 				DistinctSubjects: ps.DistinctS,
 				DistinctObjects:  ps.DistinctO,
@@ -207,31 +195,21 @@ type ObjectCount struct {
 // of the POS ordering. With pred = qb4o:memberOf this yields the
 // per-level member counts of the enriched cube. Results are sorted by
 // object term.
-func (s *Store) ObjectCounts(g rdf.Term, pred rdf.Term) []ObjectCount {
-	var gid ID
-	if !g.IsZero() {
-		var ok bool
-		gid, ok = s.dict.Lookup(g)
-		if !ok {
-			return nil
-		}
-	}
-	pid, ok := s.dict.Lookup(pred)
-	if !ok {
+func (sn *Snapshot) ObjectCounts(g rdf.Term, pred rdf.Term) []ObjectCount {
+	if pred.IsZero() {
 		return nil
 	}
 	var out []ObjectCount
 	var cur ID
-	// MatchIDs with only P bound scans the POS ordering, so triples
-	// arrive grouped by object.
-	s.MatchIDs(gid, IDTriple{P: pid}, func(t IDTriple) bool {
+	// With only P bound the range is a run of the POS ordering, so
+	// triples arrive grouped by object.
+	for _, t := range sn.termRange(g, rdf.Term{}, pred, rdf.Term{}) {
 		if len(out) == 0 || t.O != cur {
-			out = append(out, ObjectCount{Object: s.dict.Term(t.O)})
+			out = append(out, ObjectCount{Object: sn.dict.Term(t.O)})
 			cur = t.O
 		}
 		out[len(out)-1].Count++
-		return true
-	})
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Object.Compare(out[j].Object) < 0 })
 	return out
 }

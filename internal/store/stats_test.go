@@ -32,11 +32,11 @@ func TestGraphAndPredicateStats(t *testing.T) {
 		t.Errorf("GraphStat = %+v, want %+v", gs, want)
 	}
 	pid, _ := st.Dict().Lookup(iri("p"))
-	ps, ok := st.PredicateStat(NoID, pid)
+	ps, ok := st.Snapshot().PredicateStat(NoID, pid)
 	if !ok || ps != (PredStat{Count: 4, DistinctS: 3, DistinctO: 2}) {
 		t.Errorf("PredicateStat(p) = %+v ok=%v", ps, ok)
 	}
-	if _, ok := st.PredicateStat(NoID, 99999); ok {
+	if _, ok := st.Snapshot().PredicateStat(NoID, 99999); ok {
 		t.Error("unknown predicate should not be found")
 	}
 	if gs := st.GraphStat(12345); gs != (GraphStat{}) {
@@ -83,7 +83,7 @@ func TestStatsSnapshot(t *testing.T) {
 
 func TestObjectCounts(t *testing.T) {
 	st := statsFixture()
-	got := st.ObjectCounts(rdf.Term{}, iri("p"))
+	got := st.Snapshot().ObjectCounts(rdf.Term{}, iri("p"))
 	if len(got) != 2 {
 		t.Fatalf("got %d object groups, want 2: %+v", len(got), got)
 	}
@@ -94,7 +94,7 @@ func TestObjectCounts(t *testing.T) {
 	if byObj["http://x/o1"] != 3 || byObj["http://x/o2"] != 1 {
 		t.Errorf("object counts = %v", byObj)
 	}
-	if st.ObjectCounts(rdf.Term{}, iri("nope")) != nil {
+	if st.Snapshot().ObjectCounts(rdf.Term{}, iri("nope")) != nil {
 		t.Error("unknown predicate should yield nil")
 	}
 }

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/rdf"
@@ -13,153 +15,366 @@ type IDTriple struct {
 	S, P, O ID
 }
 
-// graphIndex holds one RDF graph as a deduplicating set plus three
-// sorted orderings, rebuilt lazily after mutations.
-type graphIndex struct {
-	set   map[IDTriple]struct{}
-	spo   []IDTriple // sorted (S, P, O)
-	pos   []IDTriple // sorted (P, O, S)
-	osp   []IDTriple // sorted (O, S, P)
-	dirty bool
-	stats *gstats // cached statistics snapshot; nil after a mutation
+// order names one of the three sorted orderings every graph keeps.
+type order int
+
+const (
+	spo order = iota // sorted (S, P, O)
+	pos              // sorted (P, O, S)
+	osp              // sorted (O, S, P)
+)
+
+// cmp3 orders two keys given component by component. It and the three
+// comparators built on it are small enough to be inlined into search.
+func cmp3(a0, b0, a1, b1, a2, b2 ID) int {
+	if a0 == b0 {
+		if a0, b0 = a1, b1; a0 == b0 {
+			a0, b0 = a2, b2
+		}
+	}
+	if a0 < b0 {
+		return -1
+	}
+	if a0 > b0 {
+		return 1
+	}
+	return 0
 }
 
-func newGraphIndex() *graphIndex {
-	return &graphIndex{set: make(map[IDTriple]struct{})}
+func cmpSPO(a, b IDTriple) int { return cmp3(a.S, b.S, a.P, b.P, a.O, b.O) }
+func cmpPOS(a, b IDTriple) int { return cmp3(a.P, b.P, a.O, b.O, a.S, b.S) }
+func cmpOSP(a, b IDTriple) int { return cmp3(a.O, b.O, a.S, b.S, a.P, b.P) }
+
+// cmpOrder is the comparator of each ordering, indexed by order.
+var cmpOrder = [3]func(a, b IDTriple) int{spo: cmpSPO, pos: cmpPOS, osp: cmpOSP}
+
+// search returns the first position in idx, sorted in ordering o, of a
+// triple not below key — or, with after set, of a triple above it.
+func (o order) search(idx []IDTriple, key IDTriple, after bool) int {
+	lo, hi := 0, len(idx)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		var c int
+		switch o {
+		case spo:
+			c = cmpSPO(idx[m], key)
+		case pos:
+			c = cmpPOS(idx[m], key)
+		default:
+			c = cmpOSP(idx[m], key)
+		}
+		if c < 0 || after && c == 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
-func (g *graphIndex) insert(t IDTriple) bool {
-	if _, ok := g.set[t]; ok {
+// graph is the immutable state of one RDF graph: the same duplicate-free
+// triple set in each of the three orderings, plus statistics computed on
+// first use. Nothing reachable from a published graph is ever written
+// again, which is what lets scans run without a lock.
+type graph struct {
+	idx [3][]IDTriple
+
+	statsOnce sync.Once
+	stats     *gstats
+}
+
+func (g *graph) has(t IDTriple) bool {
+	i := spo.search(g.idx[spo], t, false)
+	return i < len(g.idx[spo]) && g.idx[spo][i] == t
+}
+
+// rng returns the triples matching pat (NoID components are wildcards)
+// as one contiguous run of one ordering: every combination of bound
+// components is a prefix of SPO (S, SP, SPO), POS (P, PO) or OSP (O, OS),
+// so a match is two binary searches and no per-triple filtering. The
+// run lies between pat itself — NoID sorts below every id — and pat
+// with its wildcards raised to the largest id.
+func (g *graph) rng(pat IDTriple) []IDTriple {
+	o := spo
+	switch {
+	case pat.S != NoID && (pat.P != NoID || pat.O == NoID):
+	case pat.O != NoID && (pat.S != NoID || pat.P == NoID):
+		o = osp
+	case pat.P != NoID:
+		o = pos
+	}
+	idx := g.idx[o]
+	idx = idx[o.search(idx, pat, false):]
+	top := pat
+	for _, c := range [3]*ID{&top.S, &top.P, &top.O} {
+		if *c == NoID {
+			*c = ^NoID
+		}
+	}
+	// Most runs are a handful of triples (one observation's value for one
+	// predicate), so the upper end is found by doubling from the lower
+	// one: the search stays on the cache lines the run itself occupies.
+	step := 1
+	for step < len(idx) && cmpOrder[o](idx[step-1], top) <= 0 {
+		step *= 2
+	}
+	hi := step/2 + o.search(idx[step/2:min(step, len(idx))], top, true)
+	return idx[:hi:hi]
+}
+
+// delta is the unpublished writes against one graph. adds and dels are
+// disjoint; len(base)+len(adds)-len(dels) is the graph's size.
+type delta struct {
+	base *graph                // the state the writes apply to: the published graph, or an empty one for a new or cleared graph
+	adds map[IDTriple]struct{} // pending inserts, none of them in base
+	dels map[IDTriple]struct{} // pending deletes, all of them in base
+}
+
+func newDelta(base *graph) *delta {
+	return &delta{base: base, adds: make(map[IDTriple]struct{}), dels: make(map[IDTriple]struct{})}
+}
+
+func (d *delta) insert(t IDTriple) bool {
+	if _, ok := d.dels[t]; ok {
+		delete(d.dels, t)
+		return true
+	}
+	if _, ok := d.adds[t]; ok || d.base.has(t) {
 		return false
 	}
-	g.set[t] = struct{}{}
-	g.dirty = true
-	g.stats = nil
+	d.adds[t] = struct{}{}
 	return true
 }
 
-func (g *graphIndex) remove(t IDTriple) bool {
-	if _, ok := g.set[t]; !ok {
+func (d *delta) remove(t IDTriple) bool {
+	if _, ok := d.adds[t]; ok {
+		delete(d.adds, t)
+		return true
+	}
+	if _, ok := d.dels[t]; ok || !d.base.has(t) {
 		return false
 	}
-	delete(g.set, t)
-	g.dirty = true
-	g.stats = nil
+	d.dels[t] = struct{}{}
 	return true
 }
 
-// refresh rebuilds the sorted orderings after mutations. It always
-// allocates fresh slices and never sorts in place: scans that captured
-// the previous slices (see MatchIDs) rely on them staying immutable.
-// Callers must hold the store's write lock.
-func (g *graphIndex) refresh() {
-	if !g.dirty {
-		return
+// merged returns base with the delta applied, as a fresh graph: the
+// delta alone is sorted (once per ordering) and merged into a copy of
+// the base ordering, O(n + k log k) for k writes on n triples. On an
+// empty base the sorted delta becomes the ordering itself, so a bulk
+// load pays three sorts and no copy beyond its three slices.
+func (d *delta) merged() *graph {
+	if len(d.adds)+len(d.dels) == 0 {
+		return d.base
 	}
-	n := len(g.set)
-	g.spo = make([]IDTriple, 0, n)
-	for t := range g.set {
-		g.spo = append(g.spo, t)
+	keys := func(m map[IDTriple]struct{}) []IDTriple {
+		out := make([]IDTriple, 0, len(m))
+		for t := range m {
+			out = append(out, t)
+		}
+		return out
 	}
-	g.pos = make([]IDTriple, n)
-	copy(g.pos, g.spo)
-	g.osp = make([]IDTriple, n)
-	copy(g.osp, g.spo)
-	sort.Slice(g.spo, func(i, j int) bool { return lessSPO(g.spo[i], g.spo[j]) })
-	sort.Slice(g.pos, func(i, j int) bool { return lessPOS(g.pos[i], g.pos[j]) })
-	sort.Slice(g.osp, func(i, j int) bool { return lessOSP(g.osp[i], g.osp[j]) })
-	g.dirty = false
+	adds, dels := keys(d.adds), keys(d.dels)
+	g := new(graph)
+	for o := spo; o <= osp; o++ {
+		base, a := d.base.idx[o], adds
+		if len(base) == 0 && o < osp {
+			a = slices.Clone(adds) // kept as the ordering; adds is reused for the next one
+		}
+		slices.SortFunc(a, cmpOrder[o])
+		slices.SortFunc(dels, cmpOrder[o])
+		g.idx[o] = o.merge(base, a, dels)
+	}
+	return g
 }
 
-func lessSPO(a, b IDTriple) bool {
-	if a.S != b.S {
-		return a.S < b.S
+// merge returns base − dels + adds; all three are sorted in ordering o,
+// dels is a subset of base and adds is disjoint from it. Each change is
+// located in what is left of base by binary search and the run before
+// it copied whole.
+func (o order) merge(base, adds, dels []IDTriple) []IDTriple {
+	if len(base) == 0 {
+		return adds
 	}
-	if a.P != b.P {
-		return a.P < b.P
+	out := make([]IDTriple, 0, len(base)+len(adds)-len(dels))
+	for len(adds)+len(dels) > 0 {
+		if len(adds) == 0 || len(dels) > 0 && cmpOrder[o](dels[0], adds[0]) < 0 {
+			i := o.search(base, dels[0], false)
+			out = append(out, base[:i]...)
+			base, dels = base[i+1:], dels[1:]
+		} else {
+			i := o.search(base, adds[0], false)
+			out = append(append(out, base[:i]...), adds[0])
+			base, adds = base[i:], adds[1:]
+		}
 	}
-	return a.O < b.O
+	return append(out, base...)
 }
 
-func lessPOS(a, b IDTriple) bool {
-	if a.P != b.P {
-		return a.P < b.P
-	}
-	if a.O != b.O {
-		return a.O < b.O
-	}
-	return a.S < b.S
+// Snapshot is an immutable view of the whole dataset — every graph as it
+// stood when the snapshot was published. All reads go through one: it
+// takes no lock, never changes, and may be held for as long as needed
+// (the SPARQL engine pins one per query, which is what makes a query
+// see either all of a concurrent update operation or none of it).
+type Snapshot struct {
+	dict   *Dict
+	epoch  uint64
+	graphs map[ID]*graph // NoID is the default graph, always present
 }
 
-func lessOSP(a, b IDTriple) bool {
-	if a.O != b.O {
-		return a.O < b.O
-	}
-	if a.S != b.S {
-		return a.S < b.S
-	}
-	return a.P < b.P
-}
+// Epoch counts the publishes that led to this snapshot; two snapshots
+// of one store with equal epochs are the same snapshot.
+func (sn *Snapshot) Epoch() uint64 { return sn.epoch }
+
+// Dict is the store's term dictionary (shared by all its snapshots).
+func (sn *Snapshot) Dict() *Dict { return sn.dict }
 
 // Store is an in-memory RDF dataset: one default graph plus any number
 // of named graphs, sharing a single term dictionary. It is safe for
-// concurrent use; reads proceed under a read lock once indexes are
-// fresh, so any number of query workers scan in parallel and only
-// mutations serialize.
+// concurrent use.
 //
-// Iterator safety (audited for the parallel SPARQL engine): each
-// Match/MatchIDs scan holds the read lock for its whole duration, so a
-// single scan is atomic with respect to writers. Writers mark the
-// touched graph dirty; the next scan briefly upgrades to the write lock
-// to rebuild the sorted orderings. Because rebuilds allocate fresh
-// slices (see graphIndex.refresh), a scan that raced with a further
-// mutation keeps reading the previous, immutable ordering — per-scan
-// snapshot semantics. Consumers needing multi-scan consistency must
-// serialize with the writers themselves (endpoint.Server does this for
-// SPARQL updates).
+// Readers take Snapshot() — one atomic load when nothing was written
+// since the last one — and never block on, or are blocked by, anything
+// afterwards. Writers serialize on one mutex and only record their
+// triples in a per-graph pending delta; the first Snapshot() after a
+// write burst merges the deltas into fresh orderings and publishes the
+// result (see delta.merged for the cost). Everything a Batch wrote is
+// published together, so a Batch is atomic to every reader. The read
+// methods on Store are shorthands for the same method on Snapshot().
 type Store struct {
-	mu    sync.RWMutex
-	dict  *Dict
-	def   *graphIndex
-	named map[ID]*graphIndex
+	dict *Dict
+	cur  atomic.Pointer[Snapshot] // the last published snapshot
+
+	mu      sync.Mutex    // serializes writers and publishes
+	pending map[ID]*delta // graphs written since the last publish; guarded by mu
+	stale   atomic.Bool   // len(pending) > 0, readable without mu
 }
 
 // New returns an empty store.
 func New() *Store {
-	return &Store{
-		dict:  NewDict(),
-		def:   newGraphIndex(),
-		named: make(map[ID]*graphIndex),
-	}
+	s := &Store{dict: NewDict(), pending: make(map[ID]*delta)}
+	s.cur.Store(&Snapshot{dict: s.dict, graphs: map[ID]*graph{NoID: new(graph)}})
+	return s
 }
 
 // Dict exposes the store's term dictionary.
 func (s *Store) Dict() *Dict { return s.dict }
 
-// graphFor returns the index for the given graph term (zero = default),
-// creating the named graph when create is set.
-func (s *Store) graphFor(g ID, create bool) *graphIndex {
-	if g == NoID {
-		return s.def
-	}
-	gi, ok := s.named[g]
-	if !ok && create {
-		gi = newGraphIndex()
-		s.named[g] = gi
-	}
-	return gi
-}
-
-// Insert adds a quad and reports whether it was new.
-func (s *Store) Insert(q rdf.Quad) bool {
-	t := IDTriple{s.dict.Intern(q.S), s.dict.Intern(q.P), s.dict.Intern(q.O)}
-	var g ID
-	if !q.G.IsZero() {
-		g = s.dict.Intern(q.G)
+// Snapshot returns the current state of the store, publishing pending
+// writes first. Every write that returned before the call is visible in
+// the result.
+func (s *Store) Snapshot() *Snapshot {
+	if !s.stale.Load() {
+		return s.cur.Load()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.graphFor(g, true).insert(t)
+	old := s.cur.Load()
+	if len(s.pending) == 0 {
+		return old // another reader published while we waited
+	}
+	sn := &Snapshot{dict: s.dict, epoch: old.epoch + 1, graphs: make(map[ID]*graph, len(old.graphs)+len(s.pending))}
+	for g, gr := range old.graphs {
+		sn.graphs[g] = gr
+	}
+	for g, d := range s.pending {
+		sn.graphs[g] = d.merged()
+	}
+	clear(s.pending)
+	s.cur.Store(sn)
+	s.stale.Store(false)
+	return sn
+}
+
+// Batch is the write handle passed to Store.Batch's callback.
+type Batch struct{ s *Store }
+
+// Batch runs fn holding the write lock, so everything fn writes through
+// b becomes visible to readers at once. fn must not read the store
+// (Snapshot would wait for the lock fn holds); a read-modify-write
+// takes its Snapshot before calling Batch.
+func (s *Store) Batch(fn func(b *Batch)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fn(&Batch{s})
+}
+
+// delta returns the pending delta of graph g, opening one when the
+// graph exists or create is set; nil otherwise.
+func (b *Batch) delta(g ID, create bool) *delta {
+	if d := b.s.pending[g]; d != nil {
+		return d
+	}
+	base := b.s.cur.Load().graphs[g]
+	if base == nil {
+		if !create {
+			return nil
+		}
+		base = new(graph)
+	}
+	d := newDelta(base)
+	b.s.pending[g] = d
+	b.s.stale.Store(true)
+	return d
+}
+
+// Insert adds a quad and reports whether it was new.
+func (b *Batch) Insert(q rdf.Quad) bool {
+	dict := b.s.dict
+	g, _ := dict.graphID(q.G, true)
+	return b.delta(g, true).insert(IDTriple{dict.Intern(q.S), dict.Intern(q.P), dict.Intern(q.O)})
+}
+
+// Delete removes a quad and reports whether it was present.
+func (b *Batch) Delete(q rdf.Quad) bool {
+	pat, ok := b.s.dict.patternIDs(q.S, q.P, q.O)
+	if !ok {
+		return false
+	}
+	g, ok := b.s.dict.graphID(q.G, false)
+	if !ok {
+		return false
+	}
+	d := b.delta(g, false)
+	return d != nil && d.remove(pat)
+}
+
+// reset makes graph g's next snapshot start from an empty base, which
+// empties the graph in O(1).
+func (b *Batch) reset(g ID) {
+	b.s.pending[g] = newDelta(new(graph))
+	b.s.stale.Store(true)
+}
+
+// Clear empties the graph named by g (zero Term for the default graph);
+// a graph that does not exist is left that way.
+func (b *Batch) Clear(g rdf.Term) {
+	gid, ok := b.s.dict.graphID(g, false)
+	if ok && (b.s.pending[gid] != nil || b.s.cur.Load().graphs[gid] != nil) {
+		b.reset(gid)
+	}
+}
+
+// ClearAll empties every graph.
+func (b *Batch) ClearAll() {
+	for g := range b.s.cur.Load().graphs {
+		b.reset(g)
+	}
+	for g := range b.s.pending {
+		b.reset(g)
+	}
+}
+
+// Insert adds a quad and reports whether it was new.
+func (s *Store) Insert(q rdf.Quad) (added bool) {
+	s.Batch(func(b *Batch) { added = b.Insert(q) })
+	return added
+}
+
+// Delete removes a quad and reports whether it was present.
+func (s *Store) Delete(q rdf.Quad) (removed bool) {
+	s.Batch(func(b *Batch) { removed = b.Delete(q) })
+	return removed
 }
 
 // InsertTriples bulk-adds triples into the graph named by g (zero Term
@@ -168,110 +383,59 @@ func (s *Store) InsertTriples(g rdf.Term, ts []rdf.Triple) int {
 	return s.InsertTriplesP(g, ts, nil)
 }
 
-// insertChunk bounds how many triples a bulk insert adds per lock
-// acquisition, so progress can be reported and readers are not starved
-// during a large load.
+// insertChunk bounds how many triples a bulk insert adds per Batch, so
+// progress can be reported and a concurrent reader waits for one chunk,
+// not for the whole load, before it publishes.
 const insertChunk = 4096
 
 // InsertTriplesP is InsertTriples with bulk-load progress reporting:
-// ph (nil-safe) grows by len(ts) and advances per inserted chunk. The
-// write lock is taken per chunk, not for the whole load.
+// ph (nil-safe) grows by len(ts) and advances per inserted chunk. Each
+// chunk is one Batch: a concurrent reader sees whole chunks only.
 func (s *Store) InsertTriplesP(g rdf.Term, ts []rdf.Triple, ph *obs.Phase) int {
-	var gid ID
-	if !g.IsZero() {
-		gid = s.dict.Intern(g)
-	}
+	gid, _ := s.dict.graphID(g, true)
 	ph.Grow(int64(len(ts)))
 	added := 0
 	for len(ts) > 0 {
-		chunk := ts
-		if len(chunk) > insertChunk {
-			chunk = chunk[:insertChunk]
-		}
+		chunk := ts[:min(len(ts), insertChunk)]
 		ts = ts[len(chunk):]
-		s.mu.Lock()
-		gi := s.graphFor(gid, true)
-		for _, t := range chunk {
-			it := IDTriple{s.dict.Intern(t.S), s.dict.Intern(t.P), s.dict.Intern(t.O)}
-			if gi.insert(it) {
-				added++
+		s.Batch(func(b *Batch) {
+			d := b.delta(gid, true)
+			for _, t := range chunk {
+				if d.insert(IDTriple{s.dict.Intern(t.S), s.dict.Intern(t.P), s.dict.Intern(t.O)}) {
+					added++
+				}
 			}
-		}
-		s.mu.Unlock()
+		})
 		ph.Add(int64(len(chunk)))
 	}
 	return added
 }
 
-// Delete removes a quad and reports whether it was present.
-func (s *Store) Delete(q rdf.Quad) bool {
-	sid, ok := s.dict.Lookup(q.S)
-	if !ok {
-		return false
-	}
-	pid, ok := s.dict.Lookup(q.P)
-	if !ok {
-		return false
-	}
-	oid, ok := s.dict.Lookup(q.O)
-	if !ok {
-		return false
-	}
-	var gid ID
-	if !q.G.IsZero() {
-		gid, ok = s.dict.Lookup(q.G)
-		if !ok {
-			return false
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	gi := s.graphFor(gid, false)
-	if gi == nil {
-		return false
-	}
-	return gi.remove(IDTriple{sid, pid, oid})
-}
-
 // Len returns the number of triples in the graph named by g (zero Term
 // for the default graph).
-func (s *Store) Len(g rdf.Term) int {
-	var gid ID
-	if !g.IsZero() {
-		var ok bool
-		gid, ok = s.dict.Lookup(g)
-		if !ok {
-			return 0
-		}
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	gi := s.graphFor(gid, false)
-	if gi == nil {
+func (sn *Snapshot) Len(g rdf.Term) int {
+	gid, ok := sn.dict.graphID(g, false)
+	if !ok {
 		return 0
 	}
-	return len(gi.set)
+	return sn.Count(gid, IDTriple{})
 }
 
 // TotalLen returns the number of triples across all graphs.
-func (s *Store) TotalLen() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := len(s.def.set)
-	for _, gi := range s.named {
-		n += len(gi.set)
+func (sn *Snapshot) TotalLen() int {
+	n := 0
+	for _, gr := range sn.graphs {
+		n += len(gr.idx[spo])
 	}
 	return n
 }
 
 // GraphNames returns the terms naming the non-empty named graphs.
-func (s *Store) GraphNames() []rdf.Term {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]rdf.Term, 0, len(s.named))
-	for gid, gi := range s.named {
-		if len(gi.set) > 0 {
-			out = append(out, s.dict.Term(gid))
+func (sn *Snapshot) GraphNames() []rdf.Term {
+	var out []rdf.Term
+	for gid, gr := range sn.graphs {
+		if gid != NoID && len(gr.idx[spo]) > 0 {
+			out = append(out, sn.dict.Term(gid))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
@@ -280,266 +444,112 @@ func (s *Store) GraphNames() []rdf.Term {
 
 // GraphID resolves a graph term to its id, reporting whether the graph
 // exists. The zero term resolves to NoID (the default graph).
-func (s *Store) GraphID(g rdf.Term) (ID, bool) {
-	if g.IsZero() {
-		return NoID, true
-	}
-	gid, ok := s.dict.Lookup(g)
-	if !ok {
+func (sn *Snapshot) GraphID(g rdf.Term) (ID, bool) {
+	gid, ok := sn.dict.graphID(g, false)
+	if !ok || sn.graphs[gid] == nil {
 		return NoID, false
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, exists := s.named[gid]
-	return gid, exists
+	return gid, true
 }
 
-// NamedGraphIDs returns ids of all named graphs.
-func (s *Store) NamedGraphIDs() []ID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]ID, 0, len(s.named))
-	for gid := range s.named {
-		out = append(out, gid)
+// NamedGraphIDs returns ids of all named graphs, ascending.
+func (sn *Snapshot) NamedGraphIDs() []ID {
+	out := make([]ID, 0, len(sn.graphs)-1)
+	for gid := range sn.graphs {
+		if gid != NoID {
+			out = append(out, gid)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-// MatchIDs streams all id-triples in graph g matching the pattern (NoID
-// components are wildcards) to fn. Iteration stops early if fn returns
-// false. Pass NoID as g for the default graph.
-func (s *Store) MatchIDs(g ID, pat IDTriple, fn func(IDTriple) bool) {
-	s.mu.RLock()
-	gi := s.graphFor(g, false)
-	if gi == nil {
-		s.mu.RUnlock()
-		return
+// Range returns the id-triples in graph g (NoID for the default graph)
+// matching the pattern (NoID components are wildcards), in the order of
+// the index that serves it. The slice is part of the snapshot: callers
+// must not modify it.
+func (sn *Snapshot) Range(g ID, pat IDTriple) []IDTriple {
+	gr := sn.graphs[g]
+	if gr == nil {
+		return nil
 	}
-	if gi.dirty {
-		// Upgrade to rebuild the orderings, then downgrade. A scan that
-		// races with a further mutation reads the previous (immutable)
-		// slices, which is the usual snapshot behaviour.
-		s.mu.RUnlock()
-		s.mu.Lock()
-		gi.refresh()
-		s.mu.Unlock()
-		s.mu.RLock()
-	}
-	defer s.mu.RUnlock()
-	scanIndex(gi, pat, fn)
+	return gr.rng(pat)
 }
 
 // Count returns the exact number of triples matching the pattern in
-// graph g. It uses binary search on the chosen index, so it is cheap
-// enough for the query planner to call per pattern.
-func (s *Store) Count(g ID, pat IDTriple) int {
-	n := 0
-	s.MatchIDs(g, pat, func(IDTriple) bool { n++; return true })
-	return n
+// graph g: two binary searches, cheap enough for the query planner to
+// call per pattern.
+func (sn *Snapshot) Count(g ID, pat IDTriple) int { return len(sn.Range(g, pat)) }
+
+// termRange is Range over terms: zero terms are wildcards, and a bound
+// term or graph missing from the dictionary matches nothing.
+func (sn *Snapshot) termRange(g, sub, pred, obj rdf.Term) []IDTriple {
+	gid, ok := sn.dict.graphID(g, false)
+	if !ok {
+		return nil
+	}
+	pat, ok := sn.dict.patternIDs(sub, pred, obj)
+	if !ok {
+		return nil
+	}
+	return sn.Range(gid, pat)
 }
 
 // Match streams term-level triples matching a term pattern (zero terms
-// are wildcards) from graph g (zero Term for default).
-func (s *Store) Match(g rdf.Term, sub, pred, obj rdf.Term, fn func(rdf.Triple) bool) {
-	var gid ID
-	if !g.IsZero() {
-		var ok bool
-		gid, ok = s.dict.Lookup(g)
-		if !ok {
+// are wildcards) from graph g (zero Term for default) until fn returns
+// false.
+func (sn *Snapshot) Match(g rdf.Term, sub, pred, obj rdf.Term, fn func(rdf.Triple) bool) {
+	for _, t := range sn.termRange(g, sub, pred, obj) {
+		if !fn(sn.dict.triple(t)) {
 			return
 		}
 	}
-	pat, ok := s.patternIDs(sub, pred, obj)
-	if !ok {
-		return
-	}
-	s.MatchIDs(gid, pat, func(t IDTriple) bool {
-		return fn(rdf.NewTriple(s.dict.Term(t.S), s.dict.Term(t.P), s.dict.Term(t.O)))
-	})
 }
 
 // MatchAll collects all matching triples from graph g.
-func (s *Store) MatchAll(g rdf.Term, sub, pred, obj rdf.Term) []rdf.Triple {
-	var out []rdf.Triple
-	s.Match(g, sub, pred, obj, func(t rdf.Triple) bool {
-		out = append(out, t)
-		return true
-	})
+func (sn *Snapshot) MatchAll(g rdf.Term, sub, pred, obj rdf.Term) []rdf.Triple {
+	ids := sn.termRange(g, sub, pred, obj)
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]rdf.Triple, len(ids))
+	for i, t := range ids {
+		out[i] = sn.dict.triple(t)
+	}
 	return out
 }
 
-// patternIDs converts a term pattern to an id pattern; ok is false when
-// a bound term is not in the dictionary (no triples can match).
-func (s *Store) patternIDs(sub, pred, obj rdf.Term) (IDTriple, bool) {
-	var pat IDTriple
-	if !sub.IsZero() {
-		id, ok := s.dict.Lookup(sub)
-		if !ok {
-			return pat, false
-		}
-		pat.S = id
-	}
-	if !pred.IsZero() {
-		id, ok := s.dict.Lookup(pred)
-		if !ok {
-			return pat, false
-		}
-		pat.P = id
-	}
-	if !obj.IsZero() {
-		id, ok := s.dict.Lookup(obj)
-		if !ok {
-			return pat, false
-		}
-		pat.O = id
-	}
-	return pat, true
-}
-
-// Scan is a resumable cursor over one index snapshot. It is created by
-// ScanIDs/MatchScan under the store's read lock, which captures the
-// refreshed sorted ordering and the seek position; Next then iterates
-// without any locking, because refresh() always builds fresh slices and
-// never mutates a published one (see the package comment's concurrency
-// contract). A Scan may therefore be suspended indefinitely — e.g. held
-// across chunk boundaries by the streaming query pipeline — without
-// holding up writers; like every scan it observes the snapshot current
-// at creation time.
+// Scan is a resumable cursor over one Range of a snapshot. It holds no
+// lock and the snapshot never changes, so a Scan may be suspended
+// indefinitely — e.g. held across chunk boundaries by the streaming
+// query pipeline — without holding up writers, and keeps yielding the
+// triples of the snapshot it was taken from.
 type Scan struct {
 	dict *Dict
-	idx  []IDTriple
-	pos  int
-	pat  IDTriple
-	mode scanMode
+	rest []IDTriple
 }
 
-type scanMode uint8
-
-const (
-	scanDone scanMode = iota // exhausted or empty
-	scanSPO                  // S bound: prefix scan of the SPO ordering
-	scanPOS                  // P bound: prefix scan of the POS ordering
-	scanOSP                  // O bound: prefix scan of the OSP ordering
-	scanAll                  // nothing bound: full SPO iteration
-)
-
-// ScanIDs returns a resumable cursor over the id-triples in graph g
-// matching the pattern (NoID components are wildcards), equivalent to
-// MatchIDs but pull-driven. Pass NoID as g for the default graph.
-func (s *Store) ScanIDs(g ID, pat IDTriple) *Scan {
-	s.mu.RLock()
-	gi := s.graphFor(g, false)
-	if gi == nil {
-		s.mu.RUnlock()
-		return &Scan{dict: s.dict}
-	}
-	if gi.dirty {
-		// Same upgrade dance as MatchIDs: rebuild the orderings, then
-		// capture them under the read lock.
-		s.mu.RUnlock()
-		s.mu.Lock()
-		gi.refresh()
-		s.mu.Unlock()
-		s.mu.RLock()
-	}
-	defer s.mu.RUnlock()
-	sc := &Scan{dict: s.dict, pat: pat}
-	switch {
-	case pat.S != NoID:
-		sc.mode = scanSPO
-		sc.idx = gi.spo
-		sc.pos = sort.Search(len(gi.spo), func(i int) bool {
-			return !spoPrefixLess(gi.spo[i], pat)
-		})
-	case pat.P != NoID:
-		sc.mode = scanPOS
-		sc.idx = gi.pos
-		sc.pos = sort.Search(len(gi.pos), func(i int) bool {
-			return !posPrefixLess(gi.pos[i], pat)
-		})
-	case pat.O != NoID:
-		sc.mode = scanOSP
-		sc.idx = gi.osp
-		sc.pos = sort.Search(len(gi.osp), func(i int) bool {
-			return gi.osp[i].O >= pat.O
-		})
-	default:
-		sc.mode = scanAll
-		sc.idx = gi.spo
-	}
-	return sc
+// ScanIDs returns a cursor over Range(g, pat).
+func (sn *Snapshot) ScanIDs(g ID, pat IDTriple) *Scan {
+	return &Scan{dict: sn.dict, rest: sn.Range(g, pat)}
 }
 
 // MatchScan is the term-level ScanIDs: zero terms are wildcards, and a
-// bound term missing from the dictionary yields an empty cursor (no
-// triple can match it). Pass the zero Term as g for the default graph.
-func (s *Store) MatchScan(g rdf.Term, sub, pred, obj rdf.Term) *Scan {
-	var gid ID
-	if !g.IsZero() {
-		var ok bool
-		gid, ok = s.dict.Lookup(g)
-		if !ok {
-			return &Scan{dict: s.dict}
-		}
-	}
-	pat, ok := s.patternIDs(sub, pred, obj)
-	if !ok {
-		return &Scan{dict: s.dict}
-	}
-	return s.ScanIDs(gid, pat)
+// bound term or graph missing from the dictionary yields an empty
+// cursor. Pass the zero Term as g for the default graph.
+func (sn *Snapshot) MatchScan(g rdf.Term, sub, pred, obj rdf.Term) *Scan {
+	return &Scan{dict: sn.dict, rest: sn.termRange(g, sub, pred, obj)}
 }
 
-// Next returns the next matching id-triple, applying the same per-index
-// skip/stop rules as scanIndex. ok is false once the cursor is
-// exhausted.
+// Next returns the next matching id-triple; ok is false once the cursor
+// is exhausted.
 func (c *Scan) Next() (IDTriple, bool) {
-	for c.pos < len(c.idx) {
-		t := c.idx[c.pos]
-		c.pos++
-		switch c.mode {
-		case scanSPO:
-			if t.S != c.pat.S {
-				c.mode = scanDone
-				return IDTriple{}, false
-			}
-			if c.pat.P != NoID && t.P != c.pat.P {
-				c.mode = scanDone
-				return IDTriple{}, false
-			}
-			if c.pat.O != NoID && t.O != c.pat.O {
-				if c.pat.P != NoID {
-					c.mode = scanDone
-					return IDTriple{}, false
-				}
-				continue
-			}
-		case scanPOS:
-			if t.P != c.pat.P {
-				c.mode = scanDone
-				return IDTriple{}, false
-			}
-			if c.pat.O != NoID && t.O != c.pat.O {
-				if t.O > c.pat.O {
-					c.mode = scanDone
-					return IDTriple{}, false
-				}
-				continue
-			}
-		case scanOSP:
-			if t.O != c.pat.O {
-				c.mode = scanDone
-				return IDTriple{}, false
-			}
-		case scanAll:
-			// full iteration, no filtering
-		default:
-			return IDTriple{}, false
-		}
-		return t, true
+	if len(c.rest) == 0 {
+		return IDTriple{}, false
 	}
-	c.mode = scanDone
-	return IDTriple{}, false
+	t := c.rest[0]
+	c.rest = c.rest[1:]
+	return t, true
 }
 
 // NextTriple is Next with the ids resolved back to terms.
@@ -548,107 +558,21 @@ func (c *Scan) NextTriple() (rdf.Triple, bool) {
 	if !ok {
 		return rdf.Triple{}, false
 	}
-	return rdf.NewTriple(c.dict.Term(t.S), c.dict.Term(t.P), c.dict.Term(t.O)), true
+	return c.dict.triple(t), true
 }
 
-// scanIndex selects the best index for the pattern and streams matches.
-func scanIndex(gi *graphIndex, pat IDTriple, fn func(IDTriple) bool) {
-	switch {
-	case pat.S != NoID:
-		// SPO with prefix S (and P, and O).
-		lo := sort.Search(len(gi.spo), func(i int) bool {
-			return !spoPrefixLess(gi.spo[i], pat)
-		})
-		for i := lo; i < len(gi.spo); i++ {
-			t := gi.spo[i]
-			if t.S != pat.S {
-				break
-			}
-			// lo was positioned at the full prefix, so within the same
-			// S any mismatching P (or, with P bound, any mismatching O)
-			// lies past the match range.
-			if pat.P != NoID && t.P != pat.P {
-				break
-			}
-			if pat.O != NoID && t.O != pat.O {
-				if pat.P != NoID {
-					break
-				}
-				continue
-			}
-			if !fn(t) {
-				return
-			}
-		}
-	case pat.P != NoID:
-		// POS with prefix P (and O).
-		lo := sort.Search(len(gi.pos), func(i int) bool {
-			return !posPrefixLess(gi.pos[i], pat)
-		})
-		for i := lo; i < len(gi.pos); i++ {
-			t := gi.pos[i]
-			if t.P != pat.P {
-				break
-			}
-			if pat.O != NoID && t.O != pat.O {
-				if t.O > pat.O {
-					break
-				}
-				continue
-			}
-			if !fn(t) {
-				return
-			}
-		}
-	case pat.O != NoID:
-		// OSP with prefix O.
-		lo := sort.Search(len(gi.osp), func(i int) bool {
-			return gi.osp[i].O >= pat.O
-		})
-		for i := lo; i < len(gi.osp); i++ {
-			t := gi.osp[i]
-			if t.O != pat.O {
-				break
-			}
-			if !fn(t) {
-				return
-			}
-		}
-	default:
-		for _, t := range gi.spo {
-			if !fn(t) {
-				return
-			}
-		}
-	}
-}
+// The read methods below are the same method on the current Snapshot.
 
-// spoPrefixLess reports whether t sorts strictly before the first
-// possible match of pat in SPO order.
-func spoPrefixLess(t, pat IDTriple) bool {
-	if t.S != pat.S {
-		return t.S < pat.S
-	}
-	if pat.P == NoID {
-		return false
-	}
-	if t.P != pat.P {
-		return t.P < pat.P
-	}
-	if pat.O == NoID {
-		return false
-	}
-	return t.O < pat.O
+func (s *Store) Len(g rdf.Term) int               { return s.Snapshot().Len(g) }
+func (s *Store) TotalLen() int                    { return s.Snapshot().TotalLen() }
+func (s *Store) GraphNames() []rdf.Term           { return s.Snapshot().GraphNames() }
+func (s *Store) Count(g ID, pat IDTriple) int     { return s.Snapshot().Count(g, pat) }
+func (s *Store) ScanIDs(g ID, pat IDTriple) *Scan { return s.Snapshot().ScanIDs(g, pat) }
+func (s *Store) GraphStat(g ID) GraphStat         { return s.Snapshot().GraphStat(g) }
+func (s *Store) Stats() Stats                     { return s.Snapshot().Stats() }
+func (s *Store) Match(g, sub, pred, obj rdf.Term, fn func(rdf.Triple) bool) {
+	s.Snapshot().Match(g, sub, pred, obj, fn)
 }
-
-// posPrefixLess reports whether t sorts strictly before the first
-// possible match of pat in POS order.
-func posPrefixLess(t, pat IDTriple) bool {
-	if t.P != pat.P {
-		return t.P < pat.P
-	}
-	if pat.O == NoID {
-		return false
-	}
-	return t.O < pat.O
+func (s *Store) MatchAll(g, sub, pred, obj rdf.Term) []rdf.Triple {
+	return s.Snapshot().MatchAll(g, sub, pred, obj)
 }

@@ -114,13 +114,13 @@ func TestStoreNamedGraphs(t *testing.T) {
 	if got := s.MatchAll(g1, rdf.Term{}, rdf.Term{}, rdf.Term{}); len(got) != 1 || got[0].O != iri("o1") {
 		t.Fatalf("graph-scoped match = %v", got)
 	}
-	if _, ok := s.GraphID(iri("unknown")); ok {
+	if _, ok := s.Snapshot().GraphID(iri("unknown")); ok {
 		t.Fatal("unknown graph must not resolve")
 	}
-	if gid, ok := s.GraphID(rdf.Term{}); !ok || gid != NoID {
+	if gid, ok := s.Snapshot().GraphID(rdf.Term{}); !ok || gid != NoID {
 		t.Fatal("zero term must resolve to default graph")
 	}
-	if got := len(s.NamedGraphIDs()); got != 2 {
+	if got := len(s.Snapshot().NamedGraphIDs()); got != 2 {
 		t.Fatalf("NamedGraphIDs = %d", got)
 	}
 }
@@ -271,7 +271,7 @@ func TestStoreInsertIdempotentProperty(t *testing.T) {
 
 // TestStoreConcurrentReadWrite hammers the store with concurrent
 // inserts, deletes, and pattern scans; run with -race this locks in the
-// locking discipline around the lazy index rebuild.
+// lock-free read path around the lazy publish.
 func TestStoreConcurrentReadWrite(t *testing.T) {
 	s := New()
 	p := iri("p")
