@@ -39,11 +39,11 @@ bench:
 
 # Machine-readable benchmark snapshot: one fast pass (-short,
 # -benchtime 1x) over every benchmark, converted to JSON by
-# cmd/benchjson and committed as BENCH_PR14.json so regressions show up
+# cmd/benchjson and committed as BENCH_PR15.json so regressions show up
 # in review diffs. Use `make bench` for real measurements.
 bench-json:
 	$(GO) test -run xxx -bench . -benchmem -short -benchtime 1x . \
-	  | $(GO) run ./cmd/benchjson -o BENCH_PR14.json
+	  | $(GO) run ./cmd/benchjson -o BENCH_PR15.json
 
 # Regression gates. First: diff the previous PR's committed snapshot
 # against this PR's and fail on ns/op regressions. The tool's default
@@ -56,8 +56,8 @@ bench-json:
 # threshold of its planner=off sibling, so turning the cost-based
 # planner on by default can never ship a slowdown.
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare -threshold 0.50 BENCH_PR13.json BENCH_PR14.json
-	$(GO) run ./cmd/benchjson -ablation planner -threshold 0.50 BENCH_PR14.json
+	$(GO) run ./cmd/benchjson -compare -threshold 0.50 BENCH_PR14.json BENCH_PR15.json
+	$(GO) run ./cmd/benchjson -ablation planner -threshold 0.50 BENCH_PR15.json
 
 # SLO gate: boot sparqld on the demo cube, enrich it over HTTP, fire a
 # short seeded mixed workload with `qb2olap bench` through the remote
@@ -102,10 +102,13 @@ bench-concurrent:
 # tracer, trace export, a debug listener, and the metrics time-series
 # sampler with slo.json as live alert rules, then drives /metrics
 # (JSON and Prometheus text), /healthz, /readyz, /debug/vars, a traced
-# (?explain=1) query, the workload-fingerprint view (/workload, both
-# JSON and text), the time-series API (/timeseries), the alert state
-# (/alerts), the HTML dashboard (/debug/dash, which must carry inline
-# SVG), and the offline trace analyzer over the exported archive.
+# (?explain=1) query, a CSV, a TSV and a CONSTRUCT response (the server
+# runs -sample 1, so each is a traced request on the one response path;
+# each is checked by its first line), the workload-fingerprint view
+# (/workload, both JSON and text), the time-series API (/timeseries),
+# the alert state (/alerts), the HTML dashboard (/debug/dash, which must
+# carry inline SVG), and the offline trace analyzer over the exported
+# archive.
 # A second short-lived server with an absurdly tight SLO (p99 ≤ 0.1µs)
 # and sub-second burn-rate windows proves the alert pipeline actually
 # fires under load — the negative test that guards against an
@@ -136,6 +139,13 @@ obs-smoke:
 	  --data-urlencode 'query=SELECT ?s WHERE { ?s ?p ?o } LIMIT 5' | grep -q 'BGP'; \
 	curl -fsS --get http://127.0.0.1:18080/sparql \
 	  --data-urlencode 'query=SELECT ?s WHERE { ?s ?p ?o } LIMIT 5' >/dev/null; \
+	curl -fsS --get -H 'Accept: text/csv' http://127.0.0.1:18080/sparql \
+	  --data-urlencode 'query=SELECT ?s ?o WHERE { ?s ?p ?o } LIMIT 5' | sed -n 1p | grep -q '^s,o'; \
+	curl -fsS --get -H 'Accept: text/tab-separated-values' http://127.0.0.1:18080/sparql \
+	  --data-urlencode 'query=SELECT ?s ?o WHERE { ?s ?p ?o } LIMIT 5' | sed -n 1p | grep -q '^?s	?o'; \
+	curl -fsS --get http://127.0.0.1:18080/sparql \
+	  --data-urlencode 'query=CONSTRUCT { ?s a <http://example.org/Seen> } WHERE { { SELECT ?s WHERE { ?s ?p ?o } LIMIT 5 } }' \
+	  | sed -n 1p | grep -q '<http://example.org/Seen> \.$$'; \
 	curl -fsS http://127.0.0.1:18081/debug/traces | grep -q 'SELECT'; \
 	curl -fsS 'http://127.0.0.1:18080/workload?text=1' | grep -q 'workload:'; \
 	curl -fsS http://127.0.0.1:18080/workload | grep -q '"shapes"'; \

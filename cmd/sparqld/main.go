@@ -258,7 +258,7 @@ func main() {
 	// surface: zero while translation choice happens client-side, live
 	// the moment anything in this process (an embedded tool, a future
 	// server-side translator) calls Choose.
-	ql.RegisterChooseMetrics(srv.Registry())
+	ql.RegisterChooseMetrics(srv.Metrics())
 	srv.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	srv.SlowQuery = *slowlog
 	srv.QueryTimeout = *queryTimeout

@@ -165,12 +165,12 @@ func (l *Local) EstimateCost(query string) (float64, error) {
 // With a Tracer installed, every Select draws a trace ID, asks the
 // Sampler for a verdict (nil samples everything), and — when sampled —
 // sends a W3C traceparent header so a qb2olap-aware server evaluates
-// the query traced and returns its span tree in the X-Qb2olap-Trace
-// response header. The client stitches that tree under its own HTTP
-// span and collects the result: one end-to-end trace per sampled query,
-// exported as JSONL when an Exporter is set. Unsampled queries send an
-// unsampled traceparent, which pins the server to its untraced fast
-// path too.
+// the query traced and returns its span tree (in the X-Qb2olap-Trace
+// response header, or closing a streamed body). The client stitches
+// that tree under its own HTTP span and collects the result: one
+// end-to-end trace per sampled query, exported as JSONL when an
+// Exporter is set. Unsampled queries send an unsampled traceparent,
+// which pins the server to its untraced fast path too.
 //
 // The zero resilience configuration is the plain single-attempt client.
 // With Retries > 0 the idempotent exchanges (Select, Explain) are
@@ -250,6 +250,7 @@ func (r *Remote) Select(query string) (*sparql.Results, error) {
 // SelectContext implements ContextClient: ctx bounds the whole exchange
 // including retries and backoff waits.
 func (r *Remote) SelectContext(ctx context.Context, query string) (*sparql.Results, error) {
+	traceparent := ""
 	if r.tracing() {
 		id := obs.NewTraceID()
 		if r.Sampler.Sample(id) {
@@ -257,9 +258,10 @@ func (r *Remote) SelectContext(ctx context.Context, query string) (*sparql.Resul
 			return res, err
 		}
 		// Unsampled: tell the server so it skips tracing too.
-		return r.retrySelect(ctx, query, obs.FormatTraceparent(id, obs.NewSpanID(), false))
+		traceparent = obs.FormatTraceparent(id, obs.NewSpanID(), false)
 	}
-	return r.retrySelect(ctx, query, "")
+	res, _, err := r.retrySelect(ctx, query, traceparent)
+	return res, err
 }
 
 // SelectTraced implements TracedClient: tracing is forced for this one
@@ -269,18 +271,15 @@ func (r *Remote) SelectTraced(query string) (*sparql.Results, *obs.Trace, error)
 	return r.selectTraced(context.Background(), query, obs.NewTraceID())
 }
 
-// retrySelect runs one (possibly retried) query exchange.
-func (r *Remote) retrySelect(ctx context.Context, query, traceparent string) (*sparql.Results, error) {
-	var res *sparql.Results
-	err := r.retryIdempotent(ctx, "query", func(actx context.Context) *Error {
+// retrySelect runs one (possibly retried) query exchange and returns
+// the results and the last attempt's server span tree, if any.
+func (r *Remote) retrySelect(ctx context.Context, query, traceparent string) (res *sparql.Results, wire string, err error) {
+	err = r.retryIdempotent(ctx, "query", func(actx context.Context) *Error {
 		var aerr *Error
-		res, _, aerr = r.doSelect(actx, query, traceparent)
+		res, wire, aerr = r.doSelect(actx, query, traceparent)
 		return aerr
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return res, wire, err
 }
 
 // selectTraced runs one sampled query: it wraps the (possibly retried)
@@ -289,15 +288,9 @@ func (r *Remote) retrySelect(ctx context.Context, query, traceparent string) (*s
 func (r *Remote) selectTraced(ctx context.Context, query string, id obs.TraceID) (*sparql.Results, *obs.Trace, error) {
 	start := time.Now()
 	root := obs.StartSpan("HTTP", "POST "+urlPath(r.QueryURL), 1)
-	var res *sparql.Results
-	var wire string
-	err := r.retryIdempotent(ctx, "query", func(actx context.Context) *Error {
-		var aerr *Error
-		res, wire, aerr = r.doSelect(actx, query, obs.FormatTraceparent(id, obs.NewSpanID(), true))
-		return aerr
-	})
+	res, wire, err := r.retrySelect(ctx, query, obs.FormatTraceparent(id, obs.NewSpanID(), true))
 	if srv, derr := obs.DecodeSpanWire(wire); derr == nil {
-		root.Attach(srv) // nil-safe: absent header leaves a client-only span
+		root.Attach(srv) // nil-safe: no tree leaves a client-only span
 	}
 	out := 0
 	if res != nil {
@@ -419,46 +412,64 @@ func drainBody(body io.ReadCloser) {
 	body.Close()
 }
 
-// doSelect performs one protocol exchange. A non-empty traceparent is
-// propagated on the request; the raw X-Qb2olap-Trace response header
-// (the server's serialized span tree, possibly empty) is returned
-// alongside the results. The returned *Error (nil on success)
-// classifies the failure for the retry loop.
-func (r *Remote) doSelect(ctx context.Context, query, traceparent string) (*sparql.Results, string, *Error) {
-	form := url.Values{"query": {query}}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.QueryURL, strings.NewReader(form.Encode()))
+// exchange POSTs one form-encoded protocol request (what names it in
+// messages). On a 2xx status the caller drains the returned response;
+// anything else comes back as an *Error classifying the failure for the
+// retry loop, with the response — when there was one — already drained
+// and good only for its headers.
+func (r *Remote) exchange(ctx context.Context, what, target string, form url.Values, accept, traceparent string) (*http.Response, *Error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, strings.NewReader(form.Encode()))
 	if err != nil {
-		return nil, "", &Error{Err: err}
+		return nil, &Error{Err: err}
 	}
 	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	req.Header.Set("Accept", "application/sparql-results+json")
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
 	if traceparent != "" {
 		req.Header.Set(obs.TraceparentHeader, traceparent)
 	}
 	resp, err := r.client().Do(req)
 	if err != nil {
-		return nil, "", &Error{Retryable: true, Err: fmt.Errorf("endpoint: query request: %w", err)}
+		return nil, &Error{Retryable: true, Err: fmt.Errorf("endpoint: %s request: %w", what, err)}
 	}
-	defer drainBody(resp.Body)
-	wire := resp.Header.Get(obs.ServerTraceHeader)
-	if len(wire) > obs.MaxWireSpanBytes {
-		// An oversized (or hostile) trace header is dropped rather than
-		// buffered or allowed to fail the query.
-		wire = ""
-	}
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode >= 300 {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 8<<10))
-		return nil, wire, &Error{
+		drainBody(resp.Body)
+		return resp, &Error{
 			Status:     resp.StatusCode,
 			Retryable:  retryableResponse(resp),
 			RetryAfter: parseRetryAfter(resp),
-			Err:        fmt.Errorf("endpoint: query failed (%d): %s", resp.StatusCode, strings.TrimSpace(string(body))),
+			Err:        fmt.Errorf("endpoint: %s failed (%d): %s", what, resp.StatusCode, strings.TrimSpace(string(body))),
 		}
 	}
+	return resp, nil
+}
+
+// doSelect performs one query exchange. A non-empty traceparent is
+// propagated on the request; the server's serialized span tree
+// (possibly empty; DecodeSpanWire rejects a hostile one) is returned
+// alongside the results — from the X-Qb2olap-Trace response header when
+// the server finished before it sent its status line, else from the
+// "trace" member that closes a streamed document.
+func (r *Remote) doSelect(ctx context.Context, query, traceparent string) (*sparql.Results, string, *Error) {
+	resp, aerr := r.exchange(ctx, "query", r.QueryURL, url.Values{"query": {query}},
+		"application/sparql-results+json", traceparent)
+	var wire string
+	if resp != nil {
+		wire = resp.Header.Get(obs.ServerTraceHeader)
+	}
+	if aerr != nil {
+		return nil, wire, aerr
+	}
+	defer drainBody(resp.Body)
 	// The body is decoded incrementally — bindings are parsed as bytes
 	// arrive instead of buffering the document whole, the client half of
 	// the server's chunk-flushed streaming encoder.
-	res, derr := sparql.DecodeResults(resp.Body)
+	res, bodyWire, derr := sparql.DecodeTracedResults(resp.Body)
+	if wire == "" {
+		wire = bodyWire
+	}
 	// A streamed response commits its 200 before evaluation finishes;
 	// a mid-stream failure truncates the JSON and names itself in the
 	// trailer (readable only once the body is consumed). The trailer
@@ -479,70 +490,36 @@ func (r *Remote) doSelect(ctx context.Context, query, traceparent string) (*spar
 }
 
 // streamTrailerError maps a stream-error trailer to the *Error the
-// equivalent pre-body failure would have produced: a mem-limit abort is
-// permanent (the same query against the same limit fails the same way),
-// a timeout is worth a fresh exchange, a cancel or internal failure is
-// terminal for this attempt.
+// equivalent pre-body failure would have produced: a timeout is worth a
+// fresh exchange; a mem-limit abort is permanent (the same query against
+// the same limit fails the same way), and a cancel or internal failure
+// is terminal for this attempt.
 func streamTrailerError(code string) *Error {
-	switch code {
-	case streamErrMemLimit:
-		return &Error{Status: http.StatusTooManyRequests, Retryable: false,
-			Err: fmt.Errorf("endpoint: query aborted mid-stream: memory budget exceeded")}
-	case streamErrTimeout:
-		return &Error{Status: http.StatusGatewayTimeout, Retryable: true,
-			Err: fmt.Errorf("endpoint: query aborted mid-stream: timed out")}
-	case streamErrCanceled:
-		return &Error{Status: statusClientClosedRequest, Retryable: false,
-			Err: fmt.Errorf("endpoint: query aborted mid-stream: canceled")}
-	default:
-		return &Error{Status: http.StatusInternalServerError, Retryable: false,
-			Err: fmt.Errorf("endpoint: query aborted mid-stream: %s", code)}
-	}
+	status := streamErrStatus(code)
+	return &Error{Status: status, Retryable: status == http.StatusGatewayTimeout,
+		Err: fmt.Errorf("endpoint: query aborted mid-stream: %s", code)}
 }
 
 // Explain implements Explainer against the server's ?explain=1
 // surface: the query is evaluated remotely with operator tracing and
-// the rendered EXPLAIN ANALYZE tree is returned as plain text.
+// the rendered EXPLAIN ANALYZE tree is returned as plain text. Like
+// Select it is idempotent and retried.
 func (r *Remote) Explain(query string) (string, error) {
-	return r.ExplainContext(context.Background(), query)
-}
-
-// ExplainContext is Explain under a context; like Select it is
-// idempotent and retried.
-func (r *Remote) ExplainContext(ctx context.Context, query string) (string, error) {
 	var out string
-	err := r.retryIdempotent(ctx, "explain", func(actx context.Context) *Error {
-		form := url.Values{"query": {query}, "explain": {"1"}}
-		req, err := http.NewRequestWithContext(actx, http.MethodPost, r.QueryURL, strings.NewReader(form.Encode()))
-		if err != nil {
-			return &Error{Err: err}
-		}
-		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-		req.Header.Set("Accept", "text/plain")
-		resp, err := r.client().Do(req)
-		if err != nil {
-			return &Error{Retryable: true, Err: fmt.Errorf("endpoint: explain request: %w", err)}
+	err := r.retryIdempotent(context.Background(), "explain", func(actx context.Context) *Error {
+		resp, aerr := r.exchange(actx, "explain", r.QueryURL, url.Values{"query": {query}, "explain": {"1"}}, "text/plain", "")
+		if aerr != nil {
+			return aerr
 		}
 		defer drainBody(resp.Body)
 		body, err := io.ReadAll(resp.Body)
 		if err != nil {
 			return &Error{Retryable: true, Err: fmt.Errorf("endpoint: reading explain response: %w", err)}
 		}
-		if resp.StatusCode != http.StatusOK {
-			return &Error{
-				Status:     resp.StatusCode,
-				Retryable:  retryableResponse(resp),
-				RetryAfter: parseRetryAfter(resp),
-				Err:        fmt.Errorf("endpoint: explain failed (%d): %s", resp.StatusCode, strings.TrimSpace(string(body))),
-			}
-		}
 		out = string(body)
 		return nil
 	})
-	if err != nil {
-		return "", err
-	}
-	return out, nil
+	return out, err
 }
 
 // costResponse is the JSON body of the server's ?cost=1 surface. The
@@ -559,52 +536,27 @@ type costResponse struct {
 
 // EstimateCost implements CostEstimator against the server's ?cost=1
 // surface: the query is parsed and planned remotely, never evaluated.
+// Like Select it is idempotent and retried.
 func (r *Remote) EstimateCost(query string) (float64, error) {
-	return r.EstimateCostContext(context.Background(), query)
-}
-
-// EstimateCostContext is EstimateCost under a context; like Select it
-// is idempotent and retried.
-func (r *Remote) EstimateCostContext(ctx context.Context, query string) (float64, error) {
-	var cost float64
-	err := r.retryIdempotent(ctx, "cost", func(actx context.Context) *Error {
-		form := url.Values{"query": {query}, "cost": {"1"}}
-		req, err := http.NewRequestWithContext(actx, http.MethodPost, r.QueryURL, strings.NewReader(form.Encode()))
-		if err != nil {
-			return &Error{Err: err}
-		}
-		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-		req.Header.Set("Accept", "application/json")
-		resp, err := r.client().Do(req)
-		if err != nil {
-			return &Error{Retryable: true, Err: fmt.Errorf("endpoint: cost request: %w", err)}
+	var cr costResponse
+	err := r.retryIdempotent(context.Background(), "cost", func(actx context.Context) *Error {
+		resp, aerr := r.exchange(actx, "cost", r.QueryURL, url.Values{"query": {query}, "cost": {"1"}}, "application/json", "")
+		if aerr != nil {
+			return aerr
 		}
 		defer drainBody(resp.Body)
 		body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
 		if err != nil {
 			return &Error{Retryable: true, Err: fmt.Errorf("endpoint: reading cost response: %w", err)}
 		}
-		if resp.StatusCode != http.StatusOK {
-			return &Error{
-				Status:     resp.StatusCode,
-				Retryable:  retryableStatus(resp.StatusCode),
-				RetryAfter: parseRetryAfter(resp),
-				Err:        fmt.Errorf("endpoint: cost failed (%d): %s", resp.StatusCode, strings.TrimSpace(string(body))),
-			}
-		}
-		var cr costResponse
 		if err := json.Unmarshal(body, &cr); err != nil || cr.Planner == "" {
 			// Not the planner surface — likely a foreign endpoint that
 			// evaluated the query. Retrying will not produce a plan.
 			return &Error{Err: fmt.Errorf("endpoint: cost response is not a plan (server without ?cost support?)")}
 		}
-		cost = cr.Cost
 		return nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	return cost, nil
+	return cr.Cost, err
 }
 
 // Update implements SPARQLClient over HTTP.
@@ -627,28 +579,12 @@ func (r *Remote) UpdateContext(ctx context.Context, update string) error {
 		ctx, cancel = context.WithTimeout(ctx, r.Timeout)
 		defer cancel()
 	}
-	form := url.Values{"update": {update}}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.UpdateURL, strings.NewReader(form.Encode()))
-	if err != nil {
-		return &Error{Op: "update", Attempts: 1, Err: err}
+	resp, aerr := r.exchange(ctx, "update", r.UpdateURL, url.Values{"update": {update}}, "", "")
+	if aerr != nil {
+		aerr.Op, aerr.Attempts = "update", 1
+		return aerr
 	}
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	resp, err := r.client().Do(req)
-	if err != nil {
-		return &Error{Op: "update", Attempts: 1, Retryable: true, Err: fmt.Errorf("endpoint: update request: %w", err)}
-	}
-	defer drainBody(resp.Body)
-	if resp.StatusCode >= 300 {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 8<<10))
-		return &Error{
-			Op:         "update",
-			Status:     resp.StatusCode,
-			Attempts:   1,
-			Retryable:  retryableStatus(resp.StatusCode),
-			RetryAfter: parseRetryAfter(resp),
-			Err:        fmt.Errorf("endpoint: update failed (%d): %s", resp.StatusCode, strings.TrimSpace(string(body))),
-		}
-	}
+	drainBody(resp.Body)
 	return nil
 }
 

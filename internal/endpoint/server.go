@@ -73,7 +73,8 @@ type Server struct {
 
 	// QueryTimeout bounds each /sparql evaluation. An expired query
 	// returns 504 Gateway Timeout (with the partial trace collected so
-	// far when the query was traced) and counts in
+	// far when the query was traced) — or, once its body has started,
+	// the "timeout" stream-error trailer — and counts in
 	// queries_timeout_total. Zero disables the per-query deadline; the
 	// request context still cancels evaluation when the caller
 	// disconnects. Set before the first request.
@@ -101,9 +102,9 @@ type Server struct {
 	// everything (the pre-sampling behaviour). Requests arriving with a
 	// W3C traceparent header bypass the sampler entirely: the caller's
 	// sampled flag is honored, the propagated trace ID is adopted, and
-	// a sampled request additionally returns the server's serialized
-	// span tree in the X-Qb2olap-Trace response header so the caller
-	// can stitch one end-to-end trace.
+	// a sampled request additionally gets the server's serialized span
+	// tree back (see respond) so the caller can stitch one end-to-end
+	// trace.
 	Sampler *obs.Sampler
 
 	// Exporter, when set, appends every recorded trace as JSONL (the
@@ -246,7 +247,8 @@ func NewServer(st *store.Store, opts ...sparql.Option) *Server {
 func (s *Server) Engine() *sparql.Engine { return s.engine }
 
 // Metrics exposes the server's metrics registry (served at /metrics),
-// so embedders can add their own gauges or publish it via expvar.
+// so embedders can add their own gauges (sparqld registers the
+// ql.Choose decision counters this way) or publish it via expvar.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // Handler returns the HTTP handler implementing the protocol routes:
@@ -299,11 +301,6 @@ func (s *Server) mountSeries(mux *http.ServeMux) {
 	}
 }
 
-// Registry exposes the server's metrics registry so embedders can
-// publish additional gauges on the same /metrics surface (sparqld
-// registers the ql.Choose decision counters this way).
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // DebugHandler returns the standalone diagnostics mux (/metrics,
 // /debug/vars, /debug/pprof, /debug/traces, /debug/slow, and — when
 // Series/Alerts are set — /timeseries, /debug/dash, /alerts) for
@@ -333,7 +330,15 @@ type obsResponseWriter struct {
 	// they get their own access-log outcome and stay out of the
 	// workload registry.
 	costOnly bool
+	// streamErr is the stream-error trailer code of a query that failed
+	// after its 200 was committed; the middleware books the request
+	// under the status the same failure has before the body starts.
+	streamErr string
 }
+
+// Unwrap lets http.ResponseController reach the underlying writer's
+// Flush (an embedded interface hides it from type assertions).
+func (w *obsResponseWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 func (w *obsResponseWriter) WriteHeader(code int) {
 	w.status = code
@@ -362,6 +367,13 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			s.inflightN.Add(-1)
 		}
 		d := time.Since(start)
+		// A mid-stream abort answered 200 on the wire; everything below
+		// — counters, outcome, workload, slow log — sees the status the
+		// same failure gets before the body starts.
+		status := ow.status
+		if ow.streamErr != "" {
+			status = streamErrStatus(ow.streamErr)
+		}
 		switch route {
 		case "/sparql":
 			s.mQueries.Inc()
@@ -373,15 +385,15 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			s.mLoads.Inc()
 			s.hLoad.Observe(d)
 		}
-		if ow.status >= 400 {
+		if status >= 400 {
 			s.mErrors.Inc()
 		}
 		// queries_failed_total counts user-visible /sparql failures —
 		// the numerator of the alerting error rate. Sheds (503) and
 		// client disconnects (499) are excluded: shedding has its own
 		// rate, and a caller hanging up is not a server failure.
-		if route == "/sparql" && !ow.costOnly && ow.status >= 400 &&
-			ow.status != http.StatusServiceUnavailable && ow.status != statusClientClosedRequest {
+		if route == "/sparql" && !ow.costOnly && status >= 400 &&
+			status != http.StatusServiceUnavailable && status != statusClientClosedRequest {
 			s.mFailed.Inc()
 		}
 		// Resilience outcome for the access log: shed, timeout, and
@@ -392,19 +404,19 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		outcome := "ok"
 		wlOutcome := obs.OutcomeOK
 		switch {
-		case ow.costOnly && ow.status == http.StatusConflict:
+		case ow.costOnly && status == http.StatusConflict:
 			outcome = "cost-unavailable"
-		case ow.costOnly && ow.status < 400:
+		case ow.costOnly && status < 400:
 			outcome = "cost"
-		case route == "/sparql" && ow.status == http.StatusServiceUnavailable:
+		case route == "/sparql" && status == http.StatusServiceUnavailable:
 			outcome, wlOutcome = "shed", obs.OutcomeShed
-		case route == "/sparql" && ow.status == http.StatusTooManyRequests:
+		case route == "/sparql" && status == http.StatusTooManyRequests:
 			outcome, wlOutcome = "over-mem", obs.OutcomeError
-		case ow.status == http.StatusGatewayTimeout:
+		case status == http.StatusGatewayTimeout:
 			outcome, wlOutcome = "timeout", obs.OutcomeTimeout
-		case ow.status == statusClientClosedRequest:
+		case status == statusClientClosedRequest:
 			outcome, wlOutcome = "canceled", obs.OutcomeCanceled
-		case ow.status >= 400:
+		case status >= 400:
 			outcome, wlOutcome = "error", obs.OutcomeError
 		}
 		var rows, mem, peak int64
@@ -422,7 +434,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		if slow {
 			s.mSlow.Inc()
 			entry := obs.SlowEntry{
-				When: start, Duration: d, Query: ow.query, Status: ow.status,
+				When: start, Duration: d, Query: ow.query, Status: status,
 				TraceID: ow.traceID, Shape: obs.ShapeHash(ow.query),
 				Rows: rows, MemBytes: mem, MemPeak: peak,
 			}
@@ -458,12 +470,12 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		// The trace ID joins access-log lines against /debug/slow and the
 		// exported trace archive.
 		s.Logger.Info("request",
-			"method", r.Method, "path", route, "status", ow.status,
+			"method", r.Method, "path", route, "status", status,
 			"outcome", outcome, "bytes", ow.bytes, "dur", d,
 			"trace", string(ow.traceID))
 		if slow {
 			s.Logger.Warn("slow query",
-				"dur", d, "threshold", s.SlowQuery, "status", ow.status,
+				"dur", d, "threshold", s.SlowQuery, "status", status,
 				"rows", rows, "mem", mem, "peak", peak,
 				"trace", string(ow.traceID), "query", ow.query)
 		}
@@ -507,38 +519,18 @@ func (s *Server) queryContext(r *http.Request) (context.Context, context.CancelF
 // same way, so retrying only re-spends the work.
 const MemLimitHeader = "X-Qb2olap-Mem-Limit"
 
-// writeEvalError maps a query-evaluation error to a protocol status:
-// memory-limit abort → 429 Too Many Requests (with MemLimitHeader),
-// deadline expiry → 504 Gateway Timeout, caller disconnect → 499
-// (client closed request), anything else → 500.
-func (s *Server) writeEvalError(w http.ResponseWriter, err error) {
-	var mle *sparql.MemLimitError
-	switch {
-	case errors.As(err, &mle):
-		s.mOverMem.Inc()
-		w.Header().Set(MemLimitHeader, "1")
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-	case errors.Is(err, context.DeadlineExceeded):
-		s.mTimeout.Inc()
-		http.Error(w, "query timed out: "+err.Error(), http.StatusGatewayTimeout)
-	case errors.Is(err, context.Canceled):
-		s.mCanceled.Inc()
-		http.Error(w, err.Error(), statusClientClosedRequest)
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
 // StreamErrorTrailer is the HTTP trailer carrying the outcome of a
 // streamed query that failed after the 200 status line was already
 // sent. A streaming response commits its status before evaluation
 // finishes; when evaluation then fails mid-stream, the server truncates
-// the JSON body and names the failure here — "mem-limit", "timeout",
+// the body and names the failure here — "mem-limit", "timeout",
 // "canceled", or "internal" — so Remote can surface a typed error
 // instead of mistaking the truncated document for a transport fault.
 const StreamErrorTrailer = "X-Qb2olap-Stream-Error"
 
-// Stream-error trailer values.
+// Stream-error codes: the one classification of an evaluation failure,
+// sent as the trailer value mid-stream and mapped to a status
+// (streamErrStatus) before the body starts.
 const (
 	streamErrMemLimit = "mem-limit"
 	streamErrTimeout  = "timeout"
@@ -546,9 +538,8 @@ const (
 	streamErrInternal = "internal"
 )
 
-// streamErrorCode classifies an evaluation error for the stream trailer
-// (the trailer-phase counterpart of writeEvalError), counting it in the
-// same outcome metrics.
+// streamErrorCode classifies an evaluation error, counting it in the
+// outcome metrics.
 func (s *Server) streamErrorCode(err error) string {
 	var mle *sparql.MemLimitError
 	switch {
@@ -566,47 +557,153 @@ func (s *Server) streamErrorCode(err error) string {
 	}
 }
 
-// streamQuery evaluates a SELECT through the engine's streaming surface
-// and encodes the response incrementally, flushing per chunk. The
-// status line is deferred until the first chunk (or a clean EOF)
-// arrives, so errors at the first chunk boundary — notably a tiny
-// -max-query-mem tripping immediately — still get their proper 429/504
-// status; only an error after bytes have flowed falls back to the
-// trailer.
-func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, q *sparql.Query) {
-	flusher, _ := w.(http.Flusher)
-	enc := sparql.NewResultsEncoder(w)
+// streamErrStatus is the protocol status of a stream-error code:
+// memory-limit abort → 429 Too Many Requests, deadline expiry → 504
+// Gateway Timeout, caller disconnect → 499 (client closed request),
+// anything else → 500.
+func streamErrStatus(code string) int {
+	switch code {
+	case streamErrMemLimit:
+		return http.StatusTooManyRequests
+	case streamErrTimeout:
+		return http.StatusGatewayTimeout
+	case streamErrCanceled:
+		return statusClientClosedRequest
+	default:
+		return http.StatusInternalServerError
+	}
+}
+
+// writeEvalError answers an evaluation error that arrived while the
+// status line was still open (a 429 carries MemLimitHeader).
+func (s *Server) writeEvalError(w http.ResponseWriter, err error) {
+	code, msg := s.streamErrorCode(err), err.Error()
+	switch code {
+	case streamErrMemLimit:
+		w.Header().Set(MemLimitHeader, "1")
+	case streamErrTimeout:
+		msg = "query timed out: " + msg
+	}
+	http.Error(w, msg, streamErrStatus(code))
+}
+
+// rowEncoder is the shape the result serializations share
+// (sparql.ResultsEncoder, sparql.TextEncoder).
+type rowEncoder interface {
+	Head(vars []string) error
+	Rows(rows [][]rdf.Term) error
+	Close() error
+}
+
+// respond evaluates a SELECT or ASK through the engine's streaming
+// entry and writes the result — the one response path of every such
+// request, whatever its format and whether or not it is traced. The
+// body is encoded chunk by chunk as the pipeline produces rows, and
+// flushed whenever another chunk follows, so the server never holds a
+// result table. The status line is
+// deferred until the first chunk (or a clean EOF) arrives, so errors at
+// the first chunk boundary — notably a tiny -max-query-mem tripping
+// immediately — still get their proper 429/504 status; only an error
+// after bytes have flowed falls back to the trailer.
+//
+// Tracing. ?explain=1 (any non-empty value) always traces and returns
+// the EXPLAIN ANALYZE tree instead of the results: it counts the rows
+// and writes nothing until evaluation ends. A request carrying a W3C
+// traceparent header adopts the caller's trace ID and sampling verdict
+// — honored in both directions, so a 1%-sampling client costs the
+// server nothing on the other 99% — and a sampled one gets the server's
+// span tree back for stitching. Otherwise a server with trace sinks
+// applies its own Sampler (nil samples all). The span tree is complete
+// only when evaluation ends: it travels in the X-Qb2olap-Trace header
+// while the status line is still open (every pre-body failure, so a 504
+// carries the partial trace that shows where the deadline went) and
+// otherwise closes the JSON document as its "trace" member.
+func (s *Server) respond(ctx context.Context, w *obsResponseWriter, r *http.Request, q *sparql.Query) {
+	explain := r.FormValue("explain") != ""
+	tp, hasTP := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
+	traced := explain
+	switch {
+	case hasTP:
+		w.traceID = tp.TraceID
+		traced = traced || tp.Sampled
+	case s.Tracer != nil || s.Exporter != nil:
+		w.traceID = obs.NewTraceID()
+		traced = traced || s.Sampler.Sample(w.traceID)
+	}
+	var evalID obs.TraceID // empty = the engine's untraced path
+	if traced {
+		if w.traceID == "" {
+			w.traceID = obs.NewTraceID()
+		}
+		evalID = w.traceID
+	}
+
+	var enc rowEncoder
+	var jsonEnc *sparql.ResultsEncoder
+	accept, ctype := r.Header.Get("Accept"), "application/sparql-results+json"
+	switch {
+	case strings.Contains(accept, "text/csv"):
+		enc, ctype = sparql.NewCSVEncoder(w), "text/csv"
+	case strings.Contains(accept, "text/tab-separated-values"):
+		enc, ctype = sparql.NewTSVEncoder(w), "text/tab-separated-values"
+	default:
+		jsonEnc = sparql.NewResultsEncoder(w)
+		enc = jsonEnc
+	}
+
+	flush := http.NewResponseController(w)
 	var vars []string
-	started := false
+	started, rows := false, 0
 	begin := func() error {
-		w.Header().Set("Content-Type", "application/sparql-results+json")
+		w.Header().Set("Content-Type", ctype)
 		w.Header().Set("Trailer", StreamErrorTrailer)
 		started = true
 		return enc.Head(vars)
 	}
-	err := s.engine.StreamSelect(ctx, q,
+	tr, err := s.engine.Stream(ctx, q, evalID,
 		func(hd []string) error { vars = hd; return nil },
-		func(rows [][]rdf.Term) error {
+		func(chunk [][]rdf.Term) error {
+			if rows += len(chunk); explain {
+				return nil
+			}
 			if !started {
 				if err := begin(); err != nil {
 					return err
 				}
+			} else {
+				// More rows are coming, so what the earlier chunks left in
+				// net/http's buffer goes out now instead of when it next
+				// fills. A first chunk is not flushed on its own: most
+				// results are one chunk, and the flush would split each
+				// into two writes (+5–10 % CPU per op on enrich-3k).
+				flush.Flush() //nolint:errcheck // a writer that cannot flush buffers instead
 			}
-			if err := enc.Rows(rows); err != nil {
-				return err
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return nil
+			return enc.Rows(chunk)
 		})
+	if tr != nil {
+		tr.Query = w.query
+		s.Tracer.Collect(tr) // nil-safe
+		s.reg.ObserveTrace(tr)
+		s.Exporter.Export(tr) // nil-safe; failures count on the exporter
+		if hasTP && tp.Sampled {
+			if wire, ok := obs.EncodeSpanWire(tr.Root); ok && !started {
+				w.Header().Set(obs.ServerTraceHeader, wire)
+			} else if ok && jsonEnc != nil {
+				jsonEnc.SetTrace(wire)
+			}
+		}
+	}
 	switch {
 	case err != nil && !started:
 		s.writeEvalError(w, err)
 	case err != nil:
-		// Mid-stream failure: the 200 is committed, so truncate the JSON
-		// document and name the failure in the trailer.
-		w.Header().Set(StreamErrorTrailer, s.streamErrorCode(err))
+		// Mid-stream failure: the 200 is committed, so truncate the body
+		// and name the failure in the trailer.
+		w.streamErr = s.streamErrorCode(err)
+		w.Header().Set(StreamErrorTrailer, w.streamErr)
+	case explain:
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprintf(w, "%s\n%d result row(s)\n", tr.Render(), rows)
 	default:
 		if !started {
 			if err := begin(); err != nil {
@@ -617,38 +714,25 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, q *spar
 	}
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var queryText string
-	switch r.Method {
-	case http.MethodGet:
-		queryText = r.URL.Query().Get("query")
-	case http.MethodPost:
-		ct := r.Header.Get("Content-Type")
-		if strings.HasPrefix(ct, "application/sparql-query") {
-			body, err := io.ReadAll(r.Body)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			queryText = string(body)
-		} else {
-			if err := r.ParseForm(); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			queryText = r.PostForm.Get("query")
-		}
-	default:
+func (s *Server) handleQuery(rw http.ResponseWriter, r *http.Request) {
+	// The middleware's writer carries what the handler learns about the
+	// request (query text, trace ID, account, outcome) back to it.
+	w, ok := rw.(*obsResponseWriter)
+	if !ok {
+		w = &obsResponseWriter{ResponseWriter: rw}
+	}
+	if r.Method != http.MethodGet && r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	if queryText == "" {
-		http.Error(w, "missing query parameter", http.StatusBadRequest)
+	var err error
+	if w.query, err = requestText(r, "query"); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Hand the query text to the middleware for the slow-query log.
-	if ow, ok := w.(*obsResponseWriter); ok {
-		ow.query = queryText
+	if w.query == "" {
+		http.Error(w, "missing query parameter", http.StatusBadRequest)
+		return
 	}
 
 	// Load shedding happens before parsing: when the server is
@@ -663,7 +747,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	q, err := sparql.ParseQuery(queryText)
+	q, err := sparql.ParseQuery(w.query)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -676,9 +760,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// remote callers fall back to their heuristic instead of trusting a
 	// cost the evaluator would not follow.
 	if r.FormValue("cost") != "" {
-		if ow, ok := w.(*obsResponseWriter); ok {
-			ow.costOnly = true
-		}
+		w.costOnly = true
 		if !s.engine.PlannerEnabled() {
 			s.mCostUnavail.Inc()
 			http.Error(w, "cost estimate unavailable: planner disabled (-planner=off)", http.StatusConflict)
@@ -687,12 +769,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.mCost.Inc()
 		p := s.engine.Plan(q)
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(struct { //nolint:errcheck
-			Planner       string  `json:"planner"`
-			Cost          float64 `json:"cost"`
-			Reordered     bool    `json:"reordered"`
-			PushedFilters int     `json:"pushedFilters"`
-		}{"on", p.Cost, p.Reordered, p.PushedFilters})
+		json.NewEncoder(w).Encode(costResponse{"on", p.Cost, p.Reordered, p.PushedFilters}) //nolint:errcheck
 		return
 	}
 
@@ -701,126 +778,45 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// Per-request resource account: the engine adopts it (a
 	// context-injected account always wins), so the middleware can read
-	// rows/bytes/peak after the handler returns. Finish is deferred —
-	// the final result set stays charged against the in-flight gauge
-	// until the response has been encoded, which is when the memory is
-	// actually released.
-	acct := obs.NewQueryAcct(s.Resources, s.MaxQueryMem)
-	defer acct.Finish()
-	ctx = sparql.WithQueryAcct(ctx, acct)
-	if ow, ok := w.(*obsResponseWriter); ok {
-		ow.acct = acct
-	}
+	// rows/bytes/peak after the handler returns. Finish is deferred, so
+	// whatever the query still holds stays on the in-flight gauge until
+	// the response has been written.
+	w.acct = obs.NewQueryAcct(s.Resources, s.MaxQueryMem)
+	defer w.acct.Finish()
+	ctx = sparql.WithQueryAcct(ctx, w.acct)
 
+	// CONSTRUCT and DESCRIBE are breakers — their output is one
+	// deduplicated, sorted N-Triples document — so they answer from the
+	// finished graph, under the same error mapping as respond.
 	if q.Form == sparql.FormConstruct || q.Form == sparql.FormDescribe {
-		var triples []rdf.Triple
-		var err error
-		if q.Form == sparql.FormConstruct {
-			triples, err = s.engine.ConstructContext(ctx, q)
-		} else {
-			triples, err = s.engine.DescribeContext(ctx, q)
+		eval := s.engine.ConstructContext
+		if q.Form == sparql.FormDescribe {
+			eval = s.engine.DescribeContext
 		}
+		triples, err := eval(ctx, q)
 		if err != nil {
 			s.writeEvalError(w, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/n-triples")
-		if err := turtle.WriteNTriples(w, triples); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		turtle.WriteNTriples(w, triples) //nolint:errcheck // a failed write has no recovery
 		return
 	}
+	s.respond(ctx, w, r, q)
+}
 
-	// Tracing decision. ?explain=1 (any non-empty value) always traces
-	// and returns the EXPLAIN ANALYZE tree instead of the results. A
-	// request carrying a W3C traceparent header adopts the caller's
-	// trace ID and sampling verdict — honored in both directions, so a
-	// 1%-sampling client costs the server nothing on the other 99% —
-	// and a sampled request gets the server's span tree back in the
-	// X-Qb2olap-Trace response header for stitching. Otherwise a server
-	// with trace sinks applies its own Sampler (nil samples all).
-	explain := r.FormValue("explain") != ""
-	tp, hasTP := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-	var id obs.TraceID
-	traced := explain
-	switch {
-	case hasTP:
-		id = tp.TraceID
-		traced = traced || tp.Sampled
-	case s.Tracer != nil || s.Exporter != nil:
-		id = obs.NewTraceID()
-		traced = traced || s.Sampler.Sample(id)
+// requestText extracts the operation text of a protocol request — key
+// is "query" or "update": the raw body when it is sent directly
+// (application/sparql-<key>), else the form or URL parameter named key.
+func requestText(r *http.Request, key string) (string, error) {
+	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/sparql-"+key) {
+		body, err := io.ReadAll(r.Body)
+		return string(body), err
 	}
-	if traced && id == "" {
-		id = obs.NewTraceID()
+	if err := r.ParseForm(); err != nil {
+		return "", err
 	}
-	if ow, ok := w.(*obsResponseWriter); ok {
-		ow.traceID = id
-	}
-
-	// Untraced SELECTs with the default JSON content type stream: the
-	// response is encoded and flushed chunk by chunk as the pipeline
-	// produces rows, so the server never holds the full result table
-	// alongside its serialization. Traced queries, CSV/TSV, and ASK
-	// respond from a collected table (the span tree travels in a
-	// response header, so it must be complete before the body starts;
-	// the text encoders need the full table API; ASK is one row) — the
-	// evaluation underneath is the same pipeline either way.
-	accept := r.Header.Get("Accept")
-	wantText := strings.Contains(accept, "text/csv") || strings.Contains(accept, "text/tab-separated-values")
-	if !traced && !wantText && q.Form == sparql.FormSelect {
-		s.streamQuery(ctx, w, q)
-		return
-	}
-
-	var res *sparql.Results
-	if traced {
-		var tr *obs.Trace
-		res, tr, err = s.engine.QueryTracedID(ctx, q, id)
-		if tr != nil {
-			tr.ID, tr.Query = id, queryText
-			// The span wire header is set even when evaluation failed
-			// or timed out: a 504 carries the partial trace collected
-			// so far, which is exactly what the caller needs to see
-			// where the deadline went.
-			if hasTP && tp.Sampled {
-				if wire, ok := obs.EncodeSpanWire(tr.Root); ok {
-					w.Header().Set(obs.ServerTraceHeader, wire)
-				}
-			}
-			s.Tracer.Collect(tr) // nil-safe
-			s.reg.ObserveTrace(tr)
-			s.Exporter.Export(tr) // nil-safe; failures count on the exporter
-		}
-		if err == nil && explain {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprintf(w, "%s\n%d result row(s)\n", tr.Render(), len(res.Rows))
-			return
-		}
-	} else {
-		res, err = s.engine.QueryContext(ctx, q)
-	}
-	if err != nil {
-		s.writeEvalError(w, err)
-		return
-	}
-
-	switch {
-	case strings.Contains(accept, "text/csv"):
-		w.Header().Set("Content-Type", "text/csv")
-		io.WriteString(w, res.EncodeCSV())
-	case strings.Contains(accept, "text/tab-separated-values"):
-		w.Header().Set("Content-Type", "text/tab-separated-values")
-		io.WriteString(w, res.EncodeTSV())
-	default:
-		w.Header().Set("Content-Type", "application/sparql-results+json")
-		data, err := json.Marshal(res)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Write(data)
-	}
+	return r.Form.Get(key), nil
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
@@ -832,21 +828,10 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	var updateText string
-	ct := r.Header.Get("Content-Type")
-	if strings.HasPrefix(ct, "application/sparql-update") {
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		updateText = string(body)
-	} else {
-		if err := r.ParseForm(); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		updateText = r.PostForm.Get("update")
+	updateText, err := requestText(r, "update")
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 	if updateText == "" {
 		http.Error(w, "missing update parameter", http.StatusBadRequest)

@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the engine's cancellation layer: context-aware entry
-// points (QueryContext, SelectContext, AskContext, UpdateContext) and
+// points (QueryContext, QueryTracedContext, UpdateContext) and
 // the cooperative checks the evaluator loops call.
 //
 // Cancellation contract: evaluation is cooperative. The coordinating
@@ -107,13 +107,14 @@ func (e *CanceledError) Unwrap() error { return e.Cause }
 // soon as it observes cancellation or deadline expiry. The sampling and
 // tracing behaviour is identical to Query.
 func (e *Engine) QueryContext(ctx context.Context, q *Query) (*Results, error) {
+	var id obs.TraceID
 	if e.tracer != nil {
-		if id := obs.NewTraceID(); e.sampler.Sample(id) {
-			res, _, err := e.queryTracedID(ctx, q, id)
-			return res, err
+		if id = obs.NewTraceID(); !e.sampler.Sample(id) {
+			id = ""
 		}
 	}
-	return e.query(ctx, q, nil)
+	res, _, err := e.collect(ctx, q, id)
+	return res, err
 }
 
 // QueryStringContext parses and evaluates a SELECT/ASK query string
@@ -126,22 +127,15 @@ func (e *Engine) QueryStringContext(ctx context.Context, src string) (*Results, 
 	return e.QueryContext(ctx, q)
 }
 
-// SelectContext is Select under a context.
-func (e *Engine) SelectContext(ctx context.Context, q *Query) (*Results, error) {
-	return e.selectRun(ctx, q, nil)
-}
-
-// AskContext is Ask under a context.
-func (e *Engine) AskContext(ctx context.Context, q *Query) (bool, error) {
-	return e.askRun(ctx, q, nil)
-}
-
-// QueryTracedContext is QueryTraced under a context: tracing is forced
-// and the trace collected so far is returned even when evaluation is
-// cancelled mid-flight (the partial trace a server reports on a query
-// deadline).
+// QueryTracedContext evaluates a SELECT or ASK query with operator
+// tracing forced and returns the EXPLAIN ANALYZE-style trace alongside
+// the results, under a fresh trace ID. The trace is returned even when
+// evaluation fails or is cancelled mid-flight (with the spans finished
+// so far). If the engine has a tracer installed the trace is also
+// collected there. Engine.Stream is the incremental form under a
+// caller-chosen trace identity.
 func (e *Engine) QueryTracedContext(ctx context.Context, q *Query) (*Results, *obs.Trace, error) {
-	return e.queryTracedID(ctx, q, obs.NewTraceID())
+	return e.collect(ctx, q, obs.NewTraceID())
 }
 
 // UpdateContext is Execute under a context. Cancellation is honored

@@ -200,6 +200,10 @@ type run struct {
 	// finishes it) as opposed to one injected via context.
 	acct    *obs.QueryAcct
 	ownAcct bool
+
+	// delivered counts the result rows stream has handed to its
+	// consumer — the root span's output.
+	delivered int
 }
 
 // newRun pins the store's current snapshot, plans q against it
@@ -226,58 +230,72 @@ func (e *Engine) Query(q *Query) (*Results, error) {
 	return e.QueryContext(context.Background(), q)
 }
 
-// query dispatches on the query form, attaching operator spans under
-// root when it is non-nil.
-func (e *Engine) query(ctx context.Context, q *Query, root *obs.Span) (*Results, error) {
-	switch q.Form {
-	case FormSelect:
-		return e.selectRun(ctx, q, root)
-	case FormAsk:
-		ok, err := e.askRun(ctx, q, root)
-		if err != nil {
-			return nil, err
-		}
-		return &Results{Vars: []string{"ask"}, Rows: [][]rdf.Term{{rdf.NewBoolean(ok)}}}, nil
-	case FormConstruct:
-		return nil, fmt.Errorf("sparql: use Construct for CONSTRUCT queries")
-	default:
-		return nil, fmt.Errorf("sparql: unknown query form")
-	}
-}
-
 // QueryString parses and evaluates a SELECT/ASK query string.
 func (e *Engine) QueryString(src string) (*Results, error) {
-	q, err := ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	return e.Query(q)
+	return e.QueryStringContext(context.Background(), src)
 }
 
-// Select evaluates a SELECT query.
+// Select evaluates a SELECT query, untraced.
 func (e *Engine) Select(q *Query) (*Results, error) {
-	return e.selectRun(context.Background(), q, nil)
-}
-
-func (e *Engine) selectRun(ctx context.Context, q *Query, root *obs.Span) (*Results, error) {
 	if q.Form != FormSelect {
 		return nil, fmt.Errorf("sparql: not a SELECT query")
 	}
-	r, q := e.newRun(ctx, q, root)
-	defer r.closeAcct()
-	return r.streamSelect(q)
+	res, _, err := e.collect(context.Background(), q, "")
+	return res, err
 }
 
-// Ask evaluates an ASK query.
+// Ask evaluates an ASK query, untraced.
 func (e *Engine) Ask(q *Query) (bool, error) {
-	return e.askRun(context.Background(), q, nil)
+	if q.Form != FormAsk {
+		return false, fmt.Errorf("sparql: not an ASK query")
+	}
+	res, _, err := e.collect(context.Background(), q, "")
+	if err != nil {
+		return false, err
+	}
+	return res.Rows[0][0] == rdf.NewBoolean(true), nil
 }
 
-func (e *Engine) askRun(ctx context.Context, q *Query, root *obs.Span) (bool, error) {
-	r, q := e.newRun(ctx, q, root)
+// graph evaluates a CONSTRUCT or DESCRIBE, the two breakers whose
+// output is a deduplicated graph rather than a row stream. The WHERE
+// pipeline is consumed chunk by chunk, each chunk handed to the form's
+// add function, which grows g; the graph's growth is charged to the
+// query account after every chunk (and once more at the end, for
+// triples added outside any chunk), so g is bounded by the memory
+// budget like every other retained structure. The charge is sampled
+// like accountNew — first new triple × count — and doubled: g holds a
+// triple once as a map key and once in its ordered slice.
+func (e *Engine) graph(ctx context.Context, q *Query, form QueryForm) ([]rdf.Triple, error) {
+	if q.Form != form {
+		return nil, fmt.Errorf("sparql: not a %s query", form)
+	}
+	r, q := e.newRun(ctx, q, nil)
 	defer r.closeAcct()
-	rows, err := r.groupRows(q.Where, r.seed(), graphCtx{}, root, true)
-	return len(rows) > 0, err
+	g := rdf.NewGraph()
+	add := r.constructInto(g, q)
+	if form == FormDescribe {
+		add = r.describeInto(g, q)
+	}
+	it := r.streamGroup(q.Where, &sliceSource{rows: r.seed(), chunk: r.e.chunkSize}, graphCtx{}, nil)
+	defer it.close()
+	for mark := 0; ; {
+		chunk, err := it.next()
+		if err != nil {
+			return nil, err
+		}
+		add(chunk)
+		if ts := g.Triples(); r.acct != nil && len(ts) > mark {
+			t := ts[mark]
+			r.acct.Materialize(0, 2*approxRowBytes([]rdf.Term{t.S, t.P, t.O})*int64(len(ts)-mark))
+			mark = len(ts)
+		}
+		if r.overMem() {
+			return nil, r.memErr()
+		}
+		if chunk == nil {
+			return g.Triples(), nil
+		}
+	}
 }
 
 // Construct evaluates a CONSTRUCT query and returns the instantiated,
@@ -289,31 +307,27 @@ func (e *Engine) Construct(q *Query) ([]rdf.Triple, error) {
 // ConstructContext is Construct under a context (see QueryContext for
 // the cancellation semantics).
 func (e *Engine) ConstructContext(ctx context.Context, q *Query) ([]rdf.Triple, error) {
-	if q.Form != FormConstruct {
-		return nil, fmt.Errorf("sparql: not a CONSTRUCT query")
-	}
-	r, q := e.newRun(ctx, q, nil)
-	defer r.closeAcct()
-	rows, err := r.groupRows(q.Where, r.seed(), graphCtx{}, nil, false)
-	if err != nil {
-		return nil, err
-	}
-	g := rdf.NewGraph()
-	for _, row := range rows {
-		for _, tp := range q.Template {
-			s, okS := r.resolve(tp.S, row)
-			p, okP := r.resolve(tp.P, row)
-			o, okO := r.resolve(tp.O, row)
-			if !okS || !okP || !okO {
-				continue
-			}
-			t := rdf.NewTriple(s, p, o)
-			if t.Valid() {
-				g.Add(t)
+	return e.graph(ctx, q, FormConstruct)
+}
+
+// constructInto returns the add function that instantiates q's template
+// into g under every row of a chunk.
+func (r *run) constructInto(g *rdf.Graph, q *Query) func(chunk []solution) {
+	return func(chunk []solution) {
+		for _, row := range chunk {
+			for _, tp := range q.Template {
+				s, okS := r.resolve(tp.S, row)
+				p, okP := r.resolve(tp.P, row)
+				o, okO := r.resolve(tp.O, row)
+				if !okS || !okP || !okO {
+					continue
+				}
+				if t := rdf.NewTriple(s, p, o); t.Valid() {
+					g.Add(t)
+				}
 			}
 		}
 	}
-	return g.Triples(), nil
 }
 
 // resolve substitutes a pattern term under a row.
@@ -511,7 +525,7 @@ func (r *run) aggregateRows(q *Query, rows []solution) ([]string, []solution, er
 	if r.cancelled() {
 		return nil, nil, r.cancelErr()
 	}
-	if accountNew(r, out, 0); r.overMem() {
+	if accountNew(r, out); r.overMem() {
 		return nil, nil, r.memErr()
 	}
 	if sp != nil {
@@ -762,45 +776,19 @@ func (e *Engine) Describe(q *Query) ([]rdf.Triple, error) {
 // DescribeContext is Describe under a context (see QueryContext for the
 // cancellation semantics).
 func (e *Engine) DescribeContext(ctx context.Context, q *Query) ([]rdf.Triple, error) {
-	if q.Form != FormDescribe {
-		return nil, fmt.Errorf("sparql: not a DESCRIBE query")
-	}
-	r, q := e.newRun(ctx, q, nil)
-	defer r.closeAcct()
-	for _, d := range q.Describe {
-		if d.IsVar {
-			r.vt.slot(d.Var)
-		}
-	}
+	return e.graph(ctx, q, FormDescribe)
+}
 
-	rows := r.seed()
-	if len(q.Where.Elements) > 0 {
-		var err error
-		rows, err = r.groupRows(q.Where, rows, graphCtx{}, nil, false)
-		if err != nil {
-			return nil, err
+// describeInto describes q's constant targets into g at once and
+// returns the add function that describes each variable target when the
+// WHERE pipeline first binds it, so the graph grows chunk by chunk.
+func (r *run) describeInto(g *rdf.Graph, q *Query) func(chunk []solution) {
+	described := make(map[rdf.Term]struct{})
+	describe := func(t rdf.Term) {
+		if _, ok := described[t]; ok || t.IsZero() {
+			return
 		}
-	}
-
-	targets := make(map[rdf.Term]struct{})
-	for _, d := range q.Describe {
-		if !d.IsVar {
-			targets[d.Term] = struct{}{}
-			continue
-		}
-		idx, ok := r.vt.index[d.Var]
-		if !ok {
-			continue
-		}
-		for _, row := range rows {
-			if t := row[idx]; !t.IsZero() {
-				targets[t] = struct{}{}
-			}
-		}
-	}
-
-	g := rdf.NewGraph()
-	for t := range targets {
+		described[t] = struct{}{}
 		for _, tr := range r.snap.MatchAll(rdf.Term{}, t, rdf.Term{}, rdf.Term{}) {
 			g.Add(tr)
 		}
@@ -808,5 +796,19 @@ func (e *Engine) DescribeContext(ctx context.Context, q *Query) ([]rdf.Triple, e
 			g.Add(tr)
 		}
 	}
-	return g.Triples(), nil
+	var slots []int
+	for _, d := range q.Describe {
+		if d.IsVar {
+			slots = append(slots, r.vt.slot(d.Var))
+		} else {
+			describe(d.Term)
+		}
+	}
+	return func(chunk []solution) {
+		for _, row := range chunk {
+			for _, idx := range slots {
+				describe(row[idx])
+			}
+		}
+	}
 }

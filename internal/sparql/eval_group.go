@@ -122,7 +122,7 @@ func (r *run) evalSubSelect(q *Query, sp *obs.Span) (*Results, error) {
 	sub := &run{e: r.e, vt: newVarTable(), snap: r.snap, trace: sp, planned: q.Planned,
 		qctx: r.qctx, done: r.done, acct: r.acct}
 	collectVars(q, sub.vt)
-	return sub.streamSelect(q)
+	return sub.collect(q)
 }
 
 // joinResults joins the current solutions with a projected result table

@@ -233,7 +233,7 @@ SELECT ?name WHERE { ?p ex:name ?name . ?p a ex:Person . }`)
 		t.Fatal(err)
 	}
 	joinOrder := func(e *Engine) []string {
-		_, tr, err := e.QueryTraced(q)
+		_, tr, err := e.QueryTracedContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

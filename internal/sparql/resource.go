@@ -15,9 +15,10 @@ import (
 //
 // Accounting contract: the pipeline's chunk boundaries (boundIter,
 // stream.go) charge each stage's output chunk and release it when the
-// consumer pulls the next; the points that retain rows (a breaker's
-// drained input, the collected result, GROUP BY buckets) charge them
-// here with accountNew / accountKept. The enabled cost is a handful of
+// consumer pulls the next; the points that retain something (a
+// breaker's drained input, a collected result, GROUP BY buckets,
+// DISTINCT's seen set, a CONSTRUCT/DESCRIBE graph) charge it here with
+// accountNew / accountKept. The enabled cost is a handful of
 // atomic adds per chunk and the disabled path is a single nil check per
 // hook — run.acct stays nil, mirroring the span and cancellation fast
 // paths. Byte counts are estimates (term struct size plus lexical
@@ -47,13 +48,6 @@ func WithMaxQueryMem(n int64) Option {
 		}
 	}
 }
-
-// Resources returns the engine's resource tracker, or nil.
-func (e *Engine) Resources() *obs.ResourceTracker { return e.resources }
-
-// MaxQueryMem returns the per-query in-flight byte budget (0 =
-// unlimited).
-func (e *Engine) MaxQueryMem() int64 { return e.maxQueryMem }
 
 // MemLimitError reports that a query was aborted because its in-flight
 // materialized bytes exceeded the configured budget. It is the
@@ -148,19 +142,15 @@ func approxRowBytes(row []rdf.Term) int64 {
 	return b
 }
 
-// accountNew charges rows[from:] to the account as freshly materialized
-// solutions and returns len(rows), the caller's next mark. The batch's
-// byte size is estimated as first-new-row width × count — rows in one
-// operator batch share arity, so the sample is representative at a
-// fraction of the walking cost. Nil-account calls return immediately.
-func accountNew[T ~[]rdf.Term](r *run, rows []T, from int) int {
-	n := len(rows)
-	if r.acct == nil || n <= from {
-		return n
+// accountNew charges rows to the account as freshly materialized
+// solutions. The batch's byte size is estimated as first-row width ×
+// count — rows in one operator batch share arity, so the sample is
+// representative at a fraction of the walking cost. Nil-account calls
+// return immediately.
+func accountNew[T ~[]rdf.Term](r *run, rows []T) {
+	if r.acct != nil && len(rows) > 0 {
+		r.acct.Materialize(len(rows), approxRowBytes(rows[0])*int64(len(rows)))
 	}
-	count := n - from
-	r.acct.Materialize(count, approxRowBytes(rows[from])*int64(count))
-	return n
 }
 
 // accountKept charges rows[from:] as retained by reference (no new term

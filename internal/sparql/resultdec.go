@@ -12,9 +12,9 @@ import (
 
 // This file is the wire half of the streaming pipeline: an incremental
 // encoder that serializes result rows as they arrive (endpoint.Server
-// flushes per chunk) and an incremental decoder that parses the results
-// JSON straight off the response body (endpoint.Remote) instead of
-// buffering it whole. Both speak the SPARQL 1.1 Query Results JSON
+// writes a chunk at a time) and an incremental decoder that parses the
+// results JSON straight off the response body (endpoint.Remote) instead
+// of buffering it whole. Both speak the SPARQL 1.1 Query Results JSON
 // Format, byte- and semantics-identical to Results.MarshalJSON /
 // ResultsFromJSON.
 
@@ -55,20 +55,30 @@ func wrapDecode(err error) error {
 // Results; every failure — truncation, garbage, type mismatches — is a
 // *ResultsDecodeError, never a panic.
 func DecodeResults(rd io.Reader) (*Results, error) {
+	res, _, err := DecodeTracedResults(rd)
+	return res, err
+}
+
+// DecodeTracedResults is DecodeResults that also surfaces the
+// document's top-level "trace" member — where a streamed response
+// carries the server's span tree, known only once evaluation has ended
+// (ResultsEncoder.SetTrace) — when it is a JSON string, else "". Like
+// any unknown member it never affects the decoded table.
+func DecodeTracedResults(rd io.Reader) (*Results, string, error) {
 	dec := json.NewDecoder(rd)
 
 	tok, err := dec.Token()
 	if err != nil {
-		return nil, wrapDecode(err)
+		return nil, "", wrapDecode(err)
 	}
 	if tok == nil { // JSON null: the lenient zero document
 		if err := expectEOF(dec); err != nil {
-			return nil, err
+			return nil, "", err
 		}
-		return &Results{}, nil
+		return &Results{}, "", nil
 	}
 	if d, ok := tok.(json.Delim); !ok || d != '{' {
-		return nil, wrapDecode(fmt.Errorf("results document must be a JSON object, got %v", tok))
+		return nil, "", wrapDecode(fmt.Errorf("results document must be a JSON object, got %v", tok))
 	}
 
 	// Bindings may precede head in a hostile-but-valid document, and a
@@ -77,14 +87,15 @@ func DecodeResults(rd io.Reader) (*Results, error) {
 	// projected against the final head at the end.
 	var head sparqlJSONHead
 	var pending []map[string]sparqlJSONTerm
+	var trace string
 	for dec.More() {
 		ktok, err := dec.Token()
 		if err != nil {
-			return nil, wrapDecode(err)
+			return nil, "", wrapDecode(err)
 		}
 		key, ok := ktok.(string)
 		if !ok {
-			return nil, wrapDecode(fmt.Errorf("unexpected token %v for object key", ktok))
+			return nil, "", wrapDecode(fmt.Errorf("unexpected token %v for object key", ktok))
 		}
 		// Key matching is case-insensitive, like Unmarshal's struct
 		// field resolution.
@@ -93,23 +104,28 @@ func DecodeResults(rd io.Reader) (*Results, error) {
 			// Decoding into the persistent head merges duplicate keys the
 			// way Unmarshal does (a later {"head":{}} keeps earlier vars).
 			if err := dec.Decode(&head); err != nil {
-				return nil, wrapDecode(err)
+				return nil, "", wrapDecode(err)
 			}
 		case strings.EqualFold(key, "results"):
 			if pending, err = decodeResultsSection(dec, pending); err != nil {
-				return nil, err
+				return nil, "", err
 			}
 		default:
-			if err := skipValue(dec); err != nil {
-				return nil, err
+			raw, err := skipValue(dec)
+			if err != nil {
+				return nil, "", err
+			}
+			if strings.EqualFold(key, "trace") {
+				trace = ""
+				json.Unmarshal(raw, &trace) //nolint:errcheck // a non-string trace is just an unknown member
 			}
 		}
 	}
 	if _, err := dec.Token(); err != nil { // closing '}'
-		return nil, wrapDecode(err)
+		return nil, "", wrapDecode(err)
 	}
 	if err := expectEOF(dec); err != nil {
-		return nil, err
+		return nil, "", err
 	}
 
 	out := &Results{Vars: head.Vars}
@@ -122,7 +138,7 @@ func DecodeResults(rd io.Reader) (*Results, error) {
 		}
 		out.Rows = append(out.Rows, row)
 	}
-	return out, nil
+	return out, trace, nil
 }
 
 // decodeResultsSection parses the value of a "results" key: an object
@@ -152,7 +168,7 @@ func decodeResultsSection(dec *json.Decoder, pending []map[string]sparqlJSONTerm
 			return nil, wrapDecode(fmt.Errorf("unexpected token %v for object key", ktok))
 		}
 		if !strings.EqualFold(key, "bindings") {
-			if err := skipValue(dec); err != nil {
+			if _, err := skipValue(dec); err != nil {
 				return nil, err
 			}
 			continue
@@ -187,13 +203,13 @@ func decodeResultsSection(dec *json.Decoder, pending []map[string]sparqlJSONTerm
 }
 
 // skipValue consumes one complete JSON value (validating its syntax,
-// exactly as Unmarshal would for an ignored field).
-func skipValue(dec *json.Decoder) error {
+// exactly as Unmarshal would for an ignored field) and returns it raw.
+func skipValue(dec *json.Decoder) (json.RawMessage, error) {
 	var raw json.RawMessage
 	if err := dec.Decode(&raw); err != nil {
-		return wrapDecode(err)
+		return nil, wrapDecode(err)
 	}
-	return nil
+	return raw, nil
 }
 
 // expectEOF fails on trailing non-whitespace after the document,
@@ -217,6 +233,7 @@ type ResultsEncoder struct {
 	w        io.Writer
 	vars     []string
 	wroteRow bool
+	trace    string
 }
 
 // NewResultsEncoder returns an encoder writing to w.
@@ -267,8 +284,22 @@ func (e *ResultsEncoder) Rows(rows [][]rdf.Term) error {
 	return nil
 }
 
+// SetTrace makes Close end the document with one extra top-level
+// member, "trace": the server's serialized span tree, which exists only
+// once evaluation has ended and so cannot precede the rows. Decoders
+// that do not know the member skip it (DecodeTracedResults reads it).
+func (e *ResultsEncoder) SetTrace(wire string) { e.trace = wire }
+
 // Close terminates the document. The encoder must not be used after.
 func (e *ResultsEncoder) Close() error {
-	_, err := io.WriteString(e.w, `]}}`)
+	tail := `]}}`
+	if e.trace != "" {
+		member, err := json.Marshal(e.trace)
+		if err != nil {
+			return err
+		}
+		tail = `]},"trace":` + string(member) + `}`
+	}
+	_, err := io.WriteString(e.w, tail)
 	return err
 }

@@ -32,6 +32,13 @@ var fuzzResultSeeds = []string{
 	`{"results":{"bindings":[{"s":{"type":"uri","value":"http://x"}}]},"results":{"bindings":null}}`,
 	`{"head":{"vars":["s"],"link":["http://meta"]},"results":{"bindings":[null]},"extra":[1,{"k":2}]}`,
 	`{"head":{"vars":["s"]},"results":{"bindings":[{"s":{"type":"uri","value":"http://x"}}]}}trailing`,
+	// The "trace" member a streamed, traced response ends with
+	// (ResultsEncoder.SetTrace) — after the results, before them, and
+	// with a non-string value: an unknown member to both decoders.
+	`{"head":{"vars":["s"]},"results":{"bindings":[{"s":{"type":"uri","value":"http://x"}}]},"trace":"eyJvcCI6IlNFTEVDVCJ9"}`,
+	`{"trace":"eyJvcCI6IlNFTEVDVCJ9","head":{"vars":["s"]},"results":{"bindings":[{"s":{"type":"uri","value":"http://x"}}]}}`,
+	`{"head":{"vars":["s"]},"trace":{"op":"SELECT","children":[null]},"results":{"bindings":[]},"TRACE":"dup"}`,
+	`{"head":{"vars":["s"]},"results":{"bindings":[]},"trace":"unterminated`,
 }
 
 // FuzzResultsFromJSON checks the SPARQL results JSON decoder — the

@@ -630,6 +630,59 @@ SELECT ?name WHERE { ex:alice ex:name ?name }`)
 	}
 }
 
+// TestTextEncoderLiteral pins the CSV and TSV bytes of every term kind
+// against literal expected strings, at every chunking of the rows (the
+// streaming encoders and the Results collectors are one implementation).
+// The blank-node row is the regression: CSV used to write a bare label,
+// indistinguishable from a literal (SPARQL 1.1 CSV/TSV Results §3).
+func TestTextEncoderLiteral(t *testing.T) {
+	res := &Results{Vars: []string{"a", "b"}, Rows: [][]rdf.Term{
+		{rdf.NewIRI("http://x/a"), rdf.NewLiteral(`say "hi", ok`)},
+		{rdf.NewBlank("b0"), rdf.NewInteger(7)},
+		{{}, rdf.NewLangLiteral("bon\njour", "fr")},
+	}}
+	const wantCSV = "a,b\r\n" +
+		"http://x/a,\"say \"\"hi\"\", ok\"\r\n" +
+		"_:b0,7\r\n" +
+		",\"bon\njour\"\r\n"
+	const wantTSV = "?a\t?b\n" +
+		"<http://x/a>\t\"say \\\"hi\\\", ok\"\n" +
+		"_:b0\t\"7\"^^<http://www.w3.org/2001/XMLSchema#integer>\n" +
+		"\t\"bon\\njour\"@fr\n"
+	if got := res.EncodeCSV(); got != wantCSV {
+		t.Errorf("EncodeCSV:\nwant %q\ngot  %q", wantCSV, got)
+	}
+	if got := res.EncodeTSV(); got != wantTSV {
+		t.Errorf("EncodeTSV:\nwant %q\ngot  %q", wantTSV, got)
+	}
+	for _, chunk := range []int{1, 2} {
+		for name, want := range map[string]string{"csv": wantCSV, "tsv": wantTSV} {
+			var b strings.Builder
+			enc := NewCSVEncoder(&b)
+			if name == "tsv" {
+				enc = NewTSVEncoder(&b)
+			}
+			if err := enc.Head(res.Vars); err != nil {
+				t.Fatal(err)
+			}
+			for lo := 0; lo < len(res.Rows); lo += chunk {
+				if err := enc.Rows(res.Rows[lo:min(lo+chunk, len(res.Rows))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := enc.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if b.String() != want {
+				t.Errorf("%s chunk=%d:\nwant %q\ngot  %q", name, chunk, want, b.String())
+			}
+		}
+	}
+	if got := (&Results{}).EncodeCSV() + (&Results{}).EncodeTSV(); got != "\r\n\n" {
+		t.Errorf("empty table = %q", got)
+	}
+}
+
 func TestPlannerAblationSameResults(t *testing.T) {
 	st := loadStore(t, peopleTTL)
 	q := `

@@ -37,15 +37,18 @@ import (
 //     their *input* (usually small) and replay it branch-major /
 //     graph-major. MINUS evaluates its right side once; SUBSELECT
 //     evaluates the subquery once. DISTINCT streams its emission but
-//     retains the seen-key set.
+//     retains — and charges — the seen-key set.
 //   - BGP joins are incremental: bgpIter holds one buffer per join
 //     level and advances the deepest level with pending work, so a
 //     1-row → 80k-match fan-out is emitted chunk by chunk through a
 //     resumable store.Scan cursor instead of materialized at once.
-//   - Callers that need a whole table (CONSTRUCT, DESCRIBE, update
-//     WHERE clauses, MINUS right sides, per-row OPTIONAL and EXISTS)
-//     drain the same pipeline through groupRows; there is no second
-//     evaluator.
+//   - Every SELECT and ASK result leaves through one delivery loop
+//     (run.stream); Results-returning entry points are collectors over
+//     it. CONSTRUCT and DESCRIBE consume the WHERE stream chunk by chunk
+//     into their dedup graph (Engine.graph). Callers that need a whole
+//     table (update WHERE clauses, MINUS right sides, per-row OPTIONAL
+//     and EXISTS) drain the same pipeline through groupRows; there is no
+//     second evaluator.
 
 // chunkIter is the pull side of the pipeline. next returns the next
 // non-empty chunk, or (nil, nil) once exhausted; close releases any
@@ -204,7 +207,7 @@ func drainStream(r *run, src chunkIter) ([]solution, error) {
 			return concatSolutions(chunks), nil
 		}
 		chunks = append(chunks, chunk)
-		if accountNew(r, chunk, 0); r.overMem() {
+		if accountNew(r, chunk); r.overMem() {
 			return nil, r.memErr()
 		}
 	}
@@ -212,11 +215,10 @@ func drainStream(r *run, src chunkIter) ([]solution, error) {
 
 // groupRows evaluates a group graph pattern over materialized input
 // rows through the pipeline and returns the whole result: the
-// slice-in/slice-out entry for ASK, CONSTRUCT, DESCRIBE, update WHERE
-// clauses, MINUS right sides, and the per-row OPTIONAL and EXISTS
-// nesting. With first set it stops at the first non-empty chunk, which
-// is all ASK and EXISTS need. Stage spans attach under parent (nil =
-// untraced).
+// slice-in/slice-out entry for update WHERE clauses, MINUS right sides,
+// and the per-row OPTIONAL and EXISTS nesting. With first set it stops
+// at the first non-empty chunk, which is all EXISTS needs. Stage spans
+// attach under parent (nil = untraced).
 func (r *run) groupRows(g GroupGraphPattern, input []solution, gctx graphCtx, parent *obs.Span, first bool) ([]solution, error) {
 	it := r.streamGroup(g, &sliceSource{rows: input, chunk: r.e.chunkSize}, gctx, parent)
 	if !first {
@@ -826,11 +828,19 @@ func (r *run) projectStage(q *Query, vars []string, src chunkIter) chunkIter {
 // distinctIter streams DISTINCT: rows pass through in order, dropped
 // when their rendered key was seen before. The seen set is the one
 // retained structure — it grows with the number of distinct rows, which
-// is also the size of the final result.
+// is also the size of the final result — so every new key is charged to
+// the query account (its bytes plus distinctEntryBytes) and never
+// released.
 type distinctIter struct {
+	r    *run
 	src  chunkIter
 	seen map[string]struct{}
+	tr   *stageTrace
 }
+
+// distinctEntryBytes approximates what one seen-set entry holds beside
+// its key bytes: the string header and its share of the map's buckets.
+const distinctEntryBytes = 48
 
 func (d *distinctIter) next() ([]solution, error) {
 	for {
@@ -839,6 +849,7 @@ func (d *distinctIter) next() ([]solution, error) {
 			return nil, err
 		}
 		out := chunk[:0:len(chunk)]
+		var kept int64
 		for _, row := range chunk {
 			var b strings.Builder
 			for _, t := range row {
@@ -850,7 +861,15 @@ func (d *distinctIter) next() ([]solution, error) {
 				continue
 			}
 			d.seen[k] = struct{}{}
+			kept += int64(len(k)) + distinctEntryBytes
 			out = append(out, row)
+		}
+		if d.r.acct != nil && kept > 0 {
+			d.r.acct.Materialize(0, kept)
+			d.tr.charged(kept)
+			if d.r.overMem() {
+				return nil, d.r.memErr()
+			}
 		}
 		if len(out) > 0 {
 			return out, nil
@@ -907,16 +926,26 @@ func (s *sliceIter) next() ([]solution, error) {
 
 func (s *sliceIter) close() { s.src.close() }
 
-// selectStream assembles the full pipeline for a SELECT query and
-// returns a live chunk iterator of result rows plus the header. The
-// WHERE clause always streams. A grouped query drains it into the
-// aggregation and re-streams the group rows; an ungrouped ORDER BY
-// drains it into the sort and re-streams the sorted rows into the
-// projection; DISTINCT and OFFSET/LIMIT are stages either way, so a
-// LIMIT stops the projection early even under ORDER BY.
-func (r *run) selectStream(q *Query) (chunkIter, []string, error) {
+// resultStream assembles the full pipeline for a SELECT or ASK query
+// and returns a live chunk iterator of result rows plus the header. The
+// WHERE clause always streams. ASK pulls one chunk — the pipeline stops
+// at the first match — and answers with the one-row table ?ask. A
+// grouped query drains it into the aggregation and re-streams the group
+// rows; an ungrouped ORDER BY drains it into the sort and re-streams
+// the sorted rows into the projection; DISTINCT and OFFSET/LIMIT are
+// stages either way, so a LIMIT stops the projection early even under
+// ORDER BY.
+func (r *run) resultStream(q *Query) (chunkIter, []string, error) {
 	n := r.e.chunkSize
 	body := r.streamGroup(q.Where, &sliceSource{rows: r.seed(), chunk: n}, graphCtx{}, r.trace)
+	if q.Form == FormAsk {
+		defer body.close()
+		chunk, err := body.next()
+		if err != nil {
+			return nil, nil, err
+		}
+		return &sliceSource{rows: []solution{{rdf.NewBoolean(len(chunk) > 0)}}, chunk: 1}, []string{"ask"}, nil
+	}
 
 	var it chunkIter
 	var vars []string
@@ -947,7 +976,7 @@ func (r *run) selectStream(q *Query) (chunkIter, []string, error) {
 	}
 	if q.Distinct {
 		tr := newStage(r.trace, "DISTINCT", "", estimateSame)
-		it = r.bound(tr, &distinctIter{src: tr.in(it), seen: make(map[string]struct{})})
+		it = r.bound(tr, &distinctIter{r: r, src: tr.in(it), seen: make(map[string]struct{}), tr: tr})
 	}
 	if q.Offset > 0 || q.Limit >= 0 {
 		var tr *stageTrace
@@ -960,50 +989,14 @@ func (r *run) selectStream(q *Query) (chunkIter, []string, error) {
 	return it, vars, nil
 }
 
-// streamSelect is the collector driving selectStream for callers that
-// want a whole Results value: peak in-flight memory is bounded by the
-// pipeline plus the final table, not by intermediate joins.
-func (r *run) streamSelect(q *Query) (*Results, error) {
-	it, vars, err := r.selectStream(q)
-	if err != nil {
-		return nil, err
-	}
-	defer it.close()
-	out := &Results{Vars: vars}
-	mark := 0
-	for {
-		chunk, err := it.next()
-		if err != nil {
-			return nil, err
-		}
-		if chunk == nil {
-			return out, nil
-		}
-		for _, row := range chunk {
-			out.Rows = append(out.Rows, row)
-		}
-		// The collected table is retained: charge it (the boundary
-		// charge is released as the pipeline advances).
-		if mark = accountNew(r, out.Rows, mark); r.overMem() {
-			return nil, r.memErr()
-		}
-	}
-}
-
-// StreamSelect evaluates a SELECT query and delivers results
-// incrementally: head is called once with the projection header, then
-// chunk is called for every block of rows as the pipeline produces it.
-// An error from either callback aborts evaluation and is returned
-// as-is. Queries ending in a pipeline breaker deliver their (already
-// materialized) result in chunk-size blocks, so consumers can flush
-// uniformly.
-func (e *Engine) StreamSelect(ctx context.Context, q *Query, head func(vars []string) error, chunk func(rows [][]rdf.Term) error) error {
-	if q.Form != FormSelect {
-		return fmt.Errorf("sparql: not a SELECT query")
-	}
-	r, q := e.newRun(ctx, q, nil)
-	defer r.closeAcct()
-	it, vars, err := r.selectStream(q)
+// stream is the one delivery loop every SELECT and ASK result leaves
+// through: head once with the projection header, then chunk for every
+// block of rows as the pipeline produces it (a breaker's materialized
+// result arrives in chunk-size blocks, so consumers can flush
+// uniformly). An error from either callback aborts evaluation and is
+// returned as-is.
+func (r *run) stream(q *Query, head func(vars []string) error, chunk func(rows []solution) error) error {
+	it, vars, err := r.resultStream(q)
 	if err != nil {
 		return err
 	}
@@ -1019,18 +1012,97 @@ func (e *Engine) StreamSelect(ctx context.Context, q *Query, head func(vars []st
 			return r.cancelErr()
 		}
 		c, err := it.next()
-		if err != nil {
+		if err != nil || c == nil {
 			return err
 		}
-		if c == nil {
-			return nil
-		}
-		rows := make([][]rdf.Term, len(c))
-		for i, s := range c {
-			rows[i] = s
-		}
-		if err := chunk(rows); err != nil {
+		r.delivered += len(c)
+		if err := chunk(c); err != nil {
 			return err
 		}
 	}
+}
+
+// collect drives stream into a whole Results value. The collected table
+// is retained, so it is charged: peak in-flight memory is the pipeline
+// plus the final table, not intermediate joins.
+func (r *run) collect(q *Query) (*Results, error) {
+	out := &Results{}
+	err := r.stream(q,
+		func(vars []string) error { out.Vars = vars; return nil },
+		func(rows []solution) error {
+			for _, row := range rows {
+				out.Rows = append(out.Rows, row)
+			}
+			if accountNew(r, rows); r.overMem() {
+				return r.memErr()
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// evaluate opens the run of one SELECT or ASK evaluation and hands it
+// to drive. A non-empty id traces the evaluation: operator spans attach
+// under a fresh root, and the trace — returned even when drive fails,
+// with the spans finished so far — carries the account's
+// rows/bytes/peak and is collected by the engine's tracer, if any.
+func (e *Engine) evaluate(ctx context.Context, q *Query, id obs.TraceID, drive func(*run, *Query) error) (*obs.Trace, error) {
+	if q.Form != FormSelect && q.Form != FormAsk {
+		return nil, fmt.Errorf("sparql: %s is not a SELECT or ASK query (use Construct or Describe)", q.Form)
+	}
+	var root *obs.Span
+	var start time.Time
+	if id != "" {
+		start, root = time.Now(), obs.StartSpan(q.Form.String(), "", 1)
+	}
+	r, q := e.newRun(ctx, q, root) // a traced run always carries an account
+	defer r.closeAcct()
+	err := drive(r, q)
+	if root == nil {
+		return nil, err
+	}
+	root.Finish(r.delivered, 1)
+	tr := &obs.Trace{ID: id, Start: start, Root: root,
+		Rows: r.acct.Rows(), Bytes: r.acct.Bytes(), PeakBytes: r.acct.Peak()}
+	e.tracer.Collect(tr)
+	return tr, err
+}
+
+// collect evaluates q into a whole Results table, traced under id when
+// it is non-empty.
+func (e *Engine) collect(ctx context.Context, q *Query, id obs.TraceID) (res *Results, tr *obs.Trace, err error) {
+	tr, err = e.evaluate(ctx, q, id, func(r *run, q *Query) (err error) {
+		res, err = r.collect(q)
+		return err
+	})
+	return res, tr, err
+}
+
+// Stream evaluates a SELECT or ASK query (ASK is the one-row table
+// ?ask) and delivers the result incrementally: head once, then chunk
+// per block of rows. A non-empty id traces the evaluation under that
+// identity and returns the trace, also when evaluation or a callback
+// fails; the empty id is the untraced fast path (nil trace).
+func (e *Engine) Stream(ctx context.Context, q *Query, id obs.TraceID, head func(vars []string) error, chunk func(rows [][]rdf.Term) error) (*obs.Trace, error) {
+	return e.evaluate(ctx, q, id, func(r *run, q *Query) error {
+		return r.stream(q, head, func(c []solution) error {
+			rows := make([][]rdf.Term, len(c))
+			for i, s := range c {
+				rows[i] = s
+			}
+			return chunk(rows)
+		})
+	})
+}
+
+// StreamSelect is the untraced Stream of a SELECT query.
+func (e *Engine) StreamSelect(ctx context.Context, q *Query, head func(vars []string) error, chunk func(rows [][]rdf.Term) error) error {
+	if q.Form != FormSelect {
+		return fmt.Errorf("sparql: not a SELECT query")
+	}
+	_, err := e.Stream(ctx, q, "", head, chunk)
+	return err
 }

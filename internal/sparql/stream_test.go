@@ -262,13 +262,67 @@ SELECT ?name WHERE { ?p ex:name ?name }`)
 	}
 }
 
-// TestStreamMemLimit checks the chunk-boundary accounting still
-// enforces -max-query-mem on the streaming path.
+// TestStreamMemLimit checks -max-query-mem is enforced wherever a query
+// retains something: at the chunk boundaries of a plain scan, and in
+// every breaker — ORDER BY's and GROUP BY's drained input, DISTINCT's
+// seen set, CONSTRUCT's and DESCRIBE's dedup graph. The DISTINCT and
+// graph rows fail at the parent commit: both structures were uncharged.
 func TestStreamMemLimit(t *testing.T) {
-	st := streamTestStore(t)
-	eng := NewEngine(st, WithChunkSize(1), WithMaxQueryMem(64))
-	_, err := eng.QueryString(`PREFIX ex: <http://example.org/>
-SELECT ?s ?p ?o WHERE { ?s ?p ?o }`)
+	st := store.New()
+	var ts []rdf.Triple
+	for i := 0; i < 400; i++ {
+		ts = append(ts, rdf.NewTriple(rdf.NewIRI(fmt.Sprintf("http://example.org/s%03d", i)),
+			rdf.NewIRI("http://example.org/p"), rdf.NewInteger(int64(i))))
+	}
+	st.InsertTriples(rdf.Term{}, ts)
+	// One 16-row chunk of these 3-term rows is charged ~4.5 KB, so the
+	// pipeline's few boundaries fit in 24 KB; each retained structure
+	// grows with the 400 rows, well past it. The graph budgets sit above
+	// what the WHERE rows alone would cost as a drained table (~115 KB,
+	// all the parent commit charged) and below the graph (~900 KB for
+	// the six-triple template, ~225 KB of descriptions).
+	engine := func(budget int64) *Engine { return NewEngine(st, WithChunkSize(16), WithMaxQueryMem(budget)) }
+	eng := engine(24 << 10)
+	for _, c := range []struct {
+		name, query string
+		budget      int64
+	}{
+		{"order-by", `SELECT ?s ?o WHERE { ?s ?p ?o } ORDER BY ?o`, 24 << 10},
+		{"group-by", `SELECT ?s (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s`, 24 << 10},
+		{"distinct", `SELECT DISTINCT ?s WHERE { ?s ?p ?o }`, 24 << 10},
+		{"construct", `PREFIX ex: <http://example.org/> CONSTRUCT {
+			?s ex:q1 ?o . ?s ex:q2 ?o . ?s ex:q3 ?o . ?s ex:q4 ?o . ?o ex:q5 ?s . ?o ex:q6 ?s
+		} WHERE { ?s ?p ?o }`, 400 << 10},
+		{"describe", `DESCRIBE ?s WHERE { ?s ?p ?o }`, 160 << 10},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			q, err := ParseQuery(c.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch q.Form {
+			case FormConstruct:
+				_, err = engine(c.budget).Construct(q)
+			case FormDescribe:
+				_, err = engine(c.budget).Describe(q)
+			default:
+				err = engine(c.budget).StreamSelect(context.Background(), q,
+					func([]string) error { return nil }, func([][]rdf.Term) error { return nil })
+			}
+			var me *MemLimitError
+			if !errors.As(err, &me) {
+				t.Fatalf("err = %v, want *MemLimitError", err)
+			}
+		})
+	}
+	// The same scan without a retained structure streams within budget.
+	q, _ := ParseQuery(`SELECT ?s ?o WHERE { ?s ?p ?o }`)
+	if err := eng.StreamSelect(context.Background(), q,
+		func([]string) error { return nil }, func([][]rdf.Term) error { return nil }); err != nil {
+		t.Fatalf("plain streamed scan under the same budget: %v", err)
+	}
+	// And a budget below one chunk trips at the first boundary.
+	_, err := NewEngine(st, WithChunkSize(1), WithMaxQueryMem(64)).QueryString(`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`)
 	var me *MemLimitError
 	if !errors.As(err, &me) {
 		t.Fatalf("err = %v, want *MemLimitError", err)
@@ -375,6 +429,32 @@ func TestDecodeResultsRoundTrip(t *testing.T) {
 		}
 		if !de.Truncated {
 			t.Errorf("prefix %d: truncation not classified as Truncated: %v", n, err)
+		}
+	}
+
+	// A traced stream ends with the "trace" member: the traced decoder
+	// surfaces it, and to every other reader — DecodeResults, the
+	// reference ResultsFromJSON — the document is the same table.
+	var buf bytes.Buffer
+	enc := NewResultsEncoder(&buf)
+	enc.Head(res.Vars)
+	enc.Rows(res.Rows)
+	enc.SetTrace("c3Bhbg==")
+	enc.Close()
+	if want := string(doc[:len(doc)-1]) + `,"trace":"c3Bhbg=="}`; buf.String() != want {
+		t.Fatalf("traced document\nwant %s\ngot  %s", want, buf.String())
+	}
+	traced, wire, err := DecodeTracedResults(bytes.NewReader(buf.Bytes()))
+	if err != nil || wire != "c3Bhbg==" {
+		t.Fatalf("DecodeTracedResults: trace %q, err %v", wire, err)
+	}
+	ref, err := ResultsFromJSON(buf.Bytes())
+	if err != nil {
+		t.Fatalf("reference decoder rejects the traced document: %v", err)
+	}
+	for _, r := range []*Results{traced, ref} {
+		if rj, _ := json.Marshal(r); !bytes.Equal(rj, doc) {
+			t.Errorf("traced document decoded to a different table: %s", rj)
 		}
 	}
 

@@ -11,7 +11,7 @@ import (
 )
 
 // This file is the engine's tracing glue: the WithTracer option, the
-// QueryTraced entry points, and the span helpers the pipeline calls.
+// QueryTraced* entry points, and the span helpers the pipeline calls.
 //
 // Tracing contract: a traced query runs the same chunked pipeline as
 // an untraced one (stream.go); every stage additionally owns a span
@@ -34,7 +34,7 @@ import (
 // installed, every query is sampled). Use NewTracer's ring to inspect
 // recent query plans on a live server, or leave the engine tracer nil
 // (the default) for zero-cost evaluation and trace individual queries
-// with QueryTraced.
+// with QueryTracedString / QueryTracedContext.
 func WithTracer(t *obs.Tracer) Option {
 	return func(e *Engine) { e.tracer = t }
 }
@@ -44,62 +44,9 @@ func WithTracer(t *obs.Tracer) Option {
 // the sampler says so, keeping always-on tracing affordable under load
 // (an unsampled query allocates no span tree — its only tracing cost is
 // the ID draw and one hash). Nil — the default — samples everything.
-// QueryTraced bypasses the sampler; it is the "force this one" path.
+// QueryTracedContext bypasses the sampler: the "force this one" path.
 func WithSampler(s *obs.Sampler) Option {
 	return func(e *Engine) { e.sampler = s }
-}
-
-// Tracer returns the engine-level tracer, or nil.
-func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
-
-// Sampler returns the engine-level sampler, or nil.
-func (e *Engine) Sampler() *obs.Sampler { return e.sampler }
-
-// QueryTraced evaluates a SELECT or ASK query with operator tracing
-// enabled and returns the EXPLAIN ANALYZE-style trace alongside the
-// results, under a fresh trace ID. The trace is returned even when
-// evaluation fails (with the spans finished so far). If the engine has
-// a tracer installed the trace is also collected there.
-func (e *Engine) QueryTraced(q *Query) (*Results, *obs.Trace, error) {
-	return e.queryTracedID(context.Background(), q, obs.NewTraceID())
-}
-
-// QueryTracedID is QueryTraced under a caller-chosen trace identity and
-// context (the server uses the propagated ID of the traceparent header
-// and the request context). The trace collected so far is returned even
-// when evaluation fails or is cancelled, which is how the server
-// reports a partial trace on a query deadline.
-func (e *Engine) QueryTracedID(ctx context.Context, q *Query, id obs.TraceID) (*Results, *obs.Trace, error) {
-	return e.queryTracedID(ctx, q, id)
-}
-
-// queryTracedID is QueryTraced under a caller-chosen trace identity
-// (the server uses the propagated ID of the traceparent header).
-func (e *Engine) queryTracedID(ctx context.Context, q *Query, id obs.TraceID) (*Results, *obs.Trace, error) {
-	start := time.Now()
-	// A traced query always runs with a resource account so the trace
-	// carries rows/bytes/peak; a context-injected account (the server's
-	// per-request one) is adopted, otherwise one is opened here.
-	acct := QueryAcctFrom(ctx)
-	if acct == nil {
-		acct = obs.NewQueryAcct(e.resources, e.maxQueryMem)
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		ctx = WithQueryAcct(ctx, acct)
-		defer acct.Finish()
-	}
-	root := obs.StartSpan(q.Form.String(), "", 1)
-	res, err := e.query(ctx, q, root)
-	out := 0
-	if res != nil {
-		out = len(res.Rows)
-	}
-	root.Finish(out, 1)
-	tr := &obs.Trace{ID: id, Start: start, Root: root,
-		Rows: acct.Rows(), Bytes: acct.Bytes(), PeakBytes: acct.Peak()}
-	e.tracer.Collect(tr)
-	return res, tr, err
 }
 
 // QueryTracedString parses and evaluates a query string with tracing;
@@ -109,7 +56,7 @@ func (e *Engine) QueryTracedString(src string) (*Results, *obs.Trace, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	res, tr, err := e.QueryTraced(q)
+	res, tr, err := e.QueryTracedContext(context.Background(), q)
 	if tr != nil {
 		tr.Query = src
 	}
