@@ -39,11 +39,11 @@ bench:
 
 # Machine-readable benchmark snapshot: one fast pass (-short,
 # -benchtime 1x) over every benchmark, converted to JSON by
-# cmd/benchjson and committed as BENCH_PR15.json so regressions show up
+# cmd/benchjson and committed as BENCH_PR16.json so regressions show up
 # in review diffs. Use `make bench` for real measurements.
 bench-json:
 	$(GO) test -run xxx -bench . -benchmem -short -benchtime 1x . \
-	  | $(GO) run ./cmd/benchjson -o BENCH_PR15.json
+	  | $(GO) run ./cmd/benchjson -o BENCH_PR16.json
 
 # Regression gates. First: diff the previous PR's committed snapshot
 # against this PR's and fail on ns/op regressions. The tool's default
@@ -56,8 +56,8 @@ bench-json:
 # threshold of its planner=off sibling, so turning the cost-based
 # planner on by default can never ship a slowdown.
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare -threshold 0.50 BENCH_PR14.json BENCH_PR15.json
-	$(GO) run ./cmd/benchjson -ablation planner -threshold 0.50 BENCH_PR15.json
+	$(GO) run ./cmd/benchjson -compare -threshold 0.50 BENCH_PR15.json BENCH_PR16.json
+	$(GO) run ./cmd/benchjson -ablation planner -threshold 0.50 BENCH_PR16.json
 
 # SLO gate: boot sparqld on the demo cube, enrich it over HTTP, fire a
 # short seeded mixed workload with `qb2olap bench` through the remote
@@ -183,15 +183,17 @@ chaos:
 
 # Quick fuzzing pass over the wire decoders every untrusted byte goes
 # through — the W3C traceparent parser, the X-Qb2olap-Trace span-tree
-# decoder, and the SPARQL results JSON decoder — and over the store's
-# write path (random insert/delete/clear/publish programs against a
-# plain-map model).
+# decoder, and the SPARQL results JSON decoder, differential against the
+# encoding/json reference, as is the results encoder — and over the
+# store's write path (random insert/delete/clear/publish programs
+# against a plain-map model).
 fuzz-smoke:
 	$(GO) test -fuzz FuzzStoreOps -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz FuzzParseTraceparent -fuzztime 30s ./internal/obs/
 	$(GO) test -fuzz FuzzDecodeSpanWire -fuzztime 30s ./internal/obs/
 	$(GO) test -fuzz FuzzResultsFromJSON -fuzztime 30s ./internal/sparql/
 	$(GO) test -fuzz FuzzResultsDecoder -fuzztime 30s ./internal/sparql/
+	$(GO) test -fuzz FuzzResultsEncoder -fuzztime 30s ./internal/sparql/
 
 # Short fuzzing pass over all four parsers.
 fuzz:

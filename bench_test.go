@@ -9,7 +9,9 @@
 package repro
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"sync"
@@ -865,6 +867,112 @@ func BenchmarkConcurrentQueryStreamed(b *testing.B) {
 					}
 				}
 			})
+		})
+	}
+}
+
+// ---------------------------------------------------------------------
+// A-result-wire — the results codec alone (internal/sparql/resultdec.go).
+
+// wireFixtures returns the two result tables the codec benchmarks run
+// on: the 5 000-row half-year extract of the 20k cube with five bound
+// variables (the shape the repository benchmark's extract-20k sends)
+// and a 7-row OLAP answer (the per-request fixed cost enrich-3k and
+// olap-20k pay on every small response).
+func wireFixtures(b *testing.B) []wireFixture {
+	env := enrichedEnv(b, demoScale)
+	extract := fmt.Sprintf(`SELECT ?o ?c ?g ?t ?v WHERE {
+  VALUES ?q { %s %s }
+  ?t %s ?q .
+  ?o %s ?t ; %s ?c ; %s ?g ; %s ?v .
+}`, eurostat.QuarterIRI(2013, 1), eurostat.QuarterIRI(2013, 2), eurostat.PropQuarter,
+		eurostat.PropTime, eurostat.PropCitizen, eurostat.PropGeo, eurostat.PropObs)
+	pq, _ := demo.FindPredefinedQuery("continent-year")
+	p, err := ql.Prepare(pq.QL, env.Schema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := []wireFixture{{name: "extract-5k"}, {name: "olap-7"}}
+	for i, query := range []string{extract, p.Translation.Direct} {
+		if out[i].res, err = env.Client.Select(query); err != nil {
+			b.Fatal(err)
+		}
+	}
+	out[1].res.Rows = out[1].res.Rows[:7]
+	if n := out[0].res.Len(); n < 4500 || n > 5500 {
+		b.Fatalf("half-year extract has %d rows, want about 5000", n)
+	}
+	return out
+}
+
+type wireFixture struct {
+	name string
+	res  *sparql.Results
+}
+
+// encodeWire serializes res the way endpoint.Server does: Head, one
+// Rows call per engine chunk, Close.
+func encodeWire(w io.Writer, res *sparql.Results) error {
+	const chunk = 1024 // the engine's default chunk size
+	enc := sparql.NewResultsEncoder(w)
+	if err := enc.Head(res.Vars); err != nil {
+		return err
+	}
+	for lo := 0; lo < len(res.Rows); lo += chunk {
+		if err := enc.Rows(res.Rows[lo:min(lo+chunk, len(res.Rows))]); err != nil {
+			return err
+		}
+	}
+	return enc.Close()
+}
+
+// BenchmarkResultsEncode measures the streaming JSON encoder; MB/s is
+// over the encoded document.
+func BenchmarkResultsEncode(b *testing.B) {
+	for _, f := range wireFixtures(b) {
+		res := f.res
+		b.Run(f.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			if err := encodeWire(&buf, res); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(buf.Len()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := encodeWire(&buf, res); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkResultsDecode measures the incremental decoder on the
+// encoder's output.
+func BenchmarkResultsDecode(b *testing.B) {
+	for _, f := range wireFixtures(b) {
+		res := f.res
+		b.Run(f.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			if err := encodeWire(&buf, res); err != nil {
+				b.Fatal(err)
+			}
+			doc, rd := buf.Bytes(), bytes.NewReader(nil)
+			b.SetBytes(int64(len(doc)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(doc)
+				got, err := sparql.DecodeResults(rd)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got.Len() != res.Len() {
+					b.Fatalf("decoded %d rows, want %d", got.Len(), res.Len())
+				}
+			}
 		})
 	}
 }

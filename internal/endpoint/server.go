@@ -842,8 +842,15 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	// The request's resource account, as for a query: the WHERE rows of
+	// a DELETE/INSERT are charged to it, and the middleware reports it.
+	acct := obs.NewQueryAcct(s.Resources, s.MaxQueryMem)
+	defer acct.Finish()
+	if ow, ok := w.(*obsResponseWriter); ok {
+		ow.acct = acct
+	}
 	s.updateMu.Lock()
-	err = s.engine.UpdateContext(r.Context(), u)
+	err = s.engine.UpdateContext(sparql.WithQueryAcct(r.Context(), acct), u)
 	s.updateMu.Unlock()
 	if err != nil {
 		s.writeEvalError(w, err)

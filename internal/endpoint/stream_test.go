@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/rdf"
 )
 
 // sampleAll makes a server trace every request it is not told about
@@ -274,6 +275,37 @@ func TestStreamMemLimitKeepsCleanStatus(t *testing.T) {
 	}
 	if got := counterValue(t, srv, "queries_over_mem_total"); got != 1 {
 		t.Fatalf("queries_over_mem_total = %d, want 1", got)
+	}
+}
+
+// TestUpdateMemLimit checks /update holds the WHERE rows of a
+// DELETE/INSERT to the same budget, with the same typed answer, as
+// /sparql holds a query — and that an update refused for them has
+// written nothing.
+func TestUpdateMemLimit(t *testing.T) {
+	for _, budget := range []int64{64, 0} {
+		srv, hs := newResilientServer(t, func(s *Server) { s.MaxQueryMem = budget })
+		before := srv.Engine().Store().Len(rdf.Term{})
+		resp, err := http.PostForm(hs.URL+"/update", url.Values{"update": {`DELETE { ?s ?p ?o } WHERE { ?s ?p ?o }`}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		after := srv.Engine().Store().Len(rdf.Term{})
+		if budget == 0 { // unbounded, the same request goes through
+			if resp.StatusCode != http.StatusNoContent || after != 0 {
+				t.Fatalf("unbounded update: status %d, %d triples left", resp.StatusCode, after)
+			}
+			continue
+		}
+		if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get(MemLimitHeader) == "" {
+			t.Fatalf("status = %d, %s = %q (%s), want 429 with the header",
+				resp.StatusCode, MemLimitHeader, resp.Header.Get(MemLimitHeader), body)
+		}
+		if after != before || before == 0 {
+			t.Fatalf("store has %d triples after the refused update, %d before", after, before)
+		}
 	}
 }
 

@@ -6,8 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/rdf"
 	"repro/internal/store"
@@ -265,8 +269,8 @@ SELECT ?name WHERE { ?p ex:name ?name }`)
 // TestStreamMemLimit checks -max-query-mem is enforced wherever a query
 // retains something: at the chunk boundaries of a plain scan, and in
 // every breaker — ORDER BY's and GROUP BY's drained input, DISTINCT's
-// seen set, CONSTRUCT's and DESCRIBE's dedup graph. The DISTINCT and
-// graph rows fail at the parent commit: both structures were uncharged.
+// seen set, CONSTRUCT's and DESCRIBE's dedup graph, the WHERE rows an
+// update drains before it writes.
 func TestStreamMemLimit(t *testing.T) {
 	st := store.New()
 	var ts []rdf.Triple
@@ -294,8 +298,20 @@ func TestStreamMemLimit(t *testing.T) {
 			?s ex:q1 ?o . ?s ex:q2 ?o . ?s ex:q3 ?o . ?s ex:q4 ?o . ?o ex:q5 ?s . ?o ex:q6 ?s
 		} WHERE { ?s ?p ?o }`, 400 << 10},
 		{"describe", `DESCRIBE ?s WHERE { ?s ?p ?o }`, 160 << 10},
+		{"delete-where", `DELETE { ?s ?p ?o } WHERE { ?s ?p ?o }`, 24 << 10},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			var me *MemLimitError
+			if c.name == "delete-where" {
+				// The read phase trips, so the write phase never runs.
+				if err := engine(c.budget).ExecuteString(c.query); !errors.As(err, &me) {
+					t.Fatalf("err = %v, want *MemLimitError", err)
+				}
+				if n := st.Len(rdf.Term{}); n != 400 {
+					t.Fatalf("%d triples left after an update that failed, want all 400", n)
+				}
+				return
+			}
 			q, err := ParseQuery(c.query)
 			if err != nil {
 				t.Fatal(err)
@@ -309,7 +325,6 @@ func TestStreamMemLimit(t *testing.T) {
 				err = engine(c.budget).StreamSelect(context.Background(), q,
 					func([]string) error { return nil }, func([][]rdf.Term) error { return nil })
 			}
-			var me *MemLimitError
 			if !errors.As(err, &me) {
 				t.Fatalf("err = %v, want *MemLimitError", err)
 			}
@@ -371,29 +386,30 @@ func TestResultsEncoderByteIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, chunkRows := range []int{1, 2, 1 << 20} {
-			var buf bytes.Buffer
-			enc := NewResultsEncoder(&buf)
-			if err := enc.Head(res.Vars); err != nil {
-				t.Fatal(err)
-			}
-			for lo := 0; lo < len(res.Rows); lo += chunkRows {
-				hi := lo + chunkRows
-				if hi > len(res.Rows) {
-					hi = len(res.Rows)
-				}
-				if err := enc.Rows(res.Rows[lo:hi]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := enc.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("case %d chunk %d: encoder bytes differ\nwant %s\ngot  %s",
-					i, chunkRows, want, buf.Bytes())
+			if got := encodeInChunks(t, res, chunkRows); !bytes.Equal(got, want) {
+				t.Errorf("case %d chunk %d: encoder bytes differ\nwant %s\ngot  %s", i, chunkRows, want, got)
 			}
 		}
 	}
+}
+
+// encodeInChunks streams res through a ResultsEncoder, chunkRows rows
+// per Rows call.
+func encodeInChunks(t *testing.T, res *Results, chunkRows int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := NewResultsEncoder(&buf)
+	err := enc.Head(res.Vars)
+	for lo := 0; lo < len(res.Rows) && err == nil; lo += chunkRows {
+		err = enc.Rows(res.Rows[lo:min(lo+chunkRows, len(res.Rows))])
+	}
+	if err == nil {
+		err = enc.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestDecodeResultsRoundTrip checks the incremental decoder on the
@@ -418,17 +434,52 @@ func TestDecodeResultsRoundTrip(t *testing.T) {
 		t.Fatalf("round trip drifted\nwant %s\ngot  %s", doc, gj)
 	}
 
-	for n := 0; n < len(doc); n++ {
-		_, err := DecodeResults(bytes.NewReader(doc[:n]))
-		if err == nil {
-			t.Fatalf("prefix of %d/%d bytes decoded without error", n, len(doc))
+	// Every prefix, however the reader hands it over: whole, a byte or
+	// half a request at a time (an escape, a surrogate pair or a
+	// multi-byte rune then straddles two reads), or with the final bytes
+	// and io.EOF in one call.
+	escaped := []byte(`{"head":{"vars":["s","n"]},"results":{"bindings":[{"s":{"type":"literal",` +
+		`"value":"a\u003cb \ud83d\ude00 \"é\" 😀\n","xml:lang":"fr"},"n":{"type":"bnode","value":"b\\0"}}]},"x":[1.5e3,{"k":"\u00e9"}]}`)
+	if _, err := ResultsFromJSON(escaped); err != nil {
+		t.Fatal(err)
+	}
+	readers := map[string]func(io.Reader) io.Reader{
+		"whole":   func(r io.Reader) io.Reader { return r },
+		"byte":    iotest.OneByteReader,
+		"half":    iotest.HalfReader,
+		"dataErr": iotest.DataErrReader,
+	}
+	for _, doc := range [][]byte{doc, escaped} {
+		// Cut in two reads at every byte, the second one long: whatever
+		// the scanner holds a view of across a refill is overwritten.
+		want, _ := ResultsFromJSON(doc)
+		for k := range doc {
+			got, err := DecodeResults(io.MultiReader(bytes.NewReader(doc[:k]), bytes.NewReader(doc[k:])))
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("cut at byte %d: decoded %v (%v), the reference %v", k, got, err, want)
+			}
 		}
-		var de *ResultsDecodeError
-		if !errors.As(err, &de) {
-			t.Fatalf("prefix %d: error %T is not *ResultsDecodeError: %v", n, err, err)
-		}
-		if !de.Truncated {
-			t.Errorf("prefix %d: truncation not classified as Truncated: %v", n, err)
+		for name, wrap := range readers {
+			got, err := DecodeResults(wrap(bytes.NewReader(doc)))
+			if err != nil {
+				t.Fatalf("%s reader: decoding a well-formed document: %v", name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s reader: decoded %v, the reference %v", name, got, want)
+			}
+			for n := 0; n < len(doc); n++ {
+				_, err := DecodeResults(wrap(bytes.NewReader(doc[:n])))
+				if err == nil {
+					t.Fatalf("%s reader: prefix of %d/%d bytes decoded without error", name, n, len(doc))
+				}
+				var de *ResultsDecodeError
+				if !errors.As(err, &de) {
+					t.Fatalf("%s reader: prefix %d: error %T is not *ResultsDecodeError: %v", name, n, err, err)
+				}
+				if !de.Truncated {
+					t.Errorf("%s reader: prefix %d: truncation not classified as Truncated: %v", name, n, err)
+				}
+			}
 		}
 	}
 
@@ -467,5 +518,67 @@ func TestDecodeResultsRoundTrip(t *testing.T) {
 		if de.Truncated {
 			t.Errorf("garbage %q misclassified as truncation", garbage)
 		}
+	}
+}
+
+// TestResultsCodecFootprint pins what the codec allocates on a large
+// result of the shape an observation extract has — five variables: one
+// IRI unique per row, three that repeat down their columns, an integer
+// literal. Decoding builds the table in place: everything it allocates
+// is within half of what the table keeps, in at most three allocations
+// a row (its unique IRI, its literal, a share of the slab and of the
+// read buffer). Encoding a chunk into the warm encoder allocates
+// nothing that grows with the rows.
+func TestResultsCodecFootprint(t *testing.T) {
+	const n = 5000
+	res := &Results{Vars: []string{"o", "c", "g", "t", "v"}}
+	for i := 0; i < n; i++ {
+		res.Rows = append(res.Rows, []rdf.Term{
+			rdf.NewIRI(fmt.Sprintf("http://example.org/data/observation/%06d", i)),
+			rdf.NewIRI(fmt.Sprintf("http://example.org/dic/citizen#C%02d", i%97)),
+			rdf.NewIRI(fmt.Sprintf("http://example.org/dic/geo#G%02d", i%31)),
+			rdf.NewIRI(fmt.Sprintf("http://example.org/dic/time#2013M%02d", i%6+1)),
+			rdf.NewInteger(int64(100 + i%900)),
+		})
+	}
+	doc, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rd := bytes.NewReader(doc)
+	var table *Results
+	decode := func() {
+		rd.Reset(doc)
+		if table, err = DecodeResults(rd); err != nil || table.Len() != n {
+			t.Fatalf("decoding: %v", err)
+		}
+	}
+	perRow := testing.AllocsPerRun(3, decode) / n
+	if perRow > 3 {
+		t.Errorf("decoding allocates %.1f times per row, want at most 3", perRow)
+	}
+	// What the table keeps is the heap a collection gives back once it
+	// is dropped; what decoding it allocated, the allocation counter.
+	var before, after, kept, dropped runtime.MemStats
+	runtime.ReadMemStats(&before)
+	decode()
+	runtime.ReadMemStats(&after)
+	runtime.GC()
+	runtime.ReadMemStats(&kept)
+	runtime.KeepAlive(table)
+	table = nil
+	runtime.GC()
+	runtime.ReadMemStats(&dropped)
+	total, retained := after.TotalAlloc-before.TotalAlloc, kept.HeapAlloc-dropped.HeapAlloc
+	if float64(total) > 1.5*float64(retained) {
+		t.Errorf("decoding allocated %d bytes for a table of %d, want at most 1.5 times it", total, retained)
+	}
+	t.Logf("decoding allocated %d bytes, %.1f times per row, for a table of %d", total, perRow, retained)
+
+	enc := NewResultsEncoder(io.Discard)
+	enc.Head(res.Vars)
+	if allocs := testing.AllocsPerRun(10, func() { enc.Rows(res.Rows[:1024]) }); allocs > 1 {
+		t.Errorf("encoding 1024 rows into a warm encoder allocates %.0f times, want none that grow with the rows", allocs)
 	}
 }

@@ -63,6 +63,11 @@ func (e *Engine) executeModify(ctx context.Context, o ModifyOp) error {
 	where, planned := e.preparedGroup(o.Where, snap)
 	r := &run{e: e, vt: newVarTable(), snap: snap, planned: planned}
 	r.bindContext(ctx)
+	// The WHERE rows are drained whole before anything is written, so
+	// they are charged to -max-query-mem like a query's; a trip returns
+	// the typed error before the write phase.
+	r.bindAcct(ctx, false)
+	defer r.closeAcct()
 	collectGroupVars(where, r.vt)
 	for _, qp := range append(append([]QuadPattern{}, o.Delete...), o.Insert...) {
 		collectPatternTermVars(qp.S, r.vt)
