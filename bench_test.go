@@ -10,6 +10,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -323,6 +324,51 @@ func benchmarkExecute(b *testing.B, v ql.Variant) {
 		if len(cube.Cells) == 0 {
 			b.Fatal("empty cube")
 		}
+	}
+}
+
+// BenchmarkBGPStar isolates the join core on the shape every generated
+// query has: the nine-pattern observation star of the Mary query
+// (testdata/explain_mary.golden) without its FILTERs, so all 20k
+// observations cross every join level and nothing else — no grouping,
+// no sort — runs. Rows are streamed and counted, at engine parallelism
+// 1 and GOMAXPROCS.
+func BenchmarkBGPStar(b *testing.B) {
+	env := enrichedEnv(b, demoScale)
+	q, err := sparql.ParseQuery(`
+PREFIX qb: <http://purl.org/linked-data/cube#>
+PREFIX schema: <http://www.fing.edu.uy/inco/cubes/schemas/migr_asyapp#>
+PREFIX property: <http://eurostat.linked-statistics.org/property#>
+PREFIX sdmx-measure: <http://purl.org/linked-data/sdmx/2009/measure#>
+PREFIX sdmx-dimension: <http://purl.org/linked-data/sdmx/2009/dimension#>
+SELECT ?m1_1 ?m2_0 ?m3_2 ?a2_countryName ?v1 WHERE {
+  ?m1_0 schema:continent ?m1_1 .
+  ?o property:citizen ?m1_0 .
+  ?o qb:dataSet <http://eurostat.linked-statistics.org/data/migr_asyappctzm> .
+  ?o sdmx-measure:obsValue ?v1 .
+  ?o property:geo ?m2_0 .
+  ?o sdmx-dimension:refPeriod ?m3_0 .
+  ?m3_0 schema:quarter ?m3_1 .
+  ?m3_1 schema:year ?m3_2 .
+  ?m2_0 schema:countryName ?a2_countryName .
+}`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, par := range []int{1, 0} {
+		e := sparql.NewEngine(env.Store, sparql.WithParallelism(par))
+		b.Run(fmt.Sprintf("par=%d", e.Parallelism()), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rows := 0
+				err := e.StreamSelect(context.Background(), q,
+					func([]string) error { return nil },
+					func(chunk [][]rdf.Term) error { rows += len(chunk); return nil })
+				if err != nil || rows < demoScale*9/10 {
+					b.Fatalf("star streamed %d rows (err %v), want about %d", rows, err, demoScale)
+				}
+			}
+		})
 	}
 }
 

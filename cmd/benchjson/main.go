@@ -12,7 +12,9 @@
 //	benchjson -slo slo.json REPORT.json
 //
 // The GOMAXPROCS suffix (-8) is stripped from names so snapshots
-// diff cleanly across machines; sub-benchmark paths are kept.
+// diff cleanly across machines; sub-benchmark paths are kept. When a
+// name repeats (go test -count N) the fastest sample is kept, so N is
+// best-of-N.
 //
 // -compare diffs two snapshots benchmark by benchmark and exits
 // non-zero when any benchmark's ns/op regressed by more than
@@ -89,7 +91,11 @@ func parse(lines *bufio.Scanner) (map[string]Result, error) {
 				r.AllocsPerOp, _ = strconv.ParseInt(v, 10, 64)
 			}
 		}
-		out[name] = r
+		// A name repeated by -count N keeps its fastest sample: the
+		// least disturbed run is the one a later snapshot can repeat.
+		if prev, ok := out[name]; !ok || r.NsPerOp < prev.NsPerOp {
+			out[name] = r
+		}
 	}
 	return out, lines.Err()
 }

@@ -37,6 +37,24 @@ ok  	repro	1.234s
 	}
 }
 
+// TestParseKeepsFastestOfRepeats pins -count N as best-of-N: a repeated
+// name keeps the whole line of its fastest sample, wherever it comes.
+func TestParseKeepsFastestOfRepeats(t *testing.T) {
+	in := `BenchmarkQLParse-2   1   52000 ns/op   900 B/op   9 allocs/op
+BenchmarkQLParse-2   1   40000 ns/op   800 B/op   8 allocs/op
+BenchmarkQLParse-2   1   95000 ns/op   700 B/op   7 allocs/op
+BenchmarkOther-2     1   10 ns/op
+`
+	got, err := parse(bufio.NewScanner(strings.NewReader(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Result{Iterations: 1, NsPerOp: 40000, BytesPerOp: 800, AllocsPerOp: 8}
+	if len(got) != 2 || got["BenchmarkQLParse"] != want {
+		t.Fatalf("parsed %v, want BenchmarkQLParse = %+v", got, want)
+	}
+}
+
 func TestCompareSnapshots(t *testing.T) {
 	oldRes := map[string]Result{
 		"BenchmarkStable":   {NsPerOp: 1000},

@@ -225,6 +225,7 @@ func TestSnapshotIsolationPairs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		old := st.Snapshot()
 		rows := 0
 		err = e.StreamSelect(context.Background(), q,
 			// The header arrives once the query has pinned its snapshot
@@ -249,6 +250,16 @@ func TestSnapshotIsolationPairs(t *testing.T) {
 		}
 		if rows != before {
 			t.Errorf("a query started before the write joined %d pairs, want the %d of its snapshot", rows, before)
+		}
+		// The write interned a hundred new terms; every id the old
+		// snapshot holds still lies inside the table it pinned (Term
+		// would panic otherwise) and decodes as the dictionary does.
+		for _, tr := range old.Range(store.NoID, store.IDTriple{}) {
+			for _, id := range [3]store.ID{tr.S, tr.P, tr.O} {
+				if got, want := old.Term(id), st.Dict().Term(id); got != want {
+					t.Fatalf("the old snapshot decodes id %d as %v, the dictionary as %v", id, got, want)
+				}
+			}
 		}
 		if res, err := e.QueryString(pairJoin); err != nil || len(res.Rows) != 2*before-1 {
 			t.Errorf("a query started after the write joined %d pairs (err %v), want %d", len(res.Rows), err, 2*before-1)

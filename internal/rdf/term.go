@@ -8,6 +8,7 @@ package rdf
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -79,7 +80,7 @@ func NewLangLiteral(lexical, lang string) Term {
 
 // NewInteger returns an xsd:integer literal.
 func NewInteger(v int64) Term {
-	return Term{Kind: KindLiteral, Value: fmt.Sprintf("%d", v), Datatype: XSDInteger}
+	return Term{Kind: KindLiteral, Value: strconv.FormatInt(v, 10), Datatype: XSDInteger}
 }
 
 // NewDecimal returns an xsd:decimal literal from a formatted value.

@@ -586,21 +586,25 @@ func (r *run) evalAggExpr(e Expression, groupRows []solution, rep solution) (rdf
 }
 
 func (r *run) evalAggregate(agg ExprAggregate, rows []solution) (rdf.Term, error) {
+	if agg.Star { // COUNT(*) — the parser admits * nowhere else — counts solutions, not values
+		n := len(rows)
+		if agg.Distinct {
+			seen := make(map[string]struct{}, n)
+			for _, row := range rows {
+				seen[solutionKey(row)] = struct{}{}
+			}
+			n = len(seen)
+		}
+		return rdf.NewInteger(int64(n)), nil
+	}
 	// Collect argument values (skipping evaluation errors per spec).
 	var vals []rdf.Term
-	if agg.Star {
-		vals = make([]rdf.Term, len(rows))
-		for i := range rows {
-			vals[i] = rdf.NewInteger(1) // placeholder; COUNT(*) counts rows
+	for _, row := range rows {
+		v, err := r.evalExpr(agg.Arg, row)
+		if err != nil {
+			continue
 		}
-	} else {
-		for _, row := range rows {
-			v, err := r.evalExpr(agg.Arg, row)
-			if err != nil {
-				continue
-			}
-			vals = append(vals, v)
-		}
+		vals = append(vals, v)
 	}
 	if agg.Distinct {
 		seen := make(map[rdf.Term]struct{}, len(vals))

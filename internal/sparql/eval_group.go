@@ -1,10 +1,6 @@
 package sparql
 
-import (
-	"repro/internal/obs"
-	"repro/internal/rdf"
-	"repro/internal/store"
-)
+import "repro/internal/obs"
 
 // collectVars walks the query registering every variable in the var
 // table so solutions have a stable width.
@@ -198,63 +194,6 @@ func singleTriplePattern(g GroupGraphPattern) (TriplePattern, bool) {
 	return tp, true
 }
 
-// optionalSingle implements OPTIONAL { <one pattern> }: every left row
-// is kept, extended by each match when there is one.
-func (r *run) optionalSingle(tp TriplePattern, rows []solution, ctx graphCtx) []solution {
-	gterm := r.graphTerm(ctx)
-	out := make([]solution, 0, len(rows))
-	for ri, row := range rows {
-		if ri%cancelCheckRows == 0 && r.cancelled() {
-			break // the next chunk boundary errors out
-		}
-		s, sBound := r.resolve(tp.S, row)
-		p, pBound := r.resolve(tp.P, row)
-		o, oBound := r.resolve(tp.O, row)
-		var sPat, pPat, oPat rdf.Term
-		if sBound {
-			sPat = s
-		}
-		if pBound {
-			pPat = p
-		}
-		if oBound {
-			oPat = o
-		}
-		matched := false
-		r.snap.Match(gterm, sPat, pPat, oPat, func(t rdf.Triple) bool {
-			nrow := row.clone()
-			if tp.S.IsVar && !sBound {
-				idx := r.vt.index[tp.S.Var]
-				if !nrow[idx].IsZero() && nrow[idx] != t.S {
-					return true
-				}
-				nrow[idx] = t.S
-			}
-			if tp.P.IsVar && !pBound {
-				idx := r.vt.index[tp.P.Var]
-				if !nrow[idx].IsZero() && nrow[idx] != t.P {
-					return true
-				}
-				nrow[idx] = t.P
-			}
-			if tp.O.IsVar && !oBound {
-				idx := r.vt.index[tp.O.Var]
-				if !nrow[idx].IsZero() && nrow[idx] != t.O {
-					return true
-				}
-				nrow[idx] = t.O
-			}
-			matched = true
-			out = append(out, nrow)
-			return true
-		})
-		if !matched {
-			out = append(out, row)
-		}
-	}
-	return out
-}
-
 // compatibleSharing reports whether two solutions agree on all shared
 // bound variables and share at least one.
 func compatibleSharing(a, b solution) bool {
@@ -296,103 +235,4 @@ func markBound(tp TriplePattern, bound map[string]bool) {
 			bound[pt.Var] = true
 		}
 	}
-}
-
-// joinPatternOwned extends every solution with the matches of one
-// pattern. When owned is true, an input row with exactly one match is
-// extended in place instead of cloned, which removes the dominant
-// allocation cost of long functional join chains (one row per
-// observation through every pattern of a generated OLAP query);
-// otherwise input rows are never mutated.
-func (r *run) joinPatternOwned(tp TriplePattern, rows []solution, ctx graphCtx, owned bool) ([]solution, error) {
-	if tp.Path != nil {
-		return r.joinPath(tp, rows, ctx)
-	}
-	gterm := rdf.Term{}
-	if ctx.gid != store.NoID {
-		gterm = r.e.store.Dict().Term(ctx.gid)
-	}
-	out := make([]solution, 0, len(rows))
-	for ri, row := range rows {
-		if ri%cancelCheckRows == 0 && r.cancelled() {
-			return nil, r.cancelErr()
-		}
-		s, sBound := r.resolve(tp.S, row)
-		p, pBound := r.resolve(tp.P, row)
-		o, oBound := r.resolve(tp.O, row)
-		var sPat, pPat, oPat rdf.Term
-		if sBound {
-			sPat = s
-		}
-		if pBound {
-			pPat = p
-		}
-		if oBound {
-			oPat = o
-		}
-		// extend writes the pattern's bindings into dst, reporting
-		// whether repeated-variable constraints hold.
-		extend := func(dst solution, t rdf.Triple) bool {
-			if tp.S.IsVar && !sBound {
-				idx := r.vt.index[tp.S.Var]
-				if !dst[idx].IsZero() && dst[idx] != t.S {
-					return false
-				}
-				dst[idx] = t.S
-			}
-			if tp.P.IsVar && !pBound {
-				idx := r.vt.index[tp.P.Var]
-				if !dst[idx].IsZero() && dst[idx] != t.P {
-					return false
-				}
-				dst[idx] = t.P
-			}
-			if tp.O.IsVar && !oBound {
-				idx := r.vt.index[tp.O.Var]
-				if !dst[idx].IsZero() && dst[idx] != t.O {
-					return false
-				}
-				dst[idx] = t.O
-			}
-			return true
-		}
-
-		var first rdf.Triple
-		matches := 0
-		r.snap.Match(gterm, sPat, pPat, oPat, func(t rdf.Triple) bool {
-			// A single unselective pattern can scan the whole store for
-			// one input row, so the scan itself checks for cancellation
-			// too (stopping the scan; the caller then errors out).
-			matches++
-			if matches%(cancelCheckRows*4) == 0 && r.cancelled() {
-				return false
-			}
-			switch matches {
-			case 1:
-				first = t
-			case 2:
-				// More than one match: fall back to cloning, emitting
-				// the deferred first match now.
-				if nrow := row.clone(); extend(nrow, first) {
-					out = append(out, nrow)
-				}
-				fallthrough
-			default:
-				if nrow := row.clone(); extend(nrow, t) {
-					out = append(out, nrow)
-				}
-			}
-			return true
-		})
-		if matches == 1 {
-			dst := row
-			if !owned {
-				dst = row.clone()
-			}
-			if extend(dst, first) {
-				out = append(out, dst)
-			}
-		}
-	}
-	return out, nil
 }

@@ -4,45 +4,33 @@ import (
 	"fmt"
 
 	"repro/internal/rdf"
-	"repro/internal/store"
 )
 
 // joinPath extends solutions through a property-path pattern. Closure
 // paths (* and +) require at least one bound endpoint per solution.
-func (r *run) joinPath(tp TriplePattern, rows []solution, ctx graphCtx) ([]solution, error) {
+func (r *run) joinPath(p *probe, rows []solution) ([]solution, error) {
 	var out []solution
 	for ri, row := range rows {
 		if ri%cancelCheckRows == 0 && r.cancelled() {
 			return nil, r.cancelErr()
 		}
-		s, sBound := r.resolve(tp.S, row)
-		o, oBound := r.resolve(tp.O, row)
-		var sPat, oPat rdf.Term
-		if sBound {
-			sPat = s
+		// An endpoint is its constant, the row's binding, or — the zero
+		// term — free for the path to bind.
+		s, o := p.tp.S.Term, p.tp.O.Term
+		if p.slot[0] >= 0 {
+			s = row[p.slot[0]]
 		}
-		if oBound {
-			oPat = o
+		if p.slot[2] >= 0 {
+			o = row[p.slot[2]]
 		}
-		pairs, err := r.pathPairs(tp.Path, sPat, oPat, ctx)
+		pairs, err := r.pathPairs(p, p.tp.Path, s, o)
 		if err != nil {
 			return nil, err
 		}
 		for _, pr := range pairs {
 			nrow := row.clone()
-			if tp.S.IsVar && !sBound {
-				idx := r.vt.index[tp.S.Var]
-				if !nrow[idx].IsZero() && nrow[idx] != pr[0] {
-					continue
-				}
-				nrow[idx] = pr[0]
-			}
-			if tp.O.IsVar && !oBound {
-				idx := r.vt.index[tp.O.Var]
-				if !nrow[idx].IsZero() && nrow[idx] != pr[1] {
-					continue
-				}
-				nrow[idx] = pr[1]
+			if (s.IsZero() && !bind(nrow, p.slot[0], pr[0])) || (o.IsZero() && !bind(nrow, p.slot[2], pr[1])) {
+				continue
 			}
 			out = append(out, nrow)
 		}
@@ -52,17 +40,20 @@ func (r *run) joinPath(tp TriplePattern, rows []solution, ctx graphCtx) ([]solut
 
 // pathPairs enumerates the (start, end) node pairs connected by the
 // path in the active graph. A zero term constrains nothing.
-func (r *run) pathPairs(p *PropertyPath, s, o rdf.Term, ctx graphCtx) ([][2]rdf.Term, error) {
+func (r *run) pathPairs(pp *probe, p *PropertyPath, s, o rdf.Term) ([][2]rdf.Term, error) {
 	switch p.Kind {
 	case PathIRI:
+		step := pp.steps[p]
+		run, free := step.match(solution{s, o})
 		var out [][2]rdf.Term
-		r.snap.Match(r.graphTerm(ctx), s, p.IRI, o, func(t rdf.Triple) bool {
-			out = append(out, [2]rdf.Term{t.S, t.O})
-			return true
-		})
+		for _, t := range run {
+			ends := [2]rdf.Term{s, o}
+			step.extend(ends[:], t, free)
+			out = append(out, ends)
+		}
 		return out, nil
 	case PathInverse:
-		inner, err := r.pathPairs(p.Sub[0], o, s, ctx)
+		inner, err := r.pathPairs(pp, p.Sub[0], o, s)
 		if err != nil {
 			return nil, err
 		}
@@ -75,7 +66,7 @@ func (r *run) pathPairs(p *PropertyPath, s, o rdf.Term, ctx graphCtx) ([][2]rdf.
 		var out [][2]rdf.Term
 		seen := make(map[[2]rdf.Term]struct{})
 		for _, sub := range p.Sub {
-			pairs, err := r.pathPairs(sub, s, o, ctx)
+			pairs, err := r.pathPairs(pp, sub, s, o)
 			if err != nil {
 				return nil, err
 			}
@@ -91,7 +82,7 @@ func (r *run) pathPairs(p *PropertyPath, s, o rdf.Term, ctx graphCtx) ([][2]rdf.
 	case PathSequence:
 		// Fold left to right, joining on the intermediate node. The
 		// final endpoint constraint applies only to the last step.
-		cur, err := r.pathPairs(p.Sub[0], s, rdf.Term{}, ctx)
+		cur, err := r.pathPairs(pp, p.Sub[0], s, rdf.Term{})
 		if err != nil {
 			return nil, err
 		}
@@ -116,7 +107,7 @@ func (r *run) pathPairs(p *PropertyPath, s, o rdf.Term, ctx graphCtx) ([][2]rdf.
 			}
 			for _, mid := range mids {
 				starts := byMid[mid]
-				pairs, err := r.pathPairs(p.Sub[i], mid, endConstraint, ctx)
+				pairs, err := r.pathPairs(pp, p.Sub[i], mid, endConstraint)
 				if err != nil {
 					return nil, err
 				}
@@ -130,7 +121,7 @@ func (r *run) pathPairs(p *PropertyPath, s, o rdf.Term, ctx graphCtx) ([][2]rdf.
 		}
 		return cur, nil
 	case PathOneOrMore, PathZeroOrMore:
-		return r.closurePairs(p, s, o, ctx)
+		return r.closurePairs(pp, p, s, o)
 	default:
 		return nil, fmt.Errorf("sparql: unsupported path kind %d", p.Kind)
 	}
@@ -151,13 +142,13 @@ func dedupePairs(pairs [][2]rdf.Term) [][2]rdf.Term {
 
 // closurePairs evaluates p+ and p* via breadth-first search from the
 // bound endpoint. One endpoint must be bound.
-func (r *run) closurePairs(p *PropertyPath, s, o rdf.Term, ctx graphCtx) ([][2]rdf.Term, error) {
+func (r *run) closurePairs(pp *probe, p *PropertyPath, s, o rdf.Term) ([][2]rdf.Term, error) {
 	inner := p.Sub[0]
 	zero := p.Kind == PathZeroOrMore
 
 	switch {
 	case !s.IsZero():
-		reach, err := r.bfs(inner, s, false, ctx)
+		reach, err := r.bfs(pp, inner, s, false)
 		if err != nil {
 			return nil, err
 		}
@@ -178,7 +169,7 @@ func (r *run) closurePairs(p *PropertyPath, s, o rdf.Term, ctx graphCtx) ([][2]r
 		}
 		return out, nil
 	case !o.IsZero():
-		reach, err := r.bfs(inner, o, true, ctx)
+		reach, err := r.bfs(pp, inner, o, true)
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +193,7 @@ func (r *run) closurePairs(p *PropertyPath, s, o rdf.Term, ctx graphCtx) ([][2]r
 
 // bfs walks the inner path transitively from start (backwards when
 // reverse is set) and returns every node reached in one or more steps.
-func (r *run) bfs(inner *PropertyPath, start rdf.Term, reverse bool, ctx graphCtx) ([]rdf.Term, error) {
+func (r *run) bfs(pp *probe, inner *PropertyPath, start rdf.Term, reverse bool) ([]rdf.Term, error) {
 	visited := map[rdf.Term]struct{}{start: {}}
 	frontier := []rdf.Term{start}
 	var out []rdf.Term
@@ -215,9 +206,9 @@ func (r *run) bfs(inner *PropertyPath, start rdf.Term, reverse bool, ctx graphCt
 			var pairs [][2]rdf.Term
 			var err error
 			if reverse {
-				pairs, err = r.pathPairs(inner, rdf.Term{}, node, ctx)
+				pairs, err = r.pathPairs(pp, inner, rdf.Term{}, node)
 			} else {
-				pairs, err = r.pathPairs(inner, node, rdf.Term{}, ctx)
+				pairs, err = r.pathPairs(pp, inner, node, rdf.Term{})
 			}
 			if err != nil {
 				return nil, err
@@ -238,13 +229,4 @@ func (r *run) bfs(inner *PropertyPath, start rdf.Term, reverse bool, ctx graphCt
 		frontier = next
 	}
 	return out, nil
-}
-
-// graphTerm converts the active graph context to the term expected by
-// store.Match (zero for the default graph).
-func (r *run) graphTerm(ctx graphCtx) rdf.Term {
-	if ctx.gid == store.NoID {
-		return rdf.Term{}
-	}
-	return r.e.store.Dict().Term(ctx.gid)
 }

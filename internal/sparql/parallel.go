@@ -105,15 +105,15 @@ func firstError(errs []error) error {
 // joinPatternPar is the parallel-aware joinPatternOwned: the outer
 // solution sequence is partitioned across workers, each joining its
 // chunk through its own store iterators.
-func (r *run) joinPatternPar(tp TriplePattern, rows []solution, ctx graphCtx, owned bool) ([]solution, error) {
+func (r *run) joinPatternPar(p *probe, rows []solution, owned bool) ([]solution, error) {
 	w := r.workersFor(len(rows))
 	if w == 1 {
-		return r.joinPatternOwned(tp, rows, ctx, owned)
+		return r.joinPatternOwned(p, rows, owned)
 	}
 	outs := make([][]solution, w)
 	errs := make([]error, w)
 	runChunks(chunkBounds(len(rows), w), func(i, lo, hi int) {
-		outs[i], errs[i] = r.joinPatternOwned(tp, rows[lo:hi], ctx, owned)
+		outs[i], errs[i] = r.joinPatternOwned(p, rows[lo:hi], owned)
 	})
 	if err := firstError(errs); err != nil {
 		return nil, err
@@ -195,14 +195,14 @@ func (r *run) optionalPar(p GroupGraphPattern, rows []solution, ctx graphCtx) ([
 
 // optionalSinglePar partitions the single-pattern OPTIONAL fast path
 // across workers.
-func (r *run) optionalSinglePar(tp TriplePattern, rows []solution, ctx graphCtx) []solution {
+func (r *run) optionalSinglePar(p *probe, rows []solution) []solution {
 	w := r.workersFor(len(rows))
 	if w == 1 {
-		return r.optionalSingle(tp, rows, ctx)
+		return r.optionalSingle(p, rows)
 	}
 	outs := make([][]solution, w)
 	runChunks(chunkBounds(len(rows), w), func(i, lo, hi int) {
-		outs[i] = r.optionalSingle(tp, rows[lo:hi], ctx)
+		outs[i] = r.optionalSingle(p, rows[lo:hi])
 	})
 	return concatSolutions(outs)
 }

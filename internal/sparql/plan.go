@@ -565,23 +565,8 @@ func estimateJoinRows(st *store.Snapshot, tp TriplePattern, bound map[string]boo
 		// cardinality.
 		return in
 	}
-	dict := st.Dict()
-	var pat store.IDTriple
-	lookup := func(pt PatternTerm) (store.ID, bool) {
-		if pt.IsVar {
-			return store.NoID, true
-		}
-		id, ok := dict.Lookup(pt.Term)
-		return id, ok
-	}
-	var ok bool
-	if pat.S, ok = lookup(tp.S); !ok {
-		return 0
-	}
-	if pat.P, ok = lookup(tp.P); !ok {
-		return 0
-	}
-	if pat.O, ok = lookup(tp.O); !ok {
+	pat, ok := constIDs(st.Dict(), tp)
+	if !ok {
 		return 0
 	}
 	base := float64(st.Count(gid, pat))

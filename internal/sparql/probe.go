@@ -1,0 +1,190 @@
+package sparql
+
+import (
+	"repro/internal/rdf"
+	"repro/internal/store"
+)
+
+// probe is one triple pattern compiled against a run's snapshot — the
+// single match/extend every BGP level, single-pattern OPTIONAL stage and
+// path step joins through. What the pattern alone decides is resolved
+// once, when streamGroup builds the stage: the graph id, the id of every
+// constant position and the varTable slot of every variable position.
+// Per row only the positions the row binds are looked up in the
+// dictionary, the matches are one contiguous run of the snapshot, and
+// only the positions the row leaves free are decoded back to terms. A
+// probe holds nothing mutable, so the workers of a chunk share it.
+type probe struct {
+	tp   TriplePattern
+	snap *store.Snapshot
+	gid  store.ID
+
+	pat  store.IDTriple // constant positions; NoID where the pattern has a variable
+	slot [3]int         // row slot of the variable at S, P, O; -1 at a constant
+	dead bool           // a constant the dictionary has never seen: nothing matches
+
+	// steps holds one probe per IRI step of tp.Path, over the two-slot
+	// row (start, end); nil for a plain pattern.
+	steps map[*PropertyPath]*probe
+}
+
+// Bits of the free mask match returns, one per pattern position.
+const (
+	freeS = 1 << iota
+	freeP
+	freeO
+)
+
+// constIDs resolves the constant positions of tp to dictionary ids,
+// leaving NoID at its variables; ok is false when a constant was never
+// interned, so no triple of any snapshot can match.
+func constIDs(dict *store.Dict, tp TriplePattern) (store.IDTriple, bool) {
+	term := func(pt PatternTerm) rdf.Term {
+		if pt.IsVar {
+			return rdf.Term{}
+		}
+		return pt.Term
+	}
+	return dict.PatternIDs(term(tp.S), term(tp.P), term(tp.O))
+}
+
+// compile builds the probe of tp in the active graph.
+func (r *run) compile(tp TriplePattern, gctx graphCtx) *probe {
+	p := &probe{tp: tp, snap: r.snap, gid: gctx.gid, slot: [3]int{-1, -1, -1}}
+	for i, pt := range [3]PatternTerm{tp.S, tp.P, tp.O} {
+		if pt.IsVar {
+			p.slot[i] = r.vt.slot(pt.Var)
+		}
+	}
+	if tp.Path != nil {
+		p.steps = make(map[*PropertyPath]*probe)
+		p.compileSteps(tp.Path)
+		return p
+	}
+	var ok bool
+	p.pat, ok = constIDs(r.snap.Dict(), tp)
+	p.dead = !ok
+	return p
+}
+
+// compileSteps compiles every IRI step under path as ?0 <iri> ?1.
+func (p *probe) compileSteps(path *PropertyPath) {
+	if path.Kind == PathIRI {
+		step := &probe{snap: p.snap, gid: p.gid, slot: [3]int{0, -1, 1}}
+		var ok bool
+		step.pat, ok = p.snap.Dict().PatternIDs(rdf.Term{}, path.IRI, rdf.Term{})
+		step.dead = !ok
+		p.steps[path] = step
+	}
+	for _, sub := range path.Sub {
+		p.compileSteps(sub)
+	}
+}
+
+// match returns the snapshot's triples matching the pattern under row,
+// and which variable positions row leaves free for extend to bind. A
+// row binding a term the dictionary has never seen (a BIND result, say)
+// matches nothing.
+func (p *probe) match(row solution) (run []store.IDTriple, free uint8) {
+	if p.dead {
+		return nil, 0
+	}
+	pat, dict := p.pat, p.snap.Dict()
+	for i, id := range [3]*store.ID{&pat.S, &pat.P, &pat.O} {
+		if p.slot[i] < 0 {
+			continue
+		}
+		t := row[p.slot[i]]
+		if t.IsZero() {
+			free |= 1 << i
+			continue
+		}
+		var ok bool
+		if *id, ok = dict.Lookup(t); !ok {
+			return nil, 0
+		}
+	}
+	return p.snap.Range(p.gid, pat), free
+}
+
+// bind writes t into dst[slot], reporting false when the slot already
+// holds another term — a variable repeated within the pattern.
+func bind(dst solution, slot int, t rdf.Term) bool {
+	if !dst[slot].IsZero() && dst[slot] != t {
+		return false
+	}
+	dst[slot] = t
+	return true
+}
+
+// extend decodes the free positions of match t into dst, reporting
+// whether repeated-variable constraints hold.
+func (p *probe) extend(dst solution, t store.IDTriple, free uint8) bool {
+	return (free&freeS == 0 || bind(dst, p.slot[0], p.snap.Term(t.S))) &&
+		(free&freeP == 0 || bind(dst, p.slot[1], p.snap.Term(t.P))) &&
+		(free&freeO == 0 || bind(dst, p.slot[2], p.snap.Term(t.O)))
+}
+
+// joinPatternOwned extends every solution with the matches of one
+// pattern. When owned is true, an input row with exactly one match is
+// extended in place instead of cloned, which removes the dominant
+// allocation cost of long functional join chains (one row per
+// observation through every pattern of a generated OLAP query);
+// otherwise input rows are never mutated.
+func (r *run) joinPatternOwned(p *probe, rows []solution, owned bool) ([]solution, error) {
+	if p.steps != nil {
+		return r.joinPath(p, rows)
+	}
+	out := make([]solution, 0, len(rows))
+	for ri, row := range rows {
+		if ri%cancelCheckRows == 0 && r.cancelled() {
+			return nil, r.cancelErr()
+		}
+		run, free := p.match(row)
+		if len(run) == 1 {
+			dst := row
+			if !owned {
+				dst = row.clone()
+			}
+			if p.extend(dst, run[0], free) {
+				out = append(out, dst)
+			}
+			continue
+		}
+		for mi, t := range run {
+			// A single unselective pattern can match the whole store for
+			// one input row, so the scan itself checks for cancellation
+			// too (stopping the scan; the caller then errors out).
+			if (mi+1)%(cancelCheckRows*4) == 0 && r.cancelled() {
+				break
+			}
+			if nrow := row.clone(); p.extend(nrow, t, free) {
+				out = append(out, nrow)
+			}
+		}
+	}
+	return out, nil
+}
+
+// optionalSingle implements OPTIONAL { <one pattern> }: every left row
+// is kept, extended by each match when there is one.
+func (r *run) optionalSingle(p *probe, rows []solution) []solution {
+	out := make([]solution, 0, len(rows))
+	for ri, row := range rows {
+		if ri%cancelCheckRows == 0 && r.cancelled() {
+			break // the next chunk boundary errors out
+		}
+		run, free := p.match(row)
+		matched := false
+		for _, t := range run {
+			if nrow := row.clone(); p.extend(nrow, t, free) {
+				matched = true
+				out = append(out, nrow)
+			}
+		}
+		if !matched {
+			out = append(out, row)
+		}
+	}
+	return out
+}

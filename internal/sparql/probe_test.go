@@ -1,0 +1,246 @@
+package sparql
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/rdf"
+	"repro/internal/store"
+)
+
+// naiveJoin is the nested-loop reference for one row × one pattern: every
+// triple of the graph, filtered and bound by term equality in Go, in the
+// order the store documents for Range — the ordering whose prefix the
+// bound positions form (S, SP, SPO and nothing → SPO; P, PO → POS; O,
+// OS → OSP).
+func naiveJoin(dict *store.Dict, all []rdf.Triple, tp TriplePattern, vt *varTable, row solution) []solution {
+	var bound [3]bool
+	for i, pt := range [3]PatternTerm{tp.S, tp.P, tp.O} {
+		bound[i] = !pt.IsVar || !row[vt.index[pt.Var]].IsZero()
+	}
+	perm := [3]int{0, 1, 2} // SPO
+	switch s, p, o := bound[0], bound[1], bound[2]; {
+	case s && (p || !o):
+	case o && (s || !p):
+		perm = [3]int{2, 0, 1} // OSP
+	case p:
+		perm = [3]int{1, 2, 0} // POS
+	}
+	type match struct {
+		key [3]store.ID
+		row solution
+	}
+	var ms []match
+	for _, t := range all {
+		nrow := row.clone()
+		ok := true
+		var ids [3]store.ID
+		for i, c := range [3]struct {
+			pt PatternTerm
+			t  rdf.Term
+		}{{tp.S, t.S}, {tp.P, t.P}, {tp.O, t.O}} {
+			ids[i], _ = dict.Lookup(c.t)
+			if !c.pt.IsVar {
+				ok = ok && c.pt.Term == c.t
+				continue
+			}
+			slot := vt.index[c.pt.Var]
+			ok = ok && (nrow[slot].IsZero() || nrow[slot] == c.t)
+			nrow[slot] = c.t
+		}
+		if ok {
+			ms = append(ms, match{[3]store.ID{ids[perm[0]], ids[perm[1]], ids[perm[2]]}, nrow})
+		}
+	}
+	slices.SortFunc(ms, func(a, b match) int { return slices.Compare(a.key[:], b.key[:]) })
+	out := make([]solution, len(ms))
+	for i, m := range ms {
+		out[i] = m.row
+	}
+	return out
+}
+
+func cloneRows(rows []solution) []solution {
+	out := make([]solution, len(rows))
+	for i, row := range rows {
+		out[i] = row.clone()
+	}
+	return out
+}
+
+func sameRows(a, b []solution) bool {
+	return slices.EqualFunc(a, b, func(x, y solution) bool { return slices.Equal(x, y) })
+}
+
+// TestProbeAgainstNaiveScan is the differential test under the join
+// core: on seeded random small stores (default graph plus one named
+// graph), random patterns (every constant/variable mix, repeated
+// variables, constants the dictionary has never seen, fully bound
+// existence checks) and random input rows (slots unbound, bound to a
+// stored term, or bound to a never-interned term as a BIND would), the
+// three consumers of probe — joinPatternOwned, rowScan cut at 1, 2 and
+// unlimited rows per emit, and optionalSingle — must produce exactly the
+// nested-loop reference, in its order, and leave rows they do not own
+// untouched.
+func TestProbeAgainstNaiveScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	named := rdf.NewIRI("http://t/g")
+	nodes := make([]rdf.Term, 6)
+	for i := range nodes {
+		nodes[i] = rdf.NewIRI(fmt.Sprintf("http://t/n%d", i))
+	}
+	nodes = append(nodes, rdf.NewInteger(7), rdf.NewLiteral("seven"))
+	preds := []rdf.Term{rdf.NewIRI("http://t/p"), rdf.NewIRI("http://t/q"), nodes[0]}
+	unseen := []rdf.Term{rdf.NewIRI("http://t/unseen"), rdf.NewInteger(8)}
+	vars := []string{"x", "y", "z"}
+	pick := func(ts []rdf.Term) rdf.Term { return ts[rng.Intn(len(ts))] }
+
+	for trial := 0; trial < 400; trial++ {
+		st := store.New()
+		for _, g := range []rdf.Term{{}, named} {
+			ts := make([]rdf.Triple, 5+rng.Intn(40))
+			for i := range ts {
+				ts[i] = rdf.NewTriple(pick(nodes[:6]), pick(preds), pick(nodes))
+			}
+			st.InsertTriples(g, ts)
+		}
+		r := &run{e: NewEngine(st, WithParallelism(1)), vt: newVarTable(), snap: st.Snapshot()}
+		for _, v := range append(vars, "w") {
+			r.vt.slot(v)
+		}
+		var gterm rdf.Term
+		var gctx graphCtx
+		if rng.Intn(2) == 0 {
+			gterm = named
+			gctx.gid, _ = r.snap.GraphID(named)
+		}
+		all := r.snap.MatchAll(gterm, rdf.Term{}, rdf.Term{}, rdf.Term{})
+
+		for pi := 0; pi < 8; pi++ {
+			position := func(consts []rdf.Term) PatternTerm {
+				switch k := rng.Intn(10); {
+				case k < 5:
+					return VarTerm(vars[rng.Intn(len(vars))])
+				case k < 9:
+					return ConstTerm(pick(consts))
+				}
+				return ConstTerm(pick(unseen))
+			}
+			tp := TriplePattern{S: position(nodes), P: position(preds), O: position(nodes)}
+			rows := make([]solution, 1+rng.Intn(6))
+			for i := range rows {
+				rows[i] = make(solution, len(r.vt.names))
+				for slot := range rows[i] {
+					switch k := rng.Intn(8); {
+					case k < 4:
+					case k < 7:
+						rows[i][slot] = pick(append(nodes, preds...))
+					default:
+						rows[i][slot] = pick(unseen)
+					}
+				}
+			}
+			if pi == 0 { // an existence check: every position bound to a stored triple
+				tp = TriplePattern{S: VarTerm("x"), P: ConstTerm(all[0].P), O: VarTerm("y")}
+				rows[0][r.vt.index["x"]], rows[0][r.vt.index["y"]] = all[0].S, all[0].O
+			}
+
+			var wantJoin, wantOpt []solution
+			for _, row := range rows {
+				ms := naiveJoin(st.Dict(), all, tp, r.vt, row)
+				wantJoin = append(wantJoin, ms...)
+				if len(ms) == 0 {
+					ms = []solution{row}
+				}
+				wantOpt = append(wantOpt, ms...)
+			}
+			p := r.compile(tp, gctx)
+			fail := func(what string, got, want []solution) {
+				t.Fatalf("trial %d, %s in graph %v over rows %v: %s =\n%v\nwant\n%v", trial, patternDetail(tp), gterm, rows, what, got, want)
+			}
+
+			for _, owned := range []bool{false, true} {
+				in := cloneRows(rows)
+				got, err := r.joinPatternOwned(p, in, owned)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameRows(got, wantJoin) {
+					fail(fmt.Sprintf("joinPatternOwned(owned=%v)", owned), got, wantJoin)
+				}
+				if !owned && !sameRows(in, rows) {
+					fail("input rows after a join that does not own them", in, rows)
+				}
+
+				for _, max := range []int{1, 2, 1 << 20} {
+					in, got := cloneRows(rows), []solution(nil)
+					for _, row := range in {
+						rs := r.newRowScan(p, row, owned)
+						for done := false; !done; {
+							var chunk []solution
+							if done, err = rs.emit(&chunk, max); err != nil {
+								t.Fatal(err)
+							}
+							if len(chunk) > max {
+								t.Fatalf("trial %d: rowScan emitted %d rows past max %d", trial, len(chunk), max)
+							}
+							got = append(got, chunk...)
+						}
+					}
+					if !sameRows(got, wantJoin) {
+						fail(fmt.Sprintf("rowScan(owned=%v, max=%d)", owned, max), got, wantJoin)
+					}
+					if !owned && !sameRows(in, rows) {
+						fail("input rows after a scan that does not own them", in, rows)
+					}
+				}
+			}
+
+			in := cloneRows(rows)
+			if got := r.optionalSingle(p, in); !sameRows(got, wantOpt) {
+				fail("optionalSingle", got, wantOpt)
+			}
+			if !sameRows(in, rows) {
+				fail("input rows after optionalSingle", in, rows)
+			}
+		}
+	}
+}
+
+// TestSingleMatchJoinAllocatesNothingPerRow guards the join core's
+// allocation shape: an owned 1 024-row chunk joined through a pattern
+// with one match per row is extended in place, so the whole call
+// allocates its output slice and nothing else — no per-row closure,
+// cursor, probe or clone.
+func TestSingleMatchJoinAllocatesNothingPerRow(t *testing.T) {
+	st := store.New()
+	val := rdf.NewIRI("http://t/value")
+	const n = 1024
+	ts := make([]rdf.Triple, n)
+	for i := range ts {
+		ts[i] = rdf.NewTriple(rdf.NewIRI(fmt.Sprintf("http://t/s%d", i)), val, rdf.NewInteger(int64(i)))
+	}
+	st.InsertTriples(rdf.Term{}, ts)
+	r := &run{e: NewEngine(st, WithParallelism(1)), vt: newVarTable(), snap: st.Snapshot()}
+	x, y := r.vt.slot("x"), r.vt.slot("y")
+	p := r.compile(TriplePattern{S: VarTerm("x"), P: ConstTerm(val), O: VarTerm("y")}, graphCtx{})
+	rows := make([]solution, n)
+	for i := range rows {
+		rows[i] = make(solution, 2)
+		rows[i][x] = ts[i].S
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, row := range rows {
+			row[y] = rdf.Term{}
+		}
+		out, err := r.joinPatternPar(p, rows, true)
+		if err != nil || len(out) != n || out[n-1][y] != ts[n-1].O {
+			t.Fatalf("join returned %d rows (err %v)", len(out), err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("joining %d owned single-match rows allocates %.0f times, want the output slice only", n, allocs)
+	}
+}

@@ -232,6 +232,49 @@ WHERE { ?p ex:city ?city }`)
 	}
 }
 
+// TestCountDistinctStar pins COUNT(DISTINCT *): it de-duplicates whole
+// solutions (it used to de-duplicate one placeholder per row and answer
+// 1), and COUNT(*) counts rows without building anything per row.
+func TestCountDistinctStar(t *testing.T) {
+	st := loadStore(t, `
+@prefix ex: <http://example.org/> .
+ex:a ex:p 1 . ex:a ex:p 2 . ex:b ex:p 1 .`)
+	res := sel(t, st, `
+PREFIX ex: <http://example.org/>
+SELECT (COUNT(DISTINCT *) AS ?d) (COUNT(*) AS ?n) WHERE { ?s ex:p ?o }`)
+	if d, n := res.Binding(0, "d").Value, res.Binding(0, "n").Value; d != "3" || n != "3" {
+		t.Fatalf("three distinct solutions: COUNT(DISTINCT *) = %s, COUNT(*) = %s", d, n)
+	}
+	// The UNION yields every solution twice; per ?s group a has two
+	// distinct solutions among four rows, b one among two.
+	res = sel(t, st, `
+PREFIX ex: <http://example.org/>
+SELECT ?s (COUNT(DISTINCT *) AS ?d) (COUNT(*) AS ?n)
+WHERE { { ?s ex:p ?o } UNION { ?s ex:p ?o } } GROUP BY ?s ORDER BY ?s`)
+	if res.Len() != 2 {
+		t.Fatalf("groups = %d", res.Len())
+	}
+	for i, want := range [][2]string{{"2", "4"}, {"1", "2"}} {
+		if d, n := res.Binding(i, "d").Value, res.Binding(i, "n").Value; d != want[0] || n != want[1] {
+			t.Errorf("group %d: COUNT(DISTINCT *) = %s, COUNT(*) = %s, want %v", i, d, n, want)
+		}
+	}
+
+	rows := make([]solution, 10000)
+	for i := range rows {
+		rows[i] = solution{rdf.NewInteger(int64(i))}
+	}
+	r := &run{}
+	allocs := testing.AllocsPerRun(10, func() {
+		if v, _ := r.evalAggregate(ExprAggregate{Func: "COUNT", Star: true}, rows); v.Value != "10000" {
+			t.Fatalf("COUNT(*) = %v", v)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("COUNT(*) over 10000 rows allocates %.0f times, want O(1)", allocs)
+	}
+}
+
 func TestImplicitGroupOnEmpty(t *testing.T) {
 	st := loadStore(t, peopleTTL)
 	res := sel(t, st, `

@@ -40,8 +40,8 @@ import (
 //     retains — and charges — the seen-key set.
 //   - BGP joins are incremental: bgpIter holds one buffer per join
 //     level and advances the deepest level with pending work, so a
-//     1-row → 80k-match fan-out is emitted chunk by chunk through a
-//     resumable store.Scan cursor instead of materialized at once.
+//     1-row → 80k-match fan-out is emitted chunk by chunk from the
+//     row's run of matches (rowScan) instead of materialized at once.
 //   - Every SELECT and ASK result leaves through one delivery loop
 //     (run.stream); Results-returning entry points are collectors over
 //     it. CONSTRUCT and DESCRIBE consume the WHERE stream chunk by chunk
@@ -244,7 +244,7 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, par
 		}
 		it := &bgpIter{r: r, kr: kr, gctx: gctx, levels: make([]bgpLevel, len(bgp))}
 		for i, tp := range bgp {
-			it.levels[i].tp = tp
+			it.levels[i].p = r.compile(tp, gctx)
 		}
 		if parent != nil {
 			detail := fmt.Sprintf("%d patterns", len(bgp))
@@ -294,9 +294,10 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, par
 			// (the common shape for label lookups) avoids the nested
 			// group evaluation per row.
 			if tp, ok := singleTriplePattern(e.Pattern); ok {
+				p := r.compile(tp, gctx)
 				stage(func(chunk []solution) ([]solution, error) {
 					tr.rowWorkers(kr, len(chunk))
-					return kr.optionalSinglePar(tp, chunk, gctx), nil
+					return kr.optionalSinglePar(p, chunk), nil
 				})
 			} else {
 				stage(func(chunk []solution) ([]solution, error) {
@@ -461,7 +462,7 @@ func (g *graphVarIter) next() ([]solution, error) {
 		}
 		gid := g.gids[g.gi]
 		g.gi++
-		gterm := g.r.e.store.Dict().Term(gid)
+		gterm := g.r.snap.Term(gid)
 		// Respect an existing binding of the graph var.
 		var seed []solution
 		for _, row := range g.input {
@@ -490,11 +491,11 @@ func (g *graphVarIter) close() {
 	g.input = nil
 }
 
-// bgpLevel is one join level of a bgpIter: its pattern, the rows
-// waiting to be joined, the row scan in progress, the account charge
-// held for the buffered rows, and — under tracing — its JOIN span.
+// bgpLevel is one join level of a bgpIter: its compiled pattern, the
+// rows waiting to be joined, the row scan in progress, the account
+// charge held for the buffered rows, and — under tracing — its JOIN span.
 type bgpLevel struct {
-	tp   TriplePattern
+	p    *probe
 	buf  []solution
 	scan *rowScan
 	held int64
@@ -544,7 +545,7 @@ func (b *bgpIter) feed(i int, rows []solution) {
 				}
 			}
 		}
-		lvl.sp = b.tr.sp.StartChild("JOIN", patternDetail(lvl.tp), 0)
+		lvl.sp = b.tr.sp.StartChild("JOIN", patternDetail(lvl.p.tp), 0)
 	}
 	lvl.sp.In += len(rows)
 }
@@ -615,8 +616,8 @@ func (b *bgpIter) next() ([]solution, error) {
 // advance joins a bounded amount of level i's buffered rows with its
 // pattern. Large batches take the parallel batch join (order-preserving
 // merge included); small batches and resumed scans go row by row
-// through a suspendable store cursor, so a single row whose pattern
-// matches the whole store still emits chunk-sized output. Property
+// through a suspendable rowScan, so a single row whose pattern matches
+// the whole store still emits chunk-sized output. Property
 // patterns always batch (path closures have no cursor form). Level 0
 // rows are shared with the caller (owned=false: single-match rows are
 // cloned); deeper rows are owned and extended in place —
@@ -625,7 +626,7 @@ func (b *bgpIter) advance(i int) ([]solution, error) {
 	lvl := &b.levels[i]
 	owned := i > 0
 	max := b.r.e.chunkSize
-	if lvl.scan == nil && (lvl.tp.Path != nil || len(lvl.buf) >= minParallelRows) {
+	if lvl.scan == nil && (lvl.p.steps != nil || len(lvl.buf) >= minParallelRows) {
 		n := len(lvl.buf)
 		if n > max {
 			n = max
@@ -635,7 +636,7 @@ func (b *bgpIter) advance(i int) ([]solution, error) {
 		if w := b.kr.workersFor(n); lvl.sp != nil && w > lvl.sp.Workers {
 			lvl.sp.Workers = w
 		}
-		return b.kr.joinPatternPar(lvl.tp, batch, b.gctx, owned)
+		return b.kr.joinPatternPar(lvl.p, batch, owned)
 	}
 	var out []solution
 	for len(out) < max {
@@ -645,7 +646,7 @@ func (b *bgpIter) advance(i int) ([]solution, error) {
 			}
 			row := lvl.buf[0]
 			lvl.buf = lvl.buf[1:]
-			lvl.scan = b.kr.newRowScan(lvl.tp, row, b.gctx, owned)
+			lvl.scan = b.kr.newRowScan(lvl.p, row, owned)
 		}
 		done, err := lvl.scan.emit(&out, max)
 		if err != nil {
@@ -676,83 +677,36 @@ func (b *bgpIter) close() {
 		if lvl.sp == nil {
 			break
 		}
-		b.estOut = b.r.estimateJoin(lvl.tp, b.bound, lvl.sp.In, b.gctx)
+		b.estOut = b.r.estimateJoin(lvl.p.tp, b.bound, lvl.sp.In, b.gctx)
 		lvl.sp.SetEst(b.estOut)
-		markBound(lvl.tp, b.bound)
+		markBound(lvl.p.tp, b.bound)
 	}
 	b.tr = nil // a second close must not re-estimate over the grown bound set
 }
 
-// rowScan joins one row with one pattern through a resumable snapshot
-// cursor (store.Scan), replicating joinPatternOwned's semantics: the
-// first match is deferred so a single-match row can be extended in
-// place (when owned) instead of cloned, repeated-variable constraints
-// are enforced by extend, and the scan checks cancellation with the
+// rowScan joins one row with one pattern resumably: it holds what is
+// left of the row's run of matches — part of the snapshot, so it may be
+// suspended across chunk boundaries for as long as needed — and follows
+// joinPatternOwned's semantics: a single-match row is extended in place
+// when owned instead of cloned, repeated-variable constraints are
+// enforced by probe.extend, and the scan checks cancellation with the
 // same cadence as the batch join's in-scan hook.
 type rowScan struct {
-	r     *run
-	tp    TriplePattern
-	row   solution
-	owned bool
-	sc    *store.Scan
+	r   *run
+	p   *probe
+	row solution
 
-	sBound, pBound, oBound bool
-
+	rest    []store.IDTriple
+	free    uint8
+	inPlace bool // an owned row with a single match: extend row itself
 	matches int
-	first   rdf.Triple
 }
 
-func (r *run) newRowScan(tp TriplePattern, row solution, gctx graphCtx, owned bool) *rowScan {
-	gterm := rdf.Term{}
-	if gctx.gid != store.NoID {
-		gterm = r.e.store.Dict().Term(gctx.gid)
-	}
-	s, sBound := r.resolve(tp.S, row)
-	p, pBound := r.resolve(tp.P, row)
-	o, oBound := r.resolve(tp.O, row)
-	var sPat, pPat, oPat rdf.Term
-	if sBound {
-		sPat = s
-	}
-	if pBound {
-		pPat = p
-	}
-	if oBound {
-		oPat = o
-	}
-	return &rowScan{
-		r: r, tp: tp, row: row, owned: owned,
-		sBound: sBound, pBound: pBound, oBound: oBound,
-		sc: r.snap.MatchScan(gterm, sPat, pPat, oPat),
-	}
-}
-
-// extend writes the pattern's bindings for t into dst, reporting
-// whether repeated-variable constraints hold.
-func (rs *rowScan) extend(dst solution, t rdf.Triple) bool {
-	r, tp := rs.r, rs.tp
-	if tp.S.IsVar && !rs.sBound {
-		idx := r.vt.index[tp.S.Var]
-		if !dst[idx].IsZero() && dst[idx] != t.S {
-			return false
-		}
-		dst[idx] = t.S
-	}
-	if tp.P.IsVar && !rs.pBound {
-		idx := r.vt.index[tp.P.Var]
-		if !dst[idx].IsZero() && dst[idx] != t.P {
-			return false
-		}
-		dst[idx] = t.P
-	}
-	if tp.O.IsVar && !rs.oBound {
-		idx := r.vt.index[tp.O.Var]
-		if !dst[idx].IsZero() && dst[idx] != t.O {
-			return false
-		}
-		dst[idx] = t.O
-	}
-	return true
+func (r *run) newRowScan(p *probe, row solution, owned bool) *rowScan {
+	rs := &rowScan{r: r, p: p, row: row}
+	rs.rest, rs.free = p.match(row)
+	rs.inPlace = owned && len(rs.rest) == 1
+	return rs
 }
 
 // emit appends join results to out until the scan is exhausted
@@ -760,35 +714,21 @@ func (rs *rowScan) extend(dst solution, t rdf.Triple) bool {
 // mid-match-list on the next call.
 func (rs *rowScan) emit(out *[]solution, max int) (bool, error) {
 	for len(*out) < max {
-		t, ok := rs.sc.NextTriple()
-		if !ok {
-			if rs.matches == 1 {
-				dst := rs.row
-				if !rs.owned {
-					dst = rs.row.clone()
-				}
-				if rs.extend(dst, rs.first) {
-					*out = append(*out, dst)
-				}
-			}
+		if len(rs.rest) == 0 {
 			return true, nil
 		}
+		t := rs.rest[0]
+		rs.rest = rs.rest[1:]
 		rs.matches++
 		if rs.matches%(cancelCheckRows*4) == 0 && rs.r.cancelled() {
 			return false, rs.r.cancelErr()
 		}
-		switch rs.matches {
-		case 1:
-			rs.first = t
-		case 2:
-			if nrow := rs.row.clone(); rs.extend(nrow, rs.first) {
-				*out = append(*out, nrow)
-			}
-			fallthrough
-		default:
-			if nrow := rs.row.clone(); rs.extend(nrow, t) {
-				*out = append(*out, nrow)
-			}
+		dst := rs.row
+		if !rs.inPlace {
+			dst = rs.row.clone()
+		}
+		if rs.p.extend(dst, t, rs.free) {
+			*out = append(*out, dst)
 		}
 	}
 	return false, nil
@@ -838,6 +778,17 @@ type distinctIter struct {
 	tr   *stageTrace
 }
 
+// solutionKey renders a whole solution into a comparable key: two
+// solutions are the same row exactly when their keys are equal.
+func solutionKey(row solution) string {
+	var b strings.Builder
+	for _, t := range row {
+		b.WriteString(t.String())
+		b.WriteByte('\x00')
+	}
+	return b.String()
+}
+
 // distinctEntryBytes approximates what one seen-set entry holds beside
 // its key bytes: the string header and its share of the map's buckets.
 const distinctEntryBytes = 48
@@ -851,12 +802,7 @@ func (d *distinctIter) next() ([]solution, error) {
 		out := chunk[:0:len(chunk)]
 		var kept int64
 		for _, row := range chunk {
-			var b strings.Builder
-			for _, t := range row {
-				b.WriteString(t.String())
-				b.WriteByte('\x00')
-			}
-			k := b.String()
+			k := solutionKey(row)
 			if _, ok := d.seen[k]; ok {
 				continue
 			}

@@ -3,18 +3,30 @@
 // plays in the QB2OLAP paper.
 //
 // Design: terms are interned into a dictionary mapping each distinct
-// rdf.Term to a dense uint32 id. All triple indexes and all join
-// processing operate on ids, so pattern matching and joins compare
-// machine words rather than strings. Each graph keeps three orderings
-// (SPO, POS, OSP) as sorted slices; every triple pattern is a contiguous
-// run of one of them, found by two binary searches.
+// rdf.Term to a dense uint32 id, and every triple index holds ids. Each
+// graph keeps three orderings (SPO, POS, OSP) as sorted slices; every
+// triple pattern is a contiguous run of one of them, found by two binary
+// searches over machine words.
+//
+// What the SPARQL engine does with that: the constants of a pattern are
+// resolved to ids once per query stage; per row, each position the row
+// binds costs one Dict.Lookup (term → id) and the match is Range on ids;
+// the positions a match leaves free are decoded through Snapshot.Term,
+// an index into the term table the snapshot pinned when it was
+// published — no lock. The engine's rows still hold Terms, so a join
+// variable travels id → Term → id between two levels; rows of ids are
+// the next step. Lookup still takes the dictionary's read lock, because
+// the term → id map — unlike the append-only id → term array — cannot be
+// pinned without copying it: a copy per publish would put the whole
+// dictionary into the allocation of every first read after a write.
 //
 // Concurrency contract: Store and Dict are safe for concurrent use by
 // any number of readers and writers. All reads go through an immutable
 // Snapshot of the whole dataset: taking one is an atomic load, using it
-// takes no lock, and it never changes, so whoever holds one — the SPARQL
-// engine pins one per query — sees a single state however many scans it
-// makes and however long it keeps them open. Writes only record triples
+// takes no lock (decoding its ids included: see Snapshot.Term), and it
+// never changes, so whoever holds one — the SPARQL engine pins one per
+// query — sees a single state however many scans it makes and however
+// long it keeps them open. Writes only record triples
 // in a pending delta; the first Snapshot after a write burst sorts the
 // delta and merges it into fresh orderings (an O(n) copy, not a re-sort)
 // and publishes the result. Everything one Store.Batch wrote is
@@ -103,9 +115,14 @@ func (d *Dict) Len() int {
 	return len(d.terms) - 1
 }
 
-// triple resolves an id-triple back to terms.
-func (d *Dict) triple(t IDTriple) rdf.Triple {
-	return rdf.NewTriple(d.Term(t.S), d.Term(t.P), d.Term(t.O))
+// table returns the id → term array as it stands: every id assigned so
+// far indexes it. The array is append-only — Intern writes past its end
+// or into a regrown copy, never into a slot handed out here — so the
+// caller may read it without the lock for as long as it likes.
+func (d *Dict) table() []rdf.Term {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.terms[:len(d.terms):len(d.terms)]
 }
 
 // graphID interns (or, without create, looks up) a graph term; the zero
@@ -120,9 +137,10 @@ func (d *Dict) graphID(g rdf.Term, create bool) (ID, bool) {
 	return d.Lookup(g)
 }
 
-// patternIDs converts a term pattern to an id pattern; ok is false when
-// a bound term is not in the dictionary (no triples can match).
-func (d *Dict) patternIDs(sub, pred, obj rdf.Term) (pat IDTriple, ok bool) {
+// PatternIDs converts a term pattern (zero terms are wildcards) to an id
+// pattern; ok is false when a bound term is not in the dictionary, so no
+// triple of any snapshot can match.
+func (d *Dict) PatternIDs(sub, pred, obj rdf.Term) (pat IDTriple, ok bool) {
 	for _, c := range [3]struct {
 		t  rdf.Term
 		id *ID

@@ -83,7 +83,10 @@ func checkStoreOps(t *testing.T, data []byte) {
 					if i > 0 && cmpOrder[o](idx[i-1], tr) >= 0 {
 						t.Fatalf("step %d: graph %v ordering %d not strictly sorted at %d", step, g, o, i)
 					}
-					if tt := sn.dict.triple(tr); !model[rdf.NewQuad(tt.S, tt.P, tt.O, g)] {
+					if top := ID(len(sn.terms)); tr.S >= top || tr.P >= top || tr.O >= top || gid >= top {
+						t.Fatalf("step %d: graph %d holds %v, beyond the snapshot's pinned table of %d terms", step, gid, tr, top)
+					}
+					if tt := sn.triple(tr); !model[rdf.NewQuad(tt.S, tt.P, tt.O, g)] {
 						t.Fatalf("step %d: graph %v ordering %d holds %v, absent from the model", step, g, o, tt)
 					}
 				}

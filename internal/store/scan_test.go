@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -189,8 +190,9 @@ func TestBlockedReaderBlocksNobody(t *testing.T) {
 	}
 }
 
-// TestMatchScanTermLevel checks term-level cursors resolve terms like
-// Match and return empty cursors for unknown bound terms and graphs.
+// TestMatchScanTermLevel checks that an id cursor decoded through the
+// snapshot's pinned table yields what the term-level Match does, and
+// that a pattern over an id no triple carries is an empty cursor.
 func TestMatchScanTermLevel(t *testing.T) {
 	st := scanFixture(10)
 	val := rdf.NewIRI("http://ex/value")
@@ -200,24 +202,112 @@ func TestMatchScanTermLevel(t *testing.T) {
 		want = append(want, tr)
 		return true
 	})
-	sc := st.Snapshot().MatchScan(rdf.Term{}, rdf.Term{}, val, rdf.Term{})
+	sn := st.Snapshot()
+	pid, _ := st.Dict().Lookup(val)
+	sc := sn.ScanIDs(NoID, IDTriple{P: pid})
 	for i := 0; ; i++ {
-		tr, ok := sc.NextTriple()
+		tr, ok := sc.Next()
 		if !ok {
 			if i != len(want) {
 				t.Fatalf("cursor ended after %d triples, want %d", i, len(want))
 			}
 			break
 		}
-		if i >= len(want) || tr != want[i] {
-			t.Fatalf("triple %d differs: %v", i, tr)
+		if got := rdf.NewTriple(sn.Term(tr.S), sn.Term(tr.P), sn.Term(tr.O)); i >= len(want) || got != want[i] {
+			t.Fatalf("triple %d differs: %v", i, got)
 		}
 	}
 
-	if _, ok := st.Snapshot().MatchScan(rdf.Term{}, rdf.NewIRI("http://ex/absent"), rdf.Term{}, rdf.Term{}).NextTriple(); ok {
-		t.Error("unknown bound term must yield an empty cursor")
+	// An id interned after the snapshot was published matches nothing in it.
+	late := st.Dict().Intern(rdf.NewIRI("http://ex/late"))
+	if _, ok := sn.ScanIDs(NoID, IDTriple{P: late}).Next(); ok {
+		t.Error("an id no triple carries must yield an empty cursor")
 	}
-	if _, ok := st.Snapshot().MatchScan(rdf.NewIRI("http://ex/nograph"), rdf.Term{}, rdf.Term{}, rdf.Term{}).NextTriple(); ok {
+	if _, ok := sn.ScanIDs(late, IDTriple{}).Next(); ok {
 		t.Error("unknown graph must yield an empty cursor")
+	}
+}
+
+// TestPinnedTableUnderWrites runs writers that intern fresh terms — so
+// the dictionary's array regrows again and again — against readers that
+// hold snapshots and decode every id of every ordering of every graph
+// through the snapshot's pinned table. Under -race this is the proof
+// that the table needs no lock: a decode must equal the dictionary's own
+// (locked) answer, every id must lie inside the table, and the snapshot
+// taken before any write must still decode, identically, after all of
+// them.
+func TestPinnedTableUnderWrites(t *testing.T) {
+	st := scanFixture(20)
+	g := rdf.NewIRI("http://ex/g")
+	decodeAll := func(sn *Snapshot) []rdf.Triple {
+		var out []rdf.Triple
+		for _, gid := range append([]ID{NoID}, sn.NamedGraphIDs()...) {
+			gr := sn.graphs[gid]
+			if int(gid) >= len(sn.terms) {
+				t.Errorf("graph id %d is beyond the pinned table of %d terms", gid, len(sn.terms))
+				return nil
+			}
+			for o := range gr.idx {
+				for _, tr := range gr.idx[o] {
+					for _, id := range [3]ID{tr.S, tr.P, tr.O} {
+						if int(id) >= len(sn.terms) {
+							t.Errorf("id %d is beyond the pinned table of %d terms", id, len(sn.terms))
+							return nil
+						}
+						if got, want := sn.Term(id), st.Dict().Term(id); got != want {
+							t.Errorf("snapshot decodes id %d as %v, the dictionary as %v", id, got, want)
+							return nil
+						}
+					}
+					out = append(out, sn.triple(tr))
+				}
+			}
+		}
+		return out
+	}
+	first := st.Snapshot()
+	want := decodeAll(first)
+
+	const writers, readers, bursts = 2, 3, 60
+	done := make(chan struct{})
+	var wg, rg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			p := rdf.NewIRI("http://ex/p")
+			for i := 0; i < bursts; i++ {
+				ts := make([]rdf.Triple, 40)
+				for j := range ts {
+					s := rdf.NewIRI(fmt.Sprintf("http://ex/w%d/%d/%d", w, i, j))
+					ts[j] = rdf.NewTriple(s, p, rdf.NewLiteral(fmt.Sprintf("v %d %d %d", w, i, j)))
+				}
+				st.InsertTriples([]rdf.Term{{}, g}[i%2], ts)
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					decodeAll(st.Snapshot())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	rg.Wait()
+
+	if got := decodeAll(first); !slices.Equal(got, want) {
+		t.Errorf("the snapshot taken before the writes decodes differently after them")
+	}
+	if n, want := st.TotalLen(), first.TotalLen()+writers*bursts*40; n != want {
+		t.Errorf("store holds %d triples after the writes, want %d", n, want)
 	}
 }

@@ -218,9 +218,18 @@ func (o order) merge(base, adds, dels []IDTriple) []IDTriple {
 // see either all of a concurrent update operation or none of it).
 type Snapshot struct {
 	dict   *Dict
+	terms  []rdf.Term // the dictionary's table when this snapshot was published; see Term
 	epoch  uint64
 	graphs map[ID]*graph // NoID is the default graph, always present
 }
+
+// Term decodes an id found in this snapshot — a component of one of its
+// triples or the id of one of its graphs — without taking a lock. Such
+// an id always lies inside the pinned table: Intern and publish both run
+// under Store.mu, so every id a published triple carries was assigned
+// before the table was pinned. An id interned later can only come from
+// Dict.Lookup; it matches nothing in this snapshot and is never decoded.
+func (sn *Snapshot) Term(id ID) rdf.Term { return sn.terms[id] }
 
 // Epoch counts the publishes that led to this snapshot; two snapshots
 // of one store with equal epochs are the same snapshot.
@@ -253,7 +262,7 @@ type Store struct {
 // New returns an empty store.
 func New() *Store {
 	s := &Store{dict: NewDict(), pending: make(map[ID]*delta)}
-	s.cur.Store(&Snapshot{dict: s.dict, graphs: map[ID]*graph{NoID: new(graph)}})
+	s.cur.Store(&Snapshot{dict: s.dict, terms: s.dict.table(), graphs: map[ID]*graph{NoID: new(graph)}})
 	return s
 }
 
@@ -273,7 +282,7 @@ func (s *Store) Snapshot() *Snapshot {
 	if len(s.pending) == 0 {
 		return old // another reader published while we waited
 	}
-	sn := &Snapshot{dict: s.dict, epoch: old.epoch + 1, graphs: make(map[ID]*graph, len(old.graphs)+len(s.pending))}
+	sn := &Snapshot{dict: s.dict, terms: s.dict.table(), epoch: old.epoch + 1, graphs: make(map[ID]*graph, len(old.graphs)+len(s.pending))}
 	for g, gr := range old.graphs {
 		sn.graphs[g] = gr
 	}
@@ -327,7 +336,7 @@ func (b *Batch) Insert(q rdf.Quad) bool {
 
 // Delete removes a quad and reports whether it was present.
 func (b *Batch) Delete(q rdf.Quad) bool {
-	pat, ok := b.s.dict.patternIDs(q.S, q.P, q.O)
+	pat, ok := b.s.dict.PatternIDs(q.S, q.P, q.O)
 	if !ok {
 		return false
 	}
@@ -435,7 +444,7 @@ func (sn *Snapshot) GraphNames() []rdf.Term {
 	var out []rdf.Term
 	for gid, gr := range sn.graphs {
 		if gid != NoID && len(gr.idx[spo]) > 0 {
-			out = append(out, sn.dict.Term(gid))
+			out = append(out, sn.Term(gid))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
@@ -488,11 +497,16 @@ func (sn *Snapshot) termRange(g, sub, pred, obj rdf.Term) []IDTriple {
 	if !ok {
 		return nil
 	}
-	pat, ok := sn.dict.patternIDs(sub, pred, obj)
+	pat, ok := sn.dict.PatternIDs(sub, pred, obj)
 	if !ok {
 		return nil
 	}
 	return sn.Range(gid, pat)
+}
+
+// triple resolves an id-triple of this snapshot back to terms.
+func (sn *Snapshot) triple(t IDTriple) rdf.Triple {
+	return rdf.NewTriple(sn.Term(t.S), sn.Term(t.P), sn.Term(t.O))
 }
 
 // Match streams term-level triples matching a term pattern (zero terms
@@ -500,7 +514,7 @@ func (sn *Snapshot) termRange(g, sub, pred, obj rdf.Term) []IDTriple {
 // false.
 func (sn *Snapshot) Match(g rdf.Term, sub, pred, obj rdf.Term, fn func(rdf.Triple) bool) {
 	for _, t := range sn.termRange(g, sub, pred, obj) {
-		if !fn(sn.dict.triple(t)) {
+		if !fn(sn.triple(t)) {
 			return
 		}
 	}
@@ -514,7 +528,7 @@ func (sn *Snapshot) MatchAll(g rdf.Term, sub, pred, obj rdf.Term) []rdf.Triple {
 	}
 	out := make([]rdf.Triple, len(ids))
 	for i, t := range ids {
-		out[i] = sn.dict.triple(t)
+		out[i] = sn.triple(t)
 	}
 	return out
 }
@@ -525,20 +539,12 @@ func (sn *Snapshot) MatchAll(g rdf.Term, sub, pred, obj rdf.Term) []rdf.Triple {
 // query pipeline — without holding up writers, and keeps yielding the
 // triples of the snapshot it was taken from.
 type Scan struct {
-	dict *Dict
 	rest []IDTriple
 }
 
 // ScanIDs returns a cursor over Range(g, pat).
 func (sn *Snapshot) ScanIDs(g ID, pat IDTriple) *Scan {
-	return &Scan{dict: sn.dict, rest: sn.Range(g, pat)}
-}
-
-// MatchScan is the term-level ScanIDs: zero terms are wildcards, and a
-// bound term or graph missing from the dictionary yields an empty
-// cursor. Pass the zero Term as g for the default graph.
-func (sn *Snapshot) MatchScan(g rdf.Term, sub, pred, obj rdf.Term) *Scan {
-	return &Scan{dict: sn.dict, rest: sn.termRange(g, sub, pred, obj)}
+	return &Scan{rest: sn.Range(g, pat)}
 }
 
 // Next returns the next matching id-triple; ok is false once the cursor
@@ -550,15 +556,6 @@ func (c *Scan) Next() (IDTriple, bool) {
 	t := c.rest[0]
 	c.rest = c.rest[1:]
 	return t, true
-}
-
-// NextTriple is Next with the ids resolved back to terms.
-func (c *Scan) NextTriple() (rdf.Triple, bool) {
-	t, ok := c.Next()
-	if !ok {
-		return rdf.Triple{}, false
-	}
-	return c.dict.triple(t), true
 }
 
 // The read methods below are the same method on the current Snapshot.
