@@ -650,6 +650,41 @@ SELECT ?c (SUM(?v) AS ?total) WHERE {
 	}
 }
 
+// BenchmarkGroupFold measures the shape every QL program ends in: the
+// direct translation of the predefined continent-year query, whose
+// observation star sends all 20k observations through two roll-up
+// joins and two label OPTIONALs into a GROUP BY of some twenty cells.
+// What the grouping stage holds is per group, not per row, so B/op here
+// is the WHERE stream's rows plus a constant (EXPERIMENTS.md
+// A-accumulate).
+func BenchmarkGroupFold(b *testing.B) {
+	env := enrichedEnv(b, demoScale)
+	pq, ok := demo.FindPredefinedQuery("continent-year")
+	if !ok {
+		b.Fatal("no predefined continent-year query")
+	}
+	p, err := ql.Prepare(pq.QL, env.Schema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := sparql.ParseQuery(p.Translation.Direct)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := sparql.NewEngine(env.Store)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := eng.Select(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Len() == 0 {
+			b.Fatal("no rows")
+		}
+	}
+}
+
 // ---------------------------------------------------------------------
 // A-next — concurrent query throughput (the worker-pool engine under
 // load).
@@ -774,10 +809,13 @@ func BenchmarkConcurrentQueryAccounted(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelGroupBy sweeps the engine's worker budget on the
-// flat group-by over every observation (the hot path the paper's
-// alternative translation works around), isolating intra-query
-// parallel speedup — and, on a single core, the worker-pool overhead.
+// BenchmarkParallelGroupBy runs the flat group-by over every
+// observation (the hot path the paper's alternative translation works
+// around) on a one-worker engine. There is no sweep of the worker
+// budget: GROUP BY folds on the coordinating goroutine, so the budget
+// selects no other grouping code, and the joins' fan-out is
+// BenchmarkBGPStar's to measure. The sub-benchmark name par=1 keeps the
+// BENCH_PR*.json snapshots comparable.
 func BenchmarkParallelGroupBy(b *testing.B) {
 	env := enrichedEnv(b, demoScale)
 	query := `
@@ -793,20 +831,18 @@ SELECT ?c (SUM(?v) AS ?total) WHERE {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, par := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
-			eng := sparql.NewEngine(env.Store, sparql.WithParallelism(par))
-			for i := 0; i < b.N; i++ {
-				res, err := eng.Select(q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Len() == 0 {
-					b.Fatal("no rows")
-				}
+	b.Run("par=1", func(b *testing.B) {
+		eng := sparql.NewEngine(env.Store, sparql.WithParallelism(1))
+		for i := 0; i < b.N; i++ {
+			res, err := eng.Select(q)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if res.Len() == 0 {
+				b.Fatal("no rows")
+			}
+		}
+	})
 }
 
 // BenchmarkTimeSeriesTick measures one sampler pass over a registry

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/demo"
 	"repro/internal/endpoint"
+	"repro/internal/obs"
 	"repro/internal/ql"
 	"repro/internal/sparql"
 )
@@ -116,4 +117,84 @@ func TestQueryCancellationProperty(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCancelMidFold cancels a grouped query while its GROUP BY is
+// folding the WHERE stream: the fold checks the context at every chunk,
+// so the call returns promptly with the cooperative error, and the
+// trace of the interrupted run shows the AGGREGATE span stopped part
+// way — some rows folded, fewer than the query has, no group emitted.
+// The query is the predefined continent-year roll-up, whose every
+// observation reaches the fold.
+func TestCancelMidFold(t *testing.T) {
+	obsCount := 80000
+	if testing.Short() {
+		obsCount = 5000
+	}
+	env, err := demo.Build(configFor(obsCount))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, _ := demo.FindPredefinedQuery("continent-year")
+	pipe, err := ql.Prepare(pq.QL, env.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := sparql.ParseQuery(pipe.Translation.Direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A small chunk gives the cancel many boundaries to land on.
+	eng := sparql.NewEngine(env.Store, sparql.WithParallelism(1), sparql.WithChunkSize(64))
+	folded := func(tr *obs.Trace) (in, out int) {
+		tr.Root.Visit(func(sp *obs.Span) {
+			if sp.Op == "AGGREGATE" {
+				in, out = sp.In, sp.Out
+			}
+		})
+		return in, out
+	}
+
+	start := time.Now()
+	_, tr, err := eng.QueryTracedContext(context.Background(), q)
+	if err != nil {
+		t.Fatalf("baseline run: %v", err)
+	}
+	full := time.Since(start)
+	total, groups := folded(tr)
+	if total < obsCount/2 || groups == 0 {
+		t.Fatalf("baseline folded %d rows into %d groups: the query no longer sends the cube through GROUP BY", total, groups)
+	}
+
+	// Cancel at shrinking fractions of the uncancelled run time until one
+	// lands inside the fold.
+	for _, frac := range []float64{0.5, 0.3, 0.15, 0.7, 0.05} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var cancelAt time.Time
+		timer := time.AfterFunc(time.Duration(frac*float64(full)), func() { cancelAt = time.Now(); cancel() })
+		_, tr, err := eng.QueryTracedContext(ctx, q)
+		returned := time.Now()
+		timer.Stop()
+		cancel()
+		if err == nil {
+			continue // finished before the cancel landed
+		}
+		var ce *sparql.CanceledError
+		if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled run: err = %v, want a *sparql.CanceledError wrapping context.Canceled", err)
+		}
+		if lat := returned.Sub(cancelAt); lat > 250*time.Millisecond {
+			t.Errorf("returned %v after cancel, want <250ms", lat)
+		}
+		in, out := folded(tr)
+		if in == 0 {
+			continue // cancelled before the first chunk reached the fold
+		}
+		if in >= total || out != 0 {
+			t.Fatalf("cancelled run folded %d of %d rows and emitted %d groups, want a partial fold and none", in, total, out)
+		}
+		t.Logf("cancelled at %.0f %% of %v: %d of %d rows folded", 100*frac, full, in, total)
+		return
+	}
+	t.Fatal("no cancel landed inside the fold in five attempts")
 }

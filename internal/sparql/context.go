@@ -13,11 +13,11 @@ import (
 //
 // Cancellation contract: evaluation is cooperative. The coordinating
 // goroutine checks the context at every chunk boundary of the pipeline
-// (boundIter, stream.go), and the row kernels — BGP join, FILTER,
-// OPTIONAL, MINUS, GROUP BY accumulation — check every cancelCheckRows
-// rows, both on the coordinator and inside worker sub-chunks, so a
-// cancelled query returns promptly at every parallelism level and chunk
-// size. Workers that observe cancellation abandon their rows and return
+// (boundIter, stream.go; the GROUP BY fold after every chunk it
+// consumes), and the row kernels — BGP join, FILTER, OPTIONAL, MINUS —
+// check every cancelCheckRows rows, both on the coordinator and inside
+// worker sub-chunks, so a cancelled query returns promptly at every
+// parallelism level and chunk size. Workers that observe cancellation abandon their rows and return
 // truncated output; the next chunk boundary then converts the
 // cancellation into an error before any truncated rows can escape, so
 // a cancelled query never yields a silently partial result.

@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sort"
@@ -69,12 +70,12 @@ const defaultChunkSize = 1024
 type Option func(*Engine)
 
 // WithParallelism bounds the number of worker goroutines a single query
-// evaluation may use for BGP joins, FILTER/OPTIONAL/UNION/MINUS
-// evaluation, and GROUP BY aggregation. n <= 0 selects
-// runtime.GOMAXPROCS(0), which is also the default. n == 1 runs the
-// exact sequential code paths of the original engine; for n > 1 every
-// parallel operator merges worker results in input order, so query
-// results are identical at every parallelism level.
+// evaluation may use for BGP joins and FILTER/OPTIONAL/UNION/MINUS
+// evaluation (GROUP BY folds on the coordinating goroutine). n <= 0
+// selects runtime.GOMAXPROCS(0), which is also the default. n == 1 runs
+// the exact sequential code paths of the original engine; for n > 1
+// every parallel operator merges worker results in input order, so
+// query results are identical at every parallelism level.
 func WithParallelism(n int) Option {
 	return func(e *Engine) { e.SetParallelism(n) }
 }
@@ -400,86 +401,348 @@ func (r *run) selectVars(q *Query) []string {
 	return vars
 }
 
-// groupKey renders group-by expression values into a comparable key.
-func (r *run) groupKey(exprs []Expression, row solution) (string, []rdf.Term) {
-	vals := make([]rdf.Term, len(exprs))
-	var b strings.Builder
-	for i, e := range exprs {
-		v, err := r.evalExpr(e, row)
-		if err == nil {
-			vals[i] = v
+// aggRef and slotRef are what a grouped query's expressions compile to
+// (groupFold.compile): an aggregate becomes the index of its
+// accumulator in every group, and a GROUP BY key or aggregate argument
+// that is a plain variable its row slot, sparing the per-row name
+// lookup.
+type (
+	aggRef  int
+	slotRef int
+)
+
+func (aggRef) isExpression()  {}
+func (slotRef) isExpression() {}
+
+// slotted resolves e to a slotRef when it is a plain variable.
+func (r *run) slotted(e Expression) Expression {
+	if v, ok := e.(ExprVar); ok {
+		if idx, ok := r.vt.index[v.Name]; ok {
+			return slotRef(idx)
 		}
-		b.WriteString(vals[i].String())
-		b.WriteByte('\x00')
 	}
-	return b.String(), vals
+	return e
 }
 
-// aggGroup is one GROUP BY bucket: the rendered key values and the
-// member rows in input order.
-type aggGroup struct {
-	keyVals []rdf.Term
-	rows    []solution
+// mapOperands rebuilds an operator or call over fn of its operands;
+// any other expression is returned as is. These are the expressions
+// whose aggregates a grouped query evaluates.
+func mapOperands(e Expression, fn func(Expression) Expression) Expression {
+	switch x := e.(type) {
+	case ExprBinary:
+		return ExprBinary{Op: x.Op, L: fn(x.L), R: fn(x.R)}
+	case ExprNot:
+		return ExprNot{X: fn(x.X)}
+	case ExprNeg:
+		return ExprNeg{X: fn(x.X)}
+	case ExprCall:
+		args := make([]Expression, len(x.Args))
+		for i, a := range x.Args {
+			args[i] = fn(a)
+		}
+		return ExprCall{Name: x.Name, Args: args}
+	}
+	return e
 }
 
-// accumulateGroups hash-partitions rows by the group-by expressions,
-// preserving first-occurrence order of the keys and input order of the
-// rows within each group.
-func (r *run) accumulateGroups(exprs []Expression, rows []solution) ([]string, map[string]*aggGroup) {
-	order := []string{}
-	groups := map[string]*aggGroup{}
-	mark := 0
-	for ri, row := range rows {
-		if ri%cancelCheckRows == 0 {
-			if r.cancelled() || r.overMem() {
-				break // aggregateRows checks and errors out
+// aggAcc is the running state of one aggregate over one group: n counts
+// the values (for COUNT(*), the rows) folded; sum and bad serve SUM and
+// AVG; term is the best value of MIN/MAX and the first of SAMPLE; parts
+// collects GROUP_CONCAT; seen exists only under DISTINCT — the argument
+// values met so far, or for COUNT(DISTINCT *) the rendered solutions
+// (as the Value of an otherwise empty term).
+type aggAcc struct {
+	n     int64
+	sum   numeric
+	bad   bool // SUM/AVG met a non-numeric value: the result is a type error
+	term  rdf.Term
+	parts []string
+	seen  map[rdf.Term]struct{}
+}
+
+// What the fold charges (see resource.go): a group is foldGroupBytes —
+// struct, map entry, order slot — beside its row and key, an
+// accumulator aggAccBytes, a DISTINCT entry its term plus
+// distinctEntryBytes, a GROUP_CONCAT part one string header.
+const (
+	foldGroupBytes  = 96
+	aggAccBytes     = 136
+	concatPartBytes = 16
+)
+
+// add folds one value — the aggregate's argument under an input row,
+// for COUNT(DISTINCT *) the rendered row — and returns the bytes the
+// accumulator grew by. Values arrive in input order, so float sums,
+// SAMPLE, GROUP_CONCAT and the first-wins ties of MIN/MAX come out as
+// they would from walking the group's rows.
+func (a *aggAcc) add(agg *ExprAggregate, v rdf.Term) (grew int64) {
+	if agg.Distinct {
+		if _, ok := a.seen[v]; ok {
+			return 0
+		}
+		if a.seen == nil {
+			a.seen = make(map[rdf.Term]struct{})
+		}
+		a.seen[v] = struct{}{}
+		grew = termStructBytes + int64(len(v.Value)+len(v.Datatype)+len(v.Lang)) + distinctEntryBytes
+	}
+	a.n++
+	if agg.Star { // COUNT(*) — the parser admits * nowhere else — counts solutions, not values
+		return grew
+	}
+	switch agg.Func {
+	case "SUM", "AVG":
+		if n, ok := numericOf(v); ok {
+			a.sum = addNumeric(a.sum, n)
+		} else {
+			a.bad = true
+		}
+	case "MIN", "MAX", "SAMPLE":
+		if a.n == 1 {
+			a.term = v // SAMPLE's answer, and the MIN/MAX to beat
+		} else if agg.Func != "SAMPLE" {
+			c, err := compareTerms(v, a.term)
+			if err != nil {
+				c = strings.Compare(v.Value, a.term.Value)
 			}
-			mark = accountKept(r, rows[:ri], mark)
+			if (agg.Func == "MIN" && c < 0) || (agg.Func == "MAX" && c > 0) {
+				a.term = v
+			}
 		}
-		k, vals := r.groupKey(exprs, row)
-		g, ok := groups[k]
-		if !ok {
-			g = &aggGroup{keyVals: vals}
-			groups[k] = g
-			order = append(order, k)
-		}
-		g.rows = append(g.rows, row)
+	case "GROUP_CONCAT":
+		a.parts = append(a.parts, v.Value)
+		grew += concatPartBytes
 	}
-	return order, groups
+	return grew
 }
 
-// groupRow evaluates HAVING and the projection for one group, reporting
-// whether the group survives. For HAVING/ORDER BY on grouped results we
-// evaluate against a representative row (the first of the group, or an
-// empty row).
-func (r *run) groupRow(q *Query, g *aggGroup) ([]rdf.Term, bool) {
-	rep := make(solution, len(r.vt.names))
-	if len(g.rows) > 0 {
-		rep = g.rows[0]
+// result finishes the aggregate.
+func (a *aggAcc) result(agg *ExprAggregate) (rdf.Term, error) {
+	switch {
+	case agg.Star || agg.Func == "COUNT":
+		return rdf.NewInteger(a.n), nil
+	case agg.Func == "AVG" && a.n == 0:
+		return rdf.NewInteger(0), nil
+	case agg.Func == "SUM" || agg.Func == "AVG":
+		if a.bad {
+			return rdf.Term{}, errTypeError
+		}
+		if agg.Func == "SUM" {
+			return numericTerm(a.sum), nil
+		}
+		avg := a.sum.asFloat() / float64(a.n)
+		if a.sum.isInt && avg == float64(int64(avg)) {
+			return rdf.NewInteger(int64(avg)), nil
+		}
+		return numericTerm(numeric{f: avg}), nil
+	case agg.Func == "MIN" || agg.Func == "MAX" || agg.Func == "SAMPLE":
+		if a.n == 0 {
+			return rdf.Term{}, errTypeError
+		}
+		return a.term, nil
+	case agg.Func == "GROUP_CONCAT":
+		return rdf.NewLiteral(strings.Join(a.parts, agg.Separator)), nil
+	}
+	return rdf.Term{}, fmt.Errorf("sparql: unknown aggregate %s", agg.Func)
+}
+
+// foldGroup is one GROUP BY bucket: its first row, which HAVING, the
+// projection and ORDER BY evaluate non-aggregate parts against, and one
+// accumulator per aggregate of the query.
+type foldGroup struct {
+	rep  solution
+	accs []aggAcc
+}
+
+// groupFold is the aggregation breaker's state: the grouped query
+// compiled, and one foldGroup per group met so far — never the input
+// rows.
+type groupFold struct {
+	r *run
+	q *Query
+
+	// keys are the GROUP BY expressions and aggs every aggregate of the
+	// projection, HAVING and ORDER BY, in that order; proj, having and
+	// order are those expressions with each aggregate replaced by its
+	// aggRef (proj[i] is nil for a plain projected variable).
+	keys, proj, having, order []Expression
+	aggs                      []ExprAggregate
+
+	// A group key is the query-local id of each GROUP BY value, four
+	// bytes apiece in key, which is reused from row to row: looking up
+	// groups[string(key)] allocates only when the group is new. Id 0 is
+	// "no value" — an unbound or erroring key expression.
+	ids    map[rdf.Term]uint32
+	key    []byte
+	groups map[string]*foldGroup
+	list   []*foldGroup // first-occurrence order
+
+	charged int64 // bytes charged to the account for groups and their state
+}
+
+func (r *run) newGroupFold(q *Query) *groupFold {
+	f := &groupFold{r: r, q: q,
+		ids:    make(map[rdf.Term]uint32),
+		key:    make([]byte, 4*len(q.GroupBy)),
+		groups: make(map[string]*foldGroup),
+		proj:   make([]Expression, len(q.Projection)),
+	}
+	for i, it := range q.Projection {
+		if it.Expr != nil {
+			f.proj[i] = f.compile(it.Expr)
+		}
 	}
 	for _, h := range q.Having {
-		v, err := r.evalAggExpr(h, g.rows, rep)
+		f.having = append(f.having, f.compile(h))
+	}
+	for _, oc := range q.OrderBy {
+		f.order = append(f.order, f.compile(oc.Expr))
+	}
+	for _, e := range q.GroupBy {
+		f.keys = append(f.keys, r.slotted(e))
+	}
+	return f
+}
+
+// compile gives every aggregate that eval can reach in e an accumulator
+// and returns e with aggRefs in their place.
+func (f *groupFold) compile(e Expression) Expression {
+	if x, ok := e.(ExprAggregate); ok {
+		x.Arg = f.r.slotted(x.Arg)
+		f.aggs = append(f.aggs, x)
+		return aggRef(len(f.aggs) - 1)
+	}
+	return mapOperands(e, f.compile)
+}
+
+// keyID interns one GROUP BY value. Two values share an id exactly when
+// their rendered forms (Term.String) are equal — GROUP BY's notion of
+// the same key: a plain literal and its xsd:string twin are one.
+func (f *groupFold) keyID(t rdf.Term) uint32 {
+	switch {
+	case t.Kind == rdf.KindInvalid:
+		return 0
+	case t.Kind != rdf.KindLiteral:
+		t = rdf.Term{Kind: t.Kind, Value: t.Value}
+	case t.Lang != "" || t.Datatype == rdf.XSDString:
+		t.Datatype = ""
+	}
+	id, ok := f.ids[t]
+	if !ok {
+		id = uint32(len(f.ids) + 1)
+		f.ids[t] = id
+	}
+	return id
+}
+
+// add folds one chunk of input rows into the groups and charges what
+// the groups grew by.
+func (f *groupFold) add(chunk []solution) {
+	var grew int64
+	created := 0
+	for _, row := range chunk {
+		for i, e := range f.keys {
+			v, _ := f.r.evalExpr(e, row) // zero on error: keyID's "no value"
+			binary.LittleEndian.PutUint32(f.key[4*i:], f.keyID(v))
+		}
+		g, ok := f.groups[string(f.key)]
+		if !ok {
+			g = f.newGroup(row)
+			created++
+			grew += foldGroupBytes + int64(len(f.key)) + approxRowBytes(row) + aggAccBytes*int64(len(f.aggs))
+		}
+		for i := range f.aggs {
+			agg := &f.aggs[i]
+			var v rdf.Term
+			switch {
+			case !agg.Star:
+				var err error
+				if v, err = f.r.evalExpr(agg.Arg, row); err != nil {
+					continue // evaluation errors are skipped per spec
+				}
+			case agg.Distinct:
+				v = rdf.Term{Value: solutionKey(row)}
+			}
+			grew += g.accs[i].add(agg, v)
+		}
+	}
+	if f.r.acct != nil && grew > 0 {
+		f.r.acct.Materialize(created, grew)
+		f.charged += grew
+	}
+}
+
+// newGroup opens the group of the current key with rep as its
+// representative row.
+func (f *groupFold) newGroup(rep solution) *foldGroup {
+	g := &foldGroup{rep: rep, accs: make([]aggAcc, len(f.aggs))}
+	for i := range g.accs {
+		g.accs[i].sum.isInt = true
+	}
+	f.groups[string(f.key)] = g
+	f.list = append(f.list, g)
+	return g
+}
+
+// finish evaluates HAVING and the projection of one group, reporting
+// whether the group survives. The result row carries the group's ORDER
+// BY keys behind its projected columns (foldGroups cuts them off after
+// the sort); they see the projected aliases first, then the
+// representative row.
+func (f *groupFold) finish(g *foldGroup) (solution, bool) {
+	for _, h := range f.having {
+		v, err := f.eval(h, g, g.rep)
 		if err != nil {
 			return nil, false
 		}
-		b, err := ebv(v)
-		if err != nil || !b {
+		if b, err := ebv(v); err != nil || !b {
 			return nil, false
 		}
 	}
-	orow := make([]rdf.Term, len(q.Projection))
-	for i, it := range q.Projection {
-		if it.Expr == nil {
-			if idx, ok := r.vt.index[it.Var]; ok && len(g.rows) > 0 {
-				orow[i] = rep[idx]
+	n := len(f.proj)
+	out := make(solution, n+len(f.order))
+	env := g.rep // what ORDER BY keys evaluate against
+	if len(f.order) > 0 {
+		env = g.rep.clone()
+	}
+	for i, it := range f.q.Projection {
+		idx, ok := f.r.vt.index[it.Var]
+		switch {
+		case f.proj[i] == nil && ok:
+			out[i] = g.rep[idx]
+		case f.proj[i] != nil:
+			out[i], _ = f.eval(f.proj[i], g, g.rep) // an error leaves the column unbound
+			if ok && len(f.order) > 0 {
+				env[idx] = out[i]
 			}
-			continue
-		}
-		if v, err := r.evalAggExpr(it.Expr, g.rows, rep); err == nil {
-			orow[i] = v
 		}
 	}
-	return orow, true
+	for i, e := range f.order {
+		out[n+i], _ = f.eval(e, g, env) // an error sorts lowest, as the zero term
+	}
+	return out, true
+}
+
+// eval evaluates a compiled expression for one group: aggregates read
+// the group's accumulators, and an operator or call is applied to its
+// evaluated operands — an operand's error is the expression's — so only
+// leaves are evaluated against the row.
+func (f *groupFold) eval(e Expression, g *foldGroup, row solution) (rdf.Term, error) {
+	if x, ok := e.(aggRef); ok {
+		return g.accs[x].result(&f.aggs[x])
+	}
+	var err error
+	e = mapOperands(e, func(x Expression) Expression {
+		var v rdf.Term
+		if err == nil {
+			v, err = f.eval(x, g, row)
+		}
+		return ExprConst{v}
+	})
+	if err != nil {
+		return rdf.Term{}, err
+	}
+	return f.r.evalExpr(e, row)
 }
 
 // orderSpan runs one ORDER BY sort under its span and reports a
@@ -495,189 +758,79 @@ func (r *run) orderSpan(n int, sort func()) error {
 	return nil
 }
 
-// aggregateRows is the aggregation breaker: it groups the drained WHERE
-// rows, evaluates HAVING and the aggregate projection per group, and
-// applies ORDER BY over the projected rows, returning the header and
-// the group rows for the DISTINCT/SLICE stages.
-func (r *run) aggregateRows(q *Query, rows []solution) ([]string, []solution, error) {
-	in := len(rows)
-	sp := r.trace.StartChild("AGGREGATE", "", in)
-	sp.SetEst(estimateGroups(in))
-	order, groups := r.accumulateGroupsPar(q.GroupBy, rows)
-	if r.cancelled() {
-		return nil, nil, r.cancelErr()
+// foldGroups is the aggregation breaker: it consumes the WHERE stream
+// chunk by chunk on the coordinating goroutine, folding every row into
+// its group's accumulators, then evaluates HAVING, the projection and
+// ORDER BY per group and returns the header and the group rows for the
+// DISTINCT/SLICE stages. Cancellation and the memory budget are checked
+// at every chunk; what the account holds for the fold is the groups,
+// released once the result rows exist.
+func (r *run) foldGroups(q *Query, body chunkIter) ([]string, []solution, error) {
+	defer body.close()
+	sp := r.trace.StartChild("AGGREGATE", "", 0)
+	if sp != nil {
+		body = &spanIn{src: body, sp: sp} // counts the rows folded, subtracts the WHERE's time
 	}
-	if r.overMem() {
-		return nil, nil, r.memErr()
+	f := r.newGroupFold(q)
+	for {
+		chunk, err := body.next()
+		if err != nil {
+			return nil, nil, err
+		}
+		if chunk == nil {
+			break
+		}
+		f.add(chunk)
+		if r.cancelled() {
+			return nil, nil, r.cancelErr()
+		}
+		if r.overMem() {
+			return nil, nil, r.memErr()
+		}
 	}
 	// A grouped query with no GROUP BY clause (implicit grouping, e.g.
 	// SELECT (COUNT(*) AS ?n)) forms a single group even when empty.
-	if len(q.GroupBy) == 0 && len(order) == 0 {
-		groups[""] = &aggGroup{}
-		order = append(order, "")
+	if len(q.GroupBy) == 0 && len(f.list) == 0 {
+		f.newGroup(make(solution, len(r.vt.names)))
 	}
 
-	var vars []string
-	for _, it := range q.Projection {
-		vars = append(vars, it.Var)
+	vars := make([]string, len(q.Projection))
+	for i, it := range q.Projection {
+		vars[i] = it.Var
 	}
-	out := r.groupRowsPar(q, order, groups)
-	if r.cancelled() {
-		return nil, nil, r.cancelErr()
-	}
-	if accountNew(r, out); r.overMem() {
-		return nil, nil, r.memErr()
+	rows := make([]solution, 0, len(f.list))
+	for gi, g := range f.list {
+		if gi%cancelCheckRows == 0 && r.cancelled() {
+			return nil, nil, r.cancelErr()
+		}
+		if row, ok := f.finish(g); ok {
+			rows = append(rows, row)
+		}
 	}
 	if sp != nil {
-		sp.Detail = fmt.Sprintf("%d groups", len(order))
-		sp.Finish(len(out), r.workersFor(in))
+		upstream := sp.Wall // negative: the time spanIn spent pulling the WHERE, which Finish overwrites
+		sp.SetEst(estimateGroups(sp.In))
+		sp.Detail = fmt.Sprintf("%d groups", len(f.list))
+		sp.Mem = f.charged
+		sp.Finish(len(rows), 1)
+		sp.Wall += upstream
 	}
-
-	if len(q.OrderBy) > 0 {
-		if err := r.orderSpan(len(out), func() { r.sortProjected(vars, out, q.OrderBy) }); err != nil {
+	if n := len(vars); len(q.OrderBy) > 0 {
+		err := r.orderSpan(len(rows), func() {
+			r.sortBy(rows, q.OrderBy, func(row solution, c int) rdf.Term { return row[n+c] })
+		})
+		if err != nil {
 			return nil, nil, err
 		}
+		for i, row := range rows {
+			rows[i] = row[:n:n]
+		}
 	}
-	return vars, out, nil
-}
-
-// evalAggExpr evaluates an expression that may contain aggregates over
-// the rows of one group; non-aggregate parts use the representative
-// row.
-func (r *run) evalAggExpr(e Expression, groupRows []solution, rep solution) (rdf.Term, error) {
-	switch x := e.(type) {
-	case ExprAggregate:
-		return r.evalAggregate(x, groupRows)
-	case ExprBinary:
-		l, err := r.evalAggExpr(x.L, groupRows, rep)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		rv, err := r.evalAggExpr(x.R, groupRows, rep)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return r.evalBinary(ExprBinary{Op: x.Op, L: ExprConst{l}, R: ExprConst{rv}}, rep)
-	case ExprNot:
-		inner, err := r.evalAggExpr(x.X, groupRows, rep)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return r.evalExpr(ExprNot{X: ExprConst{inner}}, rep)
-	case ExprNeg:
-		inner, err := r.evalAggExpr(x.X, groupRows, rep)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return r.evalExpr(ExprNeg{X: ExprConst{inner}}, rep)
-	case ExprCall:
-		args := make([]Expression, len(x.Args))
-		for i, a := range x.Args {
-			v, err := r.evalAggExpr(a, groupRows, rep)
-			if err != nil {
-				return rdf.Term{}, err
-			}
-			args[i] = ExprConst{v}
-		}
-		return r.evalCall(ExprCall{Name: x.Name, Args: args}, rep)
-	default:
-		return r.evalExpr(e, rep)
+	r.acct.Release(f.charged)
+	if accountNew(r, rows); r.overMem() {
+		return nil, nil, r.memErr()
 	}
-}
-
-func (r *run) evalAggregate(agg ExprAggregate, rows []solution) (rdf.Term, error) {
-	if agg.Star { // COUNT(*) — the parser admits * nowhere else — counts solutions, not values
-		n := len(rows)
-		if agg.Distinct {
-			seen := make(map[string]struct{}, n)
-			for _, row := range rows {
-				seen[solutionKey(row)] = struct{}{}
-			}
-			n = len(seen)
-		}
-		return rdf.NewInteger(int64(n)), nil
-	}
-	// Collect argument values (skipping evaluation errors per spec).
-	var vals []rdf.Term
-	for _, row := range rows {
-		v, err := r.evalExpr(agg.Arg, row)
-		if err != nil {
-			continue
-		}
-		vals = append(vals, v)
-	}
-	if agg.Distinct {
-		seen := make(map[rdf.Term]struct{}, len(vals))
-		uniq := vals[:0]
-		for _, v := range vals {
-			if _, ok := seen[v]; ok {
-				continue
-			}
-			seen[v] = struct{}{}
-			uniq = append(uniq, v)
-		}
-		vals = uniq
-	}
-
-	switch agg.Func {
-	case "COUNT":
-		return rdf.NewInteger(int64(len(vals))), nil
-	case "SUM":
-		sum := numeric{isInt: true}
-		for _, v := range vals {
-			n, ok := numericOf(v)
-			if !ok {
-				return rdf.Term{}, errTypeError
-			}
-			sum = addNumeric(sum, n)
-		}
-		return numericTerm(sum), nil
-	case "AVG":
-		if len(vals) == 0 {
-			return rdf.NewInteger(0), nil
-		}
-		sum := numeric{isInt: true}
-		for _, v := range vals {
-			n, ok := numericOf(v)
-			if !ok {
-				return rdf.Term{}, errTypeError
-			}
-			sum = addNumeric(sum, n)
-		}
-		avg := sum.asFloat() / float64(len(vals))
-		if sum.isInt && avg == float64(int64(avg)) {
-			return rdf.NewInteger(int64(avg)), nil
-		}
-		return numericTerm(numeric{f: avg}), nil
-	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return rdf.Term{}, errTypeError
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c, err := compareTerms(v, best)
-			if err != nil {
-				c = strings.Compare(v.Value, best.Value)
-			}
-			if (agg.Func == "MIN" && c < 0) || (agg.Func == "MAX" && c > 0) {
-				best = v
-			}
-		}
-		return best, nil
-	case "SAMPLE":
-		if len(vals) == 0 {
-			return rdf.Term{}, errTypeError
-		}
-		return vals[0], nil
-	case "GROUP_CONCAT":
-		parts := make([]string, len(vals))
-		for i, v := range vals {
-			parts[i] = v.Value
-		}
-		return rdf.NewLiteral(strings.Join(parts, agg.Separator)), nil
-	default:
-		return rdf.Term{}, fmt.Errorf("sparql: unknown aggregate %s", agg.Func)
-	}
+	return vars, rows, nil
 }
 
 func addNumeric(a, b numeric) numeric {
@@ -687,82 +840,46 @@ func addNumeric(a, b numeric) numeric {
 	return numeric{f: a.asFloat() + b.asFloat()}
 }
 
-// sortRows orders full solutions by the given conditions. On
-// cancellation the comparator degrades to a constant, so the sort
-// drains in cheap comparisons and the caller's next cancellation check
-// discards the (arbitrarily ordered) rows.
+// sortBy orders rows by conds, key giving the value of a row's c-th
+// condition (zero for an error). On cancellation the comparator
+// degrades to a constant, so the sort drains in cheap comparisons and
+// the caller's next cancellation check discards the (arbitrarily
+// ordered) rows.
+func (r *run) sortBy(rows []solution, conds []OrderCondition, key func(row solution, c int) rdf.Term) {
+	short := r.sortShortCircuit()
+	sort.SliceStable(rows, func(i, j int) bool {
+		if short() {
+			return false
+		}
+		for c, cond := range conds {
+			cmp := orderCompare(key(rows[i], c), key(rows[j], c))
+			if cmp == 0 {
+				continue
+			}
+			if cond.Desc {
+				return cmp > 0
+			}
+			return cmp < 0
+		}
+		return false
+	})
+}
+
+// sortRows orders full solutions, evaluating the conditions against
+// them.
 func (r *run) sortRows(rows []solution, conds []OrderCondition) {
-	short := r.sortShortCircuit()
-	sort.SliceStable(rows, func(i, j int) bool {
-		if short() {
-			return false
-		}
-		for _, c := range conds {
-			vi, ei := r.evalExpr(c.Expr, rows[i])
-			vj, ej := r.evalExpr(c.Expr, rows[j])
-			cmp := orderCompare(vi, ei, vj, ej)
-			if cmp == 0 {
-				continue
-			}
-			if c.Desc {
-				return cmp > 0
-			}
-			return cmp < 0
-		}
-		return false
+	r.sortBy(rows, conds, func(row solution, c int) rdf.Term {
+		v, _ := r.evalExpr(conds[c].Expr, row) // an error sorts lowest, as the zero term
+		return v
 	})
 }
 
-// sortProjected orders already-projected rows under the header vars;
-// order expressions may reference projected variables only.
-func (r *run) sortProjected(vars []string, rows []solution, conds []OrderCondition) {
-	idx := make(map[string]int, len(vars))
-	for i, v := range vars {
-		idx[v] = i
-	}
-	lookup := func(e Expression, row solution) (rdf.Term, error) {
-		v, ok := e.(ExprVar)
-		if !ok {
-			return rdf.Term{}, errTypeError
-		}
-		i, ok := idx[v.Name]
-		if !ok {
-			return rdf.Term{}, errUnbound
-		}
-		return row[i], nil
-	}
-	short := r.sortShortCircuit()
-	sort.SliceStable(rows, func(i, j int) bool {
-		if short() {
-			return false
-		}
-		for _, c := range conds {
-			vi, ei := lookup(c.Expr, rows[i])
-			vj, ej := lookup(c.Expr, rows[j])
-			cmp := orderCompare(vi, ei, vj, ej)
-			if cmp == 0 {
-				continue
-			}
-			if c.Desc {
-				return cmp > 0
-			}
-			return cmp < 0
-		}
-		return false
-	})
-}
-
-// orderCompare implements the SPARQL total order for ORDER BY: errors
-// and unbound sort lowest, then by term order with numeric awareness.
-func orderCompare(a rdf.Term, ea error, b rdf.Term, eb error) int {
-	if ea != nil && eb != nil {
-		return 0
-	}
-	if ea != nil {
-		return -1
-	}
-	if eb != nil {
-		return 1
+// orderCompare implements the SPARQL total order for ORDER BY over
+// evaluated keys, the zero term standing for an error or unbound: those
+// sort lowest, then by term order with numeric awareness.
+func orderCompare(a, b rdf.Term) int {
+	if a.IsZero() || b.IsZero() {
+		return a.Compare(b) // the zero kind ranks below every other
 	}
 	if c, err := compareTerms(a, b); err == nil {
 		return c

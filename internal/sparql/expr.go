@@ -224,6 +224,11 @@ func (r *run) evalExpr(e Expression, row solution) (rdf.Term, error) {
 			return rdf.Term{}, errUnbound
 		}
 		return t, nil
+	case slotRef:
+		if row[x].IsZero() {
+			return rdf.Term{}, errUnbound
+		}
+		return row[x], nil
 	case ExprBinary:
 		return r.evalBinary(x, row)
 	case ExprNot:

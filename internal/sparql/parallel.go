@@ -242,66 +242,3 @@ func (r *run) minusRowsPar(rows, right []solution) []solution {
 	})
 	return concatSolutions(outs)
 }
-
-// accumulateGroupsPar is the parallel hash GROUP BY: each worker builds
-// a partial aggregation map over its chunk, and the partials are merged
-// in chunk order. Merging appends each partial's keys in its local
-// first-occurrence order while skipping keys already merged, which
-// reproduces exactly the global first-occurrence order of the
-// sequential accumulation; rows within a group concatenate in chunk
-// order, i.e. input order.
-func (r *run) accumulateGroupsPar(exprs []Expression, rows []solution) ([]string, map[string]*aggGroup) {
-	w := r.workersFor(len(rows))
-	if w == 1 {
-		return r.accumulateGroups(exprs, rows)
-	}
-	orders := make([][]string, w)
-	partials := make([]map[string]*aggGroup, w)
-	runChunks(chunkBounds(len(rows), w), func(i, lo, hi int) {
-		orders[i], partials[i] = r.accumulateGroups(exprs, rows[lo:hi])
-	})
-	order, groups := orders[0], partials[0]
-	for i := 1; i < w; i++ {
-		for _, k := range orders[i] {
-			p := partials[i][k]
-			if g, ok := groups[k]; ok {
-				g.rows = append(g.rows, p.rows...)
-			} else {
-				groups[k] = p
-				order = append(order, k)
-			}
-		}
-	}
-	return order, groups
-}
-
-// groupRowsPar evaluates HAVING and the aggregate projection of each
-// group, partitioning the (independent) groups across workers. Output
-// rows keep group order; groups eliminated by HAVING leave no row.
-func (r *run) groupRowsPar(q *Query, order []string, groups map[string]*aggGroup) []solution {
-	w := r.workersFor(len(order))
-	if w == 1 {
-		var out []solution
-		for ki, k := range order {
-			if ki%cancelCheckRows == 0 && r.cancelled() {
-				break
-			}
-			if orow, ok := r.groupRow(q, groups[k]); ok {
-				out = append(out, orow)
-			}
-		}
-		return out
-	}
-	outs := make([][]solution, w)
-	runChunks(chunkBounds(len(order), w), func(i, lo, hi int) {
-		for ki, k := range order[lo:hi] {
-			if ki%cancelCheckRows == 0 && r.cancelled() {
-				break
-			}
-			if orow, ok := r.groupRow(q, groups[k]); ok {
-				outs[i] = append(outs[i], orow)
-			}
-		}
-	})
-	return concatSolutions(outs)
-}

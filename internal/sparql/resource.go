@@ -16,15 +16,18 @@ import (
 // Accounting contract: the pipeline's chunk boundaries (boundIter,
 // stream.go) charge each stage's output chunk and release it when the
 // consumer pulls the next; the points that retain something (a
-// breaker's drained input, a collected result, GROUP BY buckets,
-// DISTINCT's seen set, a CONSTRUCT/DESCRIBE graph) charge it here with
-// accountNew / accountKept. The enabled cost is a handful of
-// atomic adds per chunk and the disabled path is a single nil check per
-// hook — run.acct stays nil, mirroring the span and cancellation fast
-// paths. Byte counts are estimates (term struct size plus lexical
-// length, sampled from the first row of each charged batch), good for
-// ranking operators and bounding runaway intermediates, not for
-// balancing against the allocator.
+// breaker's drained input, a collected result, DISTINCT's seen set, a
+// CONSTRUCT/DESCRIBE graph) charge it here with accountNew. GROUP BY
+// retains groups, not rows: the fold (eval.go) charges each group as it
+// is created — representative row, key, accumulators — and what its
+// DISTINCT sets and GROUP_CONCAT parts grow by, once per chunk, and
+// releases the lot when the result rows exist. The enabled cost is a
+// handful of atomic adds per chunk and the disabled path is a single
+// nil check per hook — run.acct stays nil, mirroring the span and
+// cancellation fast paths. Byte counts are estimates (term struct size
+// plus lexical length, sampled from the first row of each charged
+// batch), good for ranking operators and bounding runaway
+// intermediates, not for balancing against the allocator.
 //
 // Budget semantics: QueryAcct.Over is sticky; the coordinator checks it
 // after every charge and converts the condition into *MemLimitError
@@ -128,9 +131,6 @@ func (r *run) memErr() error {
 const (
 	solutionHeaderBytes = 24 // slice header + allocator slot overhead
 	termStructBytes     = 56 // Term struct: kind word + 3 string headers
-	// rowRefBytes charges a row retained by reference only (GROUP BY
-	// membership): one slice slot in the keeping container.
-	rowRefBytes = 24
 )
 
 // approxRowBytes estimates the retained size of one materialized row.
@@ -151,15 +151,4 @@ func accountNew[T ~[]rdf.Term](r *run, rows []T) {
 	if r.acct != nil && len(rows) > 0 {
 		r.acct.Materialize(len(rows), approxRowBytes(rows[0])*int64(len(rows)))
 	}
-}
-
-// accountKept charges rows[from:] as retained by reference (no new term
-// storage, just the keeping container's slots) and returns len(rows).
-func accountKept[T ~[]rdf.Term](r *run, rows []T, from int) int {
-	n := len(rows)
-	if r.acct == nil || n <= from {
-		return n
-	}
-	r.acct.Materialize(n-from, int64(n-from)*rowRefBytes)
-	return n
 }

@@ -75,6 +75,42 @@ func TestAccountingCounts(t *testing.T) {
 	}
 }
 
+// TestAccountingChargesGroupsNotRows pins what GROUP BY holds: folding
+// 400 two-pattern rows into 13 groups charges the pipeline's chunks,
+// the 13 groups and the 13 result rows — each input row is counted
+// once, by the stage that produced it, and nothing per row is retained
+// — and once the result exists only it stays in flight.
+func TestAccountingChargesGroupsNotRows(t *testing.T) {
+	st := parallelFixture(400)
+	const where = `WHERE { ?s <http://ex/group> ?g ; <http://ex/value> ?v }`
+	run := func(query string) *obs.QueryAcct {
+		t.Helper()
+		acct := obs.NewQueryAcct(nil, 0)
+		ctx := WithQueryAcct(context.Background(), acct)
+		if _, err := NewEngine(st, WithParallelism(1)).QueryStringContext(ctx, query); err != nil {
+			t.Fatal(err)
+		}
+		return acct
+	}
+	plain := run(`SELECT ?g ?v ` + where)
+	grouped := run(`SELECT ?g (SUM(?v) AS ?t) (COUNT(DISTINCT ?v) AS ?d) ` + where + ` GROUP BY ?g`)
+	// The ungrouped query charges the same pipeline plus 400 projected
+	// and 400 collected rows; the grouped one 13 groups, 13 result rows
+	// and their 13 collected copies.
+	if got, want := grouped.Rows(), plain.Rows()-2*400+3*13; got != want {
+		t.Errorf("grouped query charged %d rows, want %d (pipeline + 13 groups + 2 × 13 result rows)", got, want)
+	}
+	if grouped.Peak() >= plain.Peak() {
+		t.Errorf("grouped peak %d not below the ungrouped query's %d", grouped.Peak(), plain.Peak())
+	}
+	// Groups are released when the result rows exist: 13 rows of three
+	// columns, charged by the fold and again by the collector, are all
+	// that is still held.
+	if in := grouped.Inflight(); in <= 0 || in > 2*13*(solutionHeaderBytes+3*(termStructBytes+64)) {
+		t.Errorf("in flight after the grouped query = %d bytes, want just the 13 result rows", in)
+	}
+}
+
 // TestMemLimitError checks that a tiny budget aborts evaluation with
 // the typed error, at sequential and parallel settings, and that the
 // over-budget query is counted on the tracker.
@@ -142,6 +178,37 @@ func TestTraceMemAnnotations(t *testing.T) {
 	outline := tr.Outline()
 	if strings.Contains(outline, "mem") {
 		t.Errorf("Outline must stay mem-free for goldens:\n%s", outline)
+	}
+
+	// The AGGREGATE span reports what ran: every WHERE row folded in, the
+	// groups out, one worker, and as mem= the bytes of the groups — far
+	// less than the rows that fed them.
+	_, tr, err = e.QueryTracedString(
+		`SELECT ?g (SUM(?v) AS ?t) WHERE { ?s <http://ex/group> ?g ; <http://ex/value> ?v } GROUP BY ?g HAVING (SUM(?v) > 0)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var agg, bgp *obs.Span
+	tr.Root.Visit(func(sp *obs.Span) {
+		switch sp.Op {
+		case "AGGREGATE":
+			agg = sp
+		case "BGP":
+			bgp = sp
+		}
+	})
+	if agg == nil || bgp == nil {
+		t.Fatalf("no AGGREGATE/BGP span:\n%s", tr.Render())
+	}
+	if agg.In != 400 || agg.Out != 13 || agg.Est != 20 || agg.Workers != 1 || agg.Detail != "13 groups" {
+		t.Errorf("AGGREGATE span in=%d out=%d est=%d workers=%d detail=%q, want 400/13/20/1/13 groups",
+			agg.In, agg.Out, agg.Est, agg.Workers, agg.Detail)
+	}
+	if agg.Mem == 0 || agg.Mem*4 > bgp.Mem {
+		t.Errorf("AGGREGATE mem = %d bytes against the BGP's %d: groups should be charged, not rows", agg.Mem, bgp.Mem)
+	}
+	if agg.Wall <= 0 {
+		t.Errorf("AGGREGATE self time = %v, want > 0", agg.Wall)
 	}
 }
 

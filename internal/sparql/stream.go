@@ -30,14 +30,17 @@ import (
 //     releases the previous chunk, and — when the query is traced —
 //     accumulates the stage's span (trace.go). Kernels run on an
 //     account-free run copy (run.kernel) so nothing double-charges.
-//   - Pipeline breakers materialize: ORDER BY and GROUP BY drain their
-//     whole input (drainStream), because sorting and grouping need
-//     every row anyway, and re-stream their output into the
-//     projection/DISTINCT/SLICE stages. UNION and GRAPH ?var buffer
-//     their *input* (usually small) and replay it branch-major /
-//     graph-major. MINUS evaluates its right side once; SUBSELECT
-//     evaluates the subquery once. DISTINCT streams its emission but
-//     retains — and charges — the seen-key set.
+//   - Pipeline breakers: an ungrouped ORDER BY drains its whole input
+//     (drainStream) — sorting needs every row — and re-streams the
+//     sorted rows. GROUP BY does not: it consumes the WHERE stream
+//     chunk by chunk and folds every row into its group's accumulators
+//     (foldGroups, eval.go), so it holds one entry per group, never the
+//     input, and re-streams the group rows into the DISTINCT/SLICE
+//     stages. UNION and GRAPH ?var buffer their *input* (usually small)
+//     and replay it branch-major / graph-major. MINUS evaluates its
+//     right side once; SUBSELECT evaluates the subquery once. DISTINCT
+//     streams its emission but retains — and charges — the seen-key
+//     set.
 //   - BGP joins are incremental: bgpIter holds one buffer per join
 //     level and advances the deepest level with pending work, so a
 //     1-row → 80k-match fan-out is emitted chunk by chunk from the
@@ -876,11 +879,12 @@ func (s *sliceIter) close() { s.src.close() }
 // and returns a live chunk iterator of result rows plus the header. The
 // WHERE clause always streams. ASK pulls one chunk — the pipeline stops
 // at the first match — and answers with the one-row table ?ask. A
-// grouped query drains it into the aggregation and re-streams the group
-// rows; an ungrouped ORDER BY drains it into the sort and re-streams
-// the sorted rows into the projection; DISTINCT and OFFSET/LIMIT are
-// stages either way, so a LIMIT stops the projection early even under
-// ORDER BY.
+// grouped query folds it, chunk by chunk, into per-group accumulators
+// and re-streams the group rows (a sub-select's GROUP BY arrives here
+// through its own run); an ungrouped ORDER BY drains it into the sort
+// and re-streams the sorted rows into the projection; DISTINCT and
+// OFFSET/LIMIT are stages either way, so a LIMIT stops the projection
+// early even under ORDER BY.
 func (r *run) resultStream(q *Query) (chunkIter, []string, error) {
 	n := r.e.chunkSize
 	body := r.streamGroup(q.Where, &sliceSource{rows: r.seed(), chunk: n}, graphCtx{}, r.trace)
@@ -896,11 +900,9 @@ func (r *run) resultStream(q *Query) (chunkIter, []string, error) {
 	var it chunkIter
 	var vars []string
 	if len(q.GroupBy) > 0 || projectionHasAggregates(q) {
-		rows, err := drainStream(r, body)
-		if err != nil {
-			return nil, nil, err
-		}
-		if vars, rows, err = r.aggregateRows(q, rows); err != nil {
+		var rows []solution
+		var err error
+		if vars, rows, err = r.foldGroups(q, body); err != nil {
 			return nil, nil, err
 		}
 		it = &sliceSource{rows: rows, chunk: n}

@@ -136,6 +136,67 @@ func TestStreamingFitsUnderBudget(t *testing.T) {
 	}
 }
 
+// TestGroupedQueriesFitSmallBudget is the fold's admission contract: a
+// grouped query holds its groups, not its input, so all six predefined
+// QL queries in both translations — each a GROUP BY over up to 20k
+// observations, the alternative one twice — run under a 4 MB budget,
+// traced or not (the twelve WHERE streams are 1.2 × 10⁵ rows, ≈ 15 MB
+// if retained). Sorting does need every row: the same WHERE under an
+// ungrouped ORDER BY is rejected.
+func TestGroupedQueriesFitSmallBudget(t *testing.T) {
+	env, err := demo.Build(configFor(20000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sparql.NewEngine(env.Store, sparql.WithMaxQueryMem(4<<20))
+	for _, pq := range demo.PredefinedQueries {
+		p, err := ql.Prepare(pq.QL, env.Schema)
+		if err != nil {
+			t.Fatalf("%s: %v", pq.Name, err)
+		}
+		for variant, text := range map[string]string{"direct": p.Translation.Direct, "alternative": p.Translation.Alternative} {
+			res, err := eng.QueryString(text)
+			if err != nil {
+				t.Errorf("%s/%s: %v", pq.Name, variant, err)
+				continue
+			}
+			if res.Len() == 0 {
+				t.Errorf("%s/%s: empty result", pq.Name, variant)
+			}
+			traced, tr, err := eng.QueryTracedString(text)
+			if err != nil {
+				t.Errorf("%s/%s traced: %v", pq.Name, variant, err)
+				continue
+			}
+			if !reflect.DeepEqual(res, traced) {
+				t.Errorf("%s/%s: traced result differs", pq.Name, variant)
+			}
+			if tr.PeakBytes == 0 || tr.PeakBytes > 4<<20 {
+				t.Errorf("%s/%s: traced peak = %d bytes, want within the 4 MB budget", pq.Name, variant, tr.PeakBytes)
+			}
+		}
+	}
+
+	pq, _ := demo.FindPredefinedQuery("continent-year")
+	p, err := ql.Prepare(pq.QL, env.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := sparql.ParseQuery(p.Translation.Direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(q.GroupBy) == 0 || len(q.OrderBy) == 0 {
+		t.Fatal("continent-year's direct translation is no longer GROUP BY … ORDER BY")
+	}
+	q.GroupBy, q.Having, q.Projection, q.Star = nil, nil, nil, true
+	_, err = eng.Query(q)
+	var mle *sparql.MemLimitError
+	if !errors.As(err, &mle) {
+		t.Errorf("ungrouped ORDER BY over the same WHERE: err = %v, want *MemLimitError", err)
+	}
+}
+
 // TestTracedQueryFitsSameBudget pins the bug the single evaluator
 // fixed: a traced (EXPLAIN ANALYZE, ?explain=1, sampled) query used to
 // run a separate fully materialized evaluator, so under -max-query-mem
