@@ -1,6 +1,9 @@
 package sparql
 
-import "repro/internal/obs"
+import (
+	"repro/internal/obs"
+	"repro/internal/rdf"
+)
 
 // collectVars walks the query registering every variable in the var
 // table so solutions have a stable width.
@@ -121,62 +124,50 @@ func (r *run) evalSubSelect(q *Query, sp *obs.Span) (*Results, error) {
 	return sub.collect(q)
 }
 
-// joinResults joins the current solutions with a projected result table
-// on shared variable names.
-func (r *run) joinResults(rows []solution, res *Results) []solution {
-	slots := make([]int, len(res.Vars))
-	for i, v := range res.Vars {
-		slots[i] = r.vt.slot(v)
+// joinTable joins rows with a table over vars — a VALUES block, or a
+// sub-select's result on its projected names; a zero cell is UNDEF /
+// unbound and constrains nothing. Compatibility is tested on the shared slots first and only the
+// pairs that join are cloned; every output row and the header are fresh,
+// so the stage after the join owns its chunks.
+func (r *run) joinTable(rows []solution, vars []string, table [][]rdf.Term) []solution {
+	slots := make([]int, len(vars))
+	for i, name := range vars {
+		slots[i] = r.vt.slot(name)
 	}
 	var out []solution
 	for _, row := range rows {
-		for _, rrow := range res.Rows {
-			nrow := row.clone()
-			ok := true
+	table:
+		for _, trow := range table {
 			for i, slot := range slots {
-				v := rrow[i]
-				if v.IsZero() {
-					continue
+				if v := trow[i]; !v.IsZero() && !row[slot].IsZero() && row[slot] != v {
+					continue table
 				}
-				if !nrow[slot].IsZero() && nrow[slot] != v {
-					ok = false
-					break
+			}
+			nrow := row.clone()
+			for i, slot := range slots {
+				if v := trow[i]; !v.IsZero() {
+					nrow[slot] = v
 				}
-				nrow[slot] = v
 			}
-			if ok {
-				out = append(out, nrow)
-			}
+			out = append(out, nrow)
 		}
 	}
 	return out
 }
 
-func (r *run) joinValues(rows []solution, v ValuesElement) []solution {
-	slots := make([]int, len(v.Vars))
-	for i, name := range v.Vars {
-		slots[i] = r.vt.slot(name)
-	}
-	var out []solution
+// bindRows implements BIND: the value of expr goes into slot idx of every
+// row (left unbound on an evaluation error) — of the row itself when the
+// chunk is owned, of a clone otherwise.
+func (r *run) bindRows(expr Expression, idx int, rows []solution, owned bool) []solution {
+	out := outFor(rows, owned)
 	for _, row := range rows {
-		for _, data := range v.Rows {
-			nrow := row.clone()
-			ok := true
-			for i, slot := range slots {
-				val := data[i]
-				if val.IsZero() { // UNDEF
-					continue
-				}
-				if !nrow[slot].IsZero() && nrow[slot] != val {
-					ok = false
-					break
-				}
-				nrow[slot] = val
-			}
-			if ok {
-				out = append(out, nrow)
-			}
+		if !owned {
+			row = row.clone()
 		}
+		if v, err := r.evalExpr(expr, row); err == nil {
+			row[idx] = v
+		}
+		out = append(out, row)
 	}
 	return out
 }

@@ -93,6 +93,28 @@ func concatSolutions(outs [][]solution) []solution {
 	return merged
 }
 
+// mergeChunks concatenates the workers' outputs in chunk order. The
+// workers of an owned chunk compact into their own rows[lo:hi], so the
+// parts are copied down into rows itself when every part lands at or
+// before the input rows it came from (no part yet to be copied is
+// overwritten); a multi-match overflow, or a chunk that is not owned,
+// goes through concatSolutions.
+func mergeChunks(rows []solution, bounds [][2]int, outs [][]solution, owned bool) []solution {
+	n := 0
+	for i, o := range outs {
+		owned = owned && n <= bounds[i][0]
+		n += len(o)
+	}
+	if !owned || n > len(rows) {
+		return concatSolutions(outs)
+	}
+	n = 0
+	for _, o := range outs {
+		n += copy(rows[n:], o)
+	}
+	return rows[:n]
+}
+
 func firstError(errs []error) error {
 	for _, err := range errs {
 		if err != nil {
@@ -112,21 +134,26 @@ func (r *run) joinPatternPar(p *probe, rows []solution, owned bool) ([]solution,
 	}
 	outs := make([][]solution, w)
 	errs := make([]error, w)
-	runChunks(chunkBounds(len(rows), w), func(i, lo, hi int) {
+	bounds := chunkBounds(len(rows), w)
+	runChunks(bounds, func(i, lo, hi int) {
 		outs[i], errs[i] = r.joinPatternOwned(p, rows[lo:hi], owned)
 	})
 	if err := firstError(errs); err != nil {
 		return nil, err
 	}
-	return concatSolutions(outs), nil
+	return mergeChunks(rows, bounds, outs, owned), nil
 }
 
 // filterRows keeps the rows whose filter expression evaluates to a true
 // effective boolean value (evaluation errors eliminate the row). On
 // cancellation it returns early with what it has; the next chunk
-// boundary converts that into an error.
-func (r *run) filterRows(expr Expression, rows []solution) []solution {
+// boundary converts that into an error. An owned chunk is compacted
+// into its own header.
+func (r *run) filterRows(expr Expression, rows []solution, owned bool) []solution {
 	var kept []solution
+	if owned {
+		kept = outFor(rows, true)
+	}
 	for ri, row := range rows {
 		if ri%cancelCheckRows == 0 && r.cancelled() {
 			break
@@ -143,16 +170,17 @@ func (r *run) filterRows(expr Expression, rows []solution) []solution {
 }
 
 // filterRowsPar partitions FILTER evaluation across workers.
-func (r *run) filterRowsPar(expr Expression, rows []solution) []solution {
+func (r *run) filterRowsPar(expr Expression, rows []solution, owned bool) []solution {
 	w := r.workersFor(len(rows))
 	if w == 1 {
-		return r.filterRows(expr, rows)
+		return r.filterRows(expr, rows, owned)
 	}
 	outs := make([][]solution, w)
-	runChunks(chunkBounds(len(rows), w), func(i, lo, hi int) {
-		outs[i] = r.filterRows(expr, rows[lo:hi])
+	bounds := chunkBounds(len(rows), w)
+	runChunks(bounds, func(i, lo, hi int) {
+		outs[i] = r.filterRows(expr, rows[lo:hi], owned)
 	})
-	return concatSolutions(outs)
+	return mergeChunks(rows, bounds, outs, owned)
 }
 
 // optionalRows evaluates a general OPTIONAL group per left row: the row
@@ -195,22 +223,26 @@ func (r *run) optionalPar(p GroupGraphPattern, rows []solution, ctx graphCtx) ([
 
 // optionalSinglePar partitions the single-pattern OPTIONAL fast path
 // across workers.
-func (r *run) optionalSinglePar(p *probe, rows []solution) []solution {
+func (r *run) optionalSinglePar(p *probe, rows []solution, owned bool) []solution {
 	w := r.workersFor(len(rows))
 	if w == 1 {
-		return r.optionalSingle(p, rows)
+		return r.optionalSingle(p, rows, owned)
 	}
 	outs := make([][]solution, w)
-	runChunks(chunkBounds(len(rows), w), func(i, lo, hi int) {
-		outs[i] = r.optionalSingle(p, rows[lo:hi])
+	bounds := chunkBounds(len(rows), w)
+	runChunks(bounds, func(i, lo, hi int) {
+		outs[i] = r.optionalSingle(p, rows[lo:hi], owned)
 	})
-	return concatSolutions(outs)
+	return mergeChunks(rows, bounds, outs, owned)
 }
 
 // minusRows removes rows compatible with (and sharing a variable with)
-// any right-side solution.
-func (r *run) minusRows(rows, right []solution) []solution {
+// any right-side solution, compacting an owned chunk into its own header.
+func (r *run) minusRows(rows, right []solution, owned bool) []solution {
 	var kept []solution
+	if owned {
+		kept = outFor(rows, true)
+	}
 	for ri, row := range rows {
 		if ri%cancelCheckRows == 0 && r.cancelled() {
 			break
@@ -231,14 +263,15 @@ func (r *run) minusRows(rows, right []solution) []solution {
 
 // minusRowsPar partitions the MINUS exclusion scan across workers; the
 // right side is shared read-only.
-func (r *run) minusRowsPar(rows, right []solution) []solution {
+func (r *run) minusRowsPar(rows, right []solution, owned bool) []solution {
 	w := r.workersFor(len(rows))
 	if w == 1 || len(right) == 0 {
-		return r.minusRows(rows, right)
+		return r.minusRows(rows, right, owned)
 	}
 	outs := make([][]solution, w)
-	runChunks(chunkBounds(len(rows), w), func(i, lo, hi int) {
-		outs[i] = r.minusRows(rows[lo:hi], right)
+	bounds := chunkBounds(len(rows), w)
+	runChunks(bounds, func(i, lo, hi int) {
+		outs[i] = r.minusRows(rows[lo:hi], right, owned)
 	})
-	return concatSolutions(outs)
+	return mergeChunks(rows, bounds, outs, owned)
 }

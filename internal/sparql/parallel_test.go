@@ -152,3 +152,38 @@ func TestChunkBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeChunks pins the merge of an owned chunk's worker outputs: the
+// parts are copied down into the chunk only when no copy can overwrite a
+// part still waiting in its own rows[lo:hi].
+func TestMergeChunks(t *testing.T) {
+	row := func(i int) solution { return solution{rdf.NewInteger(int64(i))} }
+	fresh := func(ids ...int) []solution {
+		out := make([]solution, len(ids))
+		for i, id := range ids {
+			out[i] = row(id)
+		}
+		return out
+	}
+	bounds := [][2]int{{0, 4}, {4, 8}}
+	for _, tc := range []struct {
+		name    string
+		first   []solution // worker 0 spilled into a fresh slice
+		keep    int        // worker 1 compacted rows[4:4+keep] in place
+		inPlace bool
+	}{
+		{"both fit", fresh(10, 11), 3, true},
+		{"first part would overwrite the second", fresh(10, 11, 12, 13, 14, 15), 1, false},
+		{"more rows than the chunk holds", fresh(10, 11, 12, 13, 14, 15), 4, false},
+	} {
+		rows := fresh(0, 1, 2, 3, 4, 5, 6, 7)
+		want := append(cloneRows(tc.first), cloneRows(rows[4:4+tc.keep])...)
+		got := mergeChunks(rows, bounds, [][]solution{tc.first, rows[4 : 4+tc.keep : 8]}, true)
+		if !sameRows(got, want) {
+			t.Errorf("%s: merged %v, want %v", tc.name, got, want)
+		}
+		if (&got[0] == &rows[0]) != tc.inPlace {
+			t.Errorf("%s: merged in place = %v, want %v", tc.name, !tc.inPlace, tc.inPlace)
+		}
+	}
+}

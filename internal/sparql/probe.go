@@ -23,6 +23,11 @@ type probe struct {
 	slot [3]int         // row slot of the variable at S, P, O; -1 at a constant
 	dead bool           // a constant the dictionary has never seen: nothing matches
 
+	// repeats marks a variable at two positions: extend can then fail
+	// after it has bound one of them, so a row that must survive a failed
+	// match (OPTIONAL) is never extended in place.
+	repeats bool
+
 	// steps holds one probe per IRI step of tp.Path, over the two-slot
 	// row (start, end); nil for a plain pattern.
 	steps map[*PropertyPath]*probe
@@ -56,6 +61,8 @@ func (r *run) compile(tp TriplePattern, gctx graphCtx) *probe {
 			p.slot[i] = r.vt.slot(pt.Var)
 		}
 	}
+	s, pr, o := p.slot[0], p.slot[1], p.slot[2]
+	p.repeats = (s >= 0 && (s == pr || s == o)) || (pr >= 0 && pr == o)
 	if tp.Path != nil {
 		p.steps = make(map[*PropertyPath]*probe)
 		p.compileSteps(tp.Path)
@@ -125,17 +132,36 @@ func (p *probe) extend(dst solution, t store.IDTriple, free uint8) bool {
 		(free&freeO == 0 || bind(dst, p.slot[2], p.snap.Term(t.O)))
 }
 
+// outFor returns the slice a per-chunk kernel appends its output to. An
+// owned chunk (DESIGN §16 "Chunk ownership") is compacted into its own
+// header, capped at its length so that a worker's append can never cross
+// into its neighbour's rows[lo:hi]; writing there is safe while the
+// write index stays at or behind the row being read — spill is the way
+// out once a multi-match row would overtake it.
+func outFor(rows []solution, owned bool) []solution {
+	if owned {
+		return rows[:0:len(rows)]
+	}
+	return make([]solution, 0, len(rows))
+}
+
+// spill moves an in-place output off the input's header.
+func spill(out []solution) []solution {
+	return append(make([]solution, 0, 2*cap(out)), out...)
+}
+
 // joinPatternOwned extends every solution with the matches of one
-// pattern. When owned is true, an input row with exactly one match is
-// extended in place instead of cloned, which removes the dominant
-// allocation cost of long functional join chains (one row per
-// observation through every pattern of a generated OLAP query);
-// otherwise input rows are never mutated.
+// pattern. When owned is true the chunk is the caller's to reuse: an
+// input row with exactly one match is extended in place instead of
+// cloned, which removes the dominant allocation cost of long functional
+// join chains (one row per observation through every pattern of a
+// generated OLAP query), and the output is compacted into the input's
+// own header; otherwise neither the rows nor the header are mutated.
 func (r *run) joinPatternOwned(p *probe, rows []solution, owned bool) ([]solution, error) {
 	if p.steps != nil {
 		return r.joinPath(p, rows)
 	}
-	out := make([]solution, 0, len(rows))
+	out, inPlace := outFor(rows, owned), owned
 	for ri, row := range rows {
 		if ri%cancelCheckRows == 0 && r.cancelled() {
 			return nil, r.cancelErr()
@@ -159,6 +185,9 @@ func (r *run) joinPatternOwned(p *probe, rows []solution, owned bool) ([]solutio
 				break
 			}
 			if nrow := row.clone(); p.extend(nrow, t, free) {
+				if inPlace && len(out) > ri {
+					out, inPlace = spill(out), false
+				}
 				out = append(out, nrow)
 			}
 		}
@@ -167,18 +196,29 @@ func (r *run) joinPatternOwned(p *probe, rows []solution, owned bool) ([]solutio
 }
 
 // optionalSingle implements OPTIONAL { <one pattern> }: every left row
-// is kept, extended by each match when there is one.
-func (r *run) optionalSingle(p *probe, rows []solution) []solution {
-	out := make([]solution, 0, len(rows))
+// is kept, extended by each match when there is one. An owned chunk is
+// reused as in joinPatternOwned, except that a single-match row is
+// extended in place only when the pattern repeats no variable: a failing
+// extend must leave the surviving row untouched.
+func (r *run) optionalSingle(p *probe, rows []solution, owned bool) []solution {
+	out, inPlace := outFor(rows, owned), owned
 	for ri, row := range rows {
 		if ri%cancelCheckRows == 0 && r.cancelled() {
 			break // the next chunk boundary errors out
 		}
 		run, free := p.match(row)
+		if owned && len(run) == 1 && !p.repeats {
+			p.extend(row, run[0], free)
+			out = append(out, row)
+			continue
+		}
 		matched := false
 		for _, t := range run {
 			if nrow := row.clone(); p.extend(nrow, t, free) {
 				matched = true
+				if inPlace && len(out) > ri {
+					out, inPlace = spill(out), false
+				}
 				out = append(out, nrow)
 			}
 		}

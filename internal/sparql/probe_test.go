@@ -198,22 +198,115 @@ func TestProbeAgainstNaiveScan(t *testing.T) {
 				}
 			}
 
-			in := cloneRows(rows)
-			if got := r.optionalSingle(p, in); !sameRows(got, wantOpt) {
-				fail("optionalSingle", got, wantOpt)
-			}
-			if !sameRows(in, rows) {
-				fail("input rows after optionalSingle", in, rows)
+			for _, owned := range []bool{false, true} {
+				in := cloneRows(rows)
+				if got := r.optionalSingle(p, in, owned); !sameRows(got, wantOpt) {
+					fail(fmt.Sprintf("optionalSingle(owned=%v)", owned), got, wantOpt)
+				}
+				if !owned && !sameRows(in, rows) {
+					fail("input rows after an OPTIONAL that does not own them", in, rows)
+				}
 			}
 		}
 	}
 }
 
-// TestSingleMatchJoinAllocatesNothingPerRow guards the join core's
-// allocation shape: an owned 1 024-row chunk joined through a pattern
-// with one match per row is extended in place, so the whole call
-// allocates its output slice and nothing else — no per-row closure,
-// cursor, probe or clone.
+// TestOwnedOptionalRepeatedVariable is the one case in-place extension
+// gets wrong without the probe's repeated-variable mark: ?x <p> ?x over
+// the single triple (a p b) matches the unbound row once by index, binds
+// ?x to a, then fails on b — and the row OPTIONAL keeps must still be
+// unbound.
+func TestOwnedOptionalRepeatedVariable(t *testing.T) {
+	st := store.New()
+	a, b, pred := rdf.NewIRI("http://t/a"), rdf.NewIRI("http://t/b"), rdf.NewIRI("http://t/p")
+	st.InsertTriples(rdf.Term{}, []rdf.Triple{rdf.NewTriple(a, pred, b)})
+	r := &run{e: NewEngine(st, WithParallelism(1)), vt: newVarTable(), snap: st.Snapshot()}
+	x := r.vt.slot("x")
+	p := r.compile(TriplePattern{S: VarTerm("x"), P: ConstTerm(pred), O: VarTerm("x")}, graphCtx{})
+	for _, owned := range []bool{false, true} {
+		got := r.optionalSingle(p, []solution{make(solution, 1)}, owned)
+		if len(got) != 1 || !got[0][x].IsZero() {
+			t.Errorf("optionalSingle(owned=%v) = %v, want one row with ?x unbound", owned, got)
+		}
+	}
+}
+
+// TestOwnedKernelsSpillBeforeOvertaking drives the in-place compaction
+// through the shapes its guards exist for: rows with no match ahead of a
+// row with several (the write index catches up with the read index and
+// the output must leave the input's header before it overwrites a row
+// not yet read), and a chunk cut from a longer slice (neither the kernel
+// nor whoever appends to what it returns may grow past the chunk's own
+// length into its neighbour's rows — with the first guard in place the
+// kernel never gets there, so the capacity is checked directly).
+func TestOwnedKernelsSpillBeforeOvertaking(t *testing.T) {
+	st := store.New()
+	pred := rdf.NewIRI("http://t/p")
+	subj := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://t/s%d", i)) }
+	var ts []rdf.Triple
+	for i, matches := range []int{0, 3, 1, 0, 4, 1} { // matches of subject i
+		for m := 0; m < matches; m++ {
+			ts = append(ts, rdf.NewTriple(subj(i), pred, rdf.NewInteger(int64(10*i+m))))
+		}
+	}
+	st.InsertTriples(rdf.Term{}, ts)
+	r := &run{e: NewEngine(st, WithParallelism(1)), vt: newVarTable(), snap: st.Snapshot()}
+	x := r.vt.slot("x")
+	r.vt.slot("y")
+	p := r.compile(TriplePattern{S: VarTerm("x"), P: ConstTerm(pred), O: VarTerm("y")}, graphCtx{})
+	rows := make([]solution, 6)
+	for i := range rows {
+		rows[i] = make(solution, 2)
+		rows[i][x] = subj(i)
+	}
+	kernels := []struct {
+		name string
+		rows int // of the reference output
+		run  func(rows []solution, owned bool) []solution
+	}{
+		{"join", 9, func(rows []solution, owned bool) []solution {
+			out, err := r.joinPatternOwned(p, rows, owned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}},
+		{"OPTIONAL", 11, func(rows []solution, owned bool) []solution { return r.optionalSingle(p, rows, owned) }},
+	}
+	for _, k := range kernels {
+		want := k.run(cloneRows(rows), false)
+		if len(want) != k.rows {
+			t.Fatalf("reference %s has %d rows, want %d", k.name, len(want), k.rows)
+		}
+		// The chunk is rows[:cut] of a longer slice whose tail must survive.
+		for cut := 1; cut <= len(rows); cut++ {
+			in := append(cloneRows(rows), solution{pred}, solution{pred})
+			got := k.run(in[:cut], true)
+			wantN := 0 // the reference rows that come from rows[:cut]
+			for _, row := range want {
+				if slices.ContainsFunc(rows[:cut], func(s solution) bool { return s[x] == row[x] }) {
+					wantN++
+				}
+			}
+			if !sameRows(got, want[:wantN]) {
+				t.Errorf("owned %s of rows[:%d] =\n%v\nwant\n%v", k.name, cut, got, want[:wantN])
+			}
+			if !sameRows(in[cut:6], rows[cut:]) || in[6][0] != pred || in[7][0] != pred {
+				t.Errorf("owned %s of rows[:%d] wrote past its chunk: %v", k.name, cut, in[cut:])
+			}
+			if len(got) > 0 && &got[0] == &in[0] && cap(got) > cut {
+				t.Errorf("owned %s of rows[:%d] returns its chunk with capacity %d: an append would reach the neighbour's rows", k.name, cut, cap(got))
+			}
+		}
+	}
+}
+
+// TestSingleMatchJoinAllocatesNothingPerRow guards the allocation shape
+// of the owned kernels: an owned 1 024-row chunk joined through a pattern
+// with one match per row — by a BGP level or by OPTIONAL — or crossed by
+// a BIND is extended in place and compacted into its own header, so the
+// whole call allocates nothing: no output slice, per-row closure, cursor,
+// probe or clone.
 func TestSingleMatchJoinAllocatesNothingPerRow(t *testing.T) {
 	st := store.New()
 	val := rdf.NewIRI("http://t/value")
@@ -231,16 +324,29 @@ func TestSingleMatchJoinAllocatesNothingPerRow(t *testing.T) {
 		rows[i] = make(solution, 2)
 		rows[i][x] = ts[i].S
 	}
-	allocs := testing.AllocsPerRun(10, func() {
-		for _, row := range rows {
-			row[y] = rdf.Term{}
+	var last Expression = ExprConst{Term: ts[n-1].O}
+	kernels := map[string]func() []solution{
+		"join": func() []solution {
+			out, err := r.joinPatternPar(p, rows, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		},
+		"OPTIONAL": func() []solution { return r.optionalSinglePar(p, rows, true) },
+		"BIND":     func() []solution { return r.bindRows(last, y, rows, true) },
+	}
+	for name, kernel := range kernels {
+		allocs := testing.AllocsPerRun(10, func() {
+			for _, row := range rows {
+				row[y] = rdf.Term{}
+			}
+			if out := kernel(); len(out) != n || out[n-1][y] != ts[n-1].O {
+				t.Fatalf("%s returned %d rows, last %v", name, len(out), out[len(out)-1])
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s over %d owned single-match rows allocates %.0f times, want 0", name, n, allocs)
 		}
-		out, err := r.joinPatternPar(p, rows, true)
-		if err != nil || len(out) != n || out[n-1][y] != ts[n-1].O {
-			t.Fatalf("join returned %d rows (err %v)", len(out), err)
-		}
-	})
-	if allocs > 1 {
-		t.Errorf("joining %d owned single-match rows allocates %.0f times, want the output slice only", n, allocs)
 	}
 }

@@ -30,6 +30,12 @@ import (
 //     releases the previous chunk, and — when the query is traced —
 //     accumulates the stage's span (trace.go). Kernels run on an
 //     account-free run copy (run.kernel) so nothing double-charges.
+//   - A chunk has one owner. streamGroup tracks whether the chunks a
+//     stage receives are exclusively its own — built by the stage before
+//     it and read by nobody else — and an owning kernel extends rows and
+//     compacts the chunk in place instead of copying (outFor, probe.go);
+//     at the head of a group and after the stages that replay their
+//     input nothing is owned and kernels copy, as they always did.
 //   - Pipeline breakers: an ungrouped ORDER BY drains its whole input
 //     (drainStream) — sorting needs every row — and re-streams the
 //     sorted rows. GROUP BY does not: it consumes the WHERE stream
@@ -236,16 +242,19 @@ func (r *run) groupRows(g GroupGraphPattern, input []solution, gctx graphCtx, pa
 // order given (the planner's, or the written order with the planner
 // off); every other element becomes one stage wrapped in a chunk
 // boundary. When parent is non-nil every stage opens its span under it,
-// in element order.
+// in element order. owned tracks, along the chain, whether the chunks
+// the next stage receives are exclusively its own (DESIGN §16 "Chunk
+// ownership"): nobody upstream reads their rows or header again, so the
+// stage's kernel may extend and compact them in place.
 func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, parent *obs.Span) chunkIter {
 	kr := r.kernel(gctx)
-	cur := src
+	cur, owned := src, false // the head's input is retained by whoever replays it
 	var bgp []TriplePattern
 	flush := func() {
 		if len(bgp) == 0 {
 			return
 		}
-		it := &bgpIter{r: r, kr: kr, gctx: gctx, levels: make([]bgpLevel, len(bgp))}
+		it := &bgpIter{r: r, kr: kr, gctx: gctx, owned: owned, levels: make([]bgpLevel, len(bgp))}
 		for i, tp := range bgp {
 			it.levels[i].p = r.compile(tp, gctx)
 		}
@@ -259,7 +268,7 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, par
 			it.tr = newStage(parent, "BGP", detail, func(int) int64 { return it.estOut })
 		}
 		it.src = it.tr.in(cur)
-		cur = r.bound(it.tr, it)
+		cur, owned = r.bound(it.tr, it), true
 		bgp = nil
 	}
 	for _, el := range g.Elements {
@@ -268,7 +277,7 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, par
 			continue
 		}
 		flush()
-		tr := elementStage(parent, el)
+		tr, own := elementStage(parent, el), owned
 		// stage wires one per-chunk kernel in as a bounded stage.
 		stage := func(fn func([]solution) ([]solution, error)) {
 			cur = r.bound(tr, &mapChunk{src: tr.in(cur), fn: fn})
@@ -277,21 +286,14 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, par
 		case FilterElement:
 			stage(func(chunk []solution) ([]solution, error) {
 				tr.rowWorkers(kr, len(chunk))
-				return kr.filterRowsPar(e.Expr, chunk), nil
+				return kr.filterRowsPar(e.Expr, chunk, own), nil
 			})
 		case BindElement:
 			idx := r.vt.slot(e.Var)
 			stage(func(chunk []solution) ([]solution, error) {
-				out := make([]solution, 0, len(chunk))
-				for _, row := range chunk {
-					nrow := row.clone()
-					if v, err := kr.evalExpr(e.Expr, row); err == nil {
-						nrow[idx] = v
-					}
-					out = append(out, nrow)
-				}
-				return out, nil
+				return kr.bindRows(e.Expr, idx, chunk, own), nil
 			})
+			owned = true
 		case OptionalElement:
 			// Fast path: an OPTIONAL holding exactly one triple pattern
 			// (the common shape for label lookups) avoids the nested
@@ -300,16 +302,18 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, par
 				p := r.compile(tp, gctx)
 				stage(func(chunk []solution) ([]solution, error) {
 					tr.rowWorkers(kr, len(chunk))
-					return kr.optionalSinglePar(p, chunk), nil
+					return kr.optionalSinglePar(p, chunk, own), nil
 				})
 			} else {
 				stage(func(chunk []solution) ([]solution, error) {
 					tr.rowWorkers(kr, len(chunk))
 					return kr.optionalPar(e.Pattern, chunk, gctx)
 				})
+				owned = false
 			}
 		case UnionElement:
 			cur = r.bound(tr, &unionIter{r: r, branches: e.Branches, src: tr.in(cur), gctx: gctx})
+			owned = false
 		case MinusElement:
 			// The right side evaluates once — on the real run, so its
 			// rows are charged and its stages trace as children of the
@@ -326,7 +330,7 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, par
 					ready = true
 				}
 				tr.rowWorkers(kr, len(chunk))
-				return kr.minusRowsPar(chunk, right), nil
+				return kr.minusRowsPar(chunk, right, own), nil
 			})
 		case GraphElement:
 			if e.Graph.IsVar {
@@ -336,12 +340,15 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, par
 			} else {
 				cur = tr.out(&emptyIter{src: cur})
 			}
+			owned = false
 		case GroupElement:
 			cur = tr.out(r.streamGroup(e.Pattern, tr.in(cur), gctx, tr.span()))
+			owned = false
 		case ValuesElement:
 			stage(func(chunk []solution) ([]solution, error) {
-				return kr.joinValues(chunk, e), nil
+				return kr.joinTable(chunk, e.Vars, e.Rows), nil
 			})
+			owned = true
 		case SubSelectElement:
 			// The subquery evaluates once, lazily on the first chunk; its
 			// operators trace under the SUBSELECT span.
@@ -354,8 +361,9 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, par
 						return nil, err
 					}
 				}
-				return kr.joinResults(chunk, sub), nil
+				return kr.joinTable(chunk, sub.Vars, sub.Rows), nil
 			})
+			owned = true
 		}
 	}
 	flush()
@@ -522,6 +530,7 @@ type bgpIter struct {
 
 	levels []bgpLevel
 	srcEOF bool
+	owned  bool // the input chunks are this BGP's own: level 0 need not clone
 
 	// Tracing only: the BGP's stage, the variables bound on entry (from
 	// the first input row; JOIN estimates treat them as constants), and
@@ -622,19 +631,21 @@ func (b *bgpIter) next() ([]solution, error) {
 // through a suspendable rowScan, so a single row whose pattern matches
 // the whole store still emits chunk-sized output. Property
 // patterns always batch (path closures have no cursor form). Level 0
-// rows are shared with the caller (owned=false: single-match rows are
-// cloned); deeper rows are owned and extended in place —
-// joinPatternOwned's exact ownership rule.
+// owns its rows when the stage's input does (after a FILTER pushed above
+// the BGP, a sub-select join, a BIND); at the head of a group they are
+// shared with whoever replays them and single-match rows are cloned.
+// Deeper levels always own theirs — the level before built them — and
+// extend and compact them in place: joinPatternOwned's ownership rule.
 func (b *bgpIter) advance(i int) ([]solution, error) {
 	lvl := &b.levels[i]
-	owned := i > 0
+	owned := i > 0 || b.owned
 	max := b.r.e.chunkSize
 	if lvl.scan == nil && (lvl.p.steps != nil || len(lvl.buf) >= minParallelRows) {
 		n := len(lvl.buf)
 		if n > max {
 			n = max
 		}
-		batch := lvl.buf[:n]
+		batch := lvl.buf[:n:n]
 		lvl.buf = lvl.buf[n:]
 		if w := b.kr.workersFor(n); lvl.sp != nil && w > lvl.sp.Workers {
 			lvl.sp.Workers = w

@@ -6,12 +6,16 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"regexp"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/demo"
 	"repro/internal/obs"
 	"repro/internal/ql"
+	"repro/internal/rdf"
 	"repro/internal/sparql"
 )
 
@@ -194,6 +198,57 @@ func TestGroupedQueriesFitSmallBudget(t *testing.T) {
 	var mle *sparql.MemLimitError
 	if !errors.As(err, &mle) {
 		t.Errorf("ungrouped ORDER BY over the same WHERE: err = %v, want *MemLimitError", err)
+	}
+}
+
+// TestOLAPQueryAllocatesOneRowPerObservation is the allocation guard of
+// chunk ownership (DESIGN §16): the direct translation of continent-year
+// sends every observation through a seven-pattern star, two label
+// OPTIONALs and a GROUP BY, and what it allocates is the one row per
+// observation the BGP's first level builds — every later join level,
+// OPTIONAL and the fold extend, compact or read that row — plus chunk
+// headers and a constant. The bound is 1.5 × observations × row bytes, a
+// row being one rdf.Term slot per variable of the query; cloning per
+// stage instead (before PR 21) took 3.5 ×.
+func TestOLAPQueryAllocatesOneRowPerObservation(t *testing.T) {
+	env, err := demo.Build(configFor(2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, _ := demo.FindPredefinedQuery("continent-year")
+	p, err := ql.Prepare(pq.QL, env.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := sparql.ParseQuery(p.Translation.Direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	width := map[string]bool{}
+	for _, v := range regexp.MustCompile(`\?\w+`).FindAllString(p.Translation.Direct, -1) {
+		width[v] = true
+	}
+	eng := sparql.NewEngine(env.Store, sparql.WithParallelism(1))
+	cnt, err := eng.QueryString(`SELECT ?o WHERE { ?o a <http://purl.org/linked-data/cube#Observation> }`)
+	if err != nil || cnt.Len() < 1500 {
+		t.Fatalf("counting observations: %d rows, err %v", cnt.Len(), err)
+	}
+	budget := uint64(cnt.Len()) * uint64(len(width)) * uint64(unsafe.Sizeof(rdf.Term{})) * 3 / 2
+
+	const runs = 10
+	var before, after runtime.MemStats
+	for i := 0; i <= runs; i++ {
+		if i == 1 { // the first run warms the snapshot's lazily built state
+			runtime.ReadMemStats(&before)
+		}
+		if res, err := eng.Select(q); err != nil || res.Len() == 0 {
+			t.Fatalf("continent-year/direct: %d cells, err %v", res.Len(), err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perQuery := (after.TotalAlloc - before.TotalAlloc) / runs; perQuery > budget {
+		t.Errorf("continent-year/direct over %d observations × %d variables allocates %d bytes per query, want at most %d (1.5 rows per observation)",
+			cnt.Len(), len(width), perQuery, budget)
 	}
 }
 
