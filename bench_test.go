@@ -332,7 +332,11 @@ func benchmarkExecute(b *testing.B, v ql.Variant) {
 // (testdata/explain_mary.golden) without its FILTERs, so all 20k
 // observations cross every join level and nothing else — no grouping,
 // no sort — runs. Rows are streamed and counted, at engine parallelism
-// 1 and GOMAXPROCS.
+// 1 and GOMAXPROCS. The consumer is the projection, which returns every
+// chunk to the pipeline once it has built its own rows (DESIGN §16), so
+// what is left per observation is the projected row: 7.54 MB/op and
+// 21 333 allocs/op at par=1 since PR 24, where a fresh pipeline row per
+// observation on top took 18.35 MB and 40 599 (A-chunk-return).
 func BenchmarkBGPStar(b *testing.B) {
 	env := enrichedEnv(b, demoScale)
 	q, err := sparql.ParseQuery(`
@@ -656,9 +660,11 @@ SELECT ?c (SUM(?v) AS ?total) WHERE {
 // joins and two label OPTIONALs into a GROUP BY of some twenty cells.
 // What the grouping stage holds is per group, not per row, so B/op here
 // is the WHERE stream's rows plus a constant (EXPERIMENTS.md
-// A-accumulate) — and since PR 21 one row per observation, not one per
-// observation and stage: 15.41 MB/op and 21 597 allocs/op where cloning
-// through every OPTIONAL took 50.10 MB and 62 147 (A-own-chunks).
+// A-accumulate) — and since PR 24 the WHERE stream's rows are one chunk,
+// which the fold hands back for the BGP to build the next in: 0.95 MB/op
+// and 2 341 allocs/op, where one fresh row per observation (PR 21,
+// A-own-chunks) took 15.41 MB and 21 597 and cloning through every
+// OPTIONAL 50.10 MB and 62 147 (A-chunk-return).
 func BenchmarkGroupFold(b *testing.B) {
 	env := enrichedEnv(b, demoScale)
 	pq, ok := demo.FindPredefinedQuery("continent-year")

@@ -219,7 +219,10 @@ func sortedKeys(res *Results) []string {
 // before an ORDER BY that retains every chunk and a GROUP BY that retains
 // first rows. Every result must be the multiset the nested-loop reference
 // of refeval_test.go computes, and the very same table — order included —
-// at every chunk size and parallelism.
+// at every chunk size and parallelism, with the rows a pipeline's consumer
+// returns left as they are and poisoned (withPoison): whoever reads a row
+// after it went back — a chunk returned that was not owned — then answers
+// with the sentinel instead of needing the next chunk to overwrite it.
 func TestAliasingAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	stores, perStore := 10, 8
@@ -243,20 +246,25 @@ func TestAliasingAgainstReference(t *testing.T) {
 			large++
 		}
 		var first *Results
-		for _, chunk := range []int{1 << 30, 1024, 128, 3, 1} {
-			for _, par := range []int{1, 4, 8} {
-				res, err := NewEngine(st, WithChunkSize(chunk), WithParallelism(par)).Select(q)
-				if err != nil {
-					t.Fatalf("trial %d chunk=%d par=%d: %v\n%s", trial, chunk, par, err, src)
-				}
-				if got := sortedKeys(res); !slices.Equal(got, want) {
-					t.Fatalf("trial %d chunk=%d par=%d: %d rows, the reference has %d%s\n%s",
-						trial, chunk, par, len(got), len(want), firstDifference(got, want), src)
-				}
-				if first == nil {
-					first = res
-				} else if !slices.EqualFunc(res.Rows, first.Rows, func(a, b []rdf.Term) bool { return slices.Equal(a, b) }) {
-					t.Fatalf("trial %d chunk=%d par=%d: same rows as at chunk=1<<30 par=1, in another order\n%s", trial, chunk, par, src)
+		for _, poison := range []bool{false, true} {
+			for _, chunk := range []int{1 << 30, 1024, 128, 3, 1} {
+				for _, par := range []int{1, 4, 8} {
+					var res *Results
+					withPoison(poison, func() {
+						res, err = NewEngine(st, WithChunkSize(chunk), WithParallelism(par)).Select(q)
+					})
+					at := fmt.Sprintf("trial %d chunk=%d par=%d poison=%v", trial, chunk, par, poison)
+					if err != nil {
+						t.Fatalf("%s: %v\n%s", at, err, src)
+					}
+					if got := sortedKeys(res); !slices.Equal(got, want) {
+						t.Fatalf("%s: %d rows, the reference has %d%s\n%s", at, len(got), len(want), firstDifference(got, want), src)
+					}
+					if first == nil {
+						first = res
+					} else if !slices.EqualFunc(res.Rows, first.Rows, func(a, b []rdf.Term) bool { return slices.Equal(a, b) }) {
+						t.Fatalf("%s: same rows as at chunk=1<<30 par=1, in another order\n%s", at, src)
+					}
 				}
 			}
 		}
@@ -264,6 +272,15 @@ func TestAliasingAgainstReference(t *testing.T) {
 	if trials := stores * perStore; large < trials/4 {
 		t.Fatalf("only %d of %d queries return a worker-sized result: the generator no longer reaches the batch kernels", large, trials)
 	}
+}
+
+// withPoison runs fn with the rows that go back to a pipeline's free list
+// overwritten by the sentinel (rowList.putRow) when on is set. The tests
+// of this package run one after another, so the switch is theirs alone.
+func withPoison(on bool, fn func()) {
+	poisonReturned = on
+	defer func() { poisonReturned = false }()
+	fn()
 }
 
 // firstDifference names the first key two sorted multisets disagree on.

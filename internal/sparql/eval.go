@@ -277,7 +277,7 @@ func (e *Engine) graph(ctx context.Context, q *Query, form QueryForm) ([]rdf.Tri
 	if form == FormDescribe {
 		add = r.describeInto(g, q)
 	}
-	it := r.streamGroup(q.Where, &sliceSource{rows: r.seed(), chunk: r.e.chunkSize}, graphCtx{}, nil)
+	it, _ := r.streamGroup(q.Where, &sliceSource{rows: r.seed(), chunk: r.e.chunkSize}, graphCtx{}, nil, nil)
 	defer it.close()
 	for mark := 0; ; {
 		chunk, err := it.next()
@@ -546,9 +546,9 @@ func (a *aggAcc) result(agg *ExprAggregate) (rdf.Term, error) {
 	return rdf.Term{}, fmt.Errorf("sparql: unknown aggregate %s", agg.Func)
 }
 
-// foldGroup is one GROUP BY bucket: its first row, which HAVING, the
-// projection and ORDER BY evaluate non-aggregate parts against, and one
-// accumulator per aggregate of the query.
+// foldGroup is one GROUP BY bucket: a copy of its first row, which
+// HAVING, the projection and ORDER BY evaluate non-aggregate parts
+// against, and one accumulator per aggregate of the query.
 type foldGroup struct {
 	rep  solution
 	accs []aggAcc
@@ -647,7 +647,7 @@ func (f *groupFold) add(chunk []solution) {
 		}
 		g, ok := f.groups[string(f.key)]
 		if !ok {
-			g = f.newGroup(row)
+			g = f.newGroup(row.clone()) // the one thing kept of a chunk, which goes back to the pipeline
 			created++
 			grew += foldGroupBytes + int64(len(f.key)) + approxRowBytes(row) + aggAccBytes*int64(len(f.aggs))
 		}
@@ -764,8 +764,10 @@ func (r *run) orderSpan(n int, sort func()) error {
 // ORDER BY per group and returns the header and the group rows for the
 // DISTINCT/SLICE stages. Cancellation and the memory budget are checked
 // at every chunk; what the account holds for the fold is the groups,
-// released once the result rows exist.
-func (r *run) foldGroups(q *Query, body chunkIter) ([]string, []solution, error) {
+// released once the result rows exist. A chunk folded is a chunk done
+// with — a group keeps a clone of its first row — so it goes back to
+// free, which is non-nil only when body's chunks are the fold's own.
+func (r *run) foldGroups(q *Query, body chunkIter, free *rowList) ([]string, []solution, error) {
 	defer body.close()
 	sp := r.trace.StartChild("AGGREGATE", "", 0)
 	if sp != nil {
@@ -781,6 +783,7 @@ func (r *run) foldGroups(q *Query, body chunkIter) ([]string, []solution, error)
 			break
 		}
 		f.add(chunk)
+		free.put(chunk)
 		if r.cancelled() {
 			return nil, nil, r.cancelErr()
 		}

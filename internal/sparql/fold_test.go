@@ -331,7 +331,10 @@ func foldQuery(rng *rand.Rand) string {
 // non-numeric values, plain and xsd:string literals, HAVING whose first
 // aggregate errors — over random stores must produce, at every chunk
 // size and parallelism, exactly the rows, order and terms the
-// row-retaining reference computes from the materialized WHERE rows.
+// row-retaining reference computes from the materialized WHERE rows —
+// also with every chunk the fold returns to the pipeline poisoned
+// (withPoison), so that a group reading its first row where the pipeline
+// left it, instead of its own copy, answers with the sentinel.
 func TestFoldAgainstRowAggregation(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	trials := 60
@@ -356,25 +359,31 @@ func TestFoldAgainstRowAggregation(t *testing.T) {
 			}
 			ref := NewEngine(st, WithParallelism(1))
 			r, pq := ref.newRun(context.Background(), q, nil)
-			rows, err := drainStream(r, r.streamGroup(pq.Where, &sliceSource{rows: r.seed(), chunk: ref.chunkSize}, graphCtx{}, nil))
+			where, _ := r.streamGroup(pq.Where, &sliceSource{rows: r.seed(), chunk: ref.chunkSize}, graphCtx{}, nil, nil)
+			rows, err := drainStream(r, where)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := refGrouped(r, pq, rows)
 			groups += len(want)
-			for _, chunk := range []int{1, 3, 1024} {
-				for _, par := range []int{1, 4} {
-					res, err := NewEngine(st, WithChunkSize(chunk), WithParallelism(par)).Select(q)
-					if err != nil {
-						t.Fatalf("trial %d chunk=%d par=%d: %v\n%s", trial, chunk, par, err, src)
-					}
-					got := make([]solution, len(res.Rows))
-					for i, row := range res.Rows {
-						got[i] = row
-					}
-					if !sameRows(got, want) {
-						t.Fatalf("trial %d (%d items) chunk=%d par=%d: fold differs from row aggregation\n%s\ngot  %.600v\nwant %.600v",
-							trial, n, chunk, par, src, fmt.Sprint(got), fmt.Sprint(want))
+			for _, poison := range []bool{false, true} {
+				for _, chunk := range []int{1, 3, 1024} {
+					for _, par := range []int{1, 4} {
+						var res *Results
+						withPoison(poison, func() {
+							res, err = NewEngine(st, WithChunkSize(chunk), WithParallelism(par)).Select(q)
+						})
+						if err != nil {
+							t.Fatalf("trial %d chunk=%d par=%d poison=%v: %v\n%s", trial, chunk, par, poison, err, src)
+						}
+						got := make([]solution, len(res.Rows))
+						for i, row := range res.Rows {
+							got[i] = row
+						}
+						if !sameRows(got, want) {
+							t.Fatalf("trial %d (%d items) chunk=%d par=%d poison=%v: fold differs from row aggregation\n%s\ngot  %.600v\nwant %.600v",
+								trial, n, chunk, par, poison, src, fmt.Sprint(got), fmt.Sprint(want))
+						}
 					}
 				}
 			}

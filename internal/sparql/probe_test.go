@@ -177,7 +177,7 @@ func TestProbeAgainstNaiveScan(t *testing.T) {
 				for _, max := range []int{1, 2, 1 << 20} {
 					in, got := cloneRows(rows), []solution(nil)
 					for _, row := range in {
-						rs := r.newRowScan(p, row, owned)
+						rs := r.newRowScan(p, row, owned, nil)
 						for done := false; !done; {
 							var chunk []solution
 							if done, err = rs.emit(&chunk, max); err != nil {
@@ -348,5 +348,36 @@ func TestSingleMatchJoinAllocatesNothingPerRow(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s over %d owned single-match rows allocates %.0f times, want 0", name, n, allocs)
 		}
+	}
+}
+
+// TestRowScanReturnsFailedMatch guards the one row rowScan.emit used to
+// drop on the floor: ?x <p> ?x over the single triple (a p b) matches the
+// unbound row once by index and fails on b, after the row was cloned. In
+// a pipeline with a free list the clone goes straight back and serves the
+// next scan, so a failing scan costs one allocation less than without a
+// list — the row — and the row it was handed stays as it was.
+func TestRowScanReturnsFailedMatch(t *testing.T) {
+	st := store.New()
+	a, b, pred := rdf.NewIRI("http://t/a"), rdf.NewIRI("http://t/b"), rdf.NewIRI("http://t/p")
+	st.InsertTriples(rdf.Term{}, []rdf.Triple{rdf.NewTriple(a, pred, b)})
+	r := &run{e: NewEngine(st, WithParallelism(1)), vt: newVarTable(), snap: st.Snapshot()}
+	r.vt.slot("x")
+	p := r.compile(TriplePattern{S: VarTerm("x"), P: ConstTerm(pred), O: VarTerm("x")}, graphCtx{})
+	row := make(solution, 1)
+	scan := func(list *rowList) float64 {
+		return testing.AllocsPerRun(10, func() {
+			var out []solution
+			if done, err := r.newRowScan(p, row, false, list).emit(&out, 8); err != nil || !done || len(out) != 0 {
+				t.Fatalf("scan of a pattern that cannot match: done=%v err=%v out=%v", done, err, out)
+			}
+		})
+	}
+	list := &rowList{max: 8}
+	if with, without := scan(list), scan(nil); with != without-1 {
+		t.Errorf("a failing scan allocates %.0f times with a free list and %.0f without, want one less: the row", with, without)
+	}
+	if len(list.rows) != 1 || !row[0].IsZero() {
+		t.Errorf("after the scans the list holds %d rows and the input row is %v, want the one clone and an unbound row", len(list.rows), row)
 	}
 }

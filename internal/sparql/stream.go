@@ -36,6 +36,13 @@ import (
 //     compacts the chunk in place instead of copying (outFor, probe.go);
 //     at the head of a group and after the stages that replay their
 //     input nothing is owned and kernels copy, as they always did.
+//     The last owner hands the chunk back: the GROUP BY fold and the
+//     projection put the owned chunks they have consumed on the
+//     pipeline's one free list (rowList, one chunk at most) and the
+//     BGP's fan-out builds the next chunk in those rows and that header.
+//     Nested pipelines (groupRows, UNION branches, GRAPH ?g) have no
+//     list — they may run on workers and their callers retain what they
+//     return — and the batch kernels keep solution.clone.
 //   - Pipeline breakers: an ungrouped ORDER BY drains its whole input
 //     (drainStream) — sorting needs every row — and re-streams the
 //     sorted rows. GROUP BY does not: it consumes the WHERE stream
@@ -92,6 +99,80 @@ func (r *run) kernel(ctx graphCtx) *run {
 // seed is the single empty solution every top-level group starts from.
 func (r *run) seed() []solution {
 	return []solution{make(solution, len(r.vt.names))}
+}
+
+// rowList is the free list of one top-level pipeline (DESIGN §16 "Chunk
+// ownership and return"): the rows, and the largest header, of owned
+// chunks their last consumer — the GROUP BY fold, the projection — is
+// done with, for the BGP of the same pipeline to build its next chunk
+// in. It holds at most max rows (one chunk), only the coordinating
+// goroutine touches it, and it dies with its query. A nil *rowList is
+// the pipeline without one — every nested pipeline: put drops, clone
+// allocates.
+type rowList struct {
+	rows []solution
+	hdr  []solution
+	max  int
+}
+
+// poisonReturned makes putRow overwrite a returned row with poisonTerm,
+// so that whoever still reads the row computes a wrong result at every
+// chunk size. Only tests set it.
+var (
+	poisonReturned bool
+	poisonTerm     = rdf.NewIRI("urn:returned-row")
+)
+
+// putRow returns one row nobody references any more.
+func (l *rowList) putRow(row solution) {
+	if l == nil || len(l.rows) >= l.max {
+		return
+	}
+	if poisonReturned {
+		for i := range row {
+			row[i] = poisonTerm
+		}
+	}
+	l.rows = append(l.rows, row)
+}
+
+// put returns an owned chunk: its rows, and its header — cleared to its
+// capacity, which an owned chunk shares with nobody — when that is larger
+// than the one held.
+func (l *rowList) put(chunk []solution) {
+	if l == nil {
+		return
+	}
+	for _, row := range chunk {
+		l.putRow(row)
+	}
+	if chunk = chunk[:cap(chunk)]; len(chunk) > cap(l.hdr) {
+		clear(chunk)
+		l.hdr = chunk[:0]
+	}
+}
+
+// clone copies row into a returned row when one is held — a clone writes
+// every slot, so nothing needs zeroing — and into a fresh one otherwise.
+func (l *rowList) clone(row solution) solution {
+	if l == nil || len(l.rows) == 0 {
+		return row.clone()
+	}
+	n := len(l.rows) - 1
+	c := l.rows[n]
+	l.rows = l.rows[:n]
+	copy(c, row)
+	return c
+}
+
+// header hands out the empty header held, if any, for a chunk to grow in.
+func (l *rowList) header() []solution {
+	if l == nil {
+		return nil
+	}
+	h := l.hdr
+	l.hdr = nil
+	return h
 }
 
 // boundIter enforces the chunk-boundary contract around one stage: on
@@ -229,7 +310,7 @@ func drainStream(r *run, src chunkIter) ([]solution, error) {
 // at the first non-empty chunk, which is all EXISTS needs. Stage spans
 // attach under parent (nil = untraced).
 func (r *run) groupRows(g GroupGraphPattern, input []solution, gctx graphCtx, parent *obs.Span, first bool) ([]solution, error) {
-	it := r.streamGroup(g, &sliceSource{rows: input, chunk: r.e.chunkSize}, gctx, parent)
+	it, _ := r.streamGroup(g, &sliceSource{rows: input, chunk: r.e.chunkSize}, gctx, parent, nil)
 	if !first {
 		return drainStream(r, it)
 	}
@@ -245,8 +326,11 @@ func (r *run) groupRows(g GroupGraphPattern, input []solution, gctx graphCtx, pa
 // in element order. owned tracks, along the chain, whether the chunks
 // the next stage receives are exclusively its own (DESIGN §16 "Chunk
 // ownership"): nobody upstream reads their rows or header again, so the
-// stage's kernel may extend and compact them in place.
-func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, parent *obs.Span) chunkIter {
+// stage's kernel may extend and compact them in place; the bit of the
+// last stage is returned with the chain, for a consumer that is done with
+// an owned chunk to put it on free — the list the group's own BGPs build
+// their chunks from, nil for every nested pipeline.
+func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, parent *obs.Span, free *rowList) (chunkIter, bool) {
 	kr := r.kernel(gctx)
 	cur, owned := src, false // the head's input is retained by whoever replays it
 	var bgp []TriplePattern
@@ -254,7 +338,7 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, par
 		if len(bgp) == 0 {
 			return
 		}
-		it := &bgpIter{r: r, kr: kr, gctx: gctx, owned: owned, levels: make([]bgpLevel, len(bgp))}
+		it := &bgpIter{r: r, kr: kr, gctx: gctx, owned: owned, free: free, levels: make([]bgpLevel, len(bgp))}
 		for i, tp := range bgp {
 			it.levels[i].p = r.compile(tp, gctx)
 		}
@@ -336,14 +420,15 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, par
 			if e.Graph.IsVar {
 				cur = r.bound(tr, &graphVarIter{r: r, el: e, src: tr.in(cur), sp: tr.span()})
 			} else if gid, ok := r.snap.GraphID(e.Graph.Term); ok {
-				cur = tr.out(r.streamGroup(e.Pattern, tr.in(cur), graphCtx{gid: gid}, tr.span()))
+				cur, _ = r.streamGroup(e.Pattern, tr.in(cur), graphCtx{gid: gid}, tr.span(), nil)
+				cur = tr.out(cur)
 			} else {
 				cur = tr.out(&emptyIter{src: cur})
 			}
 			owned = false
 		case GroupElement:
-			cur = tr.out(r.streamGroup(e.Pattern, tr.in(cur), gctx, tr.span()))
-			owned = false
+			cur, _ = r.streamGroup(e.Pattern, tr.in(cur), gctx, tr.span(), nil)
+			cur, owned = tr.out(cur), false
 		case ValuesElement:
 			stage(func(chunk []solution) ([]solution, error) {
 				return kr.joinTable(chunk, e.Vars, e.Rows), nil
@@ -367,7 +452,7 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, par
 		}
 	}
 	flush()
-	return cur
+	return cur, owned
 }
 
 // unionIter buffers its input once and replays it through each branch's
@@ -413,7 +498,7 @@ func (u *unionIter) next() ([]solution, error) {
 		}
 		b := u.branches[u.bi]
 		u.bi++
-		u.cur = u.r.streamGroup(b, &sliceSource{rows: u.input, chunk: u.r.e.chunkSize}, u.gctx, nil)
+		u.cur, _ = u.r.streamGroup(b, &sliceSource{rows: u.input, chunk: u.r.e.chunkSize}, u.gctx, nil, nil)
 	}
 }
 
@@ -487,7 +572,7 @@ func (g *graphVarIter) next() ([]solution, error) {
 		if len(seed) == 0 {
 			continue
 		}
-		g.cur = g.r.streamGroup(g.el.Pattern, &sliceSource{rows: seed, chunk: g.r.e.chunkSize}, graphCtx{gid: gid}, g.sp)
+		g.cur, _ = g.r.streamGroup(g.el.Pattern, &sliceSource{rows: seed, chunk: g.r.e.chunkSize}, graphCtx{gid: gid}, g.sp, nil)
 	}
 }
 
@@ -530,7 +615,8 @@ type bgpIter struct {
 
 	levels []bgpLevel
 	srcEOF bool
-	owned  bool // the input chunks are this BGP's own: level 0 need not clone
+	owned  bool     // the input chunks are this BGP's own: level 0 need not clone
+	free   *rowList // what the pipeline's consumer returned; nil in a nested pipeline
 
 	// Tracing only: the BGP's stage, the variables bound on entry (from
 	// the first input row; JOIN estimates treat them as constants), and
@@ -636,6 +722,9 @@ func (b *bgpIter) next() ([]solution, error) {
 // shared with whoever replays them and single-match rows are cloned.
 // Deeper levels always own theirs — the level before built them — and
 // extend and compact them in place: joinPatternOwned's ownership rule.
+// The row-by-row path — the one a fan-out takes, 1 row → every
+// observation — builds its chunk in the header and the rows the
+// pipeline's consumer returned (free), once there are any.
 func (b *bgpIter) advance(i int) ([]solution, error) {
 	lvl := &b.levels[i]
 	owned := i > 0 || b.owned
@@ -652,7 +741,7 @@ func (b *bgpIter) advance(i int) ([]solution, error) {
 		}
 		return b.kr.joinPatternPar(lvl.p, batch, owned)
 	}
-	var out []solution
+	out := b.free.header()
 	for len(out) < max {
 		if lvl.scan == nil {
 			if len(lvl.buf) == 0 {
@@ -660,7 +749,7 @@ func (b *bgpIter) advance(i int) ([]solution, error) {
 			}
 			row := lvl.buf[0]
 			lvl.buf = lvl.buf[1:]
-			lvl.scan = b.kr.newRowScan(lvl.p, row, owned)
+			lvl.scan = b.kr.newRowScan(lvl.p, row, owned, b.free)
 		}
 		done, err := lvl.scan.emit(&out, max)
 		if err != nil {
@@ -704,11 +793,13 @@ func (b *bgpIter) close() {
 // joinPatternOwned's semantics: a single-match row is extended in place
 // when owned instead of cloned, repeated-variable constraints are
 // enforced by probe.extend, and the scan checks cancellation with the
-// same cadence as the batch join's in-scan hook.
+// same cadence as the batch join's in-scan hook. Clones come from list
+// while it holds rows, and a row whose match fails goes straight back.
 type rowScan struct {
-	r   *run
-	p   *probe
-	row solution
+	r    *run
+	p    *probe
+	row  solution
+	list *rowList
 
 	rest    []store.IDTriple
 	free    uint8
@@ -716,8 +807,8 @@ type rowScan struct {
 	matches int
 }
 
-func (r *run) newRowScan(p *probe, row solution, owned bool) *rowScan {
-	rs := &rowScan{r: r, p: p, row: row}
+func (r *run) newRowScan(p *probe, row solution, owned bool, list *rowList) *rowScan {
+	rs := &rowScan{r: r, p: p, row: row, list: list}
 	rs.rest, rs.free = p.match(row)
 	rs.inPlace = owned && len(rs.rest) == 1
 	return rs
@@ -739,17 +830,21 @@ func (rs *rowScan) emit(out *[]solution, max int) (bool, error) {
 		}
 		dst := rs.row
 		if !rs.inPlace {
-			dst = rs.row.clone()
+			dst = rs.list.clone(rs.row)
 		}
 		if rs.p.extend(dst, t, rs.free) {
 			*out = append(*out, dst)
+		} else if !rs.inPlace {
+			rs.list.putRow(dst)
 		}
 	}
 	return false, nil
 }
 
-// projectStage applies the ungrouped SELECT projection chunk by chunk.
-func (r *run) projectStage(q *Query, vars []string, src chunkIter) chunkIter {
+// projectStage applies the ungrouped SELECT projection chunk by chunk
+// and, its output rows built, returns the chunk to free — non-nil only
+// when the chunks of src are the projection's own.
+func (r *run) projectStage(q *Query, vars []string, src chunkIter, free *rowList) chunkIter {
 	kr := r.kernel(graphCtx{})
 	tr := newStage(r.trace, "PROJECT", "", estimateSame)
 	return r.bound(tr, &mapChunk{src: tr.in(src), fn: func(chunk []solution) ([]solution, error) {
@@ -775,6 +870,7 @@ func (r *run) projectStage(q *Query, vars []string, src chunkIter) chunkIter {
 			}
 			out = append(out, orow)
 		}
+		free.put(chunk)
 		return out, nil
 	}})
 }
@@ -898,7 +994,11 @@ func (s *sliceIter) close() { s.src.close() }
 // early even under ORDER BY.
 func (r *run) resultStream(q *Query) (chunkIter, []string, error) {
 	n := r.e.chunkSize
-	body := r.streamGroup(q.Where, &sliceSource{rows: r.seed(), chunk: n}, graphCtx{}, r.trace)
+	free := &rowList{max: n}
+	body, owned := r.streamGroup(q.Where, &sliceSource{rows: r.seed(), chunk: n}, graphCtx{}, r.trace, free)
+	if !owned {
+		free = nil // the WHERE's BGPs keep the list; nobody puts a chunk on it
+	}
 	if q.Form == FormAsk {
 		defer body.close()
 		chunk, err := body.next()
@@ -913,7 +1013,7 @@ func (r *run) resultStream(q *Query) (chunkIter, []string, error) {
 	if len(q.GroupBy) > 0 || projectionHasAggregates(q) {
 		var rows []solution
 		var err error
-		if vars, rows, err = r.foldGroups(q, body); err != nil {
+		if vars, rows, err = r.foldGroups(q, body, free); err != nil {
 			return nil, nil, err
 		}
 		it = &sliceSource{rows: rows, chunk: n}
@@ -928,10 +1028,10 @@ func (r *run) resultStream(q *Query) (chunkIter, []string, error) {
 			if err := r.orderSpan(len(rows), func() { r.sortRows(rows, q.OrderBy) }); err != nil {
 				return nil, nil, err
 			}
-			body = &sliceSource{rows: rows, chunk: n}
+			body, free = &sliceSource{rows: rows, chunk: n}, nil // the sorted table is retained
 		}
 		vars = r.selectVars(q)
-		it = r.projectStage(q, vars, body)
+		it = r.projectStage(q, vars, body, free)
 	}
 	if q.Distinct {
 		tr := newStage(r.trace, "DISTINCT", "", estimateSame)

@@ -109,21 +109,29 @@ var streamEquivCases = []struct{ query, want string }{
 // pipeline's acceptance gate: for every operator the pipeline
 // implements, the result must equal the recorded table at chunk sizes
 // that force the per-row cursor path (1), mid-chunk boundaries (3), the
-// default, and one chunk holding everything (1<<30).
+// default, and one chunk holding everything (1<<30) — and again with the
+// rows the projection and the fold return to the pipeline poisoned
+// (withPoison).
 func TestStreamingEquivalenceOperators(t *testing.T) {
 	st := streamTestStore(t)
-	for _, cs := range []int{1, 3, 1024, 1 << 30} {
-		eng := NewEngine(st, WithChunkSize(cs))
-		for i, c := range streamEquivCases {
-			t.Run(fmt.Sprintf("chunk=%d/q%02d", cs, i), func(t *testing.T) {
-				got, err := eng.QueryString("PREFIX ex: <http://example.org/>\n" + c.query)
-				if err != nil {
-					t.Fatalf("%v\n%s", err, c.query)
-				}
-				if table := compactTable(got); table != c.want {
-					t.Errorf("%s\nwant %s\ngot  %s", c.query, c.want, table)
-				}
-			})
+	for _, prefix := range []string{"", "poisoned/"} {
+		for _, cs := range []int{1, 3, 1024, 1 << 30} {
+			eng := NewEngine(st, WithChunkSize(cs))
+			for i, c := range streamEquivCases {
+				t.Run(fmt.Sprintf("%schunk=%d/q%02d", prefix, cs, i), func(t *testing.T) {
+					var got *Results
+					var err error
+					withPoison(prefix != "", func() {
+						got, err = eng.QueryString("PREFIX ex: <http://example.org/>\n" + c.query)
+					})
+					if err != nil {
+						t.Fatalf("%v\n%s", err, c.query)
+					}
+					if table := compactTable(got); table != c.want {
+						t.Errorf("%s\nwant %s\ngot  %s", c.query, c.want, table)
+					}
+				})
+			}
 		}
 	}
 }
@@ -580,5 +588,72 @@ func TestResultsCodecFootprint(t *testing.T) {
 	enc.Head(res.Vars)
 	if allocs := testing.AllocsPerRun(10, func() { enc.Rows(res.Rows[:1024]) }); allocs > 1 {
 		t.Errorf("encoding 1024 rows into a warm encoder allocates %.0f times, want none that grow with the rows", allocs)
+	}
+}
+
+// capWatch sits between a WHERE stream and the fold consuming it and
+// checks, on every pull — the fold has just returned the chunk before —
+// what the pipeline's free list holds.
+type capWatch struct {
+	chunkIter
+	t            *testing.T
+	list         *rowList
+	peak, widest int
+}
+
+func (c *capWatch) next() ([]solution, error) {
+	if n := len(c.list.rows); n > c.list.max {
+		c.t.Errorf("the free list holds %d rows, its cap is %d", n, c.list.max)
+	} else if n > c.peak {
+		c.peak = n
+	}
+	chunk, err := c.chunkIter.next()
+	if len(chunk) > c.widest {
+		c.widest = len(chunk)
+	}
+	return chunk, err
+}
+
+// TestFreeListHoldsAtMostOneChunk drives a fan-out the list never fed
+// into a GROUP BY: 300 subjects leave the first level in chunks of 128,
+// the second level's batch join clones each three times with
+// solution.clone — rows that never came from the list — and the fold is
+// handed, and returns, owned chunks of 384. The list must fill to
+// chunkSize rows and never beyond, whatever it is offered: what waits in
+// it is at most the one chunk the account has just released.
+func TestFreeListHoldsAtMostOneChunk(t *testing.T) {
+	ex := func(s string) rdf.Term { return rdf.NewIRI("http://ex/" + s) }
+	var ts []rdf.Triple
+	for i := 0; i < 300; i++ {
+		s := ex(fmt.Sprintf("s/%03d", i))
+		ts = append(ts, rdf.NewTriple(s, ex("a"), ex(fmt.Sprintf("M%d", i%5))))
+		for v := int64(0); v < 3; v++ {
+			ts = append(ts, rdf.NewTriple(s, ex("v"), rdf.NewInteger(v)))
+		}
+	}
+	st := store.New()
+	st.InsertTriples(rdf.Term{}, ts)
+	q, err := ParseQuery(`PREFIX ex: <http://ex/> SELECT ?a (COUNT(*) AS ?n) WHERE { ?s ex:a ?a . ?s ex:v ?v } GROUP BY ?a`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(st, WithChunkSize(minParallelRows), WithParallelism(1), WithPlanner(false))
+	r, pq := eng.newRun(context.Background(), q, nil)
+	free := &rowList{max: eng.chunkSize}
+	body, owned := r.streamGroup(pq.Where, &sliceSource{rows: r.seed(), chunk: eng.chunkSize}, graphCtx{}, nil, free)
+	if !owned {
+		t.Fatal("the chunks of a WHERE that ends in a BGP are not the consumer's own")
+	}
+	w := &capWatch{chunkIter: body, t: t, list: free}
+	_, rows, err := r.foldGroups(pq, w, free)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 5 || rows[0][1] != rdf.NewInteger(180) {
+		t.Fatalf("fold = %v, want five groups of 180", rows)
+	}
+	if w.widest != 3*eng.chunkSize || w.peak != eng.chunkSize {
+		t.Errorf("widest chunk %d, fullest list %d; want a %d-row fan-out offered and exactly %d rows kept",
+			w.widest, w.peak, 3*eng.chunkSize, eng.chunkSize)
 	}
 }
