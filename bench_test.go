@@ -336,7 +336,11 @@ func benchmarkExecute(b *testing.B, v ql.Variant) {
 // chunk to the pipeline once it has built its own rows (DESIGN §16), so
 // what is left per observation is the projected row: 7.54 MB/op and
 // 21 333 allocs/op at par=1 since PR 24, where a fresh pipeline row per
-// observation on top took 18.35 MB and 40 599 (A-chunk-return).
+// observation on top took 18.35 MB and 40 599 (A-chunk-return). With
+// the dictionary's read lock gone from every lookup, par=1 reads 37.8
+// ms and par=2 31.8 ms (-benchtime 20x, median of three, 2 cores),
+// against 48.3 and 42.1 ms when the two workers shared that lock
+// (A-lockfree-dict).
 func BenchmarkBGPStar(b *testing.B) {
 	env := enrichedEnv(b, demoScale)
 	q, err := sparql.ParseQuery(`
@@ -374,6 +378,64 @@ SELECT ?m1_1 ?m2_0 ?m3_2 ?a2_countryName ?v1 WHERE {
 			}
 		})
 	}
+}
+
+// BenchmarkTermLookup names the cost the join core pays per bound
+// position of every row at every level: resolving a term to its id
+// (probe.match → Snapshot.Lookup). The terms are every binding of every
+// row of the continent-year observation star — the WHERE of that
+// query's direct translation without its label OPTIONALs, 20k rows of
+// seven terms — looked up against the 20k cube's snapshot, one lookup
+// per op, serially and from GOMAXPROCS goroutines at once as a chunk's
+// workers do (b.RunParallel). EXPERIMENTS.md A-lockfree-dict has both
+// against the dictionary's read-locked map this replaced.
+func BenchmarkTermLookup(b *testing.B) {
+	env := enrichedEnv(b, demoScale)
+	q, err := sparql.ParseQuery(`
+PREFIX qb: <http://purl.org/linked-data/cube#>
+PREFIX schema: <http://www.fing.edu.uy/inco/cubes/schemas/migr_asyapp#>
+SELECT * WHERE {
+  ?o qb:dataSet <http://eurostat.linked-statistics.org/data/migr_asyappctzm> .
+  ?o <http://purl.org/linked-data/sdmx/2009/measure#obsValue> ?v1 .
+  ?o <http://eurostat.linked-statistics.org/property#citizen> ?m1_0 .
+  ?m1_0 schema:continent ?m1_1 .
+  ?o <http://purl.org/linked-data/sdmx/2009/dimension#refPeriod> ?m2_0 .
+  ?m2_0 schema:quarter ?m2_1 .
+  ?m2_1 schema:year ?m2_2 .
+}`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var terms []rdf.Term
+	err = sparql.NewEngine(env.Store).StreamSelect(context.Background(), q,
+		func([]string) error { return nil },
+		func(chunk [][]rdf.Term) error {
+			for _, row := range chunk {
+				terms = append(terms, row...)
+			}
+			return nil
+		})
+	if err != nil || len(terms) < 7*demoScale*9/10 {
+		b.Fatalf("star bound %d terms (err %v), want about %d", len(terms), err, 7*demoScale)
+	}
+	sn := env.Store.Snapshot()
+	b.Run("serial", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, ok := sn.Lookup(terms[i%len(terms)]); !ok {
+				b.Fatalf("%v does not resolve", terms[i%len(terms)])
+			}
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.RunParallel(func(pb *testing.PB) {
+			for i := 0; pb.Next(); i++ {
+				if _, ok := sn.Lookup(terms[i%len(terms)]); !ok {
+					b.Errorf("%v does not resolve", terms[i%len(terms)])
+					return
+				}
+			}
+		})
+	})
 }
 
 // ---------------------------------------------------------------------
@@ -664,7 +726,9 @@ SELECT ?c (SUM(?v) AS ?total) WHERE {
 // which the fold hands back for the BGP to build the next in: 0.95 MB/op
 // and 2 341 allocs/op, where one fresh row per observation (PR 21,
 // A-own-chunks) took 15.41 MB and 21 597 and cloning through every
-// OPTIONAL 50.10 MB and 62 147 (A-chunk-return).
+// OPTIONAL 50.10 MB and 62 147 (A-chunk-return). It reads 33.0 ms/op
+// (-benchtime 20x, median of three, 2 cores), 40.9 ms while every
+// lookup took the dictionary's read lock (A-lockfree-dict).
 func BenchmarkGroupFold(b *testing.B) {
 	env := enrichedEnv(b, demoScale)
 	pq, ok := demo.FindPredefinedQuery("continent-year")

@@ -963,16 +963,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Graphs         []store.GraphStats `json:"graphs,omitempty"`
 		LevelMembers   []levelCount       `json:"levelMembers,omitempty"`
 	}
+	storeStats := sn.Stats()
 	out := stats{
 		DefaultGraph: sn.Len(rdf.Term{}),
 		Total:        sn.TotalLen(),
-		Terms:        sn.Dict().Len(),
+		Terms:        storeStats.Terms,
+		IndexBytes:   storeStats.IndexBytes,
+		Graphs:       storeStats.Graphs,
 	}
 	for _, g := range sn.GraphNames() {
 		out.NamedGraphs = append(out.NamedGraphs, g.Value)
 	}
-	storeStats := sn.Stats()
-	out.Graphs, out.IndexBytes = storeStats.Graphs, storeStats.IndexBytes
 	if out.Total > 0 {
 		out.BytesPerTriple = float64(out.IndexBytes) / float64(out.Total)
 	}

@@ -565,7 +565,7 @@ func estimateJoinRows(st *store.Snapshot, tp TriplePattern, bound map[string]boo
 		// cardinality.
 		return in
 	}
-	pat, ok := constIDs(st.Dict(), tp)
+	pat, ok := constIDs(st, tp)
 	if !ok {
 		return 0
 	}

@@ -10,10 +10,11 @@ import (
 // path step joins through. What the pattern alone decides is resolved
 // once, when streamGroup builds the stage: the graph id, the id of every
 // constant position and the varTable slot of every variable position.
-// Per row only the positions the row binds are looked up in the
-// dictionary, the matches are one contiguous run of the snapshot, and
-// only the positions the row leaves free are decoded back to terms. A
-// probe holds nothing mutable, so the workers of a chunk share it.
+// Per row only the positions the row binds are looked up, without a
+// lock, in the index the snapshot pinned; the matches are one contiguous
+// run of the snapshot, and only the positions the row leaves free are
+// decoded back to terms. A probe holds nothing mutable, so the workers
+// of a chunk share it.
 type probe struct {
 	tp   TriplePattern
 	snap *store.Snapshot
@@ -21,7 +22,7 @@ type probe struct {
 
 	pat  store.IDTriple // constant positions; NoID where the pattern has a variable
 	slot [3]int         // row slot of the variable at S, P, O; -1 at a constant
-	dead bool           // a constant the dictionary has never seen: nothing matches
+	dead bool           // a constant the snapshot's dictionary does not hold: nothing matches
 
 	// repeats marks a variable at two positions: extend can then fail
 	// after it has bound one of them, so a row that must survive a failed
@@ -40,17 +41,17 @@ const (
 	freeO
 )
 
-// constIDs resolves the constant positions of tp to dictionary ids,
-// leaving NoID at its variables; ok is false when a constant was never
-// interned, so no triple of any snapshot can match.
-func constIDs(dict *store.Dict, tp TriplePattern) (store.IDTriple, bool) {
+// constIDs resolves the constant positions of tp to snap's ids, leaving
+// NoID at its variables; ok is false when a constant was not interned
+// when snap was published, so none of its triples can match.
+func constIDs(snap *store.Snapshot, tp TriplePattern) (store.IDTriple, bool) {
 	term := func(pt PatternTerm) rdf.Term {
 		if pt.IsVar {
 			return rdf.Term{}
 		}
 		return pt.Term
 	}
-	return dict.PatternIDs(term(tp.S), term(tp.P), term(tp.O))
+	return snap.PatternIDs(term(tp.S), term(tp.P), term(tp.O))
 }
 
 // compile builds the probe of tp in the active graph.
@@ -69,7 +70,7 @@ func (r *run) compile(tp TriplePattern, gctx graphCtx) *probe {
 		return p
 	}
 	var ok bool
-	p.pat, ok = constIDs(r.snap.Dict(), tp)
+	p.pat, ok = constIDs(r.snap, tp)
 	p.dead = !ok
 	return p
 }
@@ -79,7 +80,7 @@ func (p *probe) compileSteps(path *PropertyPath) {
 	if path.Kind == PathIRI {
 		step := &probe{snap: p.snap, gid: p.gid, slot: [3]int{0, -1, 1}}
 		var ok bool
-		step.pat, ok = p.snap.Dict().PatternIDs(rdf.Term{}, path.IRI, rdf.Term{})
+		step.pat, ok = p.snap.PatternIDs(rdf.Term{}, path.IRI, rdf.Term{})
 		step.dead = !ok
 		p.steps[path] = step
 	}
@@ -90,13 +91,13 @@ func (p *probe) compileSteps(path *PropertyPath) {
 
 // match returns the snapshot's triples matching the pattern under row,
 // and which variable positions row leaves free for extend to bind. A
-// row binding a term the dictionary has never seen (a BIND result, say)
+// row binding a term the snapshot does not hold (a BIND result, say)
 // matches nothing.
 func (p *probe) match(row solution) (run []store.IDTriple, free uint8) {
 	if p.dead {
 		return nil, 0
 	}
-	pat, dict := p.pat, p.snap.Dict()
+	pat := p.pat
 	for i, id := range [3]*store.ID{&pat.S, &pat.P, &pat.O} {
 		if p.slot[i] < 0 {
 			continue
@@ -107,7 +108,7 @@ func (p *probe) match(row solution) (run []store.IDTriple, free uint8) {
 			continue
 		}
 		var ok bool
-		if *id, ok = dict.Lookup(t); !ok {
+		if *id, ok = p.snap.Lookup(t); !ok {
 			return nil, 0
 		}
 	}

@@ -10,28 +10,28 @@
 //
 // What the SPARQL engine does with that: the constants of a pattern are
 // resolved to ids once per query stage; per row, each position the row
-// binds costs one Dict.Lookup (term → id) and the match is Range on ids;
-// the positions a match leaves free are decoded through Snapshot.Term,
-// an index into the term table the snapshot pinned when it was
-// published — no lock. The engine's rows still hold Terms, so a join
+// binds costs one Snapshot.Lookup (term → id) and the match is Range on
+// ids; the positions a match leaves free are decoded through
+// Snapshot.Term. Both read arrays the snapshot pinned when it was
+// published, so neither takes a lock: the id → term table is
+// append-only, and the term → id index is an array of ids over it that
+// Intern fills only in empty slots and regrows into a fresh array, so a
+// publish copies neither. The engine's rows still hold Terms, so a join
 // variable travels id → Term → id between two levels; rows of ids are
-// the next step. Lookup still takes the dictionary's read lock, because
-// the term → id map — unlike the append-only id → term array — cannot be
-// pinned without copying it: a copy per publish would put the whole
-// dictionary into the allocation of every first read after a write.
+// the next step.
 //
 // Concurrency contract: Store and Dict are safe for concurrent use by
 // any number of readers and writers. All reads go through an immutable
 // Snapshot of the whole dataset: taking one is an atomic load, using it
-// takes no lock (decoding its ids included: see Snapshot.Term), and it
-// never changes, so whoever holds one — the SPARQL engine pins one per
-// query — sees a single state however many scans it makes and however
-// long it keeps them open. Writes only record triples
-// in a pending delta; the first Snapshot after a write burst sorts the
-// delta and merges it into fresh orderings (an O(n) copy, not a re-sort)
-// and publishes the result. Everything one Store.Batch wrote is
-// published together, so a batch is atomic to every reader; a bulk load
-// is one batch per 4096-triple chunk.
+// takes no lock (resolving its terms and ids included: see
+// Snapshot.Lookup and Snapshot.Term), and it never changes, so whoever
+// holds one — the SPARQL engine pins one per query — sees a single state
+// however many scans it makes and however long it keeps them open.
+// Writes only record triples in a pending delta; the first Snapshot
+// after a write burst sorts the delta and merges it into fresh orderings
+// (an O(n) copy, not a re-sort) and publishes the result. Everything one
+// Store.Batch wrote is published together, so a batch is atomic to every
+// reader; a bulk load is one batch per 4096-triple chunk.
 //
 // The merge happens when a snapshot is published, not when it is
 // scanned: a scan-time merge of a sorted base with a sorted delta would
@@ -45,7 +45,9 @@
 package store
 
 import (
+	"hash/maphash"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/rdf"
 )
@@ -58,71 +60,101 @@ type ID uint32
 const NoID ID = 0
 
 // Dict interns rdf.Term values to dense IDs and back. It is safe for
-// concurrent use.
+// concurrent use. Both directions are arrays a Snapshot pins without a
+// copy (see pin): terms, indexed by id, and index, its ids under linear
+// probing on a per-dictionary hash of the term's value — value twins
+// such as "1", "1"^^xsd:integer and <1> collide and are told apart by ==
+// — a power of two long and at most half full, so every probe ends at
+// an empty slot. Intern writes only empty slots, each after appending
+// its term, and grows into a fresh array, never writing the old one.
 type Dict struct {
-	mu    sync.RWMutex
-	toID  map[rdf.Term]ID
-	terms []rdf.Term // index 0 unused
+	seed  maphash.Seed
+	mu    sync.Mutex
+	terms []rdf.Term      // index 0 unused
+	index []atomic.Uint32 // ids; NoID marks an empty slot
 }
 
 // NewDict returns an empty dictionary.
 func NewDict() *Dict {
-	return &Dict{
-		toID:  make(map[rdf.Term]ID),
-		terms: make([]rdf.Term, 1),
+	return &Dict{seed: maphash.MakeSeed(), terms: make([]rdf.Term, 1), index: make([]atomic.Uint32, 8)}
+}
+
+// find probes index for t, reading terms only below len(terms): an id at
+// or past it was interned after terms was pinned and cannot be t's in
+// that table. It returns t's id and slot, or NoID and the empty slot that
+// ends t's probe sequence.
+func (d *Dict) find(terms []rdf.Term, index []atomic.Uint32, t rdf.Term) (ID, int) {
+	mask := uint64(len(index) - 1)
+	for h := maphash.String(d.seed, t.Value) & mask; ; h = (h + 1) & mask {
+		if id := ID(index[h].Load()); id == NoID || int(id) < len(terms) && terms[id] == t {
+			return id, int(h)
+		}
 	}
 }
 
 // Intern returns the id for t, assigning a fresh one on first sight.
 func (d *Dict) Intern(t rdf.Term) ID {
-	d.mu.RLock()
-	id, ok := d.toID[t]
-	d.mu.RUnlock()
-	if ok {
-		return id
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if id, ok := d.toID[t]; ok {
+	id, slot := d.find(d.terms, d.index, t)
+	if id != NoID {
 		return id
 	}
+	if 2*len(d.terms) > len(d.index) {
+		d.grow()
+		_, slot = d.find(d.terms, d.index, t)
+	}
 	id = ID(len(d.terms))
-	d.toID[t] = id
 	d.terms = append(d.terms, t)
+	d.index[slot].Store(uint32(id))
 	return id
 }
 
-// Lookup returns the id for t if it is already interned.
+// grow re-inserts every id into a fresh index twice the size. The old
+// array is never written again, so a snapshot that pinned it keeps a
+// complete index of its own terms.
+func (d *Dict) grow() {
+	index := make([]atomic.Uint32, 2*len(d.index))
+	for id := 1; id < len(d.terms); id++ {
+		_, slot := d.find(d.terms[:id], index, d.terms[id])
+		index[slot].Store(uint32(id))
+	}
+	d.index = index
+}
+
+// Lookup returns the id for t if it is already interned. Readers of a
+// snapshot use Snapshot.Lookup, which takes no lock.
 func (d *Dict) Lookup(t rdf.Term) (ID, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	id, ok := d.toID[t]
-	return id, ok
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	id, _ := d.find(d.terms, d.index, t)
+	return id, id != NoID
 }
 
 // Term returns the term for an id. It panics on out-of-range ids, which
 // indicate a bug (ids only come from this dictionary).
 func (d *Dict) Term(id ID) rdf.Term {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	return d.terms[id]
 }
 
 // Len returns the number of interned terms.
 func (d *Dict) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	return len(d.terms) - 1
 }
 
-// table returns the id → term array as it stands: every id assigned so
-// far indexes it. The array is append-only — Intern writes past its end
-// or into a regrown copy, never into a slot handed out here — so the
-// caller may read it without the lock for as long as it likes.
-func (d *Dict) table() []rdf.Term {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.terms[:len(d.terms):len(d.terms)]
+// pin makes sn a view of both directions as they stand, which sn may
+// read without the lock for as long as it likes: Intern writes terms
+// past the pinned length or into a regrown copy, and the index only in
+// empty slots, with ids past that length, which find skips.
+func (d *Dict) pin(sn *Snapshot) *Snapshot {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	sn.dict, sn.terms, sn.index = d, d.terms[:len(d.terms):len(d.terms)], d.index
+	return sn
 }
 
 // graphID interns (or, without create, looks up) a graph term; the zero
@@ -140,17 +172,21 @@ func (d *Dict) graphID(g rdf.Term, create bool) (ID, bool) {
 // PatternIDs converts a term pattern (zero terms are wildcards) to an id
 // pattern; ok is false when a bound term is not in the dictionary, so no
 // triple of any snapshot can match.
-func (d *Dict) PatternIDs(sub, pred, obj rdf.Term) (pat IDTriple, ok bool) {
-	for _, c := range [3]struct {
-		t  rdf.Term
-		id *ID
-	}{{sub, &pat.S}, {pred, &pat.P}, {obj, &pat.O}} {
-		if c.t.IsZero() {
+func (d *Dict) PatternIDs(sub, pred, obj rdf.Term) (IDTriple, bool) {
+	return patternIDs(d.Lookup, sub, pred, obj)
+}
+
+// patternIDs is PatternIDs through lookup.
+func patternIDs(lookup func(rdf.Term) (ID, bool), sub, pred, obj rdf.Term) (IDTriple, bool) {
+	var ids [3]ID
+	for i, t := range [3]rdf.Term{sub, pred, obj} {
+		if t.IsZero() {
 			continue
 		}
-		if *c.id, ok = d.Lookup(c.t); !ok {
-			return pat, false
+		var ok bool
+		if ids[i], ok = lookup(t); !ok {
+			return IDTriple{}, false
 		}
 	}
-	return pat, true
+	return IDTriple{ids[0], ids[1], ids[2]}, true
 }

@@ -15,7 +15,9 @@ import (
 // deletes are the common case — and checks the store against a plain
 // map after every step: return values at once, and at every publish
 // Len, TotalLen and all three orderings of both graphs (strictly sorted,
-// hence duplicate-free, and equal to the model).
+// hence duplicate-free, and equal to the model), and the snapshot's
+// lock-free Lookup against the dictionary's for every term of the
+// universe, with each term's never-interned value twin missing.
 func checkStoreOps(t *testing.T, data []byte) {
 	st := New()
 	g1 := iri("g1")
@@ -54,6 +56,18 @@ func checkStoreOps(t *testing.T, data []byte) {
 		sn := st.Snapshot()
 		if again := st.Snapshot(); again != sn {
 			t.Fatalf("step %d: a second Snapshot without a write published again", step)
+		}
+		for b := 0; b < 64; b++ {
+			q := quad(byte(b))
+			for _, term := range [4]rdf.Term{q.S, q.P, q.O, g1} {
+				id, ok := sn.Lookup(term)
+				if want, wantOK := st.Dict().Lookup(term); id != want || ok != wantOK {
+					t.Fatalf("step %d: snapshot Lookup(%v) = %d, %v; the dictionary says %d, %v", step, term, id, ok, want, wantOK)
+				}
+				if _, ok := sn.Lookup(rdf.NewLiteral(term.Value)); ok {
+					t.Fatalf("step %d: the never-interned twin of %v resolves", step, term)
+				}
+			}
 		}
 		if sn.TotalLen() != len(model) {
 			t.Fatalf("step %d: TotalLen = %d, model has %d", step, sn.TotalLen(), len(model))

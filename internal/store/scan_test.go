@@ -229,17 +229,25 @@ func TestMatchScanTermLevel(t *testing.T) {
 }
 
 // TestPinnedTableUnderWrites runs writers that intern fresh terms — so
-// the dictionary's array regrows again and again — against readers that
-// hold snapshots and decode every id of every ordering of every graph
-// through the snapshot's pinned table. Under -race this is the proof
-// that the table needs no lock: a decode must equal the dictionary's own
-// (locked) answer, every id must lie inside the table, and the snapshot
-// taken before any write must still decode, identically, after all of
-// them.
+// the dictionary's arrays regrow again and again — against readers that
+// hold snapshots, look every term of the snapshot up in its pinned index
+// and decode every id of every ordering of every graph through its
+// pinned table. Under -race this is the proof that neither direction
+// needs a lock: a lookup must give the term's id back, a decode must
+// equal the dictionary's own (locked) answer, every id must lie inside
+// the table, and the snapshot taken before any write must still decode,
+// identically, after all of them — and miss every term interned since,
+// which a snapshot taken after the writes resolves.
 func TestPinnedTableUnderWrites(t *testing.T) {
 	st := scanFixture(20)
 	g := rdf.NewIRI("http://ex/g")
 	decodeAll := func(sn *Snapshot) []rdf.Triple {
+		for id := ID(1); int(id) < len(sn.terms); id++ {
+			if got, ok := sn.Lookup(sn.terms[id]); !ok || got != id {
+				t.Errorf("snapshot of %d terms looks %v up as %d, %v; want %d", len(sn.terms)-1, sn.terms[id], got, ok, id)
+				return nil
+			}
+		}
 		var out []rdf.Triple
 		for _, gid := range append([]ID{NoID}, sn.NamedGraphIDs()...) {
 			gr := sn.graphs[gid]
@@ -309,5 +317,18 @@ func TestPinnedTableUnderWrites(t *testing.T) {
 	}
 	if n, want := st.TotalLen(), first.TotalLen()+writers*bursts*40; n != want {
 		t.Errorf("store holds %d triples after the writes, want %d", n, want)
+	}
+	last := st.Snapshot()
+	if len(last.index) < 8*len(first.index) {
+		t.Errorf("the index grew from %d to %d slots; the test needs three growths", len(first.index), len(last.index))
+	}
+	for id := ID(len(first.terms)); int(id) < len(last.terms); id++ {
+		term := last.Term(id)
+		if _, ok := first.Lookup(term); ok {
+			t.Fatalf("%v, interned after the first snapshot, resolves in it", term)
+		}
+		if got, ok := last.Lookup(term); !ok || got != id {
+			t.Fatalf("the last snapshot looks %v up as %d, %v; want %d", term, got, ok, id)
+		}
 	}
 }

@@ -143,7 +143,7 @@ type Stats struct {
 // Stats returns the term-level statistics for every graph, predicates
 // sorted by descending count (ties by IRI) for stable JSON.
 func (sn *Snapshot) Stats() Stats {
-	out := Stats{Terms: sn.dict.Len()}
+	out := Stats{Terms: len(sn.terms) - 1}
 	for _, gid := range append([]ID{NoID}, sn.NamedGraphIDs()...) {
 		gr := sn.graphs[gid]
 		for _, idx := range gr.idx {
@@ -160,11 +160,11 @@ func (sn *Snapshot) Stats() Stats {
 			DistinctObjects:    st.graph.DistinctObjects,
 		}
 		if gid != NoID {
-			gs.Graph = sn.dict.Term(gid).Value
+			gs.Graph = sn.Term(gid).Value
 		}
 		for pid, ps := range st.preds {
 			gs.Predicates = append(gs.Predicates, PredicateStats{
-				Predicate:        sn.dict.Term(pid).Value,
+				Predicate:        sn.Term(pid).Value,
 				Count:            ps.Count,
 				DistinctSubjects: ps.DistinctS,
 				DistinctObjects:  ps.DistinctO,
@@ -205,7 +205,7 @@ func (sn *Snapshot) ObjectCounts(g rdf.Term, pred rdf.Term) []ObjectCount {
 	// triples arrive grouped by object.
 	for _, t := range sn.termRange(g, rdf.Term{}, pred, rdf.Term{}) {
 		if len(out) == 0 || t.O != cur {
-			out = append(out, ObjectCount{Object: sn.dict.Term(t.O)})
+			out = append(out, ObjectCount{Object: sn.Term(t.O)})
 			cur = t.O
 		}
 		out[len(out)-1].Count++

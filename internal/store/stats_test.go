@@ -79,6 +79,18 @@ func TestStatsSnapshot(t *testing.T) {
 	if snap.Graphs[1].Graph != "http://x/g1" || snap.Graphs[1].Triples != 1 {
 		t.Errorf("named graph stats = %+v", snap.Graphs[1])
 	}
+
+	// A term interned after the pin is not the pinned snapshot's to count;
+	// the next snapshot counts it.
+	pinned := st.Snapshot()
+	st.Dict().Intern(iri("fresh"))
+	if got := pinned.Stats().Terms; got != snap.Terms {
+		t.Errorf("pinned snapshot counts %d terms after a later Intern, want %d", got, snap.Terms)
+	}
+	st.Insert(rdf.Quad{S: iri("fresh"), P: iri("p"), O: iri("o1")})
+	if got := st.Stats().Terms; got != snap.Terms+1 {
+		t.Errorf("new snapshot counts %d terms, want %d", got, snap.Terms+1)
+	}
 }
 
 func TestObjectCounts(t *testing.T) {

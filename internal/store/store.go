@@ -218,7 +218,8 @@ func (o order) merge(base, adds, dels []IDTriple) []IDTriple {
 // see either all of a concurrent update operation or none of it).
 type Snapshot struct {
 	dict   *Dict
-	terms  []rdf.Term // the dictionary's table when this snapshot was published; see Term
+	terms  []rdf.Term      // the dictionary's table when this snapshot was published; see Term
+	index  []atomic.Uint32 // its term → id index at the same moment; see Lookup
 	epoch  uint64
 	graphs map[ID]*graph // NoID is the default graph, always present
 }
@@ -227,9 +228,30 @@ type Snapshot struct {
 // triples or the id of one of its graphs — without taking a lock. Such
 // an id always lies inside the pinned table: Intern and publish both run
 // under Store.mu, so every id a published triple carries was assigned
-// before the table was pinned. An id interned later can only come from
-// Dict.Lookup; it matches nothing in this snapshot and is never decoded.
+// before the table was pinned. An id interned later comes only from the
+// Dict; it matches nothing in this snapshot and is never decoded.
 func (sn *Snapshot) Term(id ID) rdf.Term { return sn.terms[id] }
+
+// Lookup returns the id of t if the dictionary held t when this snapshot
+// was published, probing the pinned index without a lock. A term
+// interned since occurs in none of the snapshot's triples.
+func (sn *Snapshot) Lookup(t rdf.Term) (ID, bool) {
+	id, _ := sn.dict.find(sn.terms, sn.index, t)
+	return id, id != NoID
+}
+
+// PatternIDs is Dict.PatternIDs through Lookup.
+func (sn *Snapshot) PatternIDs(sub, pred, obj rdf.Term) (IDTriple, bool) {
+	return patternIDs(sn.Lookup, sub, pred, obj)
+}
+
+// graphID looks up a graph term; the zero term is the default graph.
+func (sn *Snapshot) graphID(g rdf.Term) (ID, bool) {
+	if g.IsZero() {
+		return NoID, true
+	}
+	return sn.Lookup(g)
+}
 
 // Epoch counts the publishes that led to this snapshot; two snapshots
 // of one store with equal epochs are the same snapshot.
@@ -262,7 +284,7 @@ type Store struct {
 // New returns an empty store.
 func New() *Store {
 	s := &Store{dict: NewDict(), pending: make(map[ID]*delta)}
-	s.cur.Store(&Snapshot{dict: s.dict, terms: s.dict.table(), graphs: map[ID]*graph{NoID: new(graph)}})
+	s.cur.Store(s.dict.pin(&Snapshot{graphs: map[ID]*graph{NoID: new(graph)}}))
 	return s
 }
 
@@ -282,7 +304,7 @@ func (s *Store) Snapshot() *Snapshot {
 	if len(s.pending) == 0 {
 		return old // another reader published while we waited
 	}
-	sn := &Snapshot{dict: s.dict, terms: s.dict.table(), epoch: old.epoch + 1, graphs: make(map[ID]*graph, len(old.graphs)+len(s.pending))}
+	sn := s.dict.pin(&Snapshot{epoch: old.epoch + 1, graphs: make(map[ID]*graph, len(old.graphs)+len(s.pending))})
 	for g, gr := range old.graphs {
 		sn.graphs[g] = gr
 	}
@@ -423,7 +445,7 @@ func (s *Store) InsertTriplesP(g rdf.Term, ts []rdf.Triple, ph *obs.Phase) int {
 // Len returns the number of triples in the graph named by g (zero Term
 // for the default graph).
 func (sn *Snapshot) Len(g rdf.Term) int {
-	gid, ok := sn.dict.graphID(g, false)
+	gid, ok := sn.graphID(g)
 	if !ok {
 		return 0
 	}
@@ -454,7 +476,7 @@ func (sn *Snapshot) GraphNames() []rdf.Term {
 // GraphID resolves a graph term to its id, reporting whether the graph
 // exists. The zero term resolves to NoID (the default graph).
 func (sn *Snapshot) GraphID(g rdf.Term) (ID, bool) {
-	gid, ok := sn.dict.graphID(g, false)
+	gid, ok := sn.graphID(g)
 	if !ok || sn.graphs[gid] == nil {
 		return NoID, false
 	}
@@ -493,11 +515,11 @@ func (sn *Snapshot) Count(g ID, pat IDTriple) int { return len(sn.Range(g, pat))
 // termRange is Range over terms: zero terms are wildcards, and a bound
 // term or graph missing from the dictionary matches nothing.
 func (sn *Snapshot) termRange(g, sub, pred, obj rdf.Term) []IDTriple {
-	gid, ok := sn.dict.graphID(g, false)
+	gid, ok := sn.graphID(g)
 	if !ok {
 		return nil
 	}
-	pat, ok := sn.dict.PatternIDs(sub, pred, obj)
+	pat, ok := sn.PatternIDs(sub, pred, obj)
 	if !ok {
 		return nil
 	}

@@ -36,6 +36,56 @@ func TestDictInternLookup(t *testing.T) {
 	if d.Len() != 2 {
 		t.Fatalf("Len = %d", d.Len())
 	}
+
+	// Value twins share a hash and must still get an id each.
+	twins := []rdf.Term{rdf.NewLiteral("1"), rdf.NewInteger(1), rdf.NewIRI("1"), rdf.NewBlank("1"), rdf.NewLangLiteral("1", "en")}
+	for i, tw := range twins {
+		if id := d.Intern(tw); id != ID(3+i) {
+			t.Fatalf("twin %v interned as %d, want %d", tw, id, 3+i)
+		}
+	}
+	for i, tw := range twins {
+		if id, ok := d.Lookup(tw); !ok || id != ID(3+i) {
+			t.Fatalf("Lookup(%v) = %d, %v; want %d", tw, id, ok, 3+i)
+		}
+	}
+	if _, ok := d.Lookup(rdf.NewTypedLiteral("1", "http://x/other")); ok {
+		t.Fatal("a twin never interned must miss")
+	}
+
+	// A fresh dictionary pinned whenever it holds 2^k−1 or 2^k terms —
+	// one short of half its index, and exactly half, the fullest it gets
+	// before the next Intern regrows it: once many more terms have been
+	// interned, each pinned table still resolves every term it holds to
+	// its id and misses every later one.
+	d = NewDict()
+	term := func(i int) rdf.Term { return iri(fmt.Sprint("t", i)) }
+	var pins []*Snapshot
+	for i := 1; i <= 1<<11; i++ {
+		d.Intern(term(i))
+		if n := d.Len(); n&(n+1) == 0 || n&(n-1) == 0 {
+			sn := d.pin(new(Snapshot))
+			used := 0
+			for j := range sn.index {
+				if sn.index[j].Load() != 0 {
+					used++
+				}
+			}
+			if used != n || 2*n > len(sn.index) {
+				t.Fatalf("at %d terms the index holds %d ids in %d slots, want %d in at least %d", n, used, len(sn.index), n, 2*n)
+			}
+			pins = append(pins, sn)
+		}
+	}
+	for _, sn := range pins {
+		n := len(sn.terms) - 1
+		for i := 1; i <= d.Len(); i++ {
+			id, ok := sn.Lookup(term(i))
+			if i <= n && (!ok || id != ID(i)) || i > n && ok {
+				t.Fatalf("pinned at %d terms: Lookup(t%d) = %d, %v", n, i, id, ok)
+			}
+		}
+	}
 }
 
 func TestDictConcurrent(t *testing.T) {
