@@ -6,10 +6,10 @@ GO ?= go
 .PHONY: all build test race cover bench bench-json bench-compare bench-concurrent bench-slo bench-smoke fuzz fuzz-smoke chaos examples experiments obs-smoke clean
 
 # The default check builds, vets, and runs the whole test suite under
-# the race detector: the engine evaluates queries on a worker pool and
-# the endpoint serves queries without locks, so every CI pass
-# revalidates the concurrency invariants (TestConcurrentQueryUpdate,
-# TestParallelMatchesSequential, ...). Benchmarks are not run here; the
+# the race detector: the engine fans BGP joins out to GOMAXPROCS
+# goroutines and the endpoint serves queries without locks, so every CI
+# pass revalidates the concurrency invariants (TestConcurrentQueryUpdate,
+# TestProbeAgainstNaiveScan, ...). Benchmarks are not run here; the
 # 80k-observation fixtures additionally sit behind a -short guard so a
 # `go test -short -bench .` smoke pass stays fast.
 all: build race chaos fuzz-smoke obs-smoke bench-slo bench-smoke bench-json bench-compare
@@ -40,11 +40,11 @@ bench:
 # Machine-readable benchmark snapshot: three fast passes (-short,
 # -benchtime 1x -count 3) over every benchmark, converted to JSON by
 # cmd/benchjson — which keeps the fastest sample of each name — and
-# committed as BENCH_PR29.json so regressions show up in review diffs.
+# committed as BENCH_PR30.json so regressions show up in review diffs.
 # Use `make bench` for real measurements.
 bench-json:
 	$(GO) test -run xxx -bench . -benchmem -short -benchtime 1x -count 3 . \
-	  | $(GO) run ./cmd/benchjson -o BENCH_PR29.json
+	  | $(GO) run ./cmd/benchjson -o BENCH_PR30.json
 
 # Regression gates. First: diff the previous PR's committed snapshot
 # against this PR's and fail on ns/op regressions. The tool's default
@@ -58,8 +58,8 @@ bench-json:
 # threshold of its planner=off sibling, so turning the cost-based
 # planner on by default can never ship a slowdown.
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare -threshold 0.50 BENCH_PR24.json BENCH_PR29.json
-	$(GO) run ./cmd/benchjson -ablation planner -threshold 0.50 BENCH_PR29.json
+	$(GO) run ./cmd/benchjson -compare -threshold 0.50 BENCH_PR29.json BENCH_PR30.json
+	$(GO) run ./cmd/benchjson -ablation planner -threshold 0.50 BENCH_PR30.json
 
 # SLO gate: boot sparqld on the demo cube, enrich it over HTTP, fire a
 # short seeded mixed workload with `qb2olap bench` through the remote
@@ -95,8 +95,9 @@ bench-smoke:
 	bash bench/run.sh --workload refresh-20k --seed 2 --seconds 4 --trace 0
 
 # The A-next concurrent-load experiment alone (EXPERIMENTS.md): Mary
-# query throughput vs. client count at engine parallelism 1 and
-# GOMAXPROCS on the 80k-observation cube.
+# query throughput vs. client count with the engine built under
+# GOMAXPROCS 1 and the host's value (procs=N, the join's width) on the
+# 80k-observation cube.
 bench-concurrent:
 	$(GO) test -run xxx -bench 'BenchmarkConcurrentQuery|BenchmarkParallelGroupBy' -timeout 30m .
 

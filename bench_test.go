@@ -40,6 +40,15 @@ func skipIfShort(b *testing.B, obs int) {
 	}
 }
 
+// procSweep is the GOMAXPROCS sweep of the benchmarks whose engine's
+// join width matters: 1, and the host's value when that is larger.
+func procSweep() []int {
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		return []int{1, n}
+	}
+	return []int{1}
+}
+
 // ---------------------------------------------------------------------
 // Shared fixtures: generated datasets and enriched cubes per scale,
 // built once and reused across benchmarks.
@@ -331,16 +340,18 @@ func benchmarkExecute(b *testing.B, v ql.Variant) {
 // query has: the nine-pattern observation star of the Mary query
 // (testdata/explain_mary.golden) without its FILTERs, so all 20k
 // observations cross every join level and nothing else — no grouping,
-// no sort — runs. Rows are streamed and counted, at engine parallelism
-// 1 and GOMAXPROCS. The consumer is the projection, which returns every
-// chunk to the pipeline once it has built its own rows (DESIGN §16), so
-// what is left per observation is the projected row: 7.54 MB/op and
-// 21 333 allocs/op at par=1 since PR 24, where a fresh pipeline row per
-// observation on top took 18.35 MB and 40 599 (A-chunk-return). With
-// the dictionary's read lock gone from every lookup, par=1 reads 37.8
-// ms and par=2 31.8 ms (-benchtime 20x, median of three, 2 cores),
-// against 48.3 and 42.1 ms when the two workers shared that lock
-// (A-lockfree-dict).
+// no sort — runs. Rows are streamed and counted, with the engine built
+// under GOMAXPROCS 1 and then the host's value (procs=N), which is the
+// width its batch join fans out to. The consumer is the projection,
+// which returns every chunk to the pipeline once it has built its own
+// rows (DESIGN §16), so what is left per observation is the projected
+// row: 7.54 MB/op and 21 333 allocs/op at width 1, where a fresh
+// pipeline row per observation on top took 18.35 MB and 40 599 before
+// chunks were returned (A-chunk-return). With the dictionary's read lock gone from every
+// lookup, width 1 reads 37.8 ms and width 2 31.8 ms (-benchtime 20x,
+// median of three, 2 cores), against 48.3 and 42.1 ms when the two
+// workers shared that lock (A-lockfree-dict); A-one-fan-out has them
+// as procs=1 and procs=2.
 func BenchmarkBGPStar(b *testing.B) {
 	env := enrichedEnv(b, demoScale)
 	q, err := sparql.ParseQuery(`
@@ -363,9 +374,9 @@ SELECT ?m1_1 ?m2_0 ?m3_2 ?a2_countryName ?v1 WHERE {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, par := range []int{1, 0} {
-		e := sparql.NewEngine(env.Store, sparql.WithParallelism(par))
-		b.Run(fmt.Sprintf("par=%d", e.Parallelism()), func(b *testing.B) {
+	for _, procs := range procSweep() {
+		e := atProcs(procs, func() *sparql.Engine { return sparql.NewEngine(env.Store) })
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				rows := 0
@@ -758,13 +769,13 @@ func BenchmarkGroupFold(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// A-next — concurrent query throughput (the worker-pool engine under
-// load).
+// A-next — concurrent query throughput (the engine under load).
 
 // BenchmarkConcurrentQuery measures aggregate query throughput with
 // concurrent clients hammering the demo-scale (80k-observation) cube:
-// both translations of the Mary query, at engine parallelism 1
-// (sequential evaluation) and GOMAXPROCS (the default). clients=N uses
+// both translations of the Mary query, with the engine built under
+// GOMAXPROCS 1 (a join on the calling goroutine) and then the host's
+// value (the default, a join as wide as the host), procs=N. clients=N uses
 // b.RunParallel with enough goroutines per core to keep N in flight;
 // ns/op is per completed query, so queries/sec = clients adjusted
 // aggregate 1e9/(ns/op). EXPERIMENTS.md A-next records the measured
@@ -778,16 +789,12 @@ func BenchmarkConcurrentQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	gmp := runtime.GOMAXPROCS(0)
-	pars := []int{1}
-	if gmp > 1 {
-		pars = append(pars, gmp)
-	}
 	for _, v := range []ql.Variant{ql.Direct, ql.Alternative} {
-		for _, par := range pars {
+		for _, procs := range procSweep() {
 			for _, clients := range []int{1, 4, 16, 64} {
-				name := fmt.Sprintf("%s/par=%d/clients=%d", v, par, clients)
+				name := fmt.Sprintf("%s/procs=%d/clients=%d", v, procs, clients)
 				b.Run(name, func(b *testing.B) {
-					client := endpoint.NewLocal(env.Store, sparql.WithParallelism(par))
+					client := atProcs(procs, func() *endpoint.Local { return endpoint.NewLocal(env.Store) })
 					b.SetParallelism((clients + gmp - 1) / gmp)
 					b.ResetTimer()
 					b.RunParallel(func(pb *testing.PB) {
@@ -845,8 +852,8 @@ func BenchmarkAccountingOverhead(b *testing.B) {
 }
 
 // BenchmarkConcurrentQueryAccounted repeats BenchmarkConcurrentQuery's
-// client sweep (direct translation, engine parallelism 1) with the
-// resource tracker attached, and reports the process-wide peak
+// client sweep (direct translation, engine built under GOMAXPROCS 1)
+// with the resource tracker attached, and reports the process-wide peak
 // in-flight bytes each load level reached as the peak-bytes metric.
 // EXPERIMENTS.md A-resource records the resulting memory curve — the
 // measured answer to "how much intermediate state do 64 concurrent
@@ -862,7 +869,7 @@ func BenchmarkConcurrentQueryAccounted(b *testing.B) {
 	for _, clients := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("direct/clients=%d", clients), func(b *testing.B) {
 			tr := obs.NewResourceTracker()
-			client := endpoint.NewLocal(env.Store, sparql.WithParallelism(1), sparql.WithResources(tr))
+			client := atProcs(1, func() *endpoint.Local { return endpoint.NewLocal(env.Store, sparql.WithResources(tr)) })
 			b.SetParallelism((clients + gmp - 1) / gmp)
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
@@ -883,11 +890,11 @@ func BenchmarkConcurrentQueryAccounted(b *testing.B) {
 
 // BenchmarkParallelGroupBy runs the flat group-by over every
 // observation (the hot path the paper's alternative translation works
-// around) on a one-worker engine. There is no sweep of the worker
-// budget: GROUP BY folds on the coordinating goroutine, so the budget
-// selects no other grouping code, and the joins' fan-out is
-// BenchmarkBGPStar's to measure. The sub-benchmark name par=1 keeps the
-// BENCH_PR*.json snapshots comparable.
+// around) on an engine at the default join width (GOMAXPROCS). There is
+// no sweep: GROUP BY folds on the coordinating goroutine, and the
+// join's fan-out is BenchmarkBGPStar's to measure. The sub-benchmark
+// keeps the name par=1, which no longer names a width, so that the
+// BENCH_PR*.json snapshots stay comparable.
 func BenchmarkParallelGroupBy(b *testing.B) {
 	env := enrichedEnv(b, demoScale)
 	query := `
@@ -904,7 +911,7 @@ SELECT ?c (SUM(?v) AS ?total) WHERE {
 		b.Fatal(err)
 	}
 	b.Run("par=1", func(b *testing.B) {
-		eng := sparql.NewEngine(env.Store, sparql.WithParallelism(1))
+		eng := sparql.NewEngine(env.Store)
 		for i := 0; i < b.N; i++ {
 			res, err := eng.Select(q)
 			if err != nil {
@@ -962,7 +969,7 @@ func BenchmarkTimeSeriesTick(b *testing.B) {
 
 // BenchmarkChunkSize sweeps the pipeline's chunk size on the direct
 // Mary translation. The sweep justifies the 1024-row default: small
-// chunks pay per-boundary overhead and fall below the parallel kernels'
+// chunks pay per-boundary overhead and fall below the join fan-out's
 // batch threshold, huge chunks converge on whole-table latency while
 // growing the per-stage footprint. EXPERIMENTS.md A-streaming records
 // the measured curve.

@@ -22,13 +22,14 @@ import (
 const cancelSeed = 11
 
 // TestQueryCancellationProperty cancels the paper's Mary query at
-// seeded random points during evaluation, across engine parallelism 1,
-// 4, and 8, and asserts the cancellation contract: the call returns
+// seeded random points during evaluation, with the engine built under
+// GOMAXPROCS 1, 4 and 8 (parallel=N, atProcs) so that its join fans out
+// that wide, and asserts the cancellation contract: the call returns
 // promptly (well under 250ms from cancel), the error is a cooperative
 // *sparql.CanceledError satisfying errors.Is(err, context.Canceled),
 // and no evaluation goroutines are leaked. Run under -race (the
 // Makefile default) this also validates that cancellation never races
-// the worker pool.
+// the join's workers.
 func TestQueryCancellationProperty(t *testing.T) {
 	obsCount := 80000
 	if testing.Short() {
@@ -50,7 +51,7 @@ func TestQueryCancellationProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(cancelSeed))
 	for _, par := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("parallel=%d", par), func(t *testing.T) {
-			client := endpoint.NewLocal(env.Store, sparql.WithParallelism(par))
+			client := atProcs(par, func() *endpoint.Local { return endpoint.NewLocal(env.Store) })
 			before := runtime.NumGoroutine()
 
 			// Uncanceled baseline: both the correctness anchor and the
@@ -103,7 +104,7 @@ func TestQueryCancellationProperty(t *testing.T) {
 			t.Logf("baseline %v, %d/%d rounds canceled mid-flight, max cancel→return latency %v",
 				full, canceled, rounds, maxLat)
 
-			// Leak check: worker goroutines must drain after cancellation,
+			// Leak check: join workers must drain after cancellation,
 			// not linger parked on channels.
 			deadline := time.Now().Add(2 * time.Second)
 			for {
@@ -145,7 +146,7 @@ func TestCancelMidFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A small chunk gives the cancel many boundaries to land on.
-	eng := sparql.NewEngine(env.Store, sparql.WithParallelism(1), sparql.WithChunkSize(64))
+	eng := sparql.NewEngine(env.Store, sparql.WithChunkSize(64))
 	folded := func(tr *obs.Trace) (in, out int) {
 		tr.Root.Visit(func(sp *obs.Span) {
 			if sp.Op == "AGGREGATE" {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/endpoint"
 	"repro/internal/faults"
 	"repro/internal/ql"
-	"repro/internal/sparql"
 )
 
 // chaosSeed fixes the fault injector's decision sequence: queries run
@@ -41,7 +40,7 @@ func TestChaosQueryCorpus(t *testing.T) {
 
 	// Clean expectations come from the in-process client: the same
 	// store the chaos server evaluates against, with no HTTP in between.
-	clean := endpoint.NewLocal(env.Store, sparql.WithParallelism(4))
+	clean := endpoint.NewLocal(env.Store)
 	files, err := filepath.Glob("queries/*.ql")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no QL programs found under queries/: %v", err)
@@ -68,7 +67,7 @@ func TestChaosQueryCorpus(t *testing.T) {
 		corpus = append(corpus, q)
 	}
 
-	handler := endpoint.NewServer(env.Store, sparql.WithParallelism(4)).Handler()
+	handler := endpoint.NewServer(env.Store).Handler()
 	for _, name := range []string{"drops", "flaky5xx", "slow", "truncate", "chaos"} {
 		t.Run(name, func(t *testing.T) {
 			profile, ok := faults.ByName(name)

@@ -23,9 +23,7 @@
 //
 // Data source flags (shared): -endpoint URL for a remote SPARQL
 // endpoint, -data file.ttl for a local Turtle file, or -demo N for the
-// generated demonstration cube. For in-process sources, -parallel
-// bounds the worker goroutines per query evaluation (0 = GOMAXPROCS,
-// 1 = sequential).
+// generated demonstration cube.
 package main
 
 import (
@@ -100,8 +98,5 @@ Subcommands:
   -data file.ttl  local Turtle file loaded in-process (repeatable)
   -quads file.nq  local N-Quads file loaded in-process, keeping named graphs
   -demo N         generated demonstration cube with N observations
-
-In-process sources also accept -parallel N: worker goroutines per query
-evaluation (0 = GOMAXPROCS, 1 = sequential).
 `)
 }

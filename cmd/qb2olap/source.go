@@ -22,7 +22,6 @@ type sourceFlags struct {
 	quadFiles   fileList
 	demoObs     int
 	seed        int64
-	parallel    int
 	planner     string
 	retries     int
 	timeout     time.Duration
@@ -43,7 +42,6 @@ func (s *sourceFlags) register(fs *flag.FlagSet) {
 	fs.Var(&s.quadFiles, "quads", "N-Quads file to load in-process, preserving named graphs (repeatable)")
 	fs.IntVar(&s.demoObs, "demo", 0, "generate the demo cube with this many observations")
 	fs.Int64Var(&s.seed, "seed", 42, "generator seed for -demo")
-	fs.IntVar(&s.parallel, "parallel", 0, "worker goroutines per in-process query evaluation (0 = GOMAXPROCS, 1 = sequential)")
 	fs.StringVar(&s.planner, "planner", "on", "cost-based query planner: on (reorder joins, push filters, auto-select QL translation) or off (joins and filters run as written)")
 	fs.IntVar(&s.retries, "retries", 2, "retries per idempotent remote query on transient failures (0 disables; updates are never retried)")
 	fs.DurationVar(&s.timeout, "timeout", 0, "per-attempt timeout for remote endpoint requests (0 = none)")
@@ -101,9 +99,7 @@ func (s *sourceFlags) open() (*core.Tool, error) {
 	if st.TotalLen() == 0 {
 		return nil, fmt.Errorf("no data source: pass -endpoint, -data, or -demo")
 	}
-	return core.New(endpoint.NewLocal(st,
-		sparql.WithParallelism(s.parallel),
-		sparql.WithPlanner(s.plannerOn()))), nil
+	return core.New(endpoint.NewLocal(st, sparql.WithPlanner(s.plannerOn()))), nil
 }
 
 // parseIRI reads an IRI flag value, accepting <...> or bare form.

@@ -4,8 +4,7 @@
 //
 // Usage:
 //
-//	sparqld [-addr :8080] [-data file.ttl]... [-demo N] [-parallel N]
-//	        [-planner on|off]
+//	sparqld [-addr :8080] [-data file.ttl]... [-demo N] [-planner on|off]
 //	        [-trace N] [-sample RATE] [-trace-export file.jsonl]
 //	        [-slowlog DUR] [-debug-addr :8081]
 //	        [-query-timeout DUR] [-max-inflight N]
@@ -20,9 +19,7 @@
 // -data loads a Turtle file into the default graph (repeatable);
 // -demo N generates the synthetic Eurostat asylum cube with N
 // observations (plus the simulated external graph) and loads it.
-// -parallel bounds the worker goroutines each query evaluation may use
-// (0, the default, selects GOMAXPROCS; 1 forces sequential
-// evaluation). -planner=off disables the cost-based query planner
+// -planner=off disables the cost-based query planner
 // (statistics-driven join reordering and filter pushdown before
 // evaluation, plus the /sparql?cost=1 plan-cost surface): patterns then
 // join in the written order. Every query evaluates through the chunked
@@ -158,7 +155,6 @@ func main() {
 	demoObs := flag.Int("demo", 0, "generate the synthetic Eurostat cube with this many observations")
 	seed := flag.Int64("seed", 42, "generator seed for -demo")
 	readOnly := flag.Bool("readonly", false, "reject updates and loads (serve data only)")
-	parallel := flag.Int("parallel", 0, "worker goroutines per query evaluation (0 = GOMAXPROCS, 1 = sequential)")
 	planner := flag.String("planner", "on", "cost-based query planner: on (reorder joins, push filters, serve ?cost=1) or off (joins and filters run as written)")
 	traceN := flag.Int("trace", 0, "trace every query, keeping the last N traces at /debug/traces (0 disables)")
 	sample := flag.Float64("sample", 0.01, "fraction of queries traced when tracing is on (propagated traceparent verdicts always win)")
@@ -250,9 +246,7 @@ func main() {
 	if *planner != "on" && *planner != "off" {
 		log.Fatalf("sparqld: invalid -planner value %q (want on or off)", *planner)
 	}
-	srv := endpoint.NewServer(st,
-		sparql.WithParallelism(*parallel),
-		sparql.WithPlanner(*planner == "on"))
+	srv := endpoint.NewServer(st, sparql.WithPlanner(*planner == "on"))
 	srv.ReadOnly = *readOnly
 	// Publish the ql.Choose decision counters on the same /metrics
 	// surface: zero while translation choice happens client-side, live

@@ -4,24 +4,20 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/demo"
 	"repro/internal/endpoint"
 	"repro/internal/eurostat"
-	"repro/internal/ql"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/store"
 )
 
 // concurrencyQuery is a flat aggregation touching every observation —
-// the group-by shape the parallel engine targets.
+// the group-by shape the engine is hammered with.
 const concurrencyQuery = `
 PREFIX qb: <http://purl.org/linked-data/cube#>
 PREFIX property: <http://eurostat.linked-statistics.org/property#>
@@ -90,13 +86,13 @@ func TestConcurrentQueryUpdate(t *testing.T) {
 
 	t.Run("local", func(t *testing.T) {
 		st, _ := eurostat.NewStore(cfg)
-		tool := core.NewLocal(st, sparql.WithParallelism(4))
+		tool := core.NewLocal(st)
 		hammerQueriesAndUpdates(t, "local", tool.Client())
 	})
 
 	t.Run("http", func(t *testing.T) {
 		st, _ := eurostat.NewStore(cfg)
-		srv := httptest.NewServer(endpoint.NewServer(st, sparql.WithParallelism(4)).Handler())
+		srv := httptest.NewServer(endpoint.NewServer(st).Handler())
 		defer srv.Close()
 		hammerQueriesAndUpdates(t, "http", endpoint.NewRemote(srv.URL))
 	})
@@ -205,10 +201,10 @@ func hammerPairs(t *testing.T, label string, c endpoint.SPARQLClient) {
 // when the write is published while the query is still scanning.
 func TestSnapshotIsolationPairs(t *testing.T) {
 	t.Run("local", func(t *testing.T) {
-		hammerPairs(t, "local", core.NewLocal(store.New(), sparql.WithParallelism(4)).Client())
+		hammerPairs(t, "local", core.NewLocal(store.New()).Client())
 	})
 	t.Run("http", func(t *testing.T) {
-		srv := httptest.NewServer(endpoint.NewServer(store.New(), sparql.WithParallelism(4)).Handler())
+		srv := httptest.NewServer(endpoint.NewServer(store.New()).Handler())
 		defer srv.Close()
 		hammerPairs(t, "http", endpoint.NewRemote(srv.URL))
 	})
@@ -265,47 +261,4 @@ func TestSnapshotIsolationPairs(t *testing.T) {
 			t.Errorf("a query started after the write joined %d pairs (err %v), want %d", len(res.Rows), err, 2*before-1)
 		}
 	})
-}
-
-// TestParallelismEquivalenceQueries runs every QL program under
-// queries/ through both SPARQL translations on a sequential
-// (WithParallelism(1)) and a parallel (WithParallelism(8)) engine and
-// requires byte-identical result cubes. Parallelism 1 follows the
-// unmodified sequential code paths, so this pins the parallel engine to
-// the seed engine's results for the whole query corpus.
-func TestParallelismEquivalenceQueries(t *testing.T) {
-	env, err := demo.Build(configFor(5000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := endpoint.NewLocal(env.Store, sparql.WithParallelism(1))
-	par := endpoint.NewLocal(env.Store, sparql.WithParallelism(8))
-
-	files, err := filepath.Glob("queries/*.ql")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no QL programs found under queries/: %v", err)
-	}
-	for _, file := range files {
-		src, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := ql.Prepare(string(src), env.Schema)
-		if err != nil {
-			t.Fatalf("%s: %v", file, err)
-		}
-		for _, v := range []ql.Variant{ql.Direct, ql.Alternative} {
-			want, err := ql.Execute(seq, p.Translation, v)
-			if err != nil {
-				t.Fatalf("%s/%s sequential: %v", file, v, err)
-			}
-			got, err := ql.Execute(par, p.Translation, v)
-			if err != nil {
-				t.Fatalf("%s/%s parallel: %v", file, v, err)
-			}
-			if want.EncodeCSV() != got.EncodeCSV() {
-				t.Errorf("%s/%s: parallel cube differs from sequential cube", file, v)
-			}
-		}
-	}
 }

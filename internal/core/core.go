@@ -32,7 +32,7 @@ func New(client endpoint.SPARQLClient) *Tool {
 }
 
 // NewLocal returns a tool over an in-process store (convenient for
-// embedding and tests). Engine options (e.g. sparql.WithParallelism)
+// embedding and tests). Engine options (e.g. sparql.WithPlanner)
 // configure the embedded SPARQL engine.
 func NewLocal(st *store.Store, opts ...sparql.Option) *Tool {
 	return New(endpoint.NewLocal(st, opts...))

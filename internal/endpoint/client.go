@@ -104,7 +104,7 @@ type Local struct {
 }
 
 // NewLocal returns an in-process client over st. Engine options (e.g.
-// sparql.WithParallelism) configure the embedded engine.
+// sparql.WithPlanner) configure the embedded engine.
 func NewLocal(st *store.Store, opts ...sparql.Option) *Local {
 	return &Local{Engine: sparql.NewEngine(st, opts...)}
 }
@@ -296,7 +296,7 @@ func (r *Remote) selectTraced(ctx context.Context, query string, id obs.TraceID)
 	if res != nil {
 		out = res.Len()
 	}
-	root.Finish(out, 1)
+	root.Finish(out)
 	tr := &obs.Trace{ID: id, Start: start, Query: query, Root: root}
 	r.Tracer.Collect(tr)  // nil-safe
 	r.Exporter.Export(tr) // nil-safe

@@ -188,7 +188,7 @@ type Server struct {
 }
 
 // NewServer returns a protocol server over st. Engine options (e.g.
-// sparql.WithParallelism) configure the embedded engine.
+// sparql.WithPlanner) configure the embedded engine.
 func NewServer(st *store.Store, opts ...sparql.Option) *Server {
 	s := &Server{reg: obs.NewRegistry(), Resources: obs.NewResourceTracker()}
 	// The tracker option precedes the caller's so an explicit

@@ -13,20 +13,20 @@ func TestSpanTreeRender(t *testing.T) {
 	root := StartSpan("SELECT", "", 1)
 	bgp := root.StartChild("BGP", "2 patterns", 1)
 	j1 := bgp.StartChild("JOIN", "?s <p> ?o", 1)
-	j1.Finish(10, 1)
+	j1.Finish(10)
 	j2 := bgp.StartChild("JOIN", "?o <q> ?v", 10)
-	j2.Finish(5, 2)
-	bgp.Finish(5, 2)
+	j2.Finish(5)
+	bgp.Finish(5)
 	f := root.StartChild("FILTER", "", 5)
-	f.Finish(3, 1)
-	root.Finish(3, 1)
+	f.Finish(3)
+	root.Finish(3)
 
 	outline := root.Outline()
 	want := strings.Join([]string{
 		"SELECT  [in=1 out=3]",
-		"├─ BGP 2 patterns  [in=1 out=5 workers=2]",
+		"├─ BGP 2 patterns  [in=1 out=5]",
 		"│  ├─ JOIN ?s <p> ?o  [in=1 out=10]",
-		"│  └─ JOIN ?o <q> ?v  [in=10 out=5 workers=2]",
+		"│  └─ JOIN ?o <q> ?v  [in=10 out=5]",
 		"└─ FILTER  [in=5 out=3]",
 		"",
 	}, "\n")
@@ -44,7 +44,7 @@ func TestNilSpanSafe(t *testing.T) {
 	if c != nil {
 		t.Fatal("child of nil span should be nil")
 	}
-	c.Finish(0, 0) // must not panic
+	c.Finish(0) // must not panic
 	c.Visit(func(*Span) { t.Fatal("visit of nil span must not call fn") })
 }
 
@@ -55,7 +55,7 @@ func TestSpanConcurrentChildren(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			root.StartChild("BRANCH", "", 0).Finish(1, 1)
+			root.StartChild("BRANCH", "", 0).Finish(1)
 		}()
 	}
 	wg.Wait()
@@ -70,7 +70,7 @@ func TestTracerRing(t *testing.T) {
 	tr.OnFinish = func(*Trace) { finished++ }
 	for i := 0; i < 5; i++ {
 		sp := StartSpan("SELECT", "", 0)
-		sp.Finish(i, 1)
+		sp.Finish(i)
 		tr.Collect(&Trace{Root: sp})
 	}
 	recent := tr.Recent()
@@ -161,9 +161,9 @@ func TestRegistrySnapshotJSON(t *testing.T) {
 func TestObserveTrace(t *testing.T) {
 	reg := NewRegistry()
 	root := StartSpan("SELECT", "", 1)
-	root.StartChild("BGP", "", 1).Finish(5, 1)
-	root.StartChild("BGP", "", 5).Finish(2, 1)
-	root.Finish(2, 1)
+	root.StartChild("BGP", "", 1).Finish(5)
+	root.StartChild("BGP", "", 5).Finish(2)
+	root.Finish(2)
 	reg.ObserveTrace(&Trace{Root: root})
 	reg.ObserveTrace(nil) // no-op
 
@@ -187,7 +187,7 @@ func TestDebugMux(t *testing.T) {
 		}
 	}
 	sp := StartSpan("SELECT", "", 0)
-	sp.Finish(1, 1)
+	sp.Finish(1)
 	tracer.Collect(&Trace{Query: "SELECT * WHERE { ?s ?p ?o }", Root: sp})
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))

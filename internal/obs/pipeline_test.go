@@ -125,8 +125,8 @@ func TestSpanWireRoundTrip(t *testing.T) {
 	root := StartSpan("SELECT", "", 1)
 	child := root.StartChild("BGP", "?s p ?o", 10)
 	child.SetEst(7)
-	child.Finish(5, 2)
-	root.Finish(5, 1)
+	child.Finish(5)
+	root.Finish(5)
 
 	wire, ok := EncodeSpanWire(root)
 	if !ok {
@@ -152,11 +152,32 @@ func TestSpanWireRoundTrip(t *testing.T) {
 
 	// A tree larger than the wire cap is dropped, not truncated.
 	big := StartSpan("SELECT", strings.Repeat("x", MaxWireSpanBytes), 1)
-	big.Finish(0, 1)
+	big.Finish(0)
 	if _, ok := EncodeSpanWire(big); ok {
 		t.Error("oversized span tree encoded past the cap")
 	}
+
+	// A header from a server whose spans still carried a worker count
+	// ("workers":1 and "workers":2) decodes to the same tree without it.
+	old, err := DecodeSpanWire(workersSpanWire)
+	if err != nil {
+		t.Fatalf("a header with worker counts does not decode: %v", err)
+	}
+	if got := old.Outline(); got != workersOutline {
+		t.Errorf("a header with worker counts decodes to\n%s\nwant\n%s", got, workersOutline)
+	}
 }
+
+// workersSpanWire and workersTraceLine were recorded when spans still
+// carried a "workers" field: a three-span tree whose BGP and JOIN ran on
+// two workers, as a span header and as a line of the JSONL archive. They
+// rendered as workersOutline with " workers=2" after the BGP's and the
+// JOIN's counts.
+const (
+	workersSpanWire  = "eyJvcCI6IlNFTEVDVCIsIndhbGxOcyI6MzAwMDAwMCwiaW4iOjEsIm91dCI6MTUwMCwid29ya2VycyI6MSwiY2hpbGRyZW4iOlt7Im9wIjoiQkdQIiwiZGV0YWlsIjoiMiBwYXR0ZXJucyIsIndhbGxOcyI6MzAwMDAwMCwiaW4iOjEsIm91dCI6MTUwMCwid29ya2VycyI6MiwiY2hpbGRyZW4iOlt7Im9wIjoiSk9JTiIsImRldGFpbCI6Ij9zIHR5cGUgSXRlbSIsIndhbGxOcyI6MzAwMDAwMCwiaW4iOjEsIm91dCI6MTUwMCwiZXN0IjoxNTAwLCJlc3RTZXQiOnRydWUsIndvcmtlcnMiOjJ9XX1dfQ=="
+	workersTraceLine = `{"id":"cccc0000cccc0000cccc0000cccc0000","start":"1970-01-01T00:16:40Z","query":"SELECT ?s WHERE { ?s a ex:Item }","root":{"op":"SELECT","wallNs":3000000,"in":1,"out":1500,"workers":1,"children":[{"op":"BGP","detail":"2 patterns","wallNs":3000000,"in":1,"out":1500,"workers":2,"children":[{"op":"JOIN","detail":"?s type Item","wallNs":3000000,"in":1,"out":1500,"est":1500,"estSet":true,"workers":2}]}]}}`
+	workersOutline   = "SELECT  [in=1 out=1500]\n└─ BGP 2 patterns  [in=1 out=1500]\n   └─ JOIN ?s type Item  [in=1 est=1500 act=1500]\n"
+)
 
 // --- exporter --------------------------------------------------------
 
@@ -164,8 +185,8 @@ func exportTrace(id TraceID, query string, wall time.Duration) *Trace {
 	root := StartSpan("SELECT", "", 1)
 	sp := root.StartChild("BGP", "?s p ?o", 4)
 	sp.SetEst(3)
-	sp.Finish(2, 1)
-	root.Finish(2, 1)
+	sp.Finish(2)
+	root.Finish(2)
 	root.Wall = wall
 	return &Trace{ID: id, Start: time.Unix(1000, 0), Query: query, Root: root}
 }
@@ -317,6 +338,26 @@ func TestReadTracesMalformed(t *testing.T) {
 	_, err = ReadTraces(strings.NewReader("{\"query\":\"no root\"}\n"))
 	if err == nil || !strings.Contains(err.Error(), "root") {
 		t.Errorf("missing-root error = %v", err)
+	}
+}
+
+// TestReadTracesWithWorkerCounts reads an archive line written when
+// spans still carried a "workers" field: it decodes, and renders as the
+// same trace without the field.
+func TestReadTracesWithWorkerCounts(t *testing.T) {
+	traces, err := ReadTraces(strings.NewReader(workersTraceLine + "\n"))
+	if err != nil || len(traces) != 1 {
+		t.Fatalf("ReadTraces = %d traces, %v; want the one line", len(traces), err)
+	}
+	tr := traces[0]
+	if tr.ID != "cccc0000cccc0000cccc0000cccc0000" || tr.Query != "SELECT ?s WHERE { ?s a ex:Item }" || !tr.Start.Equal(time.Unix(1000, 0)) {
+		t.Errorf("trace header = %q %q %v", tr.ID, tr.Query, tr.Start)
+	}
+	if got := tr.Root.Outline(); got != workersOutline {
+		t.Errorf("archived tree renders as\n%s\nwant\n%s", got, workersOutline)
+	}
+	if !strings.Contains(tr.Root.Render(), "act=1500 time=3ms]") {
+		t.Errorf("timed render lost the span times:\n%s", tr.Root.Render())
 	}
 }
 

@@ -152,8 +152,8 @@ func TestSpanEstRender(t *testing.T) {
 	root := StartSpan("SELECT", "", 1)
 	j := root.StartChild("JOIN", "?s <p> ?o", 1)
 	j.SetEst(8)
-	j.Finish(10, 1)
-	root.Finish(10, 1)
+	j.Finish(10)
+	root.Finish(10)
 	out := root.Outline()
 	if !strings.Contains(out, "JOIN ?s <p> ?o  [in=1 est=8 act=10]") {
 		t.Errorf("est span render:\n%s", out)
@@ -199,7 +199,7 @@ func TestTracerQueryBytesCap(t *testing.T) {
 	tr.MaxQueryBytes = 32
 	long := strings.Repeat("x", 1000)
 	sp := StartSpan("SELECT", "", 0)
-	sp.Finish(0, 1)
+	sp.Finish(0)
 	tr.Collect(&Trace{Query: long, Root: sp})
 	got := tr.Recent()[0].Query
 	if len(got) > 32+len("… [truncated]") {

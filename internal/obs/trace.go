@@ -19,12 +19,11 @@ import (
 )
 
 // Span is one operator node in a query trace tree: what ran, how long
-// it took, how many solutions flowed in and out, and how many worker
-// goroutines the operator actually used. Spans form a tree mirroring
-// the algebra of the evaluated query. Mem is the approximate bytes the
-// operator charged to the query's resource account, rendered as mem=…
-// in the timed EXPLAIN ANALYZE view and excluded from Outline so golden
-// trees stay byte-identical whether or not accounting ran.
+// it took, and how many solutions flowed in and out. Spans form a tree
+// mirroring the algebra of the evaluated query. Mem is the approximate
+// bytes the operator charged to the query's resource account, rendered
+// as mem=… in the timed EXPLAIN ANALYZE view and excluded from Outline
+// so golden trees stay byte-identical whether or not accounting ran.
 //
 // A span's scalar fields are written only by the goroutine that created
 // it — once by Finish, or accumulated across pulls when the span belongs
@@ -39,7 +38,6 @@ type Span struct {
 	Out      int           `json:"out"`
 	Est      int64         `json:"est,omitempty"`
 	EstSet   bool          `json:"estSet,omitempty"`
-	Workers  int           `json:"workers,omitempty"`
 	Mem      int64         `json:"memBytes,omitempty"`
 	Children []*Span       `json:"children,omitempty"`
 
@@ -66,14 +64,13 @@ func (s *Span) StartChild(op, detail string, in int) *Span {
 	return c
 }
 
-// Finish records the output cardinality, the worker count, and the wall
-// time since the span started. Nil-safe.
-func (s *Span) Finish(out, workers int) {
+// Finish records the output cardinality and the wall time since the
+// span started. Nil-safe.
+func (s *Span) Finish(out int) {
 	if s == nil {
 		return
 	}
 	s.Out = out
-	s.Workers = workers
 	s.Wall = time.Since(s.start)
 }
 
@@ -145,9 +142,6 @@ func (s *Span) render(b *strings.Builder, prefix string, withTimes bool) {
 		fmt.Fprintf(b, "  [in=%d est=%d act=%d", s.In, s.Est, s.Out)
 	} else {
 		fmt.Fprintf(b, "  [in=%d out=%d", s.In, s.Out)
-	}
-	if s.Workers > 1 {
-		fmt.Fprintf(b, " workers=%d", s.Workers)
 	}
 	if withTimes {
 		if s.Mem > 0 {

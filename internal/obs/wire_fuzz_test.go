@@ -55,11 +55,12 @@ func FuzzDecodeSpanWire(f *testing.F) {
 	root := StartSpan("SELECT", "", 1)
 	child := root.StartChild("BGP", "?s ?p ?o", 1)
 	child.SetEst(42)
-	child.Finish(10, 4)
-	root.Finish(10, 1)
+	child.Finish(10)
+	root.Finish(10)
 	if wire, ok := EncodeSpanWire(root); ok {
 		f.Add(wire)
 	}
+	f.Add(workersSpanWire) // a tree whose spans still carry worker counts
 	f.Add("")
 	f.Add("not base64!")
 	f.Add(base64.StdEncoding.EncodeToString([]byte(`{"op":"SELECT"`)))

@@ -213,17 +213,48 @@ func sortedKeys(res *Results) []string {
 // ownership (DESIGN §16): seeded random groups of BGP / FILTER / BIND /
 // OPTIONAL (single, multi-pattern, repeated-variable) / UNION / MINUS /
 // VALUES / FILTER EXISTS / sub-select / GRAPH over random stores large
-// enough for the batch kernels and their worker merge to run, with the
-// stages that write in place put where a wrong ownership bit shows —
+// enough for the batch kernels and the join's worker merge to run, with
+// the stages that write in place put where a wrong ownership bit shows —
 // first in a UNION branch or an EXISTS group, after a replayed input,
 // before an ORDER BY that retains every chunk and a GROUP BY that retains
-// first rows. Every result must be the multiset the nested-loop reference
-// of refeval_test.go computes, and the very same table — order included —
-// at every chunk size and parallelism, with the rows a pipeline's consumer
-// returns left as they are and poisoned (withPoison): whoever reads a row
-// after it went back — a chunk returned that was not owned — then answers
-// with the sentinel instead of needing the next chunk to overwrite it.
+// first rows — and then the fixed operator queries of
+// operatorQueries over parallelFixture. Every result must be the multiset
+// the nested-loop reference of refeval_test.go computes, and the very
+// same table — order included — at every chunk size, with the rows a
+// pipeline's consumer returns left as they are and poisoned (withPoison):
+// whoever reads a row after it went back — a chunk returned that was not
+// owned — then answers with the sentinel instead of needing the next
+// chunk to overwrite it.
 func TestAliasingAgainstReference(t *testing.T) {
+	check := func(st *store.Store, name, src string) int {
+		q, err := ParseQuery(src)
+		if err != nil {
+			t.Fatalf("%s: query does not parse: %v\n%s", name, err, src)
+		}
+		want := sortedKeys(newRefEval(st.Snapshot(), NewEngine(st), q).query(q))
+		var first *Results
+		for _, poison := range []bool{false, true} {
+			for _, chunk := range []int{1 << 30, 1024, 128, 3, 1} {
+				var res *Results
+				withPoison(poison, func() {
+					res, err = NewEngine(st, WithChunkSize(chunk)).Select(q)
+				})
+				at := fmt.Sprintf("%s chunk=%d poison=%v", name, chunk, poison)
+				if err != nil {
+					t.Fatalf("%s: %v\n%s", at, err, src)
+				}
+				if got := sortedKeys(res); !slices.Equal(got, want) {
+					t.Fatalf("%s: %d rows, the reference has %d%s\n%s", at, len(got), len(want), firstDifference(got, want), src)
+				}
+				if first == nil {
+					first = res
+				} else if !slices.EqualFunc(res.Rows, first.Rows, func(a, b []rdf.Term) bool { return slices.Equal(a, b) }) {
+					t.Fatalf("%s: same rows as at chunk=1<<30, in another order\n%s", at, src)
+				}
+			}
+		}
+		return len(want)
+	}
 	rng := rand.New(rand.NewSource(21))
 	stores, perStore := 10, 8
 	if testing.Short() {
@@ -236,41 +267,16 @@ func TestAliasingAgainstReference(t *testing.T) {
 		if trial%perStore == 0 {
 			st = aliasFixture(rng)
 		}
-		src := "PREFIX ex: <http://ex/> " + gen.query()
-		q, err := ParseQuery(src)
-		if err != nil {
-			t.Fatalf("trial %d: generated query does not parse: %v\n%s", trial, err, src)
-		}
-		want := sortedKeys(newRefEval(st.Snapshot(), NewEngine(st), q).query(q))
-		if len(want) >= minParallelRows {
+		if check(st, fmt.Sprintf("trial %d", trial), "PREFIX ex: <http://ex/> "+gen.query()) >= minParallelRows {
 			large++
-		}
-		var first *Results
-		for _, poison := range []bool{false, true} {
-			for _, chunk := range []int{1 << 30, 1024, 128, 3, 1} {
-				for _, par := range []int{1, 4, 8} {
-					var res *Results
-					withPoison(poison, func() {
-						res, err = NewEngine(st, WithChunkSize(chunk), WithParallelism(par)).Select(q)
-					})
-					at := fmt.Sprintf("trial %d chunk=%d par=%d poison=%v", trial, chunk, par, poison)
-					if err != nil {
-						t.Fatalf("%s: %v\n%s", at, err, src)
-					}
-					if got := sortedKeys(res); !slices.Equal(got, want) {
-						t.Fatalf("%s: %d rows, the reference has %d%s\n%s", at, len(got), len(want), firstDifference(got, want), src)
-					}
-					if first == nil {
-						first = res
-					} else if !slices.EqualFunc(res.Rows, first.Rows, func(a, b []rdf.Term) bool { return slices.Equal(a, b) }) {
-						t.Fatalf("%s: same rows as at chunk=1<<30 par=1, in another order\n%s", at, src)
-					}
-				}
-			}
 		}
 	}
 	if trials := stores * perStore; large < trials/4 {
 		t.Fatalf("only %d of %d queries return a worker-sized result: the generator no longer reaches the batch kernels", large, trials)
+	}
+	st = parallelFixture(1500)
+	for i, src := range operatorQueries {
+		check(st, fmt.Sprintf("operator query %d", i), src)
 	}
 }
 

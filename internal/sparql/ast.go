@@ -25,14 +25,13 @@
 // atomic to concurrent queries; callers needing whole update requests
 // serialized against each other must arrange it, as endpoint.Server
 // does.
-// Evaluation itself is parallel within a chunk: the hot kernels (BGP
-// joins, FILTER, OPTIONAL, MINUS, hash GROUP BY) partition their input
-// solution sequence across up to WithParallelism(n) worker goroutines
-// and merge the outputs in input order, so query results are identical
-// at every parallelism level; n = 1 runs the sequential code paths
-// (see parallel.go). Engine configuration (SetParallelism,
-// SetChunkSize, WithPlanner) is not synchronized and must happen before
-// the Engine is shared.
+// Evaluation runs on the query's goroutine, with one exception: the BGP
+// batch join partitions a large batch of rows across up to
+// runtime.GOMAXPROCS(0) goroutines (the value when the Engine was
+// built) and merges the outputs in input order, so query results are
+// identical at every width (see parallel.go). Engine configuration
+// (SetChunkSize, WithPlanner) is not synchronized and must happen
+// before the Engine is shared.
 package sparql
 
 import "repro/internal/rdf"

@@ -15,12 +15,13 @@ import (
 // goroutine checks the context at every chunk boundary of the pipeline
 // (boundIter, stream.go; the GROUP BY fold after every chunk it
 // consumes), and the row kernels — BGP join, FILTER, OPTIONAL, MINUS —
-// check every cancelCheckRows rows, both on the coordinator and inside
-// worker sub-chunks, so a cancelled query returns promptly at every
-// parallelism level and chunk size. Workers that observe cancellation abandon their rows and return
-// truncated output; the next chunk boundary then converts the
-// cancellation into an error before any truncated rows can escape, so
-// a cancelled query never yields a silently partial result.
+// check every cancelCheckRows rows, on the coordinator and inside the
+// join's worker sub-chunks alike, so a cancelled query returns promptly
+// at every join width and chunk size. A kernel that observes
+// cancellation abandons its rows and returns truncated output; the
+// next chunk boundary then converts the cancellation into an error
+// before any truncated rows can escape, so a cancelled query never
+// yields a silently partial result.
 //
 // The disabled path (Query, Select, Ask, or a context that can never
 // be cancelled) costs one nil check per hook: run.done stays nil and

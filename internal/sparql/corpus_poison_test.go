@@ -19,8 +19,8 @@ import (
 // poisoned: the poison switch is unexported, so the twin lives here.
 // Every query under queries/ — each QL program through both translations,
 // each raw .rq probe — over the same 5 000-observation cube must hash to
-// its line of testdata/corpus_results.golden at every chunk size and
-// parallelism of the original.
+// its line of testdata/corpus_results.golden at every chunk size of the
+// original.
 func TestCorpusByteIdenticalPoisoned(t *testing.T) {
 	const root = "../../"
 	cfg := eurostat.DefaultConfig()
@@ -56,23 +56,21 @@ func TestCorpusByteIdenticalPoisoned(t *testing.T) {
 	if len(lines) != len(probes) {
 		t.Fatalf("the golden file has %d entries, the corpus %d probes", len(lines), len(probes))
 	}
-	for _, par := range []int{1, 4, 8} {
-		for _, cs := range []int{1, 7, 1024} {
-			eng := sparql.NewEngine(env.Store, sparql.WithParallelism(par), sparql.WithChunkSize(cs))
-			for _, want := range lines {
-				name, _, _ := strings.Cut(want, "\t")
-				var res *sparql.Results
-				sparql.WithPoison(true, func() { res, err = eng.QueryString(probes[name]) })
-				if err != nil {
-					t.Fatalf("par=%d chunk=%d %s: %v", par, cs, name, err)
-				}
-				doc, err := res.MarshalJSON()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := fmt.Sprintf("%s\t%d\t%x", name, res.Len(), sha256.Sum256(doc)); got != want {
-					t.Errorf("par=%d chunk=%d: result differs from the frozen reference\ngot  %s\nwant %s", par, cs, got, want)
-				}
+	for _, cs := range []int{1, 7, 1024} {
+		eng := sparql.NewEngine(env.Store, sparql.WithChunkSize(cs))
+		for _, want := range lines {
+			name, _, _ := strings.Cut(want, "\t")
+			var res *sparql.Results
+			sparql.WithPoison(true, func() { res, err = eng.QueryString(probes[name]) })
+			if err != nil {
+				t.Fatalf("chunk=%d %s: %v", cs, name, err)
+			}
+			doc, err := res.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%s\t%d\t%x", name, res.Len(), sha256.Sum256(doc)); got != want {
+				t.Errorf("chunk=%d: result differs from the frozen reference\ngot  %s\nwant %s", cs, got, want)
 			}
 		}
 	}

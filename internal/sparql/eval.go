@@ -19,14 +19,14 @@ import (
 // state in a private run value, including the one store snapshot every
 // scan, count and statistic of the evaluation reads (per-query snapshot
 // isolation; no store lock is held while a query runs). Configuration
-// (SetParallelism, SetChunkSize, WithPlanner) must be done before the
-// engine is shared.
+// (SetChunkSize, WithPlanner) must be done before the engine is shared.
 type Engine struct {
 	store *store.Store
 
-	// parallelism is the maximum number of worker goroutines one query
-	// evaluation may use (see WithParallelism). Always >= 1.
-	parallelism int
+	// joinWidth is the number of goroutines the BGP batch join fans a
+	// batch out to (parallel.go): runtime.GOMAXPROCS(0) when the engine
+	// was built. Always >= 1.
+	joinWidth int
 
 	// planner enables the cost-based planning pass (plan.go) on every
 	// query and update entry: statistics-driven BGP join ordering plus
@@ -60,25 +60,14 @@ type Engine struct {
 }
 
 // defaultChunkSize is the default chunk granularity. 1024
-// rows balances per-chunk kernel efficiency (large enough to engage the
-// parallel operators, minParallelRows=128) against per-query buffer
+// rows balances per-chunk kernel efficiency (large enough for the BGP
+// join to fan out, minParallelRows=128) against per-query buffer
 // footprint (a ~1.5 KB OLAP row × 1024 ≈ 1.5 MB per pipeline stage);
 // see BenchmarkChunkSize for the sweep backing the choice.
 const defaultChunkSize = 1024
 
 // Option configures an Engine at construction time.
 type Option func(*Engine)
-
-// WithParallelism bounds the number of worker goroutines a single query
-// evaluation may use for BGP joins and FILTER/OPTIONAL/UNION/MINUS
-// evaluation (GROUP BY folds on the coordinating goroutine). n <= 0
-// selects runtime.GOMAXPROCS(0), which is also the default. n == 1 runs
-// the exact sequential code paths of the original engine; for n > 1
-// every parallel operator merges worker results in input order, so
-// query results are identical at every parallelism level.
-func WithParallelism(n int) Option {
-	return func(e *Engine) { e.SetParallelism(n) }
-}
 
 // WithChunkSize sets the pipeline's chunk granularity in rows. n <= 0
 // selects defaultChunkSize, which is also the default.
@@ -102,7 +91,7 @@ func (e *Engine) SetChunkSize(n int) {
 // NewEngine returns an engine over st. The cost-based planner is on by
 // default; pass WithPlanner(false) to disable it.
 func NewEngine(st *store.Store, opts ...Option) *Engine {
-	e := &Engine{store: st, parallelism: runtime.GOMAXPROCS(0), planner: true, chunkSize: defaultChunkSize}
+	e := &Engine{store: st, joinWidth: runtime.GOMAXPROCS(0), planner: true, chunkSize: defaultChunkSize}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -111,19 +100,6 @@ func NewEngine(st *store.Store, opts ...Option) *Engine {
 
 // Store returns the underlying store.
 func (e *Engine) Store() *store.Store { return e.store }
-
-// Parallelism reports the engine's worker budget per query evaluation.
-func (e *Engine) Parallelism() int { return e.parallelism }
-
-// SetParallelism changes the worker budget (n <= 0 selects
-// runtime.GOMAXPROCS(0)). It must not be called concurrently with
-// running queries.
-func (e *Engine) SetParallelism(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	e.parallelism = n
-}
 
 // Results is a SPARQL SELECT result table.
 type Results struct {
@@ -751,7 +727,7 @@ func (r *run) orderSpan(n int, sort func()) error {
 	sp := r.trace.StartChild("ORDER", "", n)
 	sp.SetEst(int64(n))
 	sort()
-	sp.Finish(n, 1)
+	sp.Finish(n)
 	if r.cancelled() {
 		return r.cancelErr()
 	}
@@ -815,7 +791,7 @@ func (r *run) foldGroups(q *Query, body chunkIter, free *rowList) ([]string, []s
 		sp.SetEst(estimateGroups(sp.In))
 		sp.Detail = fmt.Sprintf("%d groups", len(f.list))
 		sp.Mem = f.charged
-		sp.Finish(len(rows), 1)
+		sp.Finish(len(rows))
 		sp.Wall += upstream
 	}
 	if n := len(vars); len(q.OrderBy) > 0 {

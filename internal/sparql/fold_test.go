@@ -330,7 +330,7 @@ func foldQuery(rng *rand.Rand) string {
 // DISTINCT, COUNT(*), key expressions, unbound keys, mixed numeric and
 // non-numeric values, plain and xsd:string literals, HAVING whose first
 // aggregate errors — over random stores must produce, at every chunk
-// size and parallelism, exactly the rows, order and terms the
+// size, exactly the rows, order and terms the
 // row-retaining reference computes from the materialized WHERE rows —
 // also with every chunk the fold returns to the pipeline poisoned
 // (withPoison), so that a group reading its first row where the pipeline
@@ -357,7 +357,7 @@ func TestFoldAgainstRowAggregation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("generated query does not parse: %v\n%s", err, src)
 			}
-			ref := NewEngine(st, WithParallelism(1))
+			ref := NewEngine(st)
 			r, pq := ref.newRun(context.Background(), q, nil)
 			where, _ := r.streamGroup(pq.Where, &sliceSource{rows: r.seed(), chunk: ref.chunkSize}, graphCtx{}, nil, nil)
 			rows, err := drainStream(r, where)
@@ -368,22 +368,20 @@ func TestFoldAgainstRowAggregation(t *testing.T) {
 			groups += len(want)
 			for _, poison := range []bool{false, true} {
 				for _, chunk := range []int{1, 3, 1024} {
-					for _, par := range []int{1, 4} {
-						var res *Results
-						withPoison(poison, func() {
-							res, err = NewEngine(st, WithChunkSize(chunk), WithParallelism(par)).Select(q)
-						})
-						if err != nil {
-							t.Fatalf("trial %d chunk=%d par=%d poison=%v: %v\n%s", trial, chunk, par, poison, err, src)
-						}
-						got := make([]solution, len(res.Rows))
-						for i, row := range res.Rows {
-							got[i] = row
-						}
-						if !sameRows(got, want) {
-							t.Fatalf("trial %d (%d items) chunk=%d par=%d poison=%v: fold differs from row aggregation\n%s\ngot  %.600v\nwant %.600v",
-								trial, n, chunk, par, poison, src, fmt.Sprint(got), fmt.Sprint(want))
-						}
+					var res *Results
+					withPoison(poison, func() {
+						res, err = NewEngine(st, WithChunkSize(chunk)).Select(q)
+					})
+					if err != nil {
+						t.Fatalf("trial %d chunk=%d poison=%v: %v\n%s", trial, chunk, poison, err, src)
+					}
+					got := make([]solution, len(res.Rows))
+					for i, row := range res.Rows {
+						got[i] = row
+					}
+					if !sameRows(got, want) {
+						t.Fatalf("trial %d (%d items) chunk=%d poison=%v: fold differs from row aggregation\n%s\ngot  %.600v\nwant %.600v",
+							trial, n, chunk, poison, src, fmt.Sprint(got), fmt.Sprint(want))
 					}
 				}
 			}

@@ -2,34 +2,35 @@ package sparql
 
 import "sync"
 
-// This file is the engine's worker-pool layer: the per-chunk kernels
-// the pipeline stages (stream.go) call. Every operator here follows the
-// same scheme: partition the input solution sequence into contiguous
-// sub-chunks, evaluate each on its own worker goroutine against the
-// shared store, and concatenate the outputs in order. Because
-// sub-chunks are contiguous and merges preserve their order, results
-// are identical to the sequential evaluation at every parallelism
-// level; parallelism 1 short-circuits into the sequential code paths.
+// This file is the engine's one fan-out: the BGP batch join
+// (joinPatternPar), the only kernel whose fan-out measurably pays
+// (DESIGN §7). It partitions a batch of outer rows into contiguous
+// sub-chunks, joins each on its own goroutine against the shared
+// snapshot, and concatenates the outputs in order, so results are
+// identical at every width. The width is the engine's joinWidth,
+// runtime.GOMAXPROCS(0) when the engine was built; batches under
+// minParallelRows, and every batch at width 1, join on the calling
+// goroutine.
 //
 // Workers share the run value: the Engine, varTable and graph context
 // are read-only at evaluation time (collectVars pre-registers every
 // variable, so varTable.slot never mutates during evaluation). The
-// row kernels run on account-free kernel runs (run.kernel) — rows are
-// charged at chunk boundaries, not here — and only check cancellation,
-// every cancelCheckRows rows.
+// join runs on an account-free kernel run (run.kernel) — rows are
+// charged at chunk boundaries, not here — and only checks
+// cancellation, every cancelCheckRows rows.
 
-// minParallelRows is the input size below which row-partitioned
-// operators stay sequential; goroutine startup and merge overhead beat
-// the win on small solution sequences.
+// minParallelRows is the batch size below which the join stays on the
+// calling goroutine; goroutine startup and merge overhead beat the win
+// on small batches.
 const minParallelRows = 128
 
-// minChunkRows bounds how finely a solution sequence is split, so that
-// each worker amortizes its startup cost.
+// minChunkRows bounds how finely a batch is split, so that each worker
+// amortizes its startup cost.
 const minChunkRows = 64
 
-// workersFor returns the number of workers to use for n input items.
+// workersFor returns the number of workers to use for n input rows.
 func (r *run) workersFor(n int) int {
-	p := r.e.parallelism
+	p := r.e.joinWidth
 	if p <= 1 || n < minParallelRows {
 		return 1
 	}
@@ -115,18 +116,9 @@ func mergeChunks(rows []solution, bounds [][2]int, outs [][]solution, owned bool
 	return rows[:n]
 }
 
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// joinPatternPar is the parallel-aware joinPatternOwned: the outer
-// solution sequence is partitioned across workers, each joining its
-// chunk through its own store iterators.
+// joinPatternPar is the fanned-out joinPatternOwned: the outer rows are
+// partitioned across workers, each joining its sub-chunk through its
+// own store iterators.
 func (r *run) joinPatternPar(p *probe, rows []solution, owned bool) ([]solution, error) {
 	w := r.workersFor(len(rows))
 	if w == 1 {
@@ -138,140 +130,10 @@ func (r *run) joinPatternPar(p *probe, rows []solution, owned bool) ([]solution,
 	runChunks(bounds, func(i, lo, hi int) {
 		outs[i], errs[i] = r.joinPatternOwned(p, rows[lo:hi], owned)
 	})
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	return mergeChunks(rows, bounds, outs, owned), nil
-}
-
-// filterRows keeps the rows whose filter expression evaluates to a true
-// effective boolean value (evaluation errors eliminate the row). On
-// cancellation it returns early with what it has; the next chunk
-// boundary converts that into an error. An owned chunk is compacted
-// into its own header.
-func (r *run) filterRows(expr Expression, rows []solution, owned bool) []solution {
-	var kept []solution
-	if owned {
-		kept = outFor(rows, true)
-	}
-	for ri, row := range rows {
-		if ri%cancelCheckRows == 0 && r.cancelled() {
-			break
-		}
-		v, err := r.evalExpr(expr, row)
-		if err != nil {
-			continue
-		}
-		if b, err := ebv(v); err == nil && b {
-			kept = append(kept, row)
-		}
-	}
-	return kept
-}
-
-// filterRowsPar partitions FILTER evaluation across workers.
-func (r *run) filterRowsPar(expr Expression, rows []solution, owned bool) []solution {
-	w := r.workersFor(len(rows))
-	if w == 1 {
-		return r.filterRows(expr, rows, owned)
-	}
-	outs := make([][]solution, w)
-	bounds := chunkBounds(len(rows), w)
-	runChunks(bounds, func(i, lo, hi int) {
-		outs[i] = r.filterRows(expr, rows[lo:hi], owned)
-	})
-	return mergeChunks(rows, bounds, outs, owned)
-}
-
-// optionalRows evaluates a general OPTIONAL group per left row: the row
-// survives unextended when the pattern yields nothing.
-func (r *run) optionalRows(p GroupGraphPattern, rows []solution, ctx graphCtx) ([]solution, error) {
-	var out []solution
-	for ri, row := range rows {
-		if ri%cancelCheckRows == 0 && r.cancelled() {
-			return nil, r.cancelErr()
-		}
-		ext, err := r.groupRows(p, []solution{row}, ctx, nil, false)
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		if len(ext) == 0 {
-			out = append(out, row)
-		} else {
-			out = append(out, ext...)
-		}
 	}
-	return out, nil
-}
-
-// optionalPar partitions general OPTIONAL evaluation across workers.
-func (r *run) optionalPar(p GroupGraphPattern, rows []solution, ctx graphCtx) ([]solution, error) {
-	w := r.workersFor(len(rows))
-	if w == 1 {
-		return r.optionalRows(p, rows, ctx)
-	}
-	outs := make([][]solution, w)
-	errs := make([]error, w)
-	runChunks(chunkBounds(len(rows), w), func(i, lo, hi int) {
-		outs[i], errs[i] = r.optionalRows(p, rows[lo:hi], ctx)
-	})
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	return concatSolutions(outs), nil
-}
-
-// optionalSinglePar partitions the single-pattern OPTIONAL fast path
-// across workers.
-func (r *run) optionalSinglePar(p *probe, rows []solution, owned bool) []solution {
-	w := r.workersFor(len(rows))
-	if w == 1 {
-		return r.optionalSingle(p, rows, owned)
-	}
-	outs := make([][]solution, w)
-	bounds := chunkBounds(len(rows), w)
-	runChunks(bounds, func(i, lo, hi int) {
-		outs[i] = r.optionalSingle(p, rows[lo:hi], owned)
-	})
-	return mergeChunks(rows, bounds, outs, owned)
-}
-
-// minusRows removes rows compatible with (and sharing a variable with)
-// any right-side solution, compacting an owned chunk into its own header.
-func (r *run) minusRows(rows, right []solution, owned bool) []solution {
-	var kept []solution
-	if owned {
-		kept = outFor(rows, true)
-	}
-	for ri, row := range rows {
-		if ri%cancelCheckRows == 0 && r.cancelled() {
-			break
-		}
-		excluded := false
-		for _, rr := range right {
-			if compatibleSharing(row, rr) {
-				excluded = true
-				break
-			}
-		}
-		if !excluded {
-			kept = append(kept, row)
-		}
-	}
-	return kept
-}
-
-// minusRowsPar partitions the MINUS exclusion scan across workers; the
-// right side is shared read-only.
-func (r *run) minusRowsPar(rows, right []solution, owned bool) []solution {
-	w := r.workersFor(len(rows))
-	if w == 1 || len(right) == 0 {
-		return r.minusRows(rows, right, owned)
-	}
-	outs := make([][]solution, w)
-	bounds := chunkBounds(len(rows), w)
-	runChunks(bounds, func(i, lo, hi int) {
-		outs[i] = r.minusRows(rows[lo:hi], right, owned)
-	})
-	return mergeChunks(rows, bounds, outs, owned)
+	return mergeChunks(rows, bounds, outs, owned), nil
 }

@@ -2,18 +2,17 @@ package sparql
 
 import (
 	"fmt"
-	"reflect"
-	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
 
-// parallelFixture builds a store large enough that every parallel
-// operator path exceeds minParallelRows: n items with type, value,
-// group, and (for even items) a label; half the items are "flagged" in
-// a separate pattern used by MINUS and UNION.
+// parallelFixture builds a store large enough that every operator's
+// input exceeds minParallelRows, so the BGP join fans out: n items with
+// type, value, group, and (for even items) a label; a third of the
+// items are "flagged" in a separate pattern used by MINUS and UNION.
 func parallelFixture(n int) *store.Store {
 	st := store.New()
 	typ := rdf.NewIRI("http://ex/type")
@@ -41,10 +40,12 @@ func parallelFixture(n int) *store.Store {
 	return st
 }
 
-// parallelEquivalenceQueries exercise each parallelized operator: BGP
-// join chains, FILTER, single-pattern and general OPTIONAL, UNION,
-// MINUS, and hash GROUP BY with HAVING and aggregate projections.
-var parallelEquivalenceQueries = []string{
+// operatorQueries exercise each operator over parallelFixture: BGP join
+// chains, FILTER, single-pattern and general OPTIONAL, UNION, MINUS,
+// FILTER EXISTS, DISTINCT, and hash GROUP BY with HAVING and aggregate
+// projections. TestAliasingAgainstReference checks them against the
+// reference evaluator, TestParallelMatchesSequential at every join width.
+var operatorQueries = []string{
 	// BGP join + FILTER.
 	`SELECT ?s ?v WHERE {
 		?s <http://ex/type> <http://ex/Item> ; <http://ex/value> ?v .
@@ -77,7 +78,7 @@ var parallelEquivalenceQueries = []string{
 	`SELECT ?g (AVG(?v) AS ?avg) WHERE {
 		?s <http://ex/group> ?g ; <http://ex/value> ?v .
 	} GROUP BY ?g`,
-	// FILTER with EXISTS (worker-local graph context).
+	// FILTER with EXISTS (a nested pipeline per row).
 	`SELECT ?s WHERE {
 		?s <http://ex/value> ?v .
 		FILTER EXISTS { ?s <http://ex/label> ?l }
@@ -88,48 +89,42 @@ var parallelEquivalenceQueries = []string{
 	}`,
 }
 
-// TestParallelMatchesSequential runs each operator query at several
-// parallelism levels and requires results identical (including row
-// order) to the sequential engine.
+// TestParallelMatchesSequential runs operatorQueries over
+// parallelFixture with the batch join fanned out over several workers
+// and checks every result against the same engine at joinWidth 1: the
+// table, order included, must be identical at every width and chunk
+// size (DESIGN §7).
 func TestParallelMatchesSequential(t *testing.T) {
 	st := parallelFixture(1500)
-	seq := NewEngine(st, WithParallelism(1))
-	for _, par := range []int{2, 4, 8} {
-		eng := NewEngine(st, WithParallelism(par))
-		for qi, src := range parallelEquivalenceQueries {
-			want, err := seq.QueryString(src)
+	for i, src := range operatorQueries {
+		q, err := ParseQuery(src)
+		if err != nil {
+			t.Fatalf("operator query %d does not parse: %v", i, err)
+		}
+		for _, chunk := range []int{defaultChunkSize, 128} {
+			seq := NewEngine(st, WithChunkSize(chunk))
+			seq.joinWidth = 1
+			want, err := seq.Select(q)
 			if err != nil {
-				t.Fatalf("query %d sequential: %v", qi, err)
+				t.Fatalf("operator query %d chunk=%d width=1: %v", i, chunk, err)
 			}
-			got, err := eng.QueryString(src)
-			if err != nil {
-				t.Fatalf("query %d par=%d: %v", qi, par, err)
+			if len(want.Rows) == 0 {
+				t.Fatalf("operator query %d returns no rows: the fixture no longer exercises it", i)
 			}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("query %d: par=%d results differ from sequential\nwant %d rows, got %d rows",
-					qi, par, len(want.Rows), len(got.Rows))
+			for _, width := range []int{2, 4, 8} {
+				par := NewEngine(st, WithChunkSize(chunk))
+				par.joinWidth = width
+				got, err := par.Select(q)
+				if err != nil {
+					t.Fatalf("operator query %d chunk=%d width=%d: %v", i, chunk, width, err)
+				}
+				if !slices.Equal(got.Vars, want.Vars) ||
+					!slices.EqualFunc(got.Rows, want.Rows, func(a, b []rdf.Term) bool { return slices.Equal(a, b) }) {
+					t.Fatalf("operator query %d chunk=%d width=%d: %d rows differ from the %d at width 1\n%s",
+						i, chunk, width, len(got.Rows), len(want.Rows), src)
+				}
 			}
 		}
-	}
-}
-
-// TestWithParallelismDefaults pins the option semantics: <= 0 selects
-// GOMAXPROCS, and the default engine is parallel.
-func TestWithParallelismDefaults(t *testing.T) {
-	st := store.New()
-	if got := NewEngine(st).Parallelism(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("default parallelism = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := NewEngine(st, WithParallelism(0)).Parallelism(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("WithParallelism(0) = %d, want GOMAXPROCS", got)
-	}
-	if got := NewEngine(st, WithParallelism(3)).Parallelism(); got != 3 {
-		t.Errorf("WithParallelism(3) = %d", got)
-	}
-	e := NewEngine(st, WithParallelism(5))
-	e.SetParallelism(-1)
-	if got := e.Parallelism(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("SetParallelism(-1) = %d, want GOMAXPROCS", got)
 	}
 }
 

@@ -246,7 +246,7 @@ SELECT ?name WHERE { ?p ex:name ?name . ?p a ex:Person . }`)
 		return joins
 	}
 
-	off := NewEngine(st, WithPlanner(false), WithParallelism(1))
+	off := NewEngine(st, WithPlanner(false))
 	if off.PlannerEnabled() {
 		t.Fatal("WithPlanner(false) left the planner on")
 	}
@@ -256,7 +256,7 @@ SELECT ?name WHERE { ?p ex:name ?name . ?p a ex:Person . }`)
 	if q.Planned {
 		t.Fatal("planner-off engine marked the query as planned")
 	}
-	if got, want := joinOrder(NewEngine(st, WithParallelism(1))), []string{"?p type Person", "?p name ?name"}; !reflect.DeepEqual(got, want) {
+	if got, want := joinOrder(NewEngine(st)), []string{"?p type Person", "?p name ?name"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("planner on joined %v, want %v", got, want)
 	}
 }

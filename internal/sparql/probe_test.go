@@ -83,7 +83,11 @@ func sameRows(a, b []solution) bool {
 // three consumers of probe — joinPatternOwned, rowScan cut at 1, 2 and
 // unlimited rows per emit, and optionalSingle — must produce exactly the
 // nested-loop reference, in its order, and leave rows they do not own
-// untouched.
+// untouched. So must the batch join's fan-out, joinPatternPar at widths
+// 1 and 3, over a batch of at least minParallelRows of those rows: on
+// every other pattern the rows with the most matches come first, so the
+// first worker's part outgrows its bounds while the later parts compact
+// in place, which mergeChunks must not copy over.
 func TestProbeAgainstNaiveScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	named := rdf.NewIRI("http://t/g")
@@ -106,7 +110,7 @@ func TestProbeAgainstNaiveScan(t *testing.T) {
 			}
 			st.InsertTriples(g, ts)
 		}
-		r := &run{e: NewEngine(st, WithParallelism(1)), vt: newVarTable(), snap: st.Snapshot()}
+		r := &run{e: NewEngine(st), vt: newVarTable(), snap: st.Snapshot()}
 		for _, v := range append(vars, "w") {
 			r.vt.slot(v)
 		}
@@ -148,8 +152,10 @@ func TestProbeAgainstNaiveScan(t *testing.T) {
 			}
 
 			var wantJoin, wantOpt []solution
-			for _, row := range rows {
+			perRow := make([][]solution, len(rows))
+			for i, row := range rows {
 				ms := naiveJoin(st.Dict(), all, tp, r.vt, row)
+				perRow[i] = ms
 				wantJoin = append(wantJoin, ms...)
 				if len(ms) == 0 {
 					ms = []solution{row}
@@ -207,6 +213,36 @@ func TestProbeAgainstNaiveScan(t *testing.T) {
 					fail("input rows after an OPTIONAL that does not own them", in, rows)
 				}
 			}
+
+			from := make([]int, minParallelRows+rng.Intn(3*minChunkRows)) // which row each batch row is
+			for i := range from {
+				from[i] = rng.Intn(len(rows))
+			}
+			if pi%2 == 1 {
+				slices.SortStableFunc(from, func(a, b int) int { return len(perRow[b]) - len(perRow[a]) })
+			}
+			batch := make([]solution, len(from))
+			var wantBatch []solution
+			for i, k := range from {
+				batch[i] = rows[k]
+				wantBatch = append(wantBatch, perRow[k]...)
+			}
+			for _, width := range []int{1, 3} {
+				r.e.joinWidth = width
+				for _, owned := range []bool{false, true} {
+					in := cloneRows(batch)
+					got, err := r.joinPatternPar(p, in, owned)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameRows(got, wantBatch) {
+						fail(fmt.Sprintf("joinPatternPar(width=%d, owned=%v) over %d rows", width, owned, len(in)), got, wantBatch)
+					}
+					if !owned && !sameRows(in, batch) {
+						fail("input rows after a fanned-out join that does not own them", in, batch)
+					}
+				}
+			}
 		}
 	}
 }
@@ -220,7 +256,7 @@ func TestOwnedOptionalRepeatedVariable(t *testing.T) {
 	st := store.New()
 	a, b, pred := rdf.NewIRI("http://t/a"), rdf.NewIRI("http://t/b"), rdf.NewIRI("http://t/p")
 	st.InsertTriples(rdf.Term{}, []rdf.Triple{rdf.NewTriple(a, pred, b)})
-	r := &run{e: NewEngine(st, WithParallelism(1)), vt: newVarTable(), snap: st.Snapshot()}
+	r := &run{e: NewEngine(st), vt: newVarTable(), snap: st.Snapshot()}
 	x := r.vt.slot("x")
 	p := r.compile(TriplePattern{S: VarTerm("x"), P: ConstTerm(pred), O: VarTerm("x")}, graphCtx{})
 	for _, owned := range []bool{false, true} {
@@ -250,7 +286,7 @@ func TestOwnedKernelsSpillBeforeOvertaking(t *testing.T) {
 		}
 	}
 	st.InsertTriples(rdf.Term{}, ts)
-	r := &run{e: NewEngine(st, WithParallelism(1)), vt: newVarTable(), snap: st.Snapshot()}
+	r := &run{e: NewEngine(st), vt: newVarTable(), snap: st.Snapshot()}
 	x := r.vt.slot("x")
 	r.vt.slot("y")
 	p := r.compile(TriplePattern{S: VarTerm("x"), P: ConstTerm(pred), O: VarTerm("y")}, graphCtx{})
@@ -316,7 +352,7 @@ func TestSingleMatchJoinAllocatesNothingPerRow(t *testing.T) {
 		ts[i] = rdf.NewTriple(rdf.NewIRI(fmt.Sprintf("http://t/s%d", i)), val, rdf.NewInteger(int64(i)))
 	}
 	st.InsertTriples(rdf.Term{}, ts)
-	r := &run{e: NewEngine(st, WithParallelism(1)), vt: newVarTable(), snap: st.Snapshot()}
+	r := &run{e: NewEngine(st), vt: newVarTable(), snap: st.Snapshot()}
 	x, y := r.vt.slot("x"), r.vt.slot("y")
 	p := r.compile(TriplePattern{S: VarTerm("x"), P: ConstTerm(val), O: VarTerm("y")}, graphCtx{})
 	rows := make([]solution, n)
@@ -324,6 +360,7 @@ func TestSingleMatchJoinAllocatesNothingPerRow(t *testing.T) {
 		rows[i] = make(solution, 2)
 		rows[i][x] = ts[i].S
 	}
+	r.e.joinWidth = 1 // workers would allocate their goroutines and parts
 	var last Expression = ExprConst{Term: ts[n-1].O}
 	kernels := map[string]func() []solution{
 		"join": func() []solution {
@@ -333,7 +370,7 @@ func TestSingleMatchJoinAllocatesNothingPerRow(t *testing.T) {
 			}
 			return out
 		},
-		"OPTIONAL": func() []solution { return r.optionalSinglePar(p, rows, true) },
+		"OPTIONAL": func() []solution { return r.optionalSingle(p, rows, true) },
 		"BIND":     func() []solution { return r.bindRows(last, y, rows, true) },
 	}
 	for name, kernel := range kernels {
@@ -361,7 +398,7 @@ func TestRowScanReturnsFailedMatch(t *testing.T) {
 	st := store.New()
 	a, b, pred := rdf.NewIRI("http://t/a"), rdf.NewIRI("http://t/b"), rdf.NewIRI("http://t/p")
 	st.InsertTriples(rdf.Term{}, []rdf.Triple{rdf.NewTriple(a, pred, b)})
-	r := &run{e: NewEngine(st, WithParallelism(1)), vt: newVarTable(), snap: st.Snapshot()}
+	r := &run{e: NewEngine(st), vt: newVarTable(), snap: st.Snapshot()}
 	r.vt.slot("x")
 	p := r.compile(TriplePattern{S: VarTerm("x"), P: ConstTerm(pred), O: VarTerm("x")}, graphCtx{})
 	row := make(solution, 1)

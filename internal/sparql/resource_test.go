@@ -10,31 +10,28 @@ import (
 	"repro/internal/obs"
 )
 
-// TestAccountingPreservesResults runs the parallel-operator corpus with
+// TestAccountingPreservesResults runs the operator corpus with
 // accounting off, accounting on (tracker attached), and accounting on
-// with a generous budget, at sequential and parallel settings, and
-// requires identical result tables everywhere. Accounting is
-// observation only — it must never change what a query returns.
+// with a generous budget, and requires identical result tables
+// everywhere. Accounting is observation only — it must never change
+// what a query returns.
 func TestAccountingPreservesResults(t *testing.T) {
 	st := parallelFixture(800)
-	plain := NewEngine(st, WithParallelism(1))
-	for _, par := range []int{1, 4} {
-		tracked := NewEngine(st, WithParallelism(par), WithResources(obs.NewResourceTracker()))
-		budgeted := NewEngine(st, WithParallelism(par),
-			WithResources(obs.NewResourceTracker()), WithMaxQueryMem(1<<30))
-		for _, q := range parallelEquivalenceQueries {
-			want, err := plain.QueryString(q)
+	plain := NewEngine(st)
+	tracked := NewEngine(st, WithResources(obs.NewResourceTracker()))
+	budgeted := NewEngine(st, WithResources(obs.NewResourceTracker()), WithMaxQueryMem(1<<30))
+	for _, q := range operatorQueries {
+		want, err := plain.QueryString(q)
+		if err != nil {
+			t.Fatalf("plain: %v", err)
+		}
+		for name, e := range map[string]*Engine{"tracked": tracked, "budgeted": budgeted} {
+			got, err := e.QueryString(q)
 			if err != nil {
-				t.Fatalf("plain: %v", err)
+				t.Fatalf("%s: %v\n%s", name, err, q)
 			}
-			for name, e := range map[string]*Engine{"tracked": tracked, "budgeted": budgeted} {
-				got, err := e.QueryString(q)
-				if err != nil {
-					t.Fatalf("%s (par=%d): %v\n%s", name, par, err, q)
-				}
-				if !reflect.DeepEqual(want.Rows, got.Rows) {
-					t.Errorf("%s (par=%d) changed results for:\n%s", name, par, q)
-				}
+			if !reflect.DeepEqual(want.Rows, got.Rows) {
+				t.Errorf("%s changed results for:\n%s", name, q)
 			}
 		}
 	}
@@ -87,7 +84,7 @@ func TestAccountingChargesGroupsNotRows(t *testing.T) {
 		t.Helper()
 		acct := obs.NewQueryAcct(nil, 0)
 		ctx := WithQueryAcct(context.Background(), acct)
-		if _, err := NewEngine(st, WithParallelism(1)).QueryStringContext(ctx, query); err != nil {
+		if _, err := NewEngine(st).QueryStringContext(ctx, query); err != nil {
 			t.Fatal(err)
 		}
 		return acct
@@ -112,31 +109,29 @@ func TestAccountingChargesGroupsNotRows(t *testing.T) {
 }
 
 // TestMemLimitError checks that a tiny budget aborts evaluation with
-// the typed error, at sequential and parallel settings, and that the
-// over-budget query is counted on the tracker.
+// the typed error and that the over-budget query is counted on the
+// tracker.
 func TestMemLimitError(t *testing.T) {
 	st := parallelFixture(800)
-	for _, par := range []int{1, 4} {
-		tr := obs.NewResourceTracker()
-		e := NewEngine(st, WithParallelism(par), WithResources(tr), WithMaxQueryMem(512))
-		_, err := e.QueryString(
-			`SELECT ?s ?v WHERE { ?s <http://ex/type> <http://ex/Item> ; <http://ex/value> ?v }`)
-		var mle *MemLimitError
-		if !errors.As(err, &mle) {
-			t.Fatalf("par=%d: err = %v, want *MemLimitError", par, err)
-		}
-		if mle.Limit != 512 || mle.Peak <= 512 || mle.Rows == 0 {
-			t.Errorf("par=%d: error fields %+v", par, mle)
-		}
-		if !strings.Contains(mle.Error(), "memory budget") {
-			t.Errorf("par=%d: message %q", par, mle.Error())
-		}
-		if tr.OverMem() != 1 {
-			t.Errorf("par=%d: tracker overMem = %d, want 1", par, tr.OverMem())
-		}
-		if tr.Inflight() != 0 {
-			t.Errorf("par=%d: tracker inflight = %d after abort, want 0", par, tr.Inflight())
-		}
+	tr := obs.NewResourceTracker()
+	e := NewEngine(st, WithResources(tr), WithMaxQueryMem(512))
+	_, err := e.QueryString(
+		`SELECT ?s ?v WHERE { ?s <http://ex/type> <http://ex/Item> ; <http://ex/value> ?v }`)
+	var mle *MemLimitError
+	if !errors.As(err, &mle) {
+		t.Fatalf("err = %v, want *MemLimitError", err)
+	}
+	if mle.Limit != 512 || mle.Peak <= 512 || mle.Rows == 0 {
+		t.Errorf("error fields %+v", mle)
+	}
+	if !strings.Contains(mle.Error(), "memory budget") {
+		t.Errorf("message %q", mle.Error())
+	}
+	if tr.OverMem() != 1 {
+		t.Errorf("tracker overMem = %d, want 1", tr.OverMem())
+	}
+	if tr.Inflight() != 0 {
+		t.Errorf("tracker inflight = %d after abort, want 0", tr.Inflight())
 	}
 }
 
@@ -159,7 +154,7 @@ func TestMemLimitUnderBudget(t *testing.T) {
 // (the golden surface) stays free of them.
 func TestTraceMemAnnotations(t *testing.T) {
 	st := parallelFixture(400)
-	e := NewEngine(st, WithParallelism(1))
+	e := NewEngine(st)
 	_, tr, err := e.QueryTracedString(
 		`SELECT ?s ?v WHERE { ?s <http://ex/type> <http://ex/Item> ; <http://ex/value> ?v FILTER(?v > 40) }`)
 	if err != nil {
@@ -181,7 +176,7 @@ func TestTraceMemAnnotations(t *testing.T) {
 	}
 
 	// The AGGREGATE span reports what ran: every WHERE row folded in, the
-	// groups out, one worker, and as mem= the bytes of the groups — far
+	// groups out, and as mem= the bytes of the groups — far
 	// less than the rows that fed them.
 	_, tr, err = e.QueryTracedString(
 		`SELECT ?g (SUM(?v) AS ?t) WHERE { ?s <http://ex/group> ?g ; <http://ex/value> ?v } GROUP BY ?g HAVING (SUM(?v) > 0)`)
@@ -200,9 +195,9 @@ func TestTraceMemAnnotations(t *testing.T) {
 	if agg == nil || bgp == nil {
 		t.Fatalf("no AGGREGATE/BGP span:\n%s", tr.Render())
 	}
-	if agg.In != 400 || agg.Out != 13 || agg.Est != 20 || agg.Workers != 1 || agg.Detail != "13 groups" {
-		t.Errorf("AGGREGATE span in=%d out=%d est=%d workers=%d detail=%q, want 400/13/20/1/13 groups",
-			agg.In, agg.Out, agg.Est, agg.Workers, agg.Detail)
+	if agg.In != 400 || agg.Out != 13 || agg.Est != 20 || agg.Detail != "13 groups" {
+		t.Errorf("AGGREGATE span in=%d out=%d est=%d detail=%q, want 400/13/20/13 groups",
+			agg.In, agg.Out, agg.Est, agg.Detail)
 	}
 	if agg.Mem == 0 || agg.Mem*4 > bgp.Mem {
 		t.Errorf("AGGREGATE mem = %d bytes against the BGP's %d: groups should be charged, not rows", agg.Mem, bgp.Mem)

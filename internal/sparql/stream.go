@@ -21,10 +21,12 @@ import (
 //
 //   - The pipeline is fully synchronous: every stage's next() runs on
 //     the coordinating goroutine, so there are no pipeline goroutines
-//     to leak and SLICE's early exit is just "stop pulling".
-//     Parallelism applies *within* a chunk — stages call the
-//     order-preserving parallel kernels (joinPatternPar, filterRowsPar,
-//     ...) on chunks large enough to engage them.
+//     to leak and SLICE's early exit is just "stop pulling". The one
+//     place evaluation leaves that goroutine is *within* a chunk: the
+//     BGP's batch join (joinPatternPar, parallel.go) splits a large
+//     batch across GOMAXPROCS goroutines and merges in order; FILTER,
+//     OPTIONAL, MINUS and every nested pipeline stay on the
+//     coordinating goroutine.
 //   - Chunk boundaries carry the cross-cutting concerns: boundIter
 //     checks cancellation, charges the chunk to the query account,
 //     releases the previous chunk, and — when the query is traced —
@@ -41,8 +43,8 @@ import (
 //     pipeline's one free list (rowList, one chunk at most) and the
 //     BGP's fan-out builds the next chunk in those rows and that header.
 //     Nested pipelines (groupRows, UNION branches, GRAPH ?g) have no
-//     list — they may run on workers and their callers retain what they
-//     return — and the batch kernels keep solution.clone.
+//     list — their callers retain what they return — and the batch
+//     kernels keep solution.clone.
 //   - Pipeline breakers: an ungrouped ORDER BY drains its whole input
 //     (drainStream) — sorting needs every row — and re-streams the
 //     sorted rows. GROUP BY does not: it consumes the WHERE stream
@@ -369,8 +371,7 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, par
 		switch e := el.(type) {
 		case FilterElement:
 			stage(func(chunk []solution) ([]solution, error) {
-				tr.rowWorkers(kr, len(chunk))
-				return kr.filterRowsPar(e.Expr, chunk, own), nil
+				return kr.filterRows(e.Expr, chunk, own), nil
 			})
 		case BindElement:
 			idx := r.vt.slot(e.Var)
@@ -385,13 +386,11 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, par
 			if tp, ok := singleTriplePattern(e.Pattern); ok {
 				p := r.compile(tp, gctx)
 				stage(func(chunk []solution) ([]solution, error) {
-					tr.rowWorkers(kr, len(chunk))
-					return kr.optionalSinglePar(p, chunk, own), nil
+					return kr.optionalSingle(p, chunk, own), nil
 				})
 			} else {
 				stage(func(chunk []solution) ([]solution, error) {
-					tr.rowWorkers(kr, len(chunk))
-					return kr.optionalPar(e.Pattern, chunk, gctx)
+					return kr.optionalRows(e.Pattern, chunk, gctx)
 				})
 				owned = false
 			}
@@ -413,8 +412,7 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, par
 					}
 					ready = true
 				}
-				tr.rowWorkers(kr, len(chunk))
-				return kr.minusRowsPar(chunk, right, own), nil
+				return kr.minusRows(chunk, right, own), nil
 			})
 		case GraphElement:
 			if e.Graph.IsVar {
@@ -453,6 +451,77 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, par
 	}
 	flush()
 	return cur, owned
+}
+
+// filterRows keeps the rows whose filter expression evaluates to a true
+// effective boolean value (evaluation errors eliminate the row). On
+// cancellation it returns early with what it has; the next chunk
+// boundary converts that into an error. An owned chunk is compacted
+// into its own header.
+func (r *run) filterRows(expr Expression, rows []solution, owned bool) []solution {
+	var kept []solution
+	if owned {
+		kept = outFor(rows, true)
+	}
+	for ri, row := range rows {
+		if ri%cancelCheckRows == 0 && r.cancelled() {
+			break
+		}
+		v, err := r.evalExpr(expr, row)
+		if err != nil {
+			continue
+		}
+		if b, err := ebv(v); err == nil && b {
+			kept = append(kept, row)
+		}
+	}
+	return kept
+}
+
+// optionalRows evaluates a general OPTIONAL group per left row: the row
+// survives unextended when the pattern yields nothing.
+func (r *run) optionalRows(p GroupGraphPattern, rows []solution, ctx graphCtx) ([]solution, error) {
+	var out []solution
+	for ri, row := range rows {
+		if ri%cancelCheckRows == 0 && r.cancelled() {
+			return nil, r.cancelErr()
+		}
+		ext, err := r.groupRows(p, []solution{row}, ctx, nil, false)
+		if err != nil {
+			return nil, err
+		}
+		if len(ext) == 0 {
+			out = append(out, row)
+		} else {
+			out = append(out, ext...)
+		}
+	}
+	return out, nil
+}
+
+// minusRows removes rows compatible with (and sharing a variable with)
+// any right-side solution, compacting an owned chunk into its own header.
+func (r *run) minusRows(rows, right []solution, owned bool) []solution {
+	var kept []solution
+	if owned {
+		kept = outFor(rows, true)
+	}
+	for ri, row := range rows {
+		if ri%cancelCheckRows == 0 && r.cancelled() {
+			break
+		}
+		excluded := false
+		for _, rr := range right {
+			if compatibleSharing(row, rr) {
+				excluded = true
+				break
+			}
+		}
+		if !excluded {
+			kept = append(kept, row)
+		}
+	}
+	return kept
 }
 
 // unionIter buffers its input once and replays it through each branch's
@@ -736,9 +805,6 @@ func (b *bgpIter) advance(i int) ([]solution, error) {
 		}
 		batch := lvl.buf[:n:n]
 		lvl.buf = lvl.buf[n:]
-		if w := b.kr.workersFor(n); lvl.sp != nil && w > lvl.sp.Workers {
-			lvl.sp.Workers = w
-		}
 		return b.kr.joinPatternPar(lvl.p, batch, owned)
 	}
 	out := b.free.header()
@@ -1123,7 +1189,7 @@ func (e *Engine) evaluate(ctx context.Context, q *Query, id obs.TraceID, drive f
 	if root == nil {
 		return nil, err
 	}
-	root.Finish(r.delivered, 1)
+	root.Finish(r.delivered)
 	tr := &obs.Trace{ID: id, Start: start, Root: root,
 		Rows: r.acct.Rows(), Bytes: r.acct.Bytes(), PeakBytes: r.acct.Peak()}
 	e.tracer.Collect(tr)

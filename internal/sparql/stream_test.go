@@ -353,7 +353,7 @@ func TestStreamMemLimit(t *testing.T) {
 }
 
 // TestChunkSizeOption pins the option semantics: n <= 0 selects the
-// default, the same convention as WithParallelism.
+// default.
 func TestChunkSizeOption(t *testing.T) {
 	st := streamTestStore(t)
 	if got := NewEngine(st).ChunkSize(); got != defaultChunkSize {
@@ -637,7 +637,7 @@ func TestFreeListHoldsAtMostOneChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(st, WithChunkSize(minParallelRows), WithParallelism(1), WithPlanner(false))
+	eng := NewEngine(st, WithChunkSize(minParallelRows), WithPlanner(false))
 	r, pq := eng.newRun(context.Background(), q, nil)
 	free := &rowList{max: eng.chunkSize}
 	body, owned := r.streamGroup(pq.Where, &sliceSource{rows: r.seed(), chunk: eng.chunkSize}, graphCtx{}, nil, free)

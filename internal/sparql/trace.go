@@ -17,12 +17,12 @@ import (
 // an untraced one (stream.go); every stage additionally owns a span
 // that accumulates across its next() calls — rows in (pulled from its
 // upstream), rows out, self wall time (time in the stage's next minus
-// time in its upstream's), bytes charged at its chunk boundary, and the
-// largest worker count any chunk used — and fixes its estimate from the
-// accumulated actual input when the stage closes. Span totals therefore
-// do not depend on the chunk size. Spans are created and written only
-// on the query's coordinating goroutine: stages that fan a chunk out to
-// workers record at the coordinator, and the per-row interiors of
+// time in its upstream's) and bytes charged at its chunk boundary — and
+// fixes its estimate from the accumulated actual input when the stage
+// closes. Span totals therefore do not depend on the chunk size or the
+// join's width. Spans are created and written only on the query's
+// coordinating goroutine: the BGP records its fanned-out joins at the
+// coordinator, and the per-row interiors of
 // OPTIONAL, EXISTS and UNION branches run untraced (on kernel runs),
 // which keeps span volume bounded. When tracing is disabled every hook
 // is a single nil check (the stageTrace and obs.Span methods are
@@ -146,16 +146,6 @@ func (st *stageTrace) span() *obs.Span {
 func (st *stageTrace) charged(b int64) {
 	if st != nil {
 		st.sp.Mem += b
-	}
-}
-
-// rowWorkers records the worker count a row-partitioned kernel uses
-// for an n-row chunk; the span keeps the maximum.
-func (st *stageTrace) rowWorkers(r *run, n int) {
-	if st != nil {
-		if w := r.workersFor(n); w > st.sp.Workers {
-			st.sp.Workers = w
-		}
 	}
 }
 

@@ -25,7 +25,7 @@ func traceOps(s *obs.Span) []string {
 
 func TestQueryTracedTreeShape(t *testing.T) {
 	st := loadStore(t, peopleTTL)
-	e := NewEngine(st, WithParallelism(1))
+	e := NewEngine(st)
 	res, tr, err := e.QueryTracedString(`
 PREFIX ex: <http://example.org/>
 SELECT ?name ?label WHERE {
@@ -116,7 +116,7 @@ func TestEngineTracerCollects(t *testing.T) {
 
 func TestTracedSubSelectAndMinus(t *testing.T) {
 	st := loadStore(t, peopleTTL)
-	e := NewEngine(st, WithParallelism(1))
+	e := NewEngine(st)
 	_, tr, err := e.QueryTracedString(`
 PREFIX ex: <http://example.org/>
 SELECT ?p WHERE {
@@ -214,7 +214,7 @@ func TestTraceOutlineIndependentOfChunkSize(t *testing.T) {
 	} {
 		var want string
 		for _, cs := range []int{1024, 7, 1} {
-			e := NewEngine(st, WithParallelism(1), WithChunkSize(cs))
+			e := NewEngine(st, WithChunkSize(cs))
 			_, tr, err := e.QueryTracedString("PREFIX ex: <http://example.org/>\n" + query)
 			if err != nil {
 				t.Fatalf("chunk=%d: %v\n%s", cs, err, query)

@@ -13,12 +13,14 @@ import (
 
 // TestPlannerCorpusByteIdentical is the planner's acceptance gate for
 // correctness: every QL program under queries/, through both SPARQL
-// translations, at engine parallelism 1, 4, and 8, must return
+// translations, with the engine built under GOMAXPROCS 1, 4 and 8
+// (par=N, atProcs) so that its join fans out that wide, must return
 // byte-identical JSON result tables with the planner on and off. Join
 // reordering and filter pushdown may only change the evaluation order,
 // never the rows, their order (ORDER BY pins it), or their
 // serialization. The suite runs under -race via `make race`, so this
-// doubles as a data-race check on plan sharing across the worker pool.
+// doubles as a data-race check on plan sharing across the join's
+// workers.
 func TestPlannerCorpusByteIdentical(t *testing.T) {
 	env, err := demo.Build(configFor(5000))
 	if err != nil {
@@ -29,8 +31,8 @@ func TestPlannerCorpusByteIdentical(t *testing.T) {
 		t.Fatalf("no QL programs found under queries/: %v", err)
 	}
 	for _, par := range []int{1, 4, 8} {
-		on := sparql.NewEngine(env.Store, sparql.WithParallelism(par))
-		off := sparql.NewEngine(env.Store, sparql.WithParallelism(par), sparql.WithPlanner(false))
+		on := atProcs(par, func() *sparql.Engine { return sparql.NewEngine(env.Store) })
+		off := atProcs(par, func() *sparql.Engine { return sparql.NewEngine(env.Store, sparql.WithPlanner(false)) })
 		for _, file := range files {
 			src, err := os.ReadFile(file)
 			if err != nil {

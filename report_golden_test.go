@@ -80,7 +80,7 @@ func TestExplainEstimatesWithinOrderOfMagnitude(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sparql.NewEngine(env.Store, sparql.WithParallelism(1))
+	eng := sparql.NewEngine(env.Store)
 	_, tr, err := eng.QueryTracedString(p.Translation.Direct)
 	if err != nil {
 		t.Fatal(err)

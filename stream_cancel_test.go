@@ -26,7 +26,7 @@ const streamCancelSeed = 23
 // cancel), a cooperative *sparql.CanceledError, and no leaked
 // goroutines. The pipeline is synchronous — there are no stage
 // goroutines to leak by construction — so the leak check guards the
-// parallel kernels the stages call within a chunk.
+// BGP join's fan-out within a chunk.
 func TestStreamingCancellationCorpus(t *testing.T) {
 	env, err := demo.Build(configFor(5000))
 	if err != nil {
@@ -50,9 +50,8 @@ func TestStreamingCancellationCorpus(t *testing.T) {
 	}
 
 	// Chunk size 1 maximizes the number of chunk boundaries a cancel
-	// can land on; parallelism 4 keeps the worker pool in play.
-	eng := sparql.NewEngine(env.Store,
-		sparql.WithParallelism(4), sparql.WithChunkSize(1))
+	// can land on.
+	eng := sparql.NewEngine(env.Store, sparql.WithChunkSize(1))
 	rng := rand.New(rand.NewSource(streamCancelSeed))
 	before := runtime.NumGoroutine()
 
@@ -106,7 +105,7 @@ func TestStreamingCancellationCorpus(t *testing.T) {
 		t.Log("no cancel landed mid-flight; corpus too fast for the drawn delays")
 	}
 
-	// Leak check: kernel workers must drain after canceled runs.
+	// Leak check: join workers must drain after canceled runs.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= before+2 {

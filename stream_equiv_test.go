@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -12,6 +13,15 @@ import (
 	"repro/internal/ql"
 	"repro/internal/sparql"
 )
+
+// atProcs builds what build returns while runtime.GOMAXPROCS is procs,
+// then restores the setting. An engine built under it fans its BGP
+// batch join out up to procs wide: the corpus and cancellation
+// matrices name such engines par=procs, the benchmarks procs=procs.
+func atProcs[T any](procs int, build func() T) T {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return build()
+}
 
 // corpusProbe is one query of the queries/ corpus.
 type corpusProbe struct{ name, text string }
@@ -85,12 +95,13 @@ func corpusReference(t *testing.T) map[string]string {
 // both SPARQL translations, plus the raw .rq probes — must return JSON
 // result tables byte-identical to the frozen reference in
 // testdata/corpus_results.golden at chunk sizes 1 (every boundary
-// exercised), 7 (misaligned boundaries), and 1024 (the default), at
-// engine parallelism 1, 4, and 8. The reference was recorded from the
+// exercised), 7 (misaligned boundaries), and 1024 (the default), with
+// the engine built under GOMAXPROCS 1, 4 and 8 (par=N, atProcs), so
+// its join fans out 1, 4 and 8 wide. The reference was recorded from the
 // fully materialized evaluator before it was deleted (PR 13); -update
 // rewrites it from the default engine, so any drift is a reviewable
 // diff. The suite runs under -race via `make race`, so it doubles as a
-// data-race check on the per-chunk kernels.
+// data-race check on the join's fan-out.
 func TestStreamingCorpusByteIdentical(t *testing.T) {
 	env, err := demo.Build(configFor(5000))
 	if err != nil {
@@ -99,7 +110,7 @@ func TestStreamingCorpusByteIdentical(t *testing.T) {
 	probes := corpusProbes(t, env)
 
 	if *updateGolden {
-		eng := sparql.NewEngine(env.Store, sparql.WithParallelism(1))
+		eng := sparql.NewEngine(env.Store)
 		var b strings.Builder
 		for _, p := range probes {
 			res, err := eng.QueryString(p.text)
@@ -123,8 +134,9 @@ func TestStreamingCorpusByteIdentical(t *testing.T) {
 
 	for _, par := range []int{1, 4, 8} {
 		for _, cs := range []int{1, 7, 1024} {
-			eng := sparql.NewEngine(env.Store,
-				sparql.WithParallelism(par), sparql.WithChunkSize(cs))
+			eng := atProcs(par, func() *sparql.Engine {
+				return sparql.NewEngine(env.Store, sparql.WithChunkSize(cs))
+			})
 			for _, p := range probes {
 				t.Run(fmt.Sprintf("par=%d/chunk=%d/%s", par, cs, p.name), func(t *testing.T) {
 					got, err := eng.QueryString(p.text)

@@ -231,7 +231,7 @@ func TestOLAPQueryAllocatesOneChunkOfRows(t *testing.T) {
 	for _, v := range regexp.MustCompile(`\?\w+`).FindAllString(p.Translation.Direct, -1) {
 		width[v] = true
 	}
-	eng := sparql.NewEngine(env.Store, sparql.WithParallelism(1), sparql.WithChunkSize(256))
+	eng := sparql.NewEngine(env.Store, sparql.WithChunkSize(256))
 	cnt, err := eng.QueryString(`SELECT ?o WHERE { ?o a <http://purl.org/linked-data/cube#Observation> }`)
 	if err != nil || cnt.Len() < 1500 {
 		t.Fatalf("counting observations: %d rows, err %v", cnt.Len(), err)

@@ -26,9 +26,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files under testda
 // tree in the planned join order. The outline omits wall times, and the
 // demo generator is deterministic (seed 42), so the output — chosen
 // translation, estimated costs, operators, pattern details, and every
-// intermediate cardinality — must be byte-identical across runs.
-// Parallelism 1 keeps worker annotations out of the tree; the plan
-// itself is parallelism-independent.
+// intermediate cardinality — must be byte-identical across runs, and
+// whatever the join's width (GOMAXPROCS): the tree records none.
 func TestExplainGoldenDemoQuery(t *testing.T) {
 	env, err := demo.Build(configFor(5000))
 	if err != nil {
@@ -38,7 +37,7 @@ func TestExplainGoldenDemoQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := endpoint.NewLocal(env.Store, sparql.WithParallelism(1))
+	client := endpoint.NewLocal(env.Store)
 	sel := ql.Choose(client, p.Translation)
 	if sel.Heuristic {
 		t.Fatalf("planner-on local client fell back to heuristic selection: %s", sel)
@@ -145,7 +144,7 @@ func TestTraceOutlineIndependentOfChunkSize(t *testing.T) {
 	for _, p := range corpusProbes(t, env) {
 		var outline string
 		for _, cs := range []int{1024, 7, 1} {
-			eng := sparql.NewEngine(env.Store, sparql.WithParallelism(1), sparql.WithChunkSize(cs))
+			eng := sparql.NewEngine(env.Store, sparql.WithChunkSize(cs))
 			res, tr, err := eng.QueryTracedString(p.text)
 			if err != nil {
 				t.Fatalf("%s chunk=%d: %v", p.name, cs, err)
@@ -219,7 +218,7 @@ func TestStitchedTraceGoldenMaryHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := endpoint.NewServer(env.Store, sparql.WithParallelism(1))
+	srv := endpoint.NewServer(env.Store)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -319,7 +318,7 @@ func BenchmarkConcurrentQuerySampled(b *testing.B) {
 	gmp := runtime.GOMAXPROCS(0)
 	for _, rate := range []float64{-1, 0.01} {
 		name := "sample=off"
-		opts := []sparql.Option{sparql.WithParallelism(1)}
+		var opts []sparql.Option
 		if rate >= 0 {
 			name = fmt.Sprintf("sample=%g", rate)
 			opts = append(opts,

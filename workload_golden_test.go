@@ -15,7 +15,7 @@ import (
 // TestWorkloadGoldenQueriesCorpus pins the canonical /workload view of
 // the queries/ corpus against a golden file: every QL program's two
 // SPARQL translations are evaluated with resource accounting on a
-// deterministic demo store (seed 42, parallelism 1), folded into a
+// deterministic demo store (seed 42), folded into a
 // workload registry, and rendered with the timing-dependent columns
 // zeroed (Canonical). Shape hashes, per-shape counts, and the
 // accounted rows/bytes are all deterministic for a fixed corpus, so
@@ -26,7 +26,7 @@ func TestWorkloadGoldenQueriesCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sparql.NewEngine(env.Store, sparql.WithParallelism(1))
+	eng := sparql.NewEngine(env.Store)
 
 	files, err := filepath.Glob("queries/*.ql")
 	if err != nil || len(files) == 0 {
