@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -337,21 +338,23 @@ func benchmarkExecute(b *testing.B, v ql.Variant) {
 }
 
 // BenchmarkBGPStar isolates the join core on the shape every generated
-// query has: the nine-pattern observation star of the Mary query
+// query has: the nine-pattern BGP of the Mary query
 // (testdata/explain_mary.golden) without its FILTERs, so all 20k
 // observations cross every join level and nothing else — no grouping,
-// no sort — runs. Rows are streamed and counted, with the engine built
+// no sort — runs. Its four patterns on ?o after the one that binds ?o
+// are one STAR level (DESIGN §16 "The star walk"), so the BGP is six
+// levels, not nine. Rows are streamed and counted, with the engine built
 // under GOMAXPROCS 1 and then the host's value (procs=N), which is the
 // width its batch join fans out to. The consumer is the projection,
 // which returns every chunk to the pipeline once it has built its own
 // rows (DESIGN §16), so what is left per observation is the projected
-// row: 7.54 MB/op and 21 333 allocs/op at width 1, where a fresh
+// row: 7.55 MB/op and 21 363 allocs/op at width 1, where a fresh
 // pipeline row per observation on top took 18.35 MB and 40 599 before
-// chunks were returned (A-chunk-return). With the dictionary's read lock gone from every
-// lookup, width 1 reads 37.8 ms and width 2 31.8 ms (-benchtime 20x,
-// median of three, 2 cores), against 48.3 and 42.1 ms when the two
-// workers shared that lock (A-lockfree-dict); A-one-fan-out has them
-// as procs=1 and procs=2.
+// chunks were returned (A-chunk-return). The star walk took procs=1
+// from 63.3 to 46.8 ms and procs=2 from 57.9 to 42.6 ms (-benchtime 20x,
+// median of three alternating runs, 2 cores, on a host about 1.7×
+// slower than the one that read 37.8 and 31.8 ms in A-lockfree-dict;
+// A-star-walk).
 func BenchmarkBGPStar(b *testing.B) {
 	env := enrichedEnv(b, demoScale)
 	q, err := sparql.ParseQuery(`
@@ -739,7 +742,9 @@ SELECT ?c (SUM(?v) AS ?total) WHERE {
 // A-own-chunks) took 15.41 MB and 21 597 and cloning through every
 // OPTIONAL 50.10 MB and 62 147 (A-chunk-return). It reads 33.0 ms/op
 // (-benchtime 20x, median of three, 2 cores), 40.9 ms while every
-// lookup took the dictionary's read lock (A-lockfree-dict).
+// lookup took the dictionary's read lock (A-lockfree-dict). Walking the
+// observation star once per row took it from 59.6 to 40.5 ms and from
+// 2 021 to 1 708 allocs/op on a host about 1.7× slower (A-star-walk).
 func BenchmarkGroupFold(b *testing.B) {
 	env := enrichedEnv(b, demoScale)
 	pq, ok := demo.FindPredefinedQuery("continent-year")
@@ -765,6 +770,162 @@ func BenchmarkGroupFold(b *testing.B) {
 		if res.Len() == 0 {
 			b.Fatal("no rows")
 		}
+	}
+}
+
+// BenchmarkOLAPFloor measures how far the engine is from the floor of
+// its own storage layout (ROADMAP item 4(a)): continent-year and Mary
+// written by hand in Go against Snapshot.Range and ids — no SPARQL, no
+// rows, no term decoded but the measure — beside their direct
+// translations run by the engine on the same store (engine). The floor
+// reads each roll-up step, Range(*, p, *), into an ID → ID table once
+// per query, walks the observations — the dataset's POS run for
+// continent-year; for Mary the observations whose geo is the country
+// named France, keeping those whose citizen's continent is named
+// Africa — reading each observation's SPO run once, sums the measure per
+// cell, and looks up the label of every member of every cell. Both arms
+// must agree on the number of cells and on their total. engine ÷ floor
+// is the headroom left to any join kernel (EXPERIMENTS.md A-star-walk).
+func BenchmarkOLAPFloor(b *testing.B) {
+	env := enrichedEnv(b, demoScale)
+	snap := env.Store.Snapshot()
+	id := func(iri string) store.ID {
+		v, ok := snap.Lookup(rdf.NewIRI(iri))
+		if !ok {
+			b.Fatalf("%s is not in the store", iri)
+		}
+		return v
+	}
+	const (
+		schema   = "http://www.fing.edu.uy/inco/cubes/schemas/migr_asyapp#"
+		property = "http://eurostat.linked-statistics.org/property#"
+	)
+	dataSet, ds := id("http://purl.org/linked-data/cube#dataSet"), id("http://eurostat.linked-statistics.org/data/migr_asyappctzm")
+	obsValue := id("http://purl.org/linked-data/sdmx/2009/measure#obsValue")
+	citizen, geo := id(property+"citizen"), id(property+"geo")
+	refPeriod := id("http://purl.org/linked-data/sdmx/2009/dimension#refPeriod")
+	continent, quarter, year := id(schema+"continent"), id(schema+"quarter"), id(schema+"year")
+	continentName, countryName := id(schema+"continentName"), id(schema+"countryName")
+	label := id("http://www.w3.org/2000/01/rdf-schema#label")
+
+	// edges reads the roll-up step p into an ID → ID table.
+	edges := func(p store.ID) map[store.ID]store.ID {
+		m := make(map[store.ID]store.ID)
+		for _, t := range snap.Range(store.NoID, store.IDTriple{P: p}) {
+			m[t.S] = t.O
+		}
+		return m
+	}
+	// named returns the members whose attribute p reads name.
+	named := func(p store.ID, name string) map[store.ID]bool {
+		m := make(map[store.ID]bool)
+		for _, t := range snap.Range(store.NoID, store.IDTriple{P: p}) {
+			if snap.Term(t.O).Value == name {
+				m[t.S] = true
+			}
+		}
+		return m
+	}
+	floor := func(mary bool) (cells int, total float64) {
+		cont, quart, yr := edges(continent), edges(quarter), edges(year)
+		var obs []store.IDTriple
+		var africa map[store.ID]bool
+		if mary {
+			africa = named(continentName, "Africa")
+			for country := range named(countryName, "France") {
+				obs = append(obs, snap.Range(store.NoID, store.IDTriple{P: geo, O: country})...)
+			}
+		} else {
+			obs = snap.Range(store.NoID, store.IDTriple{P: dataSet, O: ds})
+		}
+		sums := make(map[[3]store.ID]float64)
+		for _, t := range obs {
+			inDS, v, c, g, r := false, store.NoID, store.NoID, store.NoID, store.NoID
+			for _, u := range snap.Range(store.NoID, store.IDTriple{S: t.S}) {
+				switch u.P {
+				case dataSet:
+					inDS = inDS || u.O == ds
+				case obsValue:
+					v = u.O
+				case citizen:
+					c = u.O
+				case geo:
+					g = u.O
+				case refPeriod:
+					r = u.O
+				}
+			}
+			key := [3]store.ID{cont[c], store.NoID, yr[quart[r]]}
+			if mary {
+				key[1] = g
+			}
+			if !inDS || v == store.NoID || key[0] == store.NoID || key[2] == store.NoID || mary && !africa[key[0]] {
+				continue
+			}
+			x, err := strconv.ParseFloat(snap.Term(v).Value, 64)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sums[key] += x
+		}
+		labels := 0
+		for key, sum := range sums {
+			for _, m := range key {
+				if m != store.NoID {
+					labels += len(snap.Range(store.NoID, store.IDTriple{S: m, P: label}))
+				}
+			}
+			total += sum
+		}
+		if labels == 0 {
+			b.Fatal("no labels")
+		}
+		return len(sums), total
+	}
+
+	for _, name := range []string{"continent-year", "mary"} {
+		pq, ok := demo.FindPredefinedQuery(name)
+		if !ok {
+			b.Fatalf("no predefined %s query", name)
+		}
+		p, err := ql.Prepare(pq.QL, env.Schema)
+		if err != nil {
+			b.Fatal(err)
+		}
+		q, err := sparql.ParseQuery(p.Translation.Direct)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng := sparql.NewEngine(env.Store)
+		res, err := eng.Select(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		total := 0.0
+		for _, row := range res.Rows {
+			x, err := strconv.ParseFloat(row[len(row)-1].Value, 64)
+			if err != nil {
+				b.Fatal(err)
+			}
+			total += x
+		}
+		if cells, sum := floor(name == "mary"); cells != res.Len() || sum != total {
+			b.Fatalf("%s: the floor has %d cells totalling %v, the engine %d totalling %v", name, cells, sum, res.Len(), total)
+		}
+		b.Run(name+"/floor", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				floor(name == "mary")
+			}
+		})
+		b.Run(name+"/engine", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Select(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

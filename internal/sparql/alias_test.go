@@ -218,7 +218,8 @@ func sortedKeys(res *Results) []string {
 // first in a UNION branch or an EXISTS group, after a replayed input,
 // before an ORDER BY that retains every chunk and a GROUP BY that retains
 // first rows — and then the fixed operator queries of
-// operatorQueries over parallelFixture. Every result must be the multiset
+// operatorQueries over parallelFixture and the star shapes of
+// starQueries. Every result must be the multiset
 // the nested-loop reference of refeval_test.go computes, and the very
 // same table — order included — at every chunk size, with the rows a
 // pipeline's consumer returns left as they are and poisoned (withPoison):
@@ -278,6 +279,30 @@ func TestAliasingAgainstReference(t *testing.T) {
 	for i, src := range operatorQueries {
 		check(st, fmt.Sprintf("operator query %d", i), src)
 	}
+	st = aliasFixture(rand.New(rand.NewSource(31)))
+	for i, src := range starQueries {
+		check(st, fmt.Sprintf("star query %d", i), src)
+	}
+}
+
+// starQueries put star levels (DESIGN §16 "The star walk") over an
+// aliasFixture where they can go wrong: multi-valued members (ex:v twice
+// in one star), a constant object, an object an earlier member binds
+// (?l), a star under input rows VALUES binds to value twins, a star in a
+// nested OPTIONAL group, a named graph, and a subject that only an
+// OPTIONAL above the BGP binds, which must not form a star. The planner
+// joins a pattern that matches nothing, or whose object the input binds,
+// first, so members the dictionary lacks and value twins inside a star
+// are TestProbeAgainstNaiveScan's.
+var starQueries = []string{
+	`PREFIX ex: <http://ex/> SELECT * WHERE { ?s ex:a ?a . ?s ex:v ?v . ?s ex:b ?b . ?s ex:v ?w }`,
+	`PREFIX ex: <http://ex/> SELECT * WHERE { ?s ex:self ?x . ?s ex:a ex:M1 . ?s ex:v ?v . ?s ex:b ?b }`,
+	`PREFIX ex: <http://ex/> SELECT * WHERE { ?s ex:self ?x . ?s ex:b ?l . ?s ex:a ?l . ?s ex:v ?v }`,
+	`PREFIX ex: <http://ex/> PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>
+	 SELECT * WHERE { VALUES ?w { 3 "3" "03"^^xsd:integer } ?s ex:a ex:M1 . ?s ex:v ?w . ?s ex:b ?b }`,
+	`PREFIX ex: <http://ex/> SELECT * WHERE { ?s ex:a ?a OPTIONAL { ?s ex:self ?x . ?x ex:v ?v . ?x ex:b ?b } }`,
+	`PREFIX ex: <http://ex/> SELECT * WHERE { GRAPH ex:g1 { ?s ex:a ?a . ?s ex:b ?b . ?s ex:v ?v } }`,
+	`PREFIX ex: <http://ex/> SELECT * WHERE { ?s ex:a ex:M0 . OPTIONAL { ?s ex:self ?x } ?x ex:self ?y . ?x ex:b ?b }`,
 }
 
 // withPoison runs fn with the rows that go back to a pipeline's free list

@@ -32,6 +32,11 @@ type probe struct {
 	// steps holds one probe per IRI step of tp.Path, over the two-slot
 	// row (start, end); nil for a plain pattern.
 	steps map[*PropertyPath]*probe
+
+	// star holds the members of a star level (DESIGN §16 "The star
+	// walk"), each ?s <p> o over the subject at slot[0], which an earlier
+	// level of the BGP binds; nil for a plain pattern.
+	star []*probe
 }
 
 // Bits of the free mask match returns, one per pattern position.
@@ -87,6 +92,122 @@ func (p *probe) compileSteps(path *PropertyPath) {
 	for _, sub := range path.Sub {
 		p.compileSteps(sub)
 	}
+}
+
+// compileStar builds the star level of members, patterns that share the
+// subject variable ?s (starMember). One member the dictionary cannot
+// match makes the whole star dead.
+func (r *run) compileStar(members []TriplePattern, gctx graphCtx) *probe {
+	p := &probe{tp: members[0], snap: r.snap, gid: gctx.gid, slot: [3]int{r.vt.slot(members[0].S.Var), -1, -1}}
+	for _, tp := range members {
+		m := r.compile(tp, gctx)
+		p.dead = p.dead || m.dead
+		p.star = append(p.star, m)
+	}
+	return p
+}
+
+// starMember reports whether tp can join a star on ?s: a plain pattern
+// ?s <constant> o whose object is not ?s again.
+func starMember(tp TriplePattern, s string) bool {
+	return tp.Path == nil && tp.S.IsVar && tp.S.Var == s && !tp.P.IsVar && !(tp.O.IsVar && tp.O.Var == s)
+}
+
+// bindsVar reports whether a pattern of tps has the variable v. Every
+// row a BGP level emits binds all of its pattern's variables; flush asks
+// this once per pattern of every BGP it builds — per row, in a nested
+// pipeline — so it allocates nothing.
+func bindsVar(tps []TriplePattern, v string) bool {
+	for _, tp := range tps {
+		for _, pt := range [3]PatternTerm{tp.S, tp.P, tp.O} {
+			if pt.IsVar && pt.Var == v {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// matches is what one row matched: the run of a plain pattern and the
+// positions the row leaves free, or the sub-run of every member of a
+// star. n counts the candidate rows — the run's triples, or the product
+// of the sub-runs' lengths — before extendAt's checks.
+type matches struct {
+	run  []store.IDTriple
+	free uint8
+	runs [][]store.IDTriple
+	n    int
+}
+
+// matchRow fills m with what row matches. A star looks its subject up
+// once and takes the subject's whole SPO run with one Range; each
+// member's matches are the sub-run of its predicate — and of its object,
+// when that is a constant — which the run holds sorted by (P, O). The
+// sub-run slice is m's, reused from row to row.
+func (p *probe) matchRow(row solution, m *matches) {
+	if p.star == nil {
+		m.run, m.free = p.match(row)
+		m.n = len(m.run)
+		return
+	}
+	if m.n = 0; m.runs == nil {
+		m.runs = make([][]store.IDTriple, len(p.star))
+	}
+	if p.dead {
+		return
+	}
+	s, ok := p.snap.Lookup(row[p.slot[0]])
+	if !ok {
+		return
+	}
+	all := p.snap.Range(p.gid, store.IDTriple{S: s})
+	n := 1
+	for i, mem := range p.star {
+		m.runs[i] = subRun(all, mem.pat.P, mem.pat.O)
+		if n *= len(m.runs[i]); n == 0 {
+			return
+		}
+	}
+	m.n = n
+}
+
+// subRun returns the triples of one subject's SPO run with predicate p
+// and, unless o is NoID, object o.
+func subRun(run []store.IDTriple, p, o store.ID) []store.IDTriple {
+	lo, hi := 0, len(run)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); run[mid].P < p || run[mid].P == p && run[mid].O < o {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	hi = lo
+	for hi < len(run) && run[hi].P == p && (o == store.NoID || run[hi].O == o) {
+		hi++
+	}
+	return run[lo:hi]
+}
+
+// extendAt extends dst by candidate i of m, reporting whether the
+// repeated-variable constraints hold. A star's candidate i is one
+// combination of its members' matches, the last member varying fastest —
+// the order the level-by-level join emits them in. Each member's object
+// goes through bind, so a variable the row or an earlier member already
+// bound is checked, not looked up: exactly what that join matches.
+func (p *probe) extendAt(dst solution, m *matches, i int) bool {
+	if p.star == nil {
+		return p.extend(dst, m.run[i], m.free)
+	}
+	for k := len(m.runs) - 1; k >= 0; k-- {
+		run := m.runs[k]
+		t := run[i%len(run)]
+		i /= len(run)
+		if slot := p.star[k].slot[2]; slot >= 0 && !bind(dst, slot, p.snap.Term(t.O)) {
+			return false
+		}
+	}
+	return true
 }
 
 // match returns the snapshot's triples matching the pattern under row,
@@ -152,40 +273,41 @@ func spill(out []solution) []solution {
 }
 
 // joinPatternOwned extends every solution with the matches of one
-// pattern. When owned is true the chunk is the caller's to reuse: an
-// input row with exactly one match is extended in place instead of
-// cloned, which removes the dominant allocation cost of long functional
-// join chains (one row per observation through every pattern of a
-// generated OLAP query), and the output is compacted into the input's
-// own header; otherwise neither the rows nor the header are mutated.
+// pattern, or of every member of a star. When owned is true the chunk is
+// the caller's to reuse: an input row with exactly one match is extended
+// in place instead of cloned, which removes the dominant allocation cost
+// of long functional join chains (one row per observation through every
+// pattern of a generated OLAP query), and the output is compacted into
+// the input's own header; otherwise neither the rows nor the header are
+// mutated.
 func (r *run) joinPatternOwned(p *probe, rows []solution, owned bool) ([]solution, error) {
 	if p.steps != nil {
 		return r.joinPath(p, rows)
 	}
 	out, inPlace := outFor(rows, owned), owned
+	var m matches
 	for ri, row := range rows {
 		if ri%cancelCheckRows == 0 && r.cancelled() {
 			return nil, r.cancelErr()
 		}
-		run, free := p.match(row)
-		if len(run) == 1 {
+		if p.matchRow(row, &m); m.n == 1 {
 			dst := row
 			if !owned {
 				dst = row.clone()
 			}
-			if p.extend(dst, run[0], free) {
+			if p.extendAt(dst, &m, 0) {
 				out = append(out, dst)
 			}
 			continue
 		}
-		for mi, t := range run {
+		for mi := 0; mi < m.n; mi++ {
 			// A single unselective pattern can match the whole store for
 			// one input row, so the scan itself checks for cancellation
 			// too (stopping the scan; the caller then errors out).
 			if (mi+1)%(cancelCheckRows*4) == 0 && r.cancelled() {
 				break
 			}
-			if nrow := row.clone(); p.extend(nrow, t, free) {
+			if nrow := row.clone(); p.extendAt(nrow, &m, mi) {
 				if inPlace && len(out) > ri {
 					out, inPlace = spill(out), false
 				}

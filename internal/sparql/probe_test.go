@@ -80,14 +80,15 @@ func sameRows(a, b []solution) bool {
 // variables, constants the dictionary has never seen, fully bound
 // existence checks) and random input rows (slots unbound, bound to a
 // stored term, or bound to a never-interned term as a BIND would), the
-// three consumers of probe — joinPatternOwned, rowScan cut at 1, 2 and
-// unlimited rows per emit, and optionalSingle — must produce exactly the
-// nested-loop reference, in its order, and leave rows they do not own
-// untouched. So must the batch join's fan-out, joinPatternPar at widths
-// 1 and 3, over a batch of at least minParallelRows of those rows: on
-// every other pattern the rows with the most matches come first, so the
-// first worker's part outgrows its bounds while the later parts compact
-// in place, which mergeChunks must not copy over.
+// three consumers of probe — joinPatternOwned, rowScan cut at 1, 2, 7,
+// 1 024 and unlimited rows per emit, and optionalSingle — must produce
+// exactly the nested-loop reference, in its order, and leave rows they
+// do not own untouched. So must the batch join's fan-out, joinPatternPar
+// at widths 1 and 3, over a batch of at least minParallelRows of those
+// rows: on every other pattern the rows with the most matches come
+// first, so the first worker's part outgrows its bounds while the later
+// parts compact in place, which mergeChunks must not copy over. The star
+// subtest holds the BGP kernels to the same reference for star levels.
 func TestProbeAgainstNaiveScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	named := rdf.NewIRI("http://t/g")
@@ -151,12 +152,11 @@ func TestProbeAgainstNaiveScan(t *testing.T) {
 				rows[0][r.vt.index["x"]], rows[0][r.vt.index["y"]] = all[0].S, all[0].O
 			}
 
-			var wantJoin, wantOpt []solution
+			var wantOpt []solution
 			perRow := make([][]solution, len(rows))
 			for i, row := range rows {
 				ms := naiveJoin(st.Dict(), all, tp, r.vt, row)
 				perRow[i] = ms
-				wantJoin = append(wantJoin, ms...)
 				if len(ms) == 0 {
 					ms = []solution{row}
 				}
@@ -166,44 +166,6 @@ func TestProbeAgainstNaiveScan(t *testing.T) {
 			fail := func(what string, got, want []solution) {
 				t.Fatalf("trial %d, %s in graph %v over rows %v: %s =\n%v\nwant\n%v", trial, patternDetail(tp), gterm, rows, what, got, want)
 			}
-
-			for _, owned := range []bool{false, true} {
-				in := cloneRows(rows)
-				got, err := r.joinPatternOwned(p, in, owned)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameRows(got, wantJoin) {
-					fail(fmt.Sprintf("joinPatternOwned(owned=%v)", owned), got, wantJoin)
-				}
-				if !owned && !sameRows(in, rows) {
-					fail("input rows after a join that does not own them", in, rows)
-				}
-
-				for _, max := range []int{1, 2, 1 << 20} {
-					in, got := cloneRows(rows), []solution(nil)
-					for _, row := range in {
-						rs := r.newRowScan(p, row, owned, nil)
-						for done := false; !done; {
-							var chunk []solution
-							if done, err = rs.emit(&chunk, max); err != nil {
-								t.Fatal(err)
-							}
-							if len(chunk) > max {
-								t.Fatalf("trial %d: rowScan emitted %d rows past max %d", trial, len(chunk), max)
-							}
-							got = append(got, chunk...)
-						}
-					}
-					if !sameRows(got, wantJoin) {
-						fail(fmt.Sprintf("rowScan(owned=%v, max=%d)", owned, max), got, wantJoin)
-					}
-					if !owned && !sameRows(in, rows) {
-						fail("input rows after a scan that does not own them", in, rows)
-					}
-				}
-			}
-
 			for _, owned := range []bool{false, true} {
 				in := cloneRows(rows)
 				if got := r.optionalSingle(p, in, owned); !sameRows(got, wantOpt) {
@@ -213,37 +175,207 @@ func TestProbeAgainstNaiveScan(t *testing.T) {
 					fail("input rows after an OPTIONAL that does not own them", in, rows)
 				}
 			}
+			checkJoinKernels(t, rng, r, p, rows, perRow, pi%2 == 1, fail)
+		}
+	}
+	t.Run("star", func(t *testing.T) { probeStarsAgainstLevels(t, rng) })
+}
 
-			from := make([]int, minParallelRows+rng.Intn(3*minChunkRows)) // which row each batch row is
-			for i := range from {
-				from[i] = rng.Intn(len(rows))
-			}
-			if pi%2 == 1 {
-				slices.SortStableFunc(from, func(a, b int) int { return len(perRow[b]) - len(perRow[a]) })
-			}
-			batch := make([]solution, len(from))
-			var wantBatch []solution
-			for i, k := range from {
-				batch[i] = rows[k]
-				wantBatch = append(wantBatch, perRow[k]...)
-			}
-			for _, width := range []int{1, 3} {
-				r.e.joinWidth = width
-				for _, owned := range []bool{false, true} {
-					in := cloneRows(batch)
-					got, err := r.joinPatternPar(p, in, owned)
-					if err != nil {
+// checkJoinKernels runs probe p over rows through every consumer of a
+// BGP level — joinPatternOwned, rowScan cut at 1, 2, 7, 1 024 and
+// unlimited rows per emit, and joinPatternPar at widths 1 and 3 over a
+// batch of at least minParallelRows of those rows, with the rows with
+// the most matches first when byMatches is set — on owned and unowned
+// input. Each must produce perRow, the reference output of every row,
+// in order, and leave rows it does not own untouched.
+func checkJoinKernels(t *testing.T, rng *rand.Rand, r *run, p *probe, rows []solution, perRow [][]solution, byMatches bool, fail func(what string, got, want []solution)) {
+	t.Helper()
+	var wantJoin []solution
+	for _, ms := range perRow {
+		wantJoin = append(wantJoin, ms...)
+	}
+	for _, owned := range []bool{false, true} {
+		in := cloneRows(rows)
+		got, err := r.joinPatternOwned(p, in, owned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameRows(got, wantJoin) {
+			fail(fmt.Sprintf("joinPatternOwned(owned=%v)", owned), got, wantJoin)
+		}
+		if !owned && !sameRows(in, rows) {
+			fail("input rows after a join that does not own them", in, rows)
+		}
+
+		for _, max := range []int{1, 2, 7, 1024, 1 << 20} {
+			in, got := cloneRows(rows), []solution(nil)
+			for _, row := range in {
+				rs := r.newRowScan(p, row, owned, nil)
+				for done := false; !done; {
+					var chunk []solution
+					if done, err = rs.emit(&chunk, max); err != nil {
 						t.Fatal(err)
 					}
-					if !sameRows(got, wantBatch) {
-						fail(fmt.Sprintf("joinPatternPar(width=%d, owned=%v) over %d rows", width, owned, len(in)), got, wantBatch)
+					if len(chunk) > max {
+						t.Fatalf("rowScan emitted %d rows past max %d", len(chunk), max)
 					}
-					if !owned && !sameRows(in, batch) {
-						fail("input rows after a fanned-out join that does not own them", in, batch)
-					}
+					got = append(got, chunk...)
 				}
 			}
+			if !sameRows(got, wantJoin) {
+				fail(fmt.Sprintf("rowScan(owned=%v, max=%d)", owned, max), got, wantJoin)
+			}
+			if !owned && !sameRows(in, rows) {
+				fail("input rows after a scan that does not own them", in, rows)
+			}
 		}
+	}
+
+	from := make([]int, minParallelRows+rng.Intn(3*minChunkRows)) // which row each batch row is
+	for i := range from {
+		from[i] = rng.Intn(len(rows))
+	}
+	if byMatches {
+		slices.SortStableFunc(from, func(a, b int) int { return len(perRow[b]) - len(perRow[a]) })
+	}
+	batch := make([]solution, len(from))
+	var wantBatch []solution
+	for i, k := range from {
+		batch[i] = rows[k]
+		wantBatch = append(wantBatch, perRow[k]...)
+	}
+	defer func(w int) { r.e.joinWidth = w }(r.e.joinWidth)
+	for _, width := range []int{1, 3} {
+		r.e.joinWidth = width
+		for _, owned := range []bool{false, true} {
+			in := cloneRows(batch)
+			got, err := r.joinPatternPar(p, in, owned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameRows(got, wantBatch) {
+				fail(fmt.Sprintf("joinPatternPar(width=%d, owned=%v) over %d rows", width, owned, len(in)), got, wantBatch)
+			}
+			if !owned && !sameRows(in, batch) {
+				fail("input rows after a fanned-out join that does not own them", in, batch)
+			}
+		}
+	}
+}
+
+// probeStarsAgainstLevels is the star arm of TestProbeAgainstNaiveScan:
+// on seeded random stores whose subjects carry several values for one
+// predicate (default graph plus one named graph, objects including the
+// value twins "7"^^xsd:integer, "07"^^xsd:integer and "7"), a star of two
+// to four members on ?x — variable objects drawn from a pool of three, so
+// that an earlier member or the input row may bind them, constant
+// objects, and a predicate or object the dictionary has never seen —
+// joined with rows binding ?x to a stored subject or to a never-interned
+// term must produce, through every consumer of a BGP level, exactly the
+// level-by-level join of its members over the nested-loop reference, in
+// its order.
+func probeStarsAgainstLevels(t *testing.T, rng *rand.Rand) {
+	const xsdInteger = "http://www.w3.org/2001/XMLSchema#integer"
+	named := rdf.NewIRI("http://t/g")
+	subjects := make([]rdf.Term, 4)
+	for i := range subjects {
+		subjects[i] = rdf.NewIRI(fmt.Sprintf("http://t/s%d", i))
+	}
+	objects := append(slices.Clone(subjects), rdf.NewIRI("http://t/o"),
+		rdf.NewInteger(7), rdf.NewTypedLiteral("07", xsdInteger), rdf.NewLiteral("7"))
+	preds := []rdf.Term{rdf.NewIRI("http://t/p"), rdf.NewIRI("http://t/q"), rdf.NewIRI("http://t/r")}
+	unseen := []rdf.Term{rdf.NewIRI("http://t/unseen"), rdf.NewTypedLiteral("007", xsdInteger)}
+	vars := []string{"y", "z", "w"}
+	pick := func(ts []rdf.Term) rdf.Term { return ts[rng.Intn(len(ts))] }
+
+	stars, multi := 0, 0 // stars drawn, and those a row extends to several rows
+	for trial := 0; trial < 300; trial++ {
+		st := store.New()
+		for _, g := range []rdf.Term{{}, named} {
+			ts := make([]rdf.Triple, 10+rng.Intn(50))
+			for i := range ts {
+				ts[i] = rdf.NewTriple(pick(subjects), pick(preds), pick(objects))
+			}
+			st.InsertTriples(g, ts)
+		}
+		r := &run{e: NewEngine(st), vt: newVarTable(), snap: st.Snapshot()}
+		x := r.vt.slot("x")
+		for _, v := range vars {
+			r.vt.slot(v)
+		}
+		var gterm rdf.Term
+		var gctx graphCtx
+		if rng.Intn(2) == 0 {
+			gterm = named
+			gctx.gid, _ = r.snap.GraphID(named)
+		}
+		all := r.snap.MatchAll(gterm, rdf.Term{}, rdf.Term{}, rdf.Term{})
+
+		for si := 0; si < 6; si++ {
+			members := make([]TriplePattern, 2+rng.Intn(3))
+			for i := range members {
+				pred := pick(preds)
+				if rng.Intn(15) == 0 {
+					pred = pick(unseen)
+				}
+				obj := VarTerm(vars[rng.Intn(len(vars))])
+				switch k := rng.Intn(12); {
+				case k < 3:
+					obj = ConstTerm(pick(objects))
+				case k == 3:
+					obj = ConstTerm(pick(unseen))
+				}
+				members[i] = TriplePattern{S: VarTerm("x"), P: ConstTerm(pred), O: obj}
+			}
+			rows := make([]solution, 1+rng.Intn(6))
+			for i := range rows {
+				rows[i] = make(solution, len(r.vt.names))
+				for slot := range rows[i] {
+					switch k := rng.Intn(8); {
+					case k < 5:
+					case k < 7:
+						rows[i][slot] = pick(objects)
+					default:
+						rows[i][slot] = pick(unseen)
+					}
+				}
+				rows[i][x] = pick(subjects) // an earlier level bound it
+				if rng.Intn(10) == 0 {
+					rows[i][x] = pick(unseen)
+				}
+			}
+			perRow := make([][]solution, len(rows))
+			for i, row := range rows {
+				level := []solution{row}
+				for _, tp := range members {
+					var next []solution
+					for _, lr := range level {
+						next = append(next, naiveJoin(st.Dict(), all, tp, r.vt, lr)...)
+					}
+					level = next
+				}
+				perRow[i] = level
+			}
+			p := r.compileStar(members, gctx)
+			for _, ms := range perRow {
+				if len(ms) > 1 {
+					multi++
+					break
+				}
+			}
+			stars++
+			fail := func(what string, got, want []solution) {
+				detail := make([]string, len(members))
+				for i, tp := range members {
+					detail[i] = patternDetail(tp)
+				}
+				t.Fatalf("trial %d, star %v in graph %v over rows %v: %s =\n%v\nwant\n%v", trial, detail, gterm, rows, what, got, want)
+			}
+			checkJoinKernels(t, rng, r, p, rows, perRow, si%2 == 1, fail)
+		}
+	}
+	if multi < stars/8 {
+		t.Fatalf("only %d of %d stars extend a row to several rows: the generator no longer reaches multi-valued members", multi, stars)
 	}
 }
 

@@ -60,6 +60,10 @@ import (
 //     level and advances the deepest level with pending work, so a
 //     1-row → 80k-match fan-out is emitted chunk by chunk from the
 //     row's run of matches (rowScan) instead of materialized at once.
+//     A level is one pattern, or a star: consecutive patterns on a
+//     subject an earlier level binds, joined from one lookup of the
+//     subject and one Range over its SPO run per row, in the order the
+//     level-by-level join emits (probe.go, DESIGN §16 "The star walk").
 //   - Every SELECT and ASK result leaves through one delivery loop
 //     (run.stream); Results-returning entry points are collectors over
 //     it. CONSTRUCT and DESCRIBE consume the WHERE stream chunk by chunk
@@ -340,9 +344,25 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, par
 		if len(bgp) == 0 {
 			return
 		}
-		it := &bgpIter{r: r, kr: kr, gctx: gctx, owned: owned, free: free, levels: make([]bgpLevel, len(bgp))}
-		for i, tp := range bgp {
-			it.levels[i].p = r.compile(tp, gctx)
+		it := &bgpIter{r: r, kr: kr, gctx: gctx, owned: owned, free: free, levels: make([]bgpLevel, 0, len(bgp))}
+		// A run of patterns ?s <p> o whose ?s an earlier level binds is
+		// one star level (DESIGN §16 "The star walk"); a subject only the
+		// input binds never is: an OPTIONAL upstream may leave it unbound.
+		for i := 0; i < len(bgp); {
+			j := i + 1
+			if s := bgp[i].S.Var; starMember(bgp[i], s) && bindsVar(bgp[:i], s) {
+				for j < len(bgp) && starMember(bgp[j], s) {
+					j++
+				}
+			}
+			var p *probe
+			if j-i > 1 {
+				p = r.compileStar(bgp[i:j], gctx)
+			} else {
+				p = r.compile(bgp[i], gctx)
+			}
+			it.levels = append(it.levels, bgpLevel{p: p})
+			i = j
 		}
 		if parent != nil {
 			detail := fmt.Sprintf("%d patterns", len(bgp))
@@ -656,9 +676,10 @@ func (g *graphVarIter) close() {
 	g.input = nil
 }
 
-// bgpLevel is one join level of a bgpIter: its compiled pattern, the
-// rows waiting to be joined, the row scan in progress, the account
-// charge held for the buffered rows, and — under tracing — its JOIN span.
+// bgpLevel is one join level of a bgpIter: its compiled pattern or star,
+// the rows waiting to be joined, the row scan in progress, the account
+// charge held for the buffered rows, and — under tracing — its JOIN or
+// STAR span.
 type bgpLevel struct {
 	p    *probe
 	buf  []solution
@@ -668,7 +689,7 @@ type bgpLevel struct {
 }
 
 // bgpIter joins a basic graph pattern incrementally, one level per
-// pattern in the order given. Level 0 consumes input chunks; each
+// pattern or star in the order given. Level 0 consumes input chunks; each
 // advance joins a bounded batch of one level's rows with its pattern
 // and hands the output to the next level. Scheduling is depth-first —
 // always the deepest level with pending work — which bounds every
@@ -695,7 +716,7 @@ type bgpIter struct {
 	estOut int64
 }
 
-// feed hands rows to level i, opening the level's JOIN span on first
+// feed hands rows to level i, opening the level's JOIN or STAR span on first
 // use so the trace lists exactly the joins that received input.
 func (b *bgpIter) feed(i int, rows []solution) {
 	lvl := &b.levels[i]
@@ -712,7 +733,11 @@ func (b *bgpIter) feed(i int, rows []solution) {
 				}
 			}
 		}
-		lvl.sp = b.tr.sp.StartChild("JOIN", patternDetail(lvl.p.tp), 0)
+		op, detail := "JOIN", patternDetail(lvl.p.tp)
+		if lvl.p.star != nil {
+			op, detail = "STAR", starDetail(lvl.p)
+		}
+		lvl.sp = b.tr.sp.StartChild(op, detail, 0)
 	}
 	lvl.sp.In += len(rows)
 }
@@ -840,43 +865,51 @@ func (b *bgpIter) close() {
 		return
 	}
 	// Fix every JOIN's estimate from its accumulated actual input, with
-	// the variables bound by the joins before it.
+	// the variables bound by the joins before it; a STAR chains the
+	// estimate through its members.
 	for l := range b.levels {
 		lvl := &b.levels[l]
 		if lvl.sp == nil {
 			break
 		}
-		b.estOut = b.r.estimateJoin(lvl.p.tp, b.bound, lvl.sp.In, b.gctx)
+		members := lvl.p.star
+		if members == nil {
+			members = []*probe{lvl.p}
+		}
+		b.estOut = int64(lvl.sp.In)
+		for _, m := range members {
+			b.estOut = b.r.estimateJoin(m.tp, b.bound, int(b.estOut), b.gctx)
+			markBound(m.tp, b.bound)
+		}
 		lvl.sp.SetEst(b.estOut)
-		markBound(lvl.p.tp, b.bound)
 	}
 	b.tr = nil // a second close must not re-estimate over the grown bound set
 }
 
-// rowScan joins one row with one pattern resumably: it holds what is
-// left of the row's run of matches — part of the snapshot, so it may be
-// suspended across chunk boundaries for as long as needed — and follows
-// joinPatternOwned's semantics: a single-match row is extended in place
-// when owned instead of cloned, repeated-variable constraints are
-// enforced by probe.extend, and the scan checks cancellation with the
-// same cadence as the batch join's in-scan hook. Clones come from list
-// while it holds rows, and a row whose match fails goes straight back.
+// rowScan joins one row with one pattern or star resumably: it holds the
+// row's matches — part of the snapshot, so it may be suspended across
+// chunk boundaries for as long as needed — and the counter of the next
+// candidate, a star's next combination, and follows joinPatternOwned's
+// semantics: a single-match row is extended in place when owned instead
+// of cloned, repeated-variable constraints are enforced by
+// probe.extendAt, and the scan checks cancellation with the same cadence
+// as the batch join's in-scan hook. Clones come from list while it holds
+// rows, and a row whose match fails goes straight back.
 type rowScan struct {
 	r    *run
 	p    *probe
 	row  solution
 	list *rowList
 
-	rest    []store.IDTriple
-	free    uint8
+	m       matches
+	next    int
 	inPlace bool // an owned row with a single match: extend row itself
-	matches int
 }
 
 func (r *run) newRowScan(p *probe, row solution, owned bool, list *rowList) *rowScan {
 	rs := &rowScan{r: r, p: p, row: row, list: list}
-	rs.rest, rs.free = p.match(row)
-	rs.inPlace = owned && len(rs.rest) == 1
+	p.matchRow(row, &rs.m)
+	rs.inPlace = owned && rs.m.n == 1
 	return rs
 }
 
@@ -885,20 +918,19 @@ func (r *run) newRowScan(p *probe, row solution, owned bool, list *rowList) *row
 // mid-match-list on the next call.
 func (rs *rowScan) emit(out *[]solution, max int) (bool, error) {
 	for len(*out) < max {
-		if len(rs.rest) == 0 {
+		if rs.next == rs.m.n {
 			return true, nil
 		}
-		t := rs.rest[0]
-		rs.rest = rs.rest[1:]
-		rs.matches++
-		if rs.matches%(cancelCheckRows*4) == 0 && rs.r.cancelled() {
+		i := rs.next
+		rs.next++
+		if rs.next%(cancelCheckRows*4) == 0 && rs.r.cancelled() {
 			return false, rs.r.cancelErr()
 		}
 		dst := rs.row
 		if !rs.inPlace {
 			dst = rs.list.clone(rs.row)
 		}
-		if rs.p.extend(dst, t, rs.free) {
+		if rs.p.extendAt(dst, &rs.m, i) {
 			*out = append(*out, dst)
 		} else if !rs.inPlace {
 			rs.list.putRow(dst)

@@ -657,3 +657,82 @@ func TestFreeListHoldsAtMostOneChunk(t *testing.T) {
 			w.widest, w.peak, 3*eng.chunkSize, eng.chunkSize)
 	}
 }
+
+// TestStarFanOutStreams drives one input row whose star has two
+// 300-valued members — 90 000 combinations from one subject's SPO run.
+// The product must arrive in chunks no wider than the chunk size, in the
+// level-by-level join's order (the first member varying slowest), and
+// hold no more of the query account at its peak than a single pattern's
+// fan-out of one row to as many matches; and a scan of the row cancelled
+// mid-product must return context.Canceled within rowScan's cadence.
+func TestStarFanOutStreams(t *testing.T) {
+	ex := func(s string) rdf.Term { return rdf.NewIRI("http://ex/" + s) }
+	const n, chunk = 300, 256
+	star, wide := ex("star"), ex("wide")
+	ts := []rdf.Triple{rdf.NewTriple(star, ex("type"), ex("T")), rdf.NewTriple(wide, ex("tag"), ex("b/000"))}
+	for i := 0; i < n; i++ {
+		ts = append(ts, rdf.NewTriple(star, ex("a"), rdf.NewInteger(int64(i))),
+			rdf.NewTriple(star, ex("b"), ex(fmt.Sprintf("b/%03d", i))))
+	}
+	for i := 0; i < n*n; i++ {
+		ts = append(ts, rdf.NewTriple(wide, ex("c"), rdf.NewInteger(int64(i))))
+	}
+	st := store.New()
+	st.InsertTriples(rdf.Term{}, ts)
+	eng := NewEngine(st, WithChunkSize(chunk), WithPlanner(false))
+
+	// fanOut streams src traced and returns its rows and its account peak.
+	fanOut := func(src string) ([][]rdf.Term, int64) {
+		q, err := ParseQuery("PREFIX ex: <http://ex/> " + src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows [][]rdf.Term
+		tr, err := eng.Stream(context.Background(), q, "fan-out", func([]string) error { return nil },
+			func(c [][]rdf.Term) error {
+				if len(c) > chunk {
+					t.Errorf("%s: a chunk of %d rows at chunk size %d", src, len(c), chunk)
+				}
+				rows = append(rows, c...)
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if isStar, wantStar := strings.Contains(tr.Outline(), "STAR"), !strings.Contains(src, "ex:c"); isStar != wantStar {
+			t.Fatalf("%s ran as\n%s", src, tr.Outline())
+		}
+		return rows, tr.PeakBytes
+	}
+	rows, peak := fanOut("SELECT ?s ?a ?b WHERE { ?s ex:type ex:T . ?s ex:a ?a . ?s ex:b ?b }")
+	if len(rows) != n*n {
+		t.Fatalf("the star's fan-out has %d rows, want %d", len(rows), n*n)
+	}
+	for k, row := range rows {
+		if row[1] != rdf.NewInteger(int64(k/n)) || row[2] != ex(fmt.Sprintf("b/%03d", k%n)) {
+			t.Fatalf("row %d of the star's fan-out is %v, want ?a %d and ?b b/%03d", k, row, k/n, k%n)
+		}
+	}
+	single, singlePeak := fanOut("SELECT ?s ?a ?b WHERE { ?s ex:tag ?b . ?s ex:c ?a }")
+	if len(single) != n*n {
+		t.Fatalf("the single pattern's fan-out has %d rows, want %d", len(single), n*n)
+	}
+	if peak > singlePeak {
+		t.Errorf("the star's fan-out peaks at %d bytes of the account, a single pattern's of as many rows at %d", peak, singlePeak)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := &run{e: eng, vt: newVarTable(), snap: st.Snapshot()}
+	r.bindContext(ctx)
+	row := make(solution, 3)
+	row[r.vt.slot("s")] = star
+	p := r.compileStar([]TriplePattern{
+		{S: VarTerm("s"), P: ConstTerm(ex("a")), O: VarTerm("a")},
+		{S: VarTerm("s"), P: ConstTerm(ex("b")), O: VarTerm("b")},
+	}, graphCtx{})
+	var out []solution
+	if _, err := r.newRowScan(p, row, false, nil).emit(&out, n*n); !errors.Is(err, context.Canceled) || len(out) >= cancelCheckRows*4 {
+		t.Errorf("a cancelled scan of the star emitted %d rows and returned %v, want context.Canceled within %d rows", len(out), err, cancelCheckRows*4)
+	}
+}

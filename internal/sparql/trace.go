@@ -211,6 +211,15 @@ func patternDetail(tp TriplePattern) string {
 	return patternTermDetail(tp.S) + " " + p + " " + patternTermDetail(tp.O)
 }
 
+// starDetail renders a star level as its subject and member predicates.
+func starDetail(p *probe) string {
+	detail := patternTermDetail(p.tp.S)
+	for _, m := range p.star {
+		detail += " " + patternTermDetail(m.tp.P)
+	}
+	return detail
+}
+
 func patternTermDetail(pt PatternTerm) string {
 	if pt.IsVar {
 		return "?" + pt.Var

@@ -66,9 +66,9 @@ func TestRunReportGoldenDemoEnrich(t *testing.T) {
 }
 
 // TestExplainEstimatesWithinOrderOfMagnitude checks the estimated-vs-
-// actual EXPLAIN surface on the paper's demo query: every JOIN operator
-// must carry an estimate, and wherever the operator actually produced
-// rows the estimate must land within one order of magnitude. The demo
+// actual EXPLAIN surface on the paper's demo query: every JOIN and STAR
+// operator must carry an estimate, and wherever the operator actually
+// produced rows the estimate must land within one order of magnitude. The demo
 // cube's statistics are exact (they are recomputed from the loaded
 // data), so only the independence assumption separates est from act.
 func TestExplainEstimatesWithinOrderOfMagnitude(t *testing.T) {
@@ -86,14 +86,18 @@ func TestExplainEstimatesWithinOrderOfMagnitude(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	joins := 0
+	joins, stars := 0, 0
 	tr.Root.Visit(func(s *obs.Span) {
-		if s.Op != "JOIN" {
+		switch s.Op {
+		case "JOIN":
+			joins++
+		case "STAR":
+			stars++
+		default:
 			return
 		}
-		joins++
 		if !s.Estimated() {
-			t.Errorf("JOIN %q has no estimate", s.Detail)
+			t.Errorf("%s %q has no estimate", s.Op, s.Detail)
 			return
 		}
 		if s.Out == 0 {
@@ -101,14 +105,14 @@ func TestExplainEstimatesWithinOrderOfMagnitude(t *testing.T) {
 		}
 		est, act := float64(s.Est), float64(s.Out)
 		if est <= 0 {
-			t.Errorf("JOIN %q: est=%d for act=%d", s.Detail, s.Est, s.Out)
+			t.Errorf("%s %q: est=%d for act=%d", s.Op, s.Detail, s.Est, s.Out)
 			return
 		}
 		if ratio := est / act; ratio > 10 || ratio < 0.1 {
-			t.Errorf("JOIN %q: est=%d act=%d off by more than 10x", s.Detail, s.Est, s.Out)
+			t.Errorf("%s %q: est=%d act=%d off by more than 10x", s.Op, s.Detail, s.Est, s.Out)
 		}
 	})
-	if joins == 0 {
-		t.Fatal("no JOIN spans in the trace")
+	if joins == 0 || stars == 0 {
+		t.Fatalf("%d JOIN and %d STAR spans in the trace, want both", joins, stars)
 	}
 }
