@@ -40,11 +40,11 @@ bench:
 # Machine-readable benchmark snapshot: three fast passes (-short,
 # -benchtime 1x -count 3) over every benchmark, converted to JSON by
 # cmd/benchjson — which keeps the fastest sample of each name — and
-# committed as BENCH_PR31.json so regressions show up in review diffs.
+# committed as BENCH_PR32.json so regressions show up in review diffs.
 # Use `make bench` for real measurements.
 bench-json:
 	$(GO) test -run xxx -bench . -benchmem -short -benchtime 1x -count 3 . \
-	  | $(GO) run ./cmd/benchjson -o BENCH_PR31.json
+	  | $(GO) run ./cmd/benchjson -o BENCH_PR32.json
 
 # Regression gates. First: diff the previous PR's committed snapshot
 # against this PR's and fail on ns/op regressions. The tool's default
@@ -58,8 +58,8 @@ bench-json:
 # threshold of its planner=off sibling, so turning the cost-based
 # planner on by default can never ship a slowdown.
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare -threshold 0.50 BENCH_PR30.json BENCH_PR31.json
-	$(GO) run ./cmd/benchjson -ablation planner -threshold 0.50 BENCH_PR31.json
+	$(GO) run ./cmd/benchjson -compare -threshold 0.50 BENCH_PR31.json BENCH_PR32.json
+	$(GO) run ./cmd/benchjson -ablation planner -threshold 0.50 BENCH_PR32.json
 
 # SLO gate: boot sparqld on the demo cube, enrich it over HTTP, fire a
 # short seeded mixed workload with `qb2olap bench` through the remote

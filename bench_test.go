@@ -341,20 +341,21 @@ func benchmarkExecute(b *testing.B, v ql.Variant) {
 // query has: the nine-pattern BGP of the Mary query
 // (testdata/explain_mary.golden) without its FILTERs, so all 20k
 // observations cross every join level and nothing else — no grouping,
-// no sort — runs. Its four patterns on ?o after the one that binds ?o
-// are one STAR level (DESIGN §16 "The star walk"), so the BGP is six
-// levels, not nine. Rows are streamed and counted, with the engine built
-// under GOMAXPROCS 1 and then the host's value (procs=N), which is the
-// width its batch join fans out to. The consumer is the projection,
-// which returns every chunk to the pipeline once it has built its own
-// rows (DESIGN §16), so what is left per observation is the projected
-// row: 7.55 MB/op and 21 363 allocs/op at width 1, where a fresh
-// pipeline row per observation on top took 18.35 MB and 40 599 before
-// chunks were returned (A-chunk-return). The star walk took procs=1
-// from 63.3 to 46.8 ms and procs=2 from 57.9 to 42.6 ms (-benchtime 20x,
-// median of three alternating runs, 2 cores, on a host about 1.7×
-// slower than the one that read 37.8 and 31.8 ms in A-lockfree-dict;
-// A-star-walk).
+// no sort — runs. Planned, it is five levels, three of them stars
+// (DESIGN §16): the time roll-up rooted at ?m3_0 quarter ?m3_1 with
+// its year member, ?o refPeriod ?m3_0 rooting ?o's citizen member, the
+// continent join, then a star on the ?o those bind (dataSet, obsValue,
+// geo), and the country name. Rows are streamed and counted, with the
+// engine built under GOMAXPROCS 1 and then the host's value (procs=N),
+// which is the width its batch join fans out to. The consumer is the
+// projection, which returns every chunk to the pipeline once it has
+// built its own rows (DESIGN §16), so what is left per observation is
+// the projected row: 7.55 MB/op and 21 354 allocs/op at width 1, where a
+// fresh pipeline row per observation on top took 18.35 MB and 40 599
+// before chunks were returned (A-chunk-return). The rooted star took
+// procs=1 from 57.0 to 45.6 ms and procs=2 from 48.6 to 42.5 ms
+// (-benchtime 20x, median of three alternating runs, 2 cores;
+// A-rooted-star).
 func BenchmarkBGPStar(b *testing.B) {
 	env := enrichedEnv(b, demoScale)
 	q, err := sparql.ParseQuery(`
@@ -744,7 +745,9 @@ SELECT ?c (SUM(?v) AS ?total) WHERE {
 // (-benchtime 20x, median of three, 2 cores), 40.9 ms while every
 // lookup took the dictionary's read lock (A-lockfree-dict). Walking the
 // observation star once per row took it from 59.6 to 40.5 ms and from
-// 2 021 to 1 708 allocs/op on a host about 1.7× slower (A-star-walk).
+// 2 021 to 1 708 allocs/op on a host about 1.7× slower (A-star-walk);
+// starting the star at the pattern that binds ?o, from 44.2 to 38.2 ms
+// and 1 705 to 1 480 allocs/op (A-rooted-star).
 func BenchmarkGroupFold(b *testing.B) {
 	env := enrichedEnv(b, demoScale)
 	pq, ok := demo.FindPredefinedQuery("continent-year")
@@ -785,7 +788,8 @@ func BenchmarkGroupFold(b *testing.B) {
 // Africa — reading each observation's SPO run once, sums the measure per
 // cell, and looks up the label of every member of every cell. Both arms
 // must agree on the number of cells and on their total. engine ÷ floor
-// is the headroom left to any join kernel (EXPERIMENTS.md A-star-walk).
+// is the headroom left to any join kernel (EXPERIMENTS.md A-star-walk,
+// A-rooted-star).
 func BenchmarkOLAPFloor(b *testing.B) {
 	env := enrichedEnv(b, demoScale)
 	snap := env.Store.Snapshot()

@@ -285,15 +285,19 @@ func TestAliasingAgainstReference(t *testing.T) {
 	}
 }
 
-// starQueries put star levels (DESIGN §16 "The star walk") over an
-// aliasFixture where they can go wrong: multi-valued members (ex:v twice
-// in one star), a constant object, an object an earlier member binds
-// (?l), a star under input rows VALUES binds to value twins, a star in a
-// nested OPTIONAL group, a named graph, and a subject that only an
-// OPTIONAL above the BGP binds, which must not form a star. The planner
-// joins a pattern that matches nothing, or whose object the input binds,
-// first, so members the dictionary lacks and value twins inside a star
-// are TestProbeAgainstNaiveScan's.
+// starQueries put star levels (DESIGN §16 "The star walk", "The rooted
+// star") over an aliasFixture where they can go wrong: multi-valued
+// members (ex:v twice in one star), a constant object, an object an
+// earlier member (?l) or the root (?b) binds, a star under input rows
+// VALUES binds to value twins, a star in a nested OPTIONAL group, a named
+// graph, and a subject that only an OPTIONAL above the BGP binds, which a
+// root must bind again. Most of them run as rooted stars; the rest root a
+// star at ?s's object (ex:self), at a ?s the input binds (VALUES) or an
+// earlier star binds, at ?s ex:self ?s, and follow one with an unrooted
+// star on the root's subject. The planner joins a pattern that matches
+// nothing, or whose object the input binds, first, so members the
+// dictionary lacks and value twins inside a star are
+// TestProbeAgainstNaiveScan's.
 var starQueries = []string{
 	`PREFIX ex: <http://ex/> SELECT * WHERE { ?s ex:a ?a . ?s ex:v ?v . ?s ex:b ?b . ?s ex:v ?w }`,
 	`PREFIX ex: <http://ex/> SELECT * WHERE { ?s ex:self ?x . ?s ex:a ex:M1 . ?s ex:v ?v . ?s ex:b ?b }`,
@@ -303,6 +307,12 @@ var starQueries = []string{
 	`PREFIX ex: <http://ex/> SELECT * WHERE { ?s ex:a ?a OPTIONAL { ?s ex:self ?x . ?x ex:v ?v . ?x ex:b ?b } }`,
 	`PREFIX ex: <http://ex/> SELECT * WHERE { GRAPH ex:g1 { ?s ex:a ?a . ?s ex:b ?b . ?s ex:v ?v } }`,
 	`PREFIX ex: <http://ex/> SELECT * WHERE { ?s ex:a ex:M0 . OPTIONAL { ?s ex:self ?x } ?x ex:self ?y . ?x ex:b ?b }`,
+	`PREFIX ex: <http://ex/> SELECT * WHERE { ?y ex:self ?s . ?s ex:v ?v . ?s ex:b ?b }`,
+	`PREFIX ex: <http://ex/> SELECT * WHERE { VALUES ?s { <http://ex/s/0001> <http://ex/s/0002> <http://ex/s/0400> ex:M1 } ?s ex:v ?v . ?s ex:a ?a . ?s ex:b ?b }`,
+	`PREFIX ex: <http://ex/> SELECT * WHERE { ?s ex:self ?s . ?s ex:v ?v . ?s ex:a ?a }`,
+	`PREFIX ex: <http://ex/> SELECT * WHERE { ?s ex:b ?b . ?s ex:v ?v . ?s ex:a ?b }`,
+	`PREFIX ex: <http://ex/> SELECT * WHERE { ?s ex:self ?x . ?x ex:a ?a . ?s ex:v ?v . ?s ex:b ?b }`,
+	`PREFIX ex: <http://ex/> SELECT * WHERE { ?s ex:a ex:M1 . ?x ex:self ?s . ?s ex:v ?v . ?s ex:b ?b }`,
 }
 
 // withPoison runs fn with the rows that go back to a pipeline's free list

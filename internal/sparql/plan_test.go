@@ -223,8 +223,9 @@ SELECT ?p ?m WHERE {
 // TestPlannerOffMeansWrittenOrder: with WithPlanner(false) the entry
 // points leave the query untouched (no Planned mark) and the pipeline
 // joins a badly written BGP exactly as written; with the planner on the
-// same query joins the selective pattern first. The traced JOIN order
-// is the evidence.
+// same query joins the selective pattern first. The traced join order is
+// the evidence: the two patterns share their subject, so they run as one
+// rooted STAR whose detail is the root pattern, then the member.
 func TestPlannerOffMeansWrittenOrder(t *testing.T) {
 	st := loadStore(t, peopleTTL)
 	q, err := ParseQuery(`PREFIX ex: <http://example.org/>
@@ -239,8 +240,8 @@ SELECT ?name WHERE { ?p ex:name ?name . ?p a ex:Person . }`)
 		}
 		var joins []string
 		tr.Root.Visit(func(s *obs.Span) {
-			if s.Op == "JOIN" {
-				joins = append(joins, s.Detail)
+			if s.Op == "JOIN" || s.Op == "STAR" {
+				joins = append(joins, s.Op+" "+s.Detail)
 			}
 		})
 		return joins
@@ -250,13 +251,13 @@ SELECT ?name WHERE { ?p ex:name ?name . ?p a ex:Person . }`)
 	if off.PlannerEnabled() {
 		t.Fatal("WithPlanner(false) left the planner on")
 	}
-	if got, want := joinOrder(off), []string{"?p name ?name", "?p type Person"}; !reflect.DeepEqual(got, want) {
+	if got, want := joinOrder(off), []string{"STAR ?p name ?name type"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("planner off joined %v, want the written order %v", got, want)
 	}
 	if q.Planned {
 		t.Fatal("planner-off engine marked the query as planned")
 	}
-	if got, want := joinOrder(NewEngine(st)), []string{"?p type Person", "?p name ?name"}; !reflect.DeepEqual(got, want) {
+	if got, want := joinOrder(NewEngine(st)), []string{"STAR ?p type Person name"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("planner on joined %v, want %v", got, want)
 	}
 }
@@ -264,11 +265,13 @@ SELECT ?name WHERE { ?p ex:name ?name . ?p a ex:Person . }`)
 // TestStreamSelectIsPlanned: the incremental entry point plans like
 // Query does. It has no trace to show the join order, so the evidence is
 // the account: starting a badly written BGP from the selective pattern
-// materializes fewer rows than the written order does.
+// materializes fewer rows than the written order does. The selective
+// pattern has a variable predicate, so neither order joins as one star
+// level and the levels' rows are what the account sees.
 func TestStreamSelectIsPlanned(t *testing.T) {
 	st := loadStore(t, peopleTTL)
 	q, err := ParseQuery(`PREFIX ex: <http://example.org/>
-SELECT ?name WHERE { ?p ex:name ?name . ?p a ex:Person . }`)
+SELECT ?name WHERE { ?p ex:name ?name . ?p ?r ex:Robot . }`)
 	if err != nil {
 		t.Fatal(err)
 	}

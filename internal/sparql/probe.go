@@ -35,8 +35,11 @@ type probe struct {
 
 	// star holds the members of a star level (DESIGN §16 "The star
 	// walk"), each ?s <p> o over the subject at slot[0], which an earlier
-	// level of the BGP binds; nil for a plain pattern.
-	star []*probe
+	// level of the BGP binds; nil for a plain pattern. In a rooted star
+	// ("The rooted star") the probe is itself the plain pattern that binds
+	// ?s, at O when subjO is set and at S otherwise.
+	star          []*probe
+	rooted, subjO bool
 }
 
 // Bits of the free mask match returns, one per pattern position.
@@ -95,10 +98,19 @@ func (p *probe) compileSteps(path *PropertyPath) {
 }
 
 // compileStar builds the star level of members, patterns that share the
-// subject variable ?s (starMember). One member the dictionary cannot
+// subject variable ?s (starMember): rooted at root, the pattern that binds
+// ?s, compiled as the star's own probe — or, when root is nil, at the ?s
+// an earlier level binds. One member, or a root, the dictionary cannot
 // match makes the whole star dead.
-func (r *run) compileStar(members []TriplePattern, gctx graphCtx) *probe {
-	p := &probe{tp: members[0], snap: r.snap, gid: gctx.gid, slot: [3]int{r.vt.slot(members[0].S.Var), -1, -1}}
+func (r *run) compileStar(root *TriplePattern, members []TriplePattern, gctx graphCtx) *probe {
+	s := members[0].S.Var
+	var p *probe
+	if root != nil {
+		p = r.compile(*root, gctx)
+		p.rooted, p.subjO = true, !(root.S.IsVar && root.S.Var == s)
+	} else {
+		p = &probe{tp: members[0], snap: r.snap, gid: gctx.gid, slot: [3]int{r.vt.slot(s), -1, -1}}
+	}
 	for _, tp := range members {
 		m := r.compile(tp, gctx)
 		p.dead = p.dead || m.dead
@@ -111,6 +123,21 @@ func (r *run) compileStar(members []TriplePattern, gctx graphCtx) *probe {
 // ?s <constant> o whose object is not ?s again.
 func starMember(tp TriplePattern, s string) bool {
 	return tp.Path == nil && tp.S.IsVar && tp.S.Var == s && !tp.P.IsVar && !(tp.O.IsVar && tp.O.Var == s)
+}
+
+// rootVar returns the variable ?s by which tps[0] roots a star: a plain
+// pattern holding ?s at S or, failing that, at O, followed by a member on
+// ?s; "" when there is none.
+func rootVar(tps []TriplePattern) string {
+	if len(tps) < 2 || tps[0].Path != nil {
+		return ""
+	}
+	for _, pt := range [2]PatternTerm{tps[0].S, tps[0].O} {
+		if pt.IsVar && starMember(tps[1], pt.Var) {
+			return pt.Var
+		}
+	}
+	return ""
 }
 
 // bindsVar reports whether a pattern of tps has the variable v. Every
@@ -128,39 +155,86 @@ func bindsVar(tps []TriplePattern, v string) bool {
 	return false
 }
 
-// matches is what one row matched: the run of a plain pattern and the
-// positions the row leaves free, or the sub-run of every member of a
-// star. n counts the candidate rows — the run's triples, or the product
-// of the sub-runs' lengths — before extendAt's checks.
+// matches is what one row matched: the run of a plain pattern — or of a
+// rooted star's root — and the positions the row leaves free, and the
+// sub-run of every member of a star. n counts the candidate rows — the
+// run's triples, or the product of the sub-runs' lengths — before
+// extendAt's checks. A rooted star's candidates come in groups, one per
+// triple of its root run: at is the root triple the sub-runs belong to,
+// and pos is where the search for the next one's subject starts.
 type matches struct {
-	run  []store.IDTriple
-	free uint8
-	runs [][]store.IDTriple
-	n    int
+	run     []store.IDTriple
+	free    uint8
+	runs    [][]store.IDTriple
+	n       int
+	at, pos int
 }
 
-// matchRow fills m with what row matches. A star looks its subject up
-// once and takes the subject's whole SPO run with one Range; each
-// member's matches are the sub-run of its predicate — and of its object,
-// when that is a constant — which the run holds sorted by (P, O). The
-// sub-run slice is m's, reused from row to row.
+// matchRow fills m with what row matches — for a rooted star, the root
+// run and the first root triple's group. A star takes its subject's whole
+// SPO run at once; each member's matches are the sub-run of its predicate
+// — and of its object, when that is a constant — which the run holds
+// sorted by (P, O). The sub-run slice is m's, reused from row to row.
 func (p *probe) matchRow(row solution, m *matches) {
-	if p.star == nil {
+	if p.star == nil || p.rooted {
 		m.run, m.free = p.match(row)
-		m.n = len(m.run)
+		m.n, m.at = len(m.run), -1
+		if p.rooted {
+			m.n = 0
+			p.nextRoot(m)
+		}
 		return
 	}
+	if m.n = 0; p.dead {
+		return
+	}
+	if s, ok := p.snap.Lookup(row[p.slot[0]]); ok {
+		p.memberRuns(p.snap.Range(p.gid, store.IDTriple{S: s}), m)
+	}
+}
+
+// nextRoot moves a rooted star's m to the group of the next root
+// triple, reporting false once the root run is done — and at once for
+// every other shape, whose one group matchRow filled. The triple's
+// subject is its own S (O when subjO is set): no Lookup. A root run is
+// one run of an ordering whose prefix the root's bound positions form,
+// so its subjects mostly ascend, and SubjectRun searches forward from
+// the previous subject's run; a repeated subject keeps its group.
+func (p *probe) nextRoot(m *matches) bool {
+	if !p.rooted || m.at+1 >= len(m.run) {
+		return false
+	}
+	m.at++
+	s := p.subject(m.run[m.at])
+	if m.at > 0 && s == p.subject(m.run[m.at-1]) {
+		return true
+	}
+	var all []store.IDTriple
+	all, m.pos = p.snap.SubjectRun(p.gid, s, m.pos)
+	p.memberRuns(all, m)
+	return true
+}
+
+// subject returns the id at a rooted star's subject position of t.
+func (p *probe) subject(t store.IDTriple) store.ID {
+	if p.subjO {
+		return t.O
+	}
+	return t.S
+}
+
+// single reports whether m holds exactly one candidate, the rule for
+// extending a row in place: a rooted star's root run has one triple too.
+func (p *probe) single(m *matches) bool {
+	return m.n == 1 && (!p.rooted || len(m.run) == 1)
+}
+
+// memberRuns fills m with each member's sub-run of all, one subject's
+// SPO run, and n with the product of their lengths.
+func (p *probe) memberRuns(all []store.IDTriple, m *matches) {
 	if m.n = 0; m.runs == nil {
 		m.runs = make([][]store.IDTriple, len(p.star))
 	}
-	if p.dead {
-		return
-	}
-	s, ok := p.snap.Lookup(row[p.slot[0]])
-	if !ok {
-		return
-	}
-	all := p.snap.Range(p.gid, store.IDTriple{S: s})
 	n := 1
 	for i, mem := range p.star {
 		m.runs[i] = subRun(all, mem.pat.P, mem.pat.O)
@@ -189,15 +263,19 @@ func subRun(run []store.IDTriple, p, o store.ID) []store.IDTriple {
 	return run[lo:hi]
 }
 
-// extendAt extends dst by candidate i of m, reporting whether the
-// repeated-variable constraints hold. A star's candidate i is one
+// extendAt extends dst by candidate i of m's group, reporting whether
+// the repeated-variable constraints hold. A star's candidate i is one
 // combination of its members' matches, the last member varying fastest —
-// the order the level-by-level join emits them in. Each member's object
-// goes through bind, so a variable the row or an earlier member already
-// bound is checked, not looked up: exactly what that join matches.
+// the order the level-by-level join emits them in — after a rooted
+// star's root triple. Each member's object goes through bind, so a
+// variable the row, the root or an earlier member already bound is
+// checked, not looked up: exactly what that join matches.
 func (p *probe) extendAt(dst solution, m *matches, i int) bool {
 	if p.star == nil {
 		return p.extend(dst, m.run[i], m.free)
+	}
+	if p.rooted && !p.extend(dst, m.run[m.at], m.free) {
+		return false
 	}
 	for k := len(m.runs) - 1; k >= 0; k-- {
 		run := m.runs[k]
@@ -290,7 +368,7 @@ func (r *run) joinPatternOwned(p *probe, rows []solution, owned bool) ([]solutio
 		if ri%cancelCheckRows == 0 && r.cancelled() {
 			return nil, r.cancelErr()
 		}
-		if p.matchRow(row, &m); m.n == 1 {
+		if p.matchRow(row, &m); p.single(&m) {
 			dst := row
 			if !owned {
 				dst = row.clone()
@@ -300,18 +378,25 @@ func (r *run) joinPatternOwned(p *probe, rows []solution, owned bool) ([]solutio
 			}
 			continue
 		}
-		for mi := 0; mi < m.n; mi++ {
-			// A single unselective pattern can match the whole store for
-			// one input row, so the scan itself checks for cancellation
-			// too (stopping the scan; the caller then errors out).
-			if (mi+1)%(cancelCheckRows*4) == 0 && r.cancelled() {
-				break
-			}
-			if nrow := row.clone(); p.extendAt(nrow, &m, mi) {
-				if inPlace && len(out) > ri {
-					out, inPlace = spill(out), false
+		// A single unselective pattern can match the whole store for one
+		// input row, so the scan itself checks for cancellation too
+		// (stopping the scan; the caller then errors out), counting every
+		// candidate and every root triple a rooted star visits.
+	scan:
+		for tick := 0; ; {
+			for mi := 0; mi < m.n; mi++ {
+				if tick++; tick%(cancelCheckRows*4) == 0 && r.cancelled() {
+					break scan
 				}
-				out = append(out, nrow)
+				if nrow := row.clone(); p.extendAt(nrow, &m, mi) {
+					if inPlace && len(out) > ri {
+						out, inPlace = spill(out), false
+					}
+					out = append(out, nrow)
+				}
+			}
+			if tick++; !p.nextRoot(&m) || tick%(cancelCheckRows*4) == 0 && r.cancelled() {
+				break
 			}
 		}
 	}

@@ -88,7 +88,8 @@ func sameRows(a, b []solution) bool {
 // rows: on every other pattern the rows with the most matches come
 // first, so the first worker's part outgrows its bounds while the later
 // parts compact in place, which mergeChunks must not copy over. The star
-// subtest holds the BGP kernels to the same reference for star levels.
+// and rooted subtests hold the BGP kernels to the same reference for star
+// levels.
 func TestProbeAgainstNaiveScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	named := rdf.NewIRI("http://t/g")
@@ -178,7 +179,8 @@ func TestProbeAgainstNaiveScan(t *testing.T) {
 			checkJoinKernels(t, rng, r, p, rows, perRow, pi%2 == 1, fail)
 		}
 	}
-	t.Run("star", func(t *testing.T) { probeStarsAgainstLevels(t, rng) })
+	t.Run("star", func(t *testing.T) { probeStarsAgainstLevels(t, rng, false) })
+	t.Run("rooted", func(t *testing.T) { probeStarsAgainstLevels(t, rng, true) })
 }
 
 // checkJoinKernels runs probe p over rows through every consumer of a
@@ -273,8 +275,13 @@ func checkJoinKernels(t *testing.T, rng *rand.Rand, r *run, p *probe, rows []sol
 // joined with rows binding ?x to a stored subject or to a never-interned
 // term must produce, through every consumer of a BGP level, exactly the
 // level-by-level join of its members over the nested-loop reference, in
-// its order.
-func probeStarsAgainstLevels(t *testing.T, rng *rand.Rand) {
+// its order. With rooted set it is the rooted arm: each star has a root
+// pattern before its members, holding ?x at S — with an object that is
+// free (a POS run whose subjects do not ascend), bound by the row, a
+// constant or ?x again — or at O, under a subject that is a variable or a
+// constant, and its predicate and constants may be unknown to the
+// dictionary; rows mostly leave ?x for the root to bind.
+func probeStarsAgainstLevels(t *testing.T, rng *rand.Rand, rooted bool) {
 	const xsdInteger = "http://www.w3.org/2001/XMLSchema#integer"
 	named := rdf.NewIRI("http://t/g")
 	subjects := make([]rdf.Term, 4)
@@ -288,8 +295,12 @@ func probeStarsAgainstLevels(t *testing.T, rng *rand.Rand) {
 	vars := []string{"y", "z", "w"}
 	pick := func(ts []rdf.Term) rdf.Term { return ts[rng.Intn(len(ts))] }
 
-	stars, multi := 0, 0 // stars drawn, and those a row extends to several rows
-	for trial := 0; trial < 300; trial++ {
+	stars, multi, descend := 0, 0, 0 // stars drawn, those a row extends to several rows, and rooted ones whose root run's subjects descend
+	trials := 300
+	if rooted {
+		trials = 100 // a root multiplies the rows the reference joins level by level
+	}
+	for trial := 0; trial < trials; trial++ {
 		st := store.New()
 		for _, g := range []rdf.Term{{}, named} {
 			ts := make([]rdf.Triple, 10+rng.Intn(50))
@@ -340,14 +351,42 @@ func probeStarsAgainstLevels(t *testing.T, rng *rand.Rand) {
 					}
 				}
 				rows[i][x] = pick(subjects) // an earlier level bound it
-				if rng.Intn(10) == 0 {
+				switch k := rng.Intn(10); {
+				case k == 0:
 					rows[i][x] = pick(unseen)
+				case rooted && k < 8:
+					rows[i][x] = rdf.Term{} // the root binds it
 				}
+			}
+			var root *TriplePattern
+			levels := members
+			if rooted {
+				term := func(consts []rdf.Term) PatternTerm {
+					switch k := rng.Intn(12); {
+					case k < 7:
+						return VarTerm(vars[rng.Intn(len(vars))])
+					case k == 7:
+						return ConstTerm(pick(unseen))
+					}
+					return ConstTerm(pick(consts))
+				}
+				tp := TriplePattern{S: VarTerm("x"), P: ConstTerm(pick(preds)), O: term(objects)}
+				switch k := rng.Intn(20); {
+				case k < 9:
+					tp.S, tp.O = term(subjects), VarTerm("x")
+				case k == 9:
+					tp.O = VarTerm("x")
+				case k == 10:
+					tp.P = ConstTerm(pick(unseen))
+				case k == 11:
+					tp.P = VarTerm(vars[rng.Intn(len(vars))])
+				}
+				root, levels = &tp, append([]TriplePattern{tp}, members...)
 			}
 			perRow := make([][]solution, len(rows))
 			for i, row := range rows {
 				level := []solution{row}
-				for _, tp := range members {
+				for _, tp := range levels {
 					var next []solution
 					for _, lr := range level {
 						next = append(next, naiveJoin(st.Dict(), all, tp, r.vt, lr)...)
@@ -356,17 +395,24 @@ func probeStarsAgainstLevels(t *testing.T, rng *rand.Rand) {
 				}
 				perRow[i] = level
 			}
-			p := r.compileStar(members, gctx)
+			p := r.compileStar(root, members, gctx)
 			for _, ms := range perRow {
 				if len(ms) > 1 {
 					multi++
 					break
 				}
 			}
+			for _, row := range rows {
+				var m matches
+				if p.matchRow(row, &m); rooted && !slices.IsSortedFunc(m.run, func(a, b store.IDTriple) int { return int(p.subject(a)) - int(p.subject(b)) }) {
+					descend++
+					break
+				}
+			}
 			stars++
 			fail := func(what string, got, want []solution) {
-				detail := make([]string, len(members))
-				for i, tp := range members {
+				detail := make([]string, len(levels))
+				for i, tp := range levels {
 					detail[i] = patternDetail(tp)
 				}
 				t.Fatalf("trial %d, star %v in graph %v over rows %v: %s =\n%v\nwant\n%v", trial, detail, gterm, rows, what, got, want)
@@ -376,6 +422,9 @@ func probeStarsAgainstLevels(t *testing.T, rng *rand.Rand) {
 	}
 	if multi < stars/8 {
 		t.Fatalf("only %d of %d stars extend a row to several rows: the generator no longer reaches multi-valued members", multi, stars)
+	}
+	if rooted && descend < stars/8 {
+		t.Fatalf("only %d of %d rooted stars have a root run whose subjects descend: the generator no longer reaches the search's fallback", descend, stars)
 	}
 }
 
@@ -397,6 +446,30 @@ func TestOwnedOptionalRepeatedVariable(t *testing.T) {
 			t.Errorf("optionalSingle(owned=%v) = %v, want one row with ?x unbound", owned, got)
 		}
 	}
+}
+
+// TestRootedStarInPlaceNeedsOneRootTriple pins the in-place rule of a
+// rooted star: a row is extended in place only when its root run has one
+// triple and every member one match. Here the root run has two triples
+// and the first one member match: extending the owned row in place for
+// the first triple would lose the second triple's row.
+func TestRootedStarInPlaceNeedsOneRootTriple(t *testing.T) {
+	ex := func(s string) rdf.Term { return rdf.NewIRI("http://t/" + s) }
+	st := store.New()
+	st.InsertTriples(rdf.Term{}, []rdf.Triple{
+		rdf.NewTriple(ex("a"), ex("p"), ex("o")), rdf.NewTriple(ex("b"), ex("p"), ex("o")),
+		rdf.NewTriple(ex("a"), ex("q"), rdf.NewInteger(1)), rdf.NewTriple(ex("b"), ex("q"), rdf.NewInteger(2)),
+	})
+	r := &run{e: NewEngine(st), vt: newVarTable(), snap: st.Snapshot()}
+	r.vt.slot("x")
+	r.vt.slot("v")
+	p := r.compileStar(&TriplePattern{S: VarTerm("x"), P: ConstTerm(ex("p")), O: ConstTerm(ex("o"))},
+		[]TriplePattern{{S: VarTerm("x"), P: ConstTerm(ex("q")), O: VarTerm("v")}}, graphCtx{})
+	rows := []solution{make(solution, 2)}
+	want := [][]solution{{{ex("a"), rdf.NewInteger(1)}, {ex("b"), rdf.NewInteger(2)}}}
+	checkJoinKernels(t, rand.New(rand.NewSource(1)), r, p, rows, want, false, func(what string, got, want []solution) {
+		t.Fatalf("%s =\n%v\nwant\n%v", what, got, want)
+	})
 }
 
 // TestOwnedKernelsSpillBeforeOvertaking drives the in-place compaction

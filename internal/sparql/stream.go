@@ -60,10 +60,12 @@ import (
 //     level and advances the deepest level with pending work, so a
 //     1-row → 80k-match fan-out is emitted chunk by chunk from the
 //     row's run of matches (rowScan) instead of materialized at once.
-//     A level is one pattern, or a star: consecutive patterns on a
-//     subject an earlier level binds, joined from one lookup of the
-//     subject and one Range over its SPO run per row, in the order the
-//     level-by-level join emits (probe.go, DESIGN §16 "The star walk").
+//     A level is one pattern, or a star: consecutive patterns on one
+//     subject, each read inside the subject's SPO run, in the order the
+//     level-by-level join emits (probe.go, DESIGN §16). The subject is
+//     the one an earlier level bound, looked up once per row ("The star
+//     walk"), or the one each triple of the star's own root pattern
+//     holds, its run found by a forward search ("The rooted star").
 //   - Every SELECT and ASK result leaves through one delivery loop
 //     (run.stream); Results-returning entry points are collectors over
 //     it. CONSTRUCT and DESCRIBE consume the WHERE stream chunk by chunk
@@ -348,18 +350,24 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, par
 		// A run of patterns ?s <p> o whose ?s an earlier level binds is
 		// one star level (DESIGN §16 "The star walk"); a subject only the
 		// input binds never is: an OPTIONAL upstream may leave it unbound.
+		// Otherwise a pattern that binds ?s roots the run that follows it
+		// ("The rooted star").
 		for i := 0; i < len(bgp); {
-			j := i + 1
-			if s := bgp[i].S.Var; starMember(bgp[i], s) && bindsVar(bgp[:i], s) {
-				for j < len(bgp) && starMember(bgp[j], s) {
-					j++
-				}
+			j, s, rooted := i+1, bgp[i].S.Var, false
+			if !starMember(bgp[i], s) || !bindsVar(bgp[:i], s) {
+				s, rooted = rootVar(bgp[i:]), true
+			}
+			for s != "" && j < len(bgp) && starMember(bgp[j], s) {
+				j++
 			}
 			var p *probe
-			if j-i > 1 {
-				p = r.compileStar(bgp[i:j], gctx)
-			} else {
+			switch {
+			case j == i+1:
 				p = r.compile(bgp[i], gctx)
+			case rooted:
+				p = r.compileStar(&bgp[i], bgp[i+1:j], gctx)
+			default:
+				p = r.compileStar(nil, bgp[i:j], gctx)
 			}
 			it.levels = append(it.levels, bgpLevel{p: p})
 			i = j
@@ -866,20 +874,22 @@ func (b *bgpIter) close() {
 	}
 	// Fix every JOIN's estimate from its accumulated actual input, with
 	// the variables bound by the joins before it; a STAR chains the
-	// estimate through its members.
+	// estimate through its root, if it has one, and its members.
+	chain := func(tp TriplePattern) {
+		b.estOut = b.r.estimateJoin(tp, b.bound, int(b.estOut), b.gctx)
+		markBound(tp, b.bound)
+	}
 	for l := range b.levels {
 		lvl := &b.levels[l]
 		if lvl.sp == nil {
 			break
 		}
-		members := lvl.p.star
-		if members == nil {
-			members = []*probe{lvl.p}
-		}
 		b.estOut = int64(lvl.sp.In)
-		for _, m := range members {
-			b.estOut = b.r.estimateJoin(m.tp, b.bound, int(b.estOut), b.gctx)
-			markBound(m.tp, b.bound)
+		if lvl.p.star == nil || lvl.p.rooted {
+			chain(lvl.p.tp)
+		}
+		for _, m := range lvl.p.star {
+			chain(m.tp)
 		}
 		lvl.sp.SetEst(b.estOut)
 	}
@@ -889,12 +899,13 @@ func (b *bgpIter) close() {
 // rowScan joins one row with one pattern or star resumably: it holds the
 // row's matches — part of the snapshot, so it may be suspended across
 // chunk boundaries for as long as needed — and the counter of the next
-// candidate, a star's next combination, and follows joinPatternOwned's
-// semantics: a single-match row is extended in place when owned instead
-// of cloned, repeated-variable constraints are enforced by
-// probe.extendAt, and the scan checks cancellation with the same cadence
-// as the batch join's in-scan hook. Clones come from list while it holds
-// rows, and a row whose match fails goes straight back.
+// candidate — a star's next combination, under a rooted star's current
+// root triple — and follows joinPatternOwned's semantics: a single-match
+// row is extended in place when owned instead of cloned,
+// repeated-variable constraints are enforced by probe.extendAt, and the
+// scan checks cancellation with the same cadence as the batch join's
+// in-scan hook. Clones come from list while it holds rows, and a row
+// whose match fails goes straight back.
 type rowScan struct {
 	r    *run
 	p    *probe
@@ -902,30 +913,35 @@ type rowScan struct {
 	list *rowList
 
 	m       matches
-	next    int
+	next    int  // the next candidate of m's group
+	tick    int  // candidates and root triples visited, for the cancellation cadence
 	inPlace bool // an owned row with a single match: extend row itself
 }
 
 func (r *run) newRowScan(p *probe, row solution, owned bool, list *rowList) *rowScan {
 	rs := &rowScan{r: r, p: p, row: row, list: list}
 	p.matchRow(row, &rs.m)
-	rs.inPlace = owned && rs.m.n == 1
+	rs.inPlace = owned && p.single(&rs.m)
 	return rs
 }
 
 // emit appends join results to out until the scan is exhausted
 // (done=true) or out reaches max rows; a suspended scan resumes
-// mid-match-list on the next call.
+// mid-match-list — mid-root-run, in a rooted star — on the next call.
 func (rs *rowScan) emit(out *[]solution, max int) (bool, error) {
 	for len(*out) < max {
+		if rs.tick++; rs.tick%(cancelCheckRows*4) == 0 && rs.r.cancelled() {
+			return false, rs.r.cancelErr()
+		}
 		if rs.next == rs.m.n {
-			return true, nil
+			if !rs.p.nextRoot(&rs.m) {
+				return true, nil
+			}
+			rs.next = 0
+			continue
 		}
 		i := rs.next
 		rs.next++
-		if rs.next%(cancelCheckRows*4) == 0 && rs.r.cancelled() {
-			return false, rs.r.cancelErr()
-		}
 		dst := rs.row
 		if !rs.inPlace {
 			dst = rs.list.clone(rs.row)

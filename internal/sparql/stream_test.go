@@ -618,7 +618,8 @@ func (c *capWatch) next() ([]solution, error) {
 // into a GROUP BY: 300 subjects leave the first level in chunks of 128,
 // the second level's batch join clones each three times with
 // solution.clone — rows that never came from the list — and the fold is
-// handed, and returns, owned chunks of 384. The list must fill to
+// handed, and returns, owned chunks of 384. The second pattern holds ?s
+// at O, so the two stay two levels, not one star. The list must fill to
 // chunkSize rows and never beyond, whatever it is offered: what waits in
 // it is at most the one chunk the account has just released.
 func TestFreeListHoldsAtMostOneChunk(t *testing.T) {
@@ -627,13 +628,13 @@ func TestFreeListHoldsAtMostOneChunk(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		s := ex(fmt.Sprintf("s/%03d", i))
 		ts = append(ts, rdf.NewTriple(s, ex("a"), ex(fmt.Sprintf("M%d", i%5))))
-		for v := int64(0); v < 3; v++ {
-			ts = append(ts, rdf.NewTriple(s, ex("v"), rdf.NewInteger(v)))
+		for v := 0; v < 3; v++ {
+			ts = append(ts, rdf.NewTriple(ex(fmt.Sprintf("w/%03d/%d", i, v)), ex("v"), s))
 		}
 	}
 	st := store.New()
 	st.InsertTriples(rdf.Term{}, ts)
-	q, err := ParseQuery(`PREFIX ex: <http://ex/> SELECT ?a (COUNT(*) AS ?n) WHERE { ?s ex:a ?a . ?s ex:v ?v } GROUP BY ?a`)
+	q, err := ParseQuery(`PREFIX ex: <http://ex/> SELECT ?a (COUNT(*) AS ?n) WHERE { ?s ex:a ?a . ?w ex:v ?s } GROUP BY ?a`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -658,13 +659,17 @@ func TestFreeListHoldsAtMostOneChunk(t *testing.T) {
 	}
 }
 
-// TestStarFanOutStreams drives one input row whose star has two
-// 300-valued members — 90 000 combinations from one subject's SPO run.
-// The product must arrive in chunks no wider than the chunk size, in the
-// level-by-level join's order (the first member varying slowest), and
+// TestStarFanOutStreams drives two 90 000-row fan-outs of star levels.
+// In the first one input row's star has two 300-valued members — 90 000
+// combinations from one subject's SPO run; in the second a rooted star's
+// root run holds 300 subjects with 300 values each. The product must
+// arrive in chunks no wider than the chunk size, in the level-by-level
+// join's order (the root and then the first member varying slowest), and
 // hold no more of the query account at its peak than a single pattern's
-// fan-out of one row to as many matches; and a scan of the row cancelled
-// mid-product must return context.Canceled within rowScan's cadence.
+// fan-out of one row to as many matches. A scan cancelled mid-product
+// must return context.Canceled within rowScan's cadence, and so must a
+// scan of a root run of 90 000 triples none of whose subjects the members
+// match: every root triple the scan visits counts.
 func TestStarFanOutStreams(t *testing.T) {
 	ex := func(s string) rdf.Term { return rdf.NewIRI("http://ex/" + s) }
 	const n, chunk = 300, 256
@@ -674,6 +679,13 @@ func TestStarFanOutStreams(t *testing.T) {
 		ts = append(ts, rdf.NewTriple(star, ex("a"), rdf.NewInteger(int64(i))),
 			rdf.NewTriple(star, ex("b"), ex(fmt.Sprintf("b/%03d", i))))
 	}
+	for i := 0; i < n; i++ {
+		s := ex(fmt.Sprintf("r/%03d", i))
+		ts = append(ts, rdf.NewTriple(s, ex("type"), ex("R")))
+		for v := 0; v < n; v++ {
+			ts = append(ts, rdf.NewTriple(s, ex("a"), rdf.NewInteger(int64(v))))
+		}
+	}
 	for i := 0; i < n*n; i++ {
 		ts = append(ts, rdf.NewTriple(wide, ex("c"), rdf.NewInteger(int64(i))))
 	}
@@ -681,8 +693,9 @@ func TestStarFanOutStreams(t *testing.T) {
 	st.InsertTriples(rdf.Term{}, ts)
 	eng := NewEngine(st, WithChunkSize(chunk), WithPlanner(false))
 
-	// fanOut streams src traced and returns its rows and its account peak.
-	fanOut := func(src string) ([][]rdf.Term, int64) {
+	// fanOut streams src traced, checks that its BGP ends in level, and
+	// returns its rows and its account peak.
+	fanOut := func(src, level string) ([][]rdf.Term, int64) {
 		q, err := ParseQuery("PREFIX ex: <http://ex/> " + src)
 		if err != nil {
 			t.Fatal(err)
@@ -699,40 +712,64 @@ func TestStarFanOutStreams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if isStar, wantStar := strings.Contains(tr.Outline(), "STAR"), !strings.Contains(src, "ex:c"); isStar != wantStar {
-			t.Fatalf("%s ran as\n%s", src, tr.Outline())
+		if out := tr.Outline(); !strings.Contains(out, "─ "+level+"  [") || strings.Count(out, "STAR") != strings.Count(level, "STAR") {
+			t.Fatalf("%s ran as\n%s\nwant its last level %s", src, out, level)
+		}
+		if len(rows) != n*n {
+			t.Fatalf("%s: the fan-out has %d rows, want %d", src, len(rows), n*n)
 		}
 		return rows, tr.PeakBytes
 	}
-	rows, peak := fanOut("SELECT ?s ?a ?b WHERE { ?s ex:type ex:T . ?s ex:a ?a . ?s ex:b ?b }")
-	if len(rows) != n*n {
-		t.Fatalf("the star's fan-out has %d rows, want %d", len(rows), n*n)
-	}
+	// The one-row level between binds ?x, so the level that binds ?s does
+	// not root the star.
+	rows, peak := fanOut("SELECT ?s ?a ?b WHERE { ?s ex:type ex:T . ?x ex:tag <http://ex/b/000> . ?s ex:a ?a . ?s ex:b ?b }", "STAR ?s a b")
 	for k, row := range rows {
 		if row[1] != rdf.NewInteger(int64(k/n)) || row[2] != ex(fmt.Sprintf("b/%03d", k%n)) {
 			t.Fatalf("row %d of the star's fan-out is %v, want ?a %d and ?b b/%03d", k, row, k/n, k%n)
 		}
 	}
-	single, singlePeak := fanOut("SELECT ?s ?a ?b WHERE { ?s ex:tag ?b . ?s ex:c ?a }")
-	if len(single) != n*n {
-		t.Fatalf("the single pattern's fan-out has %d rows, want %d", len(single), n*n)
+	rooted, rootedPeak := fanOut("SELECT ?s ?a WHERE { ?s ex:type ex:R . ?s ex:a ?a }", "STAR ?s type R a")
+	for k, row := range rooted {
+		if row[0] != ex(fmt.Sprintf("r/%03d", k/n)) || row[1] != rdf.NewInteger(int64(k%n)) {
+			t.Fatalf("row %d of the rooted star's fan-out is %v, want ?s r/%03d and ?a %d", k, row, k/n, k%n)
+		}
 	}
+	// Each against a single pattern's fan-out with as many levels before
+	// it and as many variables.
+	_, singlePeak := fanOut("SELECT ?s ?a ?b WHERE { ?s ex:tag ?b . ?x ex:tag <http://ex/b/000> . ex:wide ex:c ?a }", "JOIN wide c ?a")
 	if peak > singlePeak {
 		t.Errorf("the star's fan-out peaks at %d bytes of the account, a single pattern's of as many rows at %d", peak, singlePeak)
+	}
+	if _, singlePeak = fanOut("SELECT ?s ?a WHERE { ?s ex:c ?a }", "JOIN ?s c ?a"); rootedPeak > singlePeak {
+		t.Errorf("the rooted star's fan-out peaks at %d bytes of the account, a single pattern's of as many rows at %d", rootedPeak, singlePeak)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := &run{e: eng, vt: newVarTable(), snap: st.Snapshot()}
 	r.bindContext(ctx)
-	row := make(solution, 3)
-	row[r.vt.slot("s")] = star
-	p := r.compileStar([]TriplePattern{
+	row := make(solution, 4)
+	ab := []TriplePattern{
 		{S: VarTerm("s"), P: ConstTerm(ex("a")), O: VarTerm("a")},
 		{S: VarTerm("s"), P: ConstTerm(ex("b")), O: VarTerm("b")},
-	}, graphCtx{})
-	var out []solution
-	if _, err := r.newRowScan(p, row, false, nil).emit(&out, n*n); !errors.Is(err, context.Canceled) || len(out) >= cancelCheckRows*4 {
-		t.Errorf("a cancelled scan of the star emitted %d rows and returned %v, want context.Canceled within %d rows", len(out), err, cancelCheckRows*4)
+	}
+	for _, c := range []struct {
+		name string
+		p    *probe
+		s    rdf.Term // what the row binds ?s to
+	}{
+		{"star", r.compileStar(nil, ab, graphCtx{}), star},
+		{"rooted star", r.compileStar(&TriplePattern{S: VarTerm("s"), P: ConstTerm(ex("type")), O: VarTerm("x")}, ab[:1], graphCtx{}), rdf.Term{}},
+		{"rooted star that never matches", r.compileStar(&TriplePattern{S: VarTerm("x"), P: ConstTerm(ex("c")), O: VarTerm("s")}, ab, graphCtx{}), rdf.Term{}},
+	} {
+		row[r.vt.slot("s")] = c.s
+		scan := r.newRowScan(c.p, row, false, nil)
+		if c.name == "rooted star that never matches" && len(scan.m.run) < n*n {
+			t.Fatalf("the root run has %d triples, want %d", len(scan.m.run), n*n)
+		}
+		var out []solution
+		if _, err := scan.emit(&out, n*n); !errors.Is(err, context.Canceled) || len(out) >= cancelCheckRows*4 || scan.tick > cancelCheckRows*4 {
+			t.Errorf("a cancelled scan of the %s emitted %d rows after %d steps and returned %v, want context.Canceled within %d steps", c.name, len(out), scan.tick, err, cancelCheckRows*4)
+		}
 	}
 }

@@ -211,9 +211,13 @@ func patternDetail(tp TriplePattern) string {
 	return patternTermDetail(tp.S) + " " + p + " " + patternTermDetail(tp.O)
 }
 
-// starDetail renders a star level as its subject and member predicates.
+// starDetail renders a star level as its subject — a rooted star's whole
+// root pattern — and its member predicates.
 func starDetail(p *probe) string {
 	detail := patternTermDetail(p.tp.S)
+	if p.rooted {
+		detail = patternDetail(p.tp)
+	}
 	for _, m := range p.star {
 		detail += " " + patternTermDetail(m.tp.P)
 	}

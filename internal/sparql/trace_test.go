@@ -41,11 +41,12 @@ SELECT ?name ?label WHERE {
 	}
 	// The cost-based planner pushes the FILTER to the point where ?name
 	// is first bound, splitting the written 3-pattern BGP and running
-	// the filter before the remaining join and the OPTIONAL.
+	// the filter before the remaining join and the OPTIONAL. The two
+	// patterns before it share ?p and run as one rooted STAR.
 	want := []string{
 		"SELECT",
 		">BGP",
-		">>JOIN", ">>JOIN",
+		">>STAR",
 		">FILTER",
 		">BGP",
 		">>JOIN",
@@ -61,12 +62,14 @@ SELECT ?name ?label WHERE {
 		t.Errorf("root out = %d, want 2", tr.Root.Out)
 	}
 	// The BGP's join chain must expose intermediate cardinalities: the
-	// first join (a Person) yields 3, and every span has in/out set.
+	// first level (a Person with a name) yields 3, and every span has
+	// in/out set. The STAR's detail gives the planner's order: the root
+	// pattern, then the member.
 	bgp := tr.Root.Children[0]
 	if bgp.Children[0].Out != 3 {
 		t.Errorf("first join out = %d, want 3 persons\n%s", bgp.Children[0].Out, tr.Render())
 	}
-	if !strings.Contains(tr.Outline(), "JOIN ?p type Person") {
+	if !strings.Contains(tr.Outline(), "STAR ?p type Person name") {
 		t.Errorf("outline missing shortened pattern detail:\n%s", tr.Outline())
 	}
 }

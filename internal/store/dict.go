@@ -11,10 +11,11 @@
 // What the SPARQL engine does with that: the constants of a pattern are
 // resolved to ids once per query stage; per row, each position the row
 // binds costs one Snapshot.Lookup (term → id) and the match is Range on
-// ids, except in a star — patterns on one subject that an earlier join
-// level bound — where the subject costs one Lookup and one Range(s, *, *)
-// for all of them and each pattern is a binary search inside that SPO
-// run; the positions a match leaves free are decoded through
+// ids. In a star — patterns on one subject — each pattern is a binary
+// search inside the subject's SPO run: the pattern that binds the
+// subject hands its id over (SubjectRun, searching forward from the last
+// subject's run), or else one Lookup and one Range(s, *, *) per row find
+// it. The positions a match leaves free are decoded through
 // Snapshot.Term. Both read arrays the snapshot pinned when it was
 // published, so neither takes a lock: the id → term table is
 // append-only, and the term → id index is an array of ids over it that

@@ -2,7 +2,9 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -329,6 +331,48 @@ func TestPinnedTableUnderWrites(t *testing.T) {
 		}
 		if got, ok := last.Lookup(term); !ok || got != id {
 			t.Fatalf("the last snapshot looks %v up as %d, %v; want %d", term, got, ok, id)
+		}
+	}
+}
+
+// TestSubjectRunAgainstRange checks SubjectRun against Range(g, {S: s})
+// on random graphs, for every subject id the dictionary holds (subjects,
+// ids that are only objects, and one past the last) and every hint from 0
+// to past the end of the ordering — before, at and past the subject's
+// run, and after the runs of subjects above it, where the forward search
+// must fall back. The position it returns must be the run's end in the
+// SPO ordering. An empty graph and a graph that does not exist have no
+// runs.
+func TestSubjectRunAgainstRange(t *testing.T) {
+	if run, pos := New().Snapshot().SubjectRun(NoID, 1, 3); run != nil || pos != 0 {
+		t.Fatalf("an empty graph's SubjectRun = %v, %d", run, pos)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 40; trial++ {
+		st := New()
+		g := rdf.NewIRI("http://ex/g")
+		ts := make([]rdf.Triple, rng.Intn(60))
+		for i := range ts {
+			node := func() rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://ex/n%d", rng.Intn(12))) }
+			ts[i] = rdf.NewTriple(node(), rdf.NewIRI(fmt.Sprintf("http://ex/p%d", rng.Intn(3))), node())
+		}
+		st.InsertTriples(rdf.Term{}, ts)
+		st.InsertTriples(g, ts[:len(ts)/3])
+		sn := st.Snapshot()
+		gid, _ := sn.GraphID(g)
+		for _, graph := range []ID{NoID, gid, ID(1 << 30)} {
+			all := sn.Range(graph, IDTriple{})
+			for s := ID(1); int(s) <= len(sn.terms); s++ {
+				want := sn.Range(graph, IDTriple{S: s})
+				end := sort.Search(len(all), func(i int) bool { return all[i].S > s })
+				for hint := 0; hint <= len(all)+2; hint++ {
+					got, pos := sn.SubjectRun(graph, s, hint)
+					if !slices.Equal(got, want) || pos != end || cap(got) != len(got) {
+						t.Fatalf("trial %d: SubjectRun(graph %d, s %d, hint %d) = %v, %d (cap %d); Range = %v ending at %d",
+							trial, graph, s, hint, got, pos, cap(got), want, end)
+					}
+				}
+			}
 		}
 	}
 }

@@ -122,6 +122,25 @@ func (g *graph) rng(pat IDTriple) []IDTriple {
 	return idx[:hi:hi]
 }
 
+// subjectsUpTo returns the first position at or after from in an SPO
+// ordering whose subject is above s, where none before from is: a
+// position d triples on costs O(log d) comparisons of subjects alone.
+func subjectsUpTo(idx []IDTriple, from int, s ID) int {
+	step := 1
+	for from+step <= len(idx) && idx[from+step-1].S <= s {
+		from += step
+		step *= 2
+	}
+	for hi := min(from+step-1, len(idx)); from < hi; {
+		if m := int(uint(from+hi) >> 1); idx[m].S <= s {
+			from = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return from
+}
+
 // delta is the unpublished writes against one graph. adds and dels are
 // disjoint; len(base)+len(adds)-len(dels) is the graph's size.
 type delta struct {
@@ -505,6 +524,26 @@ func (sn *Snapshot) Range(g ID, pat IDTriple) []IDTriple {
 		return nil
 	}
 	return gr.rng(pat)
+}
+
+// SubjectRun returns Range(g, {S: s}) and the position just past it in
+// the graph's SPO ordering. hint is such a position from an earlier call:
+// when s is above the subject just before it, the run is searched for
+// forward from there (subjectsUpTo), otherwise over the whole ordering —
+// so a caller visiting ascending subjects passes each position on.
+func (sn *Snapshot) SubjectRun(g, s ID, hint int) ([]IDTriple, int) {
+	gr := sn.graphs[g]
+	if gr == nil {
+		return nil, 0
+	}
+	idx, lo := gr.idx[spo], 0
+	if hint > 0 && hint <= len(idx) && idx[hint-1].S < s {
+		lo = subjectsUpTo(idx, hint, s-1)
+	} else {
+		lo = spo.search(idx, IDTriple{S: s}, false)
+	}
+	hi := subjectsUpTo(idx, lo, s)
+	return idx[lo:hi:hi], hi
 }
 
 // Count returns the exact number of triples matching the pattern in
