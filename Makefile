@@ -12,7 +12,7 @@ GO ?= go
 # TestProbeAgainstNaiveScan, ...). Benchmarks are not run here; the
 # 80k-observation fixtures additionally sit behind a -short guard so a
 # `go test -short -bench .` smoke pass stays fast.
-all: build race chaos fuzz-smoke obs-smoke bench-slo bench-smoke bench-json bench-compare
+all: build race chaos fuzz-smoke obs-smoke bench-slo bench-smoke bench-compare
 
 build:
 	$(GO) build ./...
@@ -39,27 +39,33 @@ bench:
 
 # Machine-readable benchmark snapshot: three fast passes (-short,
 # -benchtime 1x -count 3) over every benchmark, converted to JSON by
-# cmd/benchjson — which keeps the fastest sample of each name — and
-# committed as BENCH_PR32.json so regressions show up in review diffs.
-# Use `make bench` for real measurements.
-bench-json:
-	$(GO) test -run xxx -bench . -benchmem -short -benchtime 1x -count 3 . \
-	  | $(GO) run ./cmd/benchjson -o BENCH_PR32.json
+# cmd/benchjson — which keeps the fastest sample of each name. The
+# committed snapshot is BENCH.json, so regressions show up in review
+# diffs; bench-json rewrites it without a gate. Use `make bench` for
+# real measurements.
+BENCH_SNAPSHOT = $(GO) test -run xxx -bench . -benchmem -short -benchtime 1x -count 3 .
 
-# Regression gates. First: diff the previous PR's committed snapshot
-# against this PR's and fail on ns/op regressions. The tool's default
-# threshold is 10%, but the committed snapshots are single-iteration
-# (-benchtime 1x, best of three since PR 19) smoke numbers whose
-# parallel benchmarks swing ±40% run to run, so the gate here uses a
-# noise-tolerant 50%; run `make
-# bench` and benchjson -compare -threshold 0.10 on the output for real
-# regression hunting. Second: the planner ablation gate — within this
-# PR's snapshot, every planner=on sub-benchmark must stay within the
-# threshold of its planner=off sibling, so turning the cost-based
-# planner on by default can never ship a slowdown.
+bench-json:
+	$(BENCH_SNAPSHOT) | $(GO) run ./cmd/benchjson -o BENCH.json
+
+# Regression gates over a fresh snapshot, written to a temp file. First:
+# diff the committed BENCH.json against it and fail on ns/op
+# regressions. The tool's default threshold is 10%, but the snapshots
+# are single-iteration (-benchtime 1x, best of three) smoke numbers
+# whose parallel benchmarks swing ±40% run to run, so the gate here
+# uses a noise-tolerant 50%; run `make bench` and benchjson -compare
+# -threshold 0.10 on the output for real regression hunting. Second:
+# the planner ablation gate — within the fresh snapshot, every
+# planner=on sub-benchmark must stay within the threshold of its
+# planner=off sibling, so turning the cost-based planner on by default
+# can never ship a slowdown. Only when both gates pass does the fresh
+# snapshot replace BENCH.json.
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare -threshold 0.50 BENCH_PR31.json BENCH_PR32.json
-	$(GO) run ./cmd/benchjson -ablation planner -threshold 0.50 BENCH_PR32.json
+	@set -e; tmp=$$(mktemp); trap 'rm -f $$tmp' EXIT; \
+	$(BENCH_SNAPSHOT) | $(GO) run ./cmd/benchjson -o $$tmp; \
+	$(GO) run ./cmd/benchjson -compare -threshold 0.50 BENCH.json $$tmp; \
+	$(GO) run ./cmd/benchjson -ablation planner -threshold 0.50 $$tmp; \
+	cp $$tmp BENCH.json
 
 # SLO gate: boot sparqld on the demo cube, enrich it over HTTP, fire a
 # short seeded mixed workload with `qb2olap bench` through the remote
@@ -106,23 +112,25 @@ bench-concurrent:
 # sampler with slo.json as live alert rules, then drives /metrics
 # (JSON and Prometheus text), /healthz, /readyz, /debug/vars, a traced
 # (?explain=1) query, a CSV, a TSV and a CONSTRUCT response (the server
-# runs -sample 1, so each is a traced request on the one response path;
+# runs -trace 1, so each is a traced request on the one response path;
 # each is checked by its first line), the workload-fingerprint view
 # (/workload, both JSON and text), the time-series API (/timeseries),
 # the alert state (/alerts), the HTML dashboard (/debug/dash, which must
 # carry inline SVG), and the offline trace analyzer over the exported
 # archive.
 # A second short-lived server with an absurdly tight SLO (p99 ≤ 0.1µs)
-# and sub-second burn-rate windows proves the alert pipeline actually
-# fires under load — the negative test that guards against an
-# evaluator that never transitions. curl -f fails the target on any
+# and a 100ms tick proves the alert pipeline actually fires under load
+# — the negative test that guards against an evaluator that never
+# transitions. Its window pair is the ladder's reach, 30s / 6m; the
+# slow level samples every second, so it holds several samples within
+# the 20 requests. curl -f fails the target on any
 # non-200 response; the trap tears the servers down either way.
 obs-smoke:
 	@set -e; \
 	$(GO) build -o /tmp/sparqld-smoke ./cmd/sparqld; \
 	$(GO) build -o /tmp/qb2olap-smoke ./cmd/qb2olap; \
 	rm -f /tmp/sparqld-smoke-traces.jsonl; \
-	/tmp/sparqld-smoke -addr 127.0.0.1:18080 -demo 1000 -trace 8 -sample 1 \
+	/tmp/sparqld-smoke -addr 127.0.0.1:18080 -demo 1000 -trace 1 \
 	  -trace-export /tmp/sparqld-smoke-traces.jsonl \
 	  -slo slo.json -tick 250ms \
 	  -debug-addr 127.0.0.1:18081 >/tmp/sparqld-smoke.log 2>&1 & \
@@ -161,9 +169,8 @@ obs-smoke:
 	/tmp/qb2olap-smoke monitor -endpoint http://127.0.0.1:18080 -once | grep -c 'qb2olap monitor' >/dev/null; \
 	/tmp/qb2olap-smoke trace -in /tmp/sparqld-smoke-traces.jsonl -top 3 | grep -q 'Per-operator breakdown'; \
 	printf '{"max_p99_ms": 0.0001}' > /tmp/slo-tight.json; \
-	/tmp/sparqld-smoke -addr 127.0.0.1:18082 -demo 200 -tick 250ms \
-	  -slo /tmp/slo-tight.json -alert-fast 1s -alert-slow 2s \
-	  >/tmp/sparqld-smoke-alert.log 2>&1 & \
+	/tmp/sparqld-smoke -addr 127.0.0.1:18082 -demo 200 -tick 100ms \
+	  -slo /tmp/slo-tight.json >/tmp/sparqld-smoke-alert.log 2>&1 & \
 	pid2=$$!; trap 'kill $$pid $$pid2 2>/dev/null' EXIT; \
 	for i in $$(seq 1 50); do \
 	  curl -fsS -o /dev/null http://127.0.0.1:18082/healthz 2>/dev/null && break; sleep 0.1; \

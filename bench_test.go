@@ -1059,7 +1059,7 @@ func BenchmarkConcurrentQueryAccounted(b *testing.B) {
 // no sweep: GROUP BY folds on the coordinating goroutine, and the
 // join's fan-out is BenchmarkBGPStar's to measure. The sub-benchmark
 // keeps the name par=1, which no longer names a width, so that the
-// BENCH_PR*.json snapshots stay comparable.
+// committed BENCH.json snapshot stays comparable.
 func BenchmarkParallelGroupBy(b *testing.B) {
 	env := enrichedEnv(b, demoScale)
 	query := `

@@ -1,8 +1,8 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // machine-readable JSON map on stdout (or -o file): benchmark name →
-// ns/op, B/op, allocs/op. It exists so `make bench-json` can snapshot
-// benchmark results (BENCH_PR3.json) without any tooling beyond the Go
-// toolchain.
+// ns/op, B/op, allocs/op. It exists so `make bench-compare` can gate a
+// fresh snapshot against the committed BENCH.json, and then replace it,
+// without any tooling beyond the Go toolchain.
 //
 // Usage:
 //

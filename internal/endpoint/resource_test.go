@@ -8,9 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/rdf"
@@ -289,5 +291,57 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	// literal varies per request but whose shape does not).
 	if snap.Shapes != 2 {
 		t.Errorf("workload shapes = %d, want 2", snap.Shapes)
+	}
+}
+
+// TestProfilerTriggers: with a Profiler set, a query the slow log
+// records captures a heap_slow_* profile, a query aborted over
+// MaxQueryMem captures heap_mem_*, and a fast query within budget
+// captures nothing.
+func TestProfilerTriggers(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		slow     time.Duration
+		memLimit int64
+		status   int
+		prefix   string // "" means no profile
+	}{
+		{"slow", time.Nanosecond, 0, http.StatusOK, "heap_slow_"},
+		{"over-mem", 0, 4 << 10, http.StatusTooManyRequests, "heap_mem_"},
+		{"fast-within-budget", time.Hour, 1 << 40, http.StatusOK, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			prof, err := obs.NewProfiler(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof.MinInterval = time.Nanosecond
+			srv := NewServer(resourceFixture(2000))
+			srv.SlowQuery, srv.MaxQueryMem, srv.Profiler = tc.slow, tc.memLimit, prof
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/sparql?query="+url.QueryEscape(wideQuery), nil))
+			if rec.Code != tc.status {
+				t.Fatalf("status = %d, want %d", rec.Code, tc.status)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, e := range entries {
+				names = append(names, e.Name())
+			}
+			want := 0
+			if tc.prefix != "" {
+				want = 1
+			}
+			if len(names) != want || (want == 1 && !strings.HasPrefix(names[0], tc.prefix)) {
+				t.Errorf("profiles = %v, want %d named %s*", names, want, tc.prefix)
+			}
+			if got := srv.Metrics().Counter("profiles_captured_total").Value(); got != int64(want) {
+				t.Errorf("profiles_captured_total = %d, want %d", got, want)
+			}
+		})
 	}
 }

@@ -143,15 +143,12 @@ type Server struct {
 	// runs for the gauges. Set before the first request.
 	MaxQueryMem int64
 
-	// Profiler, when set, captures trace-ID-stamped heap (and CPU)
-	// profiles into a size-bounded directory whenever a /sparql request
-	// crosses ProfileLatency or its account's peak crosses
-	// ProfileMemBytes. Captures count in profiles_captured_total. Set
-	// all three before the first request (sparqld -profile-dir,
-	// -profile-latency, -profile-mem).
-	Profiler        *obs.Profiler
-	ProfileLatency  time.Duration
-	ProfileMemBytes int64
+	// Profiler, when set, captures a trace-ID-stamped heap profile into
+	// a size-bounded directory for every /sparql request the slow-query
+	// log records (SlowQuery) and every query aborted over MaxQueryMem.
+	// Captures count in profiles_captured_total. Set before the first
+	// request (sparqld -profile-dir).
+	Profiler *obs.Profiler
 
 	// Series, when set, is the registry's time-series history: it adds
 	// /timeseries (windowed JSON API) and /debug/dash (self-refreshing
@@ -165,12 +162,12 @@ type Server struct {
 	Alerts *obs.Alerts
 
 	// ReadyMaxShedRate, when > 0 with Series set, flips /readyz to 503
-	// while the shed rate (queries_shed_total / queries_total) over
-	// ReadyShedWindow (default 1m) exceeds it — a drowning node asks
-	// its load balancer to drain, while /healthz (liveness) stays 200
-	// so the process is not restarted for being popular.
+	// while the shed rate (queries_shed_total / queries_total) over the
+	// last readyShedWindow exceeds it — a drowning node asks its load
+	// balancer to drain, while /healthz (liveness) stays 200 so the
+	// process is not restarted for being popular. sparqld sets it to
+	// the -slo file's max_shed_rate.
 	ReadyMaxShedRate float64
-	ReadyShedWindow  time.Duration
 
 	// inflightN tracks /sparql requests currently in the handler, for
 	// the queries_inflight gauge (the shedding limiter in acquire()
@@ -448,20 +445,16 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			}
 			s.Slow.Record(entry)
 		}
-		// Threshold-triggered profiling: a request that blows past the
-		// latency or peak-memory threshold captures a trace-ID-stamped
-		// heap (and CPU) profile, rate-limited and size-capped by the
-		// profiler itself.
-		if s.Profiler != nil && route == "/sparql" {
-			switch {
-			case s.ProfileLatency > 0 && d >= s.ProfileLatency:
-				if _, ok := s.Profiler.MaybeCapture("slow", ow.traceID); ok {
-					s.mProfiles.Inc()
-				}
-			case s.ProfileMemBytes > 0 && peak >= s.ProfileMemBytes:
-				if _, ok := s.Profiler.MaybeCapture("mem", ow.traceID); ok {
-					s.mProfiles.Inc()
-				}
+		// Threshold-triggered profiling: a slow-logged or over-budget
+		// query captures a trace-ID-stamped heap profile, rate-limited
+		// and size-capped by the profiler itself.
+		if s.Profiler != nil && (slow || outcome == "over-mem") {
+			trigger := "slow"
+			if !slow {
+				trigger = "mem"
+			}
+			if _, ok := s.Profiler.MaybeCapture(trigger, ow.traceID); ok {
+				s.mProfiles.Inc()
 			}
 		}
 		if s.Logger == nil {
@@ -896,13 +889,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	io.WriteString(w, "ok\n")
 }
 
+// readyShedWindow is the window /readyz measures the shed rate over.
+const readyShedWindow = time.Minute
+
 // handleReadyz is the readiness probe: it exercises the read path a
 // query depends on — a store snapshot and the statistics cache — and
 // reports 503 if either fails, so load balancers stop routing before
 // queries start erroring. With Series and ReadyMaxShedRate set it also
-// reports 503 while the windowed shed rate exceeds the threshold —
-// sustained overload drains the node without restarting it (liveness
-// at /healthz is unaffected).
+// reports 503 while the shed rate over readyShedWindow exceeds the
+// threshold — sustained overload drains the node without restarting it
+// (liveness at /healthz is unaffected).
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	ready := struct {
 		Ready    bool    `json:"ready"`
@@ -924,15 +920,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		return nil
 	}()
 	if err == nil && s.Series != nil && s.ReadyMaxShedRate > 0 {
-		window := s.ReadyShedWindow
-		if window <= 0 {
-			window = time.Minute
-		}
-		if rate, ok := s.Series.Ratio("queries_shed_total", "queries_total", window); ok {
+		if rate, ok := s.Series.Ratio("queries_shed_total", "queries_total", readyShedWindow); ok {
 			ready.ShedRate = rate
 			if rate > s.ReadyMaxShedRate {
 				err = fmt.Errorf("shedding %.1f%% of queries over the last %s (limit %.1f%%)",
-					rate*100, window, s.ReadyMaxShedRate*100)
+					rate*100, readyShedWindow, s.ReadyMaxShedRate*100)
 			}
 		}
 	}

@@ -44,7 +44,7 @@ func TestSeriesEndpointsMounted(t *testing.T) {
 	srv.Series.SetNow(clock.Now)
 	rules := []obs.AlertRule{{Name: "shed_rate", Kind: obs.RuleRatio,
 		Num: "queries_shed_total", Den: "queries_total", Max: 0.25}}
-	srv.Alerts = obs.NewAlerts(srv.Series, srv.Metrics(), rules, 5*time.Second, 30*time.Second, nil)
+	srv.Alerts = obs.NewAlerts(srv.Series, srv.Metrics(), rules, nil)
 	srv.Series.OnTick = srv.Alerts.Eval
 
 	h := srv.Handler()
@@ -120,16 +120,16 @@ func TestSeriesEndpointsAbsentWithoutSampler(t *testing.T) {
 }
 
 // TestReadyzShedDrain: with a sampler and ReadyMaxShedRate set, a
-// sustained windowed shed rate flips /readyz to 503 (draining the node
-// at the load balancer) while /healthz stays 200, and recovery flips
-// it back.
+// shed rate sustained over readyShedWindow flips /readyz to 503
+// (draining the node at the load balancer) while /healthz stays 200,
+// and recovery flips it back. Ticks are 10s apart, so each 12-tick
+// phase outlasts the 1m window.
 func TestReadyzShedDrain(t *testing.T) {
 	srv := NewServer(newStoreFromTTL(t, testTTL))
-	srv.Series = obs.NewTimeSeries(srv.Metrics(), []obs.Resolution{{Step: time.Second, Size: 120}})
+	srv.Series = obs.NewTimeSeries(srv.Metrics(), []obs.Resolution{{Step: 10 * time.Second, Size: 120}})
 	clock := newTSClock()
 	srv.Series.SetNow(clock.Now)
 	srv.ReadyMaxShedRate = 0.25
-	srv.ReadyShedWindow = 10 * time.Second
 	h := srv.Handler()
 
 	total := srv.Metrics().Counter("queries_total")
@@ -138,7 +138,7 @@ func TestReadyzShedDrain(t *testing.T) {
 		total.Add(totalN)
 		shed.Add(shedN)
 		srv.Series.Sample()
-		clock.Advance(time.Second)
+		clock.Advance(10 * time.Second)
 	}
 	readyz := func() (int, float64) {
 		rec := httptest.NewRecorder()
@@ -179,9 +179,16 @@ func TestReadyzShedDrain(t *testing.T) {
 		t.Errorf("/healthz = %d during drain, want 200", rec.Code)
 	}
 
-	// Shedding stops; once the window no longer contains shed ticks the
-	// node readmits itself.
-	for i := 0; i < 15; i++ {
+	// Shedding stops. Half a window later the shed ticks still hold the
+	// rate over the threshold; once the window no longer contains them
+	// the node readmits itself.
+	for i := 0; i < 3; i++ {
+		tick(10, 0)
+	}
+	if code, rate := readyz(); code != http.StatusServiceUnavailable || rate <= 0.25 {
+		t.Fatalf("readyz 30s after shedding = %d shedRate=%v, want 503 over 0.25", code, rate)
+	}
+	for i := 0; i < 12; i++ {
 		tick(10, 0)
 	}
 	if code, rate := readyz(); code != http.StatusOK || rate != 0 {

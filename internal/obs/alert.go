@@ -74,21 +74,19 @@ type Alerts struct {
 	state  []*alertState
 }
 
-// NewAlerts builds an evaluator over ts with the given fast/slow
-// windows (zero values default to 5m/1h) and registers its exposition
+// NewAlerts builds an evaluator over ts and registers its exposition
 // in reg: alert_firing{rule="…"} per rule, the alerts_firing count, and
-// alerts_fired_total / alerts_resolved_total transition counters.
-// Transitions are logged to logger when non-nil. Hook Eval into
-// ts.OnTick to evaluate once per sampling tick.
-func NewAlerts(ts *TimeSeries, reg *Registry, rules []AlertRule, fast, slow time.Duration, logger *slog.Logger) *Alerts {
-	if fast <= 0 {
-		fast = 5 * time.Minute
-	}
-	if slow <= 0 {
-		slow = time.Hour
-	}
-	if slow < fast {
-		slow = fast
+// alerts_fired_total / alerts_resolved_total transition counters. The
+// window pair is the reach of ts's ladder levels: fast is level 0's,
+// slow is level 1's, or level 0's again on a one-level ladder — 5m and
+// 1h for NewLadder at a 1s tick. Transitions are logged to logger when
+// non-nil. Hook Eval into ts.OnTick to evaluate once per sampling tick.
+func NewAlerts(ts *TimeSeries, reg *Registry, rules []AlertRule, logger *slog.Logger) *Alerts {
+	ladder := ts.Ladder()
+	fast := ladder[0].Retention()
+	slow := fast
+	if len(ladder) > 1 {
+		slow = ladder[1].Retention()
 	}
 	a := &Alerts{
 		ts:       ts,

@@ -29,14 +29,15 @@ func newAlertHarness(t *testing.T) *alertHarness {
 	h.lat = h.reg.Histogram("query_latency")
 	h.total = h.reg.Counter("queries_total")
 	h.failed = h.reg.Counter("queries_failed_total")
-	h.ts = NewTimeSeries(h.reg, []Resolution{{Step: time.Second, Size: 600}})
+	// A 10s fast and a 60s slow window: the reach of the two levels.
+	h.ts = NewTimeSeries(h.reg, []Resolution{{Step: time.Second, Size: 10}, {Step: time.Second, Size: 60}})
 	h.ts.SetNow(h.clock.Now)
 	rules := []AlertRule{
 		{Name: "p99_latency", Kind: RuleQuantile, Metric: "query_latency", Q: 0.99, Max: 100},
 		{Name: "error_rate", Kind: RuleRatio, Num: "queries_failed_total", Den: "queries_total", Max: 0.05},
 	}
 	logger := slog.New(slog.NewTextHandler(h.logBuf, nil))
-	h.alerts = NewAlerts(h.ts, h.reg, rules, 10*time.Second, 60*time.Second, logger)
+	h.alerts = NewAlerts(h.ts, h.reg, rules, logger)
 	h.ts.OnTick = h.alerts.Eval
 	return h
 }
@@ -177,17 +178,19 @@ func TestAlertRatioRuleAndInsufficientData(t *testing.T) {
 // saturates the fast window must not fire until the slow window also
 // crosses the threshold — the gate that keeps a brief spike from
 // paging — and the exact gating delay is deterministic with a ratio
-// rule (slow-window ratio after k bad ticks of 60 is k/60).
+// rule (the slow window's 60 samples span 59 ticks, so its ratio after
+// k bad ticks is k/59).
 func TestAlertBurnRateGating(t *testing.T) {
 	reg := NewRegistry()
 	total := reg.Counter("queries_total")
 	failed := reg.Counter("queries_failed_total")
-	ts := NewTimeSeries(reg, []Resolution{{Step: time.Second, Size: 600}})
+	// A 5s fast and a 60s slow window: the reach of the two levels.
+	ts := NewTimeSeries(reg, []Resolution{{Step: time.Second, Size: 5}, {Step: time.Second, Size: 60}})
 	clock := newFakeClock()
 	ts.SetNow(clock.Now)
 	rules := []AlertRule{{Name: "error_rate", Kind: RuleRatio,
 		Num: "queries_failed_total", Den: "queries_total", Max: 0.5}}
-	alerts := NewAlerts(ts, reg, rules, 5*time.Second, 60*time.Second, nil)
+	alerts := NewAlerts(ts, reg, rules, nil)
 	ts.OnTick = alerts.Eval
 
 	// 60 healthy ticks fill the slow window with error-free traffic.
@@ -197,8 +200,8 @@ func TestAlertBurnRateGating(t *testing.T) {
 		clock.Advance(time.Second)
 	}
 	// Total failure from here on. The fast window saturates at 1.0
-	// within ~6 ticks; the slow window reaches 0.5 only once bad ticks
-	// outnumber half its span (k/60 > 0.5 → k ≥ 31).
+	// within ~5 ticks; the slow window reaches 0.5 only once bad ticks
+	// outnumber half its span (k/59 > 0.5 → k ≥ 30).
 	firedAt := -1
 	for k := 1; k <= 60; k++ {
 		total.Add(10)
@@ -219,7 +222,7 @@ func TestAlertBurnRateGating(t *testing.T) {
 		}
 	}
 	if firedAt < 30 || firedAt > 35 {
-		t.Errorf("fired at bad-tick %d, want ≈31 (slow-window crossing)", firedAt)
+		t.Errorf("fired at bad-tick %d, want ≈30 (slow-window crossing)", firedAt)
 	}
 }
 
@@ -240,5 +243,25 @@ func TestAlertsHandler(t *testing.T) {
 	}
 	if snap.Firing != 0 {
 		t.Errorf("firing = %d, want 0", snap.Firing)
+	}
+}
+
+// TestAlertWindowsFromLadder: the window pair is the reach of the
+// ladder's first two levels, or level 0's twice on a one-level ladder.
+func TestAlertWindowsFromLadder(t *testing.T) {
+	for _, tc := range []struct {
+		ladder     []Resolution
+		fast, slow time.Duration
+	}{
+		{NewLadder(time.Second, 0), 5 * time.Minute, time.Hour},
+		{NewLadder(100*time.Millisecond, 0), 30 * time.Second, 6 * time.Minute},
+		{[]Resolution{{Step: time.Second, Size: 120}}, 2 * time.Minute, 2 * time.Minute},
+	} {
+		reg := NewRegistry()
+		snap := NewAlerts(NewTimeSeries(reg, tc.ladder), reg, nil, nil).Snapshot()
+		if snap.FastWindowMs != tc.fast.Milliseconds() || snap.SlowWindowMs != tc.slow.Milliseconds() {
+			t.Errorf("ladder %v: windows = %d / %d ms, want %v / %v",
+				tc.ladder, snap.FastWindowMs, snap.SlowWindowMs, tc.fast, tc.slow)
+		}
 	}
 }

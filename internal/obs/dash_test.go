@@ -9,7 +9,7 @@ import (
 
 // dashFixture builds a ticked TimeSeries with the sparqld metric names
 // the default dashboard config reads.
-func dashFixture(t *testing.T) (*TimeSeries, *Registry, *fakeClock) {
+func dashFixture(t *testing.T, ladder []Resolution) (*TimeSeries, *Registry, *fakeClock) {
 	t.Helper()
 	reg := NewRegistry()
 	q := reg.Counter("queries_total")
@@ -17,7 +17,7 @@ func dashFixture(t *testing.T) (*TimeSeries, *Registry, *fakeClock) {
 	reg.Counter("queries_failed_total")
 	reg.Counter("queries_shed_total")
 	reg.Gauge("queries_inflight", func() int64 { return 2 })
-	ts := NewTimeSeries(reg, []Resolution{{Step: time.Second, Size: 300}})
+	ts := NewTimeSeries(reg, ladder)
 	clock := newFakeClock()
 	ts.SetNow(clock.Now)
 	for i := 0; i < 30; i++ {
@@ -30,7 +30,7 @@ func dashFixture(t *testing.T) (*TimeSeries, *Registry, *fakeClock) {
 }
 
 func TestDashHandlerRendersTilesAndSVG(t *testing.T) {
-	ts, _, _ := dashFixture(t)
+	ts, _, _ := dashFixture(t, []Resolution{{Step: time.Second, Size: 300}})
 	h := DashHandler(ts, nil, DefaultDashConfig())
 	rr := httptest.NewRecorder()
 	h(rr, httptest.NewRequest("GET", "/debug/dash", nil))
@@ -62,10 +62,11 @@ func TestDashHandlerRendersTilesAndSVG(t *testing.T) {
 }
 
 func TestDashHandlerAlertBanner(t *testing.T) {
-	ts, reg, clock := dashFixture(t)
+	// A 5s fast and a 20s slow window: the reach of the two levels.
+	ts, reg, clock := dashFixture(t, []Resolution{{Step: time.Second, Size: 5}, {Step: time.Second, Size: 20}})
 	rules := []AlertRule{{Name: "error_rate", Kind: RuleRatio,
 		Num: "queries_failed_total", Den: "queries_total", Max: 0.01}}
-	alerts := NewAlerts(ts, reg, rules, 5*time.Second, 20*time.Second, nil)
+	alerts := NewAlerts(ts, reg, rules, nil)
 	ts.OnTick = alerts.Eval
 	h := DashHandler(ts, alerts, DefaultDashConfig())
 

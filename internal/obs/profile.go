@@ -35,13 +35,7 @@ type Profiler struct {
 	// (<= 0 selects DefaultProfileInterval).
 	MinInterval time.Duration
 
-	// CPUSeconds, when > 0, additionally records a CPU profile of that
-	// many seconds in the background after each heap capture. At most
-	// one CPU profile runs at a time (a Go runtime restriction).
-	CPUSeconds int
-
 	lastCapture atomic.Int64 // unix nanos of the last capture
-	cpuBusy     atomic.Bool
 	captured    atomic.Int64
 	skipped     atomic.Int64
 }
@@ -87,9 +81,8 @@ func (p *Profiler) Skipped() int64 {
 	return p.skipped.Load()
 }
 
-// MaybeCapture records a heap profile (and, when CPUSeconds > 0, kicks
-// off a background CPU profile) if the rate limit allows, returning the
-// heap profile path when one was written. trigger names the threshold
+// MaybeCapture records a heap profile if the rate limit allows,
+// returning its path when one was written. trigger names the threshold
 // that fired ("slow", "mem"); id is the trace of the offending query
 // (may be empty). Nil-safe.
 func (p *Profiler) MaybeCapture(trigger string, id TraceID) (string, bool) {
@@ -110,26 +103,15 @@ func (p *Profiler) MaybeCapture(trigger string, id TraceID) (string, bool) {
 		p.skipped.Add(1) // another trigger won the race
 		return "", false
 	}
-	stamp := now.UnixMilli()
 	tid := string(id)
 	if tid == "" {
 		tid = "untraced"
 	}
-	heapPath := filepath.Join(p.dir, fmt.Sprintf("heap_%s_%d_%s.pprof", trigger, stamp, tid))
+	heapPath := filepath.Join(p.dir, fmt.Sprintf("heap_%s_%d_%s.pprof", trigger, now.UnixMilli(), tid))
 	if err := p.writeHeap(heapPath); err != nil {
 		return "", false
 	}
 	p.captured.Add(1)
-	if p.CPUSeconds > 0 && p.cpuBusy.CompareAndSwap(false, true) {
-		cpuPath := filepath.Join(p.dir, fmt.Sprintf("cpu_%s_%d_%s.pprof", trigger, stamp, tid))
-		go func() {
-			defer p.cpuBusy.Store(false)
-			if err := p.writeCPU(cpuPath, time.Duration(p.CPUSeconds)*time.Second); err == nil {
-				p.captured.Add(1)
-				p.enforceCap()
-			}
-		}()
-	}
 	p.enforceCap()
 	return heapPath, true
 }
@@ -141,20 +123,6 @@ func (p *Profiler) writeHeap(path string) error {
 	}
 	defer f.Close()
 	return pprof.Lookup("heap").WriteTo(f, 0)
-}
-
-func (p *Profiler) writeCPU(path string, d time.Duration) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := pprof.StartCPUProfile(f); err != nil {
-		return err
-	}
-	time.Sleep(d)
-	pprof.StopCPUProfile()
-	return nil
 }
 
 // enforceCap prunes the oldest profiles until the directory fits
