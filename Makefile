@@ -14,9 +14,13 @@ GO ?= go
 # `go test -short -bench .` smoke pass stays fast.
 all: build race chaos fuzz-smoke obs-smoke bench-slo bench-smoke bench-compare
 
+# build also fails when gofmt would rewrite any file.
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+	  echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 	  staticcheck ./... ; \
 	else \

@@ -43,8 +43,8 @@ func TestRenderMonitorFrame(t *testing.T) {
 
 	for _, want := range []string{
 		"qb2olap monitor — http://localhost:8080",
-		"queries",     // rate line
-		"10.0",        // last q/s value
+		"queries",  // rate line
+		"10.0",     // last q/s value
 		"latency",  // quantile line
 		"6.0/60.0", // last p50/p99 pair
 		"in flight",

@@ -311,7 +311,7 @@ func DashHandler(ts *TimeSeries, alerts *Alerts, cfg DashConfig) http.HandlerFun
 			unit, scale := "", 1.0
 			label := name
 			if strings.Contains(name, "bytes") {
-				unit, scale = "MiB", 1 << 20
+				unit, scale = "MiB", 1<<20
 			}
 			gaugeTile(label, name, unit, scale)
 		}

@@ -42,9 +42,9 @@ func TestDashHandlerRendersTilesAndSVG(t *testing.T) {
 		t.Errorf("content type = %q", ctype)
 	}
 	for _, want := range []string{
-		"<svg",        // sparklines rendered inline
-		"<polyline",   // actual series geometry, not an empty frame
-		"throughput",  // stat tiles
+		"<svg",       // sparklines rendered inline
+		"<polyline",  // actual series geometry, not an empty frame
+		"throughput", // stat tiles
 		"latency",
 		"error rate",
 		"in flight",

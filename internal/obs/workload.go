@@ -257,13 +257,13 @@ type ShapeStat struct {
 	Sheds    int64   `json:"sheds,omitempty"`
 	Canceled int64   `json:"canceled,omitempty"`
 	P50Ms    float64 `json:"p50Ms"`
-	P95Ms   float64 `json:"p95Ms"`
-	P99Ms   float64 `json:"p99Ms"`
-	AvgMs   float64 `json:"avgMs"`
-	Rows    int64   `json:"rows"`
-	Bytes   int64   `json:"bytes"`
-	AvgRows float64 `json:"avgRows"`
-	Example string  `json:"example"`
+	P95Ms    float64 `json:"p95Ms"`
+	P99Ms    float64 `json:"p99Ms"`
+	AvgMs    float64 `json:"avgMs"`
+	Rows     int64   `json:"rows"`
+	Bytes    int64   `json:"bytes"`
+	AvgRows  float64 `json:"avgRows"`
+	Example  string  `json:"example"`
 }
 
 // WorkloadSnapshot is a point-in-time view of the registry, shapes

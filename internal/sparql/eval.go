@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 
@@ -531,8 +532,10 @@ type foldGroup struct {
 }
 
 // groupFold is the aggregation breaker's state: the grouped query
-// compiled, and one foldGroup per group met so far — never the input
-// rows.
+// compiled, one foldGroup per group met so far — never the input rows —
+// and the previous row's GROUP BY values and group, which the next row
+// reuses when its values are the same (DESIGN §16 "Consecutive rows
+// repeat their members").
 type groupFold struct {
 	r *run
 	q *Query
@@ -553,6 +556,12 @@ type groupFold struct {
 	groups map[string]*foldGroup
 	list   []*foldGroup // first-occurrence order
 
+	// vals are the current row's GROUP BY values and last the previous
+	// row's — copies of terms, never the row, which goes back to the
+	// pipeline — whose group is lastG, nil before the first row.
+	vals, last []rdf.Term
+	lastG      *foldGroup
+
 	charged int64 // bytes charged to the account for groups and their state
 }
 
@@ -561,6 +570,8 @@ func (r *run) newGroupFold(q *Query) *groupFold {
 		ids:    make(map[rdf.Term]uint32),
 		key:    make([]byte, 4*len(q.GroupBy)),
 		groups: make(map[string]*foldGroup),
+		vals:   make([]rdf.Term, len(q.GroupBy)),
+		last:   make([]rdf.Term, len(q.GroupBy)),
 		proj:   make([]Expression, len(q.Projection)),
 	}
 	for i, it := range q.Projection {
@@ -612,20 +623,28 @@ func (f *groupFold) keyID(t rdf.Term) uint32 {
 }
 
 // add folds one chunk of input rows into the groups and charges what
-// the groups grew by.
+// the groups grew by. A row whose GROUP BY values equal the previous
+// row's under == joins the previous row's group without keyID or the
+// groups map: equal terms have equal ids.
 func (f *groupFold) add(chunk []solution) {
 	var grew int64
 	created := 0
 	for _, row := range chunk {
 		for i, e := range f.keys {
-			v, _ := f.r.evalExpr(e, row) // zero on error: keyID's "no value"
-			binary.LittleEndian.PutUint32(f.key[4*i:], f.keyID(v))
+			f.vals[i], _ = f.r.evalExpr(e, row) // zero on error: keyID's "no value"
 		}
-		g, ok := f.groups[string(f.key)]
-		if !ok {
-			g = f.newGroup(row.clone()) // the one thing kept of a chunk, which goes back to the pipeline
-			created++
-			grew += foldGroupBytes + int64(len(f.key)) + approxRowBytes(row) + aggAccBytes*int64(len(f.aggs))
+		g := f.lastG
+		if g == nil || !slices.Equal(f.vals, f.last) {
+			for i, v := range f.vals {
+				binary.LittleEndian.PutUint32(f.key[4*i:], f.keyID(v))
+			}
+			var ok bool
+			if g, ok = f.groups[string(f.key)]; !ok {
+				g = f.newGroup(row.clone()) // the one thing kept of a chunk, which goes back to the pipeline
+				created++
+				grew += foldGroupBytes + int64(len(f.key)) + approxRowBytes(row) + aggAccBytes*int64(len(f.aggs))
+			}
+			f.vals, f.last, f.lastG = f.last, f.vals, g
 		}
 		for i := range f.aggs {
 			agg := &f.aggs[i]

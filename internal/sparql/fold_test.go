@@ -234,7 +234,13 @@ func refEvalAggregate(r *run, agg ExprAggregate, rows []solution) (rdf.Term, err
 // integer and its string), most have an ex:b from a pool of the same
 // kind, and zero to two ex:v values mixing integers, decimals, doubles
 // whose sum depends on the order of addition, and non-numeric literals.
-func foldFixture(rng *rand.Rand, n int) *store.Store {
+//
+// With runs set, consecutive items mostly repeat the previous item's
+// ex:a and ex:b — or its twin: the other term of its pair above, or for
+// ex:A0 the literal of the same value, which renders apart — and every
+// item is ex:in ex:runs, the pattern runsWhere leads with, so that the
+// WHERE rows meet the fold in item order, twins side by side.
+func foldFixture(rng *rand.Rand, n int, runs bool) *store.Store {
 	ex := func(s string) rdf.Term { return rdf.NewIRI("http://ex/" + s) }
 	aPool := []rdf.Term{
 		ex("A0"), ex("A1"), ex("A2"),
@@ -245,6 +251,24 @@ func foldFixture(rng *rand.Rand, n int) *store.Store {
 	bPool := []rdf.Term{
 		ex("B0"), ex("B1"), rdf.NewLiteral("y"), {Kind: rdf.KindLiteral, Value: "y"}, rdf.NewBlank("b0"),
 	}
+	twin := map[rdf.Term]rdf.Term{ex("A0"): rdf.NewLiteral("http://ex/A0"), rdf.NewLiteral("http://ex/A0"): ex("A0")}
+	for _, pool := range [][]rdf.Term{aPool[3:], bPool[2:4]} {
+		for i := 0; i+1 < len(pool); i += 2 {
+			twin[pool[i]], twin[pool[i+1]] = pool[i+1], pool[i]
+		}
+	}
+	// draw returns the next item's value from pool: under runs mostly
+	// prev, or its twin, again.
+	draw := func(pool []rdf.Term, prev rdf.Term) rdf.Term {
+		if !runs || prev.IsZero() || rng.Intn(5) == 0 {
+			return pool[rng.Intn(len(pool))]
+		}
+		if tw, ok := twin[prev]; ok && rng.Intn(2) == 0 {
+			return tw
+		}
+		return prev
+	}
+	var a, b rdf.Term
 	vPool := []rdf.Term{
 		rdf.NewInteger(1), rdf.NewInteger(2), rdf.NewInteger(7), rdf.NewInteger(-3),
 		rdf.NewDecimal("0.1"), rdf.NewDecimal("0.2"), rdf.NewDecimal("2.5"),
@@ -255,9 +279,16 @@ func foldFixture(rng *rand.Rand, n int) *store.Store {
 	var ts []rdf.Triple
 	for i := 0; i < n; i++ {
 		s := ex(fmt.Sprintf("i/%04d", i))
-		ts = append(ts, rdf.NewTriple(s, ex("a"), aPool[rng.Intn(len(aPool))]))
+		if runs {
+			ts = append(ts, rdf.NewTriple(s, ex("in"), ex("runs")))
+		}
+		a = draw(aPool, a)
+		ts = append(ts, rdf.NewTriple(s, ex("a"), a))
 		if rng.Intn(10) < 7 {
-			ts = append(ts, rdf.NewTriple(s, ex("b"), bPool[rng.Intn(len(bPool))]))
+			b = draw(bPool, b)
+			ts = append(ts, rdf.NewTriple(s, ex("b"), b))
+		} else if !runs || rng.Intn(2) == 0 {
+			b = rdf.Term{} // a run of unbound ?b
 		}
 		for k := rng.Intn(3); k > 0; k-- {
 			pool := vPool
@@ -335,13 +366,33 @@ func foldQuery(rng *rand.Rand) string {
 // also with every chunk the fold returns to the pipeline poisoned
 // (withPoison), so that a group reading its first row where the pipeline
 // left it, instead of its own copy, answers with the sentinel.
+//
+// The runs arm does the same over foldFixture's runs variant, whose WHERE
+// rows repeat their ?a and ?b from row to row, so that the fold's memo of
+// the previous row's group hits most of the time: twins that render alike
+// must still land in one group, a value beside the twin that renders
+// apart in two, and a memo that kept the previous row — which went back
+// to the pipeline — instead of its values must fail.
 func TestFoldAgainstRowAggregation(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
 	trials := 60
 	if testing.Short() {
 		trials = 15
 	}
-	groups := 0
+	foldTrials(t, rand.New(rand.NewSource(20)), trials, false)
+	t.Run("runs", func(t *testing.T) { foldTrials(t, rand.New(rand.NewSource(21)), trials/2, true) })
+}
+
+// runsWhere is the clause foldFixture's runs variant leads the WHERE of
+// every foldQuery with: the subjects of one POS run, in item order.
+const runsWhere = "WHERE { ?s <http://ex/in> <http://ex/runs> . "
+
+// foldTrials is the body of TestFoldAgainstRowAggregation over trials
+// stores, foldFixture's runs variant when runs is set. In that variant it
+// also counts the WHERE rows whose ?a repeats the previous row's, and
+// those whose ?a is the previous row's twin, and fails when the generator
+// no longer puts either side by side.
+func foldTrials(t *testing.T, rng *rand.Rand, trials int, runs bool) {
+	groups, repeats, twins := 0, 0, 0
 	for trial := 0; trial < trials; trial++ {
 		n := 5 + rng.Intn(120)
 		if trial%20 == 0 {
@@ -350,9 +401,12 @@ func TestFoldAgainstRowAggregation(t *testing.T) {
 		if trial == 1 {
 			n = 0 // the implicit group of an empty input
 		}
-		st := foldFixture(rng, n)
+		st := foldFixture(rng, n, runs)
 		for k := 0; k < 8; k++ {
 			src := foldQuery(rng)
+			if runs {
+				src = strings.Replace(src, "WHERE { ", runsWhere, 1)
+			}
 			q, err := ParseQuery(src)
 			if err != nil {
 				t.Fatalf("generated query does not parse: %v\n%s", err, src)
@@ -366,6 +420,16 @@ func TestFoldAgainstRowAggregation(t *testing.T) {
 			}
 			want := refGrouped(r, pq, rows)
 			groups += len(want)
+			if a := r.vt.index["a"]; runs {
+				for i := 1; i < len(rows); i++ {
+					switch prev, cur := rows[i-1][a], rows[i][a]; {
+					case cur == prev:
+						repeats++
+					case cur.Value == prev.Value:
+						twins++
+					}
+				}
+			}
 			for _, poison := range []bool{false, true} {
 				for _, chunk := range []int{1, 3, 1024} {
 					var res *Results
@@ -389,5 +453,8 @@ func TestFoldAgainstRowAggregation(t *testing.T) {
 	}
 	if groups < trials*8 {
 		t.Fatalf("only %d groups over %d queries: the generator no longer exercises grouping", groups, trials*8)
+	}
+	if runs && (repeats < groups || twins < trials) {
+		t.Fatalf("%d WHERE rows repeat the previous row's ?a and %d are its twin, over %d groups: the generator no longer makes runs", repeats, twins, groups)
 	}
 }

@@ -14,7 +14,10 @@ import (
 // lock, in the index the snapshot pinned; the matches are one contiguous
 // run of the snapshot, and only the positions the row leaves free are
 // decoded back to terms. A probe holds nothing mutable, so the workers
-// of a chunk share it.
+// of a chunk share it: the previous row's match, which a plain probe
+// reuses when the next row binds the same terms, is a lastMatch kept by
+// the loop that walks the rows (DESIGN §16 "Consecutive rows repeat
+// their members").
 type probe struct {
 	tp   TriplePattern
 	snap *store.Snapshot
@@ -171,13 +174,15 @@ type matches struct {
 }
 
 // matchRow fills m with what row matches — for a rooted star, the root
-// run and the first root triple's group. A star takes its subject's whole
-// SPO run at once; each member's matches are the sub-run of its predicate
-// — and of its object, when that is a constant — which the run holds
-// sorted by (P, O). The sub-run slice is m's, reused from row to row.
-func (p *probe) matchRow(row solution, m *matches) {
+// run and the first root triple's group. A plain pattern, or a rooted
+// star's root, matches through last, the loop's memo. A star takes its
+// subject's whole SPO run at once; each member's matches are the sub-run
+// of its predicate — and of its object, when that is a constant — which
+// the run holds sorted by (P, O). The sub-run slice is m's, reused from
+// row to row.
+func (p *probe) matchRow(row solution, m *matches, last *lastMatch) {
 	if p.star == nil || p.rooted {
-		m.run, m.free = p.match(row)
+		m.run, m.free = p.matchLast(row, last)
 		m.n, m.at = len(m.run), -1
 		if p.rooted {
 			m.n = 0
@@ -314,6 +319,36 @@ func (p *probe) match(row solution) (run []store.IDTriple, free uint8) {
 	return p.snap.Range(p.gid, pat), free
 }
 
+// lastMatch is the memo of one loop over rows that a plain probe — or a
+// rooted star's root — matches: the previous row's key, copies of the
+// terms it bound at the pattern's variable positions (zero where it left
+// one free, so the free mask is part of the key), and what it matched.
+// It holds copies of terms, never the row, which goes back to the
+// pipeline.
+type lastMatch struct {
+	key  [3]rdf.Term
+	run  []store.IDTriple
+	free uint8
+	warm bool
+}
+
+// matchLast is match through last: a row whose key equals the previous
+// row's under == gets the previous answer, which is the one match would
+// compute — equal terms have equal ids.
+func (p *probe) matchLast(row solution, last *lastMatch) ([]store.IDTriple, uint8) {
+	var key [3]rdf.Term
+	for i, slot := range p.slot {
+		if slot >= 0 {
+			key[i] = row[slot]
+		}
+	}
+	if !last.warm || key != last.key {
+		last.run, last.free = p.match(row)
+		last.key, last.warm = key, true
+	}
+	return last.run, last.free
+}
+
 // bind writes t into dst[slot], reporting false when the slot already
 // holds another term — a variable repeated within the pattern.
 func bind(dst solution, slot int, t rdf.Term) bool {
@@ -364,11 +399,12 @@ func (r *run) joinPatternOwned(p *probe, rows []solution, owned bool) ([]solutio
 	}
 	out, inPlace := outFor(rows, owned), owned
 	var m matches
+	var last lastMatch
 	for ri, row := range rows {
 		if ri%cancelCheckRows == 0 && r.cancelled() {
 			return nil, r.cancelErr()
 		}
-		if p.matchRow(row, &m); p.single(&m) {
+		if p.matchRow(row, &m, &last); p.single(&m) {
 			dst := row
 			if !owned {
 				dst = row.clone()
@@ -410,11 +446,12 @@ func (r *run) joinPatternOwned(p *probe, rows []solution, owned bool) ([]solutio
 // extend must leave the surviving row untouched.
 func (r *run) optionalSingle(p *probe, rows []solution, owned bool) []solution {
 	out, inPlace := outFor(rows, owned), owned
+	var last lastMatch
 	for ri, row := range rows {
 		if ri%cancelCheckRows == 0 && r.cancelled() {
 			break // the next chunk boundary errors out
 		}
-		run, free := p.match(row)
+		run, free := p.matchLast(row, &last)
 		if owned && len(run) == 1 && !p.repeats {
 			p.extend(row, run[0], free)
 			out = append(out, row)

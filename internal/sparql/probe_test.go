@@ -181,6 +181,163 @@ func TestProbeAgainstNaiveScan(t *testing.T) {
 	}
 	t.Run("star", func(t *testing.T) { probeStarsAgainstLevels(t, rng, false) })
 	t.Run("rooted", func(t *testing.T) { probeStarsAgainstLevels(t, rng, true) })
+	t.Run("memo", func(t *testing.T) { probeMemoAgainstRuns(t, rng) })
+}
+
+// probeMemoAgainstRuns is the memo arm of TestProbeAgainstNaiveScan: the
+// rows come in runs that repeat the key of a plain pattern, the way a
+// rooted star emits a member's rows and observations sit in load order,
+// so that each kernel's lastMatch hits. Beside the runs stand the rows a
+// memo keyed too loosely would confuse: a key term that differs from the
+// previous row's only in Kind, Datatype or Lang; a row that binds the
+// free position to what the run matched, between two that leave it
+// free; terms the dictionary lacks, repeated; and ?x p ?x. An owned row
+// with one match is extended in place before the next row of its run is
+// matched, and the batch fan-out at widths 2 and 3 splits a run at every
+// worker's first row, which starts cold. Every kernel must produce the
+// nested-loop reference, row for row, in order.
+func probeMemoAgainstRuns(t *testing.T, rng *rand.Rand) {
+	kind := rdf.NewIRI("http://t/k")
+	twins := [][]rdf.Term{
+		{kind, rdf.NewBlank(kind.Value), {Kind: rdf.KindLiteral, Value: kind.Value}},
+		{rdf.NewLiteral("7"), rdf.NewInteger(7), {Kind: rdf.KindLiteral, Value: "7"}},
+		{rdf.NewLangLiteral("x", "en"), rdf.NewLangLiteral("x", "fr")},
+	}
+	subjects := []rdf.Term{rdf.NewIRI("http://t/s0"), rdf.NewIRI("http://t/s1"), kind, twins[0][1]}
+	objects := slices.Concat(subjects, twins[0][2:], twins[1], twins[2])
+	preds := []rdf.Term{rdf.NewIRI("http://t/p"), rdf.NewIRI("http://t/q")}
+	unseen := []rdf.Term{rdf.NewIRI("http://t/unseen"), rdf.NewLangLiteral("x", "de"), rdf.NewTypedLiteral("7", "http://t/dt")}
+	vars := []string{"x", "y", "w"}
+	pick := func(ts []rdf.Term) rdf.Term { return ts[rng.Intn(len(ts))] }
+
+	var hits, twinned, freed int // rows whose key repeats the previous row's, is its twin's, binds what it left free
+	for trial := 0; trial < 40; trial++ {
+		st := store.New()
+		ts := []rdf.Triple{rdf.NewTriple(subjects[0], preds[0], subjects[0]), rdf.NewTriple(kind, preds[0], kind)}
+		for i := 20 + rng.Intn(30); i > 0; i-- {
+			ts = append(ts, rdf.NewTriple(pick(subjects), pick(preds), pick(objects)))
+		}
+		st.InsertTriples(rdf.Term{}, ts)
+		r := &run{e: NewEngine(st), vt: newVarTable(), snap: st.Snapshot()}
+		for _, v := range vars {
+			r.vt.slot(v)
+		}
+		all := r.snap.MatchAll(rdf.Term{}, rdf.Term{}, rdf.Term{}, rdf.Term{})
+
+		for pi := 0; pi < 6; pi++ {
+			tp := TriplePattern{S: VarTerm("x"), P: ConstTerm(preds[0]), O: VarTerm("x")}
+			if pi > 0 {
+				if rng.Intn(4) > 0 {
+					tp.O = VarTerm("y")
+				}
+				if rng.Intn(4) == 0 {
+					tp.S = ConstTerm(pick(subjects))
+				}
+				switch k := rng.Intn(6); {
+				case k == 0:
+					tp.P = VarTerm("w")
+				case k < 3:
+					tp.O = ConstTerm(pick(objects))
+				}
+			}
+			p := r.compile(tp, graphCtx{})
+			key := func(row solution) (k [3]rdf.Term) {
+				for i, slot := range p.slot {
+					if slot >= 0 {
+						k[i] = row[slot]
+					}
+				}
+				return k
+			}
+			// Runs of a drawn row, two in three followed by a neighbour
+			// and the run's row again.
+			var rows []solution
+			for n := 3*minChunkRows + rng.Intn(minChunkRows); len(rows) < n; {
+				proto := make(solution, len(vars))
+				for slot := range proto {
+					switch k := rng.Intn(10); {
+					case k < 3:
+					case k < 9:
+						proto[slot] = pick(objects)
+					default:
+						proto[slot] = pick(unseen)
+					}
+				}
+				var twin rdf.Term
+				vslot := p.slot[rng.Intn(3)]
+				if g := twins[rng.Intn(len(twins))]; vslot >= 0 {
+					i := rng.Intn(len(g))
+					proto[vslot], twin = g[i], g[(i+1)%len(g)]
+				}
+				for k := 1 + rng.Intn(8); k > 0; k-- {
+					rows = append(rows, proto.clone())
+				}
+				switch rng.Intn(3) {
+				case 0:
+					if !twin.IsZero() {
+						nb := proto.clone()
+						nb[vslot] = twin
+						rows = append(rows, nb, proto.clone())
+					}
+				case 1:
+					if ms := naiveJoin(st.Dict(), all, tp, r.vt, proto); len(ms) > 0 && key(ms[0]) != key(proto) {
+						rows = append(rows, ms[0], proto.clone())
+					}
+				}
+			}
+			for _, width := range []int{2, 3} { // a run across every worker boundary
+				for _, b := range chunkBounds(len(rows), width)[1:] {
+					rows[b[0]] = rows[b[0]-1].clone()
+				}
+			}
+			for i := 1; i < len(rows); i++ {
+				prev, cur := key(rows[i-1]), key(rows[i])
+				switch {
+				case cur == prev:
+					hits++
+				case slices.EqualFunc(cur[:], prev[:], func(a, b rdf.Term) bool { return a.Value == b.Value && a.IsZero() == b.IsZero() }):
+					twinned++
+				case slices.EqualFunc(cur[:], prev[:], func(a, b rdf.Term) bool { return a.IsZero() || a == b }):
+					freed++
+				}
+			}
+
+			var wantJoin, wantOpt []solution
+			perRow := make([][]solution, len(rows))
+			for i, row := range rows {
+				ms := naiveJoin(st.Dict(), all, tp, r.vt, row)
+				perRow[i] = ms
+				wantJoin = append(wantJoin, ms...)
+				if len(ms) == 0 {
+					ms = []solution{row}
+				}
+				wantOpt = append(wantOpt, ms...)
+			}
+			fail := func(what string, got, want []solution) {
+				t.Fatalf("trial %d, %s over %d rows in runs: %s =\n%v\nwant\n%v", trial, patternDetail(tp), len(rows), what, got, want)
+			}
+			for _, owned := range []bool{false, true} {
+				in := cloneRows(rows)
+				if got := r.optionalSingle(p, in, owned); !sameRows(got, wantOpt) {
+					fail(fmt.Sprintf("optionalSingle(owned=%v)", owned), got, wantOpt)
+				}
+				for _, width := range []int{2, 3} {
+					r.e.joinWidth = width
+					got, err := r.joinPatternPar(p, cloneRows(rows), owned)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameRows(got, wantJoin) {
+						fail(fmt.Sprintf("joinPatternPar(width=%d, owned=%v) over the runs", width, owned), got, wantJoin)
+					}
+				}
+			}
+			checkJoinKernels(t, rng, r, p, rows, perRow, pi%2 == 1, fail)
+		}
+	}
+	if hits < 4*(twinned+freed) || twinned < 40 || freed < 40 {
+		t.Fatalf("%d rows repeat the previous row's key, %d are its twin, %d bind what it left free: the generator no longer makes runs", hits, twinned, freed)
+	}
 }
 
 // checkJoinKernels runs probe p over rows through every consumer of a
@@ -211,8 +368,9 @@ func checkJoinKernels(t *testing.T, rng *rand.Rand, r *run, p *probe, rows []sol
 
 		for _, max := range []int{1, 2, 7, 1024, 1 << 20} {
 			in, got := cloneRows(rows), []solution(nil)
+			var last lastMatch // the level's, shared by its row scans
 			for _, row := range in {
-				rs := r.newRowScan(p, row, owned, nil)
+				rs := r.newRowScan(p, row, owned, nil, &last)
 				for done := false; !done; {
 					var chunk []solution
 					if done, err = rs.emit(&chunk, max); err != nil {
@@ -404,7 +562,7 @@ func probeStarsAgainstLevels(t *testing.T, rng *rand.Rand, rooted bool) {
 			}
 			for _, row := range rows {
 				var m matches
-				if p.matchRow(row, &m); rooted && !slices.IsSortedFunc(m.run, func(a, b store.IDTriple) int { return int(p.subject(a)) - int(p.subject(b)) }) {
+				if p.matchRow(row, &m, new(lastMatch)); rooted && !slices.IsSortedFunc(m.run, func(a, b store.IDTriple) int { return int(p.subject(a)) - int(p.subject(b)) }) {
 					descend++
 					break
 				}
@@ -547,7 +705,9 @@ func TestOwnedKernelsSpillBeforeOvertaking(t *testing.T) {
 // with one match per row — by a BGP level or by OPTIONAL — or crossed by
 // a BIND is extended in place and compacted into its own header, so the
 // whole call allocates nothing: no output slice, per-row closure, cursor,
-// probe or clone.
+// probe or clone. That holds for rows that each bind another ?x, and for
+// rows that all bind the same one, where every row after the first
+// reuses the previous row's match.
 func TestSingleMatchJoinAllocatesNothingPerRow(t *testing.T) {
 	st := store.New()
 	val := rdf.NewIRI("http://t/value")
@@ -560,35 +720,44 @@ func TestSingleMatchJoinAllocatesNothingPerRow(t *testing.T) {
 	r := &run{e: NewEngine(st), vt: newVarTable(), snap: st.Snapshot()}
 	x, y := r.vt.slot("x"), r.vt.slot("y")
 	p := r.compile(TriplePattern{S: VarTerm("x"), P: ConstTerm(val), O: VarTerm("y")}, graphCtx{})
-	rows := make([]solution, n)
-	for i := range rows {
-		rows[i] = make(solution, 2)
-		rows[i][x] = ts[i].S
-	}
 	r.e.joinWidth = 1 // workers would allocate their goroutines and parts
-	var last Expression = ExprConst{Term: ts[n-1].O}
-	kernels := map[string]func() []solution{
-		"join": func() []solution {
-			out, err := r.joinPatternPar(p, rows, true)
-			if err != nil {
-				t.Fatal(err)
+	for _, set := range []struct {
+		name string
+		at   func(i int) int // the triple whose subject row i binds ?x to
+	}{
+		{"distinct", func(i int) int { return i }},
+		{"repeated", func(int) int { return 0 }},
+	} {
+		rows := make([]solution, n)
+		for i := range rows {
+			rows[i] = make(solution, 2)
+			rows[i][x] = ts[set.at(i)].S
+		}
+		wantY := ts[set.at(n-1)].O
+		var last Expression = ExprConst{Term: wantY}
+		kernels := map[string]func() []solution{
+			"join": func() []solution {
+				out, err := r.joinPatternPar(p, rows, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			},
+			"OPTIONAL": func() []solution { return r.optionalSingle(p, rows, true) },
+			"BIND":     func() []solution { return r.bindRows(last, y, rows, true) },
+		}
+		for name, kernel := range kernels {
+			allocs := testing.AllocsPerRun(10, func() {
+				for _, row := range rows {
+					row[y] = rdf.Term{}
+				}
+				if out := kernel(); len(out) != n || out[n-1][y] != wantY {
+					t.Fatalf("%s over %s rows returned %d rows, last %v", name, set.name, len(out), out[len(out)-1])
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s over %d owned single-match rows (%s ?x) allocates %.0f times, want 0", name, n, set.name, allocs)
 			}
-			return out
-		},
-		"OPTIONAL": func() []solution { return r.optionalSingle(p, rows, true) },
-		"BIND":     func() []solution { return r.bindRows(last, y, rows, true) },
-	}
-	for name, kernel := range kernels {
-		allocs := testing.AllocsPerRun(10, func() {
-			for _, row := range rows {
-				row[y] = rdf.Term{}
-			}
-			if out := kernel(); len(out) != n || out[n-1][y] != ts[n-1].O {
-				t.Fatalf("%s returned %d rows, last %v", name, len(out), out[len(out)-1])
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s over %d owned single-match rows allocates %.0f times, want 0", name, n, allocs)
 		}
 	}
 }
@@ -607,10 +776,11 @@ func TestRowScanReturnsFailedMatch(t *testing.T) {
 	r.vt.slot("x")
 	p := r.compile(TriplePattern{S: VarTerm("x"), P: ConstTerm(pred), O: VarTerm("x")}, graphCtx{})
 	row := make(solution, 1)
+	var last lastMatch
 	scan := func(list *rowList) float64 {
 		return testing.AllocsPerRun(10, func() {
 			var out []solution
-			if done, err := r.newRowScan(p, row, false, list).emit(&out, 8); err != nil || !done || len(out) != 0 {
+			if done, err := r.newRowScan(p, row, false, list, &last).emit(&out, 8); err != nil || !done || len(out) != 0 {
 				t.Fatalf("scan of a pattern that cannot match: done=%v err=%v out=%v", done, err, out)
 			}
 		})

@@ -685,13 +685,14 @@ func (g *graphVarIter) close() {
 }
 
 // bgpLevel is one join level of a bgpIter: its compiled pattern or star,
-// the rows waiting to be joined, the row scan in progress, the account
-// charge held for the buffered rows, and — under tracing — its JOIN or
-// STAR span.
+// the rows waiting to be joined, the row scan in progress and the last
+// match its row scans share, the account charge held for the buffered
+// rows, and — under tracing — its JOIN or STAR span.
 type bgpLevel struct {
 	p    *probe
 	buf  []solution
 	scan *rowScan
+	last lastMatch
 	held int64
 	sp   *obs.Span
 }
@@ -848,7 +849,7 @@ func (b *bgpIter) advance(i int) ([]solution, error) {
 			}
 			row := lvl.buf[0]
 			lvl.buf = lvl.buf[1:]
-			lvl.scan = b.kr.newRowScan(lvl.p, row, owned, b.free)
+			lvl.scan = b.kr.newRowScan(lvl.p, row, owned, b.free, &lvl.last)
 		}
 		done, err := lvl.scan.emit(&out, max)
 		if err != nil {
@@ -918,9 +919,9 @@ type rowScan struct {
 	inPlace bool // an owned row with a single match: extend row itself
 }
 
-func (r *run) newRowScan(p *probe, row solution, owned bool, list *rowList) *rowScan {
+func (r *run) newRowScan(p *probe, row solution, owned bool, list *rowList, last *lastMatch) *rowScan {
 	rs := &rowScan{r: r, p: p, row: row, list: list}
-	p.matchRow(row, &rs.m)
+	p.matchRow(row, &rs.m, last)
 	rs.inPlace = owned && p.single(&rs.m)
 	return rs
 }

@@ -763,7 +763,7 @@ func TestStarFanOutStreams(t *testing.T) {
 		{"rooted star that never matches", r.compileStar(&TriplePattern{S: VarTerm("x"), P: ConstTerm(ex("c")), O: VarTerm("s")}, ab, graphCtx{}), rdf.Term{}},
 	} {
 		row[r.vt.slot("s")] = c.s
-		scan := r.newRowScan(c.p, row, false, nil)
+		scan := r.newRowScan(c.p, row, false, nil, new(lastMatch))
 		if c.name == "rooted star that never matches" && len(scan.m.run) < n*n {
 			t.Fatalf("the root run has %d triples, want %d", len(scan.m.run), n*n)
 		}
