@@ -114,7 +114,8 @@ bench-concurrent:
 # Observability smoke test: boots sparqld on the demo cube with a
 # tracer, trace export, a debug listener, and the metrics time-series
 # sampler with slo.json as live alert rules, then drives /metrics
-# (JSON and Prometheus text), /healthz, /readyz, /debug/vars, a traced
+# (JSON, whose histograms must carry their exact max, and Prometheus
+# text), /healthz, /readyz, /debug/vars, a traced
 # (?explain=1) query, a CSV, a TSV and a CONSTRUCT response (the server
 # runs -trace 1, so each is a traced request on the one response path;
 # each is checked by its first line), the workload-fingerprint view
@@ -146,6 +147,7 @@ obs-smoke:
 	curl -fsS -H 'Accept: text/plain' http://127.0.0.1:18081/metrics | grep -q '# TYPE'; \
 	curl -fsS -H 'Accept: text/plain' http://127.0.0.1:18081/metrics | grep -q 'go_goroutines'; \
 	curl -fsS http://127.0.0.1:18081/metrics | grep -q 'go_heap_inuse_bytes'; \
+	curl -fsS http://127.0.0.1:18081/metrics | grep -q '"maxMs"'; \
 	curl -fsS http://127.0.0.1:18080/healthz | grep -q 'ok'; \
 	curl -fsS http://127.0.0.1:18080/readyz | grep -q '"ready":true'; \
 	curl -fsS http://127.0.0.1:18081/debug/vars >/dev/null; \

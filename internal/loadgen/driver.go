@@ -35,8 +35,8 @@ type benchMetrics struct {
 // classState is the per-class accumulator shared by all workers.
 type classState struct {
 	sent, ok, errs, shed, timeouts, canceled atomic.Int64
-	lat                                      obs.Recorder // intended-based in open loop, service time in closed
-	svc                                      obs.Recorder // service time (open loop only)
+	lat                                      obs.Histogram // intended-based in open loop, service time in closed
+	svc                                      obs.Histogram // service time (open loop only)
 }
 
 // New validates the workload and returns a driver. Every class must
@@ -323,7 +323,7 @@ type Snapshot struct {
 func (d *Driver) snapshot(start time.Time, prev Snapshot) Snapshot {
 	var s Snapshot
 	s.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
-	merged := &obs.Recorder{}
+	merged := &obs.Histogram{}
 	for _, cs := range d.states {
 		s.Sent += cs.sent.Load()
 		s.OK += cs.ok.Load()
@@ -342,8 +342,8 @@ func (d *Driver) snapshot(start time.Time, prev Snapshot) Snapshot {
 	if dt := s.ElapsedMs - prev.ElapsedMs; dt > 0 {
 		s.ThroughputPerSec = float64(done-prevDone) / (dt / 1000)
 	}
-	s.P50Ms = merged.Quantile(0.50)
-	s.P99Ms = merged.Quantile(0.99)
+	lat := merged.Snapshot()
+	s.P50Ms, s.P99Ms = lat.P50Ms, lat.P99Ms
 	return s
 }
 

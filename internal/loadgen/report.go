@@ -43,10 +43,10 @@ type ClassReport struct {
 
 	// Latency is measured from the intended send instant in open-loop
 	// mode (queueing included) and equals service time in closed-loop.
-	Latency obs.RecorderSnapshot `json:"latency"`
+	Latency obs.HistogramSnapshot `json:"latency"`
 	// Service is the naive send-to-completion time, reported in
 	// open-loop mode so the coordinated-omission gap is visible.
-	Service *obs.RecorderSnapshot `json:"service,omitempty"`
+	Service *obs.HistogramSnapshot `json:"service,omitempty"`
 }
 
 // SlowRequest cross-links one slow request to its trace.
@@ -69,7 +69,7 @@ func (d *Driver) buildReport(elapsed time.Duration) *Report {
 	}
 	rep.DurationMs = float64(elapsed) / float64(time.Millisecond)
 	open := d.opts.Mode == ModeOpen
-	totalLat, totalSvc := &obs.Recorder{}, &obs.Recorder{}
+	totalLat, totalSvc := &obs.Histogram{}, &obs.Histogram{}
 	for i, c := range d.classes {
 		cs := d.states[i]
 		cr := ClassReport{
@@ -134,9 +134,9 @@ func (r *Report) Canonical() *Report {
 
 func (cr ClassReport) canonical() ClassReport {
 	c := cr
-	c.Latency = obs.RecorderSnapshot{Count: cr.Latency.Count}
+	c.Latency = obs.HistogramSnapshot{Count: cr.Latency.Count}
 	if cr.Service != nil {
-		c.Service = &obs.RecorderSnapshot{Count: cr.Service.Count}
+		c.Service = &obs.HistogramSnapshot{Count: cr.Service.Count}
 	}
 	return c
 }

@@ -13,12 +13,12 @@ func testReport() *Report {
 		Mode: "closed", Clients: 4, Seed: 1,
 		Total: ClassReport{
 			Class: "all", Sent: 100, OK: 90, Errors: 4, Shed: 5, Timeouts: 1,
-			Latency: obs.RecorderSnapshot{Count: 100, P50Ms: 10, P99Ms: 120},
+			Latency: obs.HistogramSnapshot{Count: 100, P50Ms: 10, P99Ms: 120},
 		},
 		Classes: []ClassReport{
-			{Class: "ql", Sent: 60, OK: 60, Latency: obs.RecorderSnapshot{Count: 60, P99Ms: 40}},
+			{Class: "ql", Sent: 60, OK: 60, Latency: obs.HistogramSnapshot{Count: 60, P99Ms: 40}},
 			{Class: "update", Sent: 40, OK: 30, Errors: 4, Shed: 5, Timeouts: 1,
-				Latency: obs.RecorderSnapshot{Count: 40, P99Ms: 300}},
+				Latency: obs.HistogramSnapshot{Count: 40, P99Ms: 300}},
 		},
 	}
 }

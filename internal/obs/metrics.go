@@ -3,13 +3,10 @@ package obs
 import (
 	"encoding/json"
 	"expvar"
-	"fmt"
-	"math/bits"
 	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing atomic counter.
@@ -23,128 +20,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// histBuckets is the number of log2 latency buckets; bucket i counts
-// observations d with bits.Len64(d in µs) == i, i.e. d < 2^i µs, so the
-// top bucket covers everything from ~9 minutes up.
-const histBuckets = 30
-
-// Histogram is a lock-free log2-bucketed latency histogram. Observe is
-// two atomic adds plus one atomic add into a bucket, cheap enough for
-// per-request use on hot paths.
-type Histogram struct {
-	count   atomic.Int64
-	sumNs   atomic.Int64
-	buckets [histBuckets]atomic.Int64
-}
-
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	h.count.Add(1)
-	h.sumNs.Add(int64(d))
-	b := bits.Len64(uint64(d.Microseconds()))
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	h.buckets[b].Add(1)
-}
-
-// HistogramSnapshot is a point-in-time JSON-friendly view: totals,
-// estimated quantiles (linearly interpolated within the landing log2
-// bucket, in milliseconds), and the non-empty buckets.
-type HistogramSnapshot struct {
-	Count   int64             `json:"count"`
-	SumMs   float64           `json:"sumMs"`
-	AvgMs   float64           `json:"avgMs"`
-	P50Ms   float64           `json:"p50Ms"`
-	P90Ms   float64           `json:"p90Ms"`
-	P95Ms   float64           `json:"p95Ms"`
-	P99Ms   float64           `json:"p99Ms"`
-	Buckets []HistogramBucket `json:"buckets,omitempty"`
-}
-
-// Quantiles renders the headline quantiles as one human-readable line
-// (used by the sparqld shutdown summary).
-func (s HistogramSnapshot) Quantiles() string {
-	return fmt.Sprintf("count=%d avg=%.3fms p50=%.3fms p95=%.3fms p99=%.3fms",
-		s.Count, s.AvgMs, s.P50Ms, s.P95Ms, s.P99Ms)
-}
-
-// HistogramBucket is one non-empty bucket: the count of observations
-// below the upper bound LeMs.
-type HistogramBucket struct {
-	LeMs  float64 `json:"leMs"`
-	Count int64   `json:"count"`
-}
-
-// bucketUpperMs returns bucket i's upper bound in milliseconds (2^i µs).
-func bucketUpperMs(i int) float64 {
-	return float64(uint64(1)<<uint(i)) / 1000
-}
-
-// Snapshot returns a consistent-enough view for reporting (buckets are
-// read without a global lock; concurrent Observe calls may skew totals
-// by a few in-flight observations).
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Count: h.count.Load()}
-	sum := time.Duration(h.sumNs.Load())
-	s.SumMs = float64(sum) / float64(time.Millisecond)
-	if s.Count > 0 {
-		s.AvgMs = s.SumMs / float64(s.Count)
-	}
-	var counts [histBuckets]int64
-	total := int64(0)
-	for i := range counts {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
-		if counts[i] > 0 {
-			s.Buckets = append(s.Buckets, HistogramBucket{LeMs: bucketUpperMs(i), Count: counts[i]})
-		}
-	}
-	s.P50Ms = quantileFromBuckets(&counts, total, 0.50)
-	s.P90Ms = quantileFromBuckets(&counts, total, 0.90)
-	s.P95Ms = quantileFromBuckets(&counts, total, 0.95)
-	s.P99Ms = quantileFromBuckets(&counts, total, 0.99)
-	return s
-}
-
-// quantileFromBuckets interpolates the q-quantile (in milliseconds)
-// from a log2 bucket-count array totaling total observations. Each
-// quantile lands in one log2 bucket; interpolating linearly by rank
-// inside that bucket turns the coarse upper bound into an
-// approximation whose error is bounded by the bucket width. It is
-// shared by live Histogram snapshots and the time-series windowed
-// quantiles (which diff two cumulative bucket samples first).
-func quantileFromBuckets(counts *[histBuckets]int64, total int64, q float64) float64 {
-	if total == 0 {
-		return 0
-	}
-	target := q * float64(total)
-	cum := int64(0)
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		if float64(cum)+float64(c) >= target {
-			lo := 0.0
-			if i > 0 {
-				lo = bucketUpperMs(i - 1)
-			}
-			frac := (target - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return lo + frac*(bucketUpperMs(i)-lo)
-		}
-		cum += c
-	}
-	return bucketUpperMs(histBuckets - 1)
-}
 
 // Label is one constant name/value pair attached to a labeled gauge.
 // Values are escaped for the Prometheus exposition at registration.

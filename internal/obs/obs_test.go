@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -114,8 +115,11 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	if s.P99Ms < 64 {
 		t.Errorf("p99Ms = %v, want >= slow bucket bound", s.P99Ms)
 	}
-	if len(s.Buckets) != 2 {
-		t.Errorf("got %d non-empty buckets, want 2", len(s.Buckets))
+	// The buckets are the octave view: 0.5ms below 2^9µs, 100ms below
+	// 2^17µs.
+	want := []HistogramBucket{{LeMs: 0.512, Count: 90}, {LeMs: 131.072, Count: 10}}
+	if !reflect.DeepEqual(s.Buckets, want) {
+		t.Errorf("buckets = %+v, want %+v", s.Buckets, want)
 	}
 }
 

@@ -92,11 +92,18 @@ type sampledMetric struct {
 }
 
 // histSample is one cumulative histogram observation: total count, sum,
-// and the full bucket array as of the sample instant.
+// and the octave bucket counts as of the sample instant.
 type histSample struct {
 	count   int64
 	sumNs   int64
-	buckets [histBuckets]int64
+	buckets [octaveBuckets]int64
+}
+
+// quantile is the q-quantile in milliseconds of a window's difference
+// of two samples. A window has no exact max, so the octave ceiling caps
+// it.
+func (d *histSample) quantile(q float64) float64 {
+	return octave.quantile(d.buckets[:], d.count, q, float64(octave.high(octaveBuckets-1))/1000)
 }
 
 // tsRing is one fixed-size ring of samples at a single resolution.
@@ -262,12 +269,7 @@ func (ts *TimeSeries) sampleLocked(now time.Time) {
 				}
 			}
 		case KindHistogram:
-			var hs histSample
-			hs.count = m.h.count.Load()
-			hs.sumNs = m.h.sumNs.Load()
-			for b := range hs.buckets {
-				hs.buckets[b] = m.h.buckets[b].Load()
-			}
+			hs := m.h.octaveSample()
 			for _, rg := range s.rings {
 				if tick%rg.stride == 0 {
 					rg.pushHist(tMs, hs)
@@ -440,8 +442,8 @@ func (ts *TimeSeries) Query(nameFilter string, window, step time.Duration) TimeS
 					dtSec := float64(tMs-prevT) / 1000
 					d := diffHist(prevH, hs)
 					sd.Rate = append(sd.Rate, SeriesPoint{T: tMs, V: float64(d.count) / dtSec})
-					sd.P50 = append(sd.P50, SeriesPoint{T: tMs, V: quantileFromBuckets(&d.buckets, d.count, 0.50)})
-					sd.P99 = append(sd.P99, SeriesPoint{T: tMs, V: quantileFromBuckets(&d.buckets, d.count, 0.99)})
+					sd.P50 = append(sd.P50, SeriesPoint{T: tMs, V: d.quantile(0.50)})
+					sd.P99 = append(sd.P99, SeriesPoint{T: tMs, V: d.quantile(0.99)})
 				}
 				prevH = hs
 			default:
@@ -465,20 +467,9 @@ func (ts *TimeSeries) Query(nameFilter string, window, step time.Duration) TimeS
 
 // diffHist subtracts two cumulative samples, clamping at zero.
 func diffHist(a, b *histSample) histSample {
-	var d histSample
-	d.count = b.count - a.count
-	d.sumNs = b.sumNs - a.sumNs
-	if d.count < 0 {
-		d.count = 0
-	}
-	if d.sumNs < 0 {
-		d.sumNs = 0
-	}
+	d := histSample{count: max(b.count-a.count, 0), sumNs: max(b.sumNs-a.sumNs, 0)}
 	for i := range d.buckets {
-		d.buckets[i] = b.buckets[i] - a.buckets[i]
-		if d.buckets[i] < 0 {
-			d.buckets[i] = 0
-		}
+		d.buckets[i] = max(b.buckets[i]-a.buckets[i], 0)
 	}
 	return d
 }
@@ -569,7 +560,7 @@ func (ts *TimeSeries) HistQuantileOver(name string, q float64, window time.Durat
 	if d.count <= 0 {
 		return 0, 0, false
 	}
-	return quantileFromBuckets(&d.buckets, d.count, q), d.count, true
+	return d.quantile(q), d.count, true
 }
 
 // Last returns the most recent sample of a scalar series.
