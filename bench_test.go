@@ -399,7 +399,7 @@ SELECT ?m1_1 ?m2_0 ?m3_2 ?a2_countryName ?v1 WHERE {
 // position of every row at every level: resolving a term to its id
 // (probe.match → Snapshot.Lookup). The terms are every binding of every
 // row of the continent-year observation star — the WHERE of that
-// query's direct translation without its label OPTIONALs, 20k rows of
+// query's aggregating sub-select, 20k rows of
 // seven terms — looked up against the 20k cube's snapshot, one lookup
 // per op, serially and from GOMAXPROCS goroutines at once as a chunk's
 // workers do (b.RunParallel). EXPERIMENTS.md A-lockfree-dict has both
@@ -470,6 +470,31 @@ func BenchmarkDirectVsAlternative(b *testing.B) {
 		}
 		for _, v := range []ql.Variant{ql.Direct, ql.Alternative} {
 			b.Run(fmt.Sprintf("obs=%d/%s", obs, v), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := ql.Execute(env.Client, p.Translation, v); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkPredefinedPrograms runs each of the six predefined QL
+// programs (demo.PredefinedQueries) in both translations on the 20k
+// cube: the twelve executions olap-20k (bench/) mixes, one
+// sub-benchmark each, so a change to the translator or the planner
+// shows per program and per arm (EXPERIMENTS.md A-labels-per-group).
+func BenchmarkPredefinedPrograms(b *testing.B) {
+	env := enrichedEnv(b, demoScale)
+	for _, pq := range demo.PredefinedQueries {
+		p, err := ql.Prepare(pq.QL, env.Schema)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, v := range []ql.Variant{ql.Direct, ql.Alternative} {
+			b.Run(pq.Name+"/"+v.String(), func(b *testing.B) {
+				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := ql.Execute(env.Client, p.Translation, v); err != nil {
 						b.Fatal(err)
@@ -734,7 +759,8 @@ SELECT ?c (SUM(?v) AS ?total) WHERE {
 // BenchmarkGroupFold measures the shape every QL program ends in: the
 // direct translation of the predefined continent-year query, whose
 // observation star sends all 20k observations through two roll-up
-// joins and two label OPTIONALs into a GROUP BY of some twenty cells.
+// joins into the GROUP BY of its aggregating sub-select, some twenty
+// cells, which two label OPTIONALs then join.
 // What the grouping stage holds is per group, not per row, so B/op here
 // is the WHERE stream's rows plus a constant (EXPERIMENTS.md
 // A-accumulate) — and since PR 24 the WHERE stream's rows are one chunk,
@@ -747,7 +773,9 @@ SELECT ?c (SUM(?v) AS ?total) WHERE {
 // observation star once per row took it from 59.6 to 40.5 ms and from
 // 2 021 to 1 708 allocs/op on a host about 1.7× slower (A-star-walk);
 // starting the star at the pattern that binds ?o, from 44.2 to 38.2 ms
-// and 1 705 to 1 480 allocs/op (A-rooted-star).
+// and 1 705 to 1 480 allocs/op (A-rooted-star). Joining the labels per
+// cell, where every observation row crossed them before, took it from
+// 19.9 to 13.2 ms and 0.92 to 0.67 MB/op (A-labels-per-group).
 func BenchmarkGroupFold(b *testing.B) {
 	env := enrichedEnv(b, demoScale)
 	pq, ok := demo.FindPredefinedQuery("continent-year")

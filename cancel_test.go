@@ -125,8 +125,8 @@ func TestQueryCancellationProperty(t *testing.T) {
 // so the call returns promptly with the cooperative error, and the
 // trace of the interrupted run shows the AGGREGATE span stopped part
 // way — some rows folded, fewer than the query has, no group emitted.
-// The query is the predefined continent-year roll-up, whose every
-// observation reaches the fold.
+// The query is the aggregating sub-select of the predefined
+// continent-year roll-up, whose every observation reaches the fold.
 func TestCancelMidFold(t *testing.T) {
 	obsCount := 80000
 	if testing.Short() {
@@ -141,10 +141,7 @@ func TestCancelMidFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := sparql.ParseQuery(pipe.Translation.Direct)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q, _ := aggregatingSubSelect(t, pipe.Translation.Direct)
 	// A small chunk gives the cancel many boundaries to land on.
 	eng := sparql.NewEngine(env.Store, sparql.WithChunkSize(64))
 	folded := func(tr *obs.Trace) (in, out int) {
@@ -198,4 +195,22 @@ func TestCancelMidFold(t *testing.T) {
 		return
 	}
 	t.Fatal("no cancel landed inside the fold in five attempts")
+}
+
+// aggregatingSubSelect parses a QL translation and returns the sub-select
+// that folds the observations into their groups, beside the outer query
+// that joins labels to those groups.
+func aggregatingSubSelect(t *testing.T, text string) (sub, outer *sparql.Query) {
+	t.Helper()
+	outer, err := sparql.ParseQuery(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, el := range outer.Where.Elements {
+		if ss, ok := el.(sparql.SubSelectElement); ok {
+			return ss.Query, outer
+		}
+	}
+	t.Fatalf("translation has no aggregating sub-select:\n%s", text)
+	return nil, nil
 }

@@ -1,9 +1,13 @@
 package demo
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/eurostat"
+	"repro/internal/olap"
 	"repro/internal/qb4olap"
 	"repro/internal/ql"
 	"repro/internal/rdf"
@@ -101,4 +105,67 @@ func TestPredefinedQueriesAllRun(t *testing.T) {
 	if _, ok := FindPredefinedQuery("nope"); ok {
 		t.Error("FindPredefinedQuery(nope) should fail")
 	}
+}
+
+// TestSecondLabelDoesNotMultiply gives every continent and every year
+// member a second label, in French, as multilingual Linked Data
+// dictionaries do. A label names a member and must not count its
+// observations again: every predefined program yields the same
+// coordinates and measures through both translations as on the cube
+// with one label per member.
+func TestSecondLabelDoesNotMultiply(t *testing.T) {
+	plain, err := Build(eurostat.TestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice, err := Build(eurostat.TestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = twice.Client.Update(`
+PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
+PREFIX schema: <http://www.fing.edu.uy/inco/cubes/schemas/migr_asyapp#>
+INSERT { ?m rdfs:label ?fr }
+WHERE {
+  { ?c schema:continent ?m } UNION { ?q schema:year ?m }
+  ?m rdfs:label ?en .
+  BIND(STRLANG(CONCAT(STR(?en), " (fr)"), "fr") AS ?fr)
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := twice.Client.Select(`
+PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
+PREFIX schema: <http://www.fing.edu.uy/inco/cubes/schemas/migr_asyapp#>
+SELECT DISTINCT ?m WHERE { ?c schema:continent ?m . ?m rdfs:label ?fr FILTER(LANG(?fr) = "fr") }`)
+	if err != nil || res.Len() == 0 {
+		t.Fatalf("no continent got a second label: %d rows, err %v", res.Len(), err)
+	}
+
+	for _, pq := range PredefinedQueries {
+		want, _, err := ql.Run(plain.Client, plain.Schema, pq.QL, ql.Direct)
+		if err != nil {
+			t.Fatalf("%s: %v", pq.Name, err)
+		}
+		for _, v := range []ql.Variant{ql.Direct, ql.Alternative} {
+			got, _, err := ql.Run(twice.Client, twice.Schema, pq.QL, v)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", pq.Name, v, err)
+			}
+			if g, w := cellLines(got), cellLines(want); g != w {
+				t.Errorf("%s/%s with two labels per member:\n%s\nwant, as with one:\n%s", pq.Name, v, g, w)
+			}
+		}
+	}
+}
+
+// cellLines renders a cube's coordinates and measures, one sorted line
+// per cell, leaving out the labels.
+func cellLines(c *olap.Cube) string {
+	lines := make([]string, 0, len(c.Cells))
+	for _, cell := range c.Cells {
+		lines = append(lines, fmt.Sprint(cell.Coords, cell.Values))
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
 }

@@ -19,9 +19,10 @@ type Variant int
 
 // Query variants.
 const (
-	// Direct runs the flat single-SELECT translation.
+	// Direct runs the translation that applies DICE before aggregating.
 	Direct Variant = iota
-	// Alternative runs the subquery translation.
+	// Alternative runs the translation that applies DICE to the
+	// aggregated cells.
 	Alternative
 	// Auto asks the endpoint's cost-based planner to price both
 	// translations and runs the cheaper one (see Choose). On a client
@@ -93,8 +94,11 @@ func RegisterChooseMetrics(reg *obs.Registry) {
 // endpoint.CostEstimator and the planner is on), both translations are
 // planned — never evaluated — and the cheaper estimated C_out cost
 // wins, ties going to the direct form. Otherwise the static heuristic
-// picks the alternative (subquery) translation, which the EXPERIMENTS.md
-// measurements show ahead of the direct form on every dataset scale.
+// picks the alternative translation. That is a fallback, not a measured
+// winner: a program without DICE translates to one text, and with DICE
+// the direct form, which filters observations before aggregating, is the
+// faster arm of the paper's demo query on the 20k cube (EXPERIMENTS.md
+// A-labels-per-group).
 func Choose(c endpoint.SPARQLClient, t *Translation) Selection {
 	if ce, ok := c.(endpoint.CostEstimator); ok {
 		dc, derr := ce.EstimateCost(t.Direct)

@@ -10,9 +10,10 @@ import (
 )
 
 // Translation holds the two semantically equivalent SPARQL queries the
-// Query Translation phase produces: the direct translation and an
-// alternative that nests the aggregation in a subquery — the paper's
-// heuristic for endpoints that handle flat GROUP BY queries poorly.
+// Query Translation phase produces: the direct translation, which
+// applies DICE before aggregating, and the alternative, which applies it
+// to the aggregated cells — the paper's heuristic for "typical
+// limitations of SPARQL endpoints".
 type Translation struct {
 	Direct      string
 	Alternative string
@@ -78,16 +79,16 @@ func Translate(a *Analysis) (*Translation, error) {
 	// relationships between members guided by the hierarchy metadata;
 	// each step is a SPARQL graph pattern (a join).
 	var bgp strings.Builder
-	bgp.WriteString("  ?o qb:dataSet <" + a.Dataset.Value + "> .\n")
+	bgp.WriteString("      ?o qb:dataSet <" + a.Dataset.Value + "> .\n")
 	for i, m := range a.Schema.Measures {
-		fmt.Fprintf(&bgp, "  ?o <%s> ?v%d .\n", m.Property.Value, i+1)
+		fmt.Fprintf(&bgp, "      ?o <%s> ?v%d .\n", m.Property.Value, i+1)
 	}
 	for _, p := range plans {
-		fmt.Fprintf(&bgp, "  ?o <%s> ?%s .\n", p.state.Dimension.BaseLevel.Value, p.baseVar)
+		fmt.Fprintf(&bgp, "      ?o <%s> ?%s .\n", p.state.Dimension.BaseLevel.Value, p.baseVar)
 		cur := p.baseVar
 		for j, st := range p.steps {
 			next := fmt.Sprintf("m%d_%d", p.index+1, j+1)
-			fmt.Fprintf(&bgp, "  ?%s <%s> ?%s .\n", cur, st.Rollup.Value, next)
+			fmt.Fprintf(&bgp, "      ?%s <%s> ?%s .\n", cur, st.Rollup.Value, next)
 			cur = next
 		}
 	}
@@ -118,8 +119,8 @@ func Translate(a *Analysis) (*Translation, error) {
 	attrPatterns := map[string]string{}
 	collectAttrPatterns(a, lookup, attrPatterns)
 
-	t.Direct = t.renderDirect(bgp.String(), plans, filters, havings, attrPatterns)
-	t.Alternative = t.renderAlternative(bgp.String(), plans, filters, havings, attrPatterns)
+	t.Direct = t.render(bgp.String(), plans, filters, havings, attrPatterns, true)
+	t.Alternative = t.render(bgp.String(), plans, filters, havings, attrPatterns, false)
 	return t, nil
 }
 
@@ -162,7 +163,7 @@ func collectAttrPatterns(a *Analysis, lookup map[rdf.Term]*dimPlan, out map[stri
 				return
 			}
 			v := attrVar(p.index, x.Attribute)
-			out[v] = fmt.Sprintf("  ?%s <%s> ?%s .", p.groupVar, x.Attribute.Value, v)
+			out[v] = fmt.Sprintf("?%s <%s> ?%s .", p.groupVar, x.Attribute.Value, v)
 		case BoolCondition:
 			walk(x.L)
 			walk(x.R)
@@ -249,125 +250,97 @@ func renderValue(v rdf.Term) string {
 	return v.String()
 }
 
-// renderDirect produces the flat single-SELECT translation: BGP +
-// attribute patterns + FILTER + GROUP BY + HAVING.
-func (t *Translation) renderDirect(bgp string, plans []dimPlan, filters, havings []string, attrPatterns map[string]string) string {
+// render produces one translation. Both aggregate in an inner SELECT
+// over the observation pattern and join labels once per group outside
+// it, so a member with two labels never multiplies a measure; they
+// differ only in where DICE applies. diceFirst (the direct translation)
+// joins attributes and filters observations before aggregating, with
+// measure conditions as HAVING. Otherwise (the alternative) attribute
+// joins, dice filters and measure filters apply to the aggregated
+// groups outside — the paper's alternative query "generated using
+// optimization heuristics thought to deal with some of the typical
+// limitations of SPARQL endpoints". A program without DICE renders the
+// same text either way.
+func (t *Translation) render(bgp string, plans []dimPlan, filters, havings []string, attrPatterns map[string]string, diceFirst bool) string {
 	var b strings.Builder
-	b.WriteString("PREFIX qb: <http://purl.org/linked-data/cube#>\n")
-	b.WriteString("PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>\n")
-	b.WriteString("SELECT")
-	for _, p := range plans {
-		fmt.Fprintf(&b, " ?%s (SAMPLE(?lbl%d) AS ?%s)", p.groupVar, p.index+1, p.labelVar)
-	}
-	for i, m := range t.Analysis.Schema.Measures {
-		fmt.Fprintf(&b, " (%s(?v%d) AS ?%s)", m.Agg.SPARQL(), i+1, t.MeasureVars[i])
-	}
-	b.WriteString("\nWHERE {\n")
-	b.WriteString(bgp)
-	for _, v := range sortedKeys(attrPatterns) {
-		b.WriteString(attrPatterns[v])
-		b.WriteByte('\n')
-	}
-	for _, p := range plans {
-		fmt.Fprintf(&b, "  OPTIONAL { ?%s rdfs:label ?lbl%d }\n", p.groupVar, p.index+1)
-	}
-	for _, f := range filters {
-		fmt.Fprintf(&b, "  FILTER(%s)\n", f)
-	}
-	b.WriteString("}\n")
-	if len(plans) > 0 {
-		b.WriteString("GROUP BY")
+	// keys writes one GROUP BY or ORDER BY line over the group members.
+	keys := func(clause string, extra ...string) {
+		if len(plans) == 0 {
+			return
+		}
+		b.WriteString(clause)
 		for _, p := range plans {
 			fmt.Fprintf(&b, " ?%s", p.groupVar)
 		}
-		b.WriteByte('\n')
-	}
-	for _, h := range havings {
-		fmt.Fprintf(&b, "HAVING (%s)\n", h)
-	}
-	if len(plans) > 0 {
-		b.WriteString("ORDER BY")
-		for _, p := range plans {
-			fmt.Fprintf(&b, " ?%s", p.groupVar)
+		for _, v := range extra {
+			b.WriteString(" ?" + v)
 		}
 		b.WriteByte('\n')
 	}
-	return b.String()
-}
+	attrs := func(indent string) {
+		for _, v := range sortedKeys(attrPatterns) {
+			b.WriteString(indent + attrPatterns[v] + "\n")
+		}
+	}
+	inner := make([]string, len(t.MeasureVars))
+	for i := range inner {
+		inner[i] = fmt.Sprintf("iag%d", i+1)
+	}
 
-// renderAlternative produces the subquery translation: the aggregation
-// runs in an inner SELECT over the raw observation pattern; attribute
-// joins, dice filters, labels, and measure filters apply outside. This
-// mirrors the paper's alternative query "generated using optimization
-// heuristics thought to deal with some of the typical limitations of
-// SPARQL endpoints".
-func (t *Translation) renderAlternative(bgp string, plans []dimPlan, filters, havings []string, attrPatterns map[string]string) string {
-	var b strings.Builder
 	b.WriteString("PREFIX qb: <http://purl.org/linked-data/cube#>\n")
 	b.WriteString("PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>\n")
 	b.WriteString("SELECT")
 	for _, p := range plans {
 		fmt.Fprintf(&b, " ?%s (SAMPLE(?lbl%d) AS ?%s)", p.groupVar, p.index+1, p.labelVar)
 	}
-	for i := range t.MeasureVars {
-		fmt.Fprintf(&b, " (SAMPLE(?iag%d) AS ?%s)", i+1, t.MeasureVars[i])
+	for i, v := range inner {
+		fmt.Fprintf(&b, " (SAMPLE(?%s) AS ?%s)", v, t.MeasureVars[i])
 	}
-	b.WriteString("\nWHERE {\n")
-	b.WriteString("  {\n")
-	b.WriteString("    SELECT")
+	b.WriteString("\nWHERE {\n  {\n    SELECT")
 	for _, p := range plans {
 		fmt.Fprintf(&b, " ?%s", p.groupVar)
 	}
 	for i, m := range t.Analysis.Schema.Measures {
-		fmt.Fprintf(&b, " (%s(?v%d) AS ?iag%d)", m.Agg.SPARQL(), i+1, i+1)
+		fmt.Fprintf(&b, " (%s(?v%d) AS ?%s)", m.Agg.SPARQL(), i+1, inner[i])
 	}
 	b.WriteString("\n    WHERE {\n")
-	for _, line := range strings.Split(strings.TrimRight(bgp, "\n"), "\n") {
-		b.WriteString("    " + line + "\n")
+	b.WriteString(bgp)
+	if diceFirst {
+		attrs("      ")
+		for _, f := range filters {
+			fmt.Fprintf(&b, "      FILTER(%s)\n", f)
+		}
 	}
 	b.WriteString("    }\n")
-	if len(plans) > 0 {
-		b.WriteString("    GROUP BY")
-		for _, p := range plans {
-			fmt.Fprintf(&b, " ?%s", p.groupVar)
+	keys("    GROUP BY")
+	if diceFirst {
+		for _, h := range havings {
+			fmt.Fprintf(&b, "    HAVING (%s)\n", h)
 		}
-		b.WriteByte('\n')
 	}
 	b.WriteString("  }\n")
-	for _, v := range sortedKeys(attrPatterns) {
-		b.WriteString(attrPatterns[v])
-		b.WriteByte('\n')
+	if !diceFirst {
+		attrs("  ")
 	}
 	for _, p := range plans {
 		fmt.Fprintf(&b, "  OPTIONAL { ?%s rdfs:label ?lbl%d }\n", p.groupVar, p.index+1)
 	}
-	for _, f := range filters {
-		fmt.Fprintf(&b, "  FILTER(%s)\n", f)
-	}
-	for _, h := range havings {
-		// Measure conditions reference the inner aggregate variable in
-		// the outer scope.
-		for j, m := range t.Analysis.Schema.Measures {
-			h = strings.ReplaceAll(h, fmt.Sprintf("%s(?v%d)", m.Agg.SPARQL(), j+1), fmt.Sprintf("?iag%d", j+1))
+	if !diceFirst {
+		for _, f := range filters {
+			fmt.Fprintf(&b, "  FILTER(%s)\n", f)
 		}
-		fmt.Fprintf(&b, "  FILTER(%s)\n", h)
+		for _, h := range havings {
+			// Measure conditions reference the inner aggregate variable
+			// in the outer scope.
+			for j, m := range t.Analysis.Schema.Measures {
+				h = strings.ReplaceAll(h, fmt.Sprintf("%s(?v%d)", m.Agg.SPARQL(), j+1), "?"+inner[j])
+			}
+			fmt.Fprintf(&b, "  FILTER(%s)\n", h)
+		}
 	}
 	b.WriteString("}\n")
-	if len(plans) > 0 {
-		b.WriteString("GROUP BY")
-		for _, p := range plans {
-			fmt.Fprintf(&b, " ?%s", p.groupVar)
-		}
-		for i := range t.MeasureVars {
-			fmt.Fprintf(&b, " ?iag%d", i+1)
-		}
-		b.WriteByte('\n')
-		b.WriteString("ORDER BY")
-		for _, p := range plans {
-			fmt.Fprintf(&b, " ?%s", p.groupVar)
-		}
-		b.WriteByte('\n')
-	}
+	keys("GROUP BY", inner...)
+	keys("ORDER BY")
 	return b.String()
 }
 

@@ -257,6 +257,7 @@ func (ps *planState) group(g GroupGraphPattern, outer map[string]bool, in float6
 				run = append(run, tp)
 			}
 			remaining := run
+			prev := "" // subject variable of the pattern taken last
 			for len(remaining) > 0 {
 				next := 0
 				if len(remaining) > 1 {
@@ -271,11 +272,16 @@ func (ps *planState) group(g GroupGraphPattern, outer map[string]bool, in float6
 							candidates = append(candidates, ci)
 						}
 					}
-					best := math.Inf(1)
+					// Of equal estimates the pattern written first wins,
+					// unless another shares the last pattern's subject: it
+					// extends that pattern's star level (DESIGN §16 "The
+					// star walk") instead of interposing a join.
+					best, inStar := math.Inf(1), false
 					for _, ci := range candidates {
 						est := estimateJoinRows(ps.st, remaining[ci], bound, rows, gid)
-						if est < best {
-							best, next = est, ci
+						member := prev != "" && starMember(remaining[ci], prev)
+						if est < best || est == best && member && !inStar {
+							best, next, inStar = est, ci, member
 						}
 					}
 				}
@@ -285,6 +291,10 @@ func (ps *planState) group(g GroupGraphPattern, outer map[string]bool, in float6
 				tp := remaining[next]
 				remaining = append(remaining[:next], remaining[next+1:]...)
 				out = append(out, tp)
+				prev = ""
+				if tp.S.IsVar {
+					prev = tp.S.Var
+				}
 				rows = estimateJoinRows(ps.st, tp, bound, rows, gid)
 				ps.cost += rows
 				markBound(tp, bound)

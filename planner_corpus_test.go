@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/demo"
@@ -70,5 +71,41 @@ func TestPlannerCorpusByteIdentical(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestPlannerKeepsObservationStar EXPLAINs the alternative translation
+// of the paper's Mary query. Its inner BGP joins five patterns on ?o
+// whose estimates tie after the first; the planner takes, of equal
+// estimates, one that shares the last pattern's subject, so all five
+// form one STAR level. Written order alone interposes the citizen roll-up
+// and leaves ?o geo as a JOIN after the star, which probes the
+// snapshot once more per observation.
+func TestPlannerKeepsObservationStar(t *testing.T) {
+	env, err := demo.Build(configFor(5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, _ := demo.FindPredefinedQuery("mary")
+	p, err := ql.Prepare(pq.QL, env.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tr, err := sparql.NewEngine(env.Store).QueryTracedString(p.Translation.Alternative)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outline := tr.Outline()
+	star := false
+	for _, line := range strings.Split(outline, "\n") {
+		switch {
+		case strings.Contains(line, "STAR ?o "):
+			star = true
+		case star && strings.Contains(line, "JOIN ?o "):
+			t.Fatalf("a JOIN on ?o follows the ?o star:\n%s", outline)
+		}
+	}
+	if !star {
+		t.Fatalf("no STAR level on ?o:\n%s", outline)
 	}
 }
