@@ -197,6 +197,84 @@ func TestCancelMidFold(t *testing.T) {
 	t.Fatal("no cancel landed inside the fold in five attempts")
 }
 
+// TestCancelMidSemiJoin cancels a query while it evaluates a semi-join
+// set: the set's pattern streams through the pipeline, which checks the
+// context at every chunk, so the call returns within TestCancelMidFold's
+// bound with the cooperative error, and the trace of the interrupted run
+// shows the SEMIJOIN span stopped part way — rows of its pattern read,
+// the set never finished. The set is the data sets with a negative
+// observation: none, found by reading every observation.
+func TestCancelMidSemiJoin(t *testing.T) {
+	obsCount := 80000
+	if testing.Short() {
+		obsCount = 5000
+	}
+	env, err := demo.Build(configFor(obsCount))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := sparql.ParseQuery(`PREFIX qb: <http://purl.org/linked-data/cube#>
+SELECT ?d WHERE {
+  VALUES ?d { <http://eurostat.linked-statistics.org/data/migr_asyappctzm> }
+  FILTER EXISTS { ?o qb:dataSet ?d . ?o <http://purl.org/linked-data/sdmx/2009/measure#obsValue> ?v . FILTER(?v < 0) }
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sparql.NewEngine(env.Store, sparql.WithChunkSize(64))
+	// read reports the rows the set's pattern produced and whether the
+	// set was finished.
+	read := func(tr *obs.Trace) (rows int, done bool) {
+		tr.Root.Visit(func(sp *obs.Span) {
+			if sp.Op != "SEMIJOIN" {
+				return
+			}
+			done = sp.Estimated()
+			for _, c := range sp.Children {
+				rows = max(rows, c.Out)
+			}
+		})
+		return rows, done
+	}
+
+	start := time.Now()
+	_, tr, err := eng.QueryTracedContext(context.Background(), q)
+	if err != nil {
+		t.Fatalf("baseline run: %v", err)
+	}
+	full := time.Since(start)
+	if total, done := read(tr); total < obsCount/2 || !done {
+		t.Fatalf("baseline set read %d rows (finished %v): the query no longer evaluates a set over the cube", total, done)
+	}
+
+	for _, frac := range []float64{0.5, 0.3, 0.15, 0.7, 0.05} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var cancelAt time.Time
+		timer := time.AfterFunc(time.Duration(frac*float64(full)), func() { cancelAt = time.Now(); cancel() })
+		_, tr, err := eng.QueryTracedContext(ctx, q)
+		returned := time.Now()
+		timer.Stop()
+		cancel()
+		if err == nil {
+			continue // finished before the cancel landed
+		}
+		var ce *sparql.CanceledError
+		if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled run: err = %v, want a *sparql.CanceledError wrapping context.Canceled", err)
+		}
+		if lat := returned.Sub(cancelAt); lat > 250*time.Millisecond {
+			t.Errorf("returned %v after cancel, want <250ms", lat)
+		}
+		rows, done := read(tr)
+		if rows == 0 || done {
+			continue // cancelled before the set's first chunk, or after the set
+		}
+		t.Logf("cancelled at %.0f %% of %v: the set's pattern read %d rows", 100*frac, full, rows)
+		return
+	}
+	t.Fatal("no cancel landed inside the set's evaluation in five attempts")
+}
+
 // aggregatingSubSelect parses a QL translation and returns the sub-select
 // that folds the observations into their groups, beside the outer query
 // that joins labels to those groups.

@@ -141,19 +141,64 @@ SELECT DISTINCT ?m WHERE { ?c schema:continent ?m . ?m rdfs:label ?fr FILTER(LAN
 	if err != nil || res.Len() == 0 {
 		t.Fatalf("no continent got a second label: %d rows, err %v", res.Len(), err)
 	}
+	sameCells(t, plain, twice, "two labels per member")
+}
 
+// TestSecondAttributeValueDoesNotMultiply gives the members a DICE
+// attribute selects a second value: the geo and citizen members named
+// France a second countryName "France"@fr, which a string comparison
+// matches too, and every continent a second continentName in French,
+// which it does not. A DICE keeps a member when some value of the
+// attribute satisfies it, and counts the member's observations once:
+// every predefined program yields, through both translations, the cells
+// of the cube with one value per attribute.
+func TestSecondAttributeValueDoesNotMultiply(t *testing.T) {
+	plain, err := Build(eurostat.TestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice, err := Build(eurostat.TestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = twice.Client.Update(`
+PREFIX schema: <http://www.fing.edu.uy/inco/cubes/schemas/migr_asyapp#>
+INSERT { ?m schema:countryName "France"@fr }
+WHERE { ?m schema:countryName ?n FILTER(STR(?n) = "France") } ;
+INSERT { ?c schema:continentName ?fr }
+WHERE {
+  ?c schema:continentName ?n .
+  BIND(STRLANG(CONCAT(STR(?n), " (fr)"), "fr") AS ?fr)
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := twice.Client.Select(`
+PREFIX schema: <http://www.fing.edu.uy/inco/cubes/schemas/migr_asyapp#>
+SELECT ?m WHERE { ?m schema:countryName "France"@fr . ?m schema:countryName "France" }`)
+	if err != nil || res.Len() == 0 {
+		t.Fatalf("no member named France got a second countryName: %d rows, err %v", res.Len(), err)
+	}
+	sameCells(t, plain, twice, "two values per DICE attribute")
+}
+
+// sameCells runs every predefined program on both cubes and requires the
+// mutated cube to give, through both translations, the plain cube's
+// coordinates and measures.
+func sameCells(t *testing.T, plain, mutated *Enriched, what string) {
+	t.Helper()
 	for _, pq := range PredefinedQueries {
 		want, _, err := ql.Run(plain.Client, plain.Schema, pq.QL, ql.Direct)
 		if err != nil {
 			t.Fatalf("%s: %v", pq.Name, err)
 		}
 		for _, v := range []ql.Variant{ql.Direct, ql.Alternative} {
-			got, _, err := ql.Run(twice.Client, twice.Schema, pq.QL, v)
+			got, _, err := ql.Run(mutated.Client, mutated.Schema, pq.QL, v)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", pq.Name, v, err)
 			}
 			if g, w := cellLines(got), cellLines(want); g != w {
-				t.Errorf("%s/%s with two labels per member:\n%s\nwant, as with one:\n%s", pq.Name, v, g, w)
+				t.Errorf("%s/%s with %s:\n%s\nwant, as with one:\n%s", pq.Name, v, what, g, w)
 			}
 		}
 	}

@@ -7,9 +7,8 @@
 // translations runs is, by default, a cost-based decision: Execute
 // with the Auto variant (or Choose directly) asks the client to
 // estimate both — endpoint.CostEstimator, backed by the engine's
-// query planner — and runs the cheaper, falling back to the
-// historical heuristic (the alternative form) when no estimator is
-// available.
+// query planner — and runs the cheaper, falling back to the direct
+// form when no estimator is available.
 //
 // QL follows the cube algebra of Ciferri et al.: a program is a
 // sequence of assignments

@@ -23,10 +23,10 @@ func TestChooseFallsBackWithoutEstimator(t *testing.T) {
 	if !sel.Heuristic {
 		t.Fatalf("Choose over a non-estimator client: %+v, want heuristic", sel)
 	}
-	if sel.Variant != Alternative {
-		t.Fatalf("heuristic variant = %s, want alternative", sel.Variant)
+	if sel.Variant != Direct {
+		t.Fatalf("heuristic variant = %s, want direct", sel.Variant)
 	}
-	if got := sel.String(); got != "alternative (heuristic)" {
+	if got := sel.String(); got != "direct (heuristic)" {
 		t.Fatalf("Selection.String() = %q", got)
 	}
 }
@@ -35,8 +35,8 @@ func TestChooseFallsBackWhenPlannerOff(t *testing.T) {
 	client := endpoint.NewLocal(store.New(), sparql.WithPlanner(false))
 	tr := &Translation{Direct: "SELECT * WHERE { ?s ?p ?o }", Alternative: "SELECT * WHERE { ?s ?p ?o }"}
 	sel := Choose(client, tr)
-	if !sel.Heuristic || sel.Variant != Alternative {
-		t.Fatalf("Choose against a planner-off local: %+v, want heuristic alternative", sel)
+	if !sel.Heuristic || sel.Variant != Direct {
+		t.Fatalf("Choose against a planner-off local: %+v, want heuristic direct", sel)
 	}
 }
 

@@ -26,7 +26,7 @@ const (
 	Alternative
 	// Auto asks the endpoint's cost-based planner to price both
 	// translations and runs the cheaper one (see Choose). On a client
-	// without a usable cost surface it falls back to a static heuristic.
+	// without a usable cost surface it falls back to the direct form.
 	Auto
 )
 
@@ -52,7 +52,7 @@ type Selection struct {
 	Cost, Other float64
 	// Heuristic is set when no cost estimate was available (the client
 	// does not implement endpoint.CostEstimator, or its planner is off)
-	// and the static default was used instead.
+	// and the direct form was run by default.
 	Heuristic bool
 }
 
@@ -93,12 +93,12 @@ func RegisterChooseMetrics(reg *obs.Registry) {
 // client can price queries with the cost-based planner (it implements
 // endpoint.CostEstimator and the planner is on), both translations are
 // planned — never evaluated — and the cheaper estimated C_out cost
-// wins, ties going to the direct form. Otherwise the static heuristic
-// picks the alternative translation. That is a fallback, not a measured
-// winner: a program without DICE translates to one text, and with DICE
-// the direct form, which filters observations before aggregating, is the
-// faster arm of the paper's demo query on the 20k cube (EXPERIMENTS.md
-// A-labels-per-group).
+// wins, ties going to the direct form. Otherwise it falls back to the
+// direct form: a program without DICE translates to one text, and with
+// DICE the direct form filters observations before it aggregates, which
+// no planner need move for it (EXPERIMENTS.md A-semijoin). Both shipped
+// clients implement CostEstimator, so the fallback is for third-party
+// clients and planner-off endpoints.
 func Choose(c endpoint.SPARQLClient, t *Translation) Selection {
 	if ce, ok := c.(endpoint.CostEstimator); ok {
 		dc, derr := ce.EstimateCost(t.Direct)
@@ -113,7 +113,7 @@ func Choose(c endpoint.SPARQLClient, t *Translation) Selection {
 		}
 	}
 	chooseHeuristic.Add(1)
-	return Selection{Variant: Alternative, Heuristic: true}
+	return Selection{Variant: Direct, Heuristic: true}
 }
 
 // Execute runs one of the translated queries on the endpoint and

@@ -2,7 +2,6 @@ package ql
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/qb4olap"
@@ -98,49 +97,12 @@ func Translate(a *Analysis) (*Translation, error) {
 		lookup[plans[i].state.Dimension.IRI] = &plans[i]
 	}
 
-	// Classify dice conditions: pure measure conditions become HAVING
-	// (they constrain the aggregated cell); attribute conditions become
-	// FILTERs over attribute values.
-	var filters, havings []string
-	for _, cond := range a.Dices {
-		expr, usesMeasure, err := t.renderCondition(cond, lookup)
-		if err != nil {
-			return nil, err
-		}
-		if usesMeasure {
-			havings = append(havings, expr)
-		} else {
-			filters = append(filters, expr)
-		}
+	var err error
+	if t.Direct, err = t.render(bgp.String(), plans, lookup, true); err != nil {
+		return nil, err
 	}
-
-	// Attribute patterns needed by the filters: one triple per
-	// (dimension, attribute) pair referenced in a condition.
-	attrPatterns := map[string]string{}
-	collectAttrPatterns(a, lookup, attrPatterns)
-
-	t.Direct = t.render(bgp.String(), plans, filters, havings, attrPatterns, true)
-	t.Alternative = t.render(bgp.String(), plans, filters, havings, attrPatterns, false)
+	t.Alternative, _ = t.render(bgp.String(), plans, lookup, false)
 	return t, nil
-}
-
-// attrVar names the variable bound to an attribute of a dimension's
-// group member.
-func attrVar(dimIndex int, attr rdf.Term) string {
-	return fmt.Sprintf("a%d_%s", dimIndex+1, sanitize(localOf(attr)))
-}
-
-func sanitize(s string) string {
-	var b strings.Builder
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
 }
 
 func localOf(t rdf.Term) string {
@@ -151,57 +113,68 @@ func localOf(t rdf.Term) string {
 	return v
 }
 
-// collectAttrPatterns walks all dice conditions recording the triple
-// patterns that bind attribute variables.
-func collectAttrPatterns(a *Analysis, lookup map[rdf.Term]*dimPlan, out map[string]string) {
-	var walk func(Condition)
-	walk = func(c Condition) {
-		switch x := c.(type) {
-		case AttrCondition:
-			p, ok := lookup[x.Dimension]
-			if !ok {
-				return
-			}
-			v := attrVar(p.index, x.Attribute)
-			out[v] = fmt.Sprintf("?%s <%s> ?%s .", p.groupVar, x.Attribute.Value, v)
-		case BoolCondition:
-			walk(x.L)
-			walk(x.R)
-		case NotCondition:
-			walk(x.X)
+// dice renders the program's DICE conditions for one translation:
+// filters are FILTER expressions over group members, havings compare
+// aggregated measures (HAVING in the direct form, an outer FILTER in the
+// alternative); indent is the indentation of the FILTER line, which
+// multi-line EXISTS blocks continue from. Fresh attribute variables
+// ?x1, ?x2, … are numbered in condition order, the same in both forms.
+func (t *Translation) dice(lookup map[rdf.Term]*dimPlan, indent string) (filters, havings []string, err error) {
+	fresh := 0
+	for _, cond := range t.Analysis.Dices {
+		expr, usesMeasure, err := t.renderCondition(cond, lookup, false, indent, &fresh)
+		if err != nil {
+			return nil, nil, err
+		}
+		if usesMeasure {
+			havings = append(havings, expr)
+		} else {
+			filters = append(filters, expr)
 		}
 	}
-	for _, c := range a.Dices {
-		walk(c)
-	}
+	return filters, havings, nil
 }
 
-// renderCondition renders a condition to a SPARQL boolean expression.
-// usesMeasure reports whether it references aggregated measures (and
-// therefore must go to HAVING / the outer filter of the alternative
-// form).
-func (t *Translation) renderCondition(c Condition, lookup map[rdf.Term]*dimPlan) (string, bool, error) {
+// renderCondition renders a condition to a SPARQL boolean expression,
+// negated when neg is set. usesMeasure reports whether it references
+// aggregated measures (and therefore must go to HAVING / the outer
+// filter of the alternative form). A negation is pushed down to the
+// atoms (De Morgan), so an attribute atom is always a positive semi-join
+// (DESIGN §6): EXISTS { ?g <attr> ?xN . FILTER(cmp) }, with cmp negated
+// inside the block. A member matches it when some value of the attribute
+// satisfies the comparison, and is counted once however many values it
+// has; a member without the attribute fails an atom and its negation
+// alike. fresh numbers the atoms' variables.
+func (t *Translation) renderCondition(c Condition, lookup map[rdf.Term]*dimPlan, neg bool, indent string, fresh *int) (string, bool, error) {
+	not := func(cmp string) string {
+		if neg {
+			return "!(" + cmp + ")"
+		}
+		return cmp
+	}
 	switch x := c.(type) {
 	case AttrCondition:
 		p, ok := lookup[x.Dimension]
 		if !ok {
 			return "", false, fmt.Errorf("ql: condition on invisible dimension %s", x.Dimension.Value)
 		}
-		v := attrVar(p.index, x.Attribute)
-		lhs := "?" + v
-		rhs := renderValue(x.Value)
+		*fresh++
+		v := fmt.Sprintf("?x%d", *fresh)
+		lhs := v
 		if x.Value.IsLiteral() && (x.Value.Datatype == "" || x.Value.Datatype == rdf.XSDString) {
 			// String comparisons go through STR() so language-tagged
 			// labels still match plain string constants.
-			lhs = "STR(?" + v + ")"
+			lhs = "STR(" + v + ")"
 		}
-		return fmt.Sprintf("%s %s %s", lhs, x.Op, rhs), false, nil
+		cmp := not(fmt.Sprintf("%s %s %s", lhs, x.Op, renderValue(x.Value)))
+		return fmt.Sprintf("EXISTS {\n%s  ?%s <%s> %s .\n%s  FILTER(%s)\n%s}",
+			indent, p.groupVar, x.Attribute.Value, v, indent, cmp, indent), false, nil
 	case MemberCondition:
 		p, ok := lookup[x.Dimension]
 		if !ok {
 			return "", false, fmt.Errorf("ql: condition on invisible dimension %s", x.Dimension.Value)
 		}
-		return fmt.Sprintf("?%s %s <%s>", p.groupVar, x.Op, x.Member.Value), false, nil
+		return not(fmt.Sprintf("?%s %s <%s>", p.groupVar, x.Op, x.Member.Value)), false, nil
 	case MeasureCondition:
 		idx := -1
 		for i, m := range t.Analysis.Schema.Measures {
@@ -214,13 +187,13 @@ func (t *Translation) renderCondition(c Condition, lookup map[rdf.Term]*dimPlan)
 		}
 		m := t.Analysis.Schema.Measures[idx]
 		agg := fmt.Sprintf("%s(?v%d)", m.Agg.SPARQL(), idx+1)
-		return fmt.Sprintf("%s %s %s", agg, x.Op, renderValue(x.Value)), true, nil
+		return not(fmt.Sprintf("%s %s %s", agg, x.Op, renderValue(x.Value))), true, nil
 	case BoolCondition:
-		l, lm, err := t.renderCondition(x.L, lookup)
+		l, lm, err := t.renderCondition(x.L, lookup, neg, indent, fresh)
 		if err != nil {
 			return "", false, err
 		}
-		r, rm, err := t.renderCondition(x.R, lookup)
+		r, rm, err := t.renderCondition(x.R, lookup, neg, indent, fresh)
 		if err != nil {
 			return "", false, err
 		}
@@ -228,16 +201,12 @@ func (t *Translation) renderCondition(c Condition, lookup map[rdf.Term]*dimPlan)
 			return "", false, fmt.Errorf("ql: cannot mix measure and attribute conditions inside one boolean expression")
 		}
 		op := "||"
-		if x.And {
+		if x.And != neg {
 			op = "&&"
 		}
 		return fmt.Sprintf("(%s %s %s)", l, op, r), lm, nil
 	case NotCondition:
-		inner, m, err := t.renderCondition(x.X, lookup)
-		if err != nil {
-			return "", false, err
-		}
-		return fmt.Sprintf("(!%s)", inner), m, nil
+		return t.renderCondition(x.X, lookup, !neg, indent, fresh)
 	default:
 		return "", false, fmt.Errorf("ql: unknown condition %T", c)
 	}
@@ -254,14 +223,21 @@ func renderValue(v rdf.Term) string {
 // over the observation pattern and join labels once per group outside
 // it, so a member with two labels never multiplies a measure; they
 // differ only in where DICE applies. diceFirst (the direct translation)
-// joins attributes and filters observations before aggregating, with
-// measure conditions as HAVING. Otherwise (the alternative) attribute
-// joins, dice filters and measure filters apply to the aggregated
-// groups outside — the paper's alternative query "generated using
-// optimization heuristics thought to deal with some of the typical
-// limitations of SPARQL endpoints". A program without DICE renders the
-// same text either way.
-func (t *Translation) render(bgp string, plans []dimPlan, filters, havings []string, attrPatterns map[string]string, diceFirst bool) string {
+// filters observations before aggregating, with measure conditions as
+// HAVING. Otherwise (the alternative) the dice filters and measure
+// filters apply to the aggregated groups outside — the paper's
+// alternative query "generated using optimization heuristics thought to
+// deal with some of the typical limitations of SPARQL endpoints". A
+// program without DICE renders the same text either way.
+func (t *Translation) render(bgp string, plans []dimPlan, lookup map[rdf.Term]*dimPlan, diceFirst bool) (string, error) {
+	indent := "  "
+	if diceFirst {
+		indent = "      "
+	}
+	filters, havings, err := t.dice(lookup, indent)
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	// keys writes one GROUP BY or ORDER BY line over the group members.
 	keys := func(clause string, extra ...string) {
@@ -276,11 +252,6 @@ func (t *Translation) render(bgp string, plans []dimPlan, filters, havings []str
 			b.WriteString(" ?" + v)
 		}
 		b.WriteByte('\n')
-	}
-	attrs := func(indent string) {
-		for _, v := range sortedKeys(attrPatterns) {
-			b.WriteString(indent + attrPatterns[v] + "\n")
-		}
 	}
 	inner := make([]string, len(t.MeasureVars))
 	for i := range inner {
@@ -306,7 +277,6 @@ func (t *Translation) render(bgp string, plans []dimPlan, filters, havings []str
 	b.WriteString("\n    WHERE {\n")
 	b.WriteString(bgp)
 	if diceFirst {
-		attrs("      ")
 		for _, f := range filters {
 			fmt.Fprintf(&b, "      FILTER(%s)\n", f)
 		}
@@ -319,9 +289,6 @@ func (t *Translation) render(bgp string, plans []dimPlan, filters, havings []str
 		}
 	}
 	b.WriteString("  }\n")
-	if !diceFirst {
-		attrs("  ")
-	}
 	for _, p := range plans {
 		fmt.Fprintf(&b, "  OPTIONAL { ?%s rdfs:label ?lbl%d }\n", p.groupVar, p.index+1)
 	}
@@ -341,14 +308,5 @@ func (t *Translation) render(bgp string, plans []dimPlan, filters, havings []str
 	b.WriteString("}\n")
 	keys("GROUP BY", inner...)
 	keys("ORDER BY")
-	return b.String()
-}
-
-func sortedKeys(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return b.String(), nil
 }

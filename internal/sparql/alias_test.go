@@ -138,9 +138,20 @@ func (g *aliasGen) follower() string {
 		"FILTER(!BOUND(?l))", "FILTER(BOUND(?x) || BOUND(?l))", "FILTER(!BOUND(?w) || ?w > 3)")
 }
 
+// semiJoin draws a FILTER over an EXISTS that shares one variable with
+// the query — ?a, ?b or ?s; ?e and ?f occur nowhere else — on its own,
+// as a conjunct, under || and under !. The planner makes a semi-join set
+// of each (DESIGN §12) except the last EXISTS, whose FILTER reads ?a but
+// whose patterns do not bind it.
+func (g *aliasGen) semiJoin() string {
+	ex := g.pick("EXISTS { ?a ex:label ?e }", `EXISTS { ?b ex:label ?e . FILTER(?e != "m1-0") }`, "EXISTS { ?s ex:v ?e . FILTER(?e > 2) }",
+		"EXISTS { ?e ex:b ?a . ?e ex:v ?f }", "EXISTS { ?e ex:label ?f . FILTER(?a != ex:M1) }")
+	return "FILTER(" + g.pick(ex, ex+" && BOUND(?s)", ex+" || !BOUND(?v) || ?v > 3", "!"+ex, "!("+ex+" && ?a != ex:M2)") + ")"
+}
+
 // element draws one group element; nesting stops at depth 2.
 func (g *aliasGen) element(depth int) string {
-	k := g.rng.Intn(20)
+	k := g.rng.Intn(23)
 	if depth >= 2 && k >= 12 {
 		k -= 12
 	}
@@ -168,6 +179,18 @@ func (g *aliasGen) element(depth int) string {
 			"{ SELECT ?s ?l WHERE { ?s ex:a ?a OPTIONAL { ?a ex:label ?l } } }")
 	case k == 18:
 		return "GRAPH " + g.pick("?g", "?g", "?g", "ex:g1", "ex:g1", "ex:nowhere") + " { " + g.group(1+g.rng.Intn(2), 2) + " } " + g.follower()
+	case k == 19:
+		return g.semiJoin()
+	case k == 20:
+		// A semi-join beside an aggregating sub-select grouped by its
+		// variable copies into it — but not through a LIMIT.
+		return g.pick("{ SELECT ?a (COUNT(*) AS ?n2) WHERE { ?s ex:a ?a } GROUP BY ?a } FILTER EXISTS { ?a ex:label ?e }",
+			"{ SELECT ?a (COUNT(*) AS ?n2) WHERE { ?s ex:a ?a } GROUP BY ?a ORDER BY ?a LIMIT 3 } FILTER EXISTS { ?a ex:label ?e }",
+			"{ ?s ex:b ?b { SELECT ?b (SUM(?v) AS ?n2) WHERE { ?s ex:b ?b . ?s ex:v ?v } GROUP BY ?b } FILTER(EXISTS { ?b ex:label ?e } || ?n2 > 20) }")
+	case k == 21:
+		// A set inside GRAPH ?g, and one the pattern that binds ?b
+		// checks: seeded with ?s, it is cheaper than any set.
+		return g.pick("GRAPH ?g { ?s ex:a ?a . ", "{ ?s ex:b ?b . ") + g.semiJoin() + " }"
 	}
 	return "{ " + g.group(1+g.rng.Intn(2), depth+1) + " } " + g.follower()
 }
@@ -210,9 +233,11 @@ func sortedKeys(res *Results) []string {
 }
 
 // TestAliasingAgainstReference is the query-level net under chunk
-// ownership (DESIGN §16): seeded random groups of BGP / FILTER / BIND /
-// OPTIONAL (single, multi-pattern, repeated-variable) / UNION / MINUS /
-// VALUES / FILTER EXISTS / sub-select / GRAPH over random stores large
+// ownership (DESIGN §16) and semi-join sets (§12): seeded random groups
+// of BGP / FILTER / BIND / OPTIONAL (single, multi-pattern,
+// repeated-variable) / UNION / MINUS / VALUES / FILTER EXISTS — one that
+// shares one variable, too, beside an aggregating sub-select grouped by
+// it, with and without LIMIT — / sub-select / GRAPH over random stores large
 // enough for the batch kernels and the join's worker merge to run, with
 // the stages that write in place put where a wrong ownership bit shows —
 // first in a UNION branch or an EXISTS group, after a replayed input,
@@ -297,7 +322,9 @@ func TestAliasingAgainstReference(t *testing.T) {
 // star on the root's subject. The planner joins a pattern that matches
 // nothing, or whose object the input binds, first, so members the
 // dictionary lacks and value twins inside a star are
-// TestProbeAgainstNaiveScan's.
+// TestProbeAgainstNaiveScan's. The last checks a semi-join set at a star
+// member: the set is dearer than the root, so the root enters and the
+// ex:b member checks ?b.
 var starQueries = []string{
 	`PREFIX ex: <http://ex/> SELECT * WHERE { ?s ex:a ?a . ?s ex:v ?v . ?s ex:b ?b . ?s ex:v ?w }`,
 	`PREFIX ex: <http://ex/> SELECT * WHERE { ?s ex:self ?x . ?s ex:a ex:M1 . ?s ex:v ?v . ?s ex:b ?b }`,
@@ -313,6 +340,7 @@ var starQueries = []string{
 	`PREFIX ex: <http://ex/> SELECT * WHERE { ?s ex:b ?b . ?s ex:v ?v . ?s ex:a ?b }`,
 	`PREFIX ex: <http://ex/> SELECT * WHERE { ?s ex:self ?x . ?x ex:a ?a . ?s ex:v ?v . ?s ex:b ?b }`,
 	`PREFIX ex: <http://ex/> SELECT * WHERE { ?s ex:a ex:M1 . ?x ex:self ?s . ?s ex:v ?v . ?s ex:b ?b }`,
+	`PREFIX ex: <http://ex/> SELECT * WHERE { ?s ex:a ex:M1 . ?s ex:b ?b . ?s ex:v ?v FILTER EXISTS { ?b ex:label ?e . ?f ex:b ?b } }`,
 }
 
 // withPoison runs fn with the rows that go back to a pipeline's free list

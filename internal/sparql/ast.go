@@ -94,9 +94,16 @@ type OrderCondition struct {
 }
 
 // GroupGraphPattern is a sequence of graph pattern elements evaluated
-// left to right.
+// left to right, except that its FILTERs apply to the whole group
+// (SPARQL 1.1 §18.2.2): the evaluator runs them after the other
+// elements, wherever they are written.
 type GroupGraphPattern struct {
 	Elements []PatternElement
+
+	// Planned marks a group the cost-based planner rewrote: its FILTERs
+	// already sit where they may run — pushed to where their variables
+	// are certainly bound, or last — and run there.
+	Planned bool
 }
 
 // PatternElement is a node of the group graph pattern tree.

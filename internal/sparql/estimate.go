@@ -1,6 +1,10 @@
 package sparql
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/store"
+)
 
 // Cardinality estimation for the EXPLAIN ANALYZE surface. When a query
 // is traced, every operator span carries the estimate the statistics
@@ -27,6 +31,28 @@ func (r *run) estimateJoin(tp TriplePattern, bound map[string]bool, in int, ctx 
 		return int64(in)
 	}
 	return int64(math.Round(estimateJoinRows(r.snap, tp, bound, float64(in), ctx.gid)))
+}
+
+// semiSelectivity is the share of tp's matches that a semi-join set of n
+// members keeps at position i (0 S, 1 P, 2 O): n over the distinct ids
+// that position takes in the graph — per predicate when tp's is
+// constant — under the same independence assumption, at most 1.
+func semiSelectivity(st *store.Snapshot, tp TriplePattern, i int, n float64, gid store.ID) float64 {
+	var distinct int
+	pat, _ := constIDs(st, tp)
+	if ps, ok := st.PredicateStat(gid, pat.P); ok && pat.P != store.NoID && i != 1 {
+		distinct = ps.DistinctS
+		if i == 2 {
+			distinct = ps.DistinctO
+		}
+	} else {
+		gs := st.GraphStat(gid)
+		distinct = [3]int{gs.DistinctSubjects, gs.DistinctPredicates, gs.DistinctObjects}[i]
+	}
+	if float64(distinct) <= n {
+		return 1
+	}
+	return n / float64(distinct)
 }
 
 // estimateFilter applies the textbook default 1/3 selectivity: nothing

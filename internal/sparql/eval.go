@@ -179,6 +179,10 @@ type run struct {
 	acct    *obs.QueryAcct
 	ownAcct bool
 
+	// semi holds the query's semi-join sets (semijoin.go), shared with
+	// the run's kernels and sub-selects.
+	semi *semiSets
+
 	// delivered counts the result rows stream has handed to its
 	// consumer — the root span's output.
 	delivered int
@@ -195,6 +199,7 @@ func (e *Engine) newRun(ctx context.Context, q *Query, root *obs.Span) (*run, *Q
 	r := &run{e: e, vt: newVarTable(), snap: snap, trace: root, planned: q.Planned}
 	r.bindContext(ctx)
 	r.bindAcct(ctx, root != nil)
+	r.semi = &semiSets{acct: r.acct}
 	collectVars(q, r.vt)
 	return r, q
 }
@@ -360,12 +365,16 @@ func exprHasAggregate(e Expression) bool {
 }
 
 // selectVars is the projection header of an ungrouped SELECT: sorted
-// visible variables for SELECT *, the projection list otherwise.
+// visible variables for SELECT *, the projection list otherwise. A
+// variable only an EXISTS pattern mentions is not in scope (SPARQL 1.1
+// §18.2.1), whether or not the planner turned the EXISTS into a set.
 func (r *run) selectVars(q *Query) []string {
 	var vars []string
 	if q.Star {
+		inScope := make(map[string]bool)
+		patternVarsInto(q.Where, inScope, false)
 		for _, n := range r.vt.names {
-			if !strings.HasPrefix(n, "_") { // hide internal blank-node vars
+			if inScope[n] && !strings.HasPrefix(n, "_") { // hide internal blank-node vars
 				vars = append(vars, n)
 			}
 		}

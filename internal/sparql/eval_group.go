@@ -60,6 +60,8 @@ func collectGroupVars(g GroupGraphPattern, vt *varTable) {
 			for _, v := range e.Vars {
 				vt.slot(v)
 			}
+		case semiJoinElement:
+			vt.slot(e.sj.key)
 		case SubSelectElement:
 			// Only projected variables of the subquery join with the
 			// outer query.
@@ -105,6 +107,8 @@ func collectExprVars(e Expression, vt *varTable) {
 		}
 	case ExprExists:
 		collectGroupVars(x.Pattern, vt)
+	case exprSemiJoin:
+		vt.slot(x.sj.key)
 	case ExprAggregate:
 		if x.Arg != nil {
 			collectExprVars(x.Arg, vt)
@@ -119,7 +123,7 @@ func collectExprVars(e Expression, vt *varTable) {
 // flag follows the subquery's own mark.
 func (r *run) evalSubSelect(q *Query, sp *obs.Span) (*Results, error) {
 	sub := &run{e: r.e, vt: newVarTable(), snap: r.snap, trace: sp, planned: q.Planned,
-		qctx: r.qctx, done: r.done, acct: r.acct}
+		qctx: r.qctx, done: r.done, acct: r.acct, semi: r.semi}
 	collectVars(q, sub.vt)
 	return sub.collect(q)
 }

@@ -286,6 +286,8 @@ func (r *run) evalExpr(e Expression, row solution) (rdf.Term, error) {
 			ok = !ok
 		}
 		return rdf.NewBoolean(ok), nil
+	case exprSemiJoin:
+		return r.member(x, row)
 	case ExprAggregate:
 		return rdf.Term{}, fmt.Errorf("sparql: aggregate %s outside grouped projection", x.Func)
 	default:

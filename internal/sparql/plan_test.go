@@ -135,11 +135,11 @@ SELECT ?name ?c WHERE {
 	assertSameResults(t, st, src)
 }
 
-// TestPlanFilterBeforeBindingStays: a FILTER written before the pattern
-// that binds its variable keeps its written position — under SPARQL
-// semantics it evaluates against unbound variables (an error, dropping
-// every row), and the planner must not silently "fix" that.
-func TestPlanFilterBeforeBindingStays(t *testing.T) {
+// TestPlanFilterBeforeBindingRunsAfterIt: a FILTER written before the
+// pattern that binds its variable applies to the whole group (SPARQL
+// 1.1 §18.2.2), so the planner places it after that pattern — its
+// earliest point, not its written one, which is no push.
+func TestPlanFilterBeforeBindingRunsAfterIt(t *testing.T) {
 	st := loadStore(t, peopleTTL)
 	const src = `
 PREFIX ex: <http://example.org/>
@@ -151,21 +151,59 @@ SELECT ?name WHERE {
 	if p.PushedFilters != 0 {
 		t.Fatalf("PushedFilters = %d, want 0", p.PushedFilters)
 	}
-	if _, ok := p.Query.Where.Elements[0].(FilterElement); !ok {
-		t.Fatalf("leading filter moved: %+v", p.Query.Where.Elements)
+	if _, ok := p.Query.Where.Elements[1].(FilterElement); !ok {
+		t.Fatalf("leading filter not after the pattern: %+v", p.Query.Where.Elements)
 	}
 	res, err := NewEngine(st).QueryString(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 0 {
-		t.Errorf("filter over unbound variable kept %d rows, want 0", res.Len())
+	if res.Len() != 3 {
+		t.Errorf("filter before its pattern kept %d rows, want the 3 names but Bob", res.Len())
 	}
 	assertSameResults(t, st, src)
 }
 
+// TestFilterScopesWholeGroup: a FILTER applies to the solutions of its
+// whole group wherever it is written, with the planner on and off — a
+// FILTER written first sees the variables the patterns after it bind,
+// and so does an EXISTS in it; a FILTER written before a BIND sees the
+// value the BIND writes. A FILTER inside OPTIONAL keeps its left-join
+// scope: it sees the left row, and a row it rejects keeps its left side.
+func TestFilterScopesWholeGroup(t *testing.T) {
+	st := store.New()
+	p, q := rdf.NewIRI("urn:p"), rdf.NewIRI("urn:q")
+	st.InsertTriples(rdf.Term{}, []rdf.Triple{
+		rdf.NewTriple(rdf.NewIRI("urn:s1"), p, rdf.NewLiteral("x")),
+		rdf.NewTriple(rdf.NewIRI("urn:s2"), p, rdf.NewLiteral("y")),
+		rdf.NewTriple(rdf.NewIRI("urn:s1"), q, rdf.NewLiteral("z")),
+	})
+	for _, c := range []struct {
+		src  string
+		want int
+	}{
+		{`SELECT ?s WHERE { FILTER(STR(?o) = "x") ?s <urn:p> ?o }`, 1},
+		{`SELECT ?s WHERE { FILTER EXISTS { ?s <urn:q> ?z } ?s <urn:p> ?o }`, 1},
+		{`SELECT ?s WHERE { FILTER NOT EXISTS { ?s <urn:q> ?z } ?s <urn:p> ?o }`, 1},
+		{`SELECT ?s WHERE { FILTER(!EXISTS { ?s <urn:q> ?z } || ?o = "x") ?s <urn:p> ?o }`, 2},
+		{`SELECT ?s WHERE { ?s <urn:p> ?o FILTER(?w = 2) BIND(2 AS ?w) }`, 2},
+		{`SELECT ?s ?z WHERE { ?s <urn:p> ?o OPTIONAL { FILTER(?o = "y") ?s <urn:q> ?z } }`, 2},
+		{`SELECT ?s ?z WHERE { ?s <urn:p> ?o OPTIONAL { FILTER(?o = "x") ?s <urn:q> ?z } FILTER(BOUND(?z)) }`, 1},
+	} {
+		for _, planner := range []bool{true, false} {
+			res, err := NewEngine(st, WithPlanner(planner)).QueryString(c.src)
+			if err != nil {
+				t.Fatalf("planner=%v: %v\n%s", planner, err, c.src)
+			}
+			if res.Len() != c.want {
+				t.Errorf("planner=%v: %d rows, want %d\n%s", planner, res.Len(), c.want, c.src)
+			}
+		}
+	}
+}
+
 // TestPlanFilterOnOptionalVarStays: a FILTER over an OPTIONAL-bound
-// variable is not certainly bound, so it stays at its written position
+// variable is not certainly bound, so it runs at the end of its group,
 // after the OPTIONAL (where BOUND() semantics depend on the left join
 // having run).
 func TestPlanFilterOnOptionalVarStays(t *testing.T) {

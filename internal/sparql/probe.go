@@ -43,6 +43,14 @@ type probe struct {
 	// ?s, at O when subjO is set and at S otherwise.
 	star          []*probe
 	rooted, subjO bool
+
+	// keep holds, at each position whose variable a semi-join set
+	// constrains, that set (DESIGN §16 "Membership in extendAt"): a match
+	// whose id there is not a member is rejected before anything is
+	// decoded. Only the BGP level that first binds the variable carries
+	// it — a plain pattern or a rooted star's root at any position, a
+	// star member at O.
+	keep [3]*semiSet
 }
 
 // Bits of the free mask match returns, one per pattern position.
@@ -286,7 +294,11 @@ func (p *probe) extendAt(dst solution, m *matches, i int) bool {
 		run := m.runs[k]
 		t := run[i%len(run)]
 		i /= len(run)
-		if slot := p.star[k].slot[2]; slot >= 0 && !bind(dst, slot, p.snap.Term(t.O)) {
+		mem := p.star[k]
+		if s := mem.keep[2]; s != nil && !s.has(t.O) {
+			return false
+		}
+		if slot := mem.slot[2]; slot >= 0 && !bind(dst, slot, p.snap.Term(t.O)) {
 			return false
 		}
 	}
@@ -360,11 +372,36 @@ func bind(dst solution, slot int, t rdf.Term) bool {
 }
 
 // extend decodes the free positions of match t into dst, reporting
-// whether repeated-variable constraints hold.
+// whether the semi-join checks and the repeated-variable constraints
+// hold.
 func (p *probe) extend(dst solution, t store.IDTriple, free uint8) bool {
+	if p.keep != [3]*semiSet{} && !p.kept(t) {
+		return false
+	}
 	return (free&freeS == 0 || bind(dst, p.slot[0], p.snap.Term(t.S))) &&
 		(free&freeP == 0 || bind(dst, p.slot[1], p.snap.Term(t.P))) &&
 		(free&freeO == 0 || bind(dst, p.slot[2], p.snap.Term(t.O)))
+}
+
+// keepVar makes the probe check, at every position where tp has the
+// variable v, that a match's id there is a member of s.
+func (p *probe) keepVar(tp TriplePattern, v string, s *semiSet) {
+	for i, pt := range [3]PatternTerm{tp.S, tp.P, tp.O} {
+		if pt.IsVar && pt.Var == v {
+			p.keep[i] = s
+		}
+	}
+}
+
+// kept reports whether every id of t is a member of its position's set,
+// if it has one. At a position the row binds, the id is the row's.
+func (p *probe) kept(t store.IDTriple) bool {
+	for i, id := range [3]store.ID{t.S, t.P, t.O} {
+		if s := p.keep[i]; s != nil && !s.has(id) {
+			return false
+		}
+	}
+	return true
 }
 
 // outFor returns the slice a per-chunk kernel appends its output to. An

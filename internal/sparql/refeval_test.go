@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/rdf"
@@ -11,13 +12,15 @@ import (
 // SPARQL's group graph patterns as nested loops over whole tables of
 // rdf.Term rows. It reads the store only through MatchAll (every triple
 // of a graph, filtered in Go), streams nothing, shares no row between
-// two tables — every operator builds fresh rows — and keeps the engine's
-// positional semantics: elements apply in the written order to the rows
-// the elements before them produced, OPTIONAL and EXISTS patterns are
-// seeded with the row they extend, MINUS and sub-selects start from
-// their own empty solution. Expressions other than EXISTS go through
-// evalExpr, and GROUP BY through fold_test.go's row-retaining reference;
-// neither reads or writes anything chunk ownership touches.
+// two tables — every operator builds fresh rows — and follows SPARQL's
+// group scope: the elements other than FILTER apply in the written order
+// to the rows the elements before them produced, and then the group's
+// FILTERs, wherever they are written (§18.2.2); OPTIONAL and EXISTS
+// patterns are seeded with the row they extend, MINUS and sub-selects
+// start from their own empty solution. An EXISTS is evaluated per row,
+// wherever it sits in an expression; the rest of an expression goes
+// through evalExpr, and GROUP BY through fold_test.go's row-retaining
+// reference; neither reads or writes anything chunk ownership touches.
 
 type refEval struct {
 	r    *run // variable table and expression evaluation only
@@ -28,17 +31,21 @@ type refEval struct {
 	// the table of a sub-select.
 	cands map[[4]rdf.Term][]rdf.Triple
 	subs  map[*Query]*Results
+	// exists memoizes EXISTS per pattern, graph and the row's values of
+	// the pattern's variables — all its value depends on.
+	exist map[string]bool
 }
 
 func newRefEval(snap *store.Snapshot, e *Engine, q *Query) *refEval {
 	ref := &refEval{r: &run{e: e, vt: newVarTable(), snap: snap}, snap: snap,
-		cands: map[[4]rdf.Term][]rdf.Triple{}, subs: map[*Query]*Results{}}
+		cands: map[[4]rdf.Term][]rdf.Triple{}, subs: map[*Query]*Results{}, exist: map[string]bool{}}
 	collectVars(q, ref.r.vt)
 	return ref
 }
 
-// query evaluates a SELECT to its result table; row order is unspecified
-// (ORDER BY is ignored, LIMIT and OFFSET are not supported).
+// query evaluates a SELECT to its result table. Row order is unspecified
+// unless ORDER BY names projected variables only, which a LIMIT or
+// OFFSET then requires.
 func (e *refEval) query(q *Query) *Results {
 	rows := e.group(q.Where, []solution{make(solution, len(e.r.vt.names))}, rdf.Term{})
 	res := &Results{Vars: e.r.selectVars(q)}
@@ -67,24 +74,44 @@ func (e *refEval) query(q *Query) *Results {
 			return dup
 		})
 	}
+	cols := make([]int, len(q.OrderBy))
+	for i, oc := range q.OrderBy {
+		v, _ := oc.Expr.(ExprVar)
+		cols[i] = slices.Index(res.Vars, v.Name)
+	}
+	if len(cols) > 0 && !slices.Contains(cols, -1) {
+		slices.SortStableFunc(res.Rows, func(a, b []rdf.Term) int {
+			for i, c := range cols {
+				if cmp := orderCompare(a[c], b[c]); cmp != 0 {
+					if q.OrderBy[i].Desc {
+						return -cmp
+					}
+					return cmp
+				}
+			}
+			return 0
+		})
+	}
+	res.Rows = res.Rows[min(q.Offset, len(res.Rows)):]
+	if q.Limit >= 0 {
+		res.Rows = res.Rows[:min(q.Limit, len(res.Rows))]
+	}
 	return res
 }
 
-// group applies the elements of g, in order, to the input table inside
-// the given graph (the zero term is the default graph).
+// group applies the elements of g other than FILTER, in order, to the
+// input table inside the given graph (the zero term is the default
+// graph), and then its FILTERs.
 func (e *refEval) group(g GroupGraphPattern, in []solution, graph rdf.Term) []solution {
 	rows := in
 	for _, el := range g.Elements {
+		if _, ok := el.(FilterElement); ok {
+			continue
+		}
 		var out []solution
 		switch x := el.(type) {
 		case TriplePattern:
 			out = e.triple(x, rows, graph)
-		case FilterElement:
-			for _, row := range rows {
-				if e.truth(x.Expr, row, graph) {
-					out = append(out, row.clone())
-				}
-			}
 		case BindElement:
 			for _, row := range rows {
 				nrow := row.clone()
@@ -129,6 +156,11 @@ func (e *refEval) group(g GroupGraphPattern, in []solution, graph rdf.Term) []so
 			panic("refEval: unsupported element")
 		}
 		rows = out
+	}
+	for _, el := range g.Elements {
+		if f, ok := el.(FilterElement); ok {
+			rows = slices.DeleteFunc(rows, func(row solution) bool { return !e.truth(f.Expr, row, graph) })
+		}
 	}
 	return rows
 }
@@ -186,22 +218,39 @@ func (e *refEval) unify(row solution, pt PatternTerm, t rdf.Term, bind bool) boo
 }
 
 // truth is the effective boolean value of a FILTER expression; an error
-// is false. EXISTS, possibly under NOT, seeds its pattern with the row.
+// is false.
 func (e *refEval) truth(expr Expression, row solution, graph rdf.Term) bool {
-	switch x := expr.(type) {
-	case ExprExists:
-		return (len(e.group(x.Pattern, []solution{row.clone()}, graph)) > 0) != x.Neg
-	case ExprNot:
-		if ex, ok := x.X.(ExprExists); ok {
-			return !e.truth(ex, row, graph)
-		}
-	}
-	v, err := e.r.evalExpr(expr, row)
+	v, err := e.r.evalExpr(e.exists(expr, row, graph), row)
 	if err != nil {
 		return false
 	}
 	b, err := ebv(v)
 	return err == nil && b
+}
+
+// exists replaces every EXISTS in expr by its value under row: whether
+// its pattern, seeded with the row, has a solution.
+func (e *refEval) exists(expr Expression, row solution, graph rdf.Term) Expression {
+	if x, ok := expr.(ExprExists); ok && len(x.Pattern.Elements) > 0 {
+		vars := map[string]bool{}
+		patternVarsInto(x.Pattern, vars, true)
+		names := make([]string, 0, len(vars))
+		for v := range vars {
+			names = append(names, v)
+		}
+		slices.Sort(names)
+		key := fmt.Sprintf("%p\x00%s", &x.Pattern.Elements[0], graph)
+		for _, v := range names {
+			key += "\x00" + row[e.r.vt.index[v]].String()
+		}
+		found, ok := e.exist[key]
+		if !ok {
+			found = len(e.group(x.Pattern, []solution{row.clone()}, graph)) > 0
+			e.exist[key] = found
+		}
+		return ExprConst{rdf.NewBoolean(found != x.Neg)}
+	}
+	return mapOperands(expr, func(c Expression) Expression { return e.exists(c, row, graph) })
 }
 
 // graph evaluates GRAPH <iri> { } in that graph and GRAPH ?g { } once

@@ -3,6 +3,7 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -337,11 +338,15 @@ func (r *run) groupRows(g GroupGraphPattern, input []solution, gctx graphCtx, pa
 // stage's kernel may extend and compact them in place; the bit of the
 // last stage is returned with the chain, for a consumer that is done with
 // an owned chunk to put it on free — the list the group's own BGPs build
-// their chunks from, nil for every nested pipeline.
+// their chunks from, nil for every nested pipeline. A group the planner
+// did not place runs its FILTERs after its other elements: a FILTER
+// applies to its whole group (SPARQL 1.1 §18.2.2), wherever it is
+// written.
 func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, parent *obs.Span, free *rowList) (chunkIter, bool) {
 	kr := r.kernel(gctx)
 	cur, owned := src, false // the head's input is retained by whoever replays it
 	var bgp []TriplePattern
+	var checks []semiCheck // the semi-join checks of bgp's patterns
 	flush := func() {
 		if len(bgp) == 0 {
 			return
@@ -369,6 +374,12 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, par
 			default:
 				p = r.compileStar(nil, bgp[i:j], gctx)
 			}
+			for _, c := range checks {
+				if c.at >= i && c.at < j {
+					levelProbe(p, c.at-i).keepVar(bgp[c.at], c.sj.key, r.semiSet(c.sj, gctx.gid))
+					it.sets = append(it.sets, c.sj)
+				}
+			}
 			it.levels = append(it.levels, bgpLevel{p: p})
 			i = j
 		}
@@ -383,12 +394,18 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, par
 		}
 		it.src = it.tr.in(cur)
 		cur, owned = r.bound(it.tr, it), true
-		bgp = nil
+		bgp, checks = nil, nil
 	}
-	for _, el := range g.Elements {
-		if tp, ok := el.(TriplePattern); ok {
-			bgp = append(bgp, tp)
-			continue
+	element := func(el PatternElement) {
+		switch e := el.(type) {
+		case TriplePattern:
+			bgp = append(bgp, e)
+			return
+		case semiJoinElement:
+			if !e.entry {
+				checks = append(checks, semiCheck{at: len(bgp), sj: e.sj})
+				return
+			}
 		}
 		flush()
 		tr, own := elementStage(parent, el), owned
@@ -398,9 +415,17 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, par
 		}
 		switch e := el.(type) {
 		case FilterElement:
+			sjs := semiJoinsInto(e.Expr, nil)
 			stage(func(chunk []solution) ([]solution, error) {
+				if err := r.fillSemiSets(sjs, gctx, tr.span()); err != nil {
+					return nil, err
+				}
 				return kr.filterRows(e.Expr, chunk, own), nil
 			})
+		case semiJoinElement:
+			cur = r.bound(tr, &entryIter{r: r, src: tr.in(cur), sj: e.sj, s: r.semiSet(e.sj, gctx.gid),
+				slot: r.vt.slot(e.sj.key), gctx: gctx, sp: tr.span()})
+			owned = true
 		case BindElement:
 			idx := r.vt.slot(e.Var)
 			stage(func(chunk []solution) ([]solution, error) {
@@ -477,8 +502,41 @@ func (r *run) streamGroup(g GroupGraphPattern, src chunkIter, gctx graphCtx, par
 			owned = true
 		}
 	}
+	for _, el := range g.Elements {
+		if _, ok := el.(FilterElement); !ok || g.Planned {
+			element(el)
+		}
+	}
+	if !g.Planned {
+		for _, el := range g.Elements {
+			if _, ok := el.(FilterElement); ok {
+				element(el)
+			}
+		}
+	}
 	flush()
 	return cur, owned
+}
+
+// semiCheck is a semi-join check of a BGP being gathered: the index of
+// the pattern that binds the set's variable, and the set.
+type semiCheck struct {
+	at int
+	sj *semiJoin
+}
+
+// levelProbe returns the probe of a level's k-th pattern: the level's
+// own for a plain pattern or a rooted star's root, a member's otherwise.
+func levelProbe(p *probe, k int) *probe {
+	switch {
+	case p.star == nil:
+		return p
+	case p.rooted && k == 0:
+		return p
+	case p.rooted:
+		return p.star[k-1]
+	}
+	return p.star[k]
 }
 
 // filterRows keeps the rows whose filter expression evaluates to a true
@@ -713,6 +771,7 @@ type bgpIter struct {
 	gctx graphCtx
 
 	levels []bgpLevel
+	sets   []*semiJoin // the sets its levels check, filled before the first join
 	srcEOF bool
 	owned  bool     // the input chunks are this BGP's own: level 0 need not clone
 	free   *rowList // what the pipeline's consumer returned; nil in a nested pipeline
@@ -746,12 +805,19 @@ func (b *bgpIter) feed(i int, rows []solution) {
 		if lvl.p.star != nil {
 			op, detail = "STAR", starDetail(lvl.p)
 		}
+		detail += keepDetail(lvl.p)
 		lvl.sp = b.tr.sp.StartChild(op, detail, 0)
 	}
 	lvl.sp.In += len(rows)
 }
 
 func (b *bgpIter) next() ([]solution, error) {
+	if b.sets != nil {
+		if err := b.r.fillSemiSets(b.sets, b.gctx, b.tr.span()); err != nil {
+			return nil, err
+		}
+		b.sets = nil
+	}
 	for {
 		// Deepest level with pending work.
 		i := -1
@@ -875,10 +941,17 @@ func (b *bgpIter) close() {
 	}
 	// Fix every JOIN's estimate from its accumulated actual input, with
 	// the variables bound by the joins before it; a STAR chains the
-	// estimate through its root, if it has one, and its members.
-	chain := func(tp TriplePattern) {
-		b.estOut = b.r.estimateJoin(tp, b.bound, int(b.estOut), b.gctx)
-		markBound(tp, b.bound)
+	// estimate through its root, if it has one, and its members. A set a
+	// pattern checks keeps its share of the matches (semiSelectivity, at
+	// the set's actual size).
+	chain := func(q *probe) {
+		b.estOut = b.r.estimateJoin(q.tp, b.bound, int(b.estOut), b.gctx)
+		for i, s := range q.keep {
+			if s != nil {
+				b.estOut = int64(math.Round(float64(b.estOut) * semiSelectivity(b.r.snap, q.tp, i, float64(len(s.order)), b.gctx.gid)))
+			}
+		}
+		markBound(q.tp, b.bound)
 	}
 	for l := range b.levels {
 		lvl := &b.levels[l]
@@ -887,10 +960,10 @@ func (b *bgpIter) close() {
 		}
 		b.estOut = int64(lvl.sp.In)
 		if lvl.p.star == nil || lvl.p.rooted {
-			chain(lvl.p.tp)
+			chain(lvl.p)
 		}
 		for _, m := range lvl.p.star {
-			chain(m.tp)
+			chain(m)
 		}
 		lvl.sp.SetEst(b.estOut)
 	}

@@ -3,6 +3,7 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -130,6 +131,9 @@ func elementStage(parent *obs.Span, el PatternElement) *stageTrace {
 		op, est = "VALUES", func(in int) int64 { return int64(in * n) }
 	case SubSelectElement:
 		op = "SUBSELECT"
+	case semiJoinElement:
+		op, detail = "ENTRY", "?"+e.sj.key
+		est = func(in int) int64 { return int64(math.Round(float64(in) * e.sj.est)) }
 	}
 	return newStage(parent, op, detail, est)
 }
@@ -220,6 +224,19 @@ func starDetail(p *probe) string {
 	}
 	for _, m := range p.star {
 		detail += " " + patternTermDetail(m.tp.P)
+	}
+	return detail
+}
+
+// keepDetail names the variables a level checks against semi-join sets.
+func keepDetail(p *probe) string {
+	detail := ""
+	for _, q := range append([]*probe{p}, p.star...) {
+		for i, pt := range [3]PatternTerm{q.tp.S, q.tp.P, q.tp.O} {
+			if q.keep[i] != nil {
+				detail += " semi " + patternTermDetail(pt)
+			}
+		}
 	}
 	return detail
 }

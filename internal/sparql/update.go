@@ -68,6 +68,7 @@ func (e *Engine) executeModify(ctx context.Context, o ModifyOp) error {
 	// the typed error before the write phase.
 	r.bindAcct(ctx, false)
 	defer r.closeAcct()
+	r.semi = &semiSets{acct: r.acct}
 	collectGroupVars(where, r.vt)
 	for _, qp := range append(append([]QuadPattern{}, o.Delete...), o.Insert...) {
 		collectPatternTermVars(qp.S, r.vt)

@@ -74,7 +74,10 @@ func peakFor(t *testing.T, env *demo.Enriched, query string, traced bool, opts .
 // most 1/5 of the whole-table arm's peak in-flight bytes — the
 // pipeline's footprint is stages × chunks plus the final table, not the
 // 80k-row intermediate join. The bound holds traced and untraced alike:
-// a traced query runs the same pipeline.
+// a traced query runs the same pipeline. Both arms run in written order
+// (planner off), which joins every observation before the DICE filters:
+// planned, the DICE enters the star as semi-join sets and no
+// intermediate is large enough to tell the arms apart (DESIGN §12).
 func TestStreamingBoundsMaryPeak(t *testing.T) {
 	obsCount := 80000
 	minShrink := int64(5)
@@ -91,9 +94,9 @@ func TestStreamingBoundsMaryPeak(t *testing.T) {
 	}
 	query := maryDirect(t, env)
 
-	wholePeak := peakFor(t, env, query, false, sparql.WithChunkSize(wholeTable))
+	wholePeak := peakFor(t, env, query, false, sparql.WithChunkSize(wholeTable), sparql.WithPlanner(false))
 	for _, traced := range []bool{false, true} {
-		peak := peakFor(t, env, query, traced, sparql.WithChunkSize(1024))
+		peak := peakFor(t, env, query, traced, sparql.WithChunkSize(1024), sparql.WithPlanner(false))
 		t.Logf("obs=%d traced=%v: whole-table peak %.1f MB, chunked peak %.1f MB (%.1fx)",
 			obsCount, traced, float64(wholePeak)/1e6, float64(peak)/1e6,
 			float64(wholePeak)/float64(peak))
@@ -108,7 +111,8 @@ func TestStreamingBoundsMaryPeak(t *testing.T) {
 // decision: a per-query budget far below the whole-table peak must
 // reject the whole-table arm with a typed *MemLimitError and admit the
 // default-chunk run of the same query, traced or not. This is the
-// -max-query-mem contract the pipeline was built to honor.
+// -max-query-mem contract the pipeline was built to honor. Like
+// TestStreamingBoundsMaryPeak it runs the query in written order.
 func TestStreamingFitsUnderBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs the 80k fixture for a meaningful budget gap")
@@ -118,16 +122,16 @@ func TestStreamingFitsUnderBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	query := maryDirect(t, env)
-	const budget = 8 << 20 // between the chunked (~2.7 MB) and whole-table (~30 MB) peaks
+	const budget = 8 << 20 // between the chunked (~2.2 MB) and whole-table (~100 MB) peaks
 
-	whole := sparql.NewEngine(env.Store, sparql.WithChunkSize(wholeTable), sparql.WithMaxQueryMem(budget))
+	whole := sparql.NewEngine(env.Store, sparql.WithChunkSize(wholeTable), sparql.WithMaxQueryMem(budget), sparql.WithPlanner(false))
 	_, err = whole.QueryString(query)
 	var mle *sparql.MemLimitError
 	if !errors.As(err, &mle) {
 		t.Fatalf("whole-table run under %d-byte budget: err = %v, want *MemLimitError", int64(budget), err)
 	}
 
-	str := sparql.NewEngine(env.Store, sparql.WithChunkSize(1024), sparql.WithMaxQueryMem(budget))
+	str := sparql.NewEngine(env.Store, sparql.WithChunkSize(1024), sparql.WithMaxQueryMem(budget), sparql.WithPlanner(false))
 	res, err := str.QueryString(query)
 	if err != nil {
 		t.Fatalf("chunked run under the same budget: %v", err)
@@ -338,4 +342,32 @@ func TestConcurrentStreamingUnderBudget(t *testing.T) {
 		t.Errorf("tracker inflight = %d after all queries finished, want 0", tr.Inflight())
 	}
 	t.Logf("%d clients, process high water %.1f MB", clients, float64(tr.HighWater())/1e6)
+}
+
+// TestSemiJoinSetChargedToBudget: a semi-join set lives as long as its
+// query, so its members are charged like DISTINCT's seen set (DESIGN
+// §12): an EXISTS whose set holds every observation of the 20k cube
+// trips, with the typed error, traced or not, a budget half again the
+// peak of the same query without it.
+func TestSemiJoinSetChargedToBudget(t *testing.T) {
+	env, err := demo.Build(configFor(20000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const plain = `PREFIX qb: <http://purl.org/linked-data/cube#>
+SELECT (COUNT(*) AS ?n) WHERE { ?o a qb:Observation }`
+	const semi = `PREFIX qb: <http://purl.org/linked-data/cube#>
+SELECT (COUNT(*) AS ?n) WHERE { ?o a qb:Observation FILTER EXISTS { ?o qb:dataSet ?d } }`
+	budget := peakFor(t, env, plain, false) * 3 / 2
+	eng := sparql.NewEngine(env.Store, sparql.WithMaxQueryMem(budget))
+	if _, err := eng.QueryString(plain); err != nil {
+		t.Fatalf("without the EXISTS under a %d-byte budget: %v", budget, err)
+	}
+	var mle *sparql.MemLimitError
+	if _, err := eng.QueryString(semi); !errors.As(err, &mle) {
+		t.Errorf("with the EXISTS under a %d-byte budget: err = %v, want *MemLimitError", budget, err)
+	}
+	if _, _, err := eng.QueryTracedString(semi); !errors.As(err, &mle) {
+		t.Errorf("traced, with the EXISTS under a %d-byte budget: err = %v, want *MemLimitError", budget, err)
+	}
 }
