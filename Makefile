@@ -6,9 +6,9 @@ GO ?= go
 .PHONY: all build test race cover bench bench-json bench-compare bench-concurrent bench-slo bench-smoke fuzz fuzz-smoke chaos examples experiments obs-smoke clean
 
 # The default check builds, vets, and runs the whole test suite under
-# the race detector: the engine fans BGP joins out to GOMAXPROCS
-# goroutines and the endpoint serves queries without locks, so every CI
-# pass revalidates the concurrency invariants (TestConcurrentQueryUpdate,
+# the race detector: queries share one engine and store snapshot, and
+# the endpoint serves them without locks, so every CI pass revalidates
+# the concurrency invariants (TestConcurrentQueryUpdate,
 # TestProbeAgainstNaiveScan, ...). Benchmarks are not run here; the
 # 80k-observation fixtures additionally sit behind a -short guard so a
 # `go test -short -bench .` smoke pass stays fast.
@@ -105,9 +105,7 @@ bench-smoke:
 	bash bench/run.sh --workload refresh-20k --seed 2 --seconds 4 --trace 0
 
 # The A-next concurrent-load experiment alone (EXPERIMENTS.md): Mary
-# query throughput vs. client count with the engine built under
-# GOMAXPROCS 1 and the host's value (procs=N, the join's width) on the
-# 80k-observation cube.
+# query throughput vs. client count on the 80k-observation cube.
 bench-concurrent:
 	$(GO) test -run xxx -bench 'BenchmarkConcurrentQuery|BenchmarkParallelGroupBy' -timeout 30m .
 

@@ -41,15 +41,6 @@ func skipIfShort(b *testing.B, obs int) {
 	}
 }
 
-// procSweep is the GOMAXPROCS sweep of the benchmarks whose engine's
-// join width matters: 1, and the host's value when that is larger.
-func procSweep() []int {
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		return []int{1, n}
-	}
-	return []int{1}
-}
-
 // ---------------------------------------------------------------------
 // Shared fixtures: generated datasets and enriched cubes per scale,
 // built once and reused across benchmarks.
@@ -345,17 +336,14 @@ func benchmarkExecute(b *testing.B, v ql.Variant) {
 // (DESIGN §16): the time roll-up rooted at ?m3_0 quarter ?m3_1 with
 // its year member, ?o refPeriod ?m3_0 rooting ?o's citizen member, the
 // continent join, then a star on the ?o those bind (dataSet, obsValue,
-// geo), and the country name. Rows are streamed and counted, with the
-// engine built under GOMAXPROCS 1 and then the host's value (procs=N),
-// which is the width its batch join fans out to. The consumer is the
-// projection, which returns every chunk to the pipeline once it has
-// built its own rows (DESIGN §16), so what is left per observation is
-// the projected row: 7.55 MB/op and 21 354 allocs/op at width 1, where a
-// fresh pipeline row per observation on top took 18.35 MB and 40 599
-// before chunks were returned (A-chunk-return). The rooted star took
-// procs=1 from 57.0 to 45.6 ms and procs=2 from 48.6 to 42.5 ms
-// (-benchtime 20x, median of three alternating runs, 2 cores;
-// A-rooted-star).
+// geo), and the country name. Rows are streamed and counted. The
+// consumer is the projection, which returns every chunk to the pipeline
+// once it has built its own rows (DESIGN §16), so what is left per
+// observation is the projected row: 7.55 MB/op and 21 354 allocs/op,
+// where a fresh pipeline row per observation on top took 18.35 MB and
+// 40 599 before chunks were returned (A-chunk-return). The rooted star
+// took it from 57.0 to 45.6 ms (-benchtime 20x, median of three
+// alternating runs, 2 cores; A-rooted-star).
 func BenchmarkBGPStar(b *testing.B) {
 	env := enrichedEnv(b, demoScale)
 	q, err := sparql.ParseQuery(`
@@ -378,20 +366,17 @@ SELECT ?m1_1 ?m2_0 ?m3_2 ?a2_countryName ?v1 WHERE {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, procs := range procSweep() {
-		e := atProcs(procs, func() *sparql.Engine { return sparql.NewEngine(env.Store) })
-		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rows := 0
-				err := e.StreamSelect(context.Background(), q,
-					func([]string) error { return nil },
-					func(chunk [][]rdf.Term) error { rows += len(chunk); return nil })
-				if err != nil || rows < demoScale*9/10 {
-					b.Fatalf("star streamed %d rows (err %v), want about %d", rows, err, demoScale)
-				}
-			}
-		})
+	e := sparql.NewEngine(env.Store)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows := 0
+		err := e.StreamSelect(context.Background(), q,
+			func([]string) error { return nil },
+			func(chunk [][]rdf.Term) error { rows += len(chunk); return nil })
+		if err != nil || rows < demoScale*9/10 {
+			b.Fatalf("star streamed %d rows (err %v), want about %d", rows, err, demoScale)
+		}
 	}
 }
 
@@ -401,8 +386,8 @@ SELECT ?m1_1 ?m2_0 ?m3_2 ?a2_countryName ?v1 WHERE {
 // row of the continent-year observation star — the WHERE of that
 // query's aggregating sub-select, 20k rows of
 // seven terms — looked up against the 20k cube's snapshot, one lookup
-// per op, serially and from GOMAXPROCS goroutines at once as a chunk's
-// workers do (b.RunParallel). EXPERIMENTS.md A-lockfree-dict has both
+// per op, serially and from GOMAXPROCS goroutines at once as concurrent
+// queries do (b.RunParallel). EXPERIMENTS.md A-lockfree-dict has both
 // against the dictionary's read-locked map this replaced.
 func BenchmarkTermLookup(b *testing.B) {
 	env := enrichedEnv(b, demoScale)
@@ -966,9 +951,8 @@ func BenchmarkOLAPFloor(b *testing.B) {
 
 // BenchmarkConcurrentQuery measures aggregate query throughput with
 // concurrent clients hammering the demo-scale (80k-observation) cube:
-// both translations of the Mary query, with the engine built under
-// GOMAXPROCS 1 (a join on the calling goroutine) and then the host's
-// value (the default, a join as wide as the host), procs=N. clients=N uses
+// both translations of the Mary query, each query evaluating on its
+// client's goroutine. clients=N uses
 // b.RunParallel with enough goroutines per core to keep N in flight;
 // ns/op is per completed query, so queries/sec = clients adjusted
 // aggregate 1e9/(ns/op). EXPERIMENTS.md A-next records the measured
@@ -983,26 +967,23 @@ func BenchmarkConcurrentQuery(b *testing.B) {
 	}
 	gmp := runtime.GOMAXPROCS(0)
 	for _, v := range []ql.Variant{ql.Direct, ql.Alternative} {
-		for _, procs := range procSweep() {
-			for _, clients := range []int{1, 4, 16, 64} {
-				name := fmt.Sprintf("%s/procs=%d/clients=%d", v, procs, clients)
-				b.Run(name, func(b *testing.B) {
-					client := atProcs(procs, func() *endpoint.Local { return endpoint.NewLocal(env.Store) })
-					b.SetParallelism((clients + gmp - 1) / gmp)
-					b.ResetTimer()
-					b.RunParallel(func(pb *testing.PB) {
-						for pb.Next() {
-							cube, err := ql.Execute(client, p.Translation, v)
-							if err != nil {
-								b.Fatal(err)
-							}
-							if len(cube.Cells) == 0 {
-								b.Fatal("empty cube")
-							}
+		for _, clients := range []int{1, 4, 16, 64} {
+			b.Run(fmt.Sprintf("%s/clients=%d", v, clients), func(b *testing.B) {
+				client := endpoint.NewLocal(env.Store)
+				b.SetParallelism((clients + gmp - 1) / gmp)
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					for pb.Next() {
+						cube, err := ql.Execute(client, p.Translation, v)
+						if err != nil {
+							b.Fatal(err)
 						}
-					})
+						if len(cube.Cells) == 0 {
+							b.Fatal("empty cube")
+						}
+					}
 				})
-			}
+			})
 		}
 	}
 }
@@ -1045,8 +1026,7 @@ func BenchmarkAccountingOverhead(b *testing.B) {
 }
 
 // BenchmarkConcurrentQueryAccounted repeats BenchmarkConcurrentQuery's
-// client sweep (direct translation, engine built under GOMAXPROCS 1)
-// with the resource tracker attached, and reports the process-wide peak
+// client sweep (direct translation) with the resource tracker attached, and reports the process-wide peak
 // in-flight bytes each load level reached as the peak-bytes metric.
 // EXPERIMENTS.md A-resource records the resulting memory curve — the
 // measured answer to "how much intermediate state do 64 concurrent
@@ -1062,7 +1042,7 @@ func BenchmarkConcurrentQueryAccounted(b *testing.B) {
 	for _, clients := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("direct/clients=%d", clients), func(b *testing.B) {
 			tr := obs.NewResourceTracker()
-			client := atProcs(1, func() *endpoint.Local { return endpoint.NewLocal(env.Store, sparql.WithResources(tr)) })
+			client := endpoint.NewLocal(env.Store, sparql.WithResources(tr))
 			b.SetParallelism((clients + gmp - 1) / gmp)
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
@@ -1083,11 +1063,9 @@ func BenchmarkConcurrentQueryAccounted(b *testing.B) {
 
 // BenchmarkParallelGroupBy runs the flat group-by over every
 // observation (the hot path the paper's alternative translation works
-// around) on an engine at the default join width (GOMAXPROCS). There is
-// no sweep: GROUP BY folds on the coordinating goroutine, and the
-// join's fan-out is BenchmarkBGPStar's to measure. The sub-benchmark
-// keeps the name par=1, which no longer names a width, so that the
-// committed BENCH.json snapshot stays comparable.
+// around). The sub-benchmark keeps the name par=1, which no longer
+// names a width, so that the committed BENCH.json snapshot stays
+// comparable.
 func BenchmarkParallelGroupBy(b *testing.B) {
 	env := enrichedEnv(b, demoScale)
 	query := `
@@ -1162,8 +1140,8 @@ func BenchmarkTimeSeriesTick(b *testing.B) {
 
 // BenchmarkChunkSize sweeps the pipeline's chunk size on the direct
 // Mary translation. The sweep justifies the 1024-row default: small
-// chunks pay per-boundary overhead and fall below the join fan-out's
-// batch threshold, huge chunks converge on whole-table latency while
+// chunks pay per-boundary overhead and fall below the BGP's batch
+// threshold (minBatchRows, 128), huge chunks converge on whole-table latency while
 // growing the per-stage footprint. EXPERIMENTS.md A-streaming records
 // the measured curve.
 func BenchmarkChunkSize(b *testing.B) {

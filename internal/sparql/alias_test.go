@@ -12,7 +12,7 @@ import (
 )
 
 // aliasFixture builds a random store big enough for chunks to reach
-// minParallelRows: 500–700 subjects with one ex:a (a pool of eight
+// minBatchRows: 500–700 subjects with one ex:a (a pool of eight
 // members), an ex:b on most (the same pool plus three more), zero to
 // three integer ex:v, an ex:self pointing at themselves or at a
 // neighbour on a third; members carry zero, one or two ex:label; ex:once
@@ -238,12 +238,12 @@ func sortedKeys(res *Results) []string {
 // repeated-variable) / UNION / MINUS / VALUES / FILTER EXISTS — one that
 // shares one variable, too, beside an aggregating sub-select grouped by
 // it, with and without LIMIT — / sub-select / GRAPH over random stores large
-// enough for the batch kernels and the join's worker merge to run, with
+// enough for the batch kernels to run, with
 // the stages that write in place put where a wrong ownership bit shows —
 // first in a UNION branch or an EXISTS group, after a replayed input,
 // before an ORDER BY that retains every chunk and a GROUP BY that retains
 // first rows — and then the fixed operator queries of
-// operatorQueries over parallelFixture and the star shapes of
+// operatorQueries over operatorFixture and the star shapes of
 // starQueries. Every result must be the multiset
 // the nested-loop reference of refeval_test.go computes, and the very
 // same table — order included — at every chunk size, with the rows a
@@ -293,14 +293,14 @@ func TestAliasingAgainstReference(t *testing.T) {
 		if trial%perStore == 0 {
 			st = aliasFixture(rng)
 		}
-		if check(st, fmt.Sprintf("trial %d", trial), "PREFIX ex: <http://ex/> "+gen.query()) >= minParallelRows {
+		if check(st, fmt.Sprintf("trial %d", trial), "PREFIX ex: <http://ex/> "+gen.query()) >= minBatchRows {
 			large++
 		}
 	}
 	if trials := stores * perStore; large < trials/4 {
-		t.Fatalf("only %d of %d queries return a worker-sized result: the generator no longer reaches the batch kernels", large, trials)
+		t.Fatalf("only %d of %d queries return a batch-sized result: the generator no longer reaches the batch kernels", large, trials)
 	}
-	st = parallelFixture(1500)
+	st = operatorFixture(1500)
 	for i, src := range operatorQueries {
 		check(st, fmt.Sprintf("operator query %d", i), src)
 	}
@@ -308,6 +308,86 @@ func TestAliasingAgainstReference(t *testing.T) {
 	for i, src := range starQueries {
 		check(st, fmt.Sprintf("star query %d", i), src)
 	}
+}
+
+// operatorFixture builds a store large enough that every operator's
+// input reaches minBatchRows, so the BGP takes its batch kernel: n items with
+// type, value, group, and (for even items) a label; a third of the
+// items are "flagged" in a separate pattern used by MINUS and UNION.
+func operatorFixture(n int) *store.Store {
+	st := store.New()
+	typ := rdf.NewIRI("http://ex/type")
+	item := rdf.NewIRI("http://ex/Item")
+	val := rdf.NewIRI("http://ex/value")
+	grp := rdf.NewIRI("http://ex/group")
+	lbl := rdf.NewIRI("http://ex/label")
+	flag := rdf.NewIRI("http://ex/flagged")
+	var ts []rdf.Triple
+	for i := 0; i < n; i++ {
+		s := rdf.NewIRI(fmt.Sprintf("http://ex/item/%04d", i))
+		ts = append(ts,
+			rdf.NewTriple(s, typ, item),
+			rdf.NewTriple(s, val, rdf.NewInteger(int64(i%97))),
+			rdf.NewTriple(s, grp, rdf.NewIRI(fmt.Sprintf("http://ex/g/%d", i%13))),
+		)
+		if i%2 == 0 {
+			ts = append(ts, rdf.NewTriple(s, lbl, rdf.NewLiteral(fmt.Sprintf("label %d", i))))
+		}
+		if i%3 == 0 {
+			ts = append(ts, rdf.NewTriple(s, flag, rdf.NewBoolean(true)))
+		}
+	}
+	st.InsertTriples(rdf.Term{}, ts)
+	return st
+}
+
+// operatorQueries exercise each operator over operatorFixture: BGP join
+// chains, FILTER, single-pattern and general OPTIONAL, UNION, MINUS,
+// FILTER EXISTS, DISTINCT, and hash GROUP BY with HAVING and aggregate
+// projections. TestAliasingAgainstReference checks them against the
+// reference evaluator.
+var operatorQueries = []string{
+	// BGP join + FILTER.
+	`SELECT ?s ?v WHERE {
+		?s <http://ex/type> <http://ex/Item> ; <http://ex/value> ?v .
+		FILTER(?v > 40)
+	} ORDER BY ?s`,
+	// Single-pattern OPTIONAL (fast path).
+	`SELECT ?s ?l WHERE {
+		?s <http://ex/type> <http://ex/Item> .
+		OPTIONAL { ?s <http://ex/label> ?l }
+	} ORDER BY ?s`,
+	// General OPTIONAL (two patterns inside).
+	`SELECT ?s ?l ?v WHERE {
+		?s <http://ex/type> <http://ex/Item> .
+		OPTIONAL { ?s <http://ex/label> ?l . ?s <http://ex/value> ?v }
+	} ORDER BY ?s`,
+	// UNION over two branches.
+	`SELECT ?s WHERE {
+		{ ?s <http://ex/flagged> true } UNION { ?s <http://ex/label> ?l }
+	} ORDER BY ?s`,
+	// MINUS exclusion.
+	`SELECT ?s WHERE {
+		?s <http://ex/type> <http://ex/Item> .
+		MINUS { ?s <http://ex/flagged> true }
+	} ORDER BY ?s`,
+	// Hash GROUP BY with aggregates and HAVING.
+	`SELECT ?g (SUM(?v) AS ?total) (COUNT(?s) AS ?n) WHERE {
+		?s <http://ex/group> ?g ; <http://ex/value> ?v .
+	} GROUP BY ?g HAVING(SUM(?v) > 100) ORDER BY ?g`,
+	// Grouping without ORDER BY: group order must match exactly.
+	`SELECT ?g (AVG(?v) AS ?avg) WHERE {
+		?s <http://ex/group> ?g ; <http://ex/value> ?v .
+	} GROUP BY ?g`,
+	// FILTER with EXISTS (a nested pipeline per row).
+	`SELECT ?s WHERE {
+		?s <http://ex/value> ?v .
+		FILTER EXISTS { ?s <http://ex/label> ?l }
+	} ORDER BY ?s`,
+	// DISTINCT projection over a join.
+	`SELECT DISTINCT ?g WHERE {
+		?s <http://ex/group> ?g ; <http://ex/flagged> true .
+	}`,
 }
 
 // starQueries put star levels (DESIGN §16 "The star walk", "The rooted

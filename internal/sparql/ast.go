@@ -25,11 +25,8 @@
 // atomic to concurrent queries; callers needing whole update requests
 // serialized against each other must arrange it, as endpoint.Server
 // does.
-// Evaluation runs on the query's goroutine, with one exception: the BGP
-// batch join partitions a large batch of rows across up to
-// runtime.GOMAXPROCS(0) goroutines (the value when the Engine was
-// built) and merges the outputs in input order, so query results are
-// identical at every width (see parallel.go). Engine configuration
+// Evaluation runs on the query's goroutine and starts none of its own:
+// concurrency is across queries, never within one. Engine configuration
 // (SetChunkSize, WithPlanner) is not synchronized and must happen
 // before the Engine is shared.
 package sparql

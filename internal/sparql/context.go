@@ -15,9 +15,8 @@ import (
 // goroutine checks the context at every chunk boundary of the pipeline
 // (boundIter, stream.go; the GROUP BY fold after every chunk it
 // consumes), and the row kernels — BGP join, FILTER, OPTIONAL, MINUS —
-// check every cancelCheckRows rows, on the coordinator and inside the
-// join's worker sub-chunks alike, so a cancelled query returns promptly
-// at every join width and chunk size. A kernel that observes
+// check every cancelCheckRows rows, so a cancelled query returns
+// promptly at every chunk size. A kernel that observes
 // cancellation abandons its rows and returns truncated output; the
 // next chunk boundary then converts the cancellation into an error
 // before any truncated rows can escape, so a cancelled query never

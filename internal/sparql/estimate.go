@@ -14,8 +14,9 @@ import (
 // per-operator estimator (join selectivity, filter default, …) from
 // error accumulated upstream — exactly the q-error signal that judges
 // whether the statistics are good enough to plan with. The cost-based
-// planner (plan.go) consumes the same model, estimateJoinRows, to
-// choose join orders before evaluation starts.
+// planner (plan.go) consumes the same model to choose join orders
+// before evaluation starts: one set of functions over fractional
+// cardinalities, which a traced stage truncates to whole rows.
 //
 // Estimates are only computed while tracing, when a stage closes and
 // its total actual input is known (trace.go); an untraced query pays
@@ -55,33 +56,33 @@ func semiSelectivity(st *store.Snapshot, tp TriplePattern, i int, n float64, gid
 	return n / float64(distinct)
 }
 
-// estimateFilter applies the textbook default 1/3 selectivity: nothing
-// is known about the predicate expression, and the rendered est/act gap
-// is precisely the missing-statistics signal.
-func estimateFilter(in int) int64 {
+// estimateFilterRows applies the textbook default 1/3 selectivity:
+// nothing is known about the predicate expression, and the rendered
+// est/act gap is precisely the missing-statistics signal.
+func estimateFilterRows(in float64) float64 {
 	if in == 0 {
 		return 0
 	}
 	if in < 3 {
 		return 1
 	}
-	return int64(in / 3)
+	return in / 3
 }
 
-// estimateGroups predicts the number of aggregation groups as √in, the
-// classic zero-information heuristic.
-func estimateGroups(in int) int64 {
-	return int64(math.Round(math.Sqrt(float64(in))))
+// estimateGroupRows predicts the number of aggregation groups as √in,
+// the classic zero-information heuristic.
+func estimateGroupRows(in float64) float64 {
+	return math.Round(math.Sqrt(in))
 }
 
-// estimateSlice is exact: OFFSET/LIMIT arithmetic over the input.
-func estimateSlice(in, offset, limit int) int64 {
-	n := in - offset
+// estimateSliceRows is exact: OFFSET/LIMIT arithmetic over the input.
+func estimateSliceRows(in float64, offset, limit int) float64 {
+	n := in - float64(offset)
 	if n < 0 {
 		n = 0
 	}
-	if limit >= 0 && limit < n {
-		n = limit
+	if limit >= 0 && float64(limit) < n {
+		n = float64(limit)
 	}
-	return int64(n)
+	return n
 }

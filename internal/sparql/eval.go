@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -23,11 +22,6 @@ import (
 // (SetChunkSize, WithPlanner) must be done before the engine is shared.
 type Engine struct {
 	store *store.Store
-
-	// joinWidth is the number of goroutines the BGP batch join fans a
-	// batch out to (parallel.go): runtime.GOMAXPROCS(0) when the engine
-	// was built. Always >= 1.
-	joinWidth int
 
 	// planner enables the cost-based planning pass (plan.go) on every
 	// query and update entry: statistics-driven BGP join ordering plus
@@ -60,11 +54,12 @@ type Engine struct {
 	chunkSize int
 }
 
-// defaultChunkSize is the default chunk granularity. 1024
-// rows balances per-chunk kernel efficiency (large enough for the BGP
-// join to fan out, minParallelRows=128) against per-query buffer
-// footprint (a ~1.5 KB OLAP row × 1024 ≈ 1.5 MB per pipeline stage);
-// see BenchmarkChunkSize for the sweep backing the choice.
+// defaultChunkSize is the default chunk granularity. 1024 rows balances
+// per-chunk kernel efficiency (a full chunk takes the BGP's batch
+// kernel, minBatchRows=128, and amortizes each stage's boundary work)
+// against per-query buffer footprint (a ~1.5 KB OLAP row × 1024 ≈
+// 1.5 MB per pipeline stage); see BenchmarkChunkSize for the sweep
+// backing the choice.
 const defaultChunkSize = 1024
 
 // Option configures an Engine at construction time.
@@ -92,7 +87,7 @@ func (e *Engine) SetChunkSize(n int) {
 // NewEngine returns an engine over st. The cost-based planner is on by
 // default; pass WithPlanner(false) to disable it.
 func NewEngine(st *store.Store, opts ...Option) *Engine {
-	e := &Engine{store: st, joinWidth: runtime.GOMAXPROCS(0), planner: true, chunkSize: defaultChunkSize}
+	e := &Engine{store: st, planner: true, chunkSize: defaultChunkSize}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -155,8 +150,8 @@ type run struct {
 
 	// qctx/done arm cooperative cancellation (see context.go). done is
 	// qctx.Done(); both stay nil for uncancellable evaluations, which
-	// keeps every cancellation hook a single nil check. Workers share
-	// them through the run-value copy.
+	// keeps every cancellation hook a single nil check. Kernel runs
+	// share them through the run-value copy.
 	qctx context.Context
 	done <-chan struct{}
 
@@ -172,10 +167,9 @@ type run struct {
 
 	// acct is the per-query resource account (rows/bytes materialized,
 	// peak in-flight, optional budget). Nil — the default — disables
-	// accounting; every hook is then a nil check. Workers share the
-	// pointer through the run-value copy; QueryAcct is internally
-	// atomic. ownAcct marks an account opened by this run (closeAcct
-	// finishes it) as opposed to one injected via context.
+	// accounting; every hook is then a nil check. ownAcct marks an
+	// account opened by this run (closeAcct finishes it) as opposed to
+	// one injected via context.
 	acct    *obs.QueryAcct
 	ownAcct bool
 
@@ -816,7 +810,7 @@ func (r *run) foldGroups(q *Query, body chunkIter, free *rowList) ([]string, []s
 	}
 	if sp != nil {
 		upstream := sp.Wall // negative: the time spanIn spent pulling the WHERE, which Finish overwrites
-		sp.SetEst(estimateGroups(sp.In))
+		sp.SetEst(int64(estimateGroupRows(float64(sp.In))))
 		sp.Detail = fmt.Sprintf("%d groups", len(f.list))
 		sp.Mem = f.charged
 		sp.Finish(len(rows))

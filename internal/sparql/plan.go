@@ -157,7 +157,7 @@ func (ps *planState) query(q *Query) *Query {
 	nq.Planned = true
 	if len(nq.GroupBy) > 0 || projectionHasAggregates(&nq) {
 		ps.cost += rows
-		rows = math.Round(math.Sqrt(rows)) // estimateGroups
+		rows = estimateGroupRows(rows)
 	}
 	if nq.Distinct {
 		ps.cost += rows
@@ -902,28 +902,4 @@ func estimateJoinRows(st *store.Snapshot, tp TriplePattern, bound map[string]boo
 		}
 	}
 	return in * base / div
-}
-
-// estimateFilterRows is estimateFilter over the planner's fractional
-// cardinalities: the textbook default 1/3 selectivity.
-func estimateFilterRows(in float64) float64 {
-	if in == 0 {
-		return 0
-	}
-	if in < 3 {
-		return 1
-	}
-	return in / 3
-}
-
-// estimateSliceRows is estimateSlice over fractional cardinalities.
-func estimateSliceRows(in float64, offset, limit int) float64 {
-	n := in - float64(offset)
-	if n < 0 {
-		n = 0
-	}
-	if limit >= 0 && float64(limit) < n {
-		n = float64(limit)
-	}
-	return n
 }

@@ -13,11 +13,10 @@ import (
 // Per row only the positions the row binds are looked up, without a
 // lock, in the index the snapshot pinned; the matches are one contiguous
 // run of the snapshot, and only the positions the row leaves free are
-// decoded back to terms. A probe holds nothing mutable, so the workers
-// of a chunk share it: the previous row's match, which a plain probe
-// reuses when the next row binds the same terms, is a lastMatch kept by
-// the loop that walks the rows (DESIGN §16 "Consecutive rows repeat
-// their members").
+// decoded back to terms. A probe holds nothing mutable: the previous
+// row's match, which a plain probe reuses when the next row binds the
+// same terms, is a lastMatch kept by the loop that walks the rows
+// (DESIGN §16 "Consecutive rows repeat their members").
 type probe struct {
 	tp   TriplePattern
 	snap *store.Snapshot
@@ -406,10 +405,11 @@ func (p *probe) kept(t store.IDTriple) bool {
 
 // outFor returns the slice a per-chunk kernel appends its output to. An
 // owned chunk (DESIGN §16 "Chunk ownership") is compacted into its own
-// header, capped at its length so that a worker's append can never cross
-// into its neighbour's rows[lo:hi]; writing there is safe while the
-// write index stays at or behind the row being read — spill is the way
-// out once a multi-match row would overtake it.
+// header, capped at its length so that an append past it reallocates
+// instead of writing into whatever the caller's slice holds beyond;
+// writing there is safe while the write index stays at or behind the
+// row being read — spill is the way out once a multi-match row would
+// overtake it.
 func outFor(rows []solution, owned bool) []solution {
 	if owned {
 		return rows[:0:len(rows)]

@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -83,11 +84,11 @@ func sameRows(a, b []solution) bool {
 // three consumers of probe — joinPatternOwned, rowScan cut at 1, 2, 7,
 // 1 024 and unlimited rows per emit, and optionalSingle — must produce
 // exactly the nested-loop reference, in its order, and leave rows they
-// do not own untouched. So must the batch join's fan-out, joinPatternPar
-// at widths 1 and 3, over a batch of at least minParallelRows of those
-// rows: on every other pattern the rows with the most matches come
-// first, so the first worker's part outgrows its bounds while the later
-// parts compact in place, which mergeChunks must not copy over. The star
+// do not own untouched. So must the batch kernel over a batch of at
+// least minBatchRows of those rows: on every other pattern the rows with
+// one match come first, so they are compacted in place and the
+// multi-match rows after them must spill before they overtake the row
+// being read. The star
 // and rooted subtests hold the BGP kernels to the same reference for star
 // levels.
 func TestProbeAgainstNaiveScan(t *testing.T) {
@@ -193,9 +194,8 @@ func TestProbeAgainstNaiveScan(t *testing.T) {
 // free position to what the run matched, between two that leave it
 // free; terms the dictionary lacks, repeated; and ?x p ?x. An owned row
 // with one match is extended in place before the next row of its run is
-// matched, and the batch fan-out at widths 2 and 3 splits a run at every
-// worker's first row, which starts cold. Every kernel must produce the
-// nested-loop reference, row for row, in order.
+// matched. Every kernel must produce the nested-loop reference, row for
+// row, in order.
 func probeMemoAgainstRuns(t *testing.T, rng *rand.Rand) {
 	kind := rdf.NewIRI("http://t/k")
 	twins := [][]rdf.Term{
@@ -252,7 +252,7 @@ func probeMemoAgainstRuns(t *testing.T, rng *rand.Rand) {
 			// Runs of a drawn row, two in three followed by a neighbour
 			// and the run's row again.
 			var rows []solution
-			for n := 3*minChunkRows + rng.Intn(minChunkRows); len(rows) < n; {
+			for n := 192 + rng.Intn(64); len(rows) < n; {
 				proto := make(solution, len(vars))
 				for slot := range proto {
 					switch k := rng.Intn(10); {
@@ -283,11 +283,6 @@ func probeMemoAgainstRuns(t *testing.T, rng *rand.Rand) {
 					if ms := naiveJoin(st.Dict(), all, tp, r.vt, proto); len(ms) > 0 && key(ms[0]) != key(proto) {
 						rows = append(rows, ms[0], proto.clone())
 					}
-				}
-			}
-			for _, width := range []int{2, 3} { // a run across every worker boundary
-				for _, b := range chunkBounds(len(rows), width)[1:] {
-					rows[b[0]] = rows[b[0]-1].clone()
 				}
 			}
 			for i := 1; i < len(rows); i++ {
@@ -321,16 +316,6 @@ func probeMemoAgainstRuns(t *testing.T, rng *rand.Rand) {
 				if got := r.optionalSingle(p, in, owned); !sameRows(got, wantOpt) {
 					fail(fmt.Sprintf("optionalSingle(owned=%v)", owned), got, wantOpt)
 				}
-				for _, width := range []int{2, 3} {
-					r.e.joinWidth = width
-					got, err := r.joinPatternPar(p, cloneRows(rows), owned)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameRows(got, wantJoin) {
-						fail(fmt.Sprintf("joinPatternPar(width=%d, owned=%v) over the runs", width, owned), got, wantJoin)
-					}
-				}
 			}
 			checkJoinKernels(t, rng, r, p, rows, perRow, pi%2 == 1, fail)
 		}
@@ -342,12 +327,12 @@ func probeMemoAgainstRuns(t *testing.T, rng *rand.Rand) {
 
 // checkJoinKernels runs probe p over rows through every consumer of a
 // BGP level — joinPatternOwned, rowScan cut at 1, 2, 7, 1 024 and
-// unlimited rows per emit, and joinPatternPar at widths 1 and 3 over a
-// batch of at least minParallelRows of those rows, with the rows with
-// the most matches first when byMatches is set — on owned and unowned
-// input. Each must produce perRow, the reference output of every row,
+// unlimited rows per emit, and joinPatternOwned again over a batch of
+// at least minBatchRows of those rows, with the rows with one match
+// first and then the rows with the most when singlesFirst is set — on
+// owned and unowned input. Each must produce perRow, the reference output of every row,
 // in order, and leave rows it does not own untouched.
-func checkJoinKernels(t *testing.T, rng *rand.Rand, r *run, p *probe, rows []solution, perRow [][]solution, byMatches bool, fail func(what string, got, want []solution)) {
+func checkJoinKernels(t *testing.T, rng *rand.Rand, r *run, p *probe, rows []solution, perRow [][]solution, singlesFirst bool, fail func(what string, got, want []solution)) {
 	t.Helper()
 	var wantJoin []solution
 	for _, ms := range perRow {
@@ -391,12 +376,18 @@ func checkJoinKernels(t *testing.T, rng *rand.Rand, r *run, p *probe, rows []sol
 		}
 	}
 
-	from := make([]int, minParallelRows+rng.Intn(3*minChunkRows)) // which row each batch row is
+	from := make([]int, minBatchRows+rng.Intn(192)) // which row each batch row is
 	for i := range from {
 		from[i] = rng.Intn(len(rows))
 	}
-	if byMatches {
-		slices.SortStableFunc(from, func(a, b int) int { return len(perRow[b]) - len(perRow[a]) })
+	if singlesFirst {
+		rank := func(k int) int { // one match first, then the most matches
+			if n := len(perRow[k]); n != 1 {
+				return -n
+			}
+			return math.MinInt32
+		}
+		slices.SortStableFunc(from, func(a, b int) int { return rank(a) - rank(b) })
 	}
 	batch := make([]solution, len(from))
 	var wantBatch []solution
@@ -404,21 +395,17 @@ func checkJoinKernels(t *testing.T, rng *rand.Rand, r *run, p *probe, rows []sol
 		batch[i] = rows[k]
 		wantBatch = append(wantBatch, perRow[k]...)
 	}
-	defer func(w int) { r.e.joinWidth = w }(r.e.joinWidth)
-	for _, width := range []int{1, 3} {
-		r.e.joinWidth = width
-		for _, owned := range []bool{false, true} {
-			in := cloneRows(batch)
-			got, err := r.joinPatternPar(p, in, owned)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameRows(got, wantBatch) {
-				fail(fmt.Sprintf("joinPatternPar(width=%d, owned=%v) over %d rows", width, owned, len(in)), got, wantBatch)
-			}
-			if !owned && !sameRows(in, batch) {
-				fail("input rows after a fanned-out join that does not own them", in, batch)
-			}
+	for _, owned := range []bool{false, true} {
+		in := cloneRows(batch)
+		got, err := r.joinPatternOwned(p, in, owned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameRows(got, wantBatch) {
+			fail(fmt.Sprintf("joinPatternOwned(owned=%v) over a batch of %d rows", owned, len(in)), got, wantBatch)
+		}
+		if !owned && !sameRows(in, batch) {
+			fail("input rows after a batch join that does not own them", in, batch)
 		}
 	}
 }
@@ -720,7 +707,6 @@ func TestSingleMatchJoinAllocatesNothingPerRow(t *testing.T) {
 	r := &run{e: NewEngine(st), vt: newVarTable(), snap: st.Snapshot()}
 	x, y := r.vt.slot("x"), r.vt.slot("y")
 	p := r.compile(TriplePattern{S: VarTerm("x"), P: ConstTerm(val), O: VarTerm("y")}, graphCtx{})
-	r.e.joinWidth = 1 // workers would allocate their goroutines and parts
 	for _, set := range []struct {
 		name string
 		at   func(i int) int // the triple whose subject row i binds ?x to
@@ -737,7 +723,7 @@ func TestSingleMatchJoinAllocatesNothingPerRow(t *testing.T) {
 		var last Expression = ExprConst{Term: wantY}
 		kernels := map[string]func() []solution{
 			"join": func() []solution {
-				out, err := r.joinPatternPar(p, rows, true)
+				out, err := r.joinPatternOwned(p, rows, true)
 				if err != nil {
 					t.Fatal(err)
 				}

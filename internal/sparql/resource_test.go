@@ -16,7 +16,7 @@ import (
 // everywhere. Accounting is observation only — it must never change
 // what a query returns.
 func TestAccountingPreservesResults(t *testing.T) {
-	st := parallelFixture(800)
+	st := operatorFixture(800)
 	plain := NewEngine(st)
 	tracked := NewEngine(st, WithResources(obs.NewResourceTracker()))
 	budgeted := NewEngine(st, WithResources(obs.NewResourceTracker()), WithMaxQueryMem(1<<30))
@@ -41,7 +41,7 @@ func TestAccountingPreservesResults(t *testing.T) {
 // accumulates rows and bytes, and that the tracker's books balance to
 // zero after the account closes.
 func TestAccountingCounts(t *testing.T) {
-	st := parallelFixture(400)
+	st := operatorFixture(400)
 	tr := obs.NewResourceTracker()
 	e := NewEngine(st, WithResources(tr))
 	acct := obs.NewQueryAcct(tr, 0)
@@ -78,7 +78,7 @@ func TestAccountingCounts(t *testing.T) {
 // once, by the stage that produced it, and nothing per row is retained
 // — and once the result exists only it stays in flight.
 func TestAccountingChargesGroupsNotRows(t *testing.T) {
-	st := parallelFixture(400)
+	st := operatorFixture(400)
 	const where = `WHERE { ?s <http://ex/group> ?g ; <http://ex/value> ?v }`
 	run := func(query string) *obs.QueryAcct {
 		t.Helper()
@@ -112,7 +112,7 @@ func TestAccountingChargesGroupsNotRows(t *testing.T) {
 // the typed error and that the over-budget query is counted on the
 // tracker.
 func TestMemLimitError(t *testing.T) {
-	st := parallelFixture(800)
+	st := operatorFixture(800)
 	tr := obs.NewResourceTracker()
 	e := NewEngine(st, WithResources(tr), WithMaxQueryMem(512))
 	_, err := e.QueryString(
@@ -138,7 +138,7 @@ func TestMemLimitError(t *testing.T) {
 // TestMemLimitUnderBudget checks a budget well above the query's needs
 // changes nothing.
 func TestMemLimitUnderBudget(t *testing.T) {
-	st := parallelFixture(100)
+	st := operatorFixture(100)
 	e := NewEngine(st, WithMaxQueryMem(1<<30))
 	res, err := e.QueryString(`SELECT ?s WHERE { ?s <http://ex/type> <http://ex/Item> }`)
 	if err != nil {
@@ -153,7 +153,7 @@ func TestMemLimitUnderBudget(t *testing.T) {
 // summary line and per-operator mem= annotations, while the Outline
 // (the golden surface) stays free of them.
 func TestTraceMemAnnotations(t *testing.T) {
-	st := parallelFixture(400)
+	st := operatorFixture(400)
 	e := NewEngine(st)
 	_, tr, err := e.QueryTracedString(
 		`SELECT ?s ?v WHERE { ?s <http://ex/type> <http://ex/Item> ; <http://ex/value> ?v FILTER(?v > 40) }`)
@@ -210,7 +210,7 @@ func TestTraceMemAnnotations(t *testing.T) {
 // TestContextAcctAdopted checks the engine adopts a context-injected
 // account instead of opening its own, and leaves Finish to the opener.
 func TestContextAcctAdopted(t *testing.T) {
-	st := parallelFixture(100)
+	st := operatorFixture(100)
 	tr := obs.NewResourceTracker()
 	e := NewEngine(st, WithResources(tr))
 	acct := obs.NewQueryAcct(tr, 0)

@@ -21,8 +21,9 @@ import (
 // writes a chunk at a time) and an incremental decoder that parses the
 // results JSON straight off the response body (endpoint.Remote). Both
 // speak the SPARQL 1.1 Query Results JSON Format, byte- and semantics-
-// identical to Results.MarshalJSON / ResultsFromJSON — the reference
-// they are fuzzed against — without encoding/json on the way: the
+// identical to Results.MarshalJSON / ResultsFromJSON, the reference
+// codec they are fuzzed against (results_ref_test.go), without
+// encoding/json on the way: the
 // encoder appends cells to one reused buffer, the decoder is a scanner
 // over the fixed results grammar. What either allocates per request
 // starts small and grows with the result (DESIGN.md §16).
@@ -542,6 +543,11 @@ func (d *resultScanner) table() *Results {
 		}
 	}
 	return out
+}
+
+// sparqlJSONHead is the head object of a results document.
+type sparqlJSONHead struct {
+	Vars []string `json:"vars"`
 }
 
 // ResultsEncoder incrementally serializes a result stream in the SPARQL

@@ -53,9 +53,8 @@ type semiJoinElement struct {
 func (semiJoinElement) isPatternElement() {}
 
 // semiSet is the evaluated set of one semiJoin in one graph: its members'
-// ids, ascending. It is filled on the coordinating goroutine before any
-// kernel reads it, and read-only from then on, so the join's workers
-// share it.
+// ids, ascending. It is filled before any kernel reads it, and
+// read-only from then on.
 type semiSet struct {
 	ids   map[store.ID]struct{}
 	order []store.ID

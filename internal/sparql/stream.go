@@ -20,14 +20,10 @@ import (
 //
 // Design rules (see DESIGN.md §16):
 //
-//   - The pipeline is fully synchronous: every stage's next() runs on
-//     the coordinating goroutine, so there are no pipeline goroutines
-//     to leak and SLICE's early exit is just "stop pulling". The one
-//     place evaluation leaves that goroutine is *within* a chunk: the
-//     BGP's batch join (joinPatternPar, parallel.go) splits a large
-//     batch across GOMAXPROCS goroutines and merges in order; FILTER,
-//     OPTIONAL, MINUS and every nested pipeline stay on the
-//     coordinating goroutine.
+//   - The pipeline is fully synchronous: every stage's next() and
+//     every kernel runs on the coordinating goroutine, the query's own,
+//     so there are no goroutines to leak and SLICE's early exit is just
+//     "stop pulling" (DESIGN §7 "One goroutine per query").
 //   - Chunk boundaries carry the cross-cutting concerns: boundIter
 //     checks cancellation, charges the chunk to the query account,
 //     releases the previous chunk, and — when the query is traced —
@@ -42,7 +38,7 @@ import (
 //     The last owner hands the chunk back: the GROUP BY fold and the
 //     projection put the owned chunks they have consumed on the
 //     pipeline's one free list (rowList, one chunk at most) and the
-//     BGP's fan-out builds the next chunk in those rows and that header.
+//     BGP's row scan builds the next chunk in those rows and that header.
 //     Nested pipelines (groupRows, UNION branches, GRAPH ?g) have no
 //     list — their callers retain what they return — and the batch
 //     kernels keep solution.clone.
@@ -310,6 +306,27 @@ func drainStream(r *run, src chunkIter) ([]solution, error) {
 			return nil, r.memErr()
 		}
 	}
+}
+
+// concatSolutions flattens drained chunks in order. A lone non-empty
+// chunk is returned as is, not copied.
+func concatSolutions(outs [][]solution) []solution {
+	total := 0
+	var last []solution
+	for _, o := range outs {
+		if len(o) > 0 {
+			total += len(o)
+			last = o
+		}
+	}
+	if total == len(last) {
+		return last
+	}
+	merged := make([]solution, 0, total)
+	for _, o := range outs {
+		merged = append(merged, o...)
+	}
+	return merged
 }
 
 // groupRows evaluates a group graph pattern over materialized input
@@ -880,32 +897,44 @@ func (b *bgpIter) next() ([]solution, error) {
 	}
 }
 
+// minBatchRows is the number of buffered rows from which a BGP level
+// joins them through the batch kernel (joinPatternOwned) rather than row
+// by row (rowScan). A batch that large is most often rows with one match
+// each, a functional chain through an observation's patterns, which the
+// batch kernel extends and compacts in place in the header it was
+// handed; fewer rows may be a fan-out, one row matching thousands of
+// triples, which rowScan emits in chunks of at most chunkSize rows. The
+// row scan builds each chunk in a header of its own, a new one unless
+// the pipeline's free list holds one, so it is no substitute at every
+// size (EXPERIMENTS A-one-goroutine).
+const minBatchRows = 128
+
 // advance joins a bounded amount of level i's buffered rows with its
-// pattern. Large batches take the parallel batch join (order-preserving
-// merge included); small batches and resumed scans go row by row
-// through a suspendable rowScan, so a single row whose pattern matches
-// the whole store still emits chunk-sized output. Property
-// patterns always batch (path closures have no cursor form). Level 0
-// owns its rows when the stage's input does (after a FILTER pushed above
-// the BGP, a sub-select join, a BIND); at the head of a group they are
-// shared with whoever replays them and single-match rows are cloned.
-// Deeper levels always own theirs — the level before built them — and
-// extend and compact them in place: joinPatternOwned's ownership rule.
-// The row-by-row path — the one a fan-out takes, 1 row → every
-// observation — builds its chunk in the header and the rows the
-// pipeline's consumer returned (free), once there are any.
+// pattern. A batch of minBatchRows or more takes the batch kernel;
+// smaller batches and resumed scans go row by row through a suspendable
+// rowScan, so a single row whose pattern matches the whole store still
+// emits chunk-sized output. Property patterns always batch (path
+// closures have no cursor form). Level 0 owns its rows when the stage's
+// input does (after a FILTER pushed above the BGP, a sub-select join, a
+// BIND); at the head of a group they are shared with whoever replays
+// them and single-match rows are cloned. Deeper levels always own
+// theirs — the level before built them — and extend and compact them in
+// place: joinPatternOwned's ownership rule. The row-by-row path — the
+// one a fan-out takes, 1 row → every observation — builds its chunk in
+// the header and the rows the pipeline's consumer returned (free), once
+// there are any.
 func (b *bgpIter) advance(i int) ([]solution, error) {
 	lvl := &b.levels[i]
 	owned := i > 0 || b.owned
 	max := b.r.e.chunkSize
-	if lvl.scan == nil && (lvl.p.steps != nil || len(lvl.buf) >= minParallelRows) {
+	if lvl.scan == nil && (lvl.p.steps != nil || len(lvl.buf) >= minBatchRows) {
 		n := len(lvl.buf)
 		if n > max {
 			n = max
 		}
 		batch := lvl.buf[:n:n]
 		lvl.buf = lvl.buf[n:]
-		return b.kr.joinPatternPar(lvl.p, batch, owned)
+		return b.kr.joinPatternOwned(lvl.p, batch, owned)
 	}
 	out := b.free.header()
 	for len(out) < max {
@@ -1229,7 +1258,7 @@ func (r *run) resultStream(q *Query) (chunkIter, []string, error) {
 		var tr *stageTrace
 		if r.trace != nil {
 			tr = newStage(r.trace, "SLICE", fmt.Sprintf("offset=%d limit=%d", q.Offset, q.Limit),
-				func(in int) int64 { return estimateSlice(in, q.Offset, q.Limit) })
+				func(in int) int64 { return int64(estimateSliceRows(float64(in), q.Offset, q.Limit)) })
 		}
 		it = tr.out(&sliceIter{src: tr.in(it), offset: q.Offset, limit: q.Limit})
 	}

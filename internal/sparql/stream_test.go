@@ -638,7 +638,7 @@ func TestFreeListHoldsAtMostOneChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(st, WithChunkSize(minParallelRows), WithPlanner(false))
+	eng := NewEngine(st, WithChunkSize(minBatchRows), WithPlanner(false))
 	r, pq := eng.newRun(context.Background(), q, nil)
 	free := &rowList{max: eng.chunkSize}
 	body, owned := r.streamGroup(pq.Where, &sliceSource{rows: r.seed(), chunk: eng.chunkSize}, graphCtx{}, nil, free)

@@ -20,12 +20,11 @@ import (
 // upstream), rows out, self wall time (time in the stage's next minus
 // time in its upstream's) and bytes charged at its chunk boundary — and
 // fixes its estimate from the accumulated actual input when the stage
-// closes. Span totals therefore do not depend on the chunk size or the
-// join's width. Spans are created and written only on the query's
-// coordinating goroutine: the BGP records its fanned-out joins at the
-// coordinator, and the per-row interiors of
-// OPTIONAL, EXISTS and UNION branches run untraced (on kernel runs),
-// which keeps span volume bounded. When tracing is disabled every hook
+// closes. Span totals therefore do not depend on the chunk size. Spans
+// are created and written only on the query's goroutine, the one that
+// evaluates it, and the per-row interiors of OPTIONAL, EXISTS and UNION
+// branches run untraced (on kernel runs), which keeps span volume
+// bounded. When tracing is disabled every hook
 // is a single nil check (the stageTrace and obs.Span methods are
 // nil-safe), which BenchmarkTracerOverhead pins to be within noise of
 // the untraced engine.
@@ -108,7 +107,7 @@ func elementStage(parent *obs.Span, el PatternElement) *stageTrace {
 	op, detail, est := "", "", estimateSame
 	switch e := el.(type) {
 	case FilterElement:
-		op, est = "FILTER", estimateFilter
+		op, est = "FILTER", func(in int) int64 { return int64(estimateFilterRows(float64(in))) }
 	case BindElement:
 		op, detail = "BIND", "?"+e.Var
 	case OptionalElement:

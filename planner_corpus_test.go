@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,14 +15,13 @@ import (
 
 // TestPlannerCorpusByteIdentical is the planner's acceptance gate for
 // correctness: every QL program under queries/, through both SPARQL
-// translations, with the engine built under GOMAXPROCS 1, 4 and 8
-// (par=N, atProcs) so that its join fans out that wide, must return
-// byte-identical JSON result tables with the planner on and off. Join
-// reordering and filter pushdown may only change the evaluation order,
-// never the rows, their order (ORDER BY pins it), or their
-// serialization. The suite runs under -race via `make race`, so this
-// doubles as a data-race check on plan sharing across the join's
-// workers.
+// translations, run 1, 4 and 8 at once on each engine (par=N, atOnce),
+// must return byte-identical JSON result tables with the planner on and
+// off. Join reordering and filter pushdown may only change the
+// evaluation order, never the rows, their order (ORDER BY pins it), or
+// their serialization. The suite runs under -race via `make race`, so
+// this doubles as a data-race check on queries that plan and evaluate
+// side by side on one engine.
 func TestPlannerCorpusByteIdentical(t *testing.T) {
 	env, err := demo.Build(configFor(5000))
 	if err != nil {
@@ -32,8 +32,8 @@ func TestPlannerCorpusByteIdentical(t *testing.T) {
 		t.Fatalf("no QL programs found under queries/: %v", err)
 	}
 	for _, par := range []int{1, 4, 8} {
-		on := atProcs(par, func() *sparql.Engine { return sparql.NewEngine(env.Store) })
-		off := atProcs(par, func() *sparql.Engine { return sparql.NewEngine(env.Store, sparql.WithPlanner(false)) })
+		on := sparql.NewEngine(env.Store)
+		off := sparql.NewEngine(env.Store, sparql.WithPlanner(false))
 		for _, file := range files {
 			src, err := os.ReadFile(file)
 			if err != nil {
@@ -48,25 +48,23 @@ func TestPlannerCorpusByteIdentical(t *testing.T) {
 				{"alternative", p.Translation.Alternative},
 			} {
 				t.Run(fmt.Sprintf("par=%d/%s/%s", par, filepath.Base(file), q.variant), func(t *testing.T) {
-					resOn, err := on.QueryString(q.text)
-					if err != nil {
-						t.Fatalf("planner on: %v", err)
-					}
-					resOff, err := off.QueryString(q.text)
-					if err != nil {
-						t.Fatalf("planner off: %v", err)
-					}
-					jsonOn, err := resOn.MarshalJSON()
-					if err != nil {
-						t.Fatal(err)
-					}
-					jsonOff, err := resOff.MarshalJSON()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if string(jsonOn) != string(jsonOff) {
-						t.Errorf("planner on/off results differ (%d vs %d rows)",
-							resOn.Len(), resOff.Len())
+					resOn, errsOn := atOnce(par, func() (*sparql.Results, error) { return on.QueryString(q.text) })
+					resOff, errsOff := atOnce(par, func() (*sparql.Results, error) { return off.QueryString(q.text) })
+					for i := range resOn {
+						if errsOn[i] != nil {
+							t.Fatalf("planner on: %v", errsOn[i])
+						}
+						if errsOff[i] != nil {
+							t.Fatalf("planner off: %v", errsOff[i])
+						}
+						jsonOn := resultsJSON(t, resOn[i])
+						if !bytes.Equal(jsonOn, resultsJSON(t, resOff[i])) {
+							t.Errorf("planner on/off results differ (%d vs %d rows)",
+								resOn[i].Len(), resOff[i].Len())
+						}
+						if !bytes.Equal(jsonOn, resultsJSON(t, resOn[0])) {
+							t.Errorf("query %d of %d at once differs from the first", i+1, par)
+						}
 					}
 				})
 			}

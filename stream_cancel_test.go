@@ -24,9 +24,8 @@ const streamCancelSeed = 23
 // whole query corpus at seeded random points and asserts the
 // chunk-boundary cancellation contract: prompt return (<250ms from
 // cancel), a cooperative *sparql.CanceledError, and no leaked
-// goroutines. The pipeline is synchronous — there are no stage
-// goroutines to leak by construction — so the leak check guards the
-// BGP join's fan-out within a chunk.
+// goroutines. Evaluation is synchronous — a query starts no goroutine
+// of its own — so the leak check guards that it stays so.
 func TestStreamingCancellationCorpus(t *testing.T) {
 	env, err := demo.Build(configFor(5000))
 	if err != nil {

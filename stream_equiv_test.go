@@ -1,12 +1,13 @@
 package repro
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/demo"
@@ -14,13 +15,23 @@ import (
 	"repro/internal/sparql"
 )
 
-// atProcs builds what build returns while runtime.GOMAXPROCS is procs,
-// then restores the setting. An engine built under it fans its BGP
-// batch join out up to procs wide: the corpus and cancellation
-// matrices name such engines par=procs, the benchmarks procs=procs.
-func atProcs[T any](procs int, build func() T) T {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	return build()
+// atOnce calls query from n goroutines at once and returns what each
+// call returned. A query evaluates on its caller's goroutine, so the one
+// concurrency evaluation has is queries beside each other on one engine
+// and store: the corpus and cancellation matrices run each query n at
+// once (par=n) and hold every copy to the same answer.
+func atOnce[T any](n int, query func() (T, error)) ([]T, []error) {
+	out, errs := make([]T, n), make([]error, n)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i], errs[i] = query()
+		}()
+	}
+	wg.Wait()
+	return out, errs
 }
 
 // corpusProbe is one query of the queries/ corpus.
@@ -66,11 +77,18 @@ func corpusProbes(t *testing.T, env *demo.Enriched) []corpusProbe {
 // name, row count, and the SHA-256 of the result's JSON serialization.
 func corpusLine(t *testing.T, name string, res *sparql.Results) string {
 	t.Helper()
-	doc, err := res.MarshalJSON()
-	if err != nil {
+	return fmt.Sprintf("%s\t%d\t%x", name, res.Len(), sha256.Sum256(resultsJSON(t, res)))
+}
+
+// resultsJSON serializes res in the SPARQL JSON results format, through
+// the encoder the endpoint streams with.
+func resultsJSON(t *testing.T, res *sparql.Results) []byte {
+	t.Helper()
+	var doc bytes.Buffer
+	if err := encodeWire(&doc, res); err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("%s\t%d\t%x", name, res.Len(), sha256.Sum256(doc))
+	return doc.Bytes()
 }
 
 const corpusGolden = "testdata/corpus_results.golden"
@@ -95,13 +113,13 @@ func corpusReference(t *testing.T) map[string]string {
 // both SPARQL translations, plus the raw .rq probes — must return JSON
 // result tables byte-identical to the frozen reference in
 // testdata/corpus_results.golden at chunk sizes 1 (every boundary
-// exercised), 7 (misaligned boundaries), and 1024 (the default), with
-// the engine built under GOMAXPROCS 1, 4 and 8 (par=N, atProcs), so
-// its join fans out 1, 4 and 8 wide. The reference was recorded from the
-// fully materialized evaluator before it was deleted (PR 13); -update
-// rewrites it from the default engine, so any drift is a reviewable
-// diff. The suite runs under -race via `make race`, so it doubles as a
-// data-race check on the join's fan-out.
+// exercised), 7 (misaligned boundaries), and 1024 (the default), each
+// probe run 1, 4 and 8 at once on one engine (par=N, atOnce). The
+// reference was recorded from the fully materialized evaluator before
+// it was deleted; -update rewrites it from the default engine, so any
+// drift is a reviewable diff. The suite runs under -race via `make
+// race`, so it doubles as a data-race check on queries that share an
+// engine and a store snapshot.
 func TestStreamingCorpusByteIdentical(t *testing.T) {
 	env, err := demo.Build(configFor(5000))
 	if err != nil {
@@ -134,17 +152,17 @@ func TestStreamingCorpusByteIdentical(t *testing.T) {
 
 	for _, par := range []int{1, 4, 8} {
 		for _, cs := range []int{1, 7, 1024} {
-			eng := atProcs(par, func() *sparql.Engine {
-				return sparql.NewEngine(env.Store, sparql.WithChunkSize(cs))
-			})
+			eng := sparql.NewEngine(env.Store, sparql.WithChunkSize(cs))
 			for _, p := range probes {
 				t.Run(fmt.Sprintf("par=%d/chunk=%d/%s", par, cs, p.name), func(t *testing.T) {
-					got, err := eng.QueryString(p.text)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if line := corpusLine(t, p.name, got); line != want[p.name] {
-						t.Errorf("result differs from the frozen reference\ngot  %s\nwant %s", line, want[p.name])
+					got, errs := atOnce(par, func() (*sparql.Results, error) { return eng.QueryString(p.text) })
+					for i, res := range got {
+						if errs[i] != nil {
+							t.Fatal(errs[i])
+						}
+						if line := corpusLine(t, p.name, res); line != want[p.name] {
+							t.Errorf("result differs from the frozen reference\ngot  %s\nwant %s", line, want[p.name])
+						}
 					}
 				})
 			}

@@ -26,8 +26,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files under testda
 // tree in the planned join order. The outline omits wall times, and the
 // demo generator is deterministic (seed 42), so the output — chosen
 // translation, estimated costs, operators, pattern details, and every
-// intermediate cardinality — must be byte-identical across runs, and
-// whatever the join's width (GOMAXPROCS): the tree records none.
+// intermediate cardinality — must be byte-identical across runs.
 func TestExplainGoldenDemoQuery(t *testing.T) {
 	env, err := demo.Build(configFor(5000))
 	if err != nil {
