@@ -110,8 +110,9 @@ bench-concurrent:
 	$(GO) test -run xxx -bench 'BenchmarkConcurrentQuery|BenchmarkParallelGroupBy' -timeout 30m .
 
 # Observability smoke test: boots sparqld on the demo cube with a
-# tracer, trace export, a debug listener, and the metrics time-series
-# sampler with slo.json as live alert rules, then drives /metrics
+# tracer, trace export, a slow log that takes every query (-slowlog
+# 1ns), a debug listener, and the metrics time-series sampler with
+# slo.json as live alert rules, then drives /metrics
 # (JSON, whose histograms must carry their exact max, and Prometheus
 # text), /healthz, /readyz, /debug/vars, a traced
 # (?explain=1) query, a CSV, a TSV and a CONSTRUCT response (the server
@@ -119,8 +120,10 @@ bench-concurrent:
 # each is checked by its first line), the workload-fingerprint view
 # (/workload, both JSON and text), the time-series API (/timeseries),
 # the alert state (/alerts), the HTML dashboard (/debug/dash, which must
-# carry inline SVG), and the offline trace analyzer over the exported
-# archive.
+# carry inline SVG), the slow log (/debug/slow on the debug listener,
+# whose entries must carry a trace ID and a shape hash that /workload
+# also lists — both views read one record per query), and the offline
+# trace analyzer over the exported archive.
 # A second short-lived server with an absurdly tight SLO (p99 ≤ 0.1µs)
 # and a 100ms tick proves the alert pipeline actually fires under load
 # — the negative test that guards against an evaluator that never
@@ -134,7 +137,7 @@ obs-smoke:
 	$(GO) build -o /tmp/qb2olap-smoke ./cmd/qb2olap; \
 	rm -f /tmp/sparqld-smoke-traces.jsonl; \
 	/tmp/sparqld-smoke -addr 127.0.0.1:18080 -demo 1000 -trace 1 \
-	  -trace-export /tmp/sparqld-smoke-traces.jsonl \
+	  -trace-export /tmp/sparqld-smoke-traces.jsonl -slowlog 1ns \
 	  -slo slo.json -tick 250ms \
 	  -debug-addr 127.0.0.1:18081 >/tmp/sparqld-smoke.log 2>&1 & \
 	pid=$$!; trap 'kill $$pid 2>/dev/null' EXIT; \
@@ -164,6 +167,10 @@ obs-smoke:
 	curl -fsS http://127.0.0.1:18081/debug/traces | grep -q 'SELECT'; \
 	curl -fsS 'http://127.0.0.1:18080/workload?text=1' | grep -q 'workload:'; \
 	curl -fsS http://127.0.0.1:18080/workload | grep -q '"shapes"'; \
+	shape=$$(curl -fsS http://127.0.0.1:18081/debug/slow \
+	  | grep -o 'trace=[0-9a-f]\{32\}  shape=[0-9a-f]\{16\}' | sed -n '1s/.*shape=//p'); \
+	test -n "$$shape"; \
+	curl -fsS http://127.0.0.1:18080/workload | grep -q "\"hash\": \"$$shape\""; \
 	sleep 0.6; \
 	curl -fsS 'http://127.0.0.1:18080/timeseries?window=1m' | grep -c '"series"' >/dev/null; \
 	curl -fsS 'http://127.0.0.1:18080/timeseries?window=1m&name=queries_total' | grep -c 'queries_total' >/dev/null; \

@@ -497,9 +497,9 @@ func BenchmarkPredefinedPrograms(b *testing.B) {
 // compare: the cost-based planner (the default) and the written order
 // (planner off). The off arm keeps the name planner=off/textual it had
 // while a runtime greedy reorder also existed under planner=off, so
-// `benchjson -compare` sees like-for-like history — and the
-// bench-compare ablation gate, which pairs planner=on with planner=off,
-// does not gate against the adversarial worst case.
+// `benchjson -compare` sees like-for-like history. The bench-compare
+// ablation gate pairs planner=on with that lone planner=off/* arm, so
+// both PlannerAblation benchmarks are gated.
 var plannerModes = []struct {
 	name   string
 	engine func(st *store.Store) *sparql.Engine

@@ -171,8 +171,11 @@ func compareSnapshots(oldRes, newRes map[string]Result, threshold float64, w io.
 
 // compareAblation gates the KEY=on arms of one snapshot against their
 // KEY=off siblings and returns the names of on-arms slower than off by
-// more than threshold. On-arms without an off sibling are reported but
-// never fail (a benchmark may legitimately run only one arm).
+// more than threshold. The sibling of X/KEY=on is X/KEY=off or, when
+// that does not exist, the one X/KEY=off/* arm (an off arm that kept a
+// sub-name, like planner=off/textual). On-arms without a sibling — none,
+// or several off/* arms to choose from — are reported but never fail (a
+// benchmark may legitimately run only one arm).
 func compareAblation(res map[string]Result, key string, threshold float64, w io.Writer) []string {
 	onSuffix, offSuffix := "/"+key+"=on", "/"+key+"=off"
 	names := make([]string, 0, len(res))
@@ -188,7 +191,7 @@ func compareAblation(res map[string]Result, key string, threshold float64, w io.
 	fmt.Fprintf(w, "%-64s %12s %12s %9s\n", "BENCHMARK ("+key+" ablation)", "ON", "OFF", "DELTA")
 	for _, n := range names {
 		on := res[n]
-		off, ok := res[strings.TrimSuffix(n, onSuffix)+offSuffix]
+		off, ok := offSibling(res, strings.TrimSuffix(n, onSuffix)+offSuffix)
 		short := strings.TrimPrefix(strings.TrimSuffix(n, onSuffix), "Benchmark")
 		switch {
 		case !ok:
@@ -209,6 +212,21 @@ func compareAblation(res map[string]Result, key string, threshold float64, w io.
 	fmt.Fprintf(w, "\n%d pair(s) compared, %d unpaired, %d regression(s) beyond %.0f%%\n",
 		len(names)-unpaired, unpaired, len(regressions), threshold*100)
 	return regressions
+}
+
+// offSibling returns the arm named off, else the only arm named off/*.
+func offSibling(res map[string]Result, off string) (Result, bool) {
+	if r, ok := res[off]; ok {
+		return r, true
+	}
+	var found Result
+	n := 0
+	for name, r := range res {
+		if strings.HasPrefix(name, off+"/") {
+			found, n = r, n+1
+		}
+	}
+	return found, n == 1
 }
 
 // gateSLO checks a `qb2olap bench` run report against an SLO file and

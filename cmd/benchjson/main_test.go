@@ -95,23 +95,28 @@ func TestCompareAblation(t *testing.T) {
 		"BenchmarkB/planner=on":              {NsPerOp: 1050},
 		"BenchmarkB/planner=off":             {NsPerOp: 1000}, // on +5%: within threshold
 		"BenchmarkB/planner=off/textual":     {NsPerOp: 9000}, // third arm: never paired
-		"BenchmarkLonely/planner=on":         {NsPerOp: 100},  // no off sibling: unpaired
-		"BenchmarkUnrelated/other=on":        {NsPerOp: 1},    // different key: ignored
+		"BenchmarkC/planner=on":              {NsPerOp: 2000},
+		"BenchmarkC/planner=off/textual":     {NsPerOp: 1000}, // lone off/* arm: paired, on +100%: regression
+		"BenchmarkTwoOff/planner=on":         {NsPerOp: 5000},
+		"BenchmarkTwoOff/planner=off/a":      {NsPerOp: 1}, // two off/* arms: ambiguous, unpaired
+		"BenchmarkTwoOff/planner=off/b":      {NsPerOp: 1},
+		"BenchmarkLonely/planner=on":         {NsPerOp: 100}, // no off sibling: unpaired
+		"BenchmarkUnrelated/other=on":        {NsPerOp: 1},   // different key: ignored
 		"BenchmarkUnrelated/no-ablation-arm": {NsPerOp: 1},
 	}
 	var out strings.Builder
 	regs := compareAblation(res, "planner", 0.10, &out)
-	if len(regs) != 1 || regs[0] != "BenchmarkA/x=2/planner=on" {
-		t.Fatalf("regressions = %v, want [BenchmarkA/x=2/planner=on]\n%s", regs, out.String())
+	if len(regs) != 2 || regs[0] != "BenchmarkA/x=2/planner=on" || regs[1] != "BenchmarkC/planner=on" {
+		t.Fatalf("regressions = %v, want [BenchmarkA/x=2/planner=on BenchmarkC/planner=on]\n%s", regs, out.String())
 	}
 	got := out.String()
-	for _, want := range []string{"REGRESSION", "unpaired", "3 pair(s) compared, 1 unpaired, 1 regression(s)"} {
+	for _, want := range []string{"REGRESSION", "unpaired", "4 pair(s) compared, 2 unpaired, 2 regression(s)"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("report missing %q:\n%s", want, got)
 		}
 	}
-	if strings.Count(got, "REGRESSION") != 1 {
-		t.Errorf("want exactly one REGRESSION mark:\n%s", got)
+	if strings.Count(got, "REGRESSION") != 2 {
+		t.Errorf("want exactly two REGRESSION marks:\n%s", got)
 	}
 }
 

@@ -9,7 +9,6 @@
 //	        [-slowlog DUR] [-debug-addr :8081] [-query-timeout DUR]
 //	        [-max-inflight N] [-max-query-mem SIZE] [-profile-dir DIR]
 //	        [-fault-profile NAME] [-tick DUR] [-slo file.json]
-//	        [-progress] [-report file.json]
 //
 // -data loads a Turtle file into the default graph and -quads an
 // N-Quads file with its named graphs (both repeatable); -demo N
@@ -22,7 +21,8 @@
 //
 // Observability: -trace RATE traces that fraction of locally-initiated
 // queries (0, the default, disables tracing; 1 traces every query) and
-// keeps the last 64 traces at /debug/traces. Clients that send a W3C
+// keeps the last 64 traces at /debug/traces on the -debug-addr
+// listener, which it therefore requires. Clients that send a W3C
 // traceparent header choose for themselves, and sampled requests get
 // the server's span tree back in the X-Qb2olap-Trace response header.
 // Individual queries can always be traced on demand with
@@ -71,14 +71,17 @@
 // (liveness at /healthz is unaffected). -tick 0 disables all of it at
 // zero cost; -slo requires -tick > 0.
 //
-// -slowlog DUR logs queries at Warn, with their text, when they take
-// at least DUR (e.g. -slowlog 250ms). -debug-addr serves /metrics,
-// /debug/vars, /debug/pprof, and /debug/traces on a second listener,
-// keeping profilers off the protocol port. -progress streams live
-// per-phase load progress to stderr and -report writes a JSON run
-// report of the startup load. The server shuts down gracefully on
-// SIGINT/SIGTERM, draining in-flight requests and logging a final
-// metrics snapshot plus one latency-quantile line per histogram.
+// Every /sparql request is booked as one record: the access log line,
+// the per-shape statistics at /workload and, for a slow query, the
+// slow-log entry all read it. -slowlog DUR logs queries at Warn, with
+// their text, when they take at least DUR (e.g. -slowlog 250ms), and
+// keeps the last 64 at /debug/slow, each with its trace ID and the
+// shape hash it has at /workload. -debug-addr serves /metrics,
+// /debug/vars, /debug/pprof, /debug/traces and /debug/slow on a second
+// listener, the only one that serves them, keeping profilers off the
+// protocol port. The server shuts down gracefully on SIGINT/SIGTERM,
+// draining in-flight requests and logging a final metrics snapshot plus
+// one latency-quantile line per histogram.
 package main
 
 import (
@@ -159,7 +162,7 @@ func newServer(fs *flag.FlagSet, args []string) (*sparqld, error) {
 	demoObs := fs.Int("demo", 0, "generate the synthetic Eurostat cube (seed 42) with this many observations")
 	readOnly := fs.Bool("readonly", false, "reject updates and loads (serve data only)")
 	planner := fs.String("planner", "on", "cost-based query planner: on (reorder joins, push filters, serve ?cost=1) or off (joins and filters run as written)")
-	traceRate := fs.Float64("trace", 0, "trace this fraction of queries, keeping the last 64 traces at /debug/traces (0 disables; propagated traceparent verdicts always win)")
+	traceRate := fs.Float64("trace", 0, "trace this fraction of queries, keeping the last 64 traces at /debug/traces (0 disables; propagated traceparent verdicts always win; requires -debug-addr)")
 	traceExport := fs.String("trace-export", "", "append every collected trace as JSONL to this file (rotated at 64MB; requires -trace)")
 	slowlog := fs.Duration("slowlog", 0, "log queries taking at least this long, with their text (0 disables)")
 	queryTimeout := fs.Duration("query-timeout", 0, "per-query evaluation deadline; expired queries return 504 (0 disables)")
@@ -170,8 +173,6 @@ func newServer(fs *flag.FlagSet, args []string) (*sparqld, error) {
 	tick := fs.Duration("tick", time.Second, "metrics time-series sampling interval for /timeseries and /debug/dash (0 disables the series, dashboard, alerts and shed readiness)")
 	sloFile := fs.String("slo", "", "evaluate this SLO file's thresholds as live burn-rate alert rules at /alerts, and drain /readyz past its max_shed_rate (requires -tick > 0)")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics and /debug diagnostics on this second address")
-	progress := fs.Bool("progress", false, "print live load progress to stderr")
-	report := fs.String("report", "", "write a JSON run report of the startup load to this file (- for stdout)")
 	fs.Func("data", "Turtle file to load into the default graph (repeatable)", func(v string) error { files = append(files, v); return nil })
 	fs.Func("quads", "N-Quads file to load, preserving named graphs (repeatable)", func(v string) error { quadFiles = append(quadFiles, v); return nil })
 	if err := fs.Parse(args); err != nil {
@@ -187,6 +188,9 @@ func newServer(fs *flag.FlagSet, args []string) (*sparqld, error) {
 	}
 	if *traceExport != "" && *traceRate == 0 {
 		return nil, errors.New("-trace-export requires -trace")
+	}
+	if *traceRate > 0 && *debugAddr == "" {
+		return nil, errors.New("-trace requires -debug-addr, the listener that serves /debug/traces")
 	}
 	if *sloFile != "" && *tick <= 0 {
 		return nil, errors.New("-slo requires -tick > 0")
@@ -207,13 +211,6 @@ func newServer(fs *flag.FlagSet, args []string) (*sparqld, error) {
 		memLimit = n
 	}
 
-	var prog *obs.Progress
-	if *progress || *report != "" {
-		prog = obs.NewProgress("load")
-		if *progress {
-			prog.OnEvent = obs.TermSink(os.Stderr)
-		}
-	}
 	st := store.New()
 	for _, path := range files {
 		data, err := os.ReadFile(path)
@@ -224,10 +221,7 @@ func newServer(fs *flag.FlagSet, args []string) (*sparqld, error) {
 		if err != nil {
 			return nil, fmt.Errorf("parsing %s: %v", path, err)
 		}
-		ph := prog.Phase("load-turtle")
-		n := st.InsertTriplesP(rdf.Term{}, triples, ph)
-		ph.Done()
-		prog.Count("triplesLoaded", int64(n))
+		n := st.InsertTriples(rdf.Term{}, triples)
 		log.Printf("loaded %d triples from %s", n, path)
 	}
 	for _, path := range quadFiles {
@@ -239,30 +233,16 @@ func newServer(fs *flag.FlagSet, args []string) (*sparqld, error) {
 		if err != nil {
 			return nil, fmt.Errorf("parsing %s: %v", path, err)
 		}
-		ph := prog.Phase("load-quads")
-		n := turtle.LoadQuadsP(st, quads, ph)
-		ph.Done()
-		prog.Count("quadsLoaded", int64(n))
+		n := turtle.LoadQuads(st, quads)
 		log.Printf("loaded %d quads from %s", n, path)
 	}
 	if *demoObs > 0 {
 		cfg := eurostat.DefaultConfig()
 		cfg.TargetObservations = *demoObs
-		ph := prog.Phase("generate-demo")
 		d := eurostat.Generate(cfg)
-		before := st.TotalLen()
 		d.LoadInto(st)
-		ph.Grow(int64(st.TotalLen() - before))
-		ph.Add(int64(st.TotalLen() - before))
-		ph.Done()
-		prog.Count("triplesLoaded", int64(st.TotalLen()-before))
 		log.Printf("generated demo cube: %d observations, %d triples total",
 			len(d.Observations), st.TotalLen())
-	}
-	if *report != "" {
-		if err := prog.Report().WriteFile(*report); err != nil {
-			return nil, fmt.Errorf("writing run report: %v", err)
-		}
 	}
 
 	srv := endpoint.NewServer(st, sparql.WithPlanner(*planner == "on"))
@@ -288,9 +268,6 @@ func newServer(fs *flag.FlagSet, args []string) (*sparqld, error) {
 	if *traceRate > 0 {
 		srv.Tracer = obs.NewTracer(64) // the slow log's bound
 		srv.Sampler = obs.NewSampler(*traceRate)
-		// Without a separate debug listener, mount /debug on the
-		// protocol handler so the traces are reachable.
-		srv.Debug = *debugAddr == ""
 	}
 
 	// Time-series sampling, burn-rate alerting, and the readiness shed
@@ -360,7 +337,7 @@ func main() {
 				log.Printf("sparqld: debug listener: %v", err)
 			}
 		}()
-		log.Printf("sparqld debug listening on %s (/metrics, /debug/vars, /debug/pprof, /debug/traces)", d.debugAddr)
+		log.Printf("sparqld debug listening on %s (/metrics, /debug/vars, /debug/pprof, /debug/traces, /debug/slow)", d.debugAddr)
 	}
 
 	routes := "query: /sparql, update: /update, load: /load, stats: /stats, metrics: /metrics, workload: /workload"

@@ -78,6 +78,7 @@ func TestNewServerRejects(t *testing.T) {
 		{[]string{"-profile-dir", dir}, "-profile-dir needs a trigger"},
 		{[]string{"-trace-export", filepath.Join(dir, "t.jsonl")}, "-trace-export requires -trace"},
 		{[]string{"-trace", "8"}, "invalid -trace 8"},
+		{[]string{"-trace", "0.5"}, "-trace requires -debug-addr"},
 		{[]string{"-trace", "-0.5"}, "invalid -trace"},
 		{[]string{"-trace", "NaN"}, "invalid -trace"},
 		{[]string{"-fault-profile", "meteor"}, `unknown -fault-profile "meteor"`},
@@ -94,6 +95,9 @@ func TestNewServerRejects(t *testing.T) {
 		{[]string{"-profile-mem", "64M"}, "not defined: -profile-mem"},
 		{[]string{"-fault-seed", "2"}, "not defined: -fault-seed"},
 		{[]string{"-sample", "1"}, "not defined: -sample"},
+		// Load progress and the startup run report.
+		{[]string{"-progress"}, "not defined: -progress"},
+		{[]string{"-report", filepath.Join(dir, "r.json")}, "not defined: -report"},
 	} {
 		d, _, err := build(tc.args...)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -154,12 +158,12 @@ func TestNewServerDerived(t *testing.T) {
 	}
 
 	export := filepath.Join(t.TempDir(), "t.jsonl")
-	if d, _, err = build("-trace", "1", "-trace-export", export); err != nil {
+	if d, _, err = build("-trace", "1", "-trace-export", export, "-debug-addr", "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer d.srv.Exporter.Close()
-	if d.srv.Tracer == nil || d.srv.Sampler.Rate() != 1 || !d.srv.Debug {
-		t.Errorf("-trace 1: tracer=%v sampler=%v debug=%v", d.srv.Tracer, d.srv.Sampler, d.srv.Debug)
+	if d.srv.Tracer == nil || d.srv.Sampler.Rate() != 1 || d.debugAddr != "127.0.0.1:0" {
+		t.Errorf("-trace 1: tracer=%v sampler=%v debug-addr=%q", d.srv.Tracer, d.srv.Sampler, d.debugAddr)
 	}
 }
 

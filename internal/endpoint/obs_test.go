@@ -198,7 +198,6 @@ func TestServerTracerAndDebugRoutes(t *testing.T) {
 	st := newStoreFromTTL(t, testTTL)
 	srv := NewServer(st)
 	srv.Tracer = obs.NewTracer(4)
-	srv.Debug = true
 
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -223,16 +222,22 @@ func TestServerTracerAndDebugRoutes(t *testing.T) {
 		t.Errorf("op.BGP.count = %v, want 1", m["op.BGP.count"])
 	}
 
-	// Debug routes on the protocol handler and the standalone mux.
-	for _, path := range []string{"/debug/vars", "/debug/pprof/", "/debug/traces"} {
+	// The debug routes live on the standalone mux only, never on the
+	// protocol handler.
+	for _, path := range []string{"/debug/vars", "/debug/pprof/", "/debug/traces", "/debug/slow"} {
+		rec := httptest.NewRecorder()
+		srv.DebugHandler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusOK {
+			t.Errorf("debug handler %s status = %d, want 200", path, rec.Code)
+		}
 		resp, err := http.Get(hs.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s status = %d, want 200", path, resp.StatusCode)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("protocol handler %s status = %d, want 404", path, resp.StatusCode)
 		}
 	}
 	rec := httptest.NewRecorder()

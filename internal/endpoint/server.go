@@ -112,15 +112,9 @@ type Server struct {
 	// counted on the exporter but never fail the request.
 	Exporter *obs.Exporter
 
-	// Debug mounts the diagnostics routes (/debug/vars, /debug/pprof,
-	// /debug/traces, /debug/slow) on the protocol handler itself. Leave
-	// false when a separate DebugHandler listener serves them (sparqld
-	// -debug-addr).
-	Debug bool
-
-	// Slow retains the most recent slow queries for /debug/slow,
-	// bounded in entries and query-text bytes. Created by NewServer;
-	// entries are only recorded when SlowQuery is set.
+	// Slow retains the records of the most recent slow queries for
+	// /debug/slow, bounded in entries and query-text bytes. Created by
+	// NewServer; entries are only recorded when SlowQuery is set.
 	Slow *obs.SlowLog
 
 	// Workload aggregates per-shape query statistics (normalized query
@@ -174,13 +168,13 @@ type Server struct {
 	// bounds evaluation; this gauge reports it).
 	inflightN atomic.Int64
 
-	// Request metrics, all served at /metrics.
+	// Request metrics, all served at /metrics. mOutcome counts the
+	// requests of each outcome that has a counter of its own.
 	reg                        *obs.Registry
 	mQueries, mUpdates, mLoads *obs.Counter
 	mErrors, mFailed, mSlow    *obs.Counter
-	mShed, mTimeout, mCanceled *obs.Counter
-	mOverMem, mProfiles        *obs.Counter
-	mCost, mCostUnavail        *obs.Counter
+	mProfiles                  *obs.Counter
+	mOutcome                   map[obs.QueryOutcome]*obs.Counter
 	hQuery, hUpdate, hLoad     *obs.Histogram
 }
 
@@ -192,20 +186,22 @@ func NewServer(st *store.Store, opts ...sparql.Option) *Server {
 	// WithResources still wins; the engine-level tracker makes direct
 	// Engine() use account against the same gauges as HTTP traffic.
 	s.engine = sparql.NewEngine(st, append([]sparql.Option{sparql.WithResources(s.Resources)}, opts...)...)
-	s.Workload = obs.NewWorkload(0)
+	s.Workload = obs.NewWorkload()
 	s.mQueries = s.reg.Counter("queries_total")
 	s.mUpdates = s.reg.Counter("updates_total")
 	s.mLoads = s.reg.Counter("loads_total")
 	s.mErrors = s.reg.Counter("errors_total")
 	s.mFailed = s.reg.Counter("queries_failed_total")
 	s.mSlow = s.reg.Counter("slow_queries_total")
-	s.mShed = s.reg.Counter("queries_shed_total")
-	s.mTimeout = s.reg.Counter("queries_timeout_total")
-	s.mCanceled = s.reg.Counter("queries_canceled_total")
-	s.mOverMem = s.reg.Counter("queries_over_mem_total")
 	s.mProfiles = s.reg.Counter("profiles_captured_total")
-	s.mCost = s.reg.Counter("cost_estimates_total")
-	s.mCostUnavail = s.reg.Counter("cost_unavailable_total")
+	s.mOutcome = map[obs.QueryOutcome]*obs.Counter{
+		obs.OutcomeShed:            s.reg.Counter("queries_shed_total"),
+		obs.OutcomeTimeout:         s.reg.Counter("queries_timeout_total"),
+		obs.OutcomeCanceled:        s.reg.Counter("queries_canceled_total"),
+		obs.OutcomeOverMem:         s.reg.Counter("queries_over_mem_total"),
+		obs.OutcomeCost:            s.reg.Counter("cost_estimates_total"),
+		obs.OutcomeCostUnavailable: s.reg.Counter("cost_unavailable_total"),
+	}
 	s.hQuery = s.reg.Histogram("query_latency")
 	s.hUpdate = s.reg.Histogram("update_latency")
 	s.hLoad = s.reg.Histogram("load_latency")
@@ -264,7 +260,8 @@ func (s *Server) Metrics() *obs.Registry { return s.reg }
 //	GET      /healthz — liveness probe (200 once serving)
 //	GET      /readyz  — readiness probe (store snapshot + statistics)
 //
-// plus, when Debug is set, the /debug/ diagnostics of DebugHandler.
+// plus the time-series routes when Series and Alerts are set. The
+// /debug/ diagnostics are DebugHandler's, on a listener of their own.
 // Every route is wrapped in the instrumentation middleware (metrics,
 // access log, slow-query log).
 func (s *Server) Handler() http.Handler {
@@ -280,9 +277,6 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/workload", obs.WorkloadHandler(s.Workload))
 	}
 	s.mountSeries(mux)
-	if s.Debug {
-		obs.RegisterDebug(mux, nil, s.Tracer, s.Slow, nil) // /metrics, /workload already mounted
-	}
 	return s.instrument(mux)
 }
 
@@ -310,27 +304,25 @@ func (s *Server) DebugHandler() http.Handler {
 }
 
 // obsResponseWriter captures the response status and size for the
-// middleware, and carries the query text from the /sparql handler to
-// the slow-query log.
+// middleware, and carries the request's record, which the handler fills
+// in as it learns the query text, trace ID, outcome and resource totals.
 type obsResponseWriter struct {
 	http.ResponseWriter
-	status  int
-	bytes   int
-	query   string
-	traceID obs.TraceID
-	// acct is the request's resource account, read by the middleware
-	// after the handler (and the account's Finish) have returned — the
-	// cumulative totals survive Finish, only the in-flight figure is
-	// released.
-	acct *obs.QueryAcct
-	// costOnly marks ?cost=1 requests, which plan without evaluating:
-	// they get their own access-log outcome and stay out of the
-	// workload registry.
-	costOnly bool
-	// streamErr is the stream-error trailer code of a query that failed
-	// after its 200 was committed; the middleware books the request
-	// under the status the same failure has before the body starts.
-	streamErr string
+	status int
+	bytes  int
+	rec    obs.QueryRecord
+	// q is the parsed query, priced by the middleware when it turns out
+	// slow.
+	q *sparql.Query
+}
+
+// recording returns the middleware's writer, through which a handler
+// reports to the request's record.
+func recording(rw http.ResponseWriter) *obsResponseWriter {
+	if w, ok := rw.(*obsResponseWriter); ok {
+		return w
+	}
+	return &obsResponseWriter{ResponseWriter: rw}
 }
 
 // Unwrap lets http.ResponseController reach the underlying writer's
@@ -348,131 +340,132 @@ func (w *obsResponseWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// instrument wraps the protocol mux with request-level observability:
-// per-route counters and latency histograms, structured access logs,
-// and the slow-query log.
+// settle closes the request's resource account and copies its totals
+// into the record. The cumulative totals survive Finish; only the
+// in-flight figure is released.
+func (w *obsResponseWriter) settle(acct *obs.QueryAcct) {
+	acct.Finish()
+	w.rec.Rows, w.rec.MemBytes, w.rec.MemPeak = acct.Rows(), acct.Bytes(), acct.Peak()
+}
+
+// instrument wraps the protocol mux with request-level observability.
+// Every request gets one obs.QueryRecord; once the handler returns, the
+// per-route counters and histograms, the outcome counters, the access
+// log and — for /sparql — the workload registry, the slow-query log
+// and the profiler trigger all read that record.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
 		ow := &obsResponseWriter{ResponseWriter: w, status: http.StatusOK}
+		rec := &ow.rec
+		rec.When = time.Now()
 		route := r.URL.Path
-		if route == "/sparql" {
+		query := route == "/sparql"
+		if query {
 			s.inflightN.Add(1)
 		}
 		next.ServeHTTP(ow, r)
-		if route == "/sparql" {
+		if query {
 			s.inflightN.Add(-1)
 		}
-		d := time.Since(start)
-		// A mid-stream abort answered 200 on the wire; everything below
-		// — counters, outcome, workload, slow log — sees the status the
-		// same failure gets before the body starts.
-		status := ow.status
-		if ow.streamErr != "" {
-			status = streamErrStatus(ow.streamErr)
+		rec.Duration = time.Since(rec.When)
+		rec.Status = ow.status
+		if p, ok := protocol[rec.Outcome]; ok {
+			// A mid-stream abort answered 200 on the wire; everything below
+			// sees the status the same failure gets before the body starts.
+			rec.Status = p.status
+		} else if rec.Outcome == "" {
+			rec.Outcome = obs.OutcomeOK
+			if rec.Status >= 400 {
+				rec.Outcome = obs.OutcomeError // a request the handler refused
+			}
+		}
+		if c := s.mOutcome[rec.Outcome]; c != nil {
+			c.Inc()
 		}
 		switch route {
 		case "/sparql":
 			s.mQueries.Inc()
-			s.hQuery.Observe(d)
+			s.hQuery.Observe(rec.Duration)
 		case "/update":
 			s.mUpdates.Inc()
-			s.hUpdate.Observe(d)
+			s.hUpdate.Observe(rec.Duration)
 		case "/load":
 			s.mLoads.Inc()
-			s.hLoad.Observe(d)
+			s.hLoad.Observe(rec.Duration)
 		}
-		if status >= 400 {
+		if rec.Status >= 400 {
 			s.mErrors.Inc()
 		}
-		// queries_failed_total counts user-visible /sparql failures —
-		// the numerator of the alerting error rate. Sheds (503) and
-		// client disconnects (499) are excluded: shedding has its own
-		// rate, and a caller hanging up is not a server failure.
-		if route == "/sparql" && !ow.costOnly && status >= 400 &&
-			status != http.StatusServiceUnavailable && status != statusClientClosedRequest {
-			s.mFailed.Inc()
-		}
-		// Resilience outcome for the access log: shed, timeout, and
-		// canceled lines are what an operator greps for when tuning
-		// -max-inflight and -query-timeout. The same classification
-		// (minus the cost-only cases) feeds the per-shape outcome
-		// counters of the workload registry.
-		outcome := "ok"
-		wlOutcome := obs.OutcomeOK
-		switch {
-		case ow.costOnly && status == http.StatusConflict:
-			outcome = "cost-unavailable"
-		case ow.costOnly && status < 400:
-			outcome = "cost"
-		case route == "/sparql" && status == http.StatusServiceUnavailable:
-			outcome, wlOutcome = "shed", obs.OutcomeShed
-		case route == "/sparql" && status == http.StatusTooManyRequests:
-			outcome, wlOutcome = "over-mem", obs.OutcomeError
-		case status == http.StatusGatewayTimeout:
-			outcome, wlOutcome = "timeout", obs.OutcomeTimeout
-		case status == statusClientClosedRequest:
-			outcome, wlOutcome = "canceled", obs.OutcomeCanceled
-		case status >= 400:
-			outcome, wlOutcome = "error", obs.OutcomeError
-		}
-		var rows, mem, peak int64
-		if ow.acct != nil {
-			rows, mem, peak = ow.acct.Rows(), ow.acct.Bytes(), ow.acct.Peak()
-		}
-		// Workload fingerprinting: every /sparql query joins its shape
-		// bucket, classified by outcome — shed and timed-out shapes show
-		// up as such, not as generic errors. ?cost=1 requests plan
-		// without evaluating and stay out.
-		if route == "/sparql" && ow.query != "" && !ow.costOnly && s.Workload != nil {
-			s.Workload.Record(ow.query, d, rows, mem, wlOutcome)
-		}
-		slow := route == "/sparql" && !ow.costOnly && s.SlowQuery > 0 && d >= s.SlowQuery
-		if slow {
-			s.mSlow.Inc()
-			entry := obs.SlowEntry{
-				When: start, Duration: d, Query: ow.query, Status: status,
-				TraceID: ow.traceID, Shape: obs.ShapeHash(ow.query),
-				Rows: rows, MemBytes: mem, MemPeak: peak,
-			}
-			// Price the query after the fact so the slow-query log pairs
-			// estimated cost with measured latency; the planning pass is
-			// only paid for queries already past the slow threshold.
-			if s.engine.PlannerEnabled() {
-				if q, perr := sparql.ParseQuery(ow.query); perr == nil {
-					entry.EstCost = s.engine.Plan(q).Cost
-				}
-			}
-			s.Slow.Record(entry)
-		}
-		// Threshold-triggered profiling: a slow-logged or over-budget
-		// query captures a trace-ID-stamped heap profile, rate-limited
-		// and size-capped by the profiler itself.
-		if s.Profiler != nil && (slow || outcome == "over-mem") {
-			trigger := "slow"
-			if !slow {
-				trigger = "mem"
-			}
-			if _, ok := s.Profiler.MaybeCapture(trigger, ow.traceID); ok {
-				s.mProfiles.Inc()
-			}
-		}
+		planOnly := rec.Outcome == obs.OutcomeCost || rec.Outcome == obs.OutcomeCostUnavailable
+		slow := query && !planOnly && s.recordQuery(ow)
 		if s.Logger == nil {
 			return
+		}
+		// The access log tags over-mem on queries only; an update over its
+		// budget is a plain error there.
+		outcome := rec.Outcome
+		if !query && outcome == obs.OutcomeOverMem {
+			outcome = obs.OutcomeError
 		}
 		// The trace ID joins access-log lines against /debug/slow and the
 		// exported trace archive.
 		s.Logger.Info("request",
-			"method", r.Method, "path", route, "status", status,
-			"outcome", outcome, "bytes", ow.bytes, "dur", d,
-			"trace", string(ow.traceID))
+			"method", r.Method, "path", route, "status", rec.Status,
+			"outcome", string(outcome), "bytes", ow.bytes, "dur", rec.Duration,
+			"trace", string(rec.TraceID))
 		if slow {
 			s.Logger.Warn("slow query",
-				"dur", d, "threshold", s.SlowQuery, "status", status,
-				"rows", rows, "mem", mem, "peak", peak,
-				"trace", string(ow.traceID), "query", ow.query)
+				"dur", rec.Duration, "threshold", s.SlowQuery, "status", rec.Status,
+				"rows", rec.Rows, "mem", rec.MemBytes, "peak", rec.MemPeak,
+				"trace", string(rec.TraceID), "query", rec.Query)
 		}
 	})
+}
+
+// recordQuery books the finished record of an evaluated (not plan-only)
+// /sparql request: the failure counter, the query's shape row at
+// /workload, the slow-query log and the profiler trigger. It reports
+// whether the query was slow.
+func (s *Server) recordQuery(w *obsResponseWriter) (slow bool) {
+	rec := &w.rec
+	// queries_failed_total counts user-visible /sparql failures — the
+	// numerator of the alerting error rate. Sheds and client disconnects
+	// are excluded: shedding has its own rate, and a caller hanging up
+	// is not a server failure.
+	if rec.Status >= 400 && rec.Outcome != obs.OutcomeShed && rec.Outcome != obs.OutcomeCanceled {
+		s.mFailed.Inc()
+	}
+	// Workload fingerprinting: every query joins its shape row,
+	// classified by outcome — shed and timed-out shapes show up as such,
+	// not as generic errors. The slow log prints the same shape hash.
+	rec.Fingerprint()
+	if rec.Query != "" {
+		s.Workload.Record(*rec)
+	}
+	slow = s.SlowQuery > 0 && rec.Duration >= s.SlowQuery
+	if slow {
+		s.mSlow.Inc()
+		// Price the query after the fact so the slow-query log pairs
+		// estimated cost with measured latency; the planning pass is only
+		// paid for queries already past the slow threshold.
+		if w.q != nil && s.engine.PlannerEnabled() {
+			rec.EstCost = s.engine.Plan(w.q).Cost
+		}
+		s.Slow.Record(*rec)
+	}
+	// Threshold-triggered profiling: a slow-logged or over-budget query
+	// captures a trace-ID-stamped heap profile, rate-limited and
+	// size-capped by the profiler itself.
+	if s.Profiler != nil && (slow || rec.Outcome == obs.OutcomeOverMem) {
+		trigger := "slow"
+		if !slow {
+			trigger = "mem"
+		}
+		if _, ok := s.Profiler.MaybeCapture(trigger, rec.TraceID); ok {
+			s.mProfiles.Inc()
+		}
+	}
+	return slow
 }
 
 // statusClientClosedRequest is the nginx-convention status recorded
@@ -521,63 +514,63 @@ const MemLimitHeader = "X-Qb2olap-Mem-Limit"
 // instead of mistaking the truncated document for a transport fault.
 const StreamErrorTrailer = "X-Qb2olap-Stream-Error"
 
-// Stream-error codes: the one classification of an evaluation failure,
-// sent as the trailer value mid-stream and mapped to a status
-// (streamErrStatus) before the body starts.
-const (
-	streamErrMemLimit = "mem-limit"
-	streamErrTimeout  = "timeout"
-	streamErrCanceled = "canceled"
-	streamErrInternal = "internal"
-)
+// protocol is the wire form of each failed outcome: the status it
+// answers while the status line is still open and, for an evaluation
+// failure, the stream-error trailer code that names it once a 200 is
+// committed. The middleware books a request under the status of its
+// outcome, and Remote maps a trailer code back to the same status.
+var protocol = map[obs.QueryOutcome]struct {
+	status  int
+	trailer string
+}{
+	obs.OutcomeShed:            {http.StatusServiceUnavailable, ""},
+	obs.OutcomeCostUnavailable: {http.StatusConflict, ""},
+	obs.OutcomeOverMem:         {http.StatusTooManyRequests, "mem-limit"},
+	obs.OutcomeTimeout:         {http.StatusGatewayTimeout, "timeout"},
+	obs.OutcomeCanceled:        {statusClientClosedRequest, "canceled"},
+	obs.OutcomeError:           {http.StatusInternalServerError, "internal"},
+}
 
-// streamErrorCode classifies an evaluation error, counting it in the
-// outcome metrics.
-func (s *Server) streamErrorCode(err error) string {
+// streamErrStatus is the protocol status of a stream-error trailer
+// code; a code this server never sends counts as an internal failure.
+func streamErrStatus(code string) int {
+	for _, p := range protocol {
+		if p.trailer != "" && p.trailer == code {
+			return p.status
+		}
+	}
+	return http.StatusInternalServerError
+}
+
+// evalOutcome is the one classification of an evaluation error:
+// memory-limit abort, deadline expiry, caller disconnect, or anything
+// else.
+func evalOutcome(err error) obs.QueryOutcome {
 	var mle *sparql.MemLimitError
 	switch {
 	case errors.As(err, &mle):
-		s.mOverMem.Inc()
-		return streamErrMemLimit
+		return obs.OutcomeOverMem
 	case errors.Is(err, context.DeadlineExceeded):
-		s.mTimeout.Inc()
-		return streamErrTimeout
+		return obs.OutcomeTimeout
 	case errors.Is(err, context.Canceled):
-		s.mCanceled.Inc()
-		return streamErrCanceled
+		return obs.OutcomeCanceled
 	default:
-		return streamErrInternal
-	}
-}
-
-// streamErrStatus is the protocol status of a stream-error code:
-// memory-limit abort → 429 Too Many Requests, deadline expiry → 504
-// Gateway Timeout, caller disconnect → 499 (client closed request),
-// anything else → 500.
-func streamErrStatus(code string) int {
-	switch code {
-	case streamErrMemLimit:
-		return http.StatusTooManyRequests
-	case streamErrTimeout:
-		return http.StatusGatewayTimeout
-	case streamErrCanceled:
-		return statusClientClosedRequest
-	default:
-		return http.StatusInternalServerError
+		return obs.OutcomeError
 	}
 }
 
 // writeEvalError answers an evaluation error that arrived while the
 // status line was still open (a 429 carries MemLimitHeader).
-func (s *Server) writeEvalError(w http.ResponseWriter, err error) {
-	code, msg := s.streamErrorCode(err), err.Error()
-	switch code {
-	case streamErrMemLimit:
+func writeEvalError(w *obsResponseWriter, err error) {
+	w.rec.Outcome = evalOutcome(err)
+	msg := err.Error()
+	switch w.rec.Outcome {
+	case obs.OutcomeOverMem:
 		w.Header().Set(MemLimitHeader, "1")
-	case streamErrTimeout:
+	case obs.OutcomeTimeout:
 		msg = "query timed out: " + msg
 	}
-	http.Error(w, msg, streamErrStatus(code))
+	http.Error(w, msg, protocol[w.rec.Outcome].status)
 }
 
 // rowEncoder is the shape the result serializations share
@@ -617,18 +610,18 @@ func (s *Server) respond(ctx context.Context, w *obsResponseWriter, r *http.Requ
 	traced := explain
 	switch {
 	case hasTP:
-		w.traceID = tp.TraceID
+		w.rec.TraceID = tp.TraceID
 		traced = traced || tp.Sampled
 	case s.Tracer != nil || s.Exporter != nil:
-		w.traceID = obs.NewTraceID()
-		traced = traced || s.Sampler.Sample(w.traceID)
+		w.rec.TraceID = obs.NewTraceID()
+		traced = traced || s.Sampler.Sample(w.rec.TraceID)
 	}
 	var evalID obs.TraceID // empty = the engine's untraced path
 	if traced {
-		if w.traceID == "" {
-			w.traceID = obs.NewTraceID()
+		if w.rec.TraceID == "" {
+			w.rec.TraceID = obs.NewTraceID()
 		}
-		evalID = w.traceID
+		evalID = w.rec.TraceID
 	}
 
 	var enc rowEncoder
@@ -674,7 +667,7 @@ func (s *Server) respond(ctx context.Context, w *obsResponseWriter, r *http.Requ
 			return enc.Rows(chunk)
 		})
 	if tr != nil {
-		tr.Query = w.query
+		tr.Query = w.rec.Query
 		s.Tracer.Collect(tr) // nil-safe
 		s.reg.ObserveTrace(tr)
 		s.Exporter.Export(tr) // nil-safe; failures count on the exporter
@@ -688,12 +681,12 @@ func (s *Server) respond(ctx context.Context, w *obsResponseWriter, r *http.Requ
 	}
 	switch {
 	case err != nil && !started:
-		s.writeEvalError(w, err)
+		writeEvalError(w, err)
 	case err != nil:
 		// Mid-stream failure: the 200 is committed, so truncate the body
 		// and name the failure in the trailer.
-		w.streamErr = s.streamErrorCode(err)
-		w.Header().Set(StreamErrorTrailer, w.streamErr)
+		w.rec.Outcome = evalOutcome(err)
+		w.Header().Set(StreamErrorTrailer, protocol[w.rec.Outcome].trailer)
 	case explain:
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintf(w, "%s\n%d result row(s)\n", tr.Render(), rows)
@@ -708,22 +701,17 @@ func (s *Server) respond(ctx context.Context, w *obsResponseWriter, r *http.Requ
 }
 
 func (s *Server) handleQuery(rw http.ResponseWriter, r *http.Request) {
-	// The middleware's writer carries what the handler learns about the
-	// request (query text, trace ID, account, outcome) back to it.
-	w, ok := rw.(*obsResponseWriter)
-	if !ok {
-		w = &obsResponseWriter{ResponseWriter: rw}
-	}
+	w := recording(rw)
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
 	var err error
-	if w.query, err = requestText(r, "query"); err != nil {
+	if w.rec.Query, err = requestText(r, "query"); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if w.query == "" {
+	if w.rec.Query == "" {
 		http.Error(w, "missing query parameter", http.StatusBadRequest)
 		return
 	}
@@ -732,19 +720,20 @@ func (s *Server) handleQuery(rw http.ResponseWriter, r *http.Request) {
 	// saturated the cheapest possible rejection is the point.
 	release, ok := s.acquire()
 	if !ok {
-		s.mShed.Inc()
+		w.rec.Outcome = obs.OutcomeShed
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, fmt.Sprintf("server is at its in-flight query limit (%d)", s.MaxInFlight),
-			http.StatusServiceUnavailable)
+			protocol[obs.OutcomeShed].status)
 		return
 	}
 	defer release()
 
-	q, err := sparql.ParseQuery(w.query)
+	q, err := sparql.ParseQuery(w.rec.Query)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	w.q = q
 
 	// ?cost=1 (any non-empty value) returns the planner's estimated
 	// C_out cost as JSON without evaluating the query — the plan-cost
@@ -753,13 +742,13 @@ func (s *Server) handleQuery(rw http.ResponseWriter, r *http.Request) {
 	// remote callers fall back to their heuristic instead of trusting a
 	// cost the evaluator would not follow.
 	if r.FormValue("cost") != "" {
-		w.costOnly = true
 		if !s.engine.PlannerEnabled() {
-			s.mCostUnavail.Inc()
-			http.Error(w, "cost estimate unavailable: planner disabled (-planner=off)", http.StatusConflict)
+			w.rec.Outcome = obs.OutcomeCostUnavailable
+			http.Error(w, "cost estimate unavailable: planner disabled (-planner=off)",
+				protocol[obs.OutcomeCostUnavailable].status)
 			return
 		}
-		s.mCost.Inc()
+		w.rec.Outcome = obs.OutcomeCost
 		p := s.engine.Plan(q)
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(costResponse{"on", p.Cost, p.Reordered, p.PushedFilters}) //nolint:errcheck
@@ -770,13 +759,13 @@ func (s *Server) handleQuery(rw http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	// Per-request resource account: the engine adopts it (a
-	// context-injected account always wins), so the middleware can read
-	// rows/bytes/peak after the handler returns. Finish is deferred, so
-	// whatever the query still holds stays on the in-flight gauge until
-	// the response has been written.
-	w.acct = obs.NewQueryAcct(s.Resources, s.MaxQueryMem)
-	defer w.acct.Finish()
-	ctx = sparql.WithQueryAcct(ctx, w.acct)
+	// context-injected account always wins), and settle copies its
+	// rows/bytes/peak into the record. It is deferred, so whatever the
+	// query still holds stays on the in-flight gauge until the response
+	// has been written.
+	acct := obs.NewQueryAcct(s.Resources, s.MaxQueryMem)
+	defer w.settle(acct)
+	ctx = sparql.WithQueryAcct(ctx, acct)
 
 	// CONSTRUCT and DESCRIBE are breakers — their output is one
 	// deduplicated, sorted N-Triples document — so they answer from the
@@ -788,7 +777,7 @@ func (s *Server) handleQuery(rw http.ResponseWriter, r *http.Request) {
 		}
 		triples, err := eval(ctx, q)
 		if err != nil {
-			s.writeEvalError(w, err)
+			writeEvalError(w, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/n-triples")
@@ -836,17 +825,14 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The request's resource account, as for a query: the WHERE rows of
-	// a DELETE/INSERT are charged to it, and the middleware reports it.
+	// a DELETE/INSERT are charged to it.
 	acct := obs.NewQueryAcct(s.Resources, s.MaxQueryMem)
 	defer acct.Finish()
-	if ow, ok := w.(*obsResponseWriter); ok {
-		ow.acct = acct
-	}
 	s.updateMu.Lock()
 	err = s.engine.UpdateContext(sparql.WithQueryAcct(r.Context(), acct), u)
 	s.updateMu.Unlock()
 	if err != nil {
-		s.writeEvalError(w, err)
+		writeEvalError(recording(w), err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

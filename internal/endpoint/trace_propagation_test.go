@@ -123,21 +123,25 @@ func TestUnsampledPropagation(t *testing.T) {
 }
 
 // TestServerOwnSampling: without a traceparent the server applies its
-// own sampler — rate 0 records nothing, nil records everything.
+// own sampler — rate 0 records nothing, rate 1 and nil record
+// everything, each trace under a fresh ID of its own — and ?explain=1
+// forces a trace whatever the sampler says. The server is the only
+// place that samples; the engine keeps no sampler.
 func TestServerOwnSampling(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		rate *float64
+		rate float64 // < 0: no sampler
 		want int
 	}{
-		{"nil-sampler", nil, 5},
-		{"rate-0", new(float64), 0},
+		{"nil-sampler", -1, 5},
+		{"rate-0", 0, 0},
+		{"rate-1", 1, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, ts := newTracedTestServer(t, func(s *Server) {
 				s.Tracer = obs.NewTracer(16)
-				if tc.rate != nil {
-					s.Sampler = obs.NewSampler(*tc.rate)
+				if tc.rate >= 0 {
+					s.Sampler = obs.NewSampler(tc.rate)
 				}
 			})
 			c := NewRemote(ts.URL) // no client tracing, no traceparent
@@ -148,6 +152,21 @@ func TestServerOwnSampling(t *testing.T) {
 			}
 			if got := len(srv.Tracer.Recent()); got != tc.want {
 				t.Errorf("server collected %d traces, want %d", got, tc.want)
+			}
+			// A forced trace bypasses the sampler.
+			if _, err := c.Explain(obsQuery); err != nil {
+				t.Fatal(err)
+			}
+			recent := srv.Tracer.Recent()
+			if len(recent) != tc.want+1 {
+				t.Fatalf("after ?explain=1 the server holds %d traces, want %d", len(recent), tc.want+1)
+			}
+			seen := map[obs.TraceID]bool{}
+			for _, tr := range recent {
+				if tr.ID == "" || seen[tr.ID] {
+					t.Errorf("trace ID %q missing or repeated", tr.ID)
+				}
+				seen[tr.ID] = true
 			}
 			// Sampled-or-not, every /sparql request was assigned a trace
 			// ID for log joining — visible on the next slow entry, tested

@@ -7,7 +7,8 @@ import (
 	"net/http/pprof"
 )
 
-// RegisterDebug mounts the diagnostic routes on mux:
+// DebugMux returns the standalone diagnostics mux, the -debug-addr
+// listener of sparqld:
 //
 //	/metrics            metrics registry snapshot as JSON
 //	/debug/vars         expvar (cmdline, memstats, published registries)
@@ -17,7 +18,8 @@ import (
 //	/workload           per-shape workload statistics (JSON/text)
 //
 // reg, tracer, slow, and workload may be nil, which skips their routes.
-func RegisterDebug(mux *http.ServeMux, reg *Registry, tracer *Tracer, slow *SlowLog, workload *Workload) {
+func DebugMux(reg *Registry, tracer *Tracer, slow *SlowLog, workload *Workload) *http.ServeMux {
+	mux := http.NewServeMux()
 	if reg != nil {
 		mux.Handle("/metrics", reg)
 	}
@@ -36,13 +38,6 @@ func RegisterDebug(mux *http.ServeMux, reg *Registry, tracer *Tracer, slow *Slow
 	if workload != nil {
 		mux.HandleFunc("/workload", WorkloadHandler(workload))
 	}
-}
-
-// DebugMux returns a standalone diagnostics mux (the -debug-addr
-// listener of sparqld).
-func DebugMux(reg *Registry, tracer *Tracer, slow *SlowLog, workload *Workload) *http.ServeMux {
-	mux := http.NewServeMux()
-	RegisterDebug(mux, reg, tracer, slow, workload)
 	return mux
 }
 

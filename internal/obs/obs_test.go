@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -49,26 +48,8 @@ func TestNilSpanSafe(t *testing.T) {
 	c.Visit(func(*Span) { t.Fatal("visit of nil span must not call fn") })
 }
 
-func TestSpanConcurrentChildren(t *testing.T) {
-	root := StartSpan("UNION", "", 0)
-	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			root.StartChild("BRANCH", "", 0).Finish(1)
-		}()
-	}
-	wg.Wait()
-	if len(root.Children) != 32 {
-		t.Fatalf("got %d children, want 32", len(root.Children))
-	}
-}
-
 func TestTracerRing(t *testing.T) {
-	var finished int
 	tr := NewTracer(2)
-	tr.OnFinish = func(*Trace) { finished++ }
 	for i := 0; i < 5; i++ {
 		sp := StartSpan("SELECT", "", 0)
 		sp.Finish(i)
@@ -80,9 +61,6 @@ func TestTracerRing(t *testing.T) {
 	}
 	if recent[0].Root.Out != 4 || recent[1].Root.Out != 3 {
 		t.Errorf("recent not newest-first: out=%d,%d", recent[0].Root.Out, recent[1].Root.Out)
-	}
-	if finished != 5 {
-		t.Errorf("OnFinish called %d times, want 5", finished)
 	}
 	var nilTracer *Tracer
 	nilTracer.Collect(&Trace{}) // must not panic
@@ -182,7 +160,7 @@ func TestObserveTrace(t *testing.T) {
 func TestDebugMux(t *testing.T) {
 	reg := NewRegistry()
 	tracer := NewTracer(4)
-	mux := DebugMux(reg, tracer, NewSlowLog(4), NewWorkload(0))
+	mux := DebugMux(reg, tracer, NewSlowLog(4), NewWorkload())
 	for _, path := range []string{"/metrics", "/debug/vars", "/debug/pprof/", "/debug/traces", "/debug/slow", "/workload"} {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))

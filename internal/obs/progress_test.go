@@ -196,14 +196,13 @@ func TestHistogramP95Interpolated(t *testing.T) {
 
 func TestTracerQueryBytesCap(t *testing.T) {
 	tr := NewTracer(4)
-	tr.MaxQueryBytes = 32
-	long := strings.Repeat("x", 1000)
+	long := strings.Repeat("x", 3*maxQueryBytes)
 	sp := StartSpan("SELECT", "", 0)
 	sp.Finish(0)
 	tr.Collect(&Trace{Query: long, Root: sp})
 	got := tr.Recent()[0].Query
-	if len(got) > 32+len("… [truncated]") {
-		t.Errorf("query retained %d bytes, cap is 32", len(got))
+	if len(got) > maxQueryBytes+len("… [truncated]") {
+		t.Errorf("query retained %d bytes, cap is %d", len(got), maxQueryBytes)
 	}
 	if !strings.HasSuffix(got, "[truncated]") {
 		t.Errorf("truncated query missing marker: %q", got)
@@ -214,10 +213,9 @@ func TestTracerQueryBytesCap(t *testing.T) {
 // query bytes — and checks the log stays bounded.
 func TestSlowLogOverflow(t *testing.T) {
 	l := NewSlowLog(4)
-	l.MaxQueryBytes = 64
-	long := strings.Repeat("q", 10_000)
+	long := strings.Repeat("q", 3*maxQueryBytes)
 	for i := 0; i < 100; i++ {
-		l.Record(SlowEntry{When: time.Now(), Duration: time.Second, Query: long, Status: 200})
+		l.Record(QueryRecord{When: time.Now(), Duration: time.Second, Query: long, Status: 200})
 	}
 	recent := l.Recent()
 	if len(recent) != 4 {
@@ -225,16 +223,16 @@ func TestSlowLogOverflow(t *testing.T) {
 	}
 	total := 0
 	for _, e := range recent {
-		if len(e.Query) > 64+len("… [truncated]") {
-			t.Errorf("entry query holds %d bytes, cap is 64", len(e.Query))
+		if len(e.Query) > maxQueryBytes+len("… [truncated]") {
+			t.Errorf("entry query holds %d bytes, cap is %d", len(e.Query), maxQueryBytes)
 		}
 		total += len(e.Query)
 	}
-	if total > 4*(64+len("… [truncated]")) {
+	if total > 4*(maxQueryBytes+len("… [truncated]")) {
 		t.Errorf("slow log retains %d query bytes total", total)
 	}
 	var nilLog *SlowLog
-	nilLog.Record(SlowEntry{}) // must not panic
+	nilLog.Record(QueryRecord{}) // must not panic
 	if nilLog.Recent() != nil {
 		t.Error("nil slow log should have no entries")
 	}
@@ -242,7 +240,7 @@ func TestSlowLogOverflow(t *testing.T) {
 
 func TestSlowHandler(t *testing.T) {
 	l := NewSlowLog(4)
-	l.Record(SlowEntry{When: time.Now(), Duration: 250 * time.Millisecond,
+	l.Record(QueryRecord{When: time.Now(), Duration: 250 * time.Millisecond,
 		Query: "SELECT * WHERE { ?s ?p ?o }", Status: 200})
 	rec := httptest.NewRecorder()
 	SlowHandler(l)(rec, httptest.NewRequest("GET", "/debug/slow", nil))

@@ -84,6 +84,10 @@ func (t *ResourceTracker) shrink(b int64) {
 // disabled account — every method is a nil check, mirroring the span
 // fast path — so the engine threads one pointer unconditionally.
 //
+// An account belongs to its query, and a query runs on one goroutine,
+// so its fields are plain integers; only the process-wide tracker it
+// reports to is shared and atomic.
+//
 // The byte numbers are approximations (solution rows estimated from
 // term counts and lexical lengths, sampled once per chunk), not
 // allocator truth: they exist to rank queries and operators against
@@ -93,12 +97,8 @@ type QueryAcct struct {
 	tracker *ResourceTracker
 	limit   int64 // 0 = unlimited
 
-	rows     atomic.Int64
-	bytes    atomic.Int64
-	inflight atomic.Int64
-	peak     atomic.Int64
-	exceeded atomic.Bool
-	finished atomic.Bool
+	rows, bytes, inflight, peak int64
+	exceeded, finished          bool
 }
 
 // NewQueryAcct opens an account against tracker (which may be nil for a
@@ -115,17 +115,12 @@ func (a *QueryAcct) Materialize(rows int, b int64) {
 	if a == nil || (rows == 0 && b == 0) {
 		return
 	}
-	a.rows.Add(int64(rows))
-	a.bytes.Add(b)
-	now := a.inflight.Add(b)
-	for {
-		pk := a.peak.Load()
-		if now <= pk || a.peak.CompareAndSwap(pk, now) {
-			break
-		}
-	}
-	if a.limit > 0 && now > a.limit {
-		a.exceeded.Store(true)
+	a.rows += int64(rows)
+	a.bytes += b
+	a.inflight += b
+	a.peak = max(a.peak, a.inflight)
+	if a.limit > 0 && a.inflight > a.limit {
+		a.exceeded = true
 	}
 	a.tracker.grow(b)
 }
@@ -138,21 +133,20 @@ func (a *QueryAcct) Release(b int64) {
 	if a == nil || b <= 0 {
 		return
 	}
-	a.inflight.Add(-b)
+	a.inflight -= b
 	a.tracker.shrink(b)
 }
 
 // Over reports whether the account has exceeded its byte budget. The
-// flag is sticky: once over, always over, so racing workers all agree
-// to stop. Nil-safe.
-func (a *QueryAcct) Over() bool { return a != nil && a.exceeded.Load() }
+// flag is sticky: once over, always over. Nil-safe.
+func (a *QueryAcct) Over() bool { return a != nil && a.exceeded }
 
 // Rows returns the cumulative solutions materialized. Nil-safe.
 func (a *QueryAcct) Rows() int64 {
 	if a == nil {
 		return 0
 	}
-	return a.rows.Load()
+	return a.rows
 }
 
 // Bytes returns the cumulative approximate bytes materialized. Nil-safe.
@@ -160,7 +154,7 @@ func (a *QueryAcct) Bytes() int64 {
 	if a == nil {
 		return 0
 	}
-	return a.bytes.Load()
+	return a.bytes
 }
 
 // Inflight returns the query's current in-flight bytes (materialized
@@ -169,7 +163,7 @@ func (a *QueryAcct) Inflight() int64 {
 	if a == nil {
 		return 0
 	}
-	return a.inflight.Load()
+	return a.inflight
 }
 
 // Peak returns the largest in-flight byte total the query reached.
@@ -178,7 +172,7 @@ func (a *QueryAcct) Peak() int64 {
 	if a == nil {
 		return 0
 	}
-	return a.peak.Load()
+	return a.peak
 }
 
 // Limit returns the account's byte budget (0 = unlimited). Nil-safe.
@@ -193,15 +187,17 @@ func (a *QueryAcct) Limit() int64 {
 // process tracker. Idempotent and nil-safe, so both the engine (via
 // defer) and the server (after encoding) may call it.
 func (a *QueryAcct) Finish() {
-	if a == nil || !a.finished.CompareAndSwap(false, true) {
+	if a == nil || a.finished {
 		return
 	}
-	if live := a.inflight.Swap(0); live > 0 {
-		a.tracker.shrink(live)
+	a.finished = true
+	if a.inflight > 0 {
+		a.tracker.shrink(a.inflight)
 	}
+	a.inflight = 0
 	if a.tracker != nil {
 		a.tracker.queries.Add(1)
-		if a.exceeded.Load() {
+		if a.exceeded {
 			a.tracker.overMem.Add(1)
 		}
 	}

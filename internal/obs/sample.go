@@ -2,10 +2,7 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
-	"sync"
-	"time"
 )
 
 // TraceID identifies one end-to-end query trace: 16 random bytes in
@@ -35,40 +32,22 @@ func NewSpanID() string {
 // hash(id) falls below rate·2^64), so every process seeing the same
 // trace ID independently reaches the same verdict — though in the
 // cross-process protocol the caller's verdict additionally travels in
-// the traceparent sampled flag and wins. An optional traces-per-second
-// cap bounds the absolute trace volume under load regardless of rate.
+// the traceparent sampled flag and wins.
 //
 // A nil *Sampler samples everything, which preserves the pre-sampling
-// behaviour of a Tracer-equipped engine or endpoint. Safe for
-// concurrent use after construction.
+// behaviour of a Tracer-equipped endpoint. Immutable, so safe for
+// concurrent use.
 type Sampler struct {
 	rate      float64
-	threshold uint64 // sample iff fnv64a(id) < threshold
-
-	// maxPerSec caps sampled traces per wall-clock second (0 = no cap).
-	maxPerSec int
-
-	mu     sync.Mutex
-	window int64 // unix second of the current counting window
-	taken  int   // traces sampled in the current window
-
-	// now stubs time for rate-cap tests.
-	now func() time.Time
+	threshold uint64 // below rate 1, sample iff fnv64a(id) < threshold
 }
 
 // NewSampler returns a sampler recording the given fraction of traces
 // (clamped to [0, 1]). Rate 1 samples everything, rate 0 nothing.
 func NewSampler(rate float64) *Sampler {
-	if rate < 0 {
-		rate = 0
-	} else if rate > 1 {
-		rate = 1
-	}
-	s := &Sampler{rate: rate, now: time.Now}
-	if rate >= 1 {
-		s.threshold = math.MaxUint64
-	} else {
-		s.threshold = uint64(rate * float64(1<<63) * 2)
+	s := &Sampler{rate: min(max(rate, 0), 1)}
+	if s.rate < 1 {
+		s.threshold = uint64(s.rate * float64(1<<63) * 2)
 	}
 	return s
 }
@@ -80,10 +59,6 @@ func (s *Sampler) Rate() float64 {
 	}
 	return s.rate
 }
-
-// SetMaxPerSec caps the number of sampled traces per second (0 removes
-// the cap). Set it before the sampler is shared.
-func (s *Sampler) SetMaxPerSec(n int) { s.maxPerSec = n }
 
 // fnv64a is FNV-1a over the trace ID bytes: cheap, allocation-free, and
 // uniform enough over random IDs for threshold sampling.
@@ -99,32 +74,5 @@ func fnv64a(id TraceID) uint64 {
 // Sample reports whether the trace identified by id should be recorded.
 // Nil-safe: a nil sampler samples everything.
 func (s *Sampler) Sample(id TraceID) bool {
-	if s == nil {
-		return true
-	}
-	if s.rate >= 1 {
-		return s.allowNow()
-	}
-	if s.rate <= 0 || fnv64a(id) >= s.threshold {
-		return false
-	}
-	return s.allowNow()
-}
-
-// allowNow applies the traces-per-second cap.
-func (s *Sampler) allowNow() bool {
-	if s.maxPerSec <= 0 {
-		return true
-	}
-	sec := s.now().Unix()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sec != s.window {
-		s.window, s.taken = sec, 0
-	}
-	if s.taken >= s.maxPerSec {
-		return false
-	}
-	s.taken++
-	return true
+	return s == nil || s.rate >= 1 || fnv64a(id) < s.threshold
 }

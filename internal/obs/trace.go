@@ -6,15 +6,16 @@
 // (/metrics, /debug/vars, /debug/pprof, /debug/traces).
 //
 // The package has no dependency on the rest of the repository, so every
-// layer can import it without cycles. All types are safe for concurrent
-// use; the tracing fast path when no tracer is installed is a single
-// nil check per operator (verified by BenchmarkTracerOverhead).
+// layer can import it without cycles. The sinks (Tracer, SlowLog,
+// Workload, Registry) are safe for concurrent use; a Span and a
+// QueryAcct belong to the one goroutine that evaluates their query. The
+// tracing fast path of an untraced query is a single nil check per
+// operator (verified by BenchmarkTracerOverhead).
 package obs
 
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -25,11 +26,9 @@ import (
 // as mem=… in the timed EXPLAIN ANALYZE view and excluded from Outline
 // so golden trees stay byte-identical whether or not accounting ran.
 //
-// A span's scalar fields are written only by the goroutine that created
-// it — once by Finish, or accumulated across pulls when the span belongs
-// to a pipeline stage that produces its output chunk by chunk; Children
-// appends are mutex-protected so sibling operators evaluated
-// concurrently may attach spans to a shared parent.
+// A span is written only by the goroutine that evaluates its query —
+// once by Finish, or accumulated across pulls when the span belongs to
+// a pipeline stage that produces its output chunk by chunk.
 type Span struct {
 	Op       string        `json:"op"`
 	Detail   string        `json:"detail,omitempty"`
@@ -42,7 +41,6 @@ type Span struct {
 	Children []*Span       `json:"children,omitempty"`
 
 	start time.Time
-	mu    sync.Mutex
 }
 
 // StartSpan opens a root span.
@@ -58,9 +56,7 @@ func (s *Span) StartChild(op, detail string, in int) *Span {
 		return nil
 	}
 	c := StartSpan(op, detail, in)
-	s.mu.Lock()
 	s.Children = append(s.Children, c)
-	s.mu.Unlock()
 	return c
 }
 
@@ -98,9 +94,7 @@ func (s *Span) Attach(c *Span) {
 	if s == nil || c == nil {
 		return
 	}
-	s.mu.Lock()
 	s.Children = append(s.Children, c)
-	s.mu.Unlock()
 }
 
 // Visit walks the span tree depth-first, parents before children.
@@ -222,43 +216,9 @@ func (t *Trace) Outline() string {
 	return "plan: " + t.Plan + "\n" + t.Root.Outline()
 }
 
-// Tracer is a sink for finished query traces: it keeps a bounded ring
-// of the most recent traces and optionally forwards every trace to an
-// OnFinish hook (slow-query logging, per-operator metrics). Safe for
-// concurrent use.
-//
-// Both the entry count and the retained query-text bytes are hard
-// capped, so a long-running server cannot grow without limit no matter
-// how large the queries it receives are.
-type Tracer struct {
-	// OnFinish, when non-nil, is called synchronously with every
-	// collected trace. Set it before the tracer is shared.
-	OnFinish func(*Trace)
-
-	// MaxQueryBytes caps the query text retained per trace; longer
-	// texts are truncated with a marker (<= 0 selects
-	// DefaultMaxQueryBytes). Set it before the tracer is shared.
-	MaxQueryBytes int
-
-	mu     sync.Mutex
-	keep   int
-	recent []*Trace // ring, oldest first
-}
-
-// DefaultMaxQueryBytes is the per-trace query-text retention cap used
-// when Tracer.MaxQueryBytes (or SlowLog.MaxQueryBytes) is unset.
-const DefaultMaxQueryBytes = 16 << 10
-
-// truncateQuery caps q at limit bytes, appending a marker when cut.
-func truncateQuery(q string, limit int) string {
-	if limit <= 0 {
-		limit = DefaultMaxQueryBytes
-	}
-	if len(q) <= limit {
-		return q
-	}
-	return q[:limit] + "… [truncated]"
-}
+// Tracer is a sink for finished query traces: it keeps the most recent
+// ones for /debug/traces. Safe for concurrent use.
+type Tracer struct{ ring ring[*Trace] }
 
 // NewTracer returns a tracer retaining the last keep traces (keep <= 0
 // selects 16).
@@ -266,25 +226,18 @@ func NewTracer(keep int) *Tracer {
 	if keep <= 0 {
 		keep = 16
 	}
-	return &Tracer{keep: keep}
+	return &Tracer{ring[*Trace]{keep: keep}}
 }
 
-// Collect records a finished trace. Nil-safe, so callers can
-// unconditionally collect through an optional tracer.
+// Collect records a finished trace, truncating its query text to
+// maxQueryBytes. Nil-safe, so callers can unconditionally collect
+// through an optional tracer.
 func (t *Tracer) Collect(tr *Trace) {
 	if t == nil || tr == nil {
 		return
 	}
-	tr.Query = truncateQuery(tr.Query, t.MaxQueryBytes)
-	t.mu.Lock()
-	t.recent = append(t.recent, tr)
-	if len(t.recent) > t.keep {
-		t.recent = t.recent[len(t.recent)-t.keep:]
-	}
-	t.mu.Unlock()
-	if t.OnFinish != nil {
-		t.OnFinish(tr)
-	}
+	tr.Query = truncate(tr.Query, maxQueryBytes)
+	t.ring.add(tr)
 }
 
 // Recent returns a copy of the retained traces, newest first.
@@ -292,11 +245,5 @@ func (t *Tracer) Recent() []*Trace {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]*Trace, len(t.recent))
-	for i, tr := range t.recent {
-		out[len(t.recent)-1-i] = tr
-	}
-	return out
+	return t.ring.recent()
 }

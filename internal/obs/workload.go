@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // NormalizeShape reduces a query text to its shape: the structure that
@@ -141,25 +140,13 @@ var sparqlKeywords = map[string]bool{
 // ShapeHash returns the workload fingerprint of a query: an FNV-64a
 // hash of its normalized shape, rendered as 16 hex digits. Two queries
 // differing only in literals, numbers, or whitespace hash identically.
-func ShapeHash(q string) string {
+func ShapeHash(q string) string { return shapeHash(NormalizeShape(q)) }
+
+func shapeHash(norm string) string {
 	h := fnv.New64a()
-	h.Write([]byte(NormalizeShape(q)))
+	h.Write([]byte(norm))
 	return fmt.Sprintf("%016x", h.Sum64())
 }
-
-// QueryOutcome classifies how one query ended for the per-shape
-// outcome counters: the same taxonomy the access log and the load
-// driver use, so a shape's /workload row and a bench run report
-// disagree only when the traffic differs.
-type QueryOutcome string
-
-const (
-	OutcomeOK       QueryOutcome = "ok"
-	OutcomeError    QueryOutcome = "error"    // evaluation/protocol failure (4xx/5xx incl. over-mem)
-	OutcomeShed     QueryOutcome = "shed"     // rejected at the in-flight limit (503)
-	OutcomeTimeout  QueryOutcome = "timeout"  // deadline expired (504)
-	OutcomeCanceled QueryOutcome = "canceled" // caller disconnected (499)
-)
 
 // shapeEntry accumulates one query shape's statistics.
 type shapeEntry struct {
@@ -182,57 +169,52 @@ type shapeEntry struct {
 // adversarial workload cannot exhaust server memory. Safe for
 // concurrent use; nil-safe.
 type Workload struct {
-	mu        sync.Mutex
-	shapes    map[string]*shapeEntry
-	maxShapes int
-	overflow  shapeEntry // shapes beyond maxShapes
+	mu       sync.Mutex
+	shapes   map[string]*shapeEntry
+	overflow shapeEntry // shapes beyond MaxShapes
 }
 
-// DefaultMaxShapes bounds the per-shape table of a Workload registry.
-const DefaultMaxShapes = 256
+// MaxShapes bounds the per-shape table of a Workload registry.
+const MaxShapes = 256
 
 // maxShapeExampleBytes caps the retained example text per shape.
 const maxShapeExampleBytes = 2 << 10
 
-// NewWorkload returns a workload registry keeping at most maxShapes
-// distinct shapes (<= 0 selects DefaultMaxShapes).
-func NewWorkload(maxShapes int) *Workload {
-	if maxShapes <= 0 {
-		maxShapes = DefaultMaxShapes
-	}
-	return &Workload{shapes: make(map[string]*shapeEntry), maxShapes: maxShapes}
+// NewWorkload returns an empty workload registry.
+func NewWorkload() *Workload {
+	return &Workload{shapes: make(map[string]*shapeEntry)}
 }
 
-// Record folds one finished query into the registry, classified by its
-// outcome (shed and timed-out queries count separately from plain
+// Record folds one finished query into its shape's row, classified by
+// its outcome (shed and timed-out queries count separately from plain
 // errors, so a shape's row shows *how* it fails, not just that it
-// does). Nil-safe.
-func (w *Workload) Record(query string, d time.Duration, rows, bytes int64, outcome QueryOutcome) {
+// does). A record that was not fingerprinted yet is fingerprinted here.
+// Nil-safe.
+func (w *Workload) Record(r QueryRecord) {
 	if w == nil {
 		return
 	}
-	shape := NormalizeShape(query)
-	h := fnv.New64a()
-	h.Write([]byte(shape))
-	hash := fmt.Sprintf("%016x", h.Sum64())
+	if r.Shape == "" {
+		r.Fingerprint()
+	}
 
 	w.mu.Lock()
-	e, ok := w.shapes[hash]
+	e, ok := w.shapes[r.Shape]
 	if !ok {
-		if len(w.shapes) >= w.maxShapes {
+		if len(w.shapes) >= MaxShapes {
 			e = &w.overflow
 			if e.hash == "" {
 				e.hash = "overflow"
 				e.example = "(shapes beyond the registry bound)"
 			}
 		} else {
-			e = &shapeEntry{hash: hash, example: truncateQuery(shape, maxShapeExampleBytes)}
-			w.shapes[hash] = e
+			e = &shapeEntry{hash: r.Shape, example: truncate(r.norm, maxShapeExampleBytes)}
+			w.shapes[r.Shape] = e
 		}
 	}
 	e.count++
-	switch outcome {
-	case OutcomeError:
+	switch r.Outcome {
+	case OutcomeError, OutcomeOverMem:
 		e.errors++
 	case OutcomeShed:
 		e.sheds++
@@ -241,11 +223,11 @@ func (w *Workload) Record(query string, d time.Duration, rows, bytes int64, outc
 	case OutcomeCanceled:
 		e.canceled++
 	}
-	e.rows += rows
-	e.bytes += bytes
+	e.rows += r.Rows
+	e.bytes += r.MemBytes
 	w.mu.Unlock()
 	// Histogram is internally atomic; observe outside the lock.
-	e.lat.Observe(d)
+	e.lat.Observe(r.Duration)
 }
 
 // ShapeStat is one shape's aggregated statistics in a snapshot.
@@ -357,7 +339,7 @@ func (s WorkloadSnapshot) RenderText() string {
 // back to the root span's output cardinality when the trace predates
 // resource accounting.
 func WorkloadFromTraces(traces []*Trace) *Workload {
-	w := NewWorkload(0)
+	w := NewWorkload()
 	for _, tr := range traces {
 		if tr == nil || tr.Root == nil {
 			continue
@@ -366,7 +348,7 @@ func WorkloadFromTraces(traces []*Trace) *Workload {
 		if rows == 0 {
 			rows = int64(tr.Root.Out)
 		}
-		w.Record(tr.Query, tr.Root.Wall, rows, tr.Bytes, OutcomeOK)
+		w.Record(QueryRecord{Query: tr.Query, Duration: tr.Root.Wall, Rows: rows, MemBytes: tr.Bytes, Outcome: OutcomeOK})
 	}
 	return w
 }

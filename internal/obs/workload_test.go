@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -83,18 +84,18 @@ func TestNormalizeShapePreservesIRIs(t *testing.T) {
 // TestWorkloadBounds verifies the registry folds shapes beyond its
 // bound into the overflow bucket instead of growing.
 func TestWorkloadBounds(t *testing.T) {
-	w := NewWorkload(4)
-	for i := 0; i < 10; i++ {
+	w := NewWorkload()
+	for i := 0; i < MaxShapes+6; i++ {
 		// Distinct predicates give distinct shapes.
-		q := `SELECT ?s WHERE { ?s <http://ex/p` + strings.Repeat("x", i) + `> ?o }`
-		w.Record(q, time.Millisecond, 1, 100, OutcomeOK)
+		q := fmt.Sprintf(`SELECT ?s WHERE { ?s <http://ex/p%x> ?o }`, i)
+		w.Record(queryRec(q, time.Millisecond, 1, 100, OutcomeOK))
 	}
 	snap := w.Snapshot()
-	if snap.Shapes != 5 { // 4 distinct + overflow
-		t.Fatalf("shapes = %d, want 5 (4 + overflow)", snap.Shapes)
+	if snap.Shapes != MaxShapes+1 { // MaxShapes distinct + overflow
+		t.Fatalf("shapes = %d, want %d (%d + overflow)", snap.Shapes, MaxShapes+1, MaxShapes)
 	}
-	if snap.Queries != 10 {
-		t.Fatalf("queries = %d, want 10", snap.Queries)
+	if snap.Queries != MaxShapes+6 {
+		t.Fatalf("queries = %d, want %d", snap.Queries, MaxShapes+6)
 	}
 	var over *ShapeStat
 	for i := range snap.Top {
@@ -111,9 +112,9 @@ func TestWorkloadBounds(t *testing.T) {
 // queries of the same shape fold into one entry with summed rows/bytes
 // and the error flag counted.
 func TestWorkloadRecordAggregates(t *testing.T) {
-	w := NewWorkload(0)
-	w.Record(`SELECT ?s WHERE { ?s <http://ex/p> "a" }`, time.Millisecond, 5, 500, OutcomeOK)
-	w.Record(`SELECT ?s WHERE { ?s <http://ex/p> "b" }`, 2*time.Millisecond, 3, 300, OutcomeError)
+	w := NewWorkload()
+	w.Record(queryRec(`SELECT ?s WHERE { ?s <http://ex/p> "a" }`, time.Millisecond, 5, 500, OutcomeOK))
+	w.Record(queryRec(`SELECT ?s WHERE { ?s <http://ex/p> "b" }`, 2*time.Millisecond, 3, 300, OutcomeError))
 	snap := w.Snapshot()
 	if snap.Shapes != 1 {
 		t.Fatalf("shapes = %d, want 1", snap.Shapes)
@@ -125,13 +126,22 @@ func TestWorkloadRecordAggregates(t *testing.T) {
 	if top.AvgRows != 4 {
 		t.Fatalf("avgRows = %v, want 4", top.AvgRows)
 	}
+
+	// A record fingerprinted by its producer joins the same row, under
+	// the hash the slow log prints.
+	r := queryRec(`SELECT ?s WHERE { ?s <http://ex/p> "c" }`, time.Millisecond, 1, 100, OutcomeOK)
+	r.Fingerprint()
+	w.Record(r)
+	if top := w.Snapshot().Top[0]; r.Shape != ShapeHash(r.Query) || top.Hash != r.Shape || top.Count != 3 {
+		t.Fatalf("fingerprinted record: shape %s, row %+v", r.Shape, top)
+	}
 }
 
 // TestWorkloadHandler exercises the /workload content negotiation: JSON
 // by default, the text table for Accept: text/plain or ?text=1.
 func TestWorkloadHandler(t *testing.T) {
-	w := NewWorkload(0)
-	w.Record(`SELECT ?s WHERE { ?s ?p ?o }`, time.Millisecond, 2, 64, OutcomeOK)
+	w := NewWorkload()
+	w.Record(queryRec(`SELECT ?s WHERE { ?s ?p ?o }`, time.Millisecond, 2, 64, OutcomeOK))
 	h := WorkloadHandler(w)
 
 	rec := httptest.NewRecorder()
@@ -183,8 +193,8 @@ func TestWorkloadFromTraces(t *testing.T) {
 // TestWorkloadCanonical checks that Canonical zeroes only the
 // timing-dependent fields.
 func TestWorkloadCanonical(t *testing.T) {
-	w := NewWorkload(0)
-	w.Record(`SELECT ?s WHERE { ?s ?p ?o }`, 5*time.Millisecond, 2, 64, OutcomeOK)
+	w := NewWorkload()
+	w.Record(queryRec(`SELECT ?s WHERE { ?s ?p ?o }`, 5*time.Millisecond, 2, 64, OutcomeOK))
 	c := w.Snapshot().Canonical()
 	top := c.Top[0]
 	if top.P50Ms != 0 || top.P95Ms != 0 || top.P99Ms != 0 || top.AvgMs != 0 {
@@ -196,19 +206,25 @@ func TestWorkloadCanonical(t *testing.T) {
 }
 
 // TestWorkloadOutcomeCounters checks shed/timeout/canceled outcomes
-// count separately from plain errors on the same shape.
+// count separately from plain errors on the same shape, and over-mem
+// counts as an error.
 func TestWorkloadOutcomeCounters(t *testing.T) {
-	w := NewWorkload(0)
+	w := NewWorkload()
 	q := `SELECT ?s WHERE { ?s <http://ex/p> ?o }`
-	for _, oc := range []QueryOutcome{OutcomeOK, OutcomeError, OutcomeShed, OutcomeShed, OutcomeTimeout, OutcomeCanceled} {
-		w.Record(q, time.Millisecond, 0, 0, oc)
+	for _, oc := range []QueryOutcome{OutcomeOK, OutcomeError, OutcomeOverMem, OutcomeShed, OutcomeShed, OutcomeTimeout, OutcomeCanceled} {
+		w.Record(queryRec(q, time.Millisecond, 0, 0, oc))
 	}
 	top := w.Snapshot().Top[0]
-	if top.Count != 6 || top.Errors != 1 || top.Sheds != 2 || top.Timeouts != 1 || top.Canceled != 1 {
+	if top.Count != 7 || top.Errors != 2 || top.Sheds != 2 || top.Timeouts != 1 || top.Canceled != 1 {
 		t.Fatalf("outcome counters wrong: %+v", top)
 	}
 	text := w.Snapshot().RenderText()
 	if !strings.Contains(text, "TMOUT") || !strings.Contains(text, "SHED") {
 		t.Fatalf("text view missing outcome columns:\n%s", text)
 	}
+}
+
+// queryRec is the record of one finished query.
+func queryRec(q string, d time.Duration, rows, bytes int64, oc QueryOutcome) QueryRecord {
+	return QueryRecord{Query: q, Duration: d, Rows: rows, MemBytes: bytes, Outcome: oc}
 }

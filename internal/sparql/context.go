@@ -104,16 +104,9 @@ func (e *CanceledError) Unwrap() error { return e.Cause }
 
 // QueryContext is Query under a context: evaluation checks ctx
 // cooperatively and returns a *CanceledError (wrapping ctx's cause) as
-// soon as it observes cancellation or deadline expiry. The sampling and
-// tracing behaviour is identical to Query.
+// soon as it observes cancellation or deadline expiry.
 func (e *Engine) QueryContext(ctx context.Context, q *Query) (*Results, error) {
-	var id obs.TraceID
-	if e.tracer != nil {
-		if id = obs.NewTraceID(); !e.sampler.Sample(id) {
-			id = ""
-		}
-	}
-	res, _, err := e.collect(ctx, q, id)
+	res, _, err := e.collect(ctx, q, "")
 	return res, err
 }
 
@@ -131,9 +124,8 @@ func (e *Engine) QueryStringContext(ctx context.Context, src string) (*Results, 
 // tracing forced and returns the EXPLAIN ANALYZE-style trace alongside
 // the results, under a fresh trace ID. The trace is returned even when
 // evaluation fails or is cancelled mid-flight (with the spans finished
-// so far). If the engine has a tracer installed the trace is also
-// collected there. Engine.Stream is the incremental form under a
-// caller-chosen trace identity.
+// so far). Engine.Stream is the incremental form under a caller-chosen
+// trace identity.
 func (e *Engine) QueryTracedContext(ctx context.Context, q *Query) (*Results, *obs.Trace, error) {
 	return e.collect(ctx, q, obs.NewTraceID())
 }

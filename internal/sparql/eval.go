@@ -29,15 +29,6 @@ type Engine struct {
 	// with WithPlanner(false) patterns join in the written order.
 	planner bool
 
-	// tracer, when set (WithTracer), collects a per-operator trace of
-	// every sampled query. Nil — the default — leaves every span hook a
-	// nil check; see trace.go.
-	tracer *obs.Tracer
-
-	// sampler, when set (WithSampler), decides which queries the tracer
-	// records. Nil samples everything.
-	sampler *obs.Sampler
-
 	// resources, when set (WithResources), aggregates every query's
 	// in-flight materialized bytes into process-wide gauges; maxQueryMem,
 	// when > 0 (WithMaxQueryMem), aborts queries whose in-flight bytes
@@ -198,11 +189,9 @@ func (e *Engine) newRun(ctx context.Context, q *Query, root *obs.Span) (*run, *Q
 	return r, q
 }
 
-// Query evaluates a SELECT or ASK query, returning a Results table (ASK
-// yields a single row with variable "ask" bound to a boolean). When the
-// engine has a tracer installed, each query draws a fresh trace ID and,
-// if the sampler elects it (no sampler = always), the evaluation is
-// traced and collected; an unsampled query allocates no span tree.
+// Query evaluates a SELECT or ASK query, untraced, returning a Results
+// table (ASK yields a single row with variable "ask" bound to a
+// boolean).
 func (e *Engine) Query(q *Query) (*Results, error) {
 	return e.QueryContext(context.Background(), q)
 }

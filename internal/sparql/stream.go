@@ -1324,7 +1324,7 @@ func (r *run) collect(q *Query) (*Results, error) {
 // to drive. A non-empty id traces the evaluation: operator spans attach
 // under a fresh root, and the trace — returned even when drive fails,
 // with the spans finished so far — carries the account's
-// rows/bytes/peak and is collected by the engine's tracer, if any.
+// rows/bytes/peak.
 func (e *Engine) evaluate(ctx context.Context, q *Query, id obs.TraceID, drive func(*run, *Query) error) (*obs.Trace, error) {
 	if q.Form != FormSelect && q.Form != FormAsk {
 		return nil, fmt.Errorf("sparql: %s is not a SELECT or ASK query (use Construct or Describe)", q.Form)
@@ -1341,10 +1341,8 @@ func (e *Engine) evaluate(ctx context.Context, q *Query, id obs.TraceID, drive f
 		return nil, err
 	}
 	root.Finish(r.delivered)
-	tr := &obs.Trace{ID: id, Start: start, Root: root,
-		Rows: r.acct.Rows(), Bytes: r.acct.Bytes(), PeakBytes: r.acct.Peak()}
-	e.tracer.Collect(tr)
-	return tr, err
+	return &obs.Trace{ID: id, Start: start, Root: root,
+		Rows: r.acct.Rows(), Bytes: r.acct.Bytes(), PeakBytes: r.acct.Peak()}, err
 }
 
 // collect evaluates q into a whole Results table, traced under id when

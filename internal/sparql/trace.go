@@ -11,8 +11,11 @@ import (
 	"repro/internal/rdf"
 )
 
-// This file is the engine's tracing glue: the WithTracer option, the
-// QueryTraced* entry points, and the span helpers the pipeline calls.
+// This file is the engine's tracing glue: the QueryTraced* entry points
+// and the span helpers the pipeline calls. The engine keeps no trace
+// sink and no sampler: a caller that wants a trace asks for it
+// (QueryTracedContext, or Stream under a trace ID), and the endpoint
+// server is the one place that samples requests and collects traces.
 //
 // Tracing contract: a traced query runs the same chunked pipeline as
 // an untraced one (stream.go); every stage additionally owns a span
@@ -28,26 +31,6 @@ import (
 // is a single nil check (the stageTrace and obs.Span methods are
 // nil-safe), which BenchmarkTracerOverhead pins to be within noise of
 // the untraced engine.
-
-// WithTracer installs an engine-level trace sink: every sampled Query
-// records a per-operator trace and collects it into t (with no sampler
-// installed, every query is sampled). Use NewTracer's ring to inspect
-// recent query plans on a live server, or leave the engine tracer nil
-// (the default) for zero-cost evaluation and trace individual queries
-// with QueryTracedString / QueryTracedContext.
-func WithTracer(t *obs.Tracer) Option {
-	return func(e *Engine) { e.tracer = t }
-}
-
-// WithSampler installs the sampling policy applied when the engine has
-// a tracer: each Query draws a fresh trace ID and is traced only when
-// the sampler says so, keeping always-on tracing affordable under load
-// (an unsampled query allocates no span tree — its only tracing cost is
-// the ID draw and one hash). Nil — the default — samples everything.
-// QueryTracedContext bypasses the sampler: the "force this one" path.
-func WithSampler(s *obs.Sampler) Option {
-	return func(e *Engine) { e.sampler = s }
-}
 
 // QueryTracedString parses and evaluates a query string with tracing;
 // the query text is recorded on the trace.

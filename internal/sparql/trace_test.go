@@ -101,22 +101,6 @@ func TestQueryTracedMatchesUntraced(t *testing.T) {
 	}
 }
 
-func TestEngineTracerCollects(t *testing.T) {
-	st := loadStore(t, peopleTTL)
-	sink := obs.NewTracer(8)
-	e := NewEngine(st, WithTracer(sink))
-	if _, err := e.QueryString(`PREFIX ex: <http://example.org/> SELECT ?n WHERE { ?p ex:name ?n }`); err != nil {
-		t.Fatal(err)
-	}
-	recent := sink.Recent()
-	if len(recent) != 1 {
-		t.Fatalf("tracer collected %d traces, want 1", len(recent))
-	}
-	if recent[0].Root.Op != "SELECT" || recent[0].Root.Out != 4 {
-		t.Errorf("unexpected root span %s out=%d", recent[0].Root.Op, recent[0].Root.Out)
-	}
-}
-
 func TestTracedSubSelectAndMinus(t *testing.T) {
 	st := loadStore(t, peopleTTL)
 	e := NewEngine(st)
@@ -134,65 +118,6 @@ SELECT ?p WHERE {
 		if !strings.Contains(outline, op) {
 			t.Errorf("outline missing %s:\n%s", op, outline)
 		}
-	}
-}
-
-// TestEngineSampledTracing: with a tracer plus a sampler, only sampled
-// queries reach the tracer — rate 0 collects nothing (the untraced fast
-// path), rate 1 collects everything, and QueryTraced forces a trace
-// regardless of the sampler. Results are identical either way.
-func TestEngineSampledTracing(t *testing.T) {
-	st := loadStore(t, peopleTTL)
-	const query = `PREFIX ex: <http://example.org/> SELECT ?p WHERE { ?p a ex:Person }`
-
-	for _, tc := range []struct {
-		rate float64
-		want int
-	}{{0, 0}, {1, 5}} {
-		tracer := obs.NewTracer(16)
-		e := NewEngine(st, WithTracer(tracer), WithSampler(obs.NewSampler(tc.rate)))
-		var base *Results
-		for i := 0; i < 5; i++ {
-			res, err := e.QueryString(query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if base == nil {
-				base = res
-			} else if !reflect.DeepEqual(base, res) {
-				t.Fatalf("rate %g: results drifted across sampled/unsampled runs", tc.rate)
-			}
-		}
-		if got := len(tracer.Recent()); got != tc.want {
-			t.Errorf("rate %g: tracer collected %d traces, want %d", tc.rate, got, tc.want)
-		}
-		// Sampler verdicts never apply to the forced path.
-		_, tr, err := e.QueryTracedString(query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr == nil || tr.ID == "" {
-			t.Fatalf("rate %g: forced trace missing identity: %+v", tc.rate, tr)
-		}
-		if got := len(tracer.Recent()); got != tc.want+1 {
-			t.Errorf("rate %g: forced trace not collected (have %d)", tc.rate, got)
-		}
-	}
-
-	// Sampled traces carry distinct fresh IDs.
-	tracer := obs.NewTracer(16)
-	e := NewEngine(st, WithTracer(tracer))
-	for i := 0; i < 3; i++ {
-		if _, err := e.QueryString(query); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seen := map[obs.TraceID]bool{}
-	for _, tr := range tracer.Recent() {
-		if tr.ID == "" || seen[tr.ID] {
-			t.Errorf("trace ID %q missing or repeated", tr.ID)
-		}
-		seen[tr.ID] = true
 	}
 }
 

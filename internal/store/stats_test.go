@@ -169,14 +169,14 @@ func TestStatsConcurrentMixedLoad(t *testing.T) {
 	}
 }
 
-func TestInsertTriplesPChunksAndCounts(t *testing.T) {
+func TestInsertTriplesChunksAndCounts(t *testing.T) {
 	st := New()
 	ts := make([]rdf.Triple, 0, 10000)
 	for i := 0; i < 10000; i++ {
 		ts = append(ts, rdf.NewTriple(iri(fmt.Sprintf("s%d", i)), iri("p"), iri("o")))
 	}
 	ts = append(ts, ts[0]) // duplicate, must not count as added
-	if added := st.InsertTriplesP(rdf.Term{}, ts, nil); added != 10000 {
+	if added := st.InsertTriples(rdf.Term{}, ts); added != 10000 {
 		t.Errorf("added = %d, want 10000", added)
 	}
 	if st.Len(rdf.Term{}) != 10000 {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/obs"
 	"repro/internal/rdf"
 )
 
@@ -427,23 +426,17 @@ func (s *Store) Delete(q rdf.Quad) (removed bool) {
 	return removed
 }
 
-// InsertTriples bulk-adds triples into the graph named by g (zero Term
-// for the default graph) and returns the number actually added.
-func (s *Store) InsertTriples(g rdf.Term, ts []rdf.Triple) int {
-	return s.InsertTriplesP(g, ts, nil)
-}
-
-// insertChunk bounds how many triples a bulk insert adds per Batch, so
-// progress can be reported and a concurrent reader waits for one chunk,
-// not for the whole load, before it publishes.
+// insertChunk bounds how many triples a bulk insert adds per Batch, so a
+// concurrent reader waits for one chunk, not for the whole load, before
+// it publishes.
 const insertChunk = 4096
 
-// InsertTriplesP is InsertTriples with bulk-load progress reporting:
-// ph (nil-safe) grows by len(ts) and advances per inserted chunk. Each
-// chunk is one Batch: a concurrent reader sees whole chunks only.
-func (s *Store) InsertTriplesP(g rdf.Term, ts []rdf.Triple, ph *obs.Phase) int {
+// InsertTriples bulk-adds triples into the graph named by g (zero Term
+// for the default graph) and returns the number actually added. Each
+// chunk of insertChunk triples is one Batch: a concurrent reader sees
+// whole chunks only.
+func (s *Store) InsertTriples(g rdf.Term, ts []rdf.Triple) int {
 	gid, _ := s.dict.graphID(g, true)
-	ph.Grow(int64(len(ts)))
 	added := 0
 	for len(ts) > 0 {
 		chunk := ts[:min(len(ts), insertChunk)]
@@ -456,7 +449,6 @@ func (s *Store) InsertTriplesP(g rdf.Term, ts []rdf.Triple, ph *obs.Phase) int {
 				}
 			}
 		})
-		ph.Add(int64(len(chunk)))
 	}
 	return added
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -87,27 +86,11 @@ func DumpStore(st *store.Store) []rdf.Quad {
 
 // LoadQuads inserts quads into a store and returns how many were new.
 func LoadQuads(st *store.Store, quads []rdf.Quad) int {
-	return LoadQuadsP(st, quads, nil)
-}
-
-// loadChunk is how many quad inserts LoadQuadsP reports per progress
-// step; fine-grained enough for a live rate over bulk files without
-// taking the progress lock per quad.
-const loadChunk = 1024
-
-// LoadQuadsP is LoadQuads with chunked progress reporting into ph (nil
-// reports nothing).
-func LoadQuadsP(st *store.Store, quads []rdf.Quad, ph *obs.Phase) int {
-	ph.Grow(int64(len(quads)))
 	n := 0
-	for i, q := range quads {
+	for _, q := range quads {
 		if st.Insert(q) {
 			n++
 		}
-		if (i+1)%loadChunk == 0 {
-			ph.Add(loadChunk)
-		}
 	}
-	ph.Add(int64(len(quads) % loadChunk))
 	return n
 }

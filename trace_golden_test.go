@@ -1,13 +1,13 @@
 package repro
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/demo"
@@ -163,9 +163,9 @@ func TestTraceOutlineIndependentOfChunkSize(t *testing.T) {
 	}
 }
 
-// BenchmarkTracerOverhead measures the demo query with no tracer
-// installed (a single nil check per span hook) against a fully traced
-// evaluation of the same pipeline, on the 20k-observation cube.
+// BenchmarkTracerOverhead measures the demo query untraced (Query: a
+// single nil check per span hook) against a fully traced evaluation of
+// the same pipeline (QueryTracedContext), on the 20k-observation cube.
 // EXPERIMENTS.md records the measured gap; the off case must stay
 // within noise of the seed engine.
 func BenchmarkTracerOverhead(b *testing.B) {
@@ -178,23 +178,25 @@ func BenchmarkTracerOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, traced := range []bool{false, true} {
-		name := "tracer=off"
-		opts := []sparql.Option{}
-		if traced {
-			name = "tracer=on"
-			opts = append(opts, sparql.WithTracer(obs.NewTracer(4)))
-		}
-		b.Run(name, func(b *testing.B) {
-			eng := sparql.NewEngine(env.Store, opts...)
-			b.ResetTimer()
+	eng := sparql.NewEngine(env.Store)
+	for _, c := range []struct {
+		name string
+		run  func() (*sparql.Results, error)
+	}{
+		{"tracer=off", func() (*sparql.Results, error) { return eng.Query(q) }},
+		{"tracer=on", func() (*sparql.Results, error) {
+			res, _, err := eng.QueryTracedContext(context.Background(), q)
+			return res, err
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := eng.Query(q)
+				res, err := c.run()
 				if err != nil {
 					b.Fatal(err)
 				}
 				if res.Len() == 0 {
-					b.Fatal(fmt.Sprintf("no rows (%s)", name))
+					b.Fatal(fmt.Sprintf("no rows (%s)", c.name))
 				}
 			}
 		})
@@ -251,94 +253,5 @@ func TestStitchedTraceGoldenMaryHTTP(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("stitched trace outline drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
-	}
-}
-
-// BenchmarkSampledTracing measures always-on sampled tracing on the
-// demo-scale cube: the Mary query with no tracer at all (the seed
-// baseline), with a tracer but rate 0 (every query takes the unsampled
-// fast path: one ID draw plus one hash, no span tree), the default 1%
-// rate, and rate 1 (every query traced). EXPERIMENTS.md A-trace
-// records the measured overhead; the acceptance bar is sample=0.01
-// within 2% of sample=off.
-func BenchmarkSampledTracing(b *testing.B) {
-	cases := []struct {
-		name string
-		opts []sparql.Option
-	}{
-		{"sample=off", nil},
-		{"sample=0", []sparql.Option{sparql.WithTracer(obs.NewTracer(4)), sparql.WithSampler(obs.NewSampler(0))}},
-		{"sample=0.01", []sparql.Option{sparql.WithTracer(obs.NewTracer(4)), sparql.WithSampler(obs.NewSampler(0.01))}},
-		{"sample=1", []sparql.Option{sparql.WithTracer(obs.NewTracer(4)), sparql.WithSampler(obs.NewSampler(1))}},
-	}
-	for _, scale := range []int{demoScale, 80000} {
-		for _, c := range cases {
-			b.Run(fmt.Sprintf("obs=%d/%s", scale, c.name), func(b *testing.B) {
-				skipIfShort(b, scale)
-				env := enrichedEnv(b, scale)
-				p, err := ql.Prepare(demoQuery, env.Schema)
-				if err != nil {
-					b.Fatal(err)
-				}
-				q, err := sparql.ParseQuery(p.Translation.Direct)
-				if err != nil {
-					b.Fatal(err)
-				}
-				eng := sparql.NewEngine(env.Store, c.opts...)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := eng.Query(q)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Len() == 0 {
-						b.Fatal("no rows")
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkConcurrentQuerySampled is BenchmarkConcurrentQuery's
-// acceptance companion: 16 concurrent clients hammering the
-// demo-scale cube through the in-process endpoint, with engine-level
-// sampling off versus the default 1%. The two must stay within noise
-// of each other (the sampler is one atomic-free hash per query; only
-// the ~1% sampled queries build span trees).
-func BenchmarkConcurrentQuerySampled(b *testing.B) {
-	const scale = 80000
-	skipIfShort(b, scale)
-	env := enrichedEnv(b, scale)
-	p, err := ql.Prepare(demoQuery, env.Schema)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gmp := runtime.GOMAXPROCS(0)
-	for _, rate := range []float64{-1, 0.01} {
-		name := "sample=off"
-		var opts []sparql.Option
-		if rate >= 0 {
-			name = fmt.Sprintf("sample=%g", rate)
-			opts = append(opts,
-				sparql.WithTracer(obs.NewTracer(8)),
-				sparql.WithSampler(obs.NewSampler(rate)))
-		}
-		b.Run(name, func(b *testing.B) {
-			client := endpoint.NewLocal(env.Store, opts...)
-			b.SetParallelism((16 + gmp - 1) / gmp)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					cube, err := ql.Execute(client, p.Translation, ql.Direct)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(cube.Cells) == 0 {
-						b.Fatal("empty cube")
-					}
-				}
-			})
-		})
 	}
 }

@@ -32,7 +32,7 @@ func TestWorkloadGoldenQueriesCorpus(t *testing.T) {
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no QL programs found under queries/: %v", err)
 	}
-	wl := obs.NewWorkload(0)
+	wl := obs.NewWorkload()
 	for _, file := range files {
 		src, err := os.ReadFile(file)
 		if err != nil {
@@ -49,7 +49,7 @@ func TestWorkloadGoldenQueriesCorpus(t *testing.T) {
 				t.Fatalf("%s: %v", file, err)
 			}
 			acct.Finish()
-			wl.Record(text, 0, acct.Rows(), acct.Bytes(), obs.OutcomeOK)
+			wl.Record(obs.QueryRecord{Query: text, Rows: acct.Rows(), MemBytes: acct.Bytes(), Outcome: obs.OutcomeOK})
 		}
 	}
 	got := wl.Snapshot().Canonical().RenderText()
