@@ -4,16 +4,16 @@
 //
 // Usage:
 //
-//	sparqld [-addr :8080] [-data file.ttl]... [-quads file.nq]... [-demo N]
+//	sparqld [-addr :8080] [-data file.ttl|file.nq]... [-demo N]
 //	        [-readonly] [-planner on|off] [-trace RATE] [-trace-export file.jsonl]
 //	        [-slowlog DUR] [-debug-addr :8081] [-query-timeout DUR]
 //	        [-max-inflight N] [-max-query-mem SIZE] [-profile-dir DIR]
 //	        [-fault-profile NAME] [-tick DUR] [-slo file.json]
 //
-// -data loads a Turtle file into the default graph and -quads an
-// N-Quads file with its named graphs (both repeatable); -demo N
-// generates the synthetic Eurostat asylum cube (generator seed 42) with
-// N observations plus the simulated external graph and loads it.
+// -data loads a file (repeatable): one whose name ends in .nq as N-Quads,
+// keeping its named graphs, any other as Turtle into the default graph.
+// -demo N generates the synthetic Eurostat asylum cube (generator seed
+// 42) with N observations plus the simulated external graph and loads it.
 // -readonly rejects updates and loads. -planner=off disables the
 // cost-based query planner (statistics-driven join reordering and
 // filter pushdown before evaluation, plus the /sparql?cost=1 plan-cost
@@ -157,7 +157,7 @@ type sparqld struct {
 // wires tracing, profiling, the time series, alerts and fault
 // injection. It starts no goroutine and listens on nothing.
 func newServer(fs *flag.FlagSet, args []string) (*sparqld, error) {
-	var files, quadFiles []string
+	var files []string
 	addr := fs.String("addr", ":8080", "listen address")
 	demoObs := fs.Int("demo", 0, "generate the synthetic Eurostat cube (seed 42) with this many observations")
 	readOnly := fs.Bool("readonly", false, "reject updates and loads (serve data only)")
@@ -173,8 +173,7 @@ func newServer(fs *flag.FlagSet, args []string) (*sparqld, error) {
 	tick := fs.Duration("tick", time.Second, "metrics time-series sampling interval for /timeseries and /debug/dash (0 disables the series, dashboard, alerts and shed readiness)")
 	sloFile := fs.String("slo", "", "evaluate this SLO file's thresholds as live burn-rate alert rules at /alerts, and drain /readyz past its max_shed_rate (requires -tick > 0)")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics and /debug diagnostics on this second address")
-	fs.Func("data", "Turtle file to load into the default graph (repeatable)", func(v string) error { files = append(files, v); return nil })
-	fs.Func("quads", "N-Quads file to load, preserving named graphs (repeatable)", func(v string) error { quadFiles = append(quadFiles, v); return nil })
+	fs.Func("data", "file to load: .nq as N-Quads keeping its named graphs, any other as Turtle into the default graph (repeatable)", func(v string) error { files = append(files, v); return nil })
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -213,28 +212,9 @@ func newServer(fs *flag.FlagSet, args []string) (*sparqld, error) {
 
 	st := store.New()
 	for _, path := range files {
-		data, err := os.ReadFile(path)
-		if err != nil {
+		if err := load(st, path); err != nil {
 			return nil, err
 		}
-		triples, _, err := turtle.Parse(string(data))
-		if err != nil {
-			return nil, fmt.Errorf("parsing %s: %v", path, err)
-		}
-		n := st.InsertTriples(rdf.Term{}, triples)
-		log.Printf("loaded %d triples from %s", n, path)
-	}
-	for _, path := range quadFiles {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		quads, err := turtle.ParseNQuads(string(data))
-		if err != nil {
-			return nil, fmt.Errorf("parsing %s: %v", path, err)
-		}
-		n := turtle.LoadQuads(st, quads)
-		log.Printf("loaded %d quads from %s", n, path)
 	}
 	if *demoObs > 0 {
 		cfg := eurostat.DefaultConfig()
@@ -308,6 +288,29 @@ func newServer(fs *flag.FlagSet, args []string) (*sparqld, error) {
 		srv.Exporter = exporter
 	}
 	return &sparqld{srv: srv, handler: handler, addr: *addr, debugAddr: *debugAddr}, nil
+}
+
+// load reads one -data file into st: N-Quads, with their named graphs,
+// when the name ends in .nq, and Turtle into the default graph otherwise.
+func load(st *store.Store, path string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if strings.HasSuffix(path, ".nq") {
+		quads, err := turtle.ParseNQuads(string(data))
+		if err != nil {
+			return fmt.Errorf("parsing %s: %v", path, err)
+		}
+		log.Printf("loaded %d quads from %s", turtle.LoadQuads(st, quads), path)
+		return nil
+	}
+	triples, _, err := turtle.Parse(string(data))
+	if err != nil {
+		return fmt.Errorf("parsing %s: %v", path, err)
+	}
+	log.Printf("loaded %d triples from %s", st.InsertTriples(rdf.Term{}, triples), path)
+	return nil
 }
 
 func main() {

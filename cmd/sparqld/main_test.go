@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/eurostat"
+	"repro/internal/rdf"
 )
 
 // build runs newServer on a fresh FlagSet that reports errors instead
@@ -69,6 +70,10 @@ func TestParseSize(t *testing.T) {
 // server no longer defines.
 func TestNewServerRejects(t *testing.T) {
 	dir := t.TempDir()
+	bad := filepath.Join(dir, "turtle.nq") // Turtle, which N-Quads does not parse
+	if err := os.WriteFile(bad, []byte("@prefix x: <http://x/> .\nx:a x:p x:b .\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -98,6 +103,11 @@ func TestNewServerRejects(t *testing.T) {
 		// Load progress and the startup run report.
 		{[]string{"-progress"}, "not defined: -progress"},
 		{[]string{"-report", filepath.Join(dir, "r.json")}, "not defined: -report"},
+		// N-Quads files load through -data.
+		{[]string{"-quads", filepath.Join(dir, "all.nq")}, "not defined: -quads"},
+		// A -data file that is missing or does not parse as its name says.
+		{[]string{"-data", filepath.Join(dir, "missing.ttl")}, "no such file"},
+		{[]string{"-data", bad}, "parsing " + bad},
 	} {
 		d, _, err := build(tc.args...)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -164,6 +174,33 @@ func TestNewServerDerived(t *testing.T) {
 	defer d.srv.Exporter.Close()
 	if d.srv.Tracer == nil || d.srv.Sampler.Rate() != 1 || d.debugAddr != "127.0.0.1:0" {
 		t.Errorf("-trace 1: tracer=%v sampler=%v debug-addr=%q", d.srv.Tracer, d.srv.Sampler, d.debugAddr)
+	}
+}
+
+// TestNewServerData: -data picks the parser by file name — a .nq file
+// loads as N-Quads with its named graphs, any other as Turtle into the
+// default graph — and is repeatable.
+func TestNewServerData(t *testing.T) {
+	dir := t.TempDir()
+	ttl, nq := filepath.Join(dir, "cube.ttl"), filepath.Join(dir, "all.nq")
+	files := map[string]string{
+		ttl: "@prefix x: <http://x/> .\nx:a x:p x:b , x:c .\n",
+		nq:  "<http://x/d> <http://x/p> <http://x/e> .\n<http://x/f> <http://x/p> <http://x/g> <http://x/ext> .\n",
+	}
+	for path, text := range files {
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, _, err := build("-data", ttl, "-data", nq, "-tick", "0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := d.srv.Engine().Store()
+	ext := rdf.NewIRI("http://x/ext")
+	if st.Len(rdf.Term{}) != 3 || st.Len(ext) != 1 || st.TotalLen() != 4 {
+		t.Errorf("loaded default graph %d, <http://x/ext> %d, total %d triples; want 3, 1, 4",
+			st.Len(rdf.Term{}), st.Len(ext), st.TotalLen())
 	}
 }
 

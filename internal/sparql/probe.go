@@ -170,14 +170,13 @@ func bindsVar(tps []TriplePattern, v string) bool {
 // sub-run of every member of a star. n counts the candidate rows — the
 // run's triples, or the product of the sub-runs' lengths — before
 // extendAt's checks. A rooted star's candidates come in groups, one per
-// triple of its root run: at is the root triple the sub-runs belong to,
-// and pos is where the search for the next one's subject starts.
+// triple of its root run: at is the root triple the sub-runs belong to.
 type matches struct {
-	run     []store.IDTriple
-	free    uint8
-	runs    [][]store.IDTriple
-	n       int
-	at, pos int
+	run  []store.IDTriple
+	free uint8
+	runs [][]store.IDTriple
+	n    int
+	at   int
 }
 
 // matchRow fills m with what row matches — for a rooted star, the root
@@ -208,10 +207,9 @@ func (p *probe) matchRow(row solution, m *matches, last *lastMatch) {
 // nextRoot moves a rooted star's m to the group of the next root
 // triple, reporting false once the root run is done — and at once for
 // every other shape, whose one group matchRow filled. The triple's
-// subject is its own S (O when subjO is set): no Lookup. A root run is
-// one run of an ordering whose prefix the root's bound positions form,
-// so its subjects mostly ascend, and SubjectRun searches forward from
-// the previous subject's run; a repeated subject keeps its group.
+// subject is its own S (O when subjO is set): no Lookup, and its SPO
+// run is two loads from the graph's subject table (store's graph.rng).
+// A repeated subject keeps its group.
 func (p *probe) nextRoot(m *matches) bool {
 	if !p.rooted || m.at+1 >= len(m.run) {
 		return false
@@ -221,9 +219,7 @@ func (p *probe) nextRoot(m *matches) bool {
 	if m.at > 0 && s == p.subject(m.run[m.at-1]) {
 		return true
 	}
-	var all []store.IDTriple
-	all, m.pos = p.snap.SubjectRun(p.gid, s, m.pos)
-	p.memberRuns(all, m)
+	p.memberRuns(p.snap.Range(p.gid, store.IDTriple{S: s}), m)
 	return true
 }
 

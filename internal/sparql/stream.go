@@ -62,7 +62,8 @@ import (
 //     level-by-level join emits (probe.go, DESIGN §16). The subject is
 //     the one an earlier level bound, looked up once per row ("The star
 //     walk"), or the one each triple of the star's own root pattern
-//     holds, its run found by a forward search ("The rooted star").
+//     holds, its run read from the graph's subject table ("The rooted
+//     star").
 //   - Every SELECT and ASK result leaves through one delivery loop
 //     (run.stream); Results-returning entry points are collectors over
 //     it. CONSTRUCT and DESCRIBE consume the WHERE stream chunk by chunk

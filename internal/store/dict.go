@@ -6,16 +6,16 @@
 // rdf.Term to a dense uint32 id, and every triple index holds ids. Each
 // graph keeps three orderings (SPO, POS, OSP) as sorted slices; every
 // triple pattern is a contiguous run of one of them, found by two binary
-// searches over machine words.
+// searches over machine words — or, for a subject, by two loads from the
+// graph's subject table, which maps each subject id to its SPO run.
 //
 // What the SPARQL engine does with that: the constants of a pattern are
 // resolved to ids once per query stage; per row, each position the row
 // binds costs one Snapshot.Lookup (term → id) and the match is Range on
 // ids. In a star — patterns on one subject — each pattern is a binary
-// search inside the subject's SPO run: the pattern that binds the
-// subject hands its id over (SubjectRun, searching forward from the last
-// subject's run), or else one Lookup and one Range(s, *, *) per row find
-// it. The positions a match leaves free are decoded through
+// search inside the subject's SPO run, which Range(s, *, *) reads from
+// the subject table: the pattern that binds the subject hands its id
+// over, or else one Lookup per row finds it. The positions a match leaves free are decoded through
 // Snapshot.Term. Both read arrays the snapshot pinned when it was
 // published, so neither takes a lock: the id → term table is
 // append-only, and the term → id index is an array of ids over it that

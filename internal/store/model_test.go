@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/rdf"
@@ -17,7 +18,10 @@ import (
 // Len, TotalLen and all three orderings of both graphs (strictly sorted,
 // hence duplicate-free, and equal to the model), and the snapshot's
 // lock-free Lookup against the dictionary's for every term of the
-// universe, with each term's never-interned value twin missing.
+// universe, with each term's never-interned value twin missing; each
+// graph's subject table entry by entry against its SPO ordering; and
+// Range for every S- and SP-bound pattern of the universe against a
+// filter of the model.
 func checkStoreOps(t *testing.T, data []byte) {
 	st := New()
 	g1 := iri("g1")
@@ -105,6 +109,31 @@ func checkStoreOps(t *testing.T, data []byte) {
 					}
 				}
 			}
+			checkSubjectTable(t, step, sn.graphs[gid])
+			for b := 0; b < 8; b++ {
+				q := quad(byte(b))
+				for _, p := range [2]rdf.Term{{}, q.P} {
+					pat, ok := sn.PatternIDs(q.S, p, rdf.Term{})
+					got := 0
+					if ok {
+						for _, tr := range sn.Range(gid, pat) {
+							if tt := sn.triple(tr); tt.S != q.S || !p.IsZero() && tt.P != p || !model[rdf.NewQuad(tt.S, tt.P, tt.O, g)] {
+								t.Fatalf("step %d: Range(%v, %v) in graph %v holds %v", step, q.S, p, g, tt)
+							}
+							got++
+						}
+					}
+					want := 0
+					for m := range model {
+						if m.G == g && m.S == q.S && (p.IsZero() || m.P == p) {
+							want++
+						}
+					}
+					if got != want {
+						t.Fatalf("step %d: Range(%v, %v) in graph %v has %d triples, model has %d", step, q.S, p, g, got, want)
+					}
+				}
+			}
 		}
 	}
 	for i := 0; i+1 < len(data); i += 2 {
@@ -124,6 +153,29 @@ func checkStoreOps(t *testing.T, data []byte) {
 		}
 	}
 	verify(len(data))
+}
+
+// checkSubjectTable checks g's subject table entry by entry: present
+// exactly when its subjects span at most len(spo)-2 ids, and then each
+// entry the first SPO position whose subject is at least its id, with
+// one entry past the highest subject.
+func checkSubjectTable(t *testing.T, step int, g *graph) {
+	idx := g.idx[spo]
+	if len(idx) == 0 || int(idx[len(idx)-1].S-idx[0].S)+2 > len(idx) {
+		if g.subj != nil {
+			t.Fatalf("step %d: a subject table of %d entries over %d triples", step, len(g.subj), len(idx))
+		}
+		return
+	}
+	if g.lo != idx[0].S || len(g.subj) != int(idx[len(idx)-1].S-g.lo)+2 {
+		t.Fatalf("step %d: subject table from %d with %d entries over subjects %d..%d", step, g.lo, len(g.subj), idx[0].S, idx[len(idx)-1].S)
+	}
+	for k, pos := range g.subj {
+		s := g.lo + ID(k)
+		if want := sort.Search(len(idx), func(i int) bool { return idx[i].S >= s }); int(pos) != want {
+			t.Fatalf("step %d: subject table entry for %d is %d, want %d", step, s, pos, want)
+		}
+	}
 }
 
 // TestStoreModel runs seeded random operation programs, with and

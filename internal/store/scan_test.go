@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -335,44 +334,100 @@ func TestPinnedTableUnderWrites(t *testing.T) {
 	}
 }
 
-// TestSubjectRunAgainstRange checks SubjectRun against Range(g, {S: s})
-// on random graphs, for every subject id the dictionary holds (subjects,
-// ids that are only objects, and one past the last) and every hint from 0
-// to past the end of the ordering — before, at and past the subject's
-// run, and after the runs of subjects above it, where the forward search
-// must fall back. The position it returns must be the run's end in the
-// SPO ordering. An empty graph and a graph that does not exist have no
-// runs.
-func TestSubjectRunAgainstRange(t *testing.T) {
-	if run, pos := New().Snapshot().SubjectRun(NoID, 1, 3); run != nil || pos != 0 {
-		t.Fatalf("an empty graph's SubjectRun = %v, %d", run, pos)
+// checkSubjectRanges checks g.rng for every S, SP and SPO pattern over
+// the ids 1..top against a filter of g's SPO ordering, and that a subject
+// table, when g has one, holds at most one entry per triple.
+func checkSubjectRanges(t *testing.T, name string, g *graph, top ID) {
+	t.Helper()
+	all := g.idx[spo]
+	if g.subj != nil && len(g.subj) > len(all) {
+		t.Fatalf("%s: subject table of %d entries for %d triples", name, len(g.subj), len(all))
 	}
+	for s := ID(1); s <= top; s++ {
+		for p := NoID; p <= top; p++ {
+			for o := NoID; o <= top; o++ {
+				if p == NoID && o != NoID {
+					continue // an OS pattern, served by OSP
+				}
+				pat := IDTriple{s, p, o}
+				var want []IDTriple
+				for _, tr := range all {
+					if tr.S == s && (p == NoID || tr.P == p) && (o == NoID || tr.O == o) {
+						want = append(want, tr)
+					}
+				}
+				if got := g.rng(pat); !slices.Equal(got, want) || cap(got) != len(got) {
+					t.Fatalf("%s: rng(%v) = %v (cap %d), want %v", name, pat, got, cap(got), want)
+				}
+				if p != NoID && o != NoID && g.has(pat) != (len(want) == 1) {
+					t.Fatalf("%s: has(%v) = %v", name, pat, g.has(pat))
+				}
+			}
+		}
+	}
+}
+
+// TestSubjectTableAgainstRange checks the subject table's two arms
+// against a filter of the SPO ordering (checkSubjectRanges). Random
+// graphs whose subjects span no more ids than they have triples build a
+// table: every S, SP and SPO pattern is checked for ids below the lowest
+// subject, above the highest, interned after the publish, and for
+// subjects whose last triple was deleted — the lowest one among them. A
+// graph with subjects at ids 1 and 1<<20 builds none and binary-searches.
+func TestSubjectTableAgainstRange(t *testing.T) {
+	d := newDelta(new(graph))
+	for _, tr := range []IDTriple{{1, 2, 3}, {1, 2, 4}, {1, 5, 3}, {1 << 20, 2, 3}} {
+		d.insert(tr)
+	}
+	if sparse := d.merged(); sparse.subj != nil {
+		t.Fatalf("subjects 1 and 1<<20 built a table of %d entries for %d triples", len(sparse.subj), len(sparse.idx[spo]))
+	} else {
+		checkSubjectRanges(t, "sparse", sparse, 6)
+		for _, s := range []ID{1<<20 - 1, 1 << 20, 1<<20 + 1} {
+			if got, want := len(sparse.rng(IDTriple{S: s})), map[ID]int{1 << 20: 1}[s]; got != want {
+				t.Fatalf("sparse: rng(S %d) has %d triples, want %d", s, got, want)
+			}
+		}
+	}
+
 	rng := rand.New(rand.NewSource(7))
+	built := 0
 	for trial := 0; trial < 40; trial++ {
 		st := New()
 		g := rdf.NewIRI("http://ex/g")
-		ts := make([]rdf.Triple, rng.Intn(60))
+		node := func() rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://ex/n%d", rng.Intn(12))) }
+		ts := make([]rdf.Triple, 20+rng.Intn(60))
 		for i := range ts {
-			node := func() rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://ex/n%d", rng.Intn(12))) }
 			ts[i] = rdf.NewTriple(node(), rdf.NewIRI(fmt.Sprintf("http://ex/p%d", rng.Intn(3))), node())
 		}
 		st.InsertTriples(rdf.Term{}, ts)
 		st.InsertTriples(g, ts[:len(ts)/3])
-		sn := st.Snapshot()
-		gid, _ := sn.GraphID(g)
-		for _, graph := range []ID{NoID, gid, ID(1 << 30)} {
-			all := sn.Range(graph, IDTriple{})
-			for s := ID(1); int(s) <= len(sn.terms); s++ {
-				want := sn.Range(graph, IDTriple{S: s})
-				end := sort.Search(len(all), func(i int) bool { return all[i].S > s })
-				for hint := 0; hint <= len(all)+2; hint++ {
-					got, pos := sn.SubjectRun(graph, s, hint)
-					if !slices.Equal(got, want) || pos != end || cap(got) != len(got) {
-						t.Fatalf("trial %d: SubjectRun(graph %d, s %d, hint %d) = %v, %d (cap %d); Range = %v ending at %d",
-							trial, graph, s, hint, got, pos, cap(got), want, end)
-					}
-				}
+		// Delete every triple of the first triple's subject — the lowest
+		// subject id — and of one other subject, then republish.
+		for _, gone := range []rdf.Term{ts[0].S, node()} {
+			for _, tr := range st.MatchAll(rdf.Term{}, gone, rdf.Term{}, rdf.Term{}) {
+				st.Delete(rdf.NewQuad(tr.S, tr.P, tr.O, rdf.Term{}))
 			}
 		}
+		sn := st.Snapshot()
+		top := ID(len(sn.terms)) + 2
+		gid, _ := sn.GraphID(g)
+		for _, graph := range []ID{NoID, gid} {
+			gr := sn.graphs[graph]
+			if gr.subj != nil {
+				built++
+			}
+			checkSubjectRanges(t, fmt.Sprintf("trial %d graph %d", trial, graph), gr, top)
+		}
+		later := st.Dict().Intern(rdf.NewIRI("http://ex/later"))
+		if got := sn.Range(NoID, IDTriple{S: later}); len(got) != 0 {
+			t.Fatalf("trial %d: an id interned after the publish has run %v", trial, got)
+		}
+		if got := sn.Range(ID(1<<30), IDTriple{S: 1}); got != nil {
+			t.Fatalf("trial %d: a graph that does not exist has run %v", trial, got)
+		}
+	}
+	if built < 40 {
+		t.Fatalf("only %d of 80 dense graphs built a subject table", built)
 	}
 }

@@ -78,13 +78,54 @@ func (o order) search(idx []IDTriple, key IDTriple, after bool) int {
 type graph struct {
 	idx [3][]IDTriple
 
+	// subj is the subject table over the SPO ordering: subj[s-lo] is the
+	// first position whose subject is at least s, with one entry past the
+	// highest subject, so subject s's run is idx[spo][subj[s-lo]:subj[s-lo+1]].
+	// It is nil when its span of subject ids would cost more than one
+	// entry per triple (see indexSubjects).
+	subj []uint32
+	lo   ID
+
 	statsOnce sync.Once
 	stats     *gstats
 }
 
-func (g *graph) has(t IDTriple) bool {
-	i := spo.search(g.idx[spo], t, false)
-	return i < len(g.idx[spo]) && g.idx[spo][i] == t
+// has reports whether t is in g: a search inside t's subject run.
+func (g *graph) has(t IDTriple) bool { return len(g.rng(t)) == 1 }
+
+// indexSubjects builds g's subject table in one pass over its SPO
+// ordering — unless the subjects span more ids than the graph has
+// triples, which bounds the table at one uint32 per triple (a ninth of
+// what the three orderings hold) and leaves a graph of few, scattered
+// subjects to binary search.
+func (g *graph) indexSubjects() {
+	idx := g.idx[spo]
+	if len(idx) == 0 {
+		return
+	}
+	lo, hi := idx[0].S, idx[len(idx)-1].S
+	if int(hi-lo)+2 > len(idx) {
+		return
+	}
+	subj := make([]uint32, hi-lo+2)
+	s := lo
+	for i, t := range idx {
+		for ; s <= t.S; s++ {
+			subj[s-lo] = uint32(i)
+		}
+	}
+	subj[s-lo] = uint32(len(idx))
+	g.subj, g.lo = subj, lo
+}
+
+// subjectRun returns subject s's run of the SPO ordering from the
+// subject table, which g must have.
+func (g *graph) subjectRun(s ID) []IDTriple {
+	if s < g.lo || int(s-g.lo)+1 >= len(g.subj) {
+		return nil
+	}
+	i, j := g.subj[s-g.lo], g.subj[s-g.lo+1]
+	return g.idx[spo][i:j:j]
 }
 
 // rng returns the triples matching pat (NoID components are wildcards)
@@ -92,7 +133,9 @@ func (g *graph) has(t IDTriple) bool {
 // components is a prefix of SPO (S, SP, SPO), POS (P, PO) or OSP (O, OS),
 // so a match is two binary searches and no per-triple filtering. The
 // run lies between pat itself — NoID sorts below every id — and pat
-// with its wildcards raised to the largest id.
+// with its wildcards raised to the largest id. An S-bound pattern reads
+// its subject's run from the subject table when g has one: S alone is
+// that run, and SP and SPO search inside it only.
 func (g *graph) rng(pat IDTriple) []IDTriple {
 	o := spo
 	switch {
@@ -103,6 +146,11 @@ func (g *graph) rng(pat IDTriple) []IDTriple {
 		o = pos
 	}
 	idx := g.idx[o]
+	if o == spo && pat.S != NoID && g.subj != nil {
+		if idx = g.subjectRun(pat.S); pat.P == NoID {
+			return idx
+		}
+	}
 	idx = idx[o.search(idx, pat, false):]
 	top := pat
 	for _, c := range [3]*ID{&top.S, &top.P, &top.O} {
@@ -119,25 +167,6 @@ func (g *graph) rng(pat IDTriple) []IDTriple {
 	}
 	hi := step/2 + o.search(idx[step/2:min(step, len(idx))], top, true)
 	return idx[:hi:hi]
-}
-
-// subjectsUpTo returns the first position at or after from in an SPO
-// ordering whose subject is above s, where none before from is: a
-// position d triples on costs O(log d) comparisons of subjects alone.
-func subjectsUpTo(idx []IDTriple, from int, s ID) int {
-	step := 1
-	for from+step <= len(idx) && idx[from+step-1].S <= s {
-		from += step
-		step *= 2
-	}
-	for hi := min(from+step-1, len(idx)); from < hi; {
-		if m := int(uint(from+hi) >> 1); idx[m].S <= s {
-			from = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return from
 }
 
 // delta is the unpublished writes against one graph. adds and dels are
@@ -203,6 +232,7 @@ func (d *delta) merged() *graph {
 		slices.SortFunc(dels, cmpOrder[o])
 		g.idx[o] = o.merge(base, a, dels)
 	}
+	g.indexSubjects()
 	return g
 }
 
@@ -518,29 +548,9 @@ func (sn *Snapshot) Range(g ID, pat IDTriple) []IDTriple {
 	return gr.rng(pat)
 }
 
-// SubjectRun returns Range(g, {S: s}) and the position just past it in
-// the graph's SPO ordering. hint is such a position from an earlier call:
-// when s is above the subject just before it, the run is searched for
-// forward from there (subjectsUpTo), otherwise over the whole ordering —
-// so a caller visiting ascending subjects passes each position on.
-func (sn *Snapshot) SubjectRun(g, s ID, hint int) ([]IDTriple, int) {
-	gr := sn.graphs[g]
-	if gr == nil {
-		return nil, 0
-	}
-	idx, lo := gr.idx[spo], 0
-	if hint > 0 && hint <= len(idx) && idx[hint-1].S < s {
-		lo = subjectsUpTo(idx, hint, s-1)
-	} else {
-		lo = spo.search(idx, IDTriple{S: s}, false)
-	}
-	hi := subjectsUpTo(idx, lo, s)
-	return idx[lo:hi:hi], hi
-}
-
 // Count returns the exact number of triples matching the pattern in
-// graph g: two binary searches, cheap enough for the query planner to
-// call per pattern.
+// graph g: two binary searches at most, cheap enough for the query
+// planner to call per pattern.
 func (sn *Snapshot) Count(g ID, pat IDTriple) int { return len(sn.Range(g, pat)) }
 
 // termRange is Range over terms: zero terms are wildcards, and a bound
