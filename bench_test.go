@@ -653,11 +653,13 @@ func BenchmarkStoreLoadTriples(b *testing.B) {
 }
 
 // BenchmarkStorePublish pins the store's publish kernel: the first
-// Snapshot after a write burst, which sorts the pending delta and merges
-// it into fresh orderings. Only that call is timed. The three cases are
-// the refresh-20k cycle (2 250 triples onto the 20k-observation cube,
-// about 180k triples), a bulk load (empty base, where the sorted delta
-// becomes the ordering) and a delete burst of the same size.
+// Snapshot after a write burst, which orders the pending delta and merges
+// it into fresh orderings. Only that call is timed. The cases are the
+// refresh-20k cycle (2 250 triples onto the 20k-observation cube, about
+// 180k triples), a delete burst of the same size, and two bulk loads
+// (empty base, where the ordered delta becomes the ordering): the 20k
+// cube, and one 3k-observation data set (about 28k triples), which is
+// what an enrich-3k session publishes first.
 func BenchmarkStorePublish(b *testing.B) {
 	d := rawDataset(b, 20000)
 	burst := make([]rdf.Triple, 2250)
@@ -704,16 +706,20 @@ func BenchmarkStorePublish(b *testing.B) {
 		st.Snapshot()
 		run(b, st, remove, insert)
 	})
-	b.Run("base=0/insert=180k", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			st := newEmptyStore()
-			loadDataset(st, d)
-			b.StartTimer()
-			st.Snapshot()
+	bulk := func(d *eurostat.Dataset) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				st := newEmptyStore()
+				loadDataset(st, d)
+				b.StartTimer()
+				st.Snapshot()
+			}
 		}
-	})
+	}
+	b.Run("base=0/insert=180k", bulk(d))
+	b.Run("base=0/insert=28k", bulk(rawDataset(b, 3000)))
 }
 
 // BenchmarkSPARQLGroupBy measures a flat aggregation over all

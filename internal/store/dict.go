@@ -32,8 +32,10 @@
 // holds one — the SPARQL engine pins one per query — sees a single state
 // however many scans it makes and however long it keeps them open.
 // Writes only record triples in a pending delta; the first Snapshot
-// after a write burst sorts the delta and merges it into fresh orderings
-// (an O(n) copy, not a re-sort) and publishes the result. Everything one
+// after a write burst orders the delta — by counting passes over its
+// dense ids when its adds outnumber the ids they span, as a bulk load's
+// do, else by comparison sorts — and merges it into fresh orderings (an
+// O(n) copy, not a re-sort) and publishes the result. Everything one
 // Store.Batch wrote is published together, so a batch is atomic to every
 // reader; a bulk load is one batch per 4096-triple chunk.
 //

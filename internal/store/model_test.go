@@ -201,5 +201,15 @@ func FuzzStoreOps(f *testing.F) {
 	f.Add([]byte{0, 9, 3, 9, 6, 0, 0, 9, 6, 0, 3, 9, 3, 9})  // delete of a pending insert
 	f.Add([]byte{0, 33, 0, 34, 6, 0, 5, 32, 0, 35, 6, 0})    // named graph, clear, insert after clear
 	f.Add([]byte{7, 3, 0, 1, 0, 2, 3, 1, 5, 0, 6, 0, 0, 63}) // one batch of four writes
+	// Two bursts of 16 inserts, the second with two deletes: each delta's
+	// adds outnumber the ids they span, so both publishes, onto an empty
+	// base and onto a loaded one, take the counting passes.
+	var bulk []byte
+	for b := byte(0); b < 32; b++ {
+		if bulk = append(bulk, 0, b); b == 15 {
+			bulk = append(bulk, 6, 0)
+		}
+	}
+	f.Add(append(bulk, 3, 0, 3, 1, 6, 0))
 	f.Fuzz(checkStoreOps)
 }

@@ -206,10 +206,17 @@ func (d *delta) remove(t IDTriple) bool {
 }
 
 // merged returns base with the delta applied, as a fresh graph: the
-// delta alone is sorted (once per ordering) and merged into a copy of
-// the base ordering, O(n + k log k) for k writes on n triples. On an
-// empty base the sorted delta becomes the ordering itself, so a bulk
-// load pays three sorts and no copy beyond its three slices.
+// delta alone is ordered (once per ordering) and merged into a copy of
+// the base ordering, an O(n) copy for n triples. On an empty base the
+// ordered delta becomes the ordering itself, so a bulk load copies
+// nothing beyond its three slices.
+//
+// k adds whose ids span no more values than k — a bulk load, whose ids
+// the load itself interned — are ordered by five stable counting passes
+// of O(k + span) each (see countPasses). Any other adds sort by
+// comparison, O(k log k) per ordering, so a small write onto a large
+// dictionary never pays a span-sized count array; so do the deletes,
+// always.
 func (d *delta) merged() *graph {
 	if len(d.adds)+len(d.dels) == 0 {
 		return d.base
@@ -223,17 +230,104 @@ func (d *delta) merged() *graph {
 	}
 	adds, dels := keys(d.adds), keys(d.dels)
 	g := new(graph)
-	for o := spo; o <= osp; o++ {
-		base, a := d.base.idx[o], adds
-		if len(base) == 0 && o < osp {
-			a = slices.Clone(adds) // kept as the ordering; adds is reused for the next one
-		}
-		slices.SortFunc(a, cmpOrder[o])
+	merge := func(o order, a []IDTriple) {
 		slices.SortFunc(dels, cmpOrder[o])
-		g.idx[o] = o.merge(base, a, dels)
+		g.idx[o] = o.merge(d.base.idx[o], a, dels)
+	}
+	empty := len(d.base.idx[spo]) == 0
+	if cnt := countArray(adds); cnt != nil {
+		countPasses(adds, cnt, empty, merge)
+	} else {
+		for o := spo; o <= osp; o++ {
+			a := adds
+			if empty && o < osp {
+				a = slices.Clone(adds) // kept as the ordering; adds is reused for the next one
+			}
+			slices.SortFunc(a, cmpOrder[o])
+			merge(o, a)
+		}
 	}
 	g.indexSubjects()
 	return g
+}
+
+// countArray returns the count array the counting passes over adds
+// need — one entry per id up to the largest one adds hold, and one more
+// — or nil when that span exceeds len(adds), where comparison sorts are
+// cheaper.
+func countArray(adds []IDTriple) []uint32 {
+	var top ID
+	for _, t := range adds {
+		top = max(top, t.S, t.P, t.O)
+	}
+	if int(top) >= len(adds) {
+		return nil
+	}
+	return make([]uint32, top+2)
+}
+
+// component is one position of an IDTriple, the key of a counting pass.
+type component int
+
+const (
+	compS component = iota
+	compP
+	compO
+)
+
+func (t IDTriple) at(c component) ID {
+	switch c {
+	case compS:
+		return t.S
+	case compP:
+		return t.P
+	}
+	return t.O
+}
+
+// countPasses orders adds in each ordering by stable counting passes
+// over cnt (from countArray) and hands each to merge as it is ready: SPO
+// after three least-significant-first passes (by O, then P, then S); OSP
+// after one pass by O over SPO, whose ties on O are already in (S, P)
+// order; POS after one pass by P over OSP, whose ties on P are already
+// in (O, S) order. The passes rotate through adds and fresh slices of
+// its length: two of them on an empty base, where merge keeps each
+// ordering as it stands and a rotation of three never overwrites one
+// already handed over; else one, since merge copies what it is given.
+func countPasses(adds []IDTriple, cnt []uint32, empty bool, merge func(order, []IDTriple)) {
+	bufs := append(make([][]IDTriple, 0, 3), adds, make([]IDTriple, len(adds)))
+	if empty {
+		bufs = append(bufs, make([]IDTriple, len(adds)))
+	}
+	i := 0
+	pass := func(c component) []IDTriple {
+		src := bufs[i]
+		i = (i + 1) % len(bufs)
+		countPass(bufs[i], src, cnt, c)
+		return bufs[i]
+	}
+	pass(compO)
+	pass(compP)
+	merge(spo, pass(compS))
+	merge(osp, pass(compO))
+	merge(pos, pass(compP))
+}
+
+// countPass writes src to dst ordered by component c, keeping the order
+// of src among equal keys.
+func countPass(dst, src []IDTriple, cnt []uint32, c component) {
+	clear(cnt)
+	for _, t := range src {
+		cnt[t.at(c)+1]++
+	}
+	for k := 1; k < len(cnt); k++ {
+		cnt[k] += cnt[k-1]
+	}
+	for _, t := range src {
+		k := t.at(c)
+		dst[cnt[k]] = t
+		cnt[k]++
+	}
 }
 
 // merge returns base − dels + adds; all three are sorted in ordering o,
